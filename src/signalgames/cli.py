@@ -4,8 +4,9 @@ Subcommands: validate, reduce-symmetric, solve-nstage, solve-sup,
 solve-recursive, simulate, kernel-check, verify-paper.  All values print as
 exact rationals with a decimal rendering alongside; machine-readable
 reports (--csv/--json) contain no clocks, so repeated runs are
-byte-identical.  Exit codes: 0 success, 1 failed checks or violations,
-2 usage errors, 3 resource budget exhausted.
+byte-identical.  Exit codes: 0 success, 1 failed checks, violations or an
+LP failure (pivot limit, failed certificate), 2 usage errors, 3 resource
+budget exhausted.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import BudgetExceededError, GameModelError, ParseError
+from .errors import BudgetExceededError, GameModelError, LPError, ParseError
 from .gamefile import load_game, load_strategy, save_strategy
 from .histories import build_trees, conditional_check, simulate
 from .model import SymmetricGameSpec, is_symmetric_signaling, uniform_strategy
@@ -358,7 +359,7 @@ def main(argv=None) -> int:
     except BudgetExceededError as err:
         print(f"resource budget exhausted: {err}", file=sys.stderr)
         return EXIT_RESOURCE
-    except GameModelError as err:
+    except (GameModelError, LPError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_FAIL
 

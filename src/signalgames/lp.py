@@ -5,11 +5,19 @@ rule.  No floating point appears anywhere: optima of games whose data are
 rational are themselves rational, and every acceptance value downstream is
 asserted with exact equality.
 
+Programs are sparse throughout.  A constraint row is a ``{column:
+coefficient}`` dict of its nonzeros; the tableau keeps its rows in the same
+form plus, per column, the set of rows that hold it, so a pivot touches only
+the rows of the entering column and only the pivot row's nonzeros.  Entries
+that cancel to exactly zero are dropped.  The optimality certificate is
+checked in one pass over the nonzeros, O(nnz) rather than O(rows x cols).
+
 Determinism: entering variable = lowest eligible index, leaving row = lowest
 ratio with ties broken by lowest basic-variable index, which also guarantees
-termination on degenerate programs.  Fractions are reduced after every pivot
-(automatic for Fraction/mpq), so coefficient growth stays in check; a pivot
-limit aborts pathological instances instead of spinning.
+termination on degenerate programs.  Both choices are independent of the
+order in which rows and columns are stored.  Fractions are reduced after
+every pivot (automatic for Fraction/mpq), so coefficient growth stays in
+check; a pivot limit aborts pathological instances instead of spinning.
 
 gmpy2.mpq is used internally when importable (identical semantics, several
 times faster); all public outputs are fractions.Fraction.
@@ -48,7 +56,10 @@ UNBOUNDED = "unbounded"
 class LinearProgram:
     """maximize objective . z   subject to  rows[k] . z  (sense_k)  rhs[k].
 
-    Variables are nonnegative unless their index appears in ``free``.
+    ``objective`` is a dense list with one coefficient per variable; each
+    row is a sparse ``{variable index: coefficient}`` dict of its nonzeros
+    (a zero-valued entry is allowed and ignored).  Variables are
+    nonnegative unless their index appears in ``free``.
     """
 
     objective: list
@@ -62,8 +73,11 @@ class LinearProgram:
         if not (len(self.rows) == len(self.senses) == len(self.rhs)):
             raise LPError("row/sense/rhs length mismatch")
         for k, row in enumerate(self.rows):
-            if len(row) != n:
-                raise LPError(f"row {k} has {len(row)} coefficients, expected {n}")
+            if not isinstance(row, dict):
+                raise LPError(f"row {k} must be a {{column: coefficient}} dict")
+            for j in row:
+                if not (isinstance(j, int) and 0 <= j < n):
+                    raise LPError(f"row {k} has column {j!r}, expected 0..{n - 1}")
         for s in self.senses:
             if s not in (LEQ, GEQ, EQ):
                 raise LPError(f"unknown sense {s!r}")
@@ -80,19 +94,27 @@ class LPSolution:
 
 
 class _Tableau:
-    """Dense simplex tableau over exact rationals."""
+    """Sparse simplex tableau over exact rationals.
+
+    ``m[r]`` is row r as a ``{column: nonzero value}`` dict and ``cols[j]``
+    the set of rows whose dict holds column j; the two always agree.
+    """
 
     def __init__(self, matrix, rhs, ncols):
-        self.m = matrix            # list of rows, each length ncols
+        self.m = matrix            # list of sparse rows
         self.b = rhs               # right-hand sides, all >= 0
         self.ncols = ncols
         self.basis = [None] * len(matrix)
+        self.cols = [set() for _ in range(ncols)]
+        for r, row in enumerate(matrix):
+            for j in row:
+                self.cols[j].add(r)
 
     def dump(self) -> str:
         lines = []
         for r, row in enumerate(self.m):
-            cells = " ".join(str(Fraction(int(v.numerator), int(v.denominator)))
-                             for v in row)
+            cells = " ".join(str(_to_fraction(row.get(j, _Q0)))
+                             for j in range(self.ncols))
             lines.append(f"x{self.basis[r]} | {cells} | {self.b[r]}")
         return "\n".join(lines)
 
@@ -100,48 +122,75 @@ class _Tableau:
         piv = self.m[row]
         inv = _Q1 / piv[col]
         if inv != 1:
-            self.m[row] = piv = [v * inv for v in piv]
+            for j in piv:
+                piv[j] *= inv
             self.b[row] *= inv
         brow = self.b[row]
-        for r, other in enumerate(self.m):
+        # Each update other[j] -= k * p is one exact rational with a single
+        # reduction, computed from numerators and denominators.
+        terms = [(j, p.numerator, p.denominator) for j, p in piv.items() if j != col]
+        cols = self.cols
+        for r in cols[col]:
             if r == row:
                 continue
-            k = other[col]
-            if k:
-                self.m[r] = [a - k * p if p else a for a, p in zip(other, piv)]
+            other = self.m[r]
+            k = other.pop(col)          # eliminated exactly: k - k * 1
+            kn, kd = k.numerator, k.denominator
+            for j, pn, pd in terms:
+                a = other.get(j)
+                if a is None:
+                    other[j] = _Q(-kn * pn, kd * pd)
+                    cols[j].add(r)
+                else:
+                    ad = a.denominator
+                    den = kd * pd
+                    a = _Q(a.numerator * den - kn * pn * ad, ad * den)
+                    if a:
+                        other[j] = a
+                    else:
+                        del other[j]
+                        cols[j].discard(r)
+            if brow:
                 self.b[r] -= k * brow
+        cols[col] = {row}
         self.basis[row] = col
 
 
+def _subtract_row(red: dict, k, row: dict) -> None:
+    """red -= k * row over sparse dicts, dropping exact zeros."""
+    for j, v in row.items():
+        a = red.get(j, _Q0) - k * v
+        if a:
+            red[j] = a
+        else:
+            red.pop(j, None)
+
+
 def _run_simplex(tab: _Tableau, cost, allowed, pivot_limit: int):
-    """Maximize cost over the tableau; returns (status, pivots, bad_col).
+    """Maximize cost over the tableau; returns (status, pivots, bad_col, obj).
 
     ``allowed[j]`` False bars column j from entering (used to freeze
     artificials in phase 2).  ``bad_col`` is the unbounded entering column.
     """
-    # reduced costs: r = cost - sum over basis rows of cost[basis]*row
-    red = list(cost)
+    # reduced costs, nonzeros only: r = cost - sum over basis rows of cost[basis]*row
+    red = {j: c for j, c in enumerate(cost) if c}
     obj = _Q0
     for r, bcol in enumerate(tab.basis):
         cb = cost[bcol]
         if cb:
-            row = tab.m[r]
-            red = [a - cb * v if v else a for a, v in zip(red, row)]
+            _subtract_row(red, cb, tab.m[r])
             obj += cb * tab.b[r]
 
     pivots = 0
     while True:
-        enter = -1
-        for j in range(tab.ncols):
-            if allowed[j] and red[j] > 0:
-                enter = j
-                break  # Bland: lowest index
+        # Bland: lowest eligible index
+        enter = min((j for j, v in red.items() if v > 0 and allowed[j]), default=-1)
         if enter < 0:
             return OPTIMAL, pivots, -1, obj
 
         leave, best, best_basis = -1, None, None
-        for r, row in enumerate(tab.m):
-            a = row[enter]
+        for r in tab.cols[enter]:
+            a = tab.m[r][enter]
             if a > 0:
                 ratio = tab.b[r] / a
                 key = tab.basis[r]
@@ -153,10 +202,8 @@ def _run_simplex(tab: _Tableau, cost, allowed, pivot_limit: int):
         tab.pivot(leave, enter)
         # update reduced costs incrementally
         k = red[enter]
-        if k:
-            piv = tab.m[leave]
-            red = [a - k * v if v else a for a, v in zip(red, piv)]
-            obj += k * tab.b[leave]
+        _subtract_row(red, k, tab.m[leave])
+        obj += k * tab.b[leave]
         pivots += 1
         if pivots > pivot_limit:
             raise LPError(f"pivot limit {pivot_limit} exceeded")
@@ -172,38 +219,39 @@ def solve_lp(lp: LinearProgram, pivot_limit: int | None = None, trace=None) -> L
     ray of the original variables.
     """
     lp.validate()
-    nz = len(lp.objective)
+    # The program in the internal rational type, converted once; the
+    # certificate is checked against this exact copy.
+    exact = LinearProgram(
+        objective=[_Q(c) for c in lp.objective],
+        rows=[{j: _Q(v) for j, v in row.items() if v} for row in lp.rows],
+        senses=lp.senses, rhs=[_Q(b) for b in lp.rhs], free=lp.free)
 
     # Variable mapping: free variables are split z = z+ - z-.
     col_of = []          # per original var: (plus_col, minus_col or None)
     cost_struct = []
-    for k in range(nz):
+    for k, c in enumerate(exact.objective):
         plus = len(cost_struct)
-        cost_struct.append(_Q(lp.objective[k]))
+        cost_struct.append(c)
         if k in lp.free:
-            cost_struct.append(-_Q(lp.objective[k]))
+            cost_struct.append(-c)
             col_of.append((plus, plus + 1))
         else:
             col_of.append((plus, None))
     nstruct = len(cost_struct)
 
     # Row normalization to rhs >= 0; remember flips for dual orientation.
-    rows, senses, flips = [], [], []
-    for k in range(len(lp.rows)):
-        row = [_Q(v) for v in lp.rows[k]]
-        rhs = _Q(lp.rhs[k])
-        sense = lp.senses[k]
+    rows, flips = [], []
+    for row, rhs, sense in zip(exact.rows, exact.rhs, lp.senses):
         if rhs < 0:
-            row = [-v for v in row]
+            row = {j: -v for j, v in row.items()}
             rhs = -rhs
             sense = {LEQ: GEQ, GEQ: LEQ, EQ: EQ}[sense]
             flips.append(-1)
         else:
             flips.append(1)
         rows.append((row, rhs, sense))
-        senses.append(sense)
 
-    # Build standard-form matrix: structural | slacks/surplus | artificials.
+    # Standard-form columns: structural | slacks/surplus | artificials.
     nrows = len(rows)
     slack_col = {}
     art_col = {}
@@ -224,14 +272,12 @@ def solve_lp(lp: LinearProgram, pivot_limit: int | None = None, trace=None) -> L
 
     matrix, bvec = [], []
     for r, (row, rhs, sense) in enumerate(rows):
-        full = [_Q0] * ncols
-        for k in range(nz):
-            v = row[k]
-            if v:
-                plus, minus = col_of[k]
-                full[plus] = v
-                if minus is not None:
-                    full[minus] = -v
+        full = {}
+        for k, v in row.items():
+            plus, minus = col_of[k]
+            full[plus] = v
+            if minus is not None:
+                full[minus] = -v
         if sense == LEQ:
             full[slack_col[r]] = _Q1
         elif sense == GEQ:
@@ -247,11 +293,12 @@ def solve_lp(lp: LinearProgram, pivot_limit: int | None = None, trace=None) -> L
 
     limit = pivot_limit if pivot_limit is not None else 50000 + 200 * (nrows + ncols)
     total_pivots = 0
+    art_set = set(art_col.values())
 
     # Phase 1: drive artificials to zero.
     if art_col:
         cost1 = [_Q0] * ncols
-        for c in art_col.values():
+        for c in art_set:
             cost1[c] = -_Q1
         allowed = [True] * ncols
         status, pivots, _, obj1 = _run_simplex(tab, cost1, allowed, limit)
@@ -265,22 +312,18 @@ def solve_lp(lp: LinearProgram, pivot_limit: int | None = None, trace=None) -> L
             y = _duals_from_basis(tab, cost1, unit_col)
             cert = [_to_fraction(-flips[r] * y[r]) for r in range(nrows)]
             return LPSolution(status=INFEASIBLE, certificate=cert, pivots=total_pivots)
-        # Pivot remaining artificials out of the basis where possible.
-        art_set = set(art_col.values())
+        # Pivot remaining artificials out of the basis on their lowest
+        # non-artificial nonzero column.  A row with none is redundant: its
+        # artificial stays basic at 0, harmlessly.
         for r in range(nrows):
             if tab.basis[r] in art_set:
-                for j in range(ncols):
-                    if j not in art_set and tab.m[r][j] != 0:
-                        tab.pivot(r, j)
-                        total_pivots += 1
-                        break
-                # else: redundant row, harmless — artificial stays basic at 0.
+                j = min((j for j in tab.m[r] if j not in art_set), default=None)
+                if j is not None:
+                    tab.pivot(r, j)
+                    total_pivots += 1
 
     # Phase 2.
-    cost2 = [_Q0] * ncols
-    for j, c in enumerate(cost_struct):
-        cost2[j] = c
-    art_set = set(art_col.values())
+    cost2 = cost_struct + [_Q0] * (ncols - nstruct)
     allowed = [j not in art_set for j in range(ncols)]
     status, pivots, bad_col, obj = _run_simplex(tab, cost2, allowed, limit)
     total_pivots += pivots
@@ -289,24 +332,21 @@ def solve_lp(lp: LinearProgram, pivot_limit: int | None = None, trace=None) -> L
         trace(tab.dump())
 
     if status == UNBOUNDED:
-        ray = _extract_ray(tab, bad_col, col_of, nz)
+        ray = _extract_ray(tab, bad_col, col_of)
         return LPSolution(status=UNBOUNDED, certificate=ray, pivots=total_pivots)
 
     # Primal solution.
-    values = [_Q0] * ncols
-    for r, bcol in enumerate(tab.basis):
-        values[bcol] = tab.b[r]
+    values = dict(zip(tab.basis, tab.b))
     primal = []
-    for k in range(nz):
-        plus, minus = col_of[k]
-        v = values[plus] - (values[minus] if minus is not None else _Q0)
+    for plus, minus in col_of:
+        v = values.get(plus, _Q0) - (values.get(minus, _Q0) if minus is not None else _Q0)
         primal.append(v)
 
     y = _duals_from_basis(tab, cost2, unit_col)
     duals = [flips[r] * y[r] for r in range(nrows)]
 
-    _verify_optimal(lp, primal, duals, nz)
-    objective = sum((_Q(lp.objective[k]) * primal[k] for k in range(nz)), _Q0)
+    _verify_optimal(exact, primal, duals)
+    objective = sum((c * v for c, v in zip(exact.objective, primal)), _Q0)
     return LPSolution(
         status=OPTIMAL,
         objective=_to_fraction(objective),
@@ -326,54 +366,61 @@ def _duals_from_basis(tab: _Tableau, cost, unit_col):
     y = []
     for col in unit_col:
         acc = _Q0
-        for rr in range(len(tab.m)):
-            v = tab.m[rr][col]
-            if v:
-                acc += cost[tab.basis[rr]] * v
+        for rr in tab.cols[col]:
+            cb = cost[tab.basis[rr]]
+            if cb:
+                acc += cb * tab.m[rr][col]
         y.append(acc)
     return y
 
 
-def _extract_ray(tab: _Tableau, enter_col: int, col_of, nz: int):
+def _extract_ray(tab: _Tableau, enter_col: int, col_of):
     """Improving direction: entering column increases, basics adjust."""
-    direction = [_Q0] * tab.ncols
-    direction[enter_col] = _Q1
-    for r, bcol in enumerate(tab.basis):
-        direction[bcol] = -tab.m[r][enter_col]
+    direction = {enter_col: _Q1}
+    for r in tab.cols[enter_col]:
+        direction[tab.basis[r]] = -tab.m[r][enter_col]
     ray = []
-    for k in range(nz):
-        plus, minus = col_of[k]
-        v = direction[plus] - (direction[minus] if minus is not None else _Q0)
+    for plus, minus in col_of:
+        v = direction.get(plus, _Q0) - (direction.get(minus, _Q0)
+                                         if minus is not None else _Q0)
         ray.append(_to_fraction(v))
     return ray
 
 
-def _verify_optimal(lp: LinearProgram, primal, duals, nz) -> None:
+def _verify_optimal(lp: LinearProgram, primal, duals) -> None:
     """Exact optimality certificate: primal feasibility, dual feasibility,
-    complementary slackness.  A failure here is an internal bug."""
-    slacks = []
+    complementary slackness.  A failure here is an internal bug.
+
+    ``lp`` holds the program in the internal rational type.  One pass over the nonzeros yields every row's lhs and every column's
+    dual combination, so the check costs O(nnz)."""
+    used = [_Q0] * len(lp.objective)     # duals . column t
     for k, row in enumerate(lp.rows):
-        lhs = sum((_Q(row[t]) * primal[t] for t in range(nz)), _Q0)
-        rhs = _Q(lp.rhs[k])
+        y = duals[k]
+        lhs = _Q0
+        for t, coef in row.items():
+            x = primal[t]
+            if x:
+                lhs += coef * x
+            if y:
+                used[t] += y * coef
+        rhs = lp.rhs[k]
         sense = lp.senses[k]
         if sense == LEQ:
             ok = lhs <= rhs
-            if duals[k] < 0:
+            if y < 0:
                 raise LPError("dual sign violation on <= row")
         elif sense == GEQ:
             ok = lhs >= rhs
-            if duals[k] > 0:
+            if y > 0:
                 raise LPError("dual sign violation on >= row")
         else:
             ok = lhs == rhs
         if not ok:
             raise LPError(f"primal infeasibility at row {k}")
-        slacks.append(rhs - lhs)
-        if duals[k] != 0 and rhs != lhs:
+        if y != 0 and rhs != lhs:
             raise LPError(f"complementary slackness violated at row {k}")
-    for t in range(nz):
-        reduced = _Q(lp.objective[t]) - sum(
-            (duals[k] * _Q(lp.rows[k][t]) for k in range(len(lp.rows))), _Q0)
+    for t, col_used in enumerate(used):
+        reduced = lp.objective[t] - col_used
         if t in lp.free:
             if reduced != 0:
                 raise LPError(f"dual feasibility violated at free var {t}")
@@ -422,14 +469,18 @@ class MatrixGameSolution:
 
     def check(self, game: MatrixGame) -> None:
         """Exact guarantee inequalities for both strategies."""
-        assert sum(self.row_strategy) == 1 and all(p >= 0 for p in self.row_strategy)
-        assert sum(self.col_strategy) == 1 and all(q >= 0 for q in self.col_strategy)
+        if sum(self.row_strategy) != 1 or any(p < 0 for p in self.row_strategy):
+            raise LPError("row strategy is not a distribution")
+        if sum(self.col_strategy) != 1 or any(q < 0 for q in self.col_strategy):
+            raise LPError("column strategy is not a distribution")
         for c in range(game.cols):
             got = sum(self.row_strategy[r] * game.payoff[r][c] for r in range(game.rows))
-            assert got >= self.value, "row strategy fails its guarantee"
+            if got < self.value:
+                raise LPError("row strategy fails its guarantee")
         for r in range(game.rows):
             got = sum(self.col_strategy[c] * game.payoff[r][c] for c in range(game.cols))
-            assert got <= self.value, "column strategy fails its guarantee"
+            if got > self.value:
+                raise LPError("column strategy fails its guarantee")
 
 
 def solve_matrix_game(game: MatrixGame | list) -> MatrixGameSolution:
@@ -444,15 +495,15 @@ def solve_matrix_game(game: MatrixGame | list) -> MatrixGameSolution:
     R, C = game.rows, game.cols
     if R == 1 or C == 1:
         return _solve_vector_game(game)
-    nvars = R + 1                      # p_0..p_{R-1}, v
-    objective = [Fraction(0)] * R + [Fraction(1)]
+    objective = [Fraction(0)] * R + [Fraction(1)]    # p_0..p_{R-1}, v
     rows, senses, rhs = [], [], []
     for c in range(C):                 # v - p^T M_col <= 0
-        row = [-game.payoff[r][c] for r in range(R)] + [Fraction(1)]
+        row = {r: -game.payoff[r][c] for r in range(R) if game.payoff[r][c]}
+        row[R] = Fraction(1)
         rows.append(row)
         senses.append(LEQ)
         rhs.append(Fraction(0))
-    rows.append([Fraction(1)] * R + [Fraction(0)])
+    rows.append(dict.fromkeys(range(R), Fraction(1)))
     senses.append(EQ)
     rhs.append(Fraction(1))
 
@@ -464,7 +515,8 @@ def solve_matrix_game(game: MatrixGame | list) -> MatrixGameSolution:
     # Duals of the C column constraints are >= 0 and sum to 1 (stationarity
     # of the free variable v): they are the minimizer's optimal mix.
     col_strategy = [sol.duals[c] for c in range(C)]
-    assert sum(col_strategy, Fraction(0)) == 1, "column duals do not form a distribution"
+    if sum(col_strategy, Fraction(0)) != 1:
+        raise LPError("column duals do not form a distribution")
     solution = MatrixGameSolution(value=value, row_strategy=row_strategy,
                                   col_strategy=col_strategy)
     solution.check(game)

@@ -212,35 +212,30 @@ def _solve_program(prog: SequenceFormProgram):
     rows, senses, rhs = [], [], []
     seq2_rows = []                       # (seq index, row number) for duals
     for seq, s2 in prog.p2.seq_index.items():
-        row = [ZERO] * nvars
         if seq == ():
-            row[n1] = ONE
+            row = {n1: ONE}
         else:
             view = seq[:-1]
-            if view in q_of:
-                row[q_of[view]] = ONE
-            else:
+            if view not in q_of:
                 continue  # unreachable p2 sequence with no infoset: no constraint
+            row = {q_of[view]: ONE}
         for qidx in released_by_seq.get(s2, []):
             row[qidx] = -ONE
         for (s1, val) in payoff_by_s2.get(s2, []):
-            row[s1] -= val
+            if val:
+                row[s1] = -val
         seq2_rows.append((s2, len(rows)))
         rows.append(row)
         senses.append(LEQ)
         rhs.append(ZERO)
 
     # player 1 plan constraints
-    row = [ZERO] * nvars
-    row[0] = ONE
-    rows.append(row)
+    rows.append({0: ONE})
     senses.append(EQ)
     rhs.append(ONE)
     for view, seqs in prog.p1.infosets.items():
-        row = [ZERO] * nvars
-        for s in seqs:
-            row[s] = ONE
-        row[prog.p1.parent_seq[view]] -= ONE
+        row = dict.fromkeys(seqs, ONE)
+        row[prog.p1.parent_seq[view]] = -ONE
         rows.append(row)
         senses.append(EQ)
         rhs.append(ZERO)
@@ -257,13 +252,15 @@ def _solve_program(prog: SequenceFormProgram):
     plan2_vec = [ZERO] * len(prog.p2.seq_index)
     for s2, rownum in seq2_rows:
         plan2_vec[s2] = sol.duals[rownum]
-    # dual feasibility already makes plan2 a realization plan; assert the
-    # flow equations exactly as a belt-and-braces check
-    assert plan2_vec[0] == 1
+    # dual feasibility already makes plan2 a realization plan; check the
+    # flow equations exactly as a belt-and-braces certificate
+    if plan2_vec[0] != 1:
+        raise LPError("player 2 realization plan does not start at 1")
     for view, seqs in ((v, [prog.p2.seq_index[v + (a,)] for a in prog.p2.actions])
                        for v in prog.p2.infosets):
         total = sum((plan2_vec[s] for s in seqs), ZERO)
-        assert total == plan2_vec[prog.p2.parent_seq[view]]
+        if total != plan2_vec[prog.p2.parent_seq[view]]:
+            raise LPError(f"player 2 realization plan breaks flow at {view!r}")
     return sol.objective, plan1_vec, plan2_vec
 
 

@@ -87,6 +87,22 @@ def test_budget_exit_code(corpus_dir, capsys, monkeypatch):
     assert code == 3
 
 
+def test_lp_failure_exits_one_without_traceback(corpus_dir, capsys, monkeypatch):
+    import signalgames.seqform as seqform
+    from signalgames.errors import LPError
+
+    def abort(lp, **kwargs):
+        raise LPError("pivot limit 0 exceeded")
+
+    monkeypatch.setattr(seqform, "solve_lp", abort)
+    code = main(["solve-nstage", "--game",
+                 str(corpus_dir / "bigmatch_nosignals.game"), "--horizon", "2"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error: pivot limit 0 exceeded" in err
+    assert "Traceback" not in err
+
+
 def test_kernel_check_cli(corpus_dir, capsys):
     code = main(["kernel-check", "--game",
                  str(corpus_dir / "noisy_public_2state.game"),

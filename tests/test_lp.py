@@ -1,8 +1,13 @@
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
 
+import signalgames.lp as lp_module
+from signalgames import corpus, seqform
+from signalgames.errors import LPError
 from signalgames.lp import (
     EQ,
     GEQ,
@@ -12,6 +17,7 @@ from signalgames.lp import (
     UNBOUNDED,
     LinearProgram,
     MatrixGame,
+    MatrixGameSolution,
     best_response_value,
     solve_lp,
     solve_matrix_game,
@@ -22,7 +28,7 @@ def test_lp_trivial_bound():
     # maximize v s.t. v <= 0, v <= 1  ->  0
     lp = LinearProgram(
         objective=[F(1)],
-        rows=[[F(1)], [F(1)]],
+        rows=[{0: F(1)}, {0: F(1)}],
         senses=[LEQ, LEQ],
         rhs=[F(0), F(1)],
         free=frozenset({0}),
@@ -37,10 +43,10 @@ def test_lp_degenerate_redundant_equalities_terminates():
     lp = LinearProgram(
         objective=[F(3), F(2), F(1)],
         rows=[
-            [F(1), F(1), F(1)],
-            [F(2), F(2), F(2)],      # redundant copy
-            [F(1), F(0), F(0)],
-            [F(0), F(1), F(1)],      # ties the first row at the optimum
+            {0: F(1), 1: F(1), 2: F(1)},
+            {0: F(2), 1: F(2), 2: F(2)},      # redundant copy
+            {0: F(1)},
+            {1: F(1), 2: F(1)},               # ties the first row at the optimum
         ],
         senses=[EQ, EQ, LEQ, LEQ],
         rhs=[F(1), F(2), F(1), F(0)],
@@ -55,7 +61,7 @@ def test_lp_infeasible_certificate():
     # x >= 2 and x <= 1 is infeasible.
     lp = LinearProgram(
         objective=[F(0)],
-        rows=[[F(1)], [F(1)]],
+        rows=[{0: F(1)}, {0: F(1)}],
         senses=[GEQ, LEQ],
         rhs=[F(2), F(1)],
     )
@@ -71,7 +77,7 @@ def test_lp_infeasible_certificate():
 def test_lp_unbounded_ray():
     lp = LinearProgram(
         objective=[F(1), F(0)],
-        rows=[[F(-1), F(1)]],
+        rows=[{0: F(-1), 1: F(1)}],
         senses=[LEQ],
         rhs=[F(1)],
     )
@@ -88,7 +94,7 @@ def test_lp_duals_certify():
     # max x + y s.t. x + 2y <= 4, 3x + y <= 6 -> vertex (8/5, 6/5), value 14/5.
     lp = LinearProgram(
         objective=[F(1), F(1)],
-        rows=[[F(1), F(2)], [F(3), F(1)]],
+        rows=[{0: F(1), 1: F(2)}, {0: F(3), 1: F(1)}],
         senses=[LEQ, LEQ],
         rhs=[F(4), F(6)],
     )
@@ -199,10 +205,127 @@ def test_trace_dumps_tableaus():
     lines = []
     lp = LinearProgram(
         objective=[F(1), F(1)],
-        rows=[[F(1), F(2)], [F(3), F(1)]],
+        rows=[{0: F(1), 1: F(2)}, {0: F(3), 1: F(1)}],
         senses=[LEQ, LEQ],
         rhs=[F(4), F(6)],
     )
     sol = solve_lp(lp, trace=lines.append)
     assert sol.status == OPTIMAL
-    assert any("|" in line for line in lines)  # tableau rows present
+    rows = [row for line in lines for row in line.splitlines() if "|" in row]
+    assert rows  # tableau rows present
+    # every row renders all 4 columns (2 structural + 2 slacks), zeros included
+    assert all(len(row.split("|")[1].split()) == 4 for row in rows)
+
+
+def test_lp_rejects_out_of_range_column():
+    for bad in (2, -1, "0"):
+        lp = LinearProgram(
+            objective=[F(1), F(1)],
+            rows=[{0: F(1), bad: F(1)}],
+            senses=[LEQ],
+            rhs=[F(1)],
+        )
+        with pytest.raises(LPError, match="column"):
+            solve_lp(lp)
+
+
+def test_lp_pivot_cancellation_keeps_tableau_sparse(monkeypatch):
+    # max x + y + z s.t. x + y <= 2, x + y + z <= 3.  The first pivot (x on
+    # row 0) turns row 1's y coefficient into 1 - 1 = 0, which must leave
+    # both the row and the column index.
+    cancelled = []
+    pivot = lp_module._Tableau.pivot
+
+    def checked_pivot(tab, row, col):
+        before = [set(r) for r in tab.m]
+        pivot(tab, row, col)
+        for r, entries in enumerate(tab.m):
+            assert all(v != 0 for v in entries.values())
+            if r != row:
+                cancelled.extend((r, j) for j in before[r] - set(entries) if j != col)
+        for j, holders in enumerate(tab.cols):
+            assert holders == {r for r, entries in enumerate(tab.m) if j in entries}
+
+    monkeypatch.setattr(lp_module._Tableau, "pivot", checked_pivot)
+    lp = LinearProgram(
+        objective=[F(1), F(1), F(1)],
+        rows=[{0: F(1), 1: F(1)}, {0: F(1), 1: F(1), 2: F(1)}],
+        senses=[LEQ, LEQ],
+        rhs=[F(2), F(3)],
+    )
+    sol = solve_lp(lp)
+    assert (1, 1) in cancelled
+    assert sol.status == OPTIMAL
+    assert sol.objective == 3
+    assert sol.primal == [F(2), F(0), F(1)]
+    assert sol.duals == [F(0), F(1)]
+    assert sol.pivots == 2
+
+
+# Sequence-form LPs recorded before the LP core became sparse: the pivot
+# path (Bland's rule) and every returned fraction must stay identical.
+PINNED_SEQUENCE_FORM = {
+    ("bigmatch_nosignals", 4): (
+        31, "1/2",
+        "1 1/5 4/5 1/5 3/5 1/5 2/5 1/5 1/5 1/2 1/2 3/10 3/20 1/20 1/20 3/20 "
+        "1/20 1/20 3/10 3/20 1/20 1/20 3/20 1/20 1/20",
+        "1 1/2 1/2 1/2 0 0 0 0 0 0 0 1/2 0 0 0 0 1/2 0 1/2 0 1/2 1/2 0 0 0 0 "
+        "0 0 0 0 0 1/2 1/2 3/8 1/4 1/8"),
+    ("noisy_public_2state", 2): (
+        22, "3/8",
+        "1 0 1 0 1 0 1 1 0 1 0 0 0 0 0 0 0 0 0 3/8 3/8 5/48 1/12 0 0 0 0 0 0",
+        "1 0 1 0 1 0 1 0 0 0 0 0 1 1 0 0 0 0 0 3/8 3/8 5/48 1/12 0 0 5/48 "
+        "5/24 0 0"),
+}
+
+
+@pytest.mark.parametrize("name,horizon", sorted(PINNED_SEQUENCE_FORM))
+def test_sequence_form_lp_pivot_path_pinned(name, horizon, monkeypatch):
+    solved = []
+
+    def recording_solve(lp):
+        sol = solve_lp(lp)
+        solved.append(sol)
+        return sol
+
+    monkeypatch.setattr(seqform, "solve_lp", recording_solve)
+    seqform.nstage_value(getattr(corpus, name)(), horizon)
+    (sol,) = solved
+    pivots, objective, primal, duals = PINNED_SEQUENCE_FORM[name, horizon]
+    assert sol.pivots == pivots
+    assert sol.objective == F(objective)
+    assert sol.primal == [F(v) for v in primal.split()]
+    assert sol.duals == [F(v) for v in duals.split()]
+
+
+def test_forged_matrix_game_solution_rejected():
+    game = MatrixGame([[F(1), F(0)], [F(0), F(1)]])
+    good = solve_matrix_game(game)
+    forgeries = [
+        MatrixGameSolution(F(1, 2), [F(1), F(1)], good.col_strategy),
+        MatrixGameSolution(F(1, 2), good.row_strategy, [F(3, 2), F(-1, 2)]),
+        MatrixGameSolution(F(1), good.row_strategy, good.col_strategy),
+        MatrixGameSolution(F(0), good.row_strategy, good.col_strategy),
+    ]
+    for forged in forgeries:
+        with pytest.raises(LPError):
+            forged.check(game)
+
+
+def test_forged_matrix_game_solution_rejected_under_optimize():
+    script = (
+        "from fractions import Fraction as F\n"
+        "from signalgames.errors import LPError\n"
+        "from signalgames.lp import MatrixGame, MatrixGameSolution\n"
+        "assert False, 'asserts were not stripped'\n"
+        "game = MatrixGame([[F(1), F(0)], [F(0), F(1)]])\n"
+        "forged = MatrixGameSolution(F(1), [F(1, 2), F(1, 2)], [F(1, 2), F(1, 2)])\n"
+        "try:\n"
+        "    forged.check(game)\n"
+        "except LPError as err:\n"
+        "    print('rejected:', err)\n"
+    )
+    result = subprocess.run([sys.executable, "-O", "-c", script],
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("rejected:")
