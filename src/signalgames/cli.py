@@ -5,8 +5,9 @@ solve-recursive, simulate, kernel-check, verify-paper.  All values print as
 exact rationals with a decimal rendering alongside; machine-readable
 reports (--csv/--json) contain no clocks, so repeated runs are
 byte-identical.  Exit codes: 0 success, 1 failed checks, violations or an
-LP failure (pivot limit, failed certificate), 2 usage errors, 3 resource
-budget exhausted.
+LP failure (pivot limit, failed certificate, including the monotonicity
+and best-response certificates of the sweeps), 2 usage errors (bad flags or
+flag values), 3 resource budget exhausted.
 """
 
 from __future__ import annotations
@@ -42,6 +43,26 @@ def _load(path):
         raise SystemExit(f"error: no such game file: {path}")
     except ParseError as err:
         raise SystemExit(f"error: {err}")
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _positive_rational(text: str):
+    try:
+        value = parse_rational(text)
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(f"{err} (use p/q)") from None
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
 
 
 def _general(spec):
@@ -152,8 +173,7 @@ def cmd_solve_sup(args) -> int:
 
 def cmd_solve_recursive(args) -> int:
     spec = _load(args.game)
-    tol = parse_rational(args.tol)
-    report = uniform_value(spec, tol=tol, n_max=args.max_horizon,
+    report = uniform_value(spec, tol=args.tol, n_max=args.max_horizon,
                            window=args.window)
     lines = ["n,value,decimal"]
     for n, v in report.value_sequence:
@@ -166,7 +186,8 @@ def cmd_solve_recursive(args) -> int:
         print(text, end="")
     print(f"certified lower bound of the uniform value: "
           f"{_fmt(report.certified_lower)}")
-    print(f"stabilized={report.stabilized} (tol {args.tol}, window {args.window}); "
+    print(f"stabilized={report.stabilized} "
+          f"(tol {format_rational(args.tol)}, window {args.window}); "
           f"values are sound lower bounds, stabilization is heuristic")
     if report.eps_optimal_strategy1 is not None and args.strategy_out:
         save_strategy(args.strategy_out, report.eps_optimal_strategy1)
@@ -297,16 +318,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve-sup",
                        help="monotone lower bounds of the sup-evaluation value")
     p.add_argument("--game", required=True)
-    p.add_argument("--max-horizon", type=int, required=True)
+    p.add_argument("--max-horizon", type=_positive_int, required=True)
     p.add_argument("--csv")
     p.set_defaults(func=cmd_solve_sup)
 
     p = sub.add_parser("solve-recursive",
                        help="uniform value of a recursive nonnegative game")
     p.add_argument("--game", required=True)
-    p.add_argument("--tol", default="1/10000")
-    p.add_argument("--max-horizon", type=int, default=512)
-    p.add_argument("--window", type=int, default=5)
+    p.add_argument("--tol", type=_positive_rational, default="1/10000",
+                   help="stabilization tolerance, a positive rational p/q")
+    p.add_argument("--max-horizon", type=_positive_int, default=512)
+    p.add_argument("--window", type=_positive_int, default=5)
     p.add_argument("--csv")
     p.add_argument("--strategy-out")
     p.set_defaults(func=cmd_solve_recursive)

@@ -67,3 +67,18 @@ class PreconditionError(GameModelError):
 
 class LPError(Exception):
     """Linear-programming failure (malformed input or pivot-limit abort)."""
+
+
+class CertificateError(LPError):
+    """An exact certificate or theorem check failed: an implementation bug,
+    never a property of the input.  Raised explicitly, so it also fires
+    under ``python -O``."""
+
+
+def require_nondecreasing(values, what: str) -> None:
+    """Raise CertificateError unless the ``(n, value)`` pairs never decrease."""
+    for (n0, v0), (n1, v1) in zip(values, values[1:]):
+        if v1 < v0:
+            raise CertificateError(
+                f"{what} must be nondecreasing: {v1} at n={n1} "
+                f"is below {v0} at n={n0}")

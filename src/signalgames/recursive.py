@@ -12,6 +12,12 @@ Values are computed on an increasing horizon schedule — consecutive
 horizons first, then geometrically spaced, optionally densified near the
 top — because meaningful accuracy on blind games needs horizons far past
 anything a per-horizon enumeration of every intermediate n could afford.
+On the belief-reduction routes the whole schedule is one sweep: a single
+merged belief DAG built to the largest scheduled horizon and one pass of
+the value recursion over the number of stages left
+(``reduction.solve_horizons``) give every scheduled value at once.  The DAG
+is released before strategies are extracted on an unmerged tree at one
+horizon.
 """
 
 from __future__ import annotations
@@ -19,10 +25,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BudgetExceededError, PreconditionError
+from .errors import (
+    BudgetExceededError,
+    CertificateError,
+    PreconditionError,
+    require_nondecreasing,
+)
 from .model import BehavioralStrategy, GameSpec, SymmetricGameSpec, is_symmetric_signaling
 from .reduction import MEAN as RED_MEAN
-from .reduction import build_auxiliary, solve_backward
+from .reduction import build_auxiliary, solve_backward, solve_horizons
 from .seqform import best_response_value, nstage_value
 
 
@@ -99,16 +110,52 @@ def _value_route(spec: GameSpec):
     return "sequence-form"
 
 
-def _nstage(spec: GameSpec, route: str, n: int, budget,
-            want_strategies: bool = False):
+def _nstage(spec: GameSpec, route: str, n: int, budget):
+    """Both players' horizon-n optimal strategies."""
     if route.startswith("reduction"):
-        aux = build_auxiliary(spec, n, budget=budget, prune_absorbed=True,
-                              merge_beliefs=not want_strategies)
-        sol = solve_backward(aux, payoff=RED_MEAN,
-                             want_strategies=want_strategies)
-        return sol.value, sol.strategy1, sol.strategy2
-    sol = nstage_value(spec, n, budget=budget)
-    return sol.value, sol.strategy1, sol.strategy2
+        aux = build_auxiliary(spec, n, budget=budget, prune_absorbed=True)
+        sol = solve_backward(aux, payoff=RED_MEAN, want_strategies=True)
+    else:
+        sol = nstage_value(spec, n, budget=budget)
+    return sol.strategy1, sol.strategy2
+
+
+def _schedule_values(spec: GameSpec, route: str, horizons: list, budget) -> list:
+    """``[(n, v_n)]`` for the longest prefix of ``horizons`` that fits the
+    node budget."""
+    if route.startswith("reduction"):
+        return _sweep_values(spec, horizons, budget)
+    values = []
+    for n in horizons:
+        try:
+            values.append((n, nstage_value(spec, n, budget=budget).value))
+        except BudgetExceededError:
+            break
+    return values
+
+
+def _sweep_values(spec: GameSpec, horizons: list, budget) -> list:
+    """One merged belief DAG to the largest horizon, one stage-indexed pass.
+
+    Levels 1..n of that DAG, node charges included, are exactly the DAG
+    built to horizon n, so an overflow at level L rules out precisely the
+    horizons n >= L: the sweep is rebuilt once, for the horizons before the
+    first such n, the prefix a per-horizon loop would return.
+    """
+    def build(top):
+        return build_auxiliary(spec, top, budget=budget, prune_absorbed=True,
+                               merge_beliefs=True)
+
+    try:
+        aux = build(max(horizons))
+    except BudgetExceededError as err:
+        cut = next(k for k, n in enumerate(horizons) if n >= err.level_reached)
+        horizons = horizons[:cut]
+        if not horizons:
+            raise
+        aux = build(max(horizons))
+    by_n = solve_horizons(aux, horizons)
+    return [(n, by_n[n]) for n in horizons]
 
 
 def uniform_value(spec_or_sym, tol=Fraction(1, 10000), n_max: int = 512,
@@ -123,9 +170,16 @@ def uniform_value(spec_or_sym, tol=Fraction(1, 10000), n_max: int = 512,
 
     ``stabilized`` is True when the last value is within ``tol`` of the
     value ``window`` schedule points back; ``certified_lower`` needs no such
-    heuristic and is always a true guarantee for player 1.
+    heuristic and is always a true guarantee for player 1.  The schedule is
+    read up to its first point above ``n_max``.  Under a node budget the
+    values stop before the first horizon that does not fit.
     """
     spec = spec_or_sym.expand() if isinstance(spec_or_sym, SymmetricGameSpec) else spec_or_sym
+    tol = Fraction(tol)
+    if n_max < 1 or window < 1 or tol <= 0:
+        raise PreconditionError(
+            f"uniform_value needs n_max >= 1, window >= 1 and tol > 0; got "
+            f"n_max={n_max}, window={window}, tol={tol}")
     cls = classify(spec)
     if not cls.solvable:
         detail = ("rewards outside absorbing states: "
@@ -136,20 +190,19 @@ def uniform_value(spec_or_sym, tol=Fraction(1, 10000), n_max: int = 512,
 
     route = _value_route(spec)
     pts = schedule if schedule is not None else default_schedule(n_max)
-    values = []
+    horizons = []
     for n in pts:
         if n > n_max:
             break
-        try:
-            v, _, _ = _nstage(spec, route, n, budget)
-        except BudgetExceededError:
-            break
-        values.append((n, v))
-        if len(values) >= 2:
-            assert values[-1][1] >= values[-2][1], \
-                "n-stage values of a recursive nonnegative game must be monotone"
+        horizons.append(n)
+    if not horizons or min(horizons) < 1:
+        raise PreconditionError(
+            f"the schedule needs horizons in 1..n_max={n_max}, got {pts}")
+    values = _schedule_values(spec, route, horizons, budget)
     if not values:
         raise BudgetExceededError(0, 1)
+    require_nondecreasing(
+        values, "n-stage values of a recursive nonnegative game")
 
     certified = values[-1][1]
     stabilized = (len(values) > window
@@ -166,7 +219,7 @@ def uniform_value(spec_or_sym, tol=Fraction(1, 10000), n_max: int = 512,
     for n, v in values:
         if certified - v <= strategy_eps:
             try:
-                _, s1, s2 = _nstage(spec, route, n, budget, want_strategies=True)
+                s1, s2 = _nstage(spec, route, n, budget)
             except BudgetExceededError:
                 continue
             strat, strat2, strat_n, strat_value = s1, s2, n, v
@@ -174,7 +227,7 @@ def uniform_value(spec_or_sym, tol=Fraction(1, 10000), n_max: int = 512,
     if strat is None:
         for n, v in reversed(values):
             try:
-                _, s1, s2 = _nstage(spec, route, n, budget, want_strategies=True)
+                s1, s2 = _nstage(spec, route, n, budget)
             except BudgetExceededError:
                 continue
             strat, strat2, strat_n, strat_value = s1, s2, n, v
@@ -185,17 +238,23 @@ def uniform_value(spec_or_sym, tol=Fraction(1, 10000), n_max: int = 512,
         try:
             floor = best_response_value(spec, strat, strat_n,
                                         responder=2, budget=budget)
-            assert floor == strat_value
+            if floor != strat_value:
+                raise CertificateError(
+                    f"player 1's horizon-{strat_n} strategy guarantees "
+                    f"{floor}, not the value {strat_value}")
             if strat2 is not None:
                 p2_cap = best_response_value(spec, strat2, strat_n,
                                              responder=1, budget=budget)
-                assert p2_cap == strat_value
+                if p2_cap != strat_value:
+                    raise CertificateError(
+                        f"player 2's horizon-{strat_n} strategy caps at "
+                        f"{p2_cap}, not the value {strat_value}")
         except BudgetExceededError:
             p2_cap = None
 
     return UniformValueReport(
         value_sequence=values, certified_lower=certified,
-        stabilized=stabilized, window=window, tol=Fraction(tol),
+        stabilized=stabilized, window=window, tol=tol,
         eps_optimal_strategy1=strat, strategy_horizon=strat_n,
         strategy_guarantee=strat_value,
         player2_strategy=strat2, player2_cap_at_horizon=p2_cap,
@@ -235,7 +294,7 @@ def extract_eps_optimal(spec_or_sym, report: UniformValueReport, eps,
     for n, v in report.value_sequence:
         if v >= target:
             try:
-                _, s1, _ = _nstage(spec, route, n, budget, want_strategies=True)
+                s1, _ = _nstage(spec, route, n, budget)
             except BudgetExceededError:
                 continue
             chosen = (n, v, s1)
@@ -244,7 +303,7 @@ def extract_eps_optimal(spec_or_sym, report: UniformValueReport, eps,
     if chosen is None:
         for n, v in reversed(report.value_sequence):
             try:
-                _, s1, _ = _nstage(spec, route, n, budget, want_strategies=True)
+                s1, _ = _nstage(spec, route, n, budget)
             except BudgetExceededError:
                 continue
             chosen = (n, v, s1)
@@ -261,7 +320,10 @@ def extract_eps_optimal(spec_or_sym, report: UniformValueReport, eps,
             br = best_response_value(spec, strategy, m, responder=2, budget=budget)
         except BudgetExceededError:
             break
-        assert br >= v, "monotone guarantee violated: implementation bug"
+        if br < v:
+            raise CertificateError(
+                f"monotone guarantee violated: the horizon-{n} strategy earns "
+                f"{br} < {v} at horizon {m}")
         certs.append((m, br))
     return EpsOptimalResult(strategy=strategy, horizon=n, guarantee=v,
                             requested_eps=eps,

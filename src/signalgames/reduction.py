@@ -16,6 +16,11 @@ Two constructions of the observed tree:
   child posterior are functions of the current posterior — which scales to
   long horizons when absorbed nodes are pruned.
 
+``solve_horizons`` runs Shapley's value recursion, indexed by the number of
+stages left, over one merged belief DAG: every requested horizon's mean
+value in a single pass, one matrix game per distinct posterior and stage
+count.
+
 The same machinery solves blind single-controller games (one player has a
 single action) on that player's private view; with an opponent who truly
 has choices, a private view would not support the reduction.
@@ -66,6 +71,7 @@ class BeliefNode:
     parent: "BeliefNode | None" = None
     children: dict = field(default_factory=dict)
     pruned: bool = False                 # posterior fully on absorbing states
+    key: int | None = None               # posterior number (merged builds)
 
     def view(self) -> tuple:
         parts: list = []
@@ -154,8 +160,10 @@ def build_auxiliary(spec_or_sym, horizon: int, view: str | None = None,
     With ``merge_beliefs`` nodes of equal depth and posterior are shared (a
     DAG instead of a tree): sound for stage-additive payoffs because stage
     reward, signal transition and child posteriors are all functions of the
-    posterior alone, and often exponentially smaller.  Strategy extraction
-    needs per-history views, hence an unmerged tree.
+    posterior alone, and often exponentially smaller.  Each node then gets
+    the number of its posterior as ``key``, hashed once here so solvers can
+    share work across depths without re-hashing the fractions.  Strategy
+    extraction needs per-history views, hence an unmerged tree.
     """
     if isinstance(spec_or_sym, SymmetricGameSpec):
         spec = spec_or_sym.expand()
@@ -192,8 +200,17 @@ def build_auxiliary(spec_or_sym, horizon: int, view: str | None = None,
             return (i, j)
         return (i,) if view == PLAYER1 else (j,)
 
+    keys: dict = {}                      # exact posterior -> number
+
     def belief_key(posterior):
-        return tuple(sorted(posterior.items()))
+        # integers, not Fractions: Fraction equality is slow Python code.
+        # Numbers hash modulo 2**61 - 1, where 2**d hashes like 2**(d % 61),
+        # so dyadic posteriors of many depths would share hashes in this one
+        # dict over all depths; the bit length tells them apart.
+        exact = tuple(sorted((x, a.numerator, a.denominator,
+                              a.denominator.bit_length())
+                             for x, a in posterior.items()))
+        return keys.setdefault(exact, len(keys))
 
     # Level 1.
     groups: dict = {}
@@ -209,17 +226,18 @@ def build_auxiliary(spec_or_sym, horizon: int, view: str | None = None,
         bucket = groups[lab]
         beta = sum(bucket.values(), ZERO)
         posterior = {x: a / beta for x, a in bucket.items()}
+        bkey = None
         if merge_beliefs:
-            key = (lab, belief_key(posterior))
-            if key in seen:
-                seen[key].beta += beta
+            bkey = belief_key(posterior)
+            if (lab, bkey) in seen:
+                seen[(lab, bkey)].beta += beta
                 continue
         charge(1)
         node = BeliefNode(label=lab, edge=None, beta=beta, posterior=posterior,
-                          depth=1)
+                          depth=1, key=bkey)
         node.pruned = prune_absorbed and all(x in absorbing for x in node.posterior)
         if merge_beliefs:
-            seen[(lab, belief_key(posterior))] = node
+            seen[(lab, bkey)] = node
         roots.append(node)
 
     levels = [roots]
@@ -243,6 +261,7 @@ def build_auxiliary(spec_or_sym, horizon: int, view: str | None = None,
                 bucket = buckets[key]
                 mass = sum(bucket.values(), ZERO)
                 posterior = {x: a / mass for x, a in bucket.items()}
+                bkey = None
                 if merge_beliefs:
                     bkey = belief_key(posterior)
                     child = seen.get(bkey)
@@ -255,7 +274,7 @@ def build_auxiliary(spec_or_sym, horizon: int, view: str | None = None,
                     label=key[1], edge=key[0],
                     beta=node.beta * mass,
                     posterior=posterior,
-                    depth=n + 1, parent=node)
+                    depth=n + 1, parent=node, key=bkey)
                 child.pruned = (prune_absorbed
                                 and all(x in absorbing for x in child.posterior))
                 if merge_beliefs:
@@ -349,7 +368,6 @@ def posterior(node) -> dict:
 # ---------------------------------------------------------------------------
 
 MEAN = "mean"
-TOTAL = "total"
 
 
 @dataclass
@@ -368,18 +386,38 @@ def _expected_reward(spec: GameSpec, post: dict, i: str, j: str) -> Fraction:
     return sum((w * spec.reward[(x, i, j)] for x, w in post.items()), ZERO)
 
 
-def solve_backward(aux: AuxiliaryGame, payoff="mean", merge: str = "none",
+def _absorbing_stage_payoff(spec: GameSpec, post: dict) -> Fraction:
+    return sum((w * spec.absorbing_payoff(x) for x, w in post.items()), ZERO)
+
+
+def _stage_matrix(aux: AuxiliaryGame, node: BeliefNode, stage_reward: bool,
+                  continuation) -> list:
+    """Payoff matrix at ``node``: the expected stage reward (if counted)
+    plus the transition-weighted ``continuation(child)`` (if given)."""
+    rows = []
+    for i in aux.actions1:
+        row = []
+        for j in aux.actions2:
+            total = ZERO
+            if stage_reward:
+                total += _expected_reward(aux.spec, node.posterior, i, j)
+            if continuation is not None:
+                for (edge, label), (w, child) in node.children.items():
+                    if _edge_matches(aux.view, edge, i, j):
+                        total += w * continuation(child)
+            row.append(total)
+        rows.append(row)
+    return rows
+
+
+def solve_backward(aux: AuxiliaryGame, payoff="mean",
                    want_strategies: bool = True) -> BackwardSolution:
     """Backward induction over the auxiliary game.
 
     ``payoff``: "mean" (average of stage rewards over the horizon) or a
-    LiftedPayoff terminal map on depth-``horizon`` observed nodes.
-
-    ``merge``: "by-belief" shares the computation between nodes of equal
-    depth and posterior.  Sound for the mean evaluation because the stage
-    reward, the signal transition and the child posteriors are all functions
-    of the posterior alone; a general terminal payoff is history-dependent,
-    so merging is refused there.
+    LiftedPayoff terminal map on depth-``horizon`` observed nodes.  A
+    general terminal payoff is history-dependent, so it is refused on a
+    merged belief DAG.
 
     Absorption-pruned nodes (see build_auxiliary) are closed in closed form:
     a posterior concentrated on absorbing states earns its expected
@@ -394,65 +432,46 @@ def solve_backward(aux: AuxiliaryGame, payoff="mean", merge: str = "none",
     if isinstance(payoff, LiftedPayoff):
         if payoff.horizon != N:
             raise GameModelError("lifted payoff horizon mismatch")
-        if merge == "by-belief" or aux.merged:
+        if aux.merged:
             raise GameModelError("belief merging needs a stage-additive payoff")
         terminal = payoff
+    elif payoff != MEAN:
+        raise GameModelError(f"unknown payoff {payoff!r}")
     if want_strategies and aux.merged:
         want_strategies = False
 
     results: dict = {}               # id(node) -> (total value, matrix solution)
-    belief_cache: dict = {}          # (depth, posterior) -> result (merging)
-    merged = 0
     node_count = 0
+
+    def continuation(child):
+        return results[id(child)][0]
 
     # bottom-up over levels: children are always resolved before parents,
     # and no recursion depth limits bite at long horizons
     for depth in range(N, 0, -1):
         remaining = N - depth + 1
         for node in aux.levels[depth - 1]:
-            bkey = None
-            if merge == "by-belief":
-                bkey = (depth, tuple(sorted(node.posterior.items())))
-                hit = belief_cache.get(bkey)
-                if hit is not None:
-                    merged += 1
-                    results[id(node)] = hit
-                    continue
             node_count += 1
             if terminal is None and node.pruned:
-                per_stage = sum((w * spec.absorbing_payoff(x)
-                                 for x, w in node.posterior.items()), ZERO)
+                per_stage = _absorbing_stage_payoff(spec, node.posterior)
                 result = per_stage * remaining, None
             elif terminal is not None and depth == N:
                 result = terminal.value_at(node), None
             elif terminal is not None and node.pruned:
                 raise GameModelError("terminal payoff undefined on pruned node")
             else:
-                rows = []
-                for i in aux.actions1:
-                    row = []
-                    for j in aux.actions2:
-                        total = ZERO
-                        if terminal is None:
-                            total += _expected_reward(spec, node.posterior, i, j)
-                        if depth < N:
-                            for (edge, label), (w, child) in node.children.items():
-                                if _edge_matches(aux.view, edge, i, j):
-                                    total += w * results[id(child)][0]
-                        row.append(total)
-                    rows.append(row)
-                sol = solve_matrix_game(rows)
+                sol = solve_matrix_game(_stage_matrix(
+                    aux, node, terminal is None,
+                    continuation if depth < N else None))
                 result = sol.value, sol
             results[id(node)] = result
-            if bkey is not None:
-                belief_cache[bkey] = result
 
     total = ZERO
     for root in aux.roots:
         total += root.beta * results[id(root)][0]
 
     strategy1 = strategy2 = None
-    if want_strategies and merge != "by-belief":
+    if want_strategies:
         table1: dict = {}
         table2: dict = {}
         for level in aux.levels:
@@ -477,16 +496,71 @@ def solve_backward(aux: AuxiliaryGame, payoff="mean", merge: str = "none",
                                            tail=_uniform_tail(aux.actions2),
                                            view_kind=kind)
 
-    if terminal is not None:
-        value = total
-    else:
-        value = total if payoff == TOTAL else total / N
-    return BackwardSolution(value=value, horizon=N,
+    return BackwardSolution(value=total if terminal is not None else total / N,
+                            horizon=N,
                             evaluation=("terminal" if terminal is not None
                                         else payoff),
                             strategy1=strategy1, strategy2=strategy2,
                             arbitrary_views=[], node_count=node_count,
-                            merged_count=merged)
+                            merged_count=0)
+
+
+def solve_horizons(aux: AuxiliaryGame, horizons) -> dict:
+    """Mean values ``{n: v_n}`` of every requested horizon in one pass.
+
+    ``aux`` is a merged belief DAG (``build_auxiliary(merge_beliefs=True)``)
+    built at least to the largest horizon.  The pass is Shapley's value
+    recursion indexed by the number k of stages left: layer k holds V_k,
+    the k-stage total value, for the beliefs at depth n - k + 1 of every
+    requested n >= k, once per posterior (``BeliefNode.key``), since stage
+    rewards, signal transitions and child posteriors depend on the
+    posterior alone.  A pruned belief takes k times its absorbing payoff
+    per stage; every other belief solves one exactly checked matrix game.
+    Then v_n is the root-weighted V_n divided by n.  Only layers k - 1 and
+    k are held.
+    """
+    if not aux.merged:
+        raise GameModelError("solve_horizons needs a merged belief DAG")
+    if aux.view == JOINT:
+        raise UnsupportedStructureError(
+            "cannot solve on the joint view: neither player observes it")
+    wanted = sorted(set(horizons))
+    if not wanted or wanted[0] < 1 or wanted[-1] > aux.horizon:
+        raise GameModelError(
+            f"horizons must lie in 1..{aux.horizon}, got {wanted}")
+    per_stage: dict = {}                 # key -> absorbing payoff per stage
+    previous: dict = {}                  # key -> V_{k-1}
+    values = {}
+
+    def continuation(child):
+        return previous[child.key]
+
+    for k in range(1, wanted[-1] + 1):
+        current: dict = {}
+        for n in wanted:
+            if n < k:
+                continue
+            for node in aux.levels[n - k]:
+                key = node.key
+                if key in current:
+                    continue
+                if node.pruned:
+                    stage = per_stage.get(key)
+                    if stage is None:
+                        stage = per_stage[key] = _absorbing_stage_payoff(
+                            aux.spec, node.posterior)
+                    current[key] = stage * k
+                else:
+                    current[key] = solve_matrix_game(_stage_matrix(
+                        aux, node, True,
+                        continuation if k > 1 else None)).value
+        if k in wanted:
+            total = ZERO
+            for root in aux.roots:
+                total += root.beta * current[root.key]
+            values[k] = total / k
+        previous = current
+    return values
 
 
 def _uniform_tail(actions):

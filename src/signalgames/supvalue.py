@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, PreconditionError, require_nondecreasing
 from .model import GameSpec, SymmetricGameSpec
 from .rationals import ZERO, format_rational
 from .seqform import TerminalPayoff, nstage_value
@@ -194,10 +194,12 @@ def sup_value_lowerbounds(spec_or_sym, max_horizon: int,
                           compute_upper: bool = True) -> SupValueReport:
     """Nondecreasing lower bounds v(F_1) <= ... <= v(F_max_horizon).
 
-    Monotonicity is asserted exactly (it is a theorem, so a violation is an
-    implementation bug).  On budget exhaustion the prefix computed so far is
-    returned with ``budget_hit`` set.
+    Monotonicity is checked exactly (it is a theorem, so a violation is an
+    implementation bug and raises CertificateError).  On budget exhaustion
+    the prefix computed so far is returned with ``budget_hit`` set.
     """
+    if max_horizon < 1:
+        raise PreconditionError(f"max_horizon must be >= 1, got {max_horizon}")
     aug = augment_running_max(spec_or_sym)
     terminal = aug.terminal_running_max()
     values = []
@@ -209,8 +211,7 @@ def sup_value_lowerbounds(spec_or_sym, max_horizon: int,
             budget_hit = True
             break
         values.append((n, sol.value))
-        if len(values) >= 2:
-            assert values[-1][1] >= values[-2][1], "sup bounds must be monotone"
+        require_nondecreasing(values[-2:], "sup lower bounds")
 
     if not values:
         raise BudgetExceededError(0, 1)

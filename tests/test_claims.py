@@ -1,16 +1,29 @@
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
 
-from signalgames import corpus
+from signalgames import corpus, recursive, reduction
 from signalgames.claims import (
     FirstSwitchPlan,
     expected_limsup,
     expected_limsup_mixture,
     verify_example,
 )
-from signalgames.errors import GameModelError, PreconditionError
-from signalgames.recursive import classify, extract_eps_optimal, uniform_value
+from signalgames.errors import (
+    BudgetExceededError,
+    CertificateError,
+    GameModelError,
+    PreconditionError,
+)
+from signalgames.model import SymmetricGameSpec
+from signalgames.recursive import (
+    classify,
+    default_schedule,
+    extract_eps_optimal,
+    uniform_value,
+)
 
 
 def spec_for(name):
@@ -167,12 +180,9 @@ def test_extract_eps_optimal_mdp_shape():
         assert br >= result.guarantee
 
 
-def test_uniform_value_single_chain_closed_form():
-    # one live state that absorbs at payoff c under every action pair:
-    # stage 1 pays nothing, the rest pay c, so v_n = c (n-1)/n exactly
-    from signalgames.model import SymmetricGameSpec
-    c = F(5, 7)
-    sym = SymmetricGameSpec(
+def _single_chain_game(c):
+    """One live state that absorbs at payoff c under every action pair."""
+    return SymmetricGameSpec(
         states=["live", "done*"], actions1=["a"], actions2=["b"],
         signals=["o"],
         initial={("live", "o"): F(1)},
@@ -180,15 +190,11 @@ def test_uniform_value_single_chain_closed_form():
                     ("done*", "a", "b"): {("done*", "o"): F(1)}},
         reward={("live", "a", "b"): F(0), ("done*", "a", "b"): c},
     )
-    report = uniform_value(sym, n_max=12, schedule=list(range(1, 13)))
-    for n, v in report.value_sequence:
-        assert v == c * F(n - 1, n), n
 
 
-def test_uniform_value_already_absorbed_game():
-    from signalgames.model import SymmetricGameSpec
-    c = F(2, 3)
-    sym = SymmetricGameSpec(
+def _already_absorbed_game(c):
+    """Play starts absorbed at payoff c; player 1 has two equal actions."""
+    return SymmetricGameSpec(
         states=["done*"], actions1=["a1", "a2"], actions2=["b"],
         signals=["o"],
         initial={("done*", "o"): F(1)},
@@ -196,6 +202,20 @@ def test_uniform_value_already_absorbed_game():
                     for i in ("a1", "a2")},
         reward={("done*", i, "b"): c for i in ("a1", "a2")},
     )
+
+
+def test_uniform_value_single_chain_closed_form():
+    # stage 1 pays nothing, the rest pay c, so v_n = c (n-1)/n exactly
+    c = F(5, 7)
+    sym = _single_chain_game(c)
+    report = uniform_value(sym, n_max=12, schedule=list(range(1, 13)))
+    for n, v in report.value_sequence:
+        assert v == c * F(n - 1, n), n
+
+
+def test_uniform_value_already_absorbed_game():
+    c = F(2, 3)
+    sym = _already_absorbed_game(c)
     report = uniform_value(sym, n_max=8, schedule=list(range(1, 9)))
     assert all(v == c for _, v in report.value_sequence)
     result = extract_eps_optimal(sym, report, eps=F(1, 100))
@@ -213,3 +233,133 @@ def test_extract_eps_optimal_infeasible_horizon_warns():
     result = extract_eps_optimal(sym, report, eps=F(1, 10 ** 9), budget=3000)
     assert result.warning
     assert result.guarantee <= report.certified_lower
+
+
+def _per_horizon_values(game, horizons, budget=None):
+    """Reference: a merged, pruned build and a backward pass per horizon,
+    stopping at the first horizon that does not fit the budget."""
+    values = []
+    for n in horizons:
+        try:
+            aux = reduction.build_auxiliary(game, n, budget=budget,
+                                            prune_absorbed=True,
+                                            merge_beliefs=True)
+        except BudgetExceededError:
+            break
+        sol = reduction.solve_backward(aux, payoff=reduction.MEAN,
+                                       want_strategies=False)
+        values.append((n, sol.value))
+    return values
+
+
+@pytest.mark.parametrize("game, n_max, schedule", [
+    (corpus.mdp_final_remark(), 256, None),
+    (corpus.quitting_game(), 64, None),
+    (_single_chain_game(F(5, 7)), 12, list(range(1, 13))),
+    (_already_absorbed_game(F(2, 3)), 8, list(range(1, 9))),
+], ids=["mdp_final_remark", "quitting_game", "single_chain", "already_absorbed"])
+def test_uniform_value_sweep_matches_per_horizon_backward(game, n_max, schedule):
+    report = uniform_value(game, n_max=n_max, tol=F(1, 100), window=3,
+                           schedule=schedule)
+    horizons = schedule or default_schedule(n_max)
+    assert report.value_sequence == _per_horizon_values(game, horizons)
+
+
+def test_uniform_value_budget_prefix_matches_per_horizon_builds():
+    # the merged DAG to depth n holds 1 + 2(n-1) (mdp) or 1 + 3(n-1)
+    # (quitting game) nodes, so these budgets cut the schedule mid-way
+    for game, budget in ((corpus.mdp_final_remark(), 40),
+                         (corpus.mdp_final_remark(), 23),
+                         (corpus.quitting_game(), 50)):
+        report = uniform_value(game, n_max=64, budget=budget)
+        expected = _per_horizon_values(game, default_schedule(64), budget)
+        assert report.value_sequence == expected
+        assert 1 < len(expected) < len(default_schedule(64))
+    with pytest.raises(BudgetExceededError) as err:
+        uniform_value(corpus.quitting_game(), n_max=64, budget=0)
+    assert err.value.level_reached == 1
+
+
+def test_quitting_sweep_solves_one_matrix_game_per_stage_count(monkeypatch):
+    """The n_max=64 values take one merged build, one sweep and at most one
+    matrix game per stage count (3 beliefs, 2 of them absorbed)."""
+    real_solve = reduction.solve_matrix_game
+    real_sweep = recursive.solve_horizons
+    real_build = recursive.build_auxiliary
+    merged_builds, sweeps, games, active = [], [], [], []
+
+    def counting_solve(matrix):
+        if active:
+            games.append(matrix)
+        return real_solve(matrix)
+
+    def tracked_sweep(aux, horizons):
+        sweeps.append(list(horizons))
+        active.append(True)
+        try:
+            return real_sweep(aux, horizons)
+        finally:
+            active.pop()
+
+    def tracked_build(*args, **kwargs):
+        if kwargs.get("merge_beliefs"):
+            merged_builds.append(args[1])
+        return real_build(*args, **kwargs)
+
+    monkeypatch.setattr(reduction, "solve_matrix_game", counting_solve)
+    monkeypatch.setattr(recursive, "solve_horizons", tracked_sweep)
+    monkeypatch.setattr(recursive, "build_auxiliary", tracked_build)
+    report = uniform_value(corpus.quitting_game(), n_max=64, tol=F(1, 50),
+                           window=3)
+    assert [n for n, _ in report.value_sequence] == default_schedule(64)
+    assert merged_builds == [64]
+    assert sweeps == [default_schedule(64)]
+    assert 0 < len(games) <= 64
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"n_max": 0}, {"window": 0}, {"tol": 0}, {"tol": F(-1, 10)},
+    {"n_max": 8, "schedule": [0, 1, 2]}, {"n_max": 8, "schedule": [9, 10]},
+])
+def test_uniform_value_rejects_bad_sweep_arguments(kwargs):
+    with pytest.raises(PreconditionError):
+        uniform_value(corpus.quitting_game(), **kwargs)
+
+
+def test_forged_certificates_raise_certificate_error(monkeypatch):
+    spec = corpus.mdp_final_remark()
+    report = uniform_value(spec, n_max=16, tol=F(1, 100), window=3)
+    monkeypatch.setattr(recursive, "best_response_value",
+                        lambda *args, **kwargs: F(-1))
+    with pytest.raises(CertificateError, match="guarantees"):
+        uniform_value(spec, n_max=16, tol=F(1, 100), window=3)
+    with pytest.raises(CertificateError, match="monotone guarantee"):
+        extract_eps_optimal(spec, report, eps=F(1, 10))
+
+
+FORGED_DECREASING = """
+from fractions import Fraction as F
+from types import SimpleNamespace
+from signalgames import corpus, recursive, supvalue
+from signalgames.errors import CertificateError
+assert False, 'asserts were not stripped'
+recursive.solve_horizons = lambda aux, horizons: {n: F(1, n) for n in horizons}
+try:
+    recursive.uniform_value(corpus.mdp_final_remark(), n_max=4)
+except CertificateError as err:
+    print('uniform rejected:', err)
+supvalue.nstage_value = lambda *args: SimpleNamespace(value=F(1, args[1]))
+try:
+    supvalue.sup_value_lowerbounds(corpus.example3_bigmatch_blind1(), 3)
+except CertificateError as err:
+    print('sup rejected:', err)
+"""
+
+
+def test_forged_decreasing_values_rejected_under_optimize():
+    result = subprocess.run([sys.executable, "-O", "-c", FORGED_DECREASING],
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    assert [line.split(":")[0] for line in lines] == ["uniform rejected",
+                                                      "sup rejected"]

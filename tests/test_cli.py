@@ -143,3 +143,24 @@ def test_cli_entrypoint_subprocess(corpus_dir):
         capture_output=True, text=True)
     assert result.returncode == 0
     assert "ok" in result.stdout
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("solve-recursive", "--tol", "0.1"), ("solve-recursive", "--tol", "0"),
+    ("solve-recursive", "--tol", "-1/10"),
+    ("solve-recursive", "--max-horizon", "0"),
+    ("solve-recursive", "--max-horizon", "x"),
+    ("solve-recursive", "--window", "0"),
+    ("solve-sup", "--max-horizon", "0"),
+], ids=["tol-decimal", "tol-zero", "tol-negative", "max-horizon-zero",
+        "max-horizon-text", "window-zero", "sup-max-horizon-zero"])
+def test_bad_sweep_argument_usage_error(corpus_dir, capsys, command, flag,
+                                        value):
+    with pytest.raises(SystemExit) as err:
+        main([command, "--game", str(corpus_dir / "quitting_game.game"),
+              flag, value])
+    assert err.value.code == 2
+    stderr = capsys.readouterr().err
+    assert stderr.startswith("usage:")
+    assert f"argument {flag}" in stderr
+    assert "Traceback" not in stderr

@@ -2,10 +2,12 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from randgen import random_strategy, random_symmetric_game
 from signalgames import corpus
-from signalgames.errors import UnsupportedStructureError
+from signalgames.errors import GameModelError, UnsupportedStructureError
 from signalgames.histories import build_trees, exact_play_distribution
 from signalgames.lp import solve_matrix_game
 from signalgames.model import PLAYER1, SymmetricGameSpec
@@ -17,6 +19,7 @@ from signalgames.reduction import (
     lift_payoff,
     posterior,
     solve_backward,
+    solve_horizons,
 )
 
 
@@ -213,15 +216,65 @@ def test_solve_backward_horizon1_is_stage_game():
     assert sol.value == solve_matrix_game(matrix).value
 
 
+def _per_horizon_values(game, horizons, **build):
+    """Reference: one build and one plain backward pass per horizon."""
+    return {n: solve_backward(build_auxiliary(game, n, **build), payoff=MEAN,
+                              want_strategies=False).value
+            for n in horizons}
+
+
 def test_solve_backward_merge_agrees_with_plain():
+    """The stage-indexed sweep over one merged, pruned DAG gives every
+    horizon's value of plain backward induction on unmerged trees."""
     for seed in range(25):
         sym = random_symmetric_game(seed)
-        aux = build_auxiliary(sym, 4)
-        plain = solve_backward(aux, payoff=MEAN, want_strategies=False)
-        merged = solve_backward(aux, payoff=MEAN, merge="by-belief",
-                                want_strategies=False)
-        assert plain.value == merged.value, seed
-        assert merged.node_count <= plain.node_count
+        dag = build_auxiliary(sym, 4, prune_absorbed=True, merge_beliefs=True)
+        assert solve_horizons(dag, range(1, 5)) == _per_horizon_values(
+            sym, range(1, 5)), seed
+        tree = build_auxiliary(sym, 4)
+        assert (sum(len(level) for level in dag.levels)
+                <= sum(len(level) for level in tree.levels))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10 ** 6),
+       horizons=st.sets(st.integers(min_value=1, max_value=4), min_size=1))
+def test_solve_horizons_equals_per_horizon_backward(seed, horizons):
+    sym = random_symmetric_game(seed)
+    dag = build_auxiliary(sym, max(horizons), merge_beliefs=True)
+    assert solve_horizons(dag, horizons) == _per_horizon_values(sym, horizons)
+
+
+def _keys_and_posteriors(dag):
+    by_key: dict = {}
+    for level in dag.levels:
+        for node in level:
+            post = tuple(sorted(node.posterior.items()))
+            assert by_key.setdefault(node.key, post) == post
+    assert len(by_key) == len(set(by_key.values()))
+    return by_key
+
+
+def test_belief_keys_number_posteriors_across_depths():
+    """Keys are equal, at any depths, exactly when posteriors are."""
+    dag = build_auxiliary(corpus.quitting_game(), 6, prune_absorbed=True,
+                          merge_beliefs=True)
+    assert len(_keys_and_posteriors(dag)) == 3
+    for seed in range(20):
+        sym = random_symmetric_game(seed, n_states=3, n_signals=3)
+        _keys_and_posteriors(build_auxiliary(sym, 4, merge_beliefs=True))
+
+
+def test_solve_horizons_rejects_bad_input():
+    sym = corpus.quitting_game()
+    with pytest.raises(GameModelError):
+        solve_horizons(build_auxiliary(sym, 3), [1, 2])
+    dag = build_auxiliary(sym, 3, merge_beliefs=True)
+    for horizons in ([], [0, 1], [4]):
+        with pytest.raises(GameModelError):
+            solve_horizons(dag, horizons)
+    with pytest.raises(GameModelError):
+        solve_backward(dag, payoff="total")
 
 
 def test_solve_backward_strategies_are_distributions():

@@ -1,7 +1,10 @@
 from fractions import Fraction as F
 
+import pytest
+
 from oracles import guessing_matrix_value
 from randgen import random_game
+from signalgames.errors import PreconditionError
 from signalgames.recursive import uniform_value
 from signalgames.supvalue import (
     augment_running_max,
@@ -73,3 +76,8 @@ def test_budget_prefix(games):
                                    compute_upper=False)
     assert report.budget_hit
     assert 1 <= len(report.values) < 12
+
+
+def test_max_horizon_must_be_positive(games):
+    with pytest.raises(PreconditionError):
+        sup_value_lowerbounds(games["example3_bigmatch_blind1"], 0)
