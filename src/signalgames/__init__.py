@@ -25,7 +25,6 @@ from .histories import (
     build_trees,
     conditional_check,
     exact_play_distribution,
-    phi,
     simulate,
 )
 from .reduction import build_auxiliary, lift_payoff, posterior, solve_backward
@@ -61,7 +60,6 @@ __all__ = [
     "load_game",
     "nstage_value",
     "parse_spec",
-    "phi",
     "posterior",
     "project",
     "run_verification",

@@ -302,13 +302,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="detect symmetric signaling and dump the "
                             "observed-history game")
     p.add_argument("--game", required=True)
-    p.add_argument("--horizon", type=int, default=3)
+    p.add_argument("--horizon", type=_positive_int, default=3)
     p.add_argument("--csv")
     p.set_defaults(func=cmd_reduce_symmetric)
 
     p = sub.add_parser("solve-nstage", help="exact n-stage value and strategies")
     p.add_argument("--game", required=True)
-    p.add_argument("--horizon", type=int, required=True)
+    p.add_argument("--horizon", type=_positive_int, required=True)
     p.add_argument("--eval", choices=["mean", "terminal"], default="mean",
                    help="mean of stage rewards, or terminal running maximum")
     p.add_argument("--strategy-out")
@@ -335,9 +335,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="Monte Carlo play (floating point)")
     p.add_argument("--game", required=True)
-    p.add_argument("--horizon", type=int, required=True)
+    p.add_argument("--horizon", type=_positive_int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--replicas", type=int, default=1000)
+    p.add_argument("--replicas", type=_positive_int, default=1000)
     p.add_argument("--sigma", help="player 1 strategy JSON")
     p.add_argument("--tau", help="player 2 strategy JSON")
     p.set_defaults(func=cmd_simulate)
@@ -345,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("kernel-check",
                        help="exact conditional-kernel identities at (n, m)")
     p.add_argument("--game", required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--sigma")
     p.add_argument("--tau")

@@ -297,26 +297,13 @@ def build_trees(spec_or_sym, horizon: int, view: str | None = None,
 # ---------------------------------------------------------------------------
 
 
-def phi(pair: TreePair, h_n: HistoryNode, v_m: ObservedNode) -> Fraction:
-    """Conditional probability of history h_n given observation v_m (m >= n).
-
-    Exact ratio of chance weights: sum of alpha over level-m members of v_m
-    that extend h_n, divided by beta(v_m).  Returns 0 when h_n is
-    inconsistent with v_m, which includes the projection mismatch case.
-    """
-    if v_m.depth < h_n.depth:
-        raise GameModelError("phi needs observation at least as long as the history")
-    if v_m.beta <= 0:
-        raise GameModelError("observation has zero weight")
-    total = ZERO
-    for h in v_m.members:
-        if h.ancestor(h_n.depth) is h_n:
-            total += h.alpha
-    return total / v_m.beta
-
-
 def phi_row(pair: TreePair, n: int, v_m: ObservedNode) -> dict:
-    """phi over all level-n histories at once: HistoryNode -> Fraction."""
+    """Conditional probability of each level-n history given v_m (m >= n).
+
+    Exact ratio of chance weights: the alpha mass of the level-m members of
+    v_m that extend h_n, divided by beta(v_m).  Maps HistoryNode -> Fraction;
+    histories inconsistent with v_m have kernel 0 and are left out.
+    """
     if v_m.beta <= 0:
         raise GameModelError("observation has zero weight")
     sums: dict = {}
@@ -431,6 +418,12 @@ def conditional_check(spec_or_pair, sigma, tau, n: int, m: int,
       * sum identity: P(h_n and v_m) = kernel * Q(v_m) for all pairs;
       * compatibility: the kernel at level n equals its refinement summed
         over one-step extensions.
+
+    Each observation v_m is checked on its support only: the level-n
+    histories with a nonzero kernel or a nonzero joint mass at v_m.  Every
+    other pair has kernel 0 and joint mass 0 and satisfies both identities
+    trivially.  ``checked_pairs`` still counts every (observation, level-n
+    history) pair, since every pair is certified.
     """
     if not (1 <= n <= m):
         raise GameModelError("need 1 <= n <= m")
@@ -444,17 +437,15 @@ def conditional_check(spec_or_pair, sigma, tau, n: int, m: int,
             "do not make both strategies observation-measurable")
 
     dist = exact_play_distribution(pair, sigma, tau, m)
-    q: dict = {}
-    joint: dict = {}
+    joint: dict = {}                    # v_m -> {h_n: P(h_n and v_m)}
     for h, p in dist.probs.items():
-        v = h.obs
-        q[v] = q.get(v, ZERO) + p
+        mass = joint.setdefault(h.obs, {})
         anc = h.ancestor(n)
-        key = (v, anc)
-        joint[key] = joint.get(key, ZERO) + p
+        mass[anc] = mass.get(anc, ZERO) + p
 
     max_disc = ZERO
     checked = 0
+    width = len(pair.histories(n))
     normalization_ok = True
     bayes_ok = True
     sum_ok = True
@@ -464,11 +455,12 @@ def conditional_check(spec_or_pair, sigma, tau, n: int, m: int,
         row = phi_row(pair, n, v)
         if sum(row.values(), ZERO) != 1:
             normalization_ok = False
-        qv = q.get(v, ZERO)
-        for h in pair.histories(n):
+        mass = joint.get(v, {})
+        qv = sum(mass.values(), ZERO)
+        checked += width
+        for h in row.keys() | mass.keys():
             k = row.get(h, ZERO)
-            checked += 1
-            jp = joint.get((v, h), ZERO)
+            jp = mass.get(h, ZERO)
             # sum identity (eq. over cylinders): joint == kernel * Q
             if jp != k * qv:
                 sum_ok = False

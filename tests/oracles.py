@@ -1,4 +1,5 @@
-"""Independent oracles: pure-strategy enumeration, closed forms.
+"""Independent oracles: pure-strategy enumeration, closed forms, the dense
+kernel-identity check.
 
 Deliberately reimplements game evaluation with plain recursion so the
 sequence-form and backward-induction paths are checked against something
@@ -10,6 +11,11 @@ import itertools
 from fractions import Fraction as F
 
 from randgen import _reachable_views
+from signalgames.histories import (
+    KernelCheckReport,
+    exact_play_distribution,
+    phi_row,
+)
 from signalgames.lp import solve_matrix_game
 
 
@@ -73,3 +79,53 @@ def mdp_nstage_value(n):
     for k in range(n):
         best = max(best, (F(1) - F(1, 2 ** k)) * F(n - k - 1, n))
     return best
+
+
+def dense_conditional_check(pair, sigma, tau, n, m):
+    """The kernel identities checked on every (observation, history) pair.
+
+    Reference for ``histories.conditional_check``, which walks only each
+    observation's support: zero pairs are compared here too, so the two
+    reports must agree field by field.
+    """
+    dist = exact_play_distribution(pair, sigma, tau, m)
+    q = {}
+    joint = {}
+    for h, p in dist.probs.items():
+        v = h.obs
+        q[v] = q.get(v, F(0)) + p
+        key = (v, h.ancestor(n))
+        joint[key] = joint.get(key, F(0)) + p
+
+    max_disc = F(0)
+    checked = 0
+    normalization_ok = bayes_ok = sum_ok = compat_ok = True
+    for v in pair.observations(m):
+        row = phi_row(pair, n, v)
+        if sum(row.values(), F(0)) != 1:
+            normalization_ok = False
+        qv = q.get(v, F(0))
+        for h in pair.histories(n):
+            k = row.get(h, F(0))
+            checked += 1
+            jp = joint.get((v, h), F(0))
+            if jp != k * qv:
+                sum_ok = False
+                max_disc = max(max_disc, abs(jp - k * qv))
+            if qv > 0 and jp / qv != k:
+                bayes_ok = False
+                max_disc = max(max_disc, abs(jp / qv - k))
+        if n < m:
+            folded = {}
+            for h1, val in phi_row(pair, n + 1, v).items():
+                folded[h1.parent] = folded.get(h1.parent, F(0)) + val
+            for h in set(row) | set(folded):
+                a, b = row.get(h, F(0)), folded.get(h, F(0))
+                if a != b:
+                    compat_ok = False
+                    max_disc = max(max_disc, abs(a - b))
+    return KernelCheckReport(n=n, m=m, checked_pairs=checked,
+                             max_discrepancy=max_disc,
+                             normalization_ok=normalization_ok,
+                             bayes_ok=bayes_ok, sum_identity_ok=sum_ok,
+                             compatibility_ok=compat_ok)

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -112,6 +113,19 @@ def test_kernel_check_cli(corpus_dir, capsys):
     assert "max discrepancy: 0" in out
 
 
+def test_kernel_check_cli_output_pinned(capsys):
+    game = Path(__file__).resolve().parents[1] / "games" / "example1_guessing.game"
+    code = main(["kernel-check", "--game", str(game), "--n", "1", "--m", "3"])
+    assert code == 0
+    assert capsys.readouterr().out == (
+        "kernel identities at (n=1, m=3): 16 pairs checked\n"
+        "  row normalization: exact\n"
+        "  strategy independence: exact\n"
+        "  sum identity: exact\n"
+        "  one-step compatibility: exact\n"
+        "max discrepancy: 0\n")
+
+
 def test_simulate_deterministic_cli(corpus_dir, capsys):
     argv = ["simulate", "--game", str(corpus_dir / "bigmatch_nosignals.game"),
             "--horizon", "5", "--seed", "9", "--replicas", "200"]
@@ -163,4 +177,23 @@ def test_bad_sweep_argument_usage_error(corpus_dir, capsys, command, flag,
     stderr = capsys.readouterr().err
     assert stderr.startswith("usage:")
     assert f"argument {flag}" in stderr
+    assert "Traceback" not in stderr
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["reduce-symmetric", "--horizon", "0"], "--horizon"),
+    (["solve-nstage", "--horizon", "0"], "--horizon"),
+    (["simulate", "--horizon", "0"], "--horizon"),
+    (["simulate", "--horizon", "3", "--replicas", "0"], "--replicas"),
+    (["kernel-check", "--n", "0", "--m", "2"], "--n"),
+], ids=["reduce-horizon-zero", "nstage-horizon-zero", "simulate-horizon-zero",
+        "simulate-replicas-zero", "kernel-n-zero"])
+def test_nonpositive_count_usage_error(corpus_dir, capsys, argv, flag):
+    with pytest.raises(SystemExit) as err:
+        main(argv[:1] + ["--game", str(corpus_dir / "noisy_public_2state.game")]
+             + argv[1:])
+    assert err.value.code == 2
+    stderr = capsys.readouterr().err
+    assert stderr.startswith("usage:")
+    assert f"argument {flag}: must be at least 1, got 0" in stderr
     assert "Traceback" not in stderr

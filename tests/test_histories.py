@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from oracles import dense_conditional_check
 from randgen import random_game, random_strategy
 from signalgames import corpus
 from signalgames.errors import BudgetExceededError, IncompleteStrategyError
@@ -10,11 +11,10 @@ from signalgames.histories import (
     build_trees,
     conditional_check,
     exact_play_distribution,
-    phi,
     phi_row,
     simulate,
 )
-from signalgames.model import PLAYER1, constant_strategy, uniform_strategy
+from signalgames.model import PLAYER1, PUBLIC, constant_strategy, uniform_strategy
 from signalgames.rationals import ZERO
 
 
@@ -69,7 +69,7 @@ def test_phi_uninformative_signals_stay_half():
     h_a = next(h for h in pair.histories(1) if h.state == "xa")
     for m in (1, 2, 3):
         for v in pair.observations(m):
-            assert phi(pair, h_a, v) == F(1, 2)
+            assert phi_row(pair, 1, v)[h_a] == F(1, 2)
 
 
 def test_phi_likelihood_posterior_bruteforce():
@@ -86,9 +86,9 @@ def test_phi_likelihood_posterior_bruteforce():
     assert expected == F(1, 3)
     for v in pair.observations(2):
         if v.label == "u":
-            assert phi(pair, h_a, v) == F(1, 3)
+            assert phi_row(pair, 1, v)[h_a] == F(1, 3)
         elif v.label == "w":
-            assert phi(pair, h_a, v) == F(2, 3) / (F(2, 3) + F(1, 3))
+            assert phi_row(pair, 1, v)[h_a] == F(2, 3) / (F(2, 3) + F(1, 3))
 
 
 def test_phi_fully_revealing_is_indicator():
@@ -180,6 +180,46 @@ def test_conditional_check_random_games_exact():
                 report = conditional_check(pair, sigma, tau, n, m)
                 assert report.all_exact, (seed, n, m)
                 assert report.max_discrepancy == 0
+
+
+def test_conditional_check_matches_dense_oracle():
+    """The support walk gives the dense every-pair check's report, field by
+    field, pair count and discrepancy included."""
+    rng = random.Random(77)
+    for seed in range(8):
+        spec = random_game(100 + seed)
+        sigma = random_strategy(rng, spec, 1, 4)
+        tau = random_strategy(rng, spec, 2, 4)
+        pair = build_trees(spec, 4)
+        for m in range(1, 5):
+            for n in range(1, m + 1):
+                got = conditional_check(pair, sigma, tau, n, m)
+                want = dense_conditional_check(pair, sigma, tau, n, m)
+                assert got == want, (seed, n, m)
+
+
+def test_conditional_check_violation_matches_dense_oracle():
+    """A public label that merges all of player 1's signals hides what the
+    strategies depend on: the identities fail, and the support walk reports
+    the same failures and discrepancy as the dense check."""
+    spec = random_game(0)
+    spec.public_label = {c: "merged" for c in spec.signals1}
+    rng = random.Random(0)
+    sigma = random_strategy(rng, spec, 1, 3)
+    tau = random_strategy(rng, spec, 2, 3)
+    pair = build_trees(spec, 3, view=PUBLIC)
+    discrepancies = {}
+    for m in range(1, 4):
+        for n in range(1, m + 1):
+            report = conditional_check(pair, sigma, tau, n, m)
+            want = dense_conditional_check(pair, sigma, tau, n, m)
+            assert report == want, (n, m)
+            discrepancies[(n, m)] = report.max_discrepancy
+            if report.max_discrepancy > 0:
+                assert not report.bayes_ok and not report.sum_identity_ok
+                assert not report.all_exact
+    assert discrepancies[(1, 2)] == F(2, 55)
+    assert discrepancies[(2, 3)] == F(177, 1015)
 
 
 def test_conditional_check_rejects_player_views():
