@@ -10,7 +10,6 @@ from .model import (
     GameSpec,
     SymmetricGameSpec,
     is_symmetric_signaling,
-    project,
 )
 from .gamefile import load_game, parse_spec, save_game, serialize_spec
 from .lp import (
@@ -27,7 +26,7 @@ from .histories import (
     exact_play_distribution,
     simulate,
 )
-from .reduction import build_auxiliary, lift_payoff, posterior, solve_backward
+from .reduction import build_auxiliary, lift_payoff, solve_backward
 from .seqform import TerminalPayoff, nstage_value
 from .supvalue import augment_running_max, sup_value_lowerbounds
 from .claims import expected_limsup, first_switch_family, verify_example
@@ -60,8 +59,6 @@ __all__ = [
     "load_game",
     "nstage_value",
     "parse_spec",
-    "posterior",
-    "project",
     "run_verification",
     "save_game",
     "serialize_spec",

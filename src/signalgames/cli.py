@@ -18,7 +18,7 @@ import sys
 from .errors import BudgetExceededError, GameModelError, LPError, ParseError
 from .gamefile import load_game, load_strategy, save_strategy
 from .histories import build_trees, conditional_check, simulate
-from .model import SymmetricGameSpec, is_symmetric_signaling, uniform_strategy
+from .model import SymmetricGameSpec, as_general, is_symmetric_signaling, uniform_strategy
 from .rationals import decimal_repr, format_rational, parse_rational
 from .recursive import uniform_value
 from .reduction import build_auxiliary
@@ -65,10 +65,6 @@ def _positive_rational(text: str):
     return value
 
 
-def _general(spec):
-    return spec.expand() if isinstance(spec, SymmetricGameSpec) else spec
-
-
 def cmd_validate(args) -> int:
     spec = _load(args.game)
     problems = spec.validate()
@@ -83,7 +79,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_reduce_symmetric(args) -> int:
-    spec = _general(_load(args.game))
+    spec = as_general(_load(args.game))
     witness = is_symmetric_signaling(spec)
     if not witness:
         print(f"not a symmetric-signaling game: {witness.reason}")
@@ -198,10 +194,9 @@ def cmd_solve_recursive(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    spec = _load(args.game)
-    general = _general(spec)
-    sigma = load_strategy(args.sigma) if args.sigma else uniform_strategy(general, 1)
-    tau = load_strategy(args.tau) if args.tau else uniform_strategy(general, 2)
+    spec = as_general(_load(args.game))
+    sigma = load_strategy(args.sigma) if args.sigma else uniform_strategy(spec, 1)
+    tau = load_strategy(args.tau) if args.tau else uniform_strategy(spec, 2)
     summary = simulate(spec, sigma, tau, args.horizon, args.seed, args.replicas)
     print(f"replicas {summary.replicas}, horizon {summary.horizon}, "
           f"seed {summary.seed}")
@@ -214,10 +209,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_kernel_check(args) -> int:
-    spec = _load(args.game)
-    general = _general(spec)
-    sigma = load_strategy(args.sigma) if args.sigma else uniform_strategy(general, 1)
-    tau = load_strategy(args.tau) if args.tau else uniform_strategy(general, 2)
+    spec = as_general(_load(args.game))
+    sigma = load_strategy(args.sigma) if args.sigma else uniform_strategy(spec, 1)
+    tau = load_strategy(args.tau) if args.tau else uniform_strategy(spec, 2)
     if args.dump_trees:
         pair = build_trees(spec, args.m)
         lines = ["kind,level,sequence,weight"]
@@ -233,8 +227,7 @@ def cmd_kernel_check(args) -> int:
         with open(args.dump_trees, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
         print(f"trees written to {args.dump_trees}")
-    report = conditional_check(spec if isinstance(spec, SymmetricGameSpec)
-                               else general, sigma, tau, args.n, args.m)
+    report = conditional_check(spec, sigma, tau, args.n, args.m)
     print(f"kernel identities at (n={args.n}, m={args.m}): "
           f"{report.checked_pairs} pairs checked")
     for name, ok in (("row normalization", report.normalization_ok),
@@ -357,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="re-run a no-limsup-value example's reply bound")
     p.add_argument("--id", type=int, choices=[1, 2, 3], required=True)
     p.add_argument("--side", choices=["maxmin", "minmax"], required=True)
-    p.add_argument("--horizon", type=int, default=20)
+    p.add_argument("--horizon", type=_positive_int, default=20)
     p.add_argument("--eps", default="1/100")
     p.add_argument("--verbose", action="store_true")
     p.set_defaults(func=cmd_verify_example)

@@ -1,4 +1,4 @@
-"""Shared exception types and the global node budget."""
+"""Shared exception types and the node budget."""
 
 from __future__ import annotations
 
@@ -6,19 +6,6 @@ import os
 
 DEFAULT_NODE_BUDGET = 10 ** 6
 NODE_BUDGET_ENV = "SIGNALGAMES_NODE_BUDGET"
-
-
-def node_budget(override: int | None = None) -> int:
-    """Resolve the node budget: explicit override, else env var, else default."""
-    if override is not None:
-        return override
-    raw = os.environ.get(NODE_BUDGET_ENV)
-    if raw is not None:
-        try:
-            return int(raw)
-        except ValueError:
-            raise GameModelError(f"invalid {NODE_BUDGET_ENV}: {raw!r}") from None
-    return DEFAULT_NODE_BUDGET
 
 
 class GameModelError(Exception):
@@ -59,6 +46,33 @@ class BudgetExceededError(GameModelError):
         super().__init__(
             f"node budget {budget} exceeded while expanding level {level_reached}"
         )
+
+
+class Budget:
+    """The node budget of one build: ``limit`` is the explicit override,
+    else ``SIGNALGAMES_NODE_BUDGET``, else the default.  ``charge`` counts
+    one node and raises BudgetExceededError, naming the level being
+    expanded, once the count passes the limit."""
+
+    def __init__(self, override: int | None = None):
+        if override is None:
+            raw = os.environ.get(NODE_BUDGET_ENV)
+            try:
+                override = DEFAULT_NODE_BUDGET if raw is None else int(raw)
+            except ValueError:
+                raise GameModelError(f"invalid {NODE_BUDGET_ENV}: {raw!r}") from None
+        self.limit = override
+        self.count = 0
+
+    def charge(self, level: int) -> None:
+        self.count += 1
+        if self.count > self.limit:
+            raise BudgetExceededError(self.limit, level)
+
+    @staticmethod
+    def nothing_fits() -> BudgetExceededError:
+        """The error for a sweep none of whose horizons fits the budget."""
+        return BudgetExceededError(0, 1)
 
 
 class PreconditionError(GameModelError):

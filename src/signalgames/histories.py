@@ -28,12 +28,7 @@ import hashlib
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import (
-    BudgetExceededError,
-    GameModelError,
-    UnsupportedStructureError,
-    node_budget,
-)
+from .errors import Budget, GameModelError, UnsupportedStructureError
 from .model import (
     JOINT,
     PLAYER1,
@@ -41,8 +36,10 @@ from .model import (
     PUBLIC,
     BehavioralStrategy,
     GameSpec,
-    SymmetricGameSpec,
-    is_symmetric_signaling,
+    as_general,
+    projection,
+    public_labels,
+    require_public_labels,
 )
 from .rationals import ZERO
 
@@ -70,54 +67,38 @@ class HistoryNode:
 
     def view(self, who: str, public_of=None) -> tuple:
         """Observed view tuple of this history for player1/player2/joint/public."""
+        return self.seen_through(*projection(who, public_of))
+
+    def seen_through(self, edge_of, label_of) -> tuple:
+        """View tuple under the ``projection`` functions of a view."""
         parts: list = []
-        node: HistoryNode | None = self
-        chain = []
-        while node is not None:
-            chain.append(node)
-            node = node.parent
-        for node in reversed(chain):
+        for node in _path_to(self):
             if node.via is not None:
-                i, j = node.via
-                if who == PLAYER1:
-                    parts.append(i)
-                elif who == PLAYER2:
-                    parts.append(j)
-                else:
-                    parts.extend((i, j))
-            if who == PLAYER1:
-                parts.append(node.sig1)
-            elif who == PLAYER2:
-                parts.append(node.sig2)
-            elif who == JOINT:
-                parts.append((node.sig1, node.sig2))
-            else:
-                parts.append(public_of[node.sig1] if public_of else node.sig1)
+                parts.extend(edge_of(*node.via))
+            parts.append(label_of(node.sig1, node.sig2))
         return tuple(parts)
 
     def stage_path(self):
         """(states, action pairs) along the history, oldest first."""
-        chain = []
-        node: HistoryNode | None = self
-        while node is not None:
-            chain.append(node)
-            node = node.parent
-        chain.reverse()
-        states = [n.state for n in chain]
-        actions = [n.via for n in chain[1:]]
-        return states, actions
+        chain = _path_to(self)
+        return [n.state for n in chain], [n.via for n in chain[1:]]
 
     def full_key(self) -> tuple:
         """Hashable identity of the full history: ((x,c,d) triples, actions).
         Stable across independent tree constructions."""
-        chain = []
-        node: HistoryNode | None = self
-        while node is not None:
-            chain.append(node)
-            node = node.parent
-        chain.reverse()
+        chain = _path_to(self)
         return (tuple((n.state, n.sig1, n.sig2) for n in chain),
                 tuple(n.via for n in chain[1:]))
+
+
+def _path_to(node) -> list:
+    """The nodes from the root down to ``node``, following ``parent``."""
+    chain = []
+    while node is not None:
+        chain.append(node)
+        node = node.parent
+    chain.reverse()
+    return chain
 
 
 @dataclass(eq=False)
@@ -133,31 +114,13 @@ class ObservedNode:
     children: dict = field(default_factory=dict)
 
     def view(self) -> tuple:
+        """The observed history: each node's edge, then its label."""
         parts: list = []
-        node: ObservedNode | None = self
-        chain = []
-        while node is not None:
-            chain.append(node)
-            node = node.parent
-        for node in reversed(chain):
+        for node in _path_to(self):
             if node.edge is not None:
                 parts.extend(node.edge)
             parts.append(node.label)
         return tuple(parts)
-
-
-def _observed_parts(view: str, public_of, node_sig1, node_sig2, i, j):
-    """(edge components, stage label) of a one-step extension under a view."""
-    if view == PUBLIC:
-        label = public_of[node_sig1] if public_of else node_sig1
-        return (i, j), label
-    if view == JOINT:
-        return (i, j), (node_sig1, node_sig2)
-    if view == PLAYER1:
-        return (i,), node_sig1
-    if view == PLAYER2:
-        return (j,), node_sig2
-    raise GameModelError(f"unknown view {view!r}")
 
 
 @dataclass(eq=False)
@@ -178,16 +141,6 @@ class TreePair:
         return self.obs_levels[n - 1]
 
 
-def _resolve_public_of(spec: GameSpec):
-    if spec.public_label:
-        return dict(spec.public_label)
-    witness = is_symmetric_signaling(spec)
-    if not witness:
-        raise UnsupportedStructureError(
-            f"public view needs symmetric signaling: {witness.reason}")
-    return witness.public_of
-
-
 def build_trees(spec_or_sym, horizon: int, view: str | None = None,
                 budget: int | None = None, stop=None) -> TreePair:
     """Build H-bar and V-bar levels 1..horizon with exact alpha/beta weights.
@@ -198,34 +151,16 @@ def build_trees(spec_or_sym, horizon: int, view: str | None = None,
     that know the continuation is determined there).  Budget overruns raise
     BudgetExceededError naming the level reached.
     """
-    if isinstance(spec_or_sym, SymmetricGameSpec):
-        spec = spec_or_sym.expand()
-    else:
-        spec = spec_or_sym
-    spec.require_valid()
+    spec = as_general(spec_or_sym)
     if horizon < 1:
         raise GameModelError("horizon must be >= 1")
-    public_of = None
     if view is None:
-        if spec.public_label:
-            view, public_of = PUBLIC, _resolve_public_of(spec)
-        else:
-            witness = is_symmetric_signaling(spec)
-            if witness:
-                view, public_of = PUBLIC, witness.public_of
-            else:
-                view = JOINT
-    elif view == PUBLIC:
-        public_of = _resolve_public_of(spec)
-
-    limit = node_budget(budget)
-    count = 0
-
-    def charge(level):
-        nonlocal count
-        count += 1
-        if count > limit:
-            raise BudgetExceededError(limit, level)
+        public_of = public_labels(spec)
+        view = JOINT if public_of is None else PUBLIC
+    else:
+        public_of = require_public_labels(spec) if view == PUBLIC else None
+    edge_of, label_of = projection(view, public_of)
+    nodes = Budget(budget)
 
     # Level 1 from the initial distribution.
     roots: dict = {}
@@ -234,17 +169,10 @@ def build_trees(spec_or_sym, horizon: int, view: str | None = None,
     for (x, c, d), p in spec.initial.items():
         if p <= 0:
             continue
-        charge(1)
+        nodes.charge(1)
         node = HistoryNode(state=x, sig1=c, sig2=d, alpha=p, depth=1)
         level1.append(node)
-        if view == PUBLIC:
-            label = public_of[c] if public_of else c
-        elif view == JOINT:
-            label = (c, d)
-        elif view == PLAYER1:
-            label = c
-        else:
-            label = d
+        label = label_of(c, d)
         ob = obs1.get(label)
         if ob is None:
             ob = obs1[label] = ObservedNode(label=label, edge=None, beta=ZERO, depth=1)
@@ -265,15 +193,16 @@ def build_trees(spec_or_sym, horizon: int, view: str | None = None,
             for h in ob.members:
                 for i in spec.actions1:
                     for j in spec.actions2:
+                        edge = edge_of(i, j)
                         for (x2, c, d), p in spec.transition[(h.state, i, j)].items():
                             if p <= 0:
                                 continue
-                            charge(n + 1)
+                            nodes.charge(n + 1)
                             child = HistoryNode(state=x2, sig1=c, sig2=d,
                                                 alpha=h.alpha * p, depth=n + 1,
                                                 parent=h, via=(i, j))
                             next_level.append(child)
-                            edge, label = _observed_parts(view, public_of, c, d, i, j)
+                            label = label_of(c, d)
                             key = (edge, label)
                             ob2 = children.get(key)
                             if ob2 is None:
@@ -336,14 +265,11 @@ class PlayDistribution:
         return sum(self.probs.values(), ZERO)
 
 
-def _strategy_prob(strategy: BehavioralStrategy, h: HistoryNode, action: str,
-                   pair: TreePair) -> Fraction:
+def _viewer(strategy: BehavioralStrategy, pair: TreePair):
+    """The ``projection`` functions giving ``strategy`` its views."""
     if strategy.view_kind == "public":
-        public_of = pair.public_of or pair.spec.public_label or None
-        view = h.view(PUBLIC, public_of)
-    else:
-        view = h.view(PLAYER1 if strategy.player == 1 else PLAYER2)
-    return strategy.action_dist(view).get(action, ZERO)
+        return projection(PUBLIC, require_public_labels(pair.spec))
+    return projection(PLAYER1 if strategy.player == 1 else PLAYER2)
 
 
 def exact_play_distribution(spec_or_pair, sigma: BehavioralStrategy,
@@ -362,18 +288,24 @@ def exact_play_distribution(spec_or_pair, sigma: BehavioralStrategy,
     else:
         pair = build_trees(spec_or_pair, horizon, budget=budget)
 
+    sees1, sees2 = _viewer(sigma, pair), _viewer(tau, pair)
     weights: dict = {}
     for root in pair.histories(1):
         weights[root] = root.alpha
     for n in range(1, horizon):
         nxt: dict = {}
+        dists: dict = {}                # parent -> both players' action dists
         for h in pair.histories(n + 1):
             base = weights.get(h.parent)
             if base is None or base == 0:
                 continue
+            both = dists.get(h.parent)
+            if both is None:
+                both = dists[h.parent] = (
+                    sigma.action_dist(h.parent.seen_through(*sees1)),
+                    tau.action_dist(h.parent.seen_through(*sees2)))
             i, j = h.via
-            pi = _strategy_prob(sigma, h.parent, i, pair)
-            pj = _strategy_prob(tau, h.parent, j, pair)
+            pi, pj = both[0].get(i, ZERO), both[1].get(j, ZERO)
             if pi == 0 or pj == 0:
                 continue
             # alpha already contains the chance factor of this step
@@ -546,11 +478,7 @@ def simulate(spec_or_sym, sigma: BehavioralStrategy, tau: BehavioralStrategy,
     replicas are independent of execution order.  Sampling comparisons are
     exact; only the reported statistics are floats.
     """
-    if isinstance(spec_or_sym, SymmetricGameSpec):
-        spec = spec_or_sym.expand()
-    else:
-        spec = spec_or_sym
-    spec.require_valid()
+    spec = as_general(spec_or_sym)
     absorbing = spec.absorbing_states
     init_items = sorted(spec.initial.items(), key=lambda kv: str(kv[0]))
 

@@ -1,4 +1,4 @@
-"""Game schema, validation, signaling classification and history projections.
+"""Game schema, validation, signaling classification and observer views.
 
 A game instance is a finite two-player zero-sum repeated game with signals:
 states, two action alphabets, two signal alphabets, an exact initial
@@ -19,8 +19,6 @@ from functools import cached_property
 from .errors import GameModelError, IncompleteStrategyError, UnsupportedStructureError
 from .rationals import ONE, ZERO, format_rational
 
-# Outcome of one chance draw in a general game: (state, signal1, signal2).
-Triple = tuple[str, str, str]
 # A finite-support exact distribution.
 Dist = dict
 
@@ -256,6 +254,22 @@ class SymmetricGameSpec:
         )
 
 
+def as_general(spec_or_sym) -> GameSpec:
+    """The validated general form of a game spec.  A symmetric spec is
+    checked in its own terms before it is expanded (expanding reads every
+    transition entry), then its expansion is checked too."""
+    spec_or_sym.require_valid()
+    if not isinstance(spec_or_sym, SymmetricGameSpec):
+        return spec_or_sym
+    spec = spec_or_sym.expand()
+    spec.require_valid()
+    return spec
+
+
+# The mean-payoff evaluation: the average of the stage rewards.
+MEAN = "mean"
+
+
 # ---------------------------------------------------------------------------
 # Symmetric-signaling detection
 # ---------------------------------------------------------------------------
@@ -365,40 +379,8 @@ def is_symmetric_signaling(spec: GameSpec) -> SymmetryWitness:
 
 
 # ---------------------------------------------------------------------------
-# Histories and projections
+# Observer views
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FullHistory:
-    """Alternating history (x_1,c_1,d_1, i_1,j_1, ..., x_n,c_n,d_n).
-
-    ``stages`` holds the chance triples, ``actions`` the action pairs
-    between them (one fewer than stages).
-    """
-
-    stages: tuple[Triple, ...]
-    actions: tuple[tuple[str, str], ...]
-
-    def __post_init__(self):
-        if len(self.stages) != len(self.actions) + 1:
-            raise GameModelError("history needs exactly one more stage than action pair")
-
-    @property
-    def length(self) -> int:
-        return len(self.stages)
-
-    def prefix(self, n: int) -> "FullHistory":
-        if not 1 <= n <= self.length:
-            raise GameModelError(f"prefix length {n} out of range")
-        return FullHistory(self.stages[:n], self.actions[: n - 1])
-
-    def extend(self, i: str, j: str, triple: Triple) -> "FullHistory":
-        return FullHistory(self.stages + (triple,), self.actions + ((i, j),))
-
-    @property
-    def last_state(self) -> str:
-        return self.stages[-1][0]
 
 
 PLAYER1 = "player1"
@@ -407,52 +389,46 @@ PUBLIC = "public"
 JOINT = "joint"
 
 
-def project(spec: GameSpec, history: FullHistory, who: str) -> tuple:
-    """Project a full history onto an observer's view.
+def public_labels(spec: GameSpec) -> dict | None:
+    """Public component of each player-1 signal id: the spec's own
+    ``public_label``, else the symmetry witness's ``public_of``; None when
+    the spec has no symmetric signaling.  Uncached on purpose: a spec's
+    ``public_label`` may be set after construction."""
+    return spec.public_label or is_symmetric_signaling(spec).public_of
 
-    player1 -> (c_1, i_1, c_2, ..., c_n); player2 symmetric with (d, j).
-    joint   -> (c_1, d_1, i_1, j_1, c_2, d_2, ...): forgets only the states.
-    public  -> (s_1, i_1, j_1, s_2, ...) with s the recovered public signal;
-               only defined for symmetric-signaling specs.
+
+def require_public_labels(spec: GameSpec) -> dict:
+    """``public_labels``, raising UnsupportedStructureError with the
+    witness's reason when the spec has no symmetric signaling."""
+    if spec.public_label:
+        return spec.public_label
+    witness = is_symmetric_signaling(spec)
+    if not witness:
+        raise UnsupportedStructureError(
+            f"public view needs symmetric signaling: {witness.reason}")
+    return witness.public_of
+
+
+def projection(view: str, public_of: dict | None = None) -> tuple:
+    """``(edge_of, label_of)`` of an observer view.
+
+    ``edge_of(i, j)`` is the observed part of an action pair and
+    ``label_of(c, d)`` that of a signal pair: player1 sees (i,) and c,
+    player2 (j,) and d, joint both actions and (c, d), forgetting only the
+    states, and public both actions and the public component of c under
+    ``public_of`` (c itself without a map).  Builders call this once, not
+    per node.
     """
-    if who == PLAYER1:
-        out = []
-        for t, (x, c, d) in enumerate(history.stages):
-            out.append(c)
-            if t < len(history.actions):
-                out.append(history.actions[t][0])
-        return tuple(out)
-    if who == PLAYER2:
-        out = []
-        for t, (x, c, d) in enumerate(history.stages):
-            out.append(d)
-            if t < len(history.actions):
-                out.append(history.actions[t][1])
-        return tuple(out)
-    if who == JOINT:
-        out = []
-        for t, (x, c, d) in enumerate(history.stages):
-            out.extend((c, d))
-            if t < len(history.actions):
-                out.extend(history.actions[t])
-        return tuple(out)
-    if who == PUBLIC:
-        if spec.public_label:
-            public_of = spec.public_label
-        else:
-            witness = is_symmetric_signaling(spec)
-            if not witness:
-                raise UnsupportedStructureError(
-                    f"public projection needs symmetric signaling: {witness.reason}"
-                )
-            public_of = witness.public_of
-        out = []
-        for t, (x, c, d) in enumerate(history.stages):
-            out.append(public_of.get(c, c))
-            if t < len(history.actions):
-                out.extend(history.actions[t])
-        return tuple(out)
-    raise GameModelError(f"unknown observer {who!r}")
+    if view == PLAYER1:
+        return (lambda i, j: (i,)), (lambda c, d: c)
+    if view == PLAYER2:
+        return (lambda i, j: (j,)), (lambda c, d: d)
+    if view == JOINT:
+        return (lambda i, j: (i, j)), (lambda c, d: (c, d))
+    if view == PUBLIC:
+        labels = public_of or {}
+        return (lambda i, j: (i, j)), (lambda c, d: labels.get(c, c))
+    raise GameModelError(f"unknown view {view!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -527,25 +503,3 @@ def constant_strategy(spec: GameSpec, player: int, action: str) -> BehavioralStr
         raise GameModelError(f"unknown action {action!r} for player {player}")
     return BehavioralStrategy(player=player, horizon=0, table={},
                               tail={a: ONE if a == action else ZERO for a in actions})
-
-
-# ---------------------------------------------------------------------------
-# Reward normalization utility
-# ---------------------------------------------------------------------------
-
-
-def normalize_rewards(spec: GameSpec) -> tuple[GameSpec, Fraction, Fraction]:
-    """Affinely rescale rewards into [0,1]; returns (spec', scale, offset)
-    with  original = scale * normalized + offset.  Values of zero-sum games
-    transform the same way, so results are easy to map back."""
-    lo, hi = spec.min_reward, spec.max_reward
-    scale = hi - lo if hi != lo else ONE
-    reward = {k: (r - lo) / scale for k, r in spec.reward.items()}
-    clone = GameSpec(
-        states=list(spec.states), actions1=list(spec.actions1),
-        actions2=list(spec.actions2), signals1=list(spec.signals1),
-        signals2=list(spec.signals2), initial=dict(spec.initial),
-        transition={k: dict(v) for k, v in spec.transition.items()},
-        reward=reward, comment=spec.comment, public_label=dict(spec.public_label),
-    )
-    return clone, scale, lo

@@ -26,14 +26,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
+    Budget,
     BudgetExceededError,
     CertificateError,
     PreconditionError,
+    UnsupportedStructureError,
     require_nondecreasing,
 )
-from .model import BehavioralStrategy, GameSpec, SymmetricGameSpec, is_symmetric_signaling
-from .reduction import MEAN as RED_MEAN
-from .reduction import build_auxiliary, solve_backward, solve_horizons
+from .model import MEAN, PUBLIC, BehavioralStrategy, GameSpec, as_general
+from .reduction import _resolve_view, build_auxiliary, solve_backward, solve_horizons
 from .seqform import best_response_value, nstage_value
 
 
@@ -52,8 +53,7 @@ class RecursiveClassification:
 def classify(spec_or_sym) -> RecursiveClassification:
     """Exact structural test: rewards vanish outside absorbing states, and
     absorbing payoffs are all nonnegative."""
-    spec = spec_or_sym.expand() if isinstance(spec_or_sym, SymmetricGameSpec) else spec_or_sym
-    spec.require_valid()
+    spec = as_general(spec_or_sym)
     absorbing = [(x, spec.absorbing_payoff(x)) for x in spec.states
                  if x in spec.absorbing_states]
     offending = []
@@ -102,19 +102,20 @@ def default_schedule(n_max: int, dense_top: int = 4) -> list:
 
 
 def _value_route(spec: GameSpec):
-    """Pick the cheapest sound engine for n-stage values."""
-    if spec.public_label or is_symmetric_signaling(spec):
-        return "reduction-public"
-    if len(spec.actions2) == 1 or len(spec.actions1) == 1:
-        return "reduction-private"
-    return "sequence-form"
+    """Pick the cheapest sound engine for n-stage values: the view the
+    belief reduction would use, else the sequence form."""
+    try:
+        view, _ = _resolve_view(spec, None)
+    except UnsupportedStructureError:
+        return "sequence-form"
+    return "reduction-public" if view == PUBLIC else "reduction-private"
 
 
 def _nstage(spec: GameSpec, route: str, n: int, budget):
     """Both players' horizon-n optimal strategies."""
     if route.startswith("reduction"):
         aux = build_auxiliary(spec, n, budget=budget, prune_absorbed=True)
-        sol = solve_backward(aux, payoff=RED_MEAN, want_strategies=True)
+        sol = solve_backward(aux, payoff=MEAN, want_strategies=True)
     else:
         sol = nstage_value(spec, n, budget=budget)
     return sol.strategy1, sol.strategy2
@@ -174,7 +175,7 @@ def uniform_value(spec_or_sym, tol=Fraction(1, 10000), n_max: int = 512,
     read up to its first point above ``n_max``.  Under a node budget the
     values stop before the first horizon that does not fit.
     """
-    spec = spec_or_sym.expand() if isinstance(spec_or_sym, SymmetricGameSpec) else spec_or_sym
+    spec = as_general(spec_or_sym)
     tol = Fraction(tol)
     if n_max < 1 or window < 1 or tol <= 0:
         raise PreconditionError(
@@ -200,7 +201,7 @@ def uniform_value(spec_or_sym, tol=Fraction(1, 10000), n_max: int = 512,
             f"the schedule needs horizons in 1..n_max={n_max}, got {pts}")
     values = _schedule_values(spec, route, horizons, budget)
     if not values:
-        raise BudgetExceededError(0, 1)
+        raise Budget.nothing_fits()
     require_nondecreasing(
         values, "n-stage values of a recursive nonnegative game")
 
@@ -286,7 +287,7 @@ def extract_eps_optimal(spec_or_sym, report: UniformValueReport, eps,
     N..N+check_horizons.  When even the deepest extractable strategy misses
     eps, the best available one is returned with a warning.
     """
-    spec = spec_or_sym.expand() if isinstance(spec_or_sym, SymmetricGameSpec) else spec_or_sym
+    spec = as_general(spec_or_sym)
     eps = Fraction(eps)
     route = report.route
     target = report.certified_lower - eps
@@ -312,7 +313,7 @@ def extract_eps_optimal(spec_or_sym, report: UniformValueReport, eps,
                        f"(gap {report.certified_lower - v})")
             break
     if chosen is None:
-        raise BudgetExceededError(0, 1)
+        raise Budget.nothing_fits()
     n, v, strategy = chosen
     certs = []
     for m in range(n, n + check_horizons + 1):

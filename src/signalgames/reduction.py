@@ -8,13 +8,11 @@ full histories lifts to  fhat(v) = sum_h kernel(h, v) f(h)  with equal
 expectation under every strategy pair.  Values are then computed by
 backward induction, solving one exact matrix game per observed node.
 
-Two constructions of the observed tree:
-
-* from an explicit TreePair (kept for tests and small horizons);
-* a belief recursion that carries only (beta, posterior over current
-  states) per node — equivalent because both the signal transition and the
-  child posterior are functions of the current posterior — which scales to
-  long horizons when absorbed nodes are pruned.
+The observed tree is built by a belief recursion that carries only (beta,
+posterior over current states) per node — equivalent to grouping the
+explicit history tree by observation, because both the signal transition
+and the child posterior are functions of the current posterior — which
+scales to long horizons when absorbed nodes are pruned.
 
 ``solve_horizons`` runs Shapley's value recursion, indexed by the number of
 stages left, over one merged belief DAG: every requested horizon's mean
@@ -31,23 +29,21 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import (
-    GameModelError,
-    UnsupportedStructureError,
-    node_budget,
-    BudgetExceededError,
-)
+from .errors import Budget, GameModelError, UnsupportedStructureError
 from .histories import ObservedNode, TreePair, phi_row
 from .lp import solve_matrix_game
 from .model import (
     JOINT,
+    MEAN,
     PLAYER1,
     PLAYER2,
     PUBLIC,
     BehavioralStrategy,
     GameSpec,
-    SymmetricGameSpec,
-    is_symmetric_signaling,
+    as_general,
+    projection,
+    public_labels,
+    require_public_labels,
 )
 from .rationals import ZERO
 
@@ -73,18 +69,7 @@ class BeliefNode:
     pruned: bool = False                 # posterior fully on absorbing states
     key: int | None = None               # posterior number (merged builds)
 
-    def view(self) -> tuple:
-        parts: list = []
-        chain = []
-        node: BeliefNode | None = self
-        while node is not None:
-            chain.append(node)
-            node = node.parent
-        for node in reversed(chain):
-            if node.edge is not None:
-                parts.extend(node.edge)
-            parts.append(node.label)
-        return tuple(parts)
+    view = ObservedNode.view
 
 
 @dataclass(eq=False)
@@ -117,17 +102,12 @@ def _edge_matches(view: str, edge: tuple, i: str, j: str) -> bool:
     return edge[0] == j
 
 
-def posterior_of_observed(node: ObservedNode) -> dict:
-    """Exact current-state posterior at an observed-tree node (from members)."""
-    if node.beta <= 0:
-        raise GameModelError("observation has zero weight")
-    out: dict = {}
-    for h in node.members:
-        out[h.state] = out.get(h.state, ZERO) + h.alpha
-    return {x: a / node.beta for x, a in out.items()}
-
-
-def _resolve_view(spec: GameSpec, view: str | None) -> str:
+def _resolve_view(spec: GameSpec, view: str | None) -> tuple:
+    """``(view, public_of)`` of the auxiliary game: the public view when the
+    spec has symmetric signaling, else the private view of a player whose
+    opponent has a single action."""
+    if view == PUBLIC:
+        return view, require_public_labels(spec)
     if view is not None:
         if view in (PLAYER1, PLAYER2):
             free = spec.actions2 if view == PLAYER1 else spec.actions1
@@ -135,13 +115,14 @@ def _resolve_view(spec: GameSpec, view: str | None) -> str:
                 raise UnsupportedStructureError(
                     "a private view only supports the reduction when the "
                     "unobserved player has a single action")
-        return view
-    if spec.public_label or is_symmetric_signaling(spec):
-        return PUBLIC
+        return view, None
+    public_of = public_labels(spec)
+    if public_of is not None:
+        return PUBLIC, public_of
     if len(spec.actions2) == 1:
-        return PLAYER1
+        return PLAYER1, None
     if len(spec.actions1) == 1:
-        return PLAYER2
+        return PLAYER2, None
     raise UnsupportedStructureError(
         "auxiliary game needs symmetric signaling or a single-action opponent")
 
@@ -165,40 +146,11 @@ def build_auxiliary(spec_or_sym, horizon: int, view: str | None = None,
     share work across depths without re-hashing the fractions.  Strategy
     extraction needs per-history views, hence an unmerged tree.
     """
-    if isinstance(spec_or_sym, SymmetricGameSpec):
-        spec = spec_or_sym.expand()
-    else:
-        spec = spec_or_sym
-    spec.require_valid()
-    view = _resolve_view(spec, view)
-    public_of = spec.public_label if view == PUBLIC else None
-    if view == PUBLIC and not spec.public_label:
-        witness = is_symmetric_signaling(spec)
-        if not witness:
-            raise UnsupportedStructureError(witness.reason)
-        public_of = witness.public_of
+    spec = as_general(spec_or_sym)
+    view, public_of = _resolve_view(spec, view)
+    edge_of, label_of = projection(view, public_of)
     absorbing = spec.absorbing_states
-
-    limit = node_budget(budget)
-    count = 0
-
-    def charge(level):
-        nonlocal count
-        count += 1
-        if count > limit:
-            raise BudgetExceededError(limit, level)
-
-    def label_of(c, d):
-        if view == PUBLIC:
-            return public_of.get(c, c)
-        if view == JOINT:
-            return (c, d)
-        return c if view == PLAYER1 else d
-
-    def edge_of(i, j):
-        if view in (PUBLIC, JOINT):
-            return (i, j)
-        return (i,) if view == PLAYER1 else (j,)
+    nodes = Budget(budget)
 
     keys: dict = {}                      # exact posterior -> number
 
@@ -232,7 +184,7 @@ def build_auxiliary(spec_or_sym, horizon: int, view: str | None = None,
             if (lab, bkey) in seen:
                 seen[(lab, bkey)].beta += beta
                 continue
-        charge(1)
+        nodes.charge(1)
         node = BeliefNode(label=lab, edge=None, beta=beta, posterior=posterior,
                           depth=1, key=bkey)
         node.pruned = prune_absorbed and all(x in absorbing for x in node.posterior)
@@ -251,10 +203,11 @@ def build_auxiliary(spec_or_sym, horizon: int, view: str | None = None,
             for x, w in node.posterior.items():
                 for i in spec.actions1:
                     for j in spec.actions2:
+                        edge = edge_of(i, j)
                         for (x2, c, d), p in spec.transition[(x, i, j)].items():
                             if p <= 0:
                                 continue
-                            key = (edge_of(i, j), label_of(c, d))
+                            key = (edge, label_of(c, d))
                             bucket = buckets.setdefault(key, {})
                             bucket[x2] = bucket.get(x2, ZERO) + w * p
             for key in sorted(buckets, key=str):
@@ -269,7 +222,7 @@ def build_auxiliary(spec_or_sym, horizon: int, view: str | None = None,
                         child.beta += node.beta * mass
                         node.children[key] = (mass, child)
                         continue
-                charge(n + 1)
+                nodes.charge(n + 1)
                 child = BeliefNode(
                     label=key[1], edge=key[0],
                     beta=node.beta * mass,
@@ -286,29 +239,6 @@ def build_auxiliary(spec_or_sym, horizon: int, view: str | None = None,
     return AuxiliaryGame(spec=spec, view=view, horizon=horizon, roots=roots,
                          levels=levels, actions1=list(spec.actions1),
                          actions2=list(spec.actions2), merged=merge_beliefs)
-
-
-def auxiliary_from_trees(pair: TreePair) -> AuxiliaryGame:
-    """Auxiliary game over an explicit observed tree (posteriors from
-    members); used to cross-check the belief recursion."""
-    levels = []
-    mapping: dict = {}
-    for n in range(1, pair.horizon + 1):
-        lvl = []
-        for ob in pair.observations(n):
-            node = BeliefNode(label=ob.label, edge=ob.edge, beta=ob.beta,
-                              posterior=posterior_of_observed(ob), depth=n,
-                              parent=mapping.get(id(ob.parent)))
-            mapping[id(ob)] = node
-            if node.parent is not None:
-                node.parent.children[(ob.edge, ob.label)] = (
-                    ob.beta / ob.parent.beta, node)
-            lvl.append(node)
-        levels.append(lvl)
-    return AuxiliaryGame(spec=pair.spec, view=pair.view, horizon=pair.horizon,
-                         roots=levels[0], levels=levels,
-                         actions1=list(pair.spec.actions1),
-                         actions2=list(pair.spec.actions2))
 
 
 # ---------------------------------------------------------------------------
@@ -356,19 +286,9 @@ def lift_payoff(pair: TreePair, f) -> LiftedPayoff:
     return LiftedPayoff(horizon=n, values=values)
 
 
-def posterior(node) -> dict:
-    """Exact posterior over current states at an observed node."""
-    if isinstance(node, BeliefNode):
-        return dict(node.posterior)
-    return posterior_of_observed(node)
-
-
 # ---------------------------------------------------------------------------
 # Backward induction
 # ---------------------------------------------------------------------------
-
-MEAN = "mean"
-
 
 @dataclass
 class BackwardSolution:

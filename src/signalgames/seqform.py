@@ -18,21 +18,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import (
-    BudgetExceededError,
-    GameModelError,
-    node_budget,
-)
+from .errors import Budget, GameModelError
 from .lp import EQ, LEQ, OPTIMAL, LPError, LinearProgram, solve_lp
 from .model import (
+    MEAN,
     BehavioralStrategy,
     GameSpec,
-    SymmetricGameSpec,
-    is_symmetric_signaling,
+    as_general,
+    require_public_labels,
 )
 from .rationals import ONE, ZERO
-
-MEAN = "mean"
 
 
 @dataclass
@@ -106,12 +101,6 @@ class NStageSolution:
     program: SequenceFormProgram
 
 
-def _as_spec(spec_or_sym) -> GameSpec:
-    if isinstance(spec_or_sym, SymmetricGameSpec):
-        return spec_or_sym.expand()
-    return spec_or_sym
-
-
 def _mean_determined(spec: GameSpec, state: str, depth: int, N: int):
     if state in spec.absorbing_states:
         return spec.absorbing_payoff(state) * (N - depth + 1) / N
@@ -121,8 +110,7 @@ def _mean_determined(spec: GameSpec, state: str, depth: int, N: int):
 def build_sequence_form(spec_or_sym, horizon: int, evaluation=MEAN,
                         budget: int | None = None) -> SequenceFormProgram:
     """Walk the positive-weight history tree and assemble the program."""
-    spec = _as_spec(spec_or_sym)
-    spec.require_valid()
+    spec = as_general(spec_or_sym)
     N = horizon
     if N < 1:
         raise GameModelError("horizon must be >= 1")
@@ -133,7 +121,7 @@ def build_sequence_form(spec_or_sym, horizon: int, evaluation=MEAN,
     p1 = _PlayerForm(actions=list(spec.actions1))
     p2 = _PlayerForm(actions=list(spec.actions2))
     payoff: dict = {}
-    limit = node_budget(budget)
+    nodes = Budget(budget)
     live = closed = 0
 
     def bank(s1: int, s2: int, amount: Fraction):
@@ -158,12 +146,13 @@ def build_sequence_form(spec_or_sym, horizon: int, evaluation=MEAN,
         x, alpha, v1, v2, key, depth = stack.pop()
         det = determined(x, depth)
         if det is not None:
+            # closed nodes count against the budget; only live ones check it
             closed += 1
+            nodes.count += 1
             bank(p1.sequence(v1[:-1]), p2.sequence(v2[:-1]), alpha * det)
             continue
         live += 1
-        if live + closed > limit:
-            raise BudgetExceededError(limit, depth)
+        nodes.charge(depth)
         p1.visit(v1)
         p2.visit(v2)
         for i in spec.actions1:
@@ -318,20 +307,16 @@ def best_response_value(spec_or_sym, fixed: BehavioralStrategy, horizon: int,
     responder's view tree; independent of the LP path, so it doubles as a
     certificate check for returned strategies.
     """
-    spec = _as_spec(spec_or_sym)
-    spec.require_valid()
+    spec = as_general(spec_or_sym)
     N = horizon
     terminal = evaluation if isinstance(evaluation, TerminalPayoff) else None
-    public_of = None
-    if fixed.view_kind == "public":
-        public_of = (spec.public_label
-                     or is_symmetric_signaling(spec).public_of)
+    public_of = (require_public_labels(spec) if fixed.view_kind == "public"
+                 else None)
 
     form = _PlayerForm(actions=list(spec.actions2 if responder == 2
                                     else spec.actions1))
     cost: dict = {}                      # seq id -> banked Fraction
-    limit = node_budget(budget)
-    count = 0
+    nodes = Budget(budget)
 
     def bank(seq_id, amount):
         if amount:
@@ -352,9 +337,7 @@ def best_response_value(spec_or_sym, fixed: BehavioralStrategy, horizon: int,
 
     while stack:
         x, weight, vf, vr, vpub, depth = stack.pop()
-        count += 1
-        if count > limit:
-            raise BudgetExceededError(limit, depth)
+        nodes.charge(depth)
         det = (_mean_determined(spec, x, depth, N) if terminal is None
                else (terminal.determined_fn(x) if terminal.determined_fn else None))
         if det is not None:
@@ -385,24 +368,14 @@ def best_response_value(spec_or_sym, fixed: BehavioralStrategy, horizon: int,
             raise GameModelError("best_response_value needs an action-style "
                                  "terminal payoff")
 
-    # fold the responder tree: minimize (responder 2) or maximize (1)
+    # fold the responder tree: minimize (responder 2) or maximize (1).  An
+    # information set enters ``form.infosets`` before any of its successors
+    # (a frame is visited before its children are pushed), so a pass in
+    # reverse order folds every sequence's successors into it before the
+    # sequence itself is read.
     pick = min if responder == 2 else max
-    children_of_seq: dict = {}
-    for view in form.infosets:
-        children_of_seq.setdefault(form.parent_seq[view], []).append(view)
-
-    def seq_value(seq_id) -> Fraction:
-        total = cost.get(seq_id, ZERO)
-        for view in children_of_seq.get(seq_id, []):
-            total += pick(seq_value(s)
-                          for s in (form.seq_index[view + (a,)]
-                                    for a in form.actions))
-        return total
-
-    import sys
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old, 4 * horizon + 100))
-    try:
-        return seq_value(0)
-    finally:
-        sys.setrecursionlimit(old)
+    for view in reversed(form.infosets):
+        parent = form.parent_seq[view]
+        cost[parent] = cost.get(parent, ZERO) + pick(
+            cost.get(s, ZERO) for s in form.infosets[view])
+    return cost.get(0, ZERO)

@@ -18,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BudgetExceededError, PreconditionError, require_nondecreasing
-from .model import GameSpec, SymmetricGameSpec
+from .errors import Budget, BudgetExceededError, PreconditionError, require_nondecreasing
+from .model import GameSpec, as_general
 from .rationals import ZERO, format_rational
 from .seqform import TerminalPayoff, nstage_value
 
@@ -116,8 +116,7 @@ def augment_running_max(spec_or_sym) -> AugmentedGame:
     reward triples with equal value share max-labels, keeping the state
     count at (states) x (distinct reward values reached).
     """
-    base = spec_or_sym.expand() if isinstance(spec_or_sym, SymmetricGameSpec) else spec_or_sym
-    base.require_valid()
+    base = as_general(spec_or_sym)
 
     frontier = []
     decode = {}
@@ -214,7 +213,7 @@ def sup_value_lowerbounds(spec_or_sym, max_horizon: int,
         require_nondecreasing(values[-2:], "sup lower bounds")
 
     if not values:
-        raise BudgetExceededError(0, 1)
+        raise Budget.nothing_fits()
     best_lower = values[-1][1]
     upper = None
     if compute_upper:

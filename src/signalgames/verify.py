@@ -26,10 +26,9 @@ from .claims import verify_example
 from .errors import PreconditionError
 from .gamefile import serialize_spec
 from .histories import build_trees, exact_play_distribution
-from .model import BehavioralStrategy, is_symmetric_signaling
+from .model import MEAN, BehavioralStrategy, as_general, is_symmetric_signaling
 from .rationals import ZERO, decimal_repr, format_rational
 from .recursive import classify, extract_eps_optimal, uniform_value
-from .reduction import MEAN as RED_MEAN
 from .reduction import build_auxiliary, lift_payoff, solve_backward
 from .seqform import nstage_value
 from .supvalue import sup_value_lowerbounds
@@ -143,10 +142,7 @@ def _run_uniform_guard(name):
 
 def _run_symmetry(name, expect: bool):
     def run(games):
-        spec = games[name]
-        if hasattr(spec, "expand"):
-            spec = spec.expand()
-        witness = is_symmetric_signaling(spec)
+        witness = is_symmetric_signaling(as_general(games[name]))
         return ClaimResult(
             computed="symmetric" if witness else f"asymmetric ({witness.reason})",
             ok=bool(witness) == expect)
@@ -171,7 +167,7 @@ def _run_backward_vs_sequence(name, horizons):
         ok = True
         for n in horizons:
             aux = build_auxiliary(sym, n)
-            back = solve_backward(aux, payoff=RED_MEAN, want_strategies=False)
+            back = solve_backward(aux, payoff=MEAN, want_strategies=False)
             seq = nstage_value(sym, n)
             outputs.append(f"n={n}: {format_rational(back.value)}")
             ok = ok and back.value == seq.value
@@ -275,8 +271,7 @@ def _fixed_strategies(spec, horizon):
 
 def _run_transfer_identity(name):
     def run(games):
-        sym = games[name]
-        spec = sym.expand()
+        spec = as_general(games[name])
         N = 3
         pair = build_trees(spec, N)
         f = {h: (F(3, 2) if h.state == "xb" else F(-1, 4))

@@ -1,5 +1,5 @@
 """Independent oracles: pure-strategy enumeration, closed forms, the dense
-kernel-identity check.
+kernel-identity check, the auxiliary game read off an explicit tree.
 
 Deliberately reimplements game evaluation with plain recursion so the
 sequence-form and backward-induction paths are checked against something
@@ -11,12 +11,14 @@ import itertools
 from fractions import Fraction as F
 
 from randgen import _reachable_views
+from signalgames.errors import GameModelError
 from signalgames.histories import (
     KernelCheckReport,
     exact_play_distribution,
     phi_row,
 )
 from signalgames.lp import solve_matrix_game
+from signalgames.reduction import AuxiliaryGame, BeliefNode
 
 
 def pure_strategies(spec, player, horizon, cap=None):
@@ -129,3 +131,36 @@ def dense_conditional_check(pair, sigma, tau, n, m):
                              normalization_ok=normalization_ok,
                              bayes_ok=bayes_ok, sum_identity_ok=sum_ok,
                              compatibility_ok=compat_ok)
+
+
+def posterior_of_observed(node):
+    """Exact current-state posterior at an observed-tree node (from members)."""
+    if node.beta <= 0:
+        raise GameModelError("observation has zero weight")
+    out = {}
+    for h in node.members:
+        out[h.state] = out.get(h.state, F(0)) + h.alpha
+    return {x: a / node.beta for x, a in out.items()}
+
+
+def auxiliary_from_trees(pair):
+    """Auxiliary game over an explicit observed tree (posteriors from
+    members); reference for the belief recursion of ``build_auxiliary``."""
+    levels = []
+    mapping = {}
+    for n in range(1, pair.horizon + 1):
+        lvl = []
+        for ob in pair.observations(n):
+            node = BeliefNode(label=ob.label, edge=ob.edge, beta=ob.beta,
+                              posterior=posterior_of_observed(ob), depth=n,
+                              parent=mapping.get(id(ob.parent)))
+            mapping[id(ob)] = node
+            if node.parent is not None:
+                node.parent.children[(ob.edge, ob.label)] = (
+                    ob.beta / ob.parent.beta, node)
+            lvl.append(node)
+        levels.append(lvl)
+    return AuxiliaryGame(spec=pair.spec, view=pair.view, horizon=pair.horizon,
+                         roots=levels[0], levels=levels,
+                         actions1=list(pair.spec.actions1),
+                         actions2=list(pair.spec.actions2))

@@ -8,6 +8,7 @@ itself states a threshold.  Each test prints one line so a plain
 import random
 import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -198,6 +199,10 @@ def test_criterion_9_verify_determinism(tmp_path):
         assert code == 0
         outputs.append((csv.read_bytes(), js.read_bytes()))
     assert outputs[0] == outputs[1]
+    golden = Path(__file__).parent / "golden"
+    assert outputs[0] == ((golden / "verify_paper.csv").read_bytes(),
+                          (golden / "verify_paper.json").read_bytes())
     _report(9, "determinism",
-            "verify-paper run twice: byte-identical CSV and JSON reports",
+            "verify-paper run twice: byte-identical CSV and JSON reports, "
+            "equal to the recorded ones",
             time.perf_counter() - start, 600)

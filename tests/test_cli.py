@@ -186,14 +186,31 @@ def test_bad_sweep_argument_usage_error(corpus_dir, capsys, command, flag,
     (["simulate", "--horizon", "0"], "--horizon"),
     (["simulate", "--horizon", "3", "--replicas", "0"], "--replicas"),
     (["kernel-check", "--n", "0", "--m", "2"], "--n"),
+    (["verify-example", "--id", "1", "--side", "maxmin", "--horizon", "0"],
+     "--horizon"),
 ], ids=["reduce-horizon-zero", "nstage-horizon-zero", "simulate-horizon-zero",
-        "simulate-replicas-zero", "kernel-n-zero"])
+        "simulate-replicas-zero", "kernel-n-zero", "example-horizon-zero"])
 def test_nonpositive_count_usage_error(corpus_dir, capsys, argv, flag):
+    game = ([] if argv[0] == "verify-example"
+            else ["--game", str(corpus_dir / "noisy_public_2state.game")])
     with pytest.raises(SystemExit) as err:
-        main(argv[:1] + ["--game", str(corpus_dir / "noisy_public_2state.game")]
-             + argv[1:])
+        main(argv[:1] + game + argv[1:])
     assert err.value.code == 2
     stderr = capsys.readouterr().err
     assert stderr.startswith("usage:")
     assert f"argument {flag}: must be at least 1, got 0" in stderr
     assert "Traceback" not in stderr
+
+
+def test_symmetric_game_missing_transition_exits_one(tmp_path, capsys):
+    game = Path(__file__).resolve().parents[1] / "games" / "quitting_game.game"
+    doc = json.loads(game.read_text())
+    del doc["transitions"][0]
+    broken = tmp_path / "broken.game"
+    broken.write_text(json.dumps(doc))
+    code = main(["solve-nstage", "--game", str(broken), "--horizon", "2"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert ("error: invalid symmetric game spec: transition: missing entry "
+            "('go', 'C', 'c')") in err
+    assert "Traceback" not in err

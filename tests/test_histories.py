@@ -16,6 +16,8 @@ from signalgames.histories import (
 )
 from signalgames.model import PLAYER1, PUBLIC, constant_strategy, uniform_strategy
 from signalgames.rationals import ZERO
+from signalgames.reduction import build_auxiliary
+from signalgames.seqform import best_response_value, build_sequence_form
 
 
 def test_alpha_dirac_initial(games):
@@ -251,3 +253,30 @@ def test_simulate_example3_matches_exact(games):
     # Bernoulli(1/2) over 4000 replicas
     se = (0.25 / 4000) ** 0.5
     assert abs(res.stage1_absorbed_fraction - 0.5) <= 3 * se
+
+
+@pytest.mark.parametrize("build, fits, overrun", [
+    # 146 history nodes to level 3
+    (lambda b: build_trees(corpus.noisy_public_2state(), 3, budget=b),
+     146, (145, 3)),
+    # 9 beliefs in the merged, pruned DAG to level 5
+    (lambda b: build_auxiliary(corpus.mdp_final_remark(), 5, budget=b,
+                               prune_absorbed=True, merge_beliefs=True),
+     9, (8, 5)),
+    # 7 live and 6 closed nodes: closed nodes count, but only live ones
+    # check, so 12 fits and the first overrun is at budget 8
+    (lambda b: build_sequence_form(corpus.bigmatch_nosignals(), 3, budget=b),
+     12, (8, 3)),
+    # 13 responder frames; depth-first order overruns at level 2
+    (lambda b: best_response_value(
+        corpus.bigmatch_nosignals(),
+        uniform_strategy(corpus.bigmatch_nosignals(), 2), 3, responder=1,
+        budget=b),
+     13, (12, 2)),
+], ids=["build_trees", "build_auxiliary", "build_sequence_form",
+        "best_response_value"])
+def test_budget_overrun_pinned(build, fits, overrun):
+    build(fits)
+    with pytest.raises(BudgetExceededError) as err:
+        build(overrun[0])
+    assert (err.value.budget, err.value.level_reached) == overrun

@@ -5,17 +5,16 @@ import pytest
 from randgen import random_game, random_symmetric_game
 from signalgames import corpus
 from signalgames.errors import GameModelError, UnsupportedStructureError
+from signalgames.histories import build_trees
 from signalgames.model import (
     JOINT,
     PLAYER1,
     PLAYER2,
     PUBLIC,
     BehavioralStrategy,
-    FullHistory,
+    GameSpec,
     constant_strategy,
     is_symmetric_signaling,
-    normalize_rewards,
-    project,
     uniform_strategy,
 )
 from signalgames.rationals import format_rational, parse_rational
@@ -122,45 +121,42 @@ def test_asymmetric_pairing_detected():
 
 
 def test_project_views():
-    h = FullHistory(
-        stages=(("x1", "c1", "d1"), ("x2", "c2", "d2")),
-        actions=(("i1", "j1"),),
-    )
-    spec = corpus.example1_guessing()  # spec only matters for public view
-    assert project(spec, h, PLAYER1) == ("c1", "i1", "c2")
-    assert project(spec, h, PLAYER2) == ("d1", "j1", "d2")
-    assert project(spec, h, JOINT) == ("c1", "d1", "i1", "j1", "c2", "d2")
+    # one path: (x1, c1, d1) -(i1, j1)-> (x2, c2, d2)
+    spec = GameSpec(
+        states=["x1", "x2"], actions1=["i1"], actions2=["j1"],
+        signals1=["c1", "c2"], signals2=["d1", "d2"],
+        initial={("x1", "c1", "d1"): F(1)},
+        transition={(x, "i1", "j1"): {("x2", "c2", "d2"): F(1)}
+                    for x in ("x1", "x2")},
+        reward={(x, "i1", "j1"): F(0) for x in ("x1", "x2")})
+    (h,) = build_trees(spec, 2, view=JOINT).histories(2)
+    assert h.view(PLAYER1) == ("c1", "i1", "c2")
+    assert h.view(PLAYER2) == ("d1", "j1", "d2")
+    assert h.view(JOINT) == (("c1", "d1"), "i1", "j1", ("c2", "d2"))
 
 
 def test_project_prefix_monotone():
-    h = FullHistory(
-        stages=(("x1", "c1", "d1"), ("x2", "c2", "d2"), ("x3", "c1", "d2")),
-        actions=(("i1", "j1"), ("i2", "j2")),
-    )
-    spec = corpus.example1_guessing()
-    for who in (PLAYER1, PLAYER2, JOINT):
-        full = project(spec, h, who)
-        for n in (1, 2, 3):
-            pref = project(spec, h.prefix(n), who)
-            assert full[: len(pref)] == pref
+    pair = build_trees(random_game(3), 3)
+    for h in pair.histories(3):
+        for who in (PLAYER1, PLAYER2, JOINT):
+            full = h.view(who)
+            for n in (1, 2, 3):
+                pref = h.ancestor(n).view(who)
+                assert full[: len(pref)] == pref
 
 
 def test_project_public_requires_symmetric(games):
-    h = FullHistory(stages=(("s2", "n1", "n2"),), actions=())
     with pytest.raises(UnsupportedStructureError):
-        project(games["example1_guessing"], h, PUBLIC)
+        build_trees(games["example1_guessing"], 1, view=PUBLIC)
 
 
 def test_project_public_forgets_states(games):
-    sym = games["bigmatch_fullmonitor"]
-    spec = sym.expand()
-    c = spec.signals1[0]
-    h1 = FullHistory(stages=(("s", c, c), ("1*", "T|L|o", "T|L|o")),
-                     actions=(("T", "L"),))
-    h2 = FullHistory(stages=(("s", c, c), ("0*", "T|L|o", "T|L|o")),
-                     actions=(("T", "L"),))
-    assert project(spec, h1, PUBLIC) == project(spec, h2, PUBLIC)
-    assert project(spec, h1, PUBLIC) == ("o", "T", "L", "o")
+    pair = build_trees(games["noisy_public_2state"], 2)
+    h1, h2 = [h for h in pair.histories(2)
+              if h.via == ("T", "L") and h.sig1 == "T|L|u"]
+    assert {h1.state, h2.state} == {"xa", "xb"}
+    assert h1.view(PUBLIC, pair.public_of) == h2.view(PUBLIC, pair.public_of)
+    assert h1.view(PUBLIC, pair.public_of) == ("s0", "T", "L", "u")
 
 
 def test_strategy_lookup_and_tail():
@@ -182,15 +178,6 @@ def test_strategy_lookup_and_tail():
     assert u.action_dist(("n2", "L", "n2")) == {"L": F(1, 2), "R": F(1, 2)}
     c = constant_strategy(spec, 1, "B")
     assert c.action_dist(("n1",))["B"] == 1
-
-
-def test_normalize_rewards_affine():
-    spec = corpus.example1_guessing()
-    normalized, scale, offset = normalize_rewards(spec)
-    values = set(normalized.reward.values())
-    assert min(values) == 0 and max(values) == 1
-    for key, r in spec.reward.items():
-        assert r == scale * normalized.reward[key] + offset
 
 
 def test_random_games_validate():

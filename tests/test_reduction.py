@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import auxiliary_from_trees
 from randgen import random_strategy, random_symmetric_game
 from signalgames import corpus
 from signalgames.errors import GameModelError, UnsupportedStructureError
@@ -14,10 +15,8 @@ from signalgames.model import PLAYER1, SymmetricGameSpec
 from signalgames.rationals import ZERO
 from signalgames.reduction import (
     MEAN,
-    auxiliary_from_trees,
     build_auxiliary,
     lift_payoff,
-    posterior,
     solve_backward,
     solve_horizons,
 )

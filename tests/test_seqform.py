@@ -1,10 +1,15 @@
 import random
+import sys
 from fractions import Fraction as F
+
+import pytest
 
 from oracles import bruteforce_mean_value
 from randgen import random_game, random_symmetric_game
 from signalgames import corpus
+from signalgames.errors import UnsupportedStructureError
 from signalgames.lp import solve_matrix_game
+from signalgames.model import BehavioralStrategy, uniform_strategy
 from signalgames.reduction import MEAN as RED_MEAN
 from signalgames.reduction import build_auxiliary, lift_payoff, solve_backward
 from signalgames.histories import build_trees
@@ -144,3 +149,39 @@ def test_sequence_form_program_prunes_absorbed(games):
     assert prog.closed_nodes > 0
     # live histories are exactly the all-B paths: 2^(t-1) per level
     assert prog.live_nodes == sum(2 ** (t - 1) for t in range(1, 6))
+
+
+def test_best_response_public_strategy_needs_symmetric_signaling(games):
+    spec = games["example1_guessing"]
+    uniform = {a: F(1, len(spec.actions1)) for a in spec.actions1}
+    fixed = BehavioralStrategy(player=1, horizon=0, table={}, tail=uniform,
+                               view_kind="public")
+    with pytest.raises(UnsupportedStructureError, match="symmetric signaling"):
+        best_response_value(spec, fixed, 2)
+
+
+def test_best_response_fold_runs_below_recursion_limit(games):
+    """The fold over the responder's tree is a loop: a horizon of 150
+    stages solves under a recursion limit of 100, which the solver leaves
+    alone."""
+    spec = games["mdp_final_remark"]
+    horizon = 150
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(100)
+    try:
+        value = best_response_value(spec, uniform_strategy(spec, 1), horizon)
+        assert sys.getrecursionlimit() == 100
+    finally:
+        sys.setrecursionlimit(limit)
+    # player 2 has a single action, so the best reply earns the mean payoff
+    # of uniform play: one forward pass over the state distribution
+    dist, total = {"s1": F(1)}, F(0)
+    for _ in range(horizon):
+        nxt = {}
+        for x, p in dist.items():
+            for i in spec.actions1:
+                total += p * spec.reward[(x, i, "-")] / 2
+                for (x2, _, _), q in spec.transition[(x, i, "-")].items():
+                    nxt[x2] = nxt.get(x2, F(0)) + p * q / 2
+        dist = nxt
+    assert value == total / horizon
