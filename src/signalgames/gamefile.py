@@ -27,11 +27,13 @@ import json
 from fractions import Fraction
 
 from .errors import ParseError, UnknownIdError
-from .model import GameSpec, SymmetricGameSpec
+from .model import TAIL_REPEAT_LAST, BehavioralStrategy, GameSpec, SymmetricGameSpec
 from .rationals import format_rational, parse_rational
 
 
 def _need(obj: dict, key: str, where: str):
+    if not isinstance(obj, dict):
+        raise ParseError(f"expected an object with field {key!r}", where)
     if key not in obj:
         raise ParseError(f"missing field {key!r}", where)
     return obj[key]
@@ -250,31 +252,65 @@ def serialize_strategy(strategy) -> str:
     return json.dumps(data, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
 
 
-def parse_strategy(document: str):
-    from .model import BehavioralStrategy
+def _strategy_int(data: dict, key: str, low: int, high: int | None = None) -> int:
+    value = data[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParseError(f"{key} must be an integer, got {value!r}", f"$.{key}")
+    if value < low or (high is not None and value > high):
+        bounds = f"{low}..{high}" if high is not None else f">= {low}"
+        raise ParseError(f"{key} must be {bounds}, got {value}", f"$.{key}")
+    return value
 
+
+def _strategy_dist(raw, where: str) -> dict:
+    if not isinstance(raw, dict):
+        raise ParseError("distribution must be an object of action: probability", where)
+    try:
+        return {a: parse_rational(p) for a, p in raw.items()}
+    except ValueError as exc:
+        raise ParseError(str(exc), where) from None
+
+
+def parse_strategy(document: str):
+    """Parse a strategy document; every malformed one raises ParseError,
+    including a table or tail distribution whose mass is not 1."""
     try:
         data = json.loads(document)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", f"line {exc.lineno}") from None
+    if not isinstance(data, dict):
+        raise ParseError("top level must be an object", "$")
     for key in ("player", "horizon", "table"):
         if key not in data:
             raise ParseError(f"missing field {key!r}", "$")
+    if not isinstance(data["table"], dict):
+        raise ParseError("table must be an object of view: distribution", "$.table")
     table = {}
     for raw_view, dist in data["table"].items():
         try:
-            view = tuple(json.loads(raw_view))
+            view = json.loads(raw_view)
         except json.JSONDecodeError:
-            raise ParseError(f"view key is not a JSON array: {raw_view!r}",
-                             "$.table") from None
-        table[view] = {a: parse_rational(p) for a, p in dist.items()}
+            view = None
+        if not isinstance(view, list):
+            raise ParseError(f"view key is not a JSON array: {raw_view!r}", "$.table")
+        table[tuple(view)] = _strategy_dist(dist, f"$.table[{raw_view!r}]")
     tail = data.get("tail")
     if isinstance(tail, dict):
-        tail = {a: parse_rational(p) for a, p in tail.items()}
-    return BehavioralStrategy(player=int(data["player"]),
-                              horizon=int(data["horizon"]), table=table,
-                              tail=tail,
-                              view_kind=data.get("view_kind", "player"))
+        tail = _strategy_dist(tail, "$.tail")
+    elif tail not in (None, TAIL_REPEAT_LAST):
+        raise ParseError(f"tail must be a distribution, {TAIL_REPEAT_LAST!r} or null",
+                         "$.tail")
+    view_kind = data.get("view_kind", "player")
+    if view_kind not in ("player", "public"):
+        raise ParseError(f"view_kind must be 'player' or 'public', got {view_kind!r}",
+                         "$.view_kind")
+    strategy = BehavioralStrategy(player=_strategy_int(data, "player", 1, 2),
+                                  horizon=_strategy_int(data, "horizon", 0),
+                                  table=table, tail=tail, view_kind=view_kind)
+    problems = strategy.validate()
+    if problems:
+        raise ParseError("invalid strategy: " + "; ".join(problems[:5]), "$")
+    return strategy
 
 
 def load_strategy(path):

@@ -265,10 +265,10 @@ class PlayDistribution:
         return sum(self.probs.values(), ZERO)
 
 
-def _viewer(strategy: BehavioralStrategy, pair: TreePair):
+def _viewer(strategy: BehavioralStrategy, spec: GameSpec):
     """The ``projection`` functions giving ``strategy`` its views."""
     if strategy.view_kind == "public":
-        return projection(PUBLIC, require_public_labels(pair.spec))
+        return projection(PUBLIC, require_public_labels(spec))
     return projection(PLAYER1 if strategy.player == 1 else PLAYER2)
 
 
@@ -288,7 +288,7 @@ def exact_play_distribution(spec_or_pair, sigma: BehavioralStrategy,
     else:
         pair = build_trees(spec_or_pair, horizon, budget=budget)
 
-    sees1, sees2 = _viewer(sigma, pair), _viewer(tau, pair)
+    sees1, sees2 = _viewer(sigma, pair.spec), _viewer(tau, pair.spec)
     weights: dict = {}
     for root in pair.histories(1):
         weights[root] = root.alpha
@@ -476,17 +476,23 @@ def simulate(spec_or_sym, sigma: BehavioralStrategy, tau: BehavioralStrategy,
 
     Uses a counter-based generator keyed by (seed, replica, stage, purpose):
     replicas are independent of execution order.  Sampling comparisons are
-    exact; only the reported statistics are floats.
+    exact; only the reported statistics are floats.  Each strategy sees the
+    views of its ``view_kind``.  Once play is absorbed the strategies are
+    no longer asked: an absorbing state pays the same and stays put under
+    every action pair, so the statistics do not depend on the actions, and
+    a strategy pruned at absorbed views (as the eps-optimal ones are) plays
+    the whole horizon.
     """
     spec = as_general(spec_or_sym)
     absorbing = spec.absorbing_states
     init_items = sorted(spec.initial.items(), key=lambda kv: str(kv[0]))
+    (edge1, label1), (edge2, label2) = _viewer(sigma, spec), _viewer(tau, spec)
 
     results = []
     for r in range(replicas):
         x, c, d = _draw(init_items, _counter_uniform(seed, r, 0, "init"))
-        v1: tuple = (c,)
-        v2: tuple = (d,)
+        v1: tuple = (label1(c, d),)
+        v2: tuple = (label2(c, d),)
         total = 0.0
         sup = None
         # absorption_stage = the stage whose transition landed in an
@@ -495,6 +501,10 @@ def simulate(spec_or_sym, sigma: BehavioralStrategy, tau: BehavioralStrategy,
         absorbing_payoff = (float(spec.absorbing_payoff(x))
                             if absorbed_stage is not None else None)
         for t in range(1, horizon + 1):
+            if absorbed_stage is not None:
+                total += absorbing_payoff
+                sup = absorbing_payoff if sup is None else max(sup, absorbing_payoff)
+                continue
             dist1 = sigma.action_dist(v1)
             dist2 = tau.action_dist(v2)
             i = _draw(sorted(dist1.items()), _counter_uniform(seed, r, t, "a1"))
@@ -504,11 +514,11 @@ def simulate(spec_or_sym, sigma: BehavioralStrategy, tau: BehavioralStrategy,
             sup = float(g) if sup is None else max(sup, float(g))
             items = sorted(spec.transition[(x, i, j)].items(), key=lambda kv: str(kv[0]))
             x, c, d = _draw(items, _counter_uniform(seed, r, t, "trans"))
-            if absorbed_stage is None and x in absorbing:
+            if x in absorbing:
                 absorbed_stage = t
                 absorbing_payoff = float(spec.absorbing_payoff(x))
-            v1 = v1 + (i, c)
-            v2 = v2 + (j, d)
+            v1 = v1 + edge1(i, j) + (label1(c, d),)
+            v2 = v2 + edge2(i, j) + (label2(c, d),)
         results.append(ReplicaResult(
             mean_payoff=total / horizon,
             sup_payoff=sup if sup is not None else 0.0,

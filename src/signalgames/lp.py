@@ -6,42 +6,38 @@ rational are themselves rational, and every acceptance value downstream is
 asserted with exact equality.
 
 Programs are sparse throughout.  A constraint row is a ``{column:
-coefficient}`` dict of its nonzeros; the tableau keeps its rows in the same
-form plus, per column, the set of rows that hold it, so a pivot touches only
-the rows of the entering column and only the pivot row's nonzeros.  Entries
-that cancel to exactly zero are dropped.  The optimality certificate is
-checked in one pass over the nonzeros, O(nnz) rather than O(rows x cols).
+coefficient}`` dict of its nonzeros.  The tableau holds each row as integers:
+the numerators of its nonzeros, a right-hand-side numerator and one positive
+row denominator, in lowest terms.  Per column it keeps the set of rows that
+hold it, so a pivot touches only the rows of the entering column.  A touched
+row A with denominator d becomes (A*D - k*P) / (d*D), where P is the pivot
+row scaled so that P[col] = D > 0 and k = A[col]; entries that cancel to
+zero are dropped, and one gcd per touched row restores lowest terms.  The
+pivot loop builds no Fraction: the ratio test compares b_r/a_r by
+cross-multiplying integers (the row denominator cancels), and the reduced
+costs and the objective are one more scaled row, updated by the same
+elimination.  Rows the pivot does not touch keep their scale; that is what
+separates this from an integer-preserving (Edmonds/Bareiss) tableau, which
+rescales every row on every pivot.  Fractions appear only where results are
+read off the final tableau, and the optimality certificate is checked
+against the exact Fraction program in one pass over its nonzeros, O(nnz)
+rather than O(rows x cols).
 
 Determinism: entering variable = lowest eligible index, leaving row = lowest
 ratio with ties broken by lowest basic-variable index, which also guarantees
 termination on degenerate programs.  Both choices are independent of the
-order in which rows and columns are stored.  Fractions are reduced after
-every pivot (automatic for Fraction/mpq), so coefficient growth stays in
-check; a pivot limit aborts pathological instances instead of spinning.
-
-gmpy2.mpq is used internally when importable (identical semantics, several
-times faster); all public outputs are fractions.Fraction.
+order in which rows and columns are stored.  A pivot limit aborts
+pathological instances instead of spinning.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import LPError
-
-try:  # optional fast exact-rational backend
-    from gmpy2 import mpq as _Q
-except ImportError:  # pragma: no cover - environment without gmpy2
-    _Q = Fraction
-
-_Q0 = _Q(0)
-_Q1 = _Q(1)
-
-
-def _to_fraction(x) -> Fraction:
-    return Fraction(int(x.numerator), int(x.denominator))
-
+from .rationals import ZERO
 
 LEQ = "<="
 GEQ = ">="
@@ -50,7 +46,6 @@ EQ = "="
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
-
 
 @dataclass
 class LinearProgram:
@@ -93,16 +88,74 @@ class LPSolution:
     pivots: int = 0
 
 
-class _Tableau:
-    """Sparse simplex tableau over exact rationals.
+def _integer_row(row: dict, rhs) -> tuple:
+    """``(numerators, rhs numerator, denominator)`` of a row of rationals.
 
-    ``m[r]`` is row r as a ``{column: nonzero value}`` dict and ``cols[j]``
-    the set of rows whose dict holds column j; the two always agree.
+    The denominator is the lcm of the entries' denominators, so the row
+    comes out in lowest terms."""
+    den = math.lcm(rhs.denominator, *(v.denominator for v in row.values()))
+    return ({j: v.numerator * (den // v.denominator) for j, v in row.items()},
+            rhs.numerator * (den // rhs.denominator), den)
+
+
+def _eliminate(row: dict, b: int, d: int, k: int, terms: list, pb: int, pd: int,
+               cols=None, r=None) -> tuple:
+    """Row (row, b)/d minus k/d times the pivot row, in lowest terms.
+
+    The pivot row is (P, pb)/pd with P[col] = pd, ``terms`` its (column,
+    numerator) pairs off the pivot column, and k the row's numerator in the
+    pivot column, already popped from ``row``.  The result is
+    (A*pd - k*P) / (d*pd), with the scaling skipped when pd = 1, reduced by
+    one gcd.  A factor common to k and pd is cancelled first, so the
+    scaling is also skipped when pd divides k.  Returns ``(row, b, d)``;
+    ``row`` may be a new dict.  With ``cols`` given, the column index
+    follows row r's entries."""
+    g = math.gcd(k, pd)
+    if g != 1:
+        k //= g
+        pd //= g
+    if pd != 1:
+        row = {j: a * pd for j, a in row.items()}
+        b *= pd
+        d *= pd
+    for j, p in terms:
+        a = row.get(j)
+        if a is None:
+            row[j] = -k * p
+            if cols is not None:
+                cols[j].add(r)
+        else:
+            a -= k * p
+            if a:
+                row[j] = a
+            else:
+                del row[j]
+                if cols is not None:
+                    cols[j].discard(r)
+    if pb:
+        b -= k * pb
+    g = math.gcd(d, b, *row.values())
+    if g != 1:
+        row = {j: a // g for j, a in row.items()}
+        b //= g
+        d //= g
+    return row, b, d
+
+
+class _Tableau:
+    """Sparse simplex tableau over the integers, one denominator per row.
+
+    Row r is ``(m[r], b[r]) / d[r]``: ``m[r]`` is a ``{column: numerator}``
+    dict of its nonzeros, ``b[r] >= 0`` the right-hand side's numerator and
+    ``d[r] > 0`` the row denominator, with gcd(d[r], b[r], *m[r].values())
+    equal to 1.  A basic column has numerator d[r] in its row.  ``cols[j]``
+    is the set of rows whose dict holds column j; the two always agree.
     """
 
-    def __init__(self, matrix, rhs, ncols):
-        self.m = matrix            # list of sparse rows
-        self.b = rhs               # right-hand sides, all >= 0
+    def __init__(self, matrix, rhs, dens, ncols):
+        self.m = matrix            # list of sparse integer rows
+        self.b = rhs               # right-hand-side numerators, all >= 0
+        self.d = dens              # row denominators, all > 0
         self.ncols = ncols
         self.basis = [None] * len(matrix)
         self.cols = [set() for _ in range(ncols)]
@@ -113,57 +166,29 @@ class _Tableau:
     def dump(self) -> str:
         lines = []
         for r, row in enumerate(self.m):
-            cells = " ".join(str(_to_fraction(row.get(j, _Q0)))
-                             for j in range(self.ncols))
-            lines.append(f"x{self.basis[r]} | {cells} | {self.b[r]}")
+            d = self.d[r]
+            cells = " ".join(str(Fraction(row.get(j, 0), d)) for j in range(self.ncols))
+            lines.append(f"x{self.basis[r]} | {cells} | {Fraction(self.b[r], d)}")
         return "\n".join(lines)
 
     def pivot(self, row: int, col: int) -> None:
-        piv = self.m[row]
-        inv = _Q1 / piv[col]
-        if inv != 1:
-            for j in piv:
-                piv[j] *= inv
-            self.b[row] *= inv
-        brow = self.b[row]
-        # Each update other[j] -= k * p is one exact rational with a single
-        # reduction, computed from numerators and denominators.
-        terms = [(j, p.numerator, p.denominator) for j, p in piv.items() if j != col]
-        cols = self.cols
+        # Dividing the pivot row by m/d at col makes it (m, b) / m[col].  It
+        # stays in lowest terms: its old basic column holds d[row], so the
+        # numerators alone already have gcd 1.
+        piv, pb, pd = self.m[row], self.b[row], self.m[row][col]
+        if pd < 0:                      # only a phase-1 drive-out pivot
+            piv = {j: -p for j, p in piv.items()}
+            pb, pd = -pb, -pd
+        m, b, d, cols = self.m, self.b, self.d, self.cols
+        m[row], b[row], d[row] = piv, pb, pd
+        terms = [(j, p) for j, p in piv.items() if j != col]
         for r in cols[col]:
-            if r == row:
-                continue
-            other = self.m[r]
-            k = other.pop(col)          # eliminated exactly: k - k * 1
-            kn, kd = k.numerator, k.denominator
-            for j, pn, pd in terms:
-                a = other.get(j)
-                if a is None:
-                    other[j] = _Q(-kn * pn, kd * pd)
-                    cols[j].add(r)
-                else:
-                    ad = a.denominator
-                    den = kd * pd
-                    a = _Q(a.numerator * den - kn * pn * ad, ad * den)
-                    if a:
-                        other[j] = a
-                    else:
-                        del other[j]
-                        cols[j].discard(r)
-            if brow:
-                self.b[r] -= k * brow
+            if r != row:
+                other = m[r]
+                k = other.pop(col)
+                m[r], b[r], d[r] = _eliminate(other, b[r], d[r], k, terms, pb, pd, cols, r)
         cols[col] = {row}
         self.basis[row] = col
-
-
-def _subtract_row(red: dict, k, row: dict) -> None:
-    """red -= k * row over sparse dicts, dropping exact zeros."""
-    for j, v in row.items():
-        a = red.get(j, _Q0) - k * v
-        if a:
-            red[j] = a
-        else:
-            red.pop(j, None)
 
 
 def _run_simplex(tab: _Tableau, cost, allowed, pivot_limit: int):
@@ -172,38 +197,40 @@ def _run_simplex(tab: _Tableau, cost, allowed, pivot_limit: int):
     ``allowed[j]`` False bars column j from entering (used to freeze
     artificials in phase 2).  ``bad_col`` is the unbounded entering column.
     """
-    # reduced costs, nonzeros only: r = cost - sum over basis rows of cost[basis]*row
-    red = {j: c for j, c in enumerate(cost) if c}
-    obj = _Q0
+    # The objective row (red, zb)/zd: reduced costs, nonzeros only, and
+    # minus the objective value.  Start from the cost row and eliminate
+    # every basic column, exactly as a pivot eliminates its column.
+    red, zb, zd = _integer_row({j: c for j, c in enumerate(cost) if c}, 0)
     for r, bcol in enumerate(tab.basis):
-        cb = cost[bcol]
-        if cb:
-            _subtract_row(red, cb, tab.m[r])
-            obj += cb * tab.b[r]
+        k = red.pop(bcol, 0)
+        if k:
+            terms = [(j, p) for j, p in tab.m[r].items() if j != bcol]
+            red, zb, zd = _eliminate(red, zb, zd, k, terms, tab.b[r], tab.d[r])
 
+    m, b, basis = tab.m, tab.b, tab.basis
     pivots = 0
     while True:
         # Bland: lowest eligible index
         enter = min((j for j, v in red.items() if v > 0 and allowed[j]), default=-1)
         if enter < 0:
-            return OPTIMAL, pivots, -1, obj
+            return OPTIMAL, pivots, -1, Fraction(-zb, zd)
 
-        leave, best, best_basis = -1, None, None
+        # Lowest ratio b[r]/a over rows with a = m[r][enter] > 0, compared
+        # as b[r] * a_best < b_best * a; ties go to the lowest basic index.
+        leave, best_b, best_a, best_basis = -1, 0, 1, None
         for r in tab.cols[enter]:
-            a = tab.m[r][enter]
+            a = m[r][enter]
             if a > 0:
-                ratio = tab.b[r] / a
-                key = tab.basis[r]
-                if best is None or ratio < best or (ratio == best and key < best_basis):
-                    leave, best, best_basis = r, ratio, key
+                lhs, rhs = b[r] * best_a, best_b * a
+                if leave < 0 or lhs < rhs or (lhs == rhs and basis[r] < best_basis):
+                    leave, best_b, best_a, best_basis = r, b[r], a, basis[r]
         if leave < 0:
-            return UNBOUNDED, pivots, enter, obj
+            return UNBOUNDED, pivots, enter, Fraction(-zb, zd)
 
         tab.pivot(leave, enter)
-        # update reduced costs incrementally
-        k = red[enter]
-        _subtract_row(red, k, tab.m[leave])
-        obj += k * tab.b[leave]
+        k = red.pop(enter)
+        terms = [(j, p) for j, p in m[leave].items() if j != enter]
+        red, zb, zd = _eliminate(red, zb, zd, k, terms, b[leave], tab.d[leave])
         pivots += 1
         if pivots > pivot_limit:
             raise LPError(f"pivot limit {pivot_limit} exceeded")
@@ -219,12 +246,12 @@ def solve_lp(lp: LinearProgram, pivot_limit: int | None = None, trace=None) -> L
     ray of the original variables.
     """
     lp.validate()
-    # The program in the internal rational type, converted once; the
-    # certificate is checked against this exact copy.
+    # The program as Fractions, converted once; the certificate is checked
+    # against this exact copy.
     exact = LinearProgram(
-        objective=[_Q(c) for c in lp.objective],
-        rows=[{j: _Q(v) for j, v in row.items() if v} for row in lp.rows],
-        senses=lp.senses, rhs=[_Q(b) for b in lp.rhs], free=lp.free)
+        objective=[Fraction(c) for c in lp.objective],
+        rows=[{j: Fraction(v) for j, v in row.items() if v} for row in lp.rows],
+        senses=lp.senses, rhs=[Fraction(b) for b in lp.rhs], free=lp.free)
 
     # Variable mapping: free variables are split z = z+ - z-.
     col_of = []          # per original var: (plus_col, minus_col or None)
@@ -270,7 +297,7 @@ def solve_lp(lp: LinearProgram, pivot_limit: int | None = None, trace=None) -> L
     unit_col = [slack_col[r] if rows[r][2] == LEQ else art_col[r]
                 for r in range(nrows)]
 
-    matrix, bvec = [], []
+    matrix, bvec, dvec = [], [], []
     for r, (row, rhs, sense) in enumerate(rows):
         full = {}
         for k, v in row.items():
@@ -278,16 +305,18 @@ def solve_lp(lp: LinearProgram, pivot_limit: int | None = None, trace=None) -> L
             full[plus] = v
             if minus is not None:
                 full[minus] = -v
+        ints, b, den = _integer_row(full, rhs)
         if sense == LEQ:
-            full[slack_col[r]] = _Q1
+            ints[slack_col[r]] = den
         elif sense == GEQ:
-            full[slack_col[r]] = -_Q1
+            ints[slack_col[r]] = -den
         if r in art_col:
-            full[art_col[r]] = _Q1
-        matrix.append(full)
-        bvec.append(rhs)
+            ints[art_col[r]] = den
+        matrix.append(ints)
+        bvec.append(b)
+        dvec.append(den)
 
-    tab = _Tableau(matrix, bvec, ncols)
+    tab = _Tableau(matrix, bvec, dvec, ncols)
     for r in range(nrows):
         tab.basis[r] = art_col.get(r, slack_col.get(r))
 
@@ -297,9 +326,9 @@ def solve_lp(lp: LinearProgram, pivot_limit: int | None = None, trace=None) -> L
 
     # Phase 1: drive artificials to zero.
     if art_col:
-        cost1 = [_Q0] * ncols
+        cost1 = [0] * ncols
         for c in art_set:
-            cost1[c] = -_Q1
+            cost1[c] = -1
         allowed = [True] * ncols
         status, pivots, _, obj1 = _run_simplex(tab, cost1, allowed, limit)
         total_pivots += pivots
@@ -310,7 +339,7 @@ def solve_lp(lp: LinearProgram, pivot_limit: int | None = None, trace=None) -> L
             # Farkas certificate: y = -(phase-1 duals), in original row
             # orientation; satisfies y.rhs > 0 while y'A <= 0 over columns.
             y = _duals_from_basis(tab, cost1, unit_col)
-            cert = [_to_fraction(-flips[r] * y[r]) for r in range(nrows)]
+            cert = [-flips[r] * y[r] for r in range(nrows)]
             return LPSolution(status=INFEASIBLE, certificate=cert, pivots=total_pivots)
         # Pivot remaining artificials out of the basis on their lowest
         # non-artificial nonzero column.  A row with none is redundant: its
@@ -323,7 +352,7 @@ def solve_lp(lp: LinearProgram, pivot_limit: int | None = None, trace=None) -> L
                     total_pivots += 1
 
     # Phase 2.
-    cost2 = cost_struct + [_Q0] * (ncols - nstruct)
+    cost2 = cost_struct + [0] * (ncols - nstruct)
     allowed = [j not in art_set for j in range(ncols)]
     status, pivots, bad_col, obj = _run_simplex(tab, cost2, allowed, limit)
     total_pivots += pivots
@@ -335,25 +364,16 @@ def solve_lp(lp: LinearProgram, pivot_limit: int | None = None, trace=None) -> L
         ray = _extract_ray(tab, bad_col, col_of)
         return LPSolution(status=UNBOUNDED, certificate=ray, pivots=total_pivots)
 
-    # Primal solution.
-    values = dict(zip(tab.basis, tab.b))
-    primal = []
-    for plus, minus in col_of:
-        v = values.get(plus, _Q0) - (values.get(minus, _Q0) if minus is not None else _Q0)
-        primal.append(v)
+    values = {col: Fraction(b, d) for col, b, d in zip(tab.basis, tab.b, tab.d)}
+    primal = _by_variable(values, col_of)
 
     y = _duals_from_basis(tab, cost2, unit_col)
     duals = [flips[r] * y[r] for r in range(nrows)]
 
     _verify_optimal(exact, primal, duals)
-    objective = sum((c * v for c, v in zip(exact.objective, primal)), _Q0)
-    return LPSolution(
-        status=OPTIMAL,
-        objective=_to_fraction(objective),
-        primal=[_to_fraction(v) for v in primal],
-        duals=[_to_fraction(v) for v in duals],
-        pivots=total_pivots,
-    )
+    objective = sum((c * v for c, v in zip(exact.objective, primal)), ZERO)
+    return LPSolution(status=OPTIMAL, objective=objective, primal=primal,
+                      duals=duals, pivots=total_pivots)
 
 
 def _duals_from_basis(tab: _Tableau, cost, unit_col):
@@ -365,38 +385,40 @@ def _duals_from_basis(tab: _Tableau, cost, unit_col):
     """
     y = []
     for col in unit_col:
-        acc = _Q0
+        acc = ZERO
         for rr in tab.cols[col]:
             cb = cost[tab.basis[rr]]
             if cb:
-                acc += cb * tab.m[rr][col]
+                acc += cb * Fraction(tab.m[rr][col], tab.d[rr])
         y.append(acc)
     return y
 
 
 def _extract_ray(tab: _Tableau, enter_col: int, col_of):
     """Improving direction: entering column increases, basics adjust."""
-    direction = {enter_col: _Q1}
+    direction = {enter_col: Fraction(1)}
     for r in tab.cols[enter_col]:
-        direction[tab.basis[r]] = -tab.m[r][enter_col]
-    ray = []
-    for plus, minus in col_of:
-        v = direction.get(plus, _Q0) - (direction.get(minus, _Q0)
-                                         if minus is not None else _Q0)
-        ray.append(_to_fraction(v))
-    return ray
+        direction[tab.basis[r]] = -Fraction(tab.m[r][enter_col], tab.d[r])
+    return _by_variable(direction, col_of)
+
+
+def _by_variable(values: dict, col_of) -> list:
+    """Per original variable, z = z+ - z- from ``{column: value}``."""
+    return [values.get(plus, ZERO) - (ZERO if minus is None else values.get(minus, ZERO))
+            for plus, minus in col_of]
 
 
 def _verify_optimal(lp: LinearProgram, primal, duals) -> None:
     """Exact optimality certificate: primal feasibility, dual feasibility,
     complementary slackness.  A failure here is an internal bug.
 
-    ``lp`` holds the program in the internal rational type.  One pass over the nonzeros yields every row's lhs and every column's
-    dual combination, so the check costs O(nnz)."""
-    used = [_Q0] * len(lp.objective)     # duals . column t
+    ``lp`` holds the program as Fractions.  One pass over the nonzeros
+    yields every row's lhs and every column's dual combination, so the
+    check costs O(nnz)."""
+    used = [ZERO] * len(lp.objective)     # duals . column t
     for k, row in enumerate(lp.rows):
         y = duals[k]
-        lhs = _Q0
+        lhs = ZERO
         for t, coef in row.items():
             x = primal[t]
             if x:

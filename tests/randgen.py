@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction as F
 
+from signalgames.lp import EQ, GEQ, LEQ, LinearProgram
 from signalgames.model import BehavioralStrategy, GameSpec, SymmetricGameSpec
 
 
@@ -104,3 +105,33 @@ def random_strategy(rng_or_seed, spec: GameSpec, player: int,
         table[v] = dict(zip(actions, ws))
     return BehavioralStrategy(player=player, horizon=horizon, table=table,
                               tail={a: F(1, len(actions)) for a in actions})
+
+
+def random_lp(rng) -> LinearProgram:
+    """Small exact LP: at most 8 rows and 8 columns, sparse rational
+    coefficients, mixed senses, each column free with probability 1/4.
+    Half the programs take their right-hand sides from a planted point, so
+    they are feasible; half get a row bounding the sum of the columns.
+    Statuses come out roughly a third each."""
+    nrows, ncols = rng.randint(1, 7), rng.randint(1, 8)
+    density = rng.choice((0.3, 0.5, 0.8))
+    rows = [{j: F(rng.randint(-6, 6), rng.randint(1, 5))
+             for j in range(ncols) if rng.random() < density}
+            for _ in range(nrows)]
+    senses = [rng.choice((LEQ, GEQ, EQ)) for _ in range(nrows)]
+    if rng.random() < 0.5:
+        rhs = [F(rng.randint(-3, 8), rng.randint(1, 4)) for _ in range(nrows)]
+    else:
+        point = [F(rng.randint(0, 4), rng.randint(1, 3)) for _ in range(ncols)]
+        room = {LEQ: 1, GEQ: -1, EQ: 0}
+        rhs = [sum(v * point[j] for j, v in row.items()) + room[s] * rng.randint(0, 2)
+               for row, s in zip(rows, senses)]
+    free = frozenset(j for j in range(ncols) if rng.random() < 0.25)
+    if rng.random() < 0.5:
+        rows.append({j: F(rng.choice((-1, 1)) if j in free else 1)
+                     for j in range(ncols)})
+        senses.append(LEQ)
+        rhs.append(F(rng.randint(1, 20), rng.randint(1, 3)))
+    return LinearProgram(
+        objective=[F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(ncols)],
+        rows=rows, senses=senses, rhs=rhs, free=free)

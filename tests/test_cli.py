@@ -214,3 +214,57 @@ def test_symmetric_game_missing_transition_exits_one(tmp_path, capsys):
     assert ("error: invalid symmetric game spec: transition: missing entry "
             "('go', 'C', 'c')") in err
     assert "Traceback" not in err
+
+
+GAMES = Path(__file__).resolve().parents[1] / "games"
+
+
+def test_recursive_plan_simulates(tmp_path, capsys):
+    # The eps-optimal plan leaves absorbed views out; simulation must still
+    # play it for the whole horizon.
+    game = str(GAMES / "quitting_game.game")
+    plan = str(tmp_path / "plan.json")
+    assert main(["solve-recursive", "--game", game, "--max-horizon", "8",
+                 "--tol", "1/50", "--window", "3", "--strategy-out", plan]) == 0
+    capsys.readouterr()
+    assert main(["simulate", "--game", game, "--horizon", "3",
+                 "--replicas", "5", "--sigma", plan]) == 0
+    assert capsys.readouterr().out.startswith("replicas 5, horizon 3, seed 0\n")
+
+
+def _strategy_doc(**changes) -> str:
+    doc = {"player": 1, "horizon": 1, "view_kind": "player", "tail": None,
+           "table": {'["o"]': {"C": "1/2", "Q": "1/2"}}}
+    doc.update(changes)
+    return json.dumps(doc)
+
+
+def _game_doc(**changes) -> str:
+    doc = json.loads((GAMES / "quitting_game.game").read_text())
+    doc.update(changes)
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("command, document, message", [
+    ("validate", _game_doc(initial=[1]),
+     "error: $.initial[0]: expected an object with field 'state'"),
+    ("simulate", _strategy_doc(player="a"),
+     "error: $.player: player must be an integer, got 'a'"),
+    ("simulate", _strategy_doc(table={'["o"]': {"C": "1/2"}}),
+     "error: $: invalid strategy: strategy view ('o',): mass 1/2 != 1"),
+    ("simulate", _strategy_doc(tail={"C": "1", "Q": "1"}),
+     "error: $: invalid strategy: strategy tail: mass 2 != 1"),
+], ids=["game-initial-not-object", "strategy-player-text", "strategy-table-mass",
+        "strategy-tail-mass"])
+def test_malformed_file_exits_one(tmp_path, command, document, message):
+    path = tmp_path / "input.json"
+    path.write_text(document)
+    game = path if command == "validate" else GAMES / "quitting_game.game"
+    argv = [command, "--game", str(game)]
+    if command == "simulate":
+        argv += ["--horizon", "2", "--sigma", str(path)]
+    result = subprocess.run([sys.executable, "-m", "signalgames.cli", *argv],
+                            capture_output=True, text=True)
+    assert result.returncode == 1
+    assert message in result.stderr.splitlines()
+    assert "Traceback" not in result.stderr

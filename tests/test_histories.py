@@ -14,7 +14,13 @@ from signalgames.histories import (
     phi_row,
     simulate,
 )
-from signalgames.model import PLAYER1, PUBLIC, constant_strategy, uniform_strategy
+from signalgames.model import (
+    PLAYER1,
+    PUBLIC,
+    BehavioralStrategy,
+    constant_strategy,
+    uniform_strategy,
+)
 from signalgames.rationals import ZERO
 from signalgames.reduction import build_auxiliary
 from signalgames.seqform import best_response_value, build_sequence_form
@@ -253,6 +259,23 @@ def test_simulate_example3_matches_exact(games):
     # Bernoulli(1/2) over 4000 replicas
     se = (0.25 / 4000) ** 0.5
     assert abs(res.stage1_absorbed_fraction - 0.5) <= 3 * se
+
+
+def test_simulate_public_view_strategy():
+    # A public-view strategy defined on exactly the public views of
+    # noisy_public_2state (no tail) plays like a tail-only strategy with the
+    # same distribution: the same draws, so the same replicas.
+    spec = corpus.noisy_public_2state()
+    dist = {"T": F(1, 3), "B": F(2, 3)}
+    pair = build_trees(spec, 4, view=PUBLIC)
+    public = BehavioralStrategy(
+        player=1, horizon=4, view_kind="public",
+        table={o.view(): dist for n in range(1, 5) for o in pair.observations(n)})
+    tail_only = BehavioralStrategy(player=1, horizon=0, table={}, tail=dist)
+    tau = uniform_strategy(spec, 2)
+    runs = [simulate(spec, sigma, tau, horizon=4, seed=3, replicas=40)
+            for sigma in (public, tail_only)]
+    assert runs[0].results == runs[1].results
 
 
 @pytest.mark.parametrize("build, fits, overrun", [

@@ -1,12 +1,16 @@
+import json
+import math
 import random
 import subprocess
 import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
 import signalgames.lp as lp_module
-from signalgames import corpus, seqform
+from randgen import random_lp
+from signalgames import corpus, seqform, supvalue
 from signalgames.errors import LPError
 from signalgames.lp import (
     EQ,
@@ -241,6 +245,9 @@ def test_lp_pivot_cancellation_keeps_tableau_sparse(monkeypatch):
         pivot(tab, row, col)
         for r, entries in enumerate(tab.m):
             assert all(v != 0 for v in entries.values())
+            # each row is integers over one positive denominator, in lowest terms
+            assert tab.d[r] > 0
+            assert math.gcd(tab.d[r], tab.b[r], *entries.values()) == 1
             if r != row:
                 cancelled.extend((r, j) for j in before[r] - set(entries) if j != col)
         for j, holders in enumerate(tab.cols):
@@ -260,6 +267,10 @@ def test_lp_pivot_cancellation_keeps_tableau_sparse(monkeypatch):
     assert sol.primal == [F(2), F(0), F(1)]
     assert sol.duals == [F(0), F(1)]
     assert sol.pivots == 2
+    # The same invariants along the pivots of programs with fractional data.
+    rng = random.Random(5)
+    for _ in range(40):
+        solve_lp(random_lp(rng))
 
 
 # Sequence-form LPs recorded before the LP core became sparse: the pivot
@@ -298,6 +309,73 @@ def test_sequence_form_lp_pivot_path_pinned(name, horizon, monkeypatch):
     assert sol.duals == [F(v) for v in duals.split()]
 
 
+def test_sup_bound_lp_pivot_path_pinned(monkeypatch):
+    # The benchmark's chain LP: v(F_50) of example3_bigmatch_blind1, one
+    # 152-row program whose pivot count is pinned with its value.
+    solved = []
+
+    def recording_solve(lp):
+        sol = solve_lp(lp)
+        solved.append(sol)
+        return sol
+
+    monkeypatch.setattr(seqform, "solve_lp", recording_solve)
+    value = supvalue.sup_lower_bound(corpus.example3_bigmatch_blind1(), 50)
+    (sol,) = solved
+    assert value == sol.objective == F(50, 51)
+    assert sol.pivots == 152
+
+
+GOLDEN_LP = Path(__file__).parent / "golden" / "lp_random.json"
+GOLDEN_LP_SEED = 2026
+GOLDEN_LP_COUNT = 500
+
+
+def _fractions(text: str) -> list:
+    return [F(v) for v in text.split()]
+
+
+def _text(values) -> str | None:
+    return None if values is None else " ".join(map(str, values))
+
+
+def _lp_record(lp: LinearProgram, sol) -> dict:
+    """One program and everything solve_lp returns for it, as strings."""
+    return {
+        "objective": _text(lp.objective),
+        "rows": [" ".join(f"{j}:{v}" for j, v in sorted(row.items())) for row in lp.rows],
+        "senses": " ".join(lp.senses),
+        "rhs": _text(lp.rhs),
+        "free": sorted(lp.free),
+        "status": sol.status,
+        "value": None if sol.objective is None else str(sol.objective),
+        "primal": _text(sol.primal),
+        "duals": _text(sol.duals),
+        "certificate": _text(sol.certificate),
+        "pivots": sol.pivots,
+    }
+
+
+def _lp_from_record(entry: dict) -> LinearProgram:
+    rows = [{int(j): F(v) for j, v in (cell.split(":") for cell in row.split())}
+            for row in entry["rows"]]
+    return LinearProgram(objective=_fractions(entry["objective"]), rows=rows,
+                         senses=entry["senses"].split(), rhs=_fractions(entry["rhs"]),
+                         free=frozenset(entry["free"]))
+
+
+def test_random_lps_match_golden():
+    # 500 seeded random programs (tests/randgen.random_lp), each pinned with
+    # its status, value, primal, duals, certificate and pivot count.
+    # Rewrite the file with ``python tests/test_lp.py``.
+    entries = json.loads(GOLDEN_LP.read_text())
+    assert len(entries) == GOLDEN_LP_COUNT
+    assert {e["status"] for e in entries} == {OPTIMAL, INFEASIBLE, UNBOUNDED}
+    for k, entry in enumerate(entries):
+        lp = _lp_from_record(entry)
+        assert _lp_record(lp, solve_lp(lp)) == entry, f"program {k}"
+
+
 def test_forged_matrix_game_solution_rejected():
     game = MatrixGame([[F(1), F(0)], [F(0), F(1)]])
     good = solve_matrix_game(game)
@@ -329,3 +407,10 @@ def test_forged_matrix_game_solution_rejected_under_optimize():
                             capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert result.stdout.startswith("rejected:")
+
+
+if __name__ == "__main__":
+    rng = random.Random(GOLDEN_LP_SEED)
+    programs = [random_lp(rng) for _ in range(GOLDEN_LP_COUNT)]
+    lines = [json.dumps(_lp_record(lp, solve_lp(lp))) for lp in programs]
+    GOLDEN_LP.write_text("[\n" + ",\n".join(lines) + "\n]\n")
