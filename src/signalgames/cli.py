@@ -36,13 +36,21 @@ def _fmt(value) -> str:
     return f"{format_rational(value)} (= {decimal_repr(value)})"
 
 
-def _load(path):
+def _load(path, loader=load_game, kind="game"):
+    """``loader(path)``; a missing or malformed file exits 1 with one line."""
     try:
-        return load_game(path)
+        return loader(path)
     except FileNotFoundError:
-        raise SystemExit(f"error: no such game file: {path}")
+        raise SystemExit(f"error: no such {kind} file: {path}")
     except ParseError as err:
         raise SystemExit(f"error: {err}")
+
+
+def _strategies(args, spec) -> tuple:
+    """``--sigma``/``--tau`` strategy files, uniform play where absent."""
+    return tuple(_load(path, load_strategy, "strategy") if path
+                 else uniform_strategy(spec, player)
+                 for player, path in ((1, args.sigma), (2, args.tau)))
 
 
 def _positive_int(text: str) -> int:
@@ -195,8 +203,7 @@ def cmd_solve_recursive(args) -> int:
 
 def cmd_simulate(args) -> int:
     spec = as_general(_load(args.game))
-    sigma = load_strategy(args.sigma) if args.sigma else uniform_strategy(spec, 1)
-    tau = load_strategy(args.tau) if args.tau else uniform_strategy(spec, 2)
+    sigma, tau = _strategies(args, spec)
     summary = simulate(spec, sigma, tau, args.horizon, args.seed, args.replicas)
     print(f"replicas {summary.replicas}, horizon {summary.horizon}, "
           f"seed {summary.seed}")
@@ -210,8 +217,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_kernel_check(args) -> int:
     spec = as_general(_load(args.game))
-    sigma = load_strategy(args.sigma) if args.sigma else uniform_strategy(spec, 1)
-    tau = load_strategy(args.tau) if args.tau else uniform_strategy(spec, 2)
+    sigma, tau = _strategies(args, spec)
     if args.dump_trees:
         pair = build_trees(spec, args.m)
         lines = ["kind,level,sequence,weight"]

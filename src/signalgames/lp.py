@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import LPError
-from .rationals import ZERO
+from .rationals import ONE, ZERO
 
 LEQ = "<="
 GEQ = ">="
@@ -472,7 +472,8 @@ class MatrixGame:
         width = len(self.payoff[0])
         if any(len(row) != width for row in self.payoff):
             raise LPError("matrix game must be rectangular")
-        self.payoff = [[Fraction(v) for v in row] for row in self.payoff]
+        self.payoff = [[v if isinstance(v, Fraction) else Fraction(v) for v in row]
+                       for row in self.payoff]
 
     @property
     def rows(self) -> int:
@@ -547,23 +548,43 @@ def solve_matrix_game(game: MatrixGame | list) -> MatrixGameSolution:
 
 def _solve_vector_game(game: MatrixGame) -> MatrixGameSolution:
     """Degenerate games with one row or one column: pure optima.
-    Ties break to the lowest index, keeping outputs deterministic."""
+
+    The opponent of the player with one action picks the entry at ``pick``,
+    the lowest index of a min (one row) or max (one column), so outputs are
+    deterministic.  Both strategies are pure, so their guarantee
+    inequalities are lookups: ``_check_pure_optimum`` compares every other
+    entry with the picked one, with no products by 0 or 1."""
     R, C = game.rows, game.cols
     if R == 1:
-        value = min(game.payoff[0])
-        pick = game.payoff[0].index(value)
-        col = [Fraction(1) if c == pick else Fraction(0) for c in range(C)]
-        solution = MatrixGameSolution(value=value, row_strategy=[Fraction(1)],
-                                      col_strategy=col)
-    else:
-        column = [game.payoff[r][0] for r in range(R)]
-        value = max(column)
-        pick = column.index(value)
-        row = [Fraction(1) if r == pick else Fraction(0) for r in range(R)]
-        solution = MatrixGameSolution(value=value, row_strategy=row,
-                                      col_strategy=[Fraction(1)])
-    solution.check(game)
-    return solution
+        entries = game.payoff[0]
+        pick = min(range(C), key=entries.__getitem__)
+        _check_pure_optimum(entries, pick, entries[pick], maximum=False)
+        col = [ONE if c == pick else ZERO for c in range(C)]
+        return MatrixGameSolution(value=entries[pick], row_strategy=[ONE],
+                                  col_strategy=col)
+    entries = [row[0] for row in game.payoff]
+    pick = max(range(R), key=entries.__getitem__)
+    _check_pure_optimum(entries, pick, entries[pick], maximum=True)
+    row = [ONE if r == pick else ZERO for r in range(R)]
+    return MatrixGameSolution(value=entries[pick], row_strategy=row,
+                              col_strategy=[ONE])
+
+
+def _check_pure_optimum(entries: list, pick: int, value: Fraction, maximum: bool) -> None:
+    """Exact certificate of the pure optimum of a one-row or one-column game.
+
+    ``entries`` is the game's only column (``maximum``: the row player
+    picks) or only row (the column player picks).  The value must be the
+    entry at ``pick``, and no other entry may be above it (a column) or
+    below it (a row): these are the guarantee inequalities of both pure
+    strategies.  Raises LPError, so the check also runs under
+    ``python -O``."""
+    if entries[pick] != value:
+        raise LPError("vector game value is not the picked entry")
+    for k, e in enumerate(entries):
+        if k != pick and (e > value if maximum else e < value):
+            raise LPError(f"picked entry {pick} is not a "
+                          f"{'maximum' if maximum else 'minimum'}, entry {k} beats it")
 
 
 def best_response_value(game: MatrixGame | list, mixed: list, side: str) -> Fraction:

@@ -83,23 +83,15 @@ class AuxiliaryGame:
     levels: list                         # levels[n-1] = BeliefNodes at depth n
     actions1: list
     actions2: list
+    edge_of: object                      # the view's edge_of, model.projection
     merged: bool = False                 # belief DAG (no per-history views)
 
     def signal_transition(self, node: BeliefNode, i: str, j: str) -> dict:
         """Distribution over child labels under (i, j): exact beta ratios."""
-        out = {}
-        for (edge, label), (weight, child) in node.children.items():
-            if _edge_matches(self.view, edge, i, j):
-                out[label] = weight
-        return out
-
-
-def _edge_matches(view: str, edge: tuple, i: str, j: str) -> bool:
-    if view in (PUBLIC, JOINT):
-        return edge[0] == i and edge[1] == j
-    if view == PLAYER1:
-        return edge[0] == i
-    return edge[0] == j
+        edge = self.edge_of(i, j)
+        return {label: weight
+                for (e, label), (weight, child) in node.children.items()
+                if e == edge}
 
 
 def _resolve_view(spec: GameSpec, view: str | None) -> tuple:
@@ -238,7 +230,8 @@ def build_auxiliary(spec_or_sym, horizon: int, view: str | None = None,
 
     return AuxiliaryGame(spec=spec, view=view, horizon=horizon, roots=roots,
                          levels=levels, actions1=list(spec.actions1),
-                         actions2=list(spec.actions2), merged=merge_beliefs)
+                         actions2=list(spec.actions2), edge_of=edge_of,
+                         merged=merge_beliefs)
 
 
 # ---------------------------------------------------------------------------
@@ -297,13 +290,8 @@ class BackwardSolution:
     evaluation: str
     strategy1: BehavioralStrategy | None
     strategy2: BehavioralStrategy | None
-    arbitrary_views: list
     node_count: int
     merged_count: int
-
-
-def _expected_reward(spec: GameSpec, post: dict, i: str, j: str) -> Fraction:
-    return sum((w * spec.reward[(x, i, j)] for x, w in post.items()), ZERO)
 
 
 def _absorbing_stage_payoff(spec: GameSpec, post: dict) -> Fraction:
@@ -313,19 +301,35 @@ def _absorbing_stage_payoff(spec: GameSpec, post: dict) -> Fraction:
 def _stage_matrix(aux: AuxiliaryGame, node: BeliefNode, stage_reward: bool,
                   continuation) -> list:
     """Payoff matrix at ``node``: the expected stage reward (if counted)
-    plus the transition-weighted ``continuation(child)`` (if given)."""
+    plus the transition-weighted ``continuation(child)`` (if given).
+
+    Entry (i, j) is  sum_x post(x) g(x, i, j) + sum_children w V(child)
+    over the children whose edge is ``edge_of(i, j)``, with no rational
+    work that cannot change it: a zero reward adds no term, a transition
+    weight of 1 adds ``continuation(child)`` itself, each entry starts from
+    its first term, and an entry with no term is ``ZERO``."""
+    reward = aux.spec.reward
+    post = node.posterior.items()
+    children = node.children.items() if continuation is not None else ()
     rows = []
     for i in aux.actions1:
         row = []
         for j in aux.actions2:
-            total = ZERO
+            total = None
             if stage_reward:
-                total += _expected_reward(aux.spec, node.posterior, i, j)
-            if continuation is not None:
-                for (edge, label), (w, child) in node.children.items():
-                    if _edge_matches(aux.view, edge, i, j):
-                        total += w * continuation(child)
-            row.append(total)
+                for x, w in post:
+                    g = reward[(x, i, j)]
+                    if g:
+                        term = w * g
+                        total = term if total is None else total + term
+            edge = aux.edge_of(i, j)
+            for (e, label), (w, child) in children:
+                if e == edge:
+                    term = continuation(child)
+                    if w != 1:
+                        term = w * term
+                    total = term if total is None else total + term
+            row.append(ZERO if total is None else total)
         rows.append(row)
     return rows
 
@@ -421,7 +425,7 @@ def solve_backward(aux: AuxiliaryGame, payoff="mean",
                             evaluation=("terminal" if terminal is not None
                                         else payoff),
                             strategy1=strategy1, strategy2=strategy2,
-                            arbitrary_views=[], node_count=node_count,
+                            node_count=node_count,
                             merged_count=0)
 
 

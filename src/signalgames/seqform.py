@@ -351,9 +351,12 @@ def best_response_value(spec_or_sym, fixed: BehavioralStrategy, horizon: int,
                 if pf == 0:
                     continue
                 i, j = (a_fixed, a_resp) if responder == 2 else (a_resp, a_fixed)
-                w = weight * pf
+                # a product by 1 and a zero reward change nothing banked
+                w = weight if pf == 1 else weight * pf
                 if terminal is None:
-                    bank(s_resp, w * spec.reward[(x, i, j)] / N)
+                    g = spec.reward[(x, i, j)]
+                    if g:
+                        bank(s_resp, w * g / N)
                 elif depth == N and terminal.action_fn is not None:
                     bank(s_resp, w * terminal.action_fn(x, i, j))
                 if depth < N:
@@ -363,7 +366,8 @@ def best_response_value(spec_or_sym, fixed: BehavioralStrategy, horizon: int,
                             vr2 = vr + ((j, d) if responder == 2 else (i, c))
                             vpub2 = (vpub + (i, j, public_of.get(c, c))
                                      if vpub is not None else None)
-                            stack.append((x2, w * p, vf2, vr2, vpub2, depth + 1))
+                            stack.append((x2, w if p == 1 else w * p,
+                                          vf2, vr2, vpub2, depth + 1))
         if depth == N and terminal is not None and terminal.node_fn is not None:
             raise GameModelError("best_response_value needs an action-style "
                                  "terminal payoff")

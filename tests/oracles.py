@@ -18,6 +18,7 @@ from signalgames.histories import (
     phi_row,
 )
 from signalgames.lp import solve_matrix_game
+from signalgames.model import JOINT, PLAYER1, PUBLIC, projection
 from signalgames.reduction import AuxiliaryGame, BeliefNode
 
 
@@ -81,6 +82,34 @@ def mdp_nstage_value(n):
     for k in range(n):
         best = max(best, (F(1) - F(1, 2 ** k)) * F(n - k - 1, n))
     return best
+
+
+def naive_stage_matrix(aux, node, stage_reward, continuation):
+    """Stage matrix at a belief node with every product and sum taken:
+    entry (i, j) starts at 0, adds post(x) g(x, i, j) for every state and
+    w V(child) for every child on an edge the view shows of (i, j).
+    Reference for ``reduction._stage_matrix``, which skips the terms that
+    cannot change the entry."""
+    def on_edge(edge, i, j):
+        if aux.view in (PUBLIC, JOINT):
+            return edge == (i, j)
+        return edge == ((i,) if aux.view == PLAYER1 else (j,))
+
+    rows = []
+    for i in aux.actions1:
+        row = []
+        for j in aux.actions2:
+            total = F(0)
+            if stage_reward:
+                total += sum((w * aux.spec.reward[(x, i, j)]
+                              for x, w in node.posterior.items()), F(0))
+            if continuation is not None:
+                for (edge, label), (w, child) in node.children.items():
+                    if on_edge(edge, i, j):
+                        total += w * continuation(child)
+            row.append(total)
+        rows.append(row)
+    return rows
 
 
 def dense_conditional_check(pair, sigma, tau, n, m):
@@ -163,4 +192,5 @@ def auxiliary_from_trees(pair):
     return AuxiliaryGame(spec=pair.spec, view=pair.view, horizon=pair.horizon,
                          roots=levels[0], levels=levels,
                          actions1=list(pair.spec.actions1),
-                         actions2=list(pair.spec.actions2))
+                         actions2=list(pair.spec.actions2),
+                         edge_of=projection(pair.view, pair.public_of)[0])

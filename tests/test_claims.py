@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from oracles import mdp_nstage_value
 from signalgames import corpus, recursive, reduction
 from signalgames.claims import (
     FirstSwitchPlan,
@@ -263,6 +264,24 @@ def test_uniform_value_sweep_matches_per_horizon_backward(game, n_max, schedule)
                            schedule=schedule)
     horizons = schedule or default_schedule(n_max)
     assert report.value_sequence == _per_horizon_values(game, horizons)
+
+
+@pytest.mark.parametrize("game, n_max, options, closed_form", [
+    (corpus.mdp_final_remark(), 4000, {"tol": F(1, 1000), "window": 3},
+     mdp_nstage_value),
+    (corpus.quitting_game(), 1000, {}, lambda n: F(n - 1, 2 * n)),
+], ids=["mdp_final_remark", "quitting_game"])
+def test_uniform_value_long_sweep_matches_closed_form(game, n_max, options, closed_form):
+    """Every value of a long sweep, the extracted strategy's guarantee and
+    player 2's cap equal the hand-derived closed form exactly."""
+    report = uniform_value(game, n_max=n_max, **options)
+    assert [n for n, _ in report.value_sequence] == default_schedule(n_max)
+    for n, v in report.value_sequence:
+        assert v == closed_form(n), n
+    assert report.certified_lower == closed_form(n_max)
+    n_star = report.strategy_horizon
+    assert report.strategy_guarantee == closed_form(n_star)
+    assert report.player2_cap_at_horizon == closed_form(n_star)
 
 
 def test_uniform_value_budget_prefix_matches_per_horizon_builds():

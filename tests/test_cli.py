@@ -268,3 +268,17 @@ def test_malformed_file_exits_one(tmp_path, command, document, message):
     assert result.returncode == 1
     assert message in result.stderr.splitlines()
     assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("command, flag, extra", [
+    ("simulate", "--sigma", ["--horizon", "2"]),
+    ("kernel-check", "--tau", ["--n", "1", "--m", "2"]),
+])
+def test_missing_strategy_file_exits_one(tmp_path, command, flag, extra):
+    missing = str(tmp_path / "nope.json")
+    argv = [command, "--game", str(GAMES / "quitting_game.game"), *extra,
+            flag, missing]
+    result = subprocess.run([sys.executable, "-m", "signalgames.cli", *argv],
+                            capture_output=True, text=True)
+    assert result.returncode == 1
+    assert result.stderr.splitlines() == [f"error: no such strategy file: {missing}"]

@@ -22,6 +22,7 @@ from signalgames.lp import (
     LinearProgram,
     MatrixGame,
     MatrixGameSolution,
+    _check_pure_optimum,
     best_response_value,
     solve_lp,
     solve_matrix_game,
@@ -407,6 +408,53 @@ def test_forged_matrix_game_solution_rejected_under_optimize():
                             capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert result.stdout.startswith("rejected:")
+
+
+def test_vector_game_solutions_are_lowest_index_pure_optima():
+    rng = random.Random(11)
+    for _ in range(200):
+        entries = [F(rng.randint(-3, 3), rng.randint(1, 2))
+                   for _ in range(rng.randint(1, 5))]
+        for game, matrix, best in (("row", [entries], min),
+                                   ("col", [[e] for e in entries], max)):
+            sol = solve_matrix_game(matrix)
+            assert sol.value == best(entries)
+            pure = sol.col_strategy if game == "row" else sol.row_strategy
+            assert pure.index(1) == entries.index(sol.value)
+            assert sorted(pure) == [0] * (len(entries) - 1) + [1]
+            sol.check(MatrixGame(matrix))
+
+
+def test_forged_vector_game_certificate_rejected():
+    column = [F(1), F(3), F(3), F(2)]
+    _check_pure_optimum(column, 1, F(3), maximum=True)
+    _check_pure_optimum(column, 2, F(3), maximum=True)     # a tie is a maximum too
+    _check_pure_optimum(column, 0, F(1), maximum=False)
+    for pick, value, maximum in [(0, F(1), True),           # not a maximum
+                                 (3, F(2), True),
+                                 (1, F(2), True),           # value is not the entry
+                                 (1, F(3), False),          # not a minimum
+                                 (0, F(0), False)]:
+        with pytest.raises(LPError):
+            _check_pure_optimum(column, pick, value, maximum)
+
+
+def test_forged_vector_game_certificate_rejected_under_optimize():
+    script = (
+        "from fractions import Fraction as F\n"
+        "from signalgames.errors import LPError\n"
+        "from signalgames.lp import _check_pure_optimum\n"
+        "assert False, 'asserts were not stripped'\n"
+        "for pick, value in ((0, F(1)), (1, F(2))):\n"
+        "    try:\n"
+        "        _check_pure_optimum([F(1), F(3)], pick, value, maximum=True)\n"
+        "    except LPError as err:\n"
+        "        print('rejected:', err)\n"
+    )
+    result = subprocess.run([sys.executable, "-O", "-c", script],
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.count("rejected:") == 2
 
 
 if __name__ == "__main__":

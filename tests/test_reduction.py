@@ -5,16 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import auxiliary_from_trees
-from randgen import random_strategy, random_symmetric_game
+from oracles import auxiliary_from_trees, naive_stage_matrix
+from randgen import random_game, random_strategy, random_symmetric_game
 from signalgames import corpus
 from signalgames.errors import GameModelError, UnsupportedStructureError
 from signalgames.histories import build_trees, exact_play_distribution
 from signalgames.lp import solve_matrix_game
-from signalgames.model import PLAYER1, SymmetricGameSpec
+from signalgames.model import PLAYER1, PLAYER2, GameSpec, SymmetricGameSpec
 from signalgames.rationals import ZERO
 from signalgames.reduction import (
     MEAN,
+    _stage_matrix,
     build_auxiliary,
     lift_payoff,
     solve_backward,
@@ -303,3 +304,55 @@ def test_mdp_belief_values_match_closed_form(games):
             (F(1) - F(1, 2 ** k)) * (n - k - 1) for k in range(n)) / n
         expected = max(expected, F(0))
         assert sol.value == expected, n
+
+
+def _single_controller_game(seed, controller):
+    """``random_game`` with the other player cut down to one action."""
+    spec = random_game(seed, n_states=3, n_actions=3, n_signals=2)
+    keep1 = spec.actions1 if controller == 1 else spec.actions1[:1]
+    keep2 = spec.actions2 if controller == 2 else spec.actions2[:1]
+    kept = {key: val for key, val in spec.transition.items()
+            if key[1] in keep1 and key[2] in keep2}
+    return GameSpec(states=spec.states, actions1=keep1, actions2=keep2,
+                    signals1=spec.signals1, signals2=spec.signals2,
+                    initial=spec.initial, transition=kept,
+                    reward={key: spec.reward[key] for key in kept})
+
+
+def test_stage_matrix_matches_naive_formula():
+    """Skipping zero rewards and products by 1 leaves every entry of every
+    stage matrix identical, Fraction for Fraction, to the formula with all
+    products and sums taken: public views of symmetric games and private
+    views of single-controller games, on merged and unmerged builds."""
+    rng = random.Random(7)
+    cases = [(random_symmetric_game(seed, n_states=3, n_signals=3), None)
+             for seed in range(12)]
+    cases += [(_single_controller_game(seed, c), PLAYER1 if c == 1 else PLAYER2)
+              for seed in range(12) for c in (1, 2)]
+    seen = {"zero reward": 0, "nonzero reward": 0, "unit weight": 0,
+            "other weight": 0}
+    for game, view in cases:
+        for merge in (False, True):
+            aux = build_auxiliary(game, 4, view=view, prune_absorbed=merge,
+                                  merge_beliefs=merge)
+            values = {}
+
+            def continuation(child):
+                # zero for some children, so empty cells occur too
+                return values.setdefault(id(child), F(rng.randint(-3, 5),
+                                                      rng.randint(1, 6)))
+
+            for level in aux.levels:
+                for node in level:
+                    for x, w in node.posterior.items():
+                        for key, g in aux.spec.reward.items():
+                            if key[0] == x:
+                                seen["zero reward" if g == 0 else "nonzero reward"] += 1
+                    for w, _ in node.children.values():
+                        seen["unit weight" if w == 1 else "other weight"] += 1
+                    for stage_reward in (False, True):
+                        for cont in (None, continuation):
+                            got = _stage_matrix(aux, node, stage_reward, cont)
+                            want = naive_stage_matrix(aux, node, stage_reward, cont)
+                            assert repr(got) == repr(want), (view, merge, node.depth)
+    assert all(seen.values()), seen
