@@ -16,7 +16,7 @@ from .lp import (
     LinearProgram,
     MatrixGame,
     MatrixGameSolution,
-    best_response_value,
+    matrix_reply_value,
     solve_lp,
     solve_matrix_game,
 )
@@ -44,7 +44,6 @@ __all__ = [
     "MatrixGameSolution",
     "TerminalPayoff",
     "augment_running_max",
-    "best_response_value",
     "build_auxiliary",
     "build_corpus",
     "build_trees",
@@ -57,6 +56,7 @@ __all__ = [
     "is_symmetric_signaling",
     "lift_payoff",
     "load_game",
+    "matrix_reply_value",
     "nstage_value",
     "parse_spec",
     "run_verification",

@@ -6,8 +6,9 @@ exact rationals with a decimal rendering alongside; machine-readable
 reports (--csv/--json) contain no clocks, so repeated runs are
 byte-identical.  Exit codes: 0 success, 1 failed checks, violations or an
 LP failure (pivot limit, failed certificate, including the monotonicity
-and best-response certificates of the sweeps), 2 usage errors (bad flags or
-flag values), 3 resource budget exhausted.
+and best-response certificates of the sweeps) or an output file that cannot
+be written, 2 usage errors (bad flags or flag values), 3 resource budget
+exhausted.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import argparse
 import sys
 
 from .errors import BudgetExceededError, GameModelError, LPError, ParseError
-from .gamefile import load_game, load_strategy, save_strategy
+from .gamefile import load_game, load_strategy, serialize_strategy
 from .histories import build_trees, conditional_check, simulate
 from .model import SymmetricGameSpec, as_general, is_symmetric_signaling, uniform_strategy
 from .rationals import decimal_repr, format_rational, parse_rational
@@ -44,6 +45,19 @@ def _load(path, loader=load_game, kind="game"):
         raise SystemExit(f"error: no such {kind} file: {path}")
     except ParseError as err:
         raise SystemExit(f"error: {err}")
+
+
+def _unwritable(path, err: OSError) -> SystemExit:
+    return SystemExit(f"error: cannot write {path}: {err.strerror or err}")
+
+
+def _write(path, text: str) -> None:
+    """Write one output file; an unwritable path exits 1 with one line."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as err:
+        raise _unwritable(path, err) from None
 
 
 def _strategies(args, spec) -> tuple:
@@ -118,8 +132,7 @@ def cmd_reduce_symmetric(args) -> int:
             ]))
     text = "\n".join(lines) + "\n"
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(args.csv, text)
         print(f"auxiliary game written to {args.csv} "
               f"({sum(len(l) for l in aux.levels)} nodes)")
     else:
@@ -138,7 +151,7 @@ def cmd_solve_nstage(args) -> int:
         value = sol.value
     print(f"value ({args.eval}, horizon {args.horizon}): {_fmt(value)}")
     if args.strategy_out:
-        save_strategy(args.strategy_out, sol.strategy1)
+        _write(args.strategy_out, serialize_strategy(sol.strategy1))
         print(f"player 1 optimal strategy written to {args.strategy_out}")
     if args.verbose:
         for player, strat in ((1, sol.strategy1), (2, sol.strategy2)):
@@ -159,8 +172,7 @@ def cmd_solve_sup(args) -> int:
         lines.append(f"{n},{format_rational(v)},{decimal_repr(v)}")
     text = "\n".join(lines) + "\n"
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(args.csv, text)
     else:
         print(text, end="")
     last_n, last = report.values[-1]
@@ -184,8 +196,7 @@ def cmd_solve_recursive(args) -> int:
         lines.append(f"{n},{format_rational(v)},{decimal_repr(v)}")
     text = "\n".join(lines) + "\n"
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(args.csv, text)
     else:
         print(text, end="")
     print(f"certified lower bound of the uniform value: "
@@ -194,7 +205,8 @@ def cmd_solve_recursive(args) -> int:
           f"(tol {format_rational(args.tol)}, window {args.window}); "
           f"values are sound lower bounds, stabilization is heuristic")
     if report.eps_optimal_strategy1 is not None and args.strategy_out:
-        save_strategy(args.strategy_out, report.eps_optimal_strategy1)
+        _write(args.strategy_out,
+               serialize_strategy(report.eps_optimal_strategy1))
         print(f"eps-optimal strategy (horizon {report.strategy_horizon}, "
               f"guarantee {_fmt(report.strategy_guarantee)}) written to "
               f"{args.strategy_out}")
@@ -230,8 +242,7 @@ def cmd_kernel_check(args) -> int:
             for v in pair.observations(n):
                 lines.append(f'observation,{n},"{" ".join(map(str, v.view()))}",'
                              f"{format_rational(v.beta)}")
-        with open(args.dump_trees, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+        _write(args.dump_trees, "\n".join(lines) + "\n")
         print(f"trees written to {args.dump_trees}")
     report = conditional_check(spec, sigma, tau, args.n, args.m)
     print(f"kernel identities at (n={args.n}, m={args.m}): "
@@ -265,7 +276,10 @@ def cmd_verify_example(args) -> int:
 
 def cmd_verify_paper(args) -> int:
     if args.write_corpus:
-        paths = write_corpus_files(args.write_corpus)
+        try:
+            paths = write_corpus_files(args.write_corpus)
+        except OSError as err:
+            raise _unwritable(err.filename or args.write_corpus, err) from None
         print(f"corpus written: {len(paths)} game files in {args.write_corpus}")
     report = run_verification(only=args.only)
     width = max(len(f"{r.entry}/{r.claim}") for r in report.rows)
@@ -278,11 +292,9 @@ def cmd_verify_paper(args) -> int:
     passed = sum(1 for r in report.rows if r.ok)
     print(f"{passed}/{total} claims verified")
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write(report.to_csv())
+        _write(args.csv, report.to_csv())
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json())
+        _write(args.json, report.to_json())
     return EXIT_OK if report.ok else EXIT_FAIL
 
 

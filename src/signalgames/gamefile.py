@@ -316,8 +316,3 @@ def parse_strategy(document: str):
 def load_strategy(path):
     with open(path, "r", encoding="utf-8") as fh:
         return parse_strategy(fh.read())
-
-
-def save_strategy(path, strategy) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize_strategy(strategy))

@@ -587,8 +587,9 @@ def _check_pure_optimum(entries: list, pick: int, value: Fraction, maximum: bool
                           f"{'maximum' if maximum else 'minimum'}, entry {k} beats it")
 
 
-def best_response_value(game: MatrixGame | list, mixed: list, side: str) -> Fraction:
-    """Exact value of the opponent's best pure reply to a mixed strategy.
+def matrix_reply_value(game: MatrixGame | list, mixed: list, side: str) -> Fraction:
+    """Exact value of the opponent's best pure reply to a mix in a matrix
+    game.
 
     side="row": ``mixed`` is a row mix, returns min over columns.
     side="col": ``mixed`` is a column mix, returns max over rows.

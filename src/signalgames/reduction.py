@@ -346,6 +346,12 @@ def solve_backward(aux: AuxiliaryGame, payoff="mean",
     Absorption-pruned nodes (see build_auxiliary) are closed in closed form:
     a posterior concentrated on absorbing states earns its expected
     absorbing payoff every remaining stage.
+
+    Every other node solves its stage matrix, once per distinct matrix in
+    the call: ``solve_matrix_game`` is a deterministic function of the exact
+    entries, so nodes with equal matrices share one solution and get the
+    value and strategies a solve of their own would give.  ``node_count``
+    still counts every node.
     """
     spec = aux.spec
     N = aux.horizon
@@ -365,6 +371,7 @@ def solve_backward(aux: AuxiliaryGame, payoff="mean",
         want_strategies = False
 
     results: dict = {}               # id(node) -> (total value, matrix solution)
+    solved: dict = {}                # exact stage matrix -> its solution
     node_count = 0
 
     def continuation(child):
@@ -384,9 +391,12 @@ def solve_backward(aux: AuxiliaryGame, payoff="mean",
             elif terminal is not None and node.pruned:
                 raise GameModelError("terminal payoff undefined on pruned node")
             else:
-                sol = solve_matrix_game(_stage_matrix(
-                    aux, node, terminal is None,
-                    continuation if depth < N else None))
+                matrix = _stage_matrix(aux, node, terminal is None,
+                                       continuation if depth < N else None)
+                entries = tuple(map(tuple, matrix))
+                sol = solved.get(entries)
+                if sol is None:
+                    sol = solved[entries] = solve_matrix_game(matrix)
                 result = sol.value, sol
             results[id(node)] = result
 

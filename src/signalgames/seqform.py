@@ -306,6 +306,13 @@ def best_response_value(spec_or_sym, fixed: BehavioralStrategy, horizon: int,
     fixed player with chance and running backward induction over the
     responder's view tree; independent of the LP path, so it doubles as a
     certificate check for returned strategies.
+
+    The walk goes one depth at a time and merges frames: histories that
+    agree on the state, both players' views and the public view are one
+    frame carrying their summed weight.  Everything a frame banks and every
+    child weight is linear in its weight, so a merged frame banks exactly
+    what its histories would have.  The budget is charged once per merged
+    frame, at its depth.
     """
     spec = as_general(spec_or_sym)
     N = horizon
@@ -322,61 +329,69 @@ def best_response_value(spec_or_sym, fixed: BehavioralStrategy, horizon: int,
         if amount:
             cost[seq_id] = cost.get(seq_id, ZERO) + amount
 
+    def add(frames, key, weight):
+        old = frames.get(key)
+        frames[key] = weight if old is None else old + weight
+
     def fixed_dist(v_fixed, vpub):
         view = vpub if fixed.view_kind == "public" else v_fixed
         return fixed.action_dist(view)
 
-    # frames: (state, weight, v_fixed, v_resp, vpub, depth)
-    stack = []
+    # one depth of frames: (state, v_fixed, v_resp, vpub) -> summed weight
+    level: dict = {}
     for (x, c, d), p in sorted(spec.initial.items(), key=str):
         if p > 0:
             vf = (c,) if responder == 2 else (d,)
             vr = (d,) if responder == 2 else (c,)
             vpub = (public_of.get(c, c),) if public_of is not None else None
-            stack.append((x, p, vf, vr, vpub, 1))
+            add(level, (x, vf, vr, vpub), p)
 
-    while stack:
-        x, weight, vf, vr, vpub, depth = stack.pop()
-        nodes.charge(depth)
-        det = (_mean_determined(spec, x, depth, N) if terminal is None
-               else (terminal.determined_fn(x) if terminal.determined_fn else None))
-        if det is not None:
-            bank(form.sequence(vr[:-1]), weight * det)
-            continue
-        form.visit(vr)
-        dist = fixed_dist(vf, vpub)
-        for a_resp in form.actions:
-            s_resp = form.sequence(vr + (a_resp,))
-            for a_fixed, pf in dist.items():
-                if pf == 0:
-                    continue
-                i, j = (a_fixed, a_resp) if responder == 2 else (a_resp, a_fixed)
-                # a product by 1 and a zero reward change nothing banked
-                w = weight if pf == 1 else weight * pf
-                if terminal is None:
-                    g = spec.reward[(x, i, j)]
-                    if g:
-                        bank(s_resp, w * g / N)
-                elif depth == N and terminal.action_fn is not None:
-                    bank(s_resp, w * terminal.action_fn(x, i, j))
-                if depth < N:
-                    for (x2, c, d), p in spec.transition[(x, i, j)].items():
-                        if p > 0:
-                            vf2 = vf + ((i, c) if responder == 2 else (j, d))
-                            vr2 = vr + ((j, d) if responder == 2 else (i, c))
-                            vpub2 = (vpub + (i, j, public_of.get(c, c))
-                                     if vpub is not None else None)
-                            stack.append((x2, w if p == 1 else w * p,
-                                          vf2, vr2, vpub2, depth + 1))
-        if depth == N and terminal is not None and terminal.node_fn is not None:
-            raise GameModelError("best_response_value needs an action-style "
-                                 "terminal payoff")
+    for depth in range(1, N + 1):
+        nxt: dict = {}
+        for (x, vf, vr, vpub), weight in level.items():
+            nodes.charge(depth)
+            det = (_mean_determined(spec, x, depth, N) if terminal is None
+                   else (terminal.determined_fn(x) if terminal.determined_fn
+                         else None))
+            if det is not None:
+                bank(form.sequence(vr[:-1]), weight * det)
+                continue
+            form.visit(vr)
+            dist = fixed_dist(vf, vpub)
+            for a_resp in form.actions:
+                s_resp = form.sequence(vr + (a_resp,))
+                for a_fixed, pf in dist.items():
+                    if pf == 0:
+                        continue
+                    i, j = ((a_fixed, a_resp) if responder == 2
+                            else (a_resp, a_fixed))
+                    # a product by 1 and a zero reward change nothing banked
+                    w = weight if pf == 1 else weight * pf
+                    if terminal is None:
+                        g = spec.reward[(x, i, j)]
+                        if g:
+                            bank(s_resp, w * g / N)
+                    elif depth == N and terminal.action_fn is not None:
+                        bank(s_resp, w * terminal.action_fn(x, i, j))
+                    if depth < N:
+                        for (x2, c, d), p in spec.transition[(x, i, j)].items():
+                            if p > 0:
+                                vf2 = vf + ((i, c) if responder == 2 else (j, d))
+                                vr2 = vr + ((j, d) if responder == 2 else (i, c))
+                                vpub2 = (vpub + (i, j, public_of.get(c, c))
+                                         if vpub is not None else None)
+                                add(nxt, (x2, vf2, vr2, vpub2),
+                                    w if p == 1 else w * p)
+            if (depth == N and terminal is not None
+                    and terminal.node_fn is not None):
+                raise GameModelError("best_response_value needs an "
+                                     "action-style terminal payoff")
+        level = nxt
 
     # fold the responder tree: minimize (responder 2) or maximize (1).  An
     # information set enters ``form.infosets`` before any of its successors
-    # (a frame is visited before its children are pushed), so a pass in
-    # reverse order folds every sequence's successors into it before the
-    # sequence itself is read.
+    # (depths are walked in order), so a pass in reverse order folds every
+    # sequence's successors into it before the sequence itself is read.
     pick = min if responder == 2 else max
     for view in reversed(form.infosets):
         parent = form.parent_seq[view]

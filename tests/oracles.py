@@ -1,5 +1,6 @@
 """Independent oracles: pure-strategy enumeration, closed forms, the dense
-kernel-identity check, the auxiliary game read off an explicit tree.
+kernel-identity check, the auxiliary game read off an explicit tree, and a
+best reply that walks every history on its own.
 
 Deliberately reimplements game evaluation with plain recursion so the
 sequence-form and backward-induction paths are checked against something
@@ -18,8 +19,16 @@ from signalgames.histories import (
     phi_row,
 )
 from signalgames.lp import solve_matrix_game
-from signalgames.model import JOINT, PLAYER1, PUBLIC, projection
+from signalgames.model import (
+    JOINT,
+    PLAYER1,
+    PUBLIC,
+    as_general,
+    projection,
+    require_public_labels,
+)
 from signalgames.reduction import AuxiliaryGame, BeliefNode
+from signalgames.seqform import TerminalPayoff
 
 
 def pure_strategies(spec, player, horizon, cap=None):
@@ -194,3 +203,74 @@ def auxiliary_from_trees(pair):
                          actions1=list(pair.spec.actions1),
                          actions2=list(pair.spec.actions2),
                          edge_of=projection(pair.view, pair.public_of)[0])
+
+
+def naive_best_response_value(spec_or_sym, fixed, horizon, evaluation="mean",
+                              responder=2):
+    """Best reply against ``fixed`` by a depth-first walk that visits every
+    positive-weight history on its own.
+
+    Reference for ``seqform.best_response_value``, which merges histories
+    with equal state and views.  Each history banks its weighted stage
+    reward (or terminal payoff, or closed-form continuation) on the
+    responder's sequence; the responder's view tree is then folded by min
+    (responder 2) or max (responder 1).  Returns ``(value, frames)``, the
+    number of histories walked."""
+    spec = as_general(spec_or_sym)
+    N = horizon
+    terminal = evaluation if isinstance(evaluation, TerminalPayoff) else None
+    public_of = (require_public_labels(spec) if fixed.view_kind == "public"
+                 else None)
+    actions = list(spec.actions2 if responder == 2 else spec.actions1)
+    banked = {}                          # responder sequence -> Fraction
+    infosets = {}                        # responder view -> None, in order
+
+    def bank(seq, amount):
+        banked[seq] = banked.get(seq, F(0)) + amount
+
+    def determined(x, depth):
+        if terminal is None:
+            if x in spec.absorbing_states:
+                return spec.absorbing_payoff(x) * (N - depth + 1) / N
+            return None
+        return terminal.determined_fn(x) if terminal.determined_fn else None
+
+    stack = []
+    for (x, c, d), p in sorted(spec.initial.items(), key=str):
+        if p > 0:
+            vf, vr = ((c,), (d,)) if responder == 2 else ((d,), (c,))
+            vpub = (public_of.get(c, c),) if public_of is not None else None
+            stack.append((x, p, vf, vr, vpub, 1))
+    frames = 0
+    while stack:
+        x, weight, vf, vr, vpub, depth = stack.pop()
+        frames += 1
+        det = determined(x, depth)
+        if det is not None:
+            bank(vr[:-1], weight * det)
+            continue
+        infosets.setdefault(vr)
+        dist = fixed.action_dist(vpub if fixed.view_kind == "public" else vf)
+        for a_resp in actions:
+            for a_fixed, pf in dist.items():
+                if pf == 0:
+                    continue
+                i, j = (a_fixed, a_resp) if responder == 2 else (a_resp, a_fixed)
+                w = weight * pf
+                if terminal is None:
+                    bank(vr + (a_resp,), w * spec.reward[(x, i, j)] / N)
+                elif depth == N:
+                    bank(vr + (a_resp,), w * terminal.action_fn(x, i, j))
+                if depth < N:
+                    for (x2, c, d), p in spec.transition[(x, i, j)].items():
+                        if p > 0:
+                            vf2 = vf + ((i, c) if responder == 2 else (j, d))
+                            vr2 = vr + ((j, d) if responder == 2 else (i, c))
+                            vpub2 = (vpub + (i, j, public_of.get(c, c))
+                                     if vpub is not None else None)
+                            stack.append((x2, w * p, vf2, vr2, vpub2, depth + 1))
+
+    pick = min if responder == 2 else max
+    for view in sorted(infosets, key=len, reverse=True):
+        bank(view[:-1], pick(banked.get(view + (a,), F(0)) for a in actions))
+    return banked.get((), F(0)), frames

@@ -18,7 +18,7 @@ from signalgames import corpus
 from signalgames.cli import main as cli_main
 from signalgames.errors import PreconditionError
 from signalgames.histories import build_trees, conditional_check, exact_play_distribution
-from signalgames.lp import MatrixGame, best_response_value, solve_matrix_game
+from signalgames.lp import MatrixGame, matrix_reply_value, solve_matrix_game
 from signalgames.rationals import ZERO
 from signalgames.recursive import uniform_value
 from signalgames.reduction import MEAN as RED_MEAN
@@ -42,8 +42,8 @@ def test_criterion_1_exact_matrix_value():
     assert sol.value == F(-1, 6)
     game = MatrixGame(matrix)
     # optimal mixes certified by exact best-response inequalities
-    assert best_response_value(game, sol.row_strategy, "row") == F(-1, 6)
-    assert best_response_value(game, sol.col_strategy, "col") == F(-1, 6)
+    assert matrix_reply_value(game, sol.row_strategy, "row") == F(-1, 6)
+    assert matrix_reply_value(game, sol.col_strategy, "col") == F(-1, 6)
     sol.check(game)
     _report(1, "exact matrix value",
             f"value {sol.value}, mixes {sol.row_strategy}/{sol.col_strategy}",

@@ -282,3 +282,19 @@ def test_missing_strategy_file_exits_one(tmp_path, command, flag, extra):
                             capture_output=True, text=True)
     assert result.returncode == 1
     assert result.stderr.splitlines() == [f"error: no such strategy file: {missing}"]
+
+
+@pytest.mark.parametrize("command, game, flag, extra", [
+    ("solve-sup", "example3_bigmatch_blind1", "--csv", ["--max-horizon", "2"]),
+    ("solve-recursive", "quitting_game", "--strategy-out",
+     ["--max-horizon", "8"]),
+])
+def test_unwritable_output_exits_one(tmp_path, command, game, flag, extra):
+    target = str(tmp_path / "nodir" / "out")
+    argv = [command, "--game", str(GAMES / f"{game}.game"), *extra,
+            flag, target]
+    result = subprocess.run([sys.executable, "-m", "signalgames.cli", *argv],
+                            capture_output=True, text=True)
+    assert result.returncode == 1
+    assert result.stderr.splitlines() == [
+        f"error: cannot write {target}: No such file or directory"]

@@ -290,14 +290,22 @@ def test_simulate_public_view_strategy():
     # check, so 12 fits and the first overrun is at budget 8
     (lambda b: build_sequence_form(corpus.bigmatch_nosignals(), 3, budget=b),
      12, (8, 3)),
-    # 13 responder frames; depth-first order overruns at level 2
+    # 13 responder frames, none merged; charged level by level, the 13th
+    # frame sits at level 3
     (lambda b: best_response_value(
         corpus.bigmatch_nosignals(),
         uniform_strategy(corpus.bigmatch_nosignals(), 2), 3, responder=1,
         budget=b),
-     13, (12, 2)),
+     13, (12, 3)),
+    # the cap check on mdp_final_remark at horizon 64: 4096 histories, but
+    # only 252 merged frames (at most 4 distinct state/view keys per level)
+    (lambda b: best_response_value(
+        corpus.mdp_final_remark(),
+        uniform_strategy(corpus.mdp_final_remark(), 2), 64, responder=1,
+        budget=b),
+     252, (251, 64)),
 ], ids=["build_trees", "build_auxiliary", "build_sequence_form",
-        "best_response_value"])
+        "best_response_value", "best_response_value_merged"])
 def test_budget_overrun_pinned(build, fits, overrun):
     build(fits)
     with pytest.raises(BudgetExceededError) as err:

@@ -23,7 +23,7 @@ from signalgames.lp import (
     MatrixGame,
     MatrixGameSolution,
     _check_pure_optimum,
-    best_response_value,
+    matrix_reply_value,
     solve_lp,
     solve_matrix_game,
 )
@@ -186,17 +186,17 @@ def test_matrix_game_guarantees_hold_exactly():
         sol = solve_matrix_game(m)
         game = MatrixGame(m)
         # min over columns of row-mix payoff == value == max over rows of col-mix
-        assert best_response_value(game, sol.row_strategy, "row") == sol.value
-        assert best_response_value(game, sol.col_strategy, "col") == sol.value
+        assert matrix_reply_value(game, sol.row_strategy, "row") == sol.value
+        assert matrix_reply_value(game, sol.col_strategy, "col") == sol.value
 
 
-def test_best_response_value_examples():
-    assert best_response_value([[F(1), F(0)], [F(0), F(1)]],
-                               [F(1, 2), F(1, 2)], "row") == F(1, 2)
-    assert best_response_value([[F(0), F(-1, 2)], [F(-1, 2), F(1, 2)]],
-                               [F(1), F(0)], "row") == F(-1, 2)
-    assert best_response_value([[F(0), F(-1, 2)], [F(-1, 2), F(1, 2)]],
-                               [F(2, 3), F(1, 3)], "row") == F(-1, 6)
+def test_matrix_reply_value_examples():
+    assert matrix_reply_value([[F(1), F(0)], [F(0), F(1)]],
+                              [F(1, 2), F(1, 2)], "row") == F(1, 2)
+    assert matrix_reply_value([[F(0), F(-1, 2)], [F(-1, 2), F(1, 2)]],
+                              [F(1), F(0)], "row") == F(-1, 2)
+    assert matrix_reply_value([[F(0), F(-1, 2)], [F(-1, 2), F(1, 2)]],
+                              [F(2, 3), F(1, 3)], "row") == F(-1, 6)
 
 
 def test_matrix_game_rejects_malformed():

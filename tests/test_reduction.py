@@ -216,6 +216,61 @@ def test_solve_backward_horizon1_is_stage_game():
     assert sol.value == solve_matrix_game(matrix).value
 
 
+def _every_node_backward(aux):
+    """Reference mean-payoff backward induction on an unmerged tree: one
+    ``naive_stage_matrix`` and one solve at every unpruned node.  Returns
+    the value and both players' strategy tables."""
+    N = aux.horizon
+    values, solutions = {}, {}
+    for depth in range(N, 0, -1):
+        for node in aux.levels[depth - 1]:
+            if node.pruned:
+                values[id(node)] = (N - depth + 1) * sum(
+                    (w * aux.spec.absorbing_payoff(x)
+                     for x, w in node.posterior.items()), ZERO)
+                continue
+            sol = solutions[id(node)] = solve_matrix_game(naive_stage_matrix(
+                aux, node, True,
+                (lambda child: values[id(child)]) if depth < N else None))
+            values[id(node)] = sol.value
+    table1, table2 = {}, {}
+    for level in aux.levels:
+        for node in level:
+            sol = solutions.get(id(node))
+            if sol is not None:
+                table1[node.view()] = dict(zip(aux.actions1, sol.row_strategy))
+                table2[node.view()] = dict(zip(aux.actions2, sol.col_strategy))
+    value = sum((root.beta * values[id(root)] for root in aux.roots), ZERO) / N
+    return value, table1, table2
+
+
+def test_solve_backward_solves_each_distinct_stage_matrix_once(monkeypatch):
+    """On the unmerged public quitting game at n=10 (2045 nodes, 1023 of
+    them unpruned, 10 distinct stage matrices) ``solve_backward`` solves
+    each distinct matrix once and returns what solving every node gives,
+    ``repr`` for ``repr``."""
+    from signalgames import reduction
+
+    aux = build_auxiliary(corpus.quitting_game(), 10, prune_absorbed=True)
+    solved = []
+
+    def counted(matrix):
+        solved.append(tuple(map(tuple, matrix)))
+        return solve_matrix_game(matrix)
+
+    monkeypatch.setattr(reduction, "solve_matrix_game", counted)
+    sol = solve_backward(aux, payoff=MEAN)
+    monkeypatch.undo()
+    assert len(solved) == len(set(solved)) == 10
+    nodes = [node for level in aux.levels for node in level]
+    assert sol.node_count == len(nodes) == 2045
+    assert sum(not node.pruned for node in nodes) == 1023
+    value, table1, table2 = _every_node_backward(aux)
+    assert repr(sol.value) == repr(value)
+    assert repr(sol.strategy1.table) == repr(table1)
+    assert repr(sol.strategy2.table) == repr(table2)
+
+
 def _per_horizon_values(game, horizons, **build):
     """Reference: one build and one plain backward pass per horizon."""
     return {n: solve_backward(build_auxiliary(game, n, **build), payoff=MEAN,

@@ -4,12 +4,17 @@ from fractions import Fraction as F
 
 import pytest
 
-from oracles import bruteforce_mean_value
-from randgen import random_game, random_symmetric_game
+from oracles import bruteforce_mean_value, naive_best_response_value
+from randgen import (
+    random_game,
+    random_strategy,
+    random_symmetric_game,
+    rational_weights,
+)
 from signalgames import corpus
-from signalgames.errors import UnsupportedStructureError
+from signalgames.errors import BudgetExceededError, UnsupportedStructureError
 from signalgames.lp import solve_matrix_game
-from signalgames.model import BehavioralStrategy, uniform_strategy
+from signalgames.model import PUBLIC, BehavioralStrategy, uniform_strategy
 from signalgames.reduction import MEAN as RED_MEAN
 from signalgames.reduction import build_auxiliary, lift_payoff, solve_backward
 from signalgames.histories import build_trees
@@ -185,3 +190,54 @@ def test_best_response_fold_runs_below_recursion_limit(games):
                     nxt[x2] = nxt.get(x2, F(0)) + p * q / 2
         dist = nxt
     assert value == total / horizon
+
+
+def _random_public_strategy(rng, spec, player, horizon):
+    """Random exact strategy on every public view to ``horizon``, no tail."""
+    actions = spec.actions1 if player == 1 else spec.actions2
+    pair = build_trees(spec, horizon, view=PUBLIC)
+    table = {o.view(): dict(zip(actions, rational_weights(rng, len(actions))))
+             for n in range(1, horizon + 1) for o in pair.observations(n)}
+    return BehavioralStrategy(player=player, horizon=horizon, table=table,
+                              view_kind="public")
+
+
+@pytest.mark.parametrize("kind", ["general", "symmetric"])
+def test_best_response_matches_history_walk(kind):
+    """Merged frames give the value of the walk over every history, for
+    both responders, player and public views, the mean payoff and an
+    action-style terminal payoff with early closing; and some runs fit a
+    budget below the walk's frame count, so frames really merge."""
+    terminal = TerminalPayoff(
+        action_fn=lambda x, i, j: F(len(x) + len(i), len(j) + 1),
+        determined_fn=lambda x: F(3, 2) if x == "x1" else None)
+    runs = merged = 0
+    for seed in range(8):
+        if kind == "general":
+            spec, kinds = random_game(seed), ("player",)
+        else:
+            spec, kinds = random_symmetric_game(seed).expand(), ("player", PUBLIC)
+        rng = random.Random(seed)
+        for horizon in range(1, 5):
+            for responder in (1, 2):
+                fixed_player = 3 - responder
+                for view_kind in kinds:
+                    fixed = (random_strategy(rng, spec, fixed_player, horizon)
+                             if view_kind == "player" else
+                             _random_public_strategy(rng, spec, fixed_player,
+                                                     horizon))
+                    for evaluation in ("mean", terminal):
+                        want, frames = naive_best_response_value(
+                            spec, fixed, horizon, evaluation, responder)
+                        got = best_response_value(spec, fixed, horizon,
+                                                  evaluation, responder)
+                        assert got == want, (seed, horizon, responder,
+                                             view_kind, evaluation)
+                        runs += 1
+                        try:
+                            best_response_value(spec, fixed, horizon, evaluation,
+                                                responder, budget=frames - 1)
+                            merged += 1
+                        except BudgetExceededError:
+                            pass
+    assert 0 < merged < runs, (merged, runs)
