@@ -25,7 +25,7 @@ from .recursive import uniform_value
 from .reduction import build_auxiliary
 from .seqform import nstage_value
 from .supvalue import augment_running_max, sup_value_lowerbounds
-from .verify import run_verification, write_corpus_files
+from .verify import build_corpus, run_verification, write_corpus_files
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -75,6 +75,14 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
+
+
+def _corpus_entry(text: str) -> str:
+    known = [entry.entry_id for entry in build_corpus()]
+    if text not in known:
+        raise argparse.ArgumentTypeError(
+            f"unknown corpus entry {text!r} (known: {', '.join(known)})")
+    return text
 
 
 def _positive_rational(text: str):
@@ -377,7 +385,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="re-verify every documented corpus claim")
     p.add_argument("--csv", help="write the machine-readable report here")
     p.add_argument("--json", help="write the JSON report here")
-    p.add_argument("--only", help="restrict to one corpus entry")
+    p.add_argument("--only", type=_corpus_entry,
+                   help="restrict to one corpus entry")
     p.add_argument("--write-corpus", metavar="DIR",
                    help="also write the corpus game files to DIR")
     p.set_defaults(func=cmd_verify_paper)

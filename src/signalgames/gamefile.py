@@ -63,10 +63,7 @@ def _known(value: str, ids: list[str], kind: str, where: str) -> str:
 
 def parse_spec(document: str):
     """Parse a game document into a GameSpec or SymmetricGameSpec."""
-    try:
-        data = json.loads(document)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc.msg}", f"line {exc.lineno}") from None
+    data = _json_document(document)
     if not isinstance(data, dict):
         raise ParseError("top level must be an object", "$")
 
@@ -217,9 +214,29 @@ def serialize_spec(spec) -> str:
     return json.dumps(data, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
 
 
-def load_game(path):
+def _json_document(document: str):
+    """``json.loads(document)``; malformed or too deeply nested JSON raises
+    ParseError."""
+    try:
+        return json.loads(document)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc.msg}", f"line {exc.lineno}") from None
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply") from None
+
+
+def _read_document(path) -> str:
+    """The text of a UTF-8 file; other bytes raise ParseError."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_spec(fh.read())
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"not UTF-8 text ({exc.reason} at byte {exc.start})",
+                             str(path)) from None
+
+
+def load_game(path):
+    return parse_spec(_read_document(path))
 
 
 def save_game(path, spec) -> None:
@@ -274,10 +291,7 @@ def _strategy_dist(raw, where: str) -> dict:
 def parse_strategy(document: str):
     """Parse a strategy document; every malformed one raises ParseError,
     including a table or tail distribution whose mass is not 1."""
-    try:
-        data = json.loads(document)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc.msg}", f"line {exc.lineno}") from None
+    data = _json_document(document)
     if not isinstance(data, dict):
         raise ParseError("top level must be an object", "$")
     for key in ("player", "horizon", "table"):
@@ -289,10 +303,11 @@ def parse_strategy(document: str):
     for raw_view, dist in data["table"].items():
         try:
             view = json.loads(raw_view)
-        except json.JSONDecodeError:
+        except (json.JSONDecodeError, RecursionError):
             view = None
-        if not isinstance(view, list):
-            raise ParseError(f"view key is not a JSON array: {raw_view!r}", "$.table")
+        if not isinstance(view, list) or any(isinstance(e, (list, dict)) for e in view):
+            raise ParseError(f"view key is not a JSON array of labels: {raw_view!r}",
+                             "$.table")
         table[tuple(view)] = _strategy_dist(dist, f"$.table[{raw_view!r}]")
     tail = data.get("tail")
     if isinstance(tail, dict):
@@ -314,5 +329,4 @@ def parse_strategy(document: str):
 
 
 def load_strategy(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_strategy(fh.read())
+    return parse_strategy(_read_document(path))

@@ -546,6 +546,35 @@ def solve_matrix_game(game: MatrixGame | list) -> MatrixGameSolution:
     return solution
 
 
+def matrix_game_value(game: MatrixGame | list) -> Fraction:
+    """Exact value of a matrix game, without strategies.
+
+    ``lower = max_r min_c M[r][c]`` and ``upper = min_c max_r M[r][c]`` are
+    computed with exact comparisons.  When they are equal the game has a
+    pure saddle point and that entry is its value: the maximin row
+    guarantees it against every column and the minimax column holds it
+    against every row, which certifies it completely.  With one column (one
+    row) both are the maximum (minimum) of the same entries, so it is
+    computed once.  Otherwise the value is ``solve_matrix_game``'s, whose
+    certificate is checked there.  Empty or ragged input raises LPError, as
+    ``MatrixGame`` does; no check is an ``assert``.
+    """
+    if not isinstance(game, MatrixGame) and not (
+            game and game[0] and all(len(row) == len(game[0]) for row in game)
+            and all(type(v) is Fraction for row in game for v in row)):
+        game = MatrixGame(game)          # raises LPError, or converts entries
+    payoff = game.payoff if isinstance(game, MatrixGame) else game
+    if len(payoff[0]) == 1:
+        return max(row[0] for row in payoff)
+    if len(payoff) == 1:
+        return min(payoff[0])
+    lower = max(map(min, payoff))
+    upper = min(map(max, zip(*payoff)))
+    if lower == upper:
+        return lower
+    return solve_matrix_game(game).value
+
+
 def _solve_vector_game(game: MatrixGame) -> MatrixGameSolution:
     """Degenerate games with one row or one column: pure optima.
 

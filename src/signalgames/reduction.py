@@ -17,7 +17,8 @@ scales to long horizons when absorbed nodes are pruned.
 ``solve_horizons`` runs Shapley's value recursion, indexed by the number of
 stages left, over one merged belief DAG: every requested horizon's mean
 value in a single pass, one matrix game per distinct posterior and stage
-count.
+count.  It needs values only, so each game is certified by a pure saddle
+point (``lp.matrix_game_value``), and only a game without one runs the LP.
 
 The same machinery solves blind single-controller games (one player has a
 single action) on that player's private view; with an opponent who truly
@@ -31,7 +32,7 @@ from fractions import Fraction
 
 from .errors import Budget, GameModelError, UnsupportedStructureError
 from .histories import ObservedNode, TreePair, phi_row
-from .lp import solve_matrix_game
+from .lp import matrix_game_value, solve_matrix_game
 from .model import (
     JOINT,
     MEAN,
@@ -350,8 +351,10 @@ def solve_backward(aux: AuxiliaryGame, payoff="mean",
     Every other node solves its stage matrix, once per distinct matrix in
     the call: ``solve_matrix_game`` is a deterministic function of the exact
     entries, so nodes with equal matrices share one solution and get the
-    value and strategies a solve of their own would give.  ``node_count``
-    still counts every node.
+    value and strategies a solve of their own would give.  Without
+    ``want_strategies`` only the value is solved, by
+    ``matrix_game_value``: a pure saddle point where one exists, the LP
+    otherwise.  ``node_count`` still counts every node.
     """
     spec = aux.spec
     N = aux.horizon
@@ -394,10 +397,14 @@ def solve_backward(aux: AuxiliaryGame, payoff="mean",
                 matrix = _stage_matrix(aux, node, terminal is None,
                                        continuation if depth < N else None)
                 entries = tuple(map(tuple, matrix))
-                sol = solved.get(entries)
-                if sol is None:
-                    sol = solved[entries] = solve_matrix_game(matrix)
-                result = sol.value, sol
+                result = solved.get(entries)
+                if result is None:
+                    if want_strategies:
+                        sol = solve_matrix_game(matrix)
+                        result = sol.value, sol
+                    else:
+                        result = matrix_game_value(matrix), None
+                    solved[entries] = result
             results[id(node)] = result
 
     total = ZERO
@@ -449,7 +456,9 @@ def solve_horizons(aux: AuxiliaryGame, horizons) -> dict:
     requested n >= k, once per posterior (``BeliefNode.key``), since stage
     rewards, signal transitions and child posteriors depend on the
     posterior alone.  A pruned belief takes k times its absorbing payoff
-    per stage; every other belief solves one exactly checked matrix game.
+    per stage; every other belief takes the exact value of its stage
+    matrix from ``matrix_game_value``: certified by a pure saddle point
+    where one exists, by the checked LP otherwise.
     Then v_n is the root-weighted V_n divided by n.  Only layers k - 1 and
     k are held.
     """
@@ -485,9 +494,9 @@ def solve_horizons(aux: AuxiliaryGame, horizons) -> dict:
                             aux.spec, node.posterior)
                     current[key] = stage * k
                 else:
-                    current[key] = solve_matrix_game(_stage_matrix(
+                    current[key] = matrix_game_value(_stage_matrix(
                         aux, node, True,
-                        continuation if k > 1 else None)).value
+                        continuation if k > 1 else None))
         if k in wanted:
             total = ZERO
             for root in aux.roots:

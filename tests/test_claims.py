@@ -301,8 +301,10 @@ def test_uniform_value_budget_prefix_matches_per_horizon_builds():
 
 def test_quitting_sweep_solves_one_matrix_game_per_stage_count(monkeypatch):
     """The n_max=64 values take one merged build, one sweep and at most one
-    matrix game per stage count (3 beliefs, 2 of them absorbed)."""
-    real_solve = reduction.solve_matrix_game
+    matrix game per stage count (3 beliefs, 2 of them absorbed).  The sweep
+    needs values only, so it solves each game through ``reduction``'s
+    binding of ``matrix_game_value``."""
+    real_solve = reduction.matrix_game_value
     real_sweep = recursive.solve_horizons
     real_build = recursive.build_auxiliary
     merged_builds, sweeps, games, active = [], [], [], []
@@ -325,7 +327,7 @@ def test_quitting_sweep_solves_one_matrix_game_per_stage_count(monkeypatch):
             merged_builds.append(args[1])
         return real_build(*args, **kwargs)
 
-    monkeypatch.setattr(reduction, "solve_matrix_game", counting_solve)
+    monkeypatch.setattr(reduction, "matrix_game_value", counting_solve)
     monkeypatch.setattr(recursive, "solve_horizons", tracked_sweep)
     monkeypatch.setattr(recursive, "build_auxiliary", tracked_build)
     report = uniform_value(corpus.quitting_game(), n_max=64, tol=F(1, 50),

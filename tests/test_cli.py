@@ -298,3 +298,39 @@ def test_unwritable_output_exits_one(tmp_path, command, game, flag, extra):
     assert result.returncode == 1
     assert result.stderr.splitlines() == [
         f"error: cannot write {target}: No such file or directory"]
+
+
+def test_verify_paper_unknown_entry_usage_error(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["verify-paper", "--only", "no_such_entry"])
+    assert err.value.code == 2
+    stderr = capsys.readouterr().err
+    assert stderr.startswith("usage:")
+    errors = [line for line in stderr.splitlines() if "error:" in line]
+    assert len(errors) == 1
+    assert "unknown corpus entry 'no_such_entry'" in errors[0]
+    assert "quitting_game" in errors[0] and "mdp_final_remark" in errors[0]
+
+
+@pytest.mark.parametrize("command, data, message", [
+    ("solve-nstage", b"\xff\xfe{}",
+     "error: {path}: not UTF-8 text (invalid start byte at byte 0)"),
+    ("simulate", b'{"player": 1, "horizon": 1, "table": {"\xe9": {}}}',
+     "error: {path}: not UTF-8 text (invalid continuation byte at byte 39)"),
+    ("solve-nstage", b"[" * 100000, "error: invalid JSON: nested too deeply"),
+    ("simulate", b'{"player": 1, "horizon": 1, "table": {"[[\\"o\\"]]": {"C": "1"}}}',
+     "error: $.table: view key is not a JSON array of labels: '[[\"o\"]]'"),
+], ids=["game-not-utf8", "strategy-not-utf8", "game-nested-too-deeply",
+        "strategy-view-of-arrays"])
+def test_undecodable_file_exits_one(tmp_path, command, data, message):
+    path = tmp_path / "input.json"
+    path.write_bytes(data)
+    if command == "simulate":
+        argv = [command, "--game", str(GAMES / "quitting_game.game"),
+                "--horizon", "2", "--sigma", str(path)]
+    else:
+        argv = [command, "--game", str(path), "--horizon", "1"]
+    result = subprocess.run([sys.executable, "-m", "signalgames.cli", *argv],
+                            capture_output=True, text=True)
+    assert result.returncode == 1
+    assert result.stderr.splitlines() == [message.format(path=path)]

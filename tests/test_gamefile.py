@@ -1,12 +1,16 @@
 import json
+import tempfile
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from randgen import random_game, random_symmetric_game
 from signalgames import corpus
 from signalgames.errors import ParseError, UnknownIdError
-from signalgames.gamefile import parse_spec, serialize_spec
+from signalgames.gamefile import load_game, load_strategy, parse_spec, serialize_spec
 from signalgames.model import SymmetricGameSpec
 
 
@@ -77,3 +81,30 @@ def test_parsed_spec_validates(games):
     for name, spec in games.items():
         back = parse_spec(serialize_spec(spec))
         assert back.validate() == [], name
+
+
+_documents = st.one_of(
+    st.binary(max_size=200),
+    st.text(max_size=200).map(lambda t: t.encode("utf-8")),
+    st.recursive(st.none() | st.booleans() | st.integers() | st.text(max_size=5),
+                 lambda inner: st.lists(inner, max_size=4)
+                 | st.dictionaries(st.text(max_size=5), inner, max_size=4),
+                 max_leaves=20).map(lambda d: json.dumps(d).encode("utf-8")))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_documents)
+@example(b"\xff\xfe{}")
+@example(b"[" * 100000)
+@example(b'{"player": 1, "horizon": 1, "table": {"[[1]]": {"a": "1"}}}')
+def test_any_file_loads_or_raises_parse_error(data):
+    """Whatever bytes a game or strategy file holds, loading it yields a
+    spec or strategy, or a ParseError; nothing else escapes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.json"
+        path.write_bytes(data)
+        for loader in (load_game, load_strategy):
+            try:
+                loader(path)
+            except ParseError:
+                pass

@@ -7,6 +7,8 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import signalgames.lp as lp_module
 from randgen import random_lp
@@ -23,6 +25,7 @@ from signalgames.lp import (
     MatrixGame,
     MatrixGameSolution,
     _check_pure_optimum,
+    matrix_game_value,
     matrix_reply_value,
     solve_lp,
     solve_matrix_game,
@@ -204,6 +207,77 @@ def test_matrix_game_rejects_malformed():
         solve_matrix_game([])
     with pytest.raises(Exception):
         MatrixGame([[F(1)], [F(1), F(2)]])
+
+
+_small_rationals = st.builds(F, st.integers(-2, 2), st.integers(1, 2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda cols: st.lists(
+    st.lists(_small_rationals, min_size=cols, max_size=cols),
+    min_size=1, max_size=4)))
+@example([[F(1), F(0)], [F(0), F(1)]])
+@example([[F(0), F(0)], [F(0), F(0)]])
+def test_matrix_game_value_matches_solve_matrix_game(matrix):
+    """Saddle games (``max min == min max``) and games without a saddle,
+    ties included: the value-only solve returns the LP's value exactly."""
+    got = matrix_game_value(matrix)
+    assert type(got) is F
+    assert got == solve_matrix_game(matrix).value
+    assert matrix_game_value(MatrixGame(matrix)) == got
+
+
+def _count_lp_calls(monkeypatch):
+    calls = []
+    real = lp_module.solve_lp
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(lp_module, "solve_lp", counted)
+    return calls
+
+
+def test_matrix_game_value_without_saddle_runs_the_lp_once(monkeypatch):
+    calls = _count_lp_calls(monkeypatch)
+    assert matrix_game_value([[1, 0], [0, 1]]) == F(1, 2)
+    assert len(calls) == 1
+
+
+def test_matrix_game_value_saddle_runs_no_lp(monkeypatch):
+    calls = _count_lp_calls(monkeypatch)
+    monkeypatch.setattr(lp_module, "solve_matrix_game", None)
+    # row 1's minimum 1 equals column 0's maximum 1
+    assert matrix_game_value([[F(0), F(3)], [F(1), F(2)], [F(-1), F(5)]]) == 1
+    assert matrix_game_value([[F(1, 3)], [F(1, 2)]]) == F(1, 2)
+    assert matrix_game_value([[2, 7, -1]]) == -1
+    assert calls == []
+
+
+@pytest.mark.parametrize("matrix", [[], [[]], [[F(1)], [F(1), F(2)]],
+                                    [[F(1), F(2)], [F(1)]]])
+def test_matrix_game_value_rejects_malformed(matrix):
+    with pytest.raises(LPError):
+        matrix_game_value(matrix)
+
+
+def test_matrix_game_value_under_optimize():
+    script = (
+        "from signalgames.errors import LPError\n"
+        "from signalgames.lp import matrix_game_value\n"
+        "assert False, 'asserts were not stripped'\n"
+        "print(matrix_game_value([[1, 0], [0, 1]]), matrix_game_value([[0, 1]]))\n"
+        "try:\n"
+        "    matrix_game_value([[1], [1, 2]])\n"
+        "except LPError as err:\n"
+        "    print('rejected:', err)\n"
+    )
+    result = subprocess.run([sys.executable, "-O", "-c", script],
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == [
+        "1/2 0", "rejected: matrix game must be rectangular"]
 
 
 def test_trace_dumps_tableaus():
