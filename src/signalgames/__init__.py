@@ -11,7 +11,7 @@ from .model import (
     SymmetricGameSpec,
     is_symmetric_signaling,
 )
-from .gamefile import load_game, parse_spec, save_game, serialize_spec
+from .gamefile import load_game, parse_spec, serialize_spec
 from .lp import (
     LinearProgram,
     MatrixGame,
@@ -60,7 +60,6 @@ __all__ = [
     "nstage_value",
     "parse_spec",
     "run_verification",
-    "save_game",
     "serialize_spec",
     "simulate",
     "solve_backward",

@@ -27,7 +27,7 @@ from fractions import Fraction
 from .errors import GameModelError
 from .lp import solve_matrix_game
 from .model import GameSpec
-from .rationals import ZERO, format_rational
+from .rationals import ONE, ZERO, format_rational
 
 
 @dataclass(frozen=True)
@@ -215,7 +215,6 @@ class ClaimCheck:
     vertex_values: list = field(default_factory=list)
     reduced_matrix: list | None = None
     reduced_value: Fraction | None = None
-    note: str = ""
 
     def describe(self) -> str:
         rel = self.comparison
@@ -224,15 +223,35 @@ class ClaimCheck:
                 f"{format_rational(self.threshold)} against {self.reply}")
 
 
-def _vertex_sup(spec, family, reply, pick=max, reply_first: bool = False):
-    values = []
-    for plan in family:
-        if reply_first:
-            values.append((plan, expected_limsup(spec, reply, plan)))
-        else:
-            values.append((plan, expected_limsup(spec, plan, reply)))
-    best = pick(v for _, v in values)
-    return best, [(p.describe(), v) for p, v in values]
+def _after_horizon(base: str, switch_action: str):
+    """A pure reply: ``base`` at every stage of the horizon, then switch."""
+    return lambda N: [(ONE, FirstSwitchPlan(base, switch_action, N + 1))]
+
+
+def _even_stay_mix(N: int):
+    """Player 2's even mix of L forever and R forever, at any horizon."""
+    return [(Fraction(1, 2), FirstSwitchPlan("L", "R", None)),
+            (Fraction(1, 2), FirstSwitchPlan("R", "L", None))]
+
+
+# The claims settled by one fixed reply, one row per (example, side): the
+# corpus game; the searched player's first-switch family (base, switch
+# action); the replying player; the reply as a horizon -> [(probability,
+# plan)] mixture; its description ("{plan}" is its pure plan); and the
+# sources' bound a + b * eps as (a, b).  Against a player-2 reply the best
+# plan's payoff must be at most the bound, against a player-1 reply at least.
+_REPLY_BOUNDS = {
+    (1, "maxmin"): ("example1_guessing", ("T", "B"), 2, _after_horizon("L", "R"),
+                    "player 2 plays {plan}", (Fraction(-1, 2), 1)),
+    (1, "minmax"): ("example1_guessing", ("L", "R"), 1, _after_horizon("T", "B"),
+                    "player 1 plays {plan}", (Fraction(1, 2), -1)),
+    (2, "maxmin"): ("example2_informed", ("T", "B"), 2, _after_horizon("L", "R"),
+                    "player 2 plays {plan}", (Fraction(-1, 2), 1)),
+    (3, "minmax"): ("example3_bigmatch_blind1", ("B", "T"), 2, _even_stay_mix,
+                    "player 2 mixes L-forever and R-forever evenly", (Fraction(1, 2), 0)),
+    (3, "maxmin"): ("example3_bigmatch_blind1", ("B", "T"), 2, _after_horizon("R", "L"),
+                    "player 2 plays {plan}", (ZERO, 1)),
+}
 
 
 def verify_example(spec_for, example: int, side: str, horizon: int = 20,
@@ -246,86 +265,47 @@ def verify_example(spec_for, example: int, side: str, horizon: int = 20,
     """
     eps = Fraction(eps)
     N = horizon
-    if example == 1:
-        spec = spec_for("example1_guessing")
-        if side == "maxmin":
-            family = first_switch_family("T", "B", N)
-            reply = FirstSwitchPlan("L", "R", N + 1)
-            bound, values = _vertex_sup(spec, family, reply, max)
-            threshold = Fraction(-1, 2) + eps
-            return ClaimCheck(example=1, side=side, horizon=N, eps=eps,
-                              bound=bound, threshold=threshold, comparison="<=",
-                              ok=bound <= threshold,
-                              reply=f"player 2 plays {reply.describe()}",
-                              vertex_values=values)
-        if side == "minmax":
-            family = first_switch_family("L", "R", N)
-            reply = FirstSwitchPlan("T", "B", N + 1)
-            bound, values = _vertex_sup(spec, family, reply, min, reply_first=True)
-            threshold = Fraction(1, 2) - eps
-            return ClaimCheck(example=1, side=side, horizon=N, eps=eps,
-                              bound=bound, threshold=threshold, comparison=">=",
-                              ok=bound >= threshold,
-                              reply=f"player 1 plays {reply.describe()}",
-                              vertex_values=values)
-    elif example == 2:
+    if (example, side) == (2, "minmax"):
         spec = spec_for("example2_informed")
-        if side == "minmax":
-            # the two relevant strategies per player span the reduced game:
-            # stay forever vs. switch once (switch times do not change the
-            # entries; exactness of that collapse is re-verified here)
-            sigma1 = FirstSwitchPlan("T", "B", None)
-            sigma2 = FirstSwitchPlan("T", "B", N + 1)
-            tau1 = FirstSwitchPlan("L", "R", None)
-            tau2 = FirstSwitchPlan("L", "R", 1)
-            matrix = [[expected_limsup(spec, s, t) for t in (tau1, tau2)]
-                      for s in (sigma1, sigma2)]
-            for m in (2, N // 2):
-                alt = expected_limsup(spec, sigma2, FirstSwitchPlan("L", "R", m))
-                if alt != matrix[1][1]:
-                    raise GameModelError("reduced matrix is not switch-time invariant")
-            sol = solve_matrix_game(matrix)
-            threshold = Fraction(-1, 6)
-            return ClaimCheck(example=2, side=side, horizon=N, eps=eps,
-                              bound=sol.value, threshold=threshold, comparison="<=",
-                              ok=sol.value == threshold,
-                              reply="reduced 2x2 game over stay/switch strategies",
-                              reduced_matrix=matrix, reduced_value=sol.value,
-                              note="exact equality required")
-        if side == "maxmin":
-            family = first_switch_family("T", "B", N)
-            reply = FirstSwitchPlan("L", "R", N + 1)
-            bound, values = _vertex_sup(spec, family, reply, max)
-            threshold = Fraction(-1, 2) + eps
-            return ClaimCheck(example=2, side=side, horizon=N, eps=eps,
-                              bound=bound, threshold=threshold, comparison="<=",
-                              ok=bound <= threshold,
-                              reply=f"player 2 plays {reply.describe()}",
-                              vertex_values=values)
-    elif example == 3:
-        spec = spec_for("example3_bigmatch_blind1")
-        if side == "minmax":
-            family = first_switch_family("B", "T", N)
-            mix = [(Fraction(1, 2), FirstSwitchPlan("L", "R", None)),
-                   (Fraction(1, 2), FirstSwitchPlan("R", "L", None))]
-            values = [(plan.describe(),
-                       expected_limsup_mixture(spec, [(Fraction(1), plan)], mix))
-                      for plan in family]
-            bound = max(v for _, v in values)
-            threshold = Fraction(1, 2)
-            return ClaimCheck(example=3, side=side, horizon=N, eps=eps,
-                              bound=bound, threshold=threshold, comparison="<=",
-                              ok=bound <= threshold,
-                              reply="player 2 mixes L-forever and R-forever evenly",
-                              vertex_values=values)
-        if side == "maxmin":
-            family = first_switch_family("B", "T", N)
-            reply = FirstSwitchPlan("R", "L", N + 1)
-            bound, values = _vertex_sup(spec, family, reply, max)
-            threshold = eps
-            return ClaimCheck(example=3, side=side, horizon=N, eps=eps,
-                              bound=bound, threshold=threshold, comparison="<=",
-                              ok=bound <= threshold,
-                              reply=f"player 2 plays {reply.describe()}",
-                              vertex_values=values)
-    raise GameModelError(f"unknown example/side: {example}/{side}")
+        # the two relevant strategies per player span the reduced game:
+        # stay forever vs. switch once (switch times do not change the
+        # entries; exactness of that collapse is re-verified here)
+        sigma1 = FirstSwitchPlan("T", "B", None)
+        sigma2 = FirstSwitchPlan("T", "B", N + 1)
+        tau1 = FirstSwitchPlan("L", "R", None)
+        tau2 = FirstSwitchPlan("L", "R", 1)
+        matrix = [[expected_limsup(spec, s, t) for t in (tau1, tau2)]
+                  for s in (sigma1, sigma2)]
+        for m in (2, N // 2):
+            alt = expected_limsup(spec, sigma2, FirstSwitchPlan("L", "R", m))
+            if alt != matrix[1][1]:
+                raise GameModelError("reduced matrix is not switch-time invariant")
+        sol = solve_matrix_game(matrix)
+        threshold = Fraction(-1, 6)
+        return ClaimCheck(example=2, side=side, horizon=N, eps=eps,
+                          bound=sol.value, threshold=threshold, comparison="<=",
+                          ok=sol.value == threshold,
+                          reply="reduced 2x2 game over stay/switch strategies",
+                          reduced_matrix=matrix, reduced_value=sol.value)
+    row = _REPLY_BOUNDS.get((example, side))
+    if row is None:
+        raise GameModelError(f"unknown example/side: {example}/{side}")
+    game, (base, switch_action), replier, reply, text, (a, b) = row
+    spec = spec_for(game)
+    mix = reply(N)
+    values = []
+    for plan in first_switch_family(base, switch_action, N):
+        alone = [(ONE, plan)]
+        pair = (alone, mix) if replier == 2 else (mix, alone)
+        values.append((plan.describe(), expected_limsup_mixture(spec, *pair)))
+    threshold = a + b * eps
+    if replier == 2:
+        bound = max(v for _, v in values)
+        comparison, ok = "<=", bound <= threshold
+    else:
+        bound = min(v for _, v in values)
+        comparison, ok = ">=", bound >= threshold
+    return ClaimCheck(example=example, side=side, horizon=N, eps=eps,
+                      bound=bound, threshold=threshold, comparison=comparison,
+                      ok=ok, reply=text.format(plan=mix[0][1].describe()),
+                      vertex_values=values)

@@ -85,11 +85,15 @@ def _corpus_entry(text: str) -> str:
     return text
 
 
-def _positive_rational(text: str):
+def _rational(text: str):
     try:
-        value = parse_rational(text)
+        return parse_rational(text)
     except ValueError as err:
         raise argparse.ArgumentTypeError(f"{err} (use p/q)") from None
+
+
+def _positive_rational(text: str):
+    value = _rational(text)
     if value <= 0:
         raise argparse.ArgumentTypeError(f"must be positive, got {text}")
     return value
@@ -268,9 +272,8 @@ def cmd_verify_example(args) -> int:
     from . import corpus as corpus_mod
     from .claims import verify_example
 
-    eps = parse_rational(args.eps)
     check = verify_example(corpus_mod.build_game, args.id, args.side,
-                           horizon=args.horizon, eps=eps)
+                           horizon=args.horizon, eps=args.eps)
     print(check.describe())
     if check.reduced_matrix is not None:
         for row in check.reduced_matrix:
@@ -365,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="exact conditional-kernel identities at (n, m)")
     p.add_argument("--game", required=True)
     p.add_argument("--n", type=_positive_int, required=True)
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--m", type=_positive_int, required=True)
     p.add_argument("--sigma")
     p.add_argument("--tau")
     p.add_argument("--dump-trees", metavar="CSV",
@@ -377,7 +380,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--id", type=int, choices=[1, 2, 3], required=True)
     p.add_argument("--side", choices=["maxmin", "minmax"], required=True)
     p.add_argument("--horizon", type=_positive_int, default=20)
-    p.add_argument("--eps", default="1/100")
+    p.add_argument("--eps", type=_rational, default="1/100",
+                   help="tail allowance, a rational p/q")
     p.add_argument("--verbose", action="store_true")
     p.set_defaults(func=cmd_verify_example)
 

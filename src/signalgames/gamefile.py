@@ -88,21 +88,24 @@ def parse_spec(document: str):
         sig1 = _id_list(signals, "p1", "$.signals")
         sig2 = _id_list(signals, "p2", "$.signals")
 
+    def outcome(entry, where):
+        """An outcome's key, (state, signal) or (state, signal1, signal2),
+        and its probability."""
+        x = _known(_need(entry, "state", where), states, "state", where)
+        p = _rational(entry, "prob", where)
+        if symmetric:
+            s = _known(_need(entry, "sig", where), public, "signal", where)
+            return (x, s), p
+        c = _known(_need(entry, "sig1", where), sig1, "signal1", where)
+        d = _known(_need(entry, "sig2", where), sig2, "signal2", where)
+        return (x, c, d), p
+
     initial_raw = _need(data, "initial", "$")
     if not isinstance(initial_raw, list) or not initial_raw:
         raise ParseError("initial must be a non-empty list", "$.initial")
     initial = {}
     for k, entry in enumerate(initial_raw):
-        where = f"$.initial[{k}]"
-        x = _known(_need(entry, "state", where), states, "state", where)
-        p = _rational(entry, "prob", where)
-        if symmetric:
-            s = _known(_need(entry, "sig", where), public, "signal", where)
-            key = (x, s)
-        else:
-            c = _known(_need(entry, "sig1", where), sig1, "signal1", where)
-            d = _known(_need(entry, "sig2", where), sig2, "signal2", where)
-            key = (x, c, d)
+        key, p = outcome(entry, f"$.initial[{k}]")
         initial[key] = initial.get(key, Fraction(0)) + p
 
     transitions_raw = _need(data, "transitions", "$")
@@ -121,16 +124,7 @@ def parse_spec(document: str):
             raise ParseError("next must be a non-empty list", where)
         dist = {}
         for kk, nxt in enumerate(nxt_raw):
-            where2 = f"{where}.next[{kk}]"
-            x2 = _known(_need(nxt, "state", where2), states, "state", where2)
-            p = _rational(nxt, "prob", where2)
-            if symmetric:
-                s = _known(_need(nxt, "sig", where2), public, "signal", where2)
-                key = (x2, s)
-            else:
-                c = _known(_need(nxt, "sig1", where2), sig1, "signal1", where2)
-                d = _known(_need(nxt, "sig2", where2), sig2, "signal2", where2)
-                key = (x2, c, d)
+            key, p = outcome(nxt, f"{where}.next[{kk}]")
             dist[key] = dist.get(key, Fraction(0)) + p
         transition[(x, a1, a2)] = dist
 
@@ -169,24 +163,17 @@ def serialize_spec(spec) -> str:
         cidx = {s: k for k, s in enumerate(spec.signals1)}
         didx = {s: k for k, s in enumerate(spec.signals2)}
 
-    def initial_entry(key, p):
+    def outcome_entry(key, p):
         if symmetric:
             x, s = key
             return {"state": x, "sig": s, "prob": format_rational(p)}
         x, c, d = key
         return {"state": x, "sig1": c, "sig2": d, "prob": format_rational(p)}
 
-    def initial_sort(key):
+    def outcome_sort(key):
         if symmetric:
             return (sidx[key[0]], cidx[key[1]])
         return (sidx[key[0]], cidx[key[1]], didx[key[2]])
-
-    def next_entry(key, p):
-        if symmetric:
-            x2, s = key
-            return {"state": x2, "sig": s, "prob": format_rational(p)}
-        x2, c, d = key
-        return {"state": x2, "sig1": c, "sig2": d, "prob": format_rational(p)}
 
     data = {
         "states": list(spec.states),
@@ -194,12 +181,12 @@ def serialize_spec(spec) -> str:
         "actions2": list(spec.actions2),
         "signals": ({"public": list(spec.signals)} if symmetric
                     else {"p1": list(spec.signals1), "p2": list(spec.signals2)}),
-        "initial": [initial_entry(k, spec.initial[k])
-                    for k in sorted(spec.initial, key=initial_sort)],
+        "initial": [outcome_entry(k, spec.initial[k])
+                    for k in sorted(spec.initial, key=outcome_sort)],
         "transitions": [
             {
                 "state": x, "a1": i, "a2": j,
-                "next": [next_entry(k, dist[k]) for k in sorted(dist, key=initial_sort)],
+                "next": [outcome_entry(k, dist[k]) for k in sorted(dist, key=outcome_sort)],
             }
             for x in spec.states for i in spec.actions1 for j in spec.actions2
             for dist in [spec.transition[(x, i, j)]]
@@ -237,11 +224,6 @@ def _read_document(path) -> str:
 
 def load_game(path):
     return parse_spec(_read_document(path))
-
-
-def save_game(path, spec) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize_spec(spec))
 
 
 # ---------------------------------------------------------------------------

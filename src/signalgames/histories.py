@@ -142,14 +142,12 @@ class TreePair:
 
 
 def build_trees(spec_or_sym, horizon: int, view: str | None = None,
-                budget: int | None = None, stop=None) -> TreePair:
+                budget: int | None = None) -> TreePair:
     """Build H-bar and V-bar levels 1..horizon with exact alpha/beta weights.
 
     ``view`` defaults to "public" when the spec has symmetric signaling and
-    "joint" otherwise.  ``stop``, if given, is a predicate on ObservedNode:
-    children of nodes where it returns True are not expanded (used by solvers
-    that know the continuation is determined there).  Budget overruns raise
-    BudgetExceededError naming the level reached.
+    "joint" otherwise.  Budget overruns raise BudgetExceededError naming
+    the level reached.
     """
     spec = as_general(spec_or_sym)
     if horizon < 1:
@@ -187,8 +185,6 @@ def build_trees(spec_or_sym, horizon: int, view: str | None = None,
         next_level: list = []
         next_obs: list = []
         for ob in obs_levels[-1]:
-            if stop is not None and stop(ob):
-                continue
             children: dict = {}
             for h in ob.members:
                 for i in spec.actions1:

@@ -156,20 +156,11 @@ class _Tableau:
         self.m = matrix            # list of sparse integer rows
         self.b = rhs               # right-hand-side numerators, all >= 0
         self.d = dens              # row denominators, all > 0
-        self.ncols = ncols
         self.basis = [None] * len(matrix)
         self.cols = [set() for _ in range(ncols)]
         for r, row in enumerate(matrix):
             for j in row:
                 self.cols[j].add(r)
-
-    def dump(self) -> str:
-        lines = []
-        for r, row in enumerate(self.m):
-            d = self.d[r]
-            cells = " ".join(str(Fraction(row.get(j, 0), d)) for j in range(self.ncols))
-            lines.append(f"x{self.basis[r]} | {cells} | {Fraction(self.b[r], d)}")
-        return "\n".join(lines)
 
     def pivot(self, row: int, col: int) -> None:
         # Dividing the pivot row by m/d at col makes it (m, b) / m[col].  It
@@ -191,12 +182,14 @@ class _Tableau:
         self.basis[row] = col
 
 
-def _run_simplex(tab: _Tableau, cost, allowed, pivot_limit: int):
+def _run_simplex(tab: _Tableau, cost, allowed):
     """Maximize cost over the tableau; returns (status, pivots, bad_col, obj).
 
     ``allowed[j]`` False bars column j from entering (used to freeze
     artificials in phase 2).  ``bad_col`` is the unbounded entering column.
+    More than 50000 + 200 * (rows + columns) pivots raise LPError.
     """
+    pivot_limit = 50000 + 200 * (len(tab.m) + len(tab.cols))
     # The objective row (red, zb)/zd: reduced costs, nonzeros only, and
     # minus the objective value.  Start from the cost row and eliminate
     # every basic column, exactly as a pivot eliminates its column.
@@ -236,7 +229,7 @@ def _run_simplex(tab: _Tableau, cost, allowed, pivot_limit: int):
             raise LPError(f"pivot limit {pivot_limit} exceeded")
 
 
-def solve_lp(lp: LinearProgram, pivot_limit: int | None = None, trace=None) -> LPSolution:
+def solve_lp(lp: LinearProgram) -> LPSolution:
     """Two-phase exact simplex.
 
     Returns an LPSolution whose duals certify optimality: dual feasibility
@@ -320,7 +313,6 @@ def solve_lp(lp: LinearProgram, pivot_limit: int | None = None, trace=None) -> L
     for r in range(nrows):
         tab.basis[r] = art_col.get(r, slack_col.get(r))
 
-    limit = pivot_limit if pivot_limit is not None else 50000 + 200 * (nrows + ncols)
     total_pivots = 0
     art_set = set(art_col.values())
 
@@ -330,11 +322,8 @@ def solve_lp(lp: LinearProgram, pivot_limit: int | None = None, trace=None) -> L
         for c in art_set:
             cost1[c] = -1
         allowed = [True] * ncols
-        status, pivots, _, obj1 = _run_simplex(tab, cost1, allowed, limit)
+        status, pivots, _, obj1 = _run_simplex(tab, cost1, allowed)
         total_pivots += pivots
-        if trace:
-            trace(f"phase1 done: pivots={pivots} objective={obj1}")
-            trace(tab.dump())
         if obj1 < 0:
             # Farkas certificate: y = -(phase-1 duals), in original row
             # orientation; satisfies y.rhs > 0 while y'A <= 0 over columns.
@@ -354,11 +343,8 @@ def solve_lp(lp: LinearProgram, pivot_limit: int | None = None, trace=None) -> L
     # Phase 2.
     cost2 = cost_struct + [0] * (ncols - nstruct)
     allowed = [j not in art_set for j in range(ncols)]
-    status, pivots, bad_col, obj = _run_simplex(tab, cost2, allowed, limit)
+    status, pivots, bad_col, obj = _run_simplex(tab, cost2, allowed)
     total_pivots += pivots
-    if trace:
-        trace(f"phase2 done: pivots={pivots} status={status}")
-        trace(tab.dump())
 
     if status == UNBOUNDED:
         ray = _extract_ray(tab, bad_col, col_of)

@@ -61,9 +61,6 @@ class GameSpec:
 
     # -- indices ---------------------------------------------------------
 
-    def state_index(self, x: str) -> int:
-        return self.states.index(x)
-
     def action_pairs(self):
         for i in self.actions1:
             for j in self.actions2:
@@ -146,18 +143,9 @@ class GameSpec:
             raise GameModelError(f"state {x!r} is not absorbing")
         return self.reward[(x, self.actions1[0], self.actions2[0])]
 
-    @cached_property
-    def reward_values(self) -> list[Fraction]:
-        """Distinct stage-reward values, sorted ascending."""
-        return sorted(set(self.reward.values()))
-
     @property
     def max_reward(self) -> Fraction:
-        return self.reward_values[-1]
-
-    @property
-    def min_reward(self) -> Fraction:
-        return self.reward_values[0]
+        return max(self.reward.values())
 
 
 @dataclass(eq=False)

@@ -11,8 +11,6 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-Rational = Fraction
-
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
@@ -47,6 +45,7 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def decimal_repr(value: Fraction, digits: int = 6) -> str:
-    """Fixed-point decimal rendering for humans; never fed back into solvers."""
-    return f"{float(value):.{digits}g}"
+def decimal_repr(value: Fraction) -> str:
+    """Six-significant-digit decimal rendering for humans; never fed back
+    into solvers."""
+    return f"{float(value):.6g}"

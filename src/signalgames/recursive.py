@@ -9,8 +9,8 @@ estimate* (a heuristic stopping rule); no finite-horizon upper bound is
 claimed because none is available in general.
 
 Values are computed on an increasing horizon schedule — consecutive
-horizons first, then geometrically spaced, optionally densified near the
-top — because meaningful accuracy on blind games needs horizons far past
+horizons first, then geometrically spaced, densified near the top of
+long schedules — because meaningful accuracy on blind games needs horizons far past
 anything a per-horizon enumeration of every intermediate n could afford.
 On the belief-reduction routes the whole schedule is one sweep: a single
 merged belief DAG built to the largest scheduled horizon and one pass of
@@ -86,18 +86,18 @@ class UniformValueReport:
     route: str
 
 
-def default_schedule(n_max: int, dense_top: int = 4) -> list:
-    """1..12 consecutively, then ratio 3/2, then ``dense_top`` evenly spaced
-    points below n_max (tight spacing where the stopping rule looks)."""
+def default_schedule(n_max: int) -> list:
+    """1..12 consecutively, then ratio 3/2, then, from n_max = 100 on, four
+    points spaced n_max // 10 apart below n_max (tight spacing where the
+    stopping rule looks)."""
     pts = list(range(1, min(12, n_max) + 1))
     n = pts[-1]
     while n < n_max:
         n = min(n_max, max(n + 1, (n * 3) // 2))
         pts.append(n)
-    if n_max >= 100 and dense_top > 0:
-        step = max(1, n_max // 10)
-        extra = [n_max - k * step for k in range(1, dense_top + 1)]
-        pts = sorted(set(pts) | {p for p in extra if p >= 1})
+    if n_max >= 100:
+        step = n_max // 10
+        pts = sorted(set(pts) | {n_max - k * step for k in range(1, 5)})
     return pts
 
 
@@ -119,6 +119,31 @@ def _nstage(spec: GameSpec, route: str, n: int, budget):
     else:
         sol = nstage_value(spec, n, budget=budget)
     return sol.strategy1, sol.strategy2
+
+
+def _extract(spec: GameSpec, route: str, values: list, target, budget):
+    """Strategies at the first horizon whose value reaches ``target`` and
+    whose build fits the budget, else at the largest horizon that fits.
+
+    Returns ``(n, v_n, strategy1, strategy2)``, or None when no build fits.
+    Levels 1..n of a build are the build to n, so a build that overflows
+    at n overflows at every larger horizon too: neither search tries one.
+    """
+    limit = None
+    for n, v in values:
+        if v >= target:
+            try:
+                return (n, v, *_nstage(spec, route, n, budget))
+            except BudgetExceededError:
+                limit = n
+            break
+    for n, v in reversed(values):
+        if limit is None or n < limit:
+            try:
+                return (n, v, *_nstage(spec, route, n, budget))
+            except BudgetExceededError:
+                pass
+    return None
 
 
 def _schedule_values(spec: GameSpec, route: str, horizons: list, budget) -> list:
@@ -161,7 +186,6 @@ def _sweep_values(spec: GameSpec, horizons: list, budget) -> list:
 
 def uniform_value(spec_or_sym, tol=Fraction(1, 10000), n_max: int = 512,
                   window: int = 5, schedule: list | None = None,
-                  strategy_eps=Fraction(1, 20),
                   budget: int | None = None) -> UniformValueReport:
     """Monotone scheme for the uniform value of recursive nonnegative games.
 
@@ -173,7 +197,10 @@ def uniform_value(spec_or_sym, tol=Fraction(1, 10000), n_max: int = 512,
     value ``window`` schedule points back; ``certified_lower`` needs no such
     heuristic and is always a true guarantee for player 1.  The schedule is
     read up to its first point above ``n_max``.  Under a node budget the
-    values stop before the first horizon that does not fit.
+    values stop before the first horizon that does not fit.  The returned
+    strategies are those of the first horizon within 1/20 of
+    ``certified_lower`` whose build fits, else of the largest horizon that
+    fits; ``extract_eps_optimal`` extracts for any other eps.
     """
     spec = as_general(spec_or_sym)
     tol = Fraction(tol)
@@ -209,30 +236,13 @@ def uniform_value(spec_or_sym, tol=Fraction(1, 10000), n_max: int = 512,
     stabilized = (len(values) > window
                   and values[-1][1] - values[-1 - window][1] < tol)
 
-    # Strategy extraction at the smallest horizon already within
-    # strategy_eps of the certified level (monotonicity then makes its
-    # n-stage guarantee a uniform one); fall back to the largest horizon
-    # where an unmerged tree fits the budget.
-    strat = strat2 = None
-    strat_n = None
-    strat_value = None
+    # Strategy extraction at the smallest horizon already within 1/20 of
+    # the certified level (monotonicity then makes its n-stage guarantee a
+    # uniform one), else at the largest horizon where an unmerged tree fits
+    # the budget.
+    chosen = _extract(spec, route, values, certified - Fraction(1, 20), budget)
+    strat_n, strat_value, strat, strat2 = chosen or (None, None, None, None)
     p2_cap = None
-    for n, v in values:
-        if certified - v <= strategy_eps:
-            try:
-                s1, s2 = _nstage(spec, route, n, budget)
-            except BudgetExceededError:
-                continue
-            strat, strat2, strat_n, strat_value = s1, s2, n, v
-            break
-    if strat is None:
-        for n, v in reversed(values):
-            try:
-                s1, s2 = _nstage(spec, route, n, budget)
-            except BudgetExceededError:
-                continue
-            strat, strat2, strat_n, strat_value = s1, s2, n, v
-            break
     if strat is not None:
         # two exact certificates at the extraction horizon: player 1's
         # strategy floors the value, player 2's caps it, and they meet
@@ -276,7 +286,6 @@ class EpsOptimalResult:
 
 
 def extract_eps_optimal(spec_or_sym, report: UniformValueReport, eps,
-                        check_horizons: int = 3,
                         budget: int | None = None) -> EpsOptimalResult:
     """Strategy guaranteeing certified_lower - eps in the uniform sense.
 
@@ -284,39 +293,23 @@ def extract_eps_optimal(spec_or_sym, report: UniformValueReport, eps,
     and returns the N-stage optimal strategy: by monotonicity its value
     against any reply at any horizon m >= N is at least v_N.  The
     certificate list re-verifies this with exact best responses at
-    N..N+check_horizons.  When even the deepest extractable strategy misses
-    eps, the best available one is returned with a warning.
+    N..N+3.  When even the deepest extractable strategy misses eps, the
+    best available one is returned with a warning.
     """
     spec = as_general(spec_or_sym)
     eps = Fraction(eps)
-    route = report.route
     target = report.certified_lower - eps
-    chosen = None
-    for n, v in report.value_sequence:
-        if v >= target:
-            try:
-                s1, _ = _nstage(spec, route, n, budget)
-            except BudgetExceededError:
-                continue
-            chosen = (n, v, s1)
-            break
-    warning = ""
-    if chosen is None:
-        for n, v in reversed(report.value_sequence):
-            try:
-                s1, _ = _nstage(spec, route, n, budget)
-            except BudgetExceededError:
-                continue
-            chosen = (n, v, s1)
-            warning = (f"requested eps {eps} unattainable within the computed "
-                       f"schedule; returning the horizon-{n} strategy "
-                       f"(gap {report.certified_lower - v})")
-            break
+    chosen = _extract(spec, report.route, report.value_sequence, target, budget)
     if chosen is None:
         raise Budget.nothing_fits()
-    n, v, strategy = chosen
+    n, v, strategy, _ = chosen
+    warning = ""
+    if v < target:
+        warning = (f"requested eps {eps} unattainable within the computed "
+                   f"schedule; returning the horizon-{n} strategy "
+                   f"(gap {report.certified_lower - v})")
     certs = []
-    for m in range(n, n + check_horizons + 1):
+    for m in range(n, n + 4):
         try:
             br = best_response_value(spec, strategy, m, responder=2, budget=budget)
         except BudgetExceededError:

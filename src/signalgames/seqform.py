@@ -94,16 +94,21 @@ class NStageSolution:
     evaluation: object
     strategy1: BehavioralStrategy
     strategy2: BehavioralStrategy
-    plan1: dict                                        # seq tuple -> Fraction
-    plan2: dict
     arbitrary_views1: list
     arbitrary_views2: list
-    program: SequenceFormProgram
 
 
-def _mean_determined(spec: GameSpec, state: str, depth: int, N: int):
-    if state in spec.absorbing_states:
-        return spec.absorbing_payoff(state) * (N - depth + 1) / N
+def _determined(spec: GameSpec, terminal, state: str, depth: int, N: int):
+    """The constant continuation value at a depth-``depth`` history in
+    ``state``, or None while it still depends on play.  For the mean payoff
+    (``terminal`` None) an absorbing state is determined; a terminal payoff
+    decides through its ``determined_fn``."""
+    if terminal is None:
+        if state in spec.absorbing_states:
+            return spec.absorbing_payoff(state) * (N - depth + 1) / N
+        return None
+    if terminal.determined_fn is not None:
+        return terminal.determined_fn(state)
     return None
 
 
@@ -129,13 +134,6 @@ def build_sequence_form(spec_or_sym, horizon: int, evaluation=MEAN,
             key = (s1, s2)
             payoff[key] = payoff.get(key, ZERO) + amount
 
-    def determined(state, depth):
-        if terminal is None:
-            return _mean_determined(spec, state, depth, N)
-        if terminal.determined_fn is not None:
-            return terminal.determined_fn(state)
-        return None
-
     # Iterative DFS; each frame: (state, alpha, v1, v2, key, depth).
     stack = []
     for (x, c, d), p in sorted(spec.initial.items(), key=str):
@@ -144,7 +142,7 @@ def build_sequence_form(spec_or_sym, horizon: int, evaluation=MEAN,
 
     while stack:
         x, alpha, v1, v2, key, depth = stack.pop()
-        det = determined(x, depth)
+        det = _determined(spec, terminal, x, depth, N)
         if det is not None:
             # closed nodes count against the budget; only live ones check it
             closed += 1
@@ -276,20 +274,17 @@ def nstage_value(spec_or_sym, horizon: int, evaluation=MEAN,
     """Exact value and optimal behavioral strategies of the N-stage game.
 
     ``evaluation``: "mean" for the average of the N stage rewards, or a
-    TerminalPayoff.  Strategies at unreached views carry uniform
+    TerminalPayoff.  The LP's realization plans are returned only as these
+    behavioral strategies.  Strategies at unreached views carry uniform
     placeholders and are listed in ``arbitrary_views*``.
     """
     prog = build_sequence_form(spec_or_sym, horizon, evaluation, budget)
     value, plan1_vec, plan2_vec = _solve_program(prog)
     strategy1, arb1 = _plan_to_strategy(prog.p1, plan1_vec, 1, horizon)
     strategy2, arb2 = _plan_to_strategy(prog.p2, plan2_vec, 2, horizon)
-    plan1 = {seq: plan1_vec[idx] for seq, idx in prog.p1.seq_index.items()}
-    plan2 = {seq: plan2_vec[idx] for seq, idx in prog.p2.seq_index.items()}
     return NStageSolution(value=value, horizon=horizon, evaluation=evaluation,
                           strategy1=strategy1, strategy2=strategy2,
-                          plan1=plan1, plan2=plan2,
-                          arbitrary_views1=arb1, arbitrary_views2=arb2,
-                          program=prog)
+                          arbitrary_views1=arb1, arbitrary_views2=arb2)
 
 
 # ---------------------------------------------------------------------------
@@ -350,9 +345,7 @@ def best_response_value(spec_or_sym, fixed: BehavioralStrategy, horizon: int,
         nxt: dict = {}
         for (x, vf, vr, vpub), weight in level.items():
             nodes.charge(depth)
-            det = (_mean_determined(spec, x, depth, N) if terminal is None
-                   else (terminal.determined_fn(x) if terminal.determined_fn
-                         else None))
+            det = _determined(spec, terminal, x, depth, N)
             if det is not None:
                 bank(form.sequence(vr[:-1]), weight * det)
                 continue

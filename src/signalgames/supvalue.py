@@ -34,16 +34,11 @@ class AugmentedGame:
     base: GameSpec
     decode: dict                        # aug state id -> (base state, max or None)
 
-    def terminal_running_max(self) -> TerminalPayoff:
+    def _determined_fn(self, reach: dict):
+        """The running maximum's final value, where play can no longer move
+        it: in an absorbing state, or once no reachable reward exceeds it."""
         base = self.base
         decode = self.decode
-        reach = reachable_max_reward(base)
-        global_max = base.max_reward
-
-        def action_fn(aug_state, i, j):
-            x, m = decode[aug_state]
-            g = base.reward[(x, i, j)]
-            return g if m is None else max(m, g)
 
         def determined_fn(aug_state):
             x, m = decode[aug_state]
@@ -54,7 +49,20 @@ class AugmentedGame:
                 return m
             return None
 
-        return TerminalPayoff(action_fn=action_fn, determined_fn=determined_fn)
+        return determined_fn
+
+    def terminal_running_max(self) -> TerminalPayoff:
+        base = self.base
+        decode = self.decode
+        reach = reachable_max_reward(base)
+
+        def action_fn(aug_state, i, j):
+            x, m = decode[aug_state]
+            g = base.reward[(x, i, j)]
+            return g if m is None else max(m, g)
+
+        return TerminalPayoff(action_fn=action_fn,
+                              determined_fn=self._determined_fn(reach))
 
     def terminal_optimistic(self) -> TerminalPayoff:
         """Pathwise upper bound: unfinished play is credited with the best
@@ -71,16 +79,8 @@ class AugmentedGame:
             out = max(g, best)
             return out if m is None else max(m, out)
 
-        def determined_fn(aug_state):
-            x, m = decode[aug_state]
-            if x in base.absorbing_states:
-                g = base.absorbing_payoff(x)
-                return g if m is None else max(m, g)
-            if m is not None and m >= reach[x]:
-                return m
-            return None
-
-        return TerminalPayoff(action_fn=action_fn, determined_fn=determined_fn)
+        return TerminalPayoff(action_fn=action_fn,
+                              determined_fn=self._determined_fn(reach))
 
 
 def reachable_max_reward(spec: GameSpec) -> dict:
@@ -173,12 +173,7 @@ class SupValueReport:
     upper: Fraction | None
     exact: bool
     stabilized: bool
-    window: int
     budget_hit: bool
-
-    @property
-    def interval(self):
-        return (self.best_lower, self.upper)
 
 
 def sup_lower_bound(spec_or_sym, horizon: int, budget: int | None = None) -> Fraction:
@@ -189,13 +184,15 @@ def sup_lower_bound(spec_or_sym, horizon: int, budget: int | None = None) -> Fra
 
 
 def sup_value_lowerbounds(spec_or_sym, max_horizon: int,
-                          budget: int | None = None, window: int = 3,
+                          budget: int | None = None,
                           compute_upper: bool = True) -> SupValueReport:
     """Nondecreasing lower bounds v(F_1) <= ... <= v(F_max_horizon).
 
     Monotonicity is checked exactly (it is a theorem, so a violation is an
     implementation bug and raises CertificateError).  On budget exhaustion
     the prefix computed so far is returned with ``budget_hit`` set.
+    ``stabilized`` is True when the last bound equals the one three
+    horizons back.
     """
     if max_horizon < 1:
         raise PreconditionError(f"max_horizon must be >= 1, got {max_horizon}")
@@ -223,9 +220,8 @@ def sup_value_lowerbounds(spec_or_sym, max_horizon: int,
             upper = up_sol.value
         except BudgetExceededError:
             upper = None
-    stabilized = (len(values) > window
-                  and values[-1][1] == values[-1 - window][1])
+    stabilized = len(values) > 3 and values[-1][1] == values[-4][1]
     exact = upper is not None and upper == best_lower
     return SupValueReport(values=values, best_lower=best_lower, upper=upper,
-                          exact=exact, stabilized=stabilized, window=window,
+                          exact=exact, stabilized=stabilized,
                           budget_hit=budget_hit)

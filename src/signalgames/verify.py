@@ -453,14 +453,19 @@ def write_corpus_files(directory) -> list:
 
 
 def run_verification(only: str | None = None) -> VerificationReport:
-    """Run every corpus claim; deterministic output."""
+    """Run every corpus claim, or those of the entry ``only``; deterministic
+    output.  An ``only`` that names no entry raises KeyError."""
     import time
 
+    entries = build_corpus()
+    if only is not None:
+        known = [entry.entry_id for entry in entries]
+        if only not in known:
+            raise KeyError(f"unknown corpus entry {only!r} (known: {', '.join(known)})")
+        entries = [entry for entry in entries if entry.entry_id == only]
     games = {name: corpus.build_game(name) for name in corpus.GAME_BUILDERS}
     rows = []
-    for entry in build_corpus():
-        if only is not None and entry.entry_id != only:
-            continue
+    for entry in entries:
         for claim in entry.claims:
             start = time.perf_counter()
             try:

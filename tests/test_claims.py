@@ -338,6 +338,32 @@ def test_quitting_sweep_solves_one_matrix_game_per_stage_count(monkeypatch):
     assert 0 < len(games) <= 64
 
 
+def test_extraction_skips_horizons_past_the_first_overflow(monkeypatch):
+    """A build to n that overflows overflows at every larger n too, so
+    extraction never tries one.  Under budget 500 the first horizon within
+    1/20 (n=9) and the largest below it (n=8) overflow and n=7 fits: one
+    build each, in that order, for both extraction entry points."""
+    real_nstage = recursive._nstage
+    built = []
+
+    def tracked(spec, route, n, budget):
+        built.append(n)
+        return real_nstage(spec, route, n, budget)
+
+    monkeypatch.setattr(recursive, "_nstage", tracked)
+    game = corpus.quitting_game()
+    report = uniform_value(game, n_max=64, budget=500)
+    assert built == [9, 8, 7]
+    assert report.strategy_horizon == 7
+    assert report.strategy_eps_achieved == F(57, 896)
+    assert report.player2_cap_at_horizon == F(3, 7)
+    built.clear()
+    result = extract_eps_optimal(game, report, eps=F(1, 100), budget=500)
+    assert built == [40, 27, 18, 12, 11, 10, 9, 8, 7]
+    assert result.horizon == 7 and result.achieved_eps == F(57, 896)
+    assert result.warning.startswith("requested eps 1/100 unattainable")
+
+
 @pytest.mark.parametrize("kwargs", [
     {"n_max": 0}, {"window": 0}, {"tol": 0}, {"tol": F(-1, 10)},
     {"n_max": 8, "schedule": [0, 1, 2]}, {"n_max": 8, "schedule": [9, 10]},

@@ -166,13 +166,15 @@ def test_cli_entrypoint_subprocess(corpus_dir):
     ("solve-recursive", "--max-horizon", "x"),
     ("solve-recursive", "--window", "0"),
     ("solve-sup", "--max-horizon", "0"),
+    ("verify-example", "--eps", "abc"),
 ], ids=["tol-decimal", "tol-zero", "tol-negative", "max-horizon-zero",
-        "max-horizon-text", "window-zero", "sup-max-horizon-zero"])
+        "max-horizon-text", "window-zero", "sup-max-horizon-zero", "example-eps-text"])
 def test_bad_sweep_argument_usage_error(corpus_dir, capsys, command, flag,
                                         value):
+    target = (["--id", "1", "--side", "maxmin"] if command == "verify-example"
+              else ["--game", str(corpus_dir / "quitting_game.game")])
     with pytest.raises(SystemExit) as err:
-        main([command, "--game", str(corpus_dir / "quitting_game.game"),
-              flag, value])
+        main([command, *target, flag, value])
     assert err.value.code == 2
     stderr = capsys.readouterr().err
     assert stderr.startswith("usage:")
@@ -186,10 +188,12 @@ def test_bad_sweep_argument_usage_error(corpus_dir, capsys, command, flag,
     (["simulate", "--horizon", "0"], "--horizon"),
     (["simulate", "--horizon", "3", "--replicas", "0"], "--replicas"),
     (["kernel-check", "--n", "0", "--m", "2"], "--n"),
+    (["kernel-check", "--n", "1", "--m", "0"], "--m"),
     (["verify-example", "--id", "1", "--side", "maxmin", "--horizon", "0"],
      "--horizon"),
 ], ids=["reduce-horizon-zero", "nstage-horizon-zero", "simulate-horizon-zero",
-        "simulate-replicas-zero", "kernel-n-zero", "example-horizon-zero"])
+        "simulate-replicas-zero", "kernel-n-zero", "kernel-m-zero",
+        "example-horizon-zero"])
 def test_nonpositive_count_usage_error(corpus_dir, capsys, argv, flag):
     game = ([] if argv[0] == "verify-example"
             else ["--game", str(corpus_dir / "noisy_public_2state.game")])

@@ -1,5 +1,7 @@
 from fractions import Fraction as F
 
+import pytest
+
 from signalgames import corpus
 from signalgames.gamefile import load_game, serialize_spec
 from signalgames.verify import build_corpus, run_verification, write_corpus_files
@@ -76,3 +78,9 @@ def test_run_verification_all_pass_and_deterministic():
     # timing never leaks into machine reports
     assert "seconds" not in report1.to_json()
     assert len(report1.rows) >= 20
+
+
+def test_run_verification_unknown_entry_raises_naming_known_entries():
+    with pytest.raises(KeyError, match="unknown corpus entry 'nonexistent'") as err:
+        run_verification(only="nonexistent")
+    assert "quitting_game" in str(err.value) and "mdp_final_remark" in str(err.value)

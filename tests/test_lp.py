@@ -280,22 +280,6 @@ def test_matrix_game_value_under_optimize():
         "1/2 0", "rejected: matrix game must be rectangular"]
 
 
-def test_trace_dumps_tableaus():
-    lines = []
-    lp = LinearProgram(
-        objective=[F(1), F(1)],
-        rows=[{0: F(1), 1: F(2)}, {0: F(3), 1: F(1)}],
-        senses=[LEQ, LEQ],
-        rhs=[F(4), F(6)],
-    )
-    sol = solve_lp(lp, trace=lines.append)
-    assert sol.status == OPTIMAL
-    rows = [row for line in lines for row in line.splitlines() if "|" in row]
-    assert rows  # tableau rows present
-    # every row renders all 4 columns (2 structural + 2 slacks), zeros included
-    assert all(len(row.split("|")[1].split()) == 4 for row in rows)
-
-
 def test_lp_rejects_out_of_range_column():
     for bad in (2, -1, "0"):
         lp = LinearProgram(
