@@ -14,6 +14,7 @@ exhausted.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 from .errors import BudgetExceededError, GameModelError, LPError, ParseError
@@ -90,6 +91,26 @@ def _rational(text: str):
         return parse_rational(text)
     except ValueError as err:
         raise argparse.ArgumentTypeError(f"{err} (use p/q)") from None
+
+
+# argparse reads a token that starts with "-" as an option unless it looks
+# like a negative number, and "-1/100" does not; joined to its flag, as in
+# "--eps=-1/100", it is read as the flag's value.
+_RATIONAL_FLAGS = ("--eps", "--tol")
+_NEGATIVE_RATIONAL = re.compile(r"-\d+/\d+")
+
+
+def _join_negative_rationals(argv: list) -> list:
+    """``argv`` with each negative rational that follows a rational flag
+    joined to it, so both spellings of a flag's value parse alike."""
+    out: list = []
+    for token in argv:
+        if (out and out[-1] in _RATIONAL_FLAGS
+                and _NEGATIVE_RATIONAL.fullmatch(token)):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
 
 
 def _positive_rational(text: str):
@@ -399,7 +420,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_negative_rationals(
+        sys.argv[1:] if argv is None else list(argv)))
     try:
         return args.func(args)
     except BudgetExceededError as err:

@@ -35,6 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .errors import LPError
 from .rationals import ONE, ZERO
@@ -532,26 +533,31 @@ def solve_matrix_game(game: MatrixGame | list) -> MatrixGameSolution:
     return solution
 
 
-def matrix_game_value(game: MatrixGame | list) -> Fraction:
+_EXACT_TYPES = frozenset((Fraction, int))
+
+
+def matrix_game_value(game: MatrixGame | list) -> Fraction | int:
     """Exact value of a matrix game, without strategies.
 
-    ``lower = max_r min_c M[r][c]`` and ``upper = min_c max_r M[r][c]`` are
-    computed with exact comparisons.  When they are equal the game has a
-    pure saddle point and that entry is its value: the maximin row
-    guarantees it against every column and the minimax column holds it
-    against every row, which certifies it completely.  With one column (one
-    row) both are the maximum (minimum) of the same entries, so it is
-    computed once.  Otherwise the value is ``solve_matrix_game``'s, whose
+    Entries are ``Fraction``s or ``int``s; an integer matrix needs no
+    fraction at all when it has a pure saddle point.  ``lower = max_r min_c
+    M[r][c]`` and ``upper = min_c max_r M[r][c]`` are computed with exact
+    comparisons.  When they are equal the game has a pure saddle point and
+    that entry, as given, is its value: the maximin row guarantees it
+    against every column and the minimax column holds it against every
+    row, which certifies it completely.  With one column (one row) both
+    are the maximum (minimum) of the same entries, so it is computed once.
+    Otherwise the value is ``solve_matrix_game``'s, a ``Fraction`` whose
     certificate is checked there.  Empty or ragged input raises LPError, as
     ``MatrixGame`` does; no check is an ``assert``.
     """
     if not isinstance(game, MatrixGame) and not (
-            game and game[0] and all(len(row) == len(game[0]) for row in game)
-            and all(type(v) is Fraction for row in game for v in row)):
+            game and game[0] and len(set(map(len, game))) == 1
+            and _EXACT_TYPES.issuperset(map(type, chain.from_iterable(game)))):
         game = MatrixGame(game)          # raises LPError, or converts entries
     payoff = game.payoff if isinstance(game, MatrixGame) else game
     if len(payoff[0]) == 1:
-        return max(row[0] for row in payoff)
+        return max([row[0] for row in payoff])
     if len(payoff) == 1:
         return min(payoff[0])
     lower = max(map(min, payoff))

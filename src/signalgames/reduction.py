@@ -8,17 +8,21 @@ full histories lifts to  fhat(v) = sum_h kernel(h, v) f(h)  with equal
 expectation under every strategy pair.  Values are then computed by
 backward induction, solving one exact matrix game per observed node.
 
-The observed tree is built by a belief recursion that carries only (beta,
-posterior over current states) per node — equivalent to grouping the
-explicit history tree by observation, because both the signal transition
-and the child posterior are functions of the current posterior — which
-scales to long horizons when absorbed nodes are pruned.
+The observed tree is built by a belief recursion that carries only the
+belief over current states per node — equivalent to grouping the explicit
+history tree by observation, because both the signal transition and the
+child belief are functions of the current belief — which scales to long
+horizons when absorbed nodes are pruned.  Beliefs are unnormalized integer
+vectors (``BeliefNode``), so the build divides nothing.
 
 ``solve_horizons`` runs Shapley's value recursion, indexed by the number of
 stages left, over one merged belief DAG: every requested horizon's mean
-value in a single pass, one matrix game per distinct posterior and stage
-count.  It needs values only, so each game is certified by a pure saddle
-point (``lp.matrix_game_value``), and only a game without one runs the LP.
+value in a single pass, one matrix game per distinct belief and stage
+count.  The value is positively homogeneous of degree 1 in the
+unnormalized belief (Smallwood & Sondik 1973; Mertens, Sorin & Zamir,
+*Repeated Games*), so the stage matrices are integer matrices.  Each game
+is certified by a pure saddle point (``lp.matrix_game_value``), and only a
+game without one runs the LP.
 
 The same machinery solves blind single-controller games (one player has a
 single action) on that player's private view; with an opponent who truly
@@ -29,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import Budget, GameModelError, UnsupportedStructureError
 from .histories import ObservedNode, TreePair, phi_row
@@ -51,26 +56,51 @@ from .rationals import ZERO
 
 @dataclass(eq=False)
 class BeliefNode:
-    """Observed history carried as (weight, posterior over current states).
+    """Observed history carried as a primitive integer belief vector.
 
-    ``children`` maps (edge, label) -> (transition weight, child node); the
-    weight is the probability of the child observation given the node and
-    the actions on the edge.  With belief merging the structure is a DAG
-    (children shared between nodes of equal posterior), ``parent`` is then
-    the first discoverer and views are unavailable.
+    ``mu`` maps the support's states to coprime positive integers; the
+    posterior is mu / s, s = sum(mu).  The history's weight is
+    beta = mass * s / scale, ``scale`` being P * D**(depth - 1) for P and D
+    the lcms of the initial and of the transition denominators.  ``links``
+    maps (edge, label) -> (h, child) where D * mu * Q = h * child.mu, Q the
+    transition to the child's observation.  ``posterior``, ``beta`` and
+    ``children`` derive the exact fractions.  With belief merging the
+    structure is a DAG, ``parent`` is then the first discoverer and views
+    are unavailable.
     """
 
     label: object
     edge: tuple | None
-    beta: Fraction
-    posterior: dict                      # state -> Fraction, sums to 1
+    mu: dict                             # state -> int, entries coprime
+    mass: int
+    scale: int                           # shared by the nodes of a level
     depth: int
     parent: "BeliefNode | None" = None
-    children: dict = field(default_factory=dict)
-    pruned: bool = False                 # posterior fully on absorbing states
-    key: int | None = None               # posterior number (merged builds)
+    links: dict = field(default_factory=dict)
+    pruned: bool = False                 # belief fully on absorbing states
+    key: int | None = None               # belief number (merged builds)
 
     view = ObservedNode.view
+
+    @property
+    def posterior(self) -> dict:
+        """state -> Fraction, summing to 1."""
+        s = sum(self.mu.values())
+        return {x: Fraction(a, s) for x, a in self.mu.items()}
+
+    @property
+    def beta(self) -> Fraction:
+        return Fraction(self.mass * sum(self.mu.values()), self.scale)
+
+    @property
+    def children(self) -> dict:
+        """(edge, label) -> (transition weight, child node); the weight
+        h * s_child / (D * s) is the probability of the child observation
+        given the node and the actions on the edge."""
+        s = sum(self.mu.values())
+        return {key: (Fraction(h * sum(child.mu.values()) * self.scale,
+                               s * child.scale), child)
+                for key, (h, child) in self.links.items()}
 
 
 @dataclass(eq=False)
@@ -85,6 +115,7 @@ class AuxiliaryGame:
     actions1: list
     actions2: list
     edge_of: object                      # the view's edge_of, model.projection
+    step: int                            # D: lcm of the transition denominators
     merged: bool = False                 # belief DAG (no per-history views)
 
     def signal_transition(self, node: BeliefNode, i: str, j: str) -> dict:
@@ -120,23 +151,39 @@ def _resolve_view(spec: GameSpec, view: str | None) -> tuple:
         "auxiliary game needs symmetric signaling or a single-action opponent")
 
 
+def _denominator_lcm(values) -> int:
+    return lcm(1, *(v.denominator for v in values))
+
+
+def _primitive(vector: dict) -> tuple:
+    """``(h, vector / h)`` for h the gcd of the positive integer entries."""
+    h = gcd(*vector.values())
+    if h == 1:
+        return 1, vector
+    return h, {x: a // h for x, a in vector.items()}
+
+
 def build_auxiliary(spec_or_sym, horizon: int, view: str | None = None,
                     budget: int | None = None,
                     prune_absorbed: bool = False,
                     merge_beliefs: bool = False) -> AuxiliaryGame:
     """Build the observed-history game by exact belief recursion.
 
-    With ``prune_absorbed`` the children of nodes whose posterior sits
+    A child's vector sums mu(x) * D * p over the transitions into its
+    observation, divided by its gcd h; mass_child sums mass * h over the
+    parents.  No fraction is built here.
+
+    With ``prune_absorbed`` the children of nodes whose belief sits
     entirely on absorbing states are not expanded: from there every
     continuation earns the same constant per stage, so solvers can close
     the node in closed form.  This is what makes long horizons tractable.
 
-    With ``merge_beliefs`` nodes of equal depth and posterior are shared (a
+    With ``merge_beliefs`` nodes of equal depth and belief are shared (a
     DAG instead of a tree): sound for stage-additive payoffs because stage
-    reward, signal transition and child posteriors are all functions of the
-    posterior alone, and often exponentially smaller.  Each node then gets
-    the number of its posterior as ``key``, hashed once here so solvers can
-    share work across depths without re-hashing the fractions.  Strategy
+    reward, signal transition and child beliefs are all functions of the
+    belief alone, and often exponentially smaller.  Each node then gets
+    the number of its belief as ``key``, hashed once here so solvers can
+    share work across depths without re-hashing the vectors.  Strategy
     extraction needs per-history views, hence an unmerged tree.
     """
     spec = as_general(spec_or_sym)
@@ -145,94 +192,84 @@ def build_auxiliary(spec_or_sym, horizon: int, view: str | None = None,
     absorbing = spec.absorbing_states
     nodes = Budget(budget)
 
-    keys: dict = {}                      # exact posterior -> number
+    # integer transition numerators, flattened per state in the order
+    # (i, j, outcome), so children and beliefs keep their insertion order
+    step = _denominator_lcm(p for dist in spec.transition.values()
+                            for p in dist.values() if p > 0)
+    moves: dict = {}
+    for x in spec.states:
+        moves[x] = [((edge_of(i, j), label_of(c, d)), x2,
+                     p.numerator * (step // p.denominator))
+                    for i in spec.actions1 for j in spec.actions2
+                    for (x2, c, d), p in spec.transition[(x, i, j)].items()
+                    if p > 0]
 
-    def belief_key(posterior):
-        # integers, not Fractions: Fraction equality is slow Python code.
-        # Numbers hash modulo 2**61 - 1, where 2**d hashes like 2**(d % 61),
-        # so dyadic posteriors of many depths would share hashes in this one
-        # dict over all depths; the bit length tells them apart.
-        exact = tuple(sorted((x, a.numerator, a.denominator,
-                              a.denominator.bit_length())
-                             for x, a in posterior.items()))
+    keys: dict = {}                      # exact belief -> number
+
+    def belief_key(mu):
+        # Integers hash modulo 2**61 - 1, where 2**d hashes like 2**(d % 61),
+        # so the vectors of many depths would share hashes in this one dict
+        # over all depths; the bit length tells them apart.
+        exact = (tuple(sorted(mu.items())), max(mu.values()).bit_length())
         return keys.setdefault(exact, len(keys))
 
-    # Level 1.
+    # Level 1: one root per label, so roots never merge.
+    initial = [(x, c, d, p) for (x, c, d), p in spec.initial.items() if p > 0]
+    scale = _denominator_lcm(p for *_, p in initial)
     groups: dict = {}
-    for (x, c, d), p in spec.initial.items():
-        if p <= 0:
-            continue
-        lab = label_of(c, d)
-        bucket = groups.setdefault(lab, {})
-        bucket[x] = bucket.get(x, ZERO) + p
+    for x, c, d, p in initial:
+        bucket = groups.setdefault(label_of(c, d), {})
+        bucket[x] = bucket.get(x, 0) + p.numerator * (scale // p.denominator)
     roots = []
-    seen: dict = {}
     for lab in sorted(groups, key=str):
-        bucket = groups[lab]
-        beta = sum(bucket.values(), ZERO)
-        posterior = {x: a / beta for x, a in bucket.items()}
-        bkey = None
-        if merge_beliefs:
-            bkey = belief_key(posterior)
-            if (lab, bkey) in seen:
-                seen[(lab, bkey)].beta += beta
-                continue
+        g, mu = _primitive(groups[lab])
         nodes.charge(1)
-        node = BeliefNode(label=lab, edge=None, beta=beta, posterior=posterior,
-                          depth=1, key=bkey)
-        node.pruned = prune_absorbed and all(x in absorbing for x in node.posterior)
-        if merge_beliefs:
-            seen[(lab, bkey)] = node
+        node = BeliefNode(label=lab, edge=None, mu=mu, mass=g, scale=scale,
+                          depth=1, key=belief_key(mu) if merge_beliefs else None)
+        node.pruned = prune_absorbed and all(x in absorbing for x in mu)
         roots.append(node)
 
     levels = [roots]
     for n in range(1, horizon):
+        scale *= step
         nxt = []
         seen = {}
         for node in levels[-1]:
             if node.pruned:
                 continue
             buckets: dict = {}
-            for x, w in node.posterior.items():
-                for i in spec.actions1:
-                    for j in spec.actions2:
-                        edge = edge_of(i, j)
-                        for (x2, c, d), p in spec.transition[(x, i, j)].items():
-                            if p <= 0:
-                                continue
-                            key = (edge, label_of(c, d))
-                            bucket = buckets.setdefault(key, {})
-                            bucket[x2] = bucket.get(x2, ZERO) + w * p
+            for x, a in node.mu.items():
+                for key, x2, q in moves[x]:
+                    bucket = buckets.get(key)
+                    if bucket is None:
+                        bucket = buckets[key] = {}
+                    bucket[x2] = bucket.get(x2, 0) + a * q
             for key in sorted(buckets, key=str):
-                bucket = buckets[key]
-                mass = sum(bucket.values(), ZERO)
-                posterior = {x: a / mass for x, a in bucket.items()}
+                h, mu = _primitive(buckets[key])
                 bkey = None
                 if merge_beliefs:
-                    bkey = belief_key(posterior)
+                    bkey = belief_key(mu)
                     child = seen.get(bkey)
                     if child is not None:
-                        child.beta += node.beta * mass
-                        node.children[key] = (mass, child)
+                        child.mass += node.mass * h
+                        node.links[key] = (h, child)
                         continue
                 nodes.charge(n + 1)
-                child = BeliefNode(
-                    label=key[1], edge=key[0],
-                    beta=node.beta * mass,
-                    posterior=posterior,
-                    depth=n + 1, parent=node, key=bkey)
+                child = BeliefNode(label=key[1], edge=key[0], mu=mu,
+                                   mass=node.mass * h, scale=scale,
+                                   depth=n + 1, parent=node, key=bkey)
                 child.pruned = (prune_absorbed
-                                and all(x in absorbing for x in child.posterior))
+                                and all(x in absorbing for x in mu))
                 if merge_beliefs:
                     seen[bkey] = child
-                node.children[key] = (mass, child)
+                node.links[key] = (h, child)
                 nxt.append(child)
         levels.append(nxt)
 
     return AuxiliaryGame(spec=spec, view=view, horizon=horizon, roots=roots,
                          levels=levels, actions1=list(spec.actions1),
                          actions2=list(spec.actions2), edge_of=edge_of,
-                         merged=merge_beliefs)
+                         step=step, merged=merge_beliefs)
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +408,8 @@ def solve_backward(aux: AuxiliaryGame, payoff="mean",
     elif payoff != MEAN:
         raise GameModelError(f"unknown payoff {payoff!r}")
     if want_strategies and aux.merged:
-        want_strategies = False
+        raise GameModelError(
+            "strategies need per-history views: solve an unmerged build")
 
     results: dict = {}               # id(node) -> (total value, matrix solution)
     solved: dict = {}                # exact stage matrix -> its solution
@@ -449,18 +487,18 @@ def solve_backward(aux: AuxiliaryGame, payoff="mean",
 def solve_horizons(aux: AuxiliaryGame, horizons) -> dict:
     """Mean values ``{n: v_n}`` of every requested horizon in one pass.
 
-    ``aux`` is a merged belief DAG (``build_auxiliary(merge_beliefs=True)``)
-    built at least to the largest horizon.  The pass is Shapley's value
-    recursion indexed by the number k of stages left: layer k holds V_k,
-    the k-stage total value, for the beliefs at depth n - k + 1 of every
-    requested n >= k, once per posterior (``BeliefNode.key``), since stage
-    rewards, signal transitions and child posteriors depend on the
-    posterior alone.  A pruned belief takes k times its absorbing payoff
-    per stage; every other belief takes the exact value of its stage
-    matrix from ``matrix_game_value``: certified by a pure saddle point
-    where one exists, by the checked LP otherwise.
-    Then v_n is the root-weighted V_n divided by n.  Only layers k - 1 and
-    k are held.
+    ``aux`` is a merged belief DAG built at least to the largest horizon.
+    Layer k of Shapley's recursion over the number k of stages left holds,
+    once per belief (``BeliefNode.key``) at depth n - k + 1 of a requested
+    n >= k, the integer-scaled k-stage value U_k(mu) = D**(k-1) L s V_k(mu/s)
+    (L the lcm of the reward denominators).  A matrix game's value scales
+    with its entries, so U_k(mu) is the value of the integer matrix
+    D**(k-1) sum_x mu(x) L g(x, i, j) + sum of h U_{k-1}(child) over the
+    children on edge (i, j), from ``matrix_game_value`` (the LP's
+    ``Fraction`` value enters U as it is); a pruned belief has
+    U_k = D**(k-1) k sum_x mu(x) L g_abs(x).  The one fraction per horizon
+    is v_n = sum over roots of mass U_n / (P D**(n-1) L n).  Only layers
+    k - 1 and k are held.
     """
     if not aux.merged:
         raise GameModelError("solve_horizons needs a merged belief DAG")
@@ -471,12 +509,26 @@ def solve_horizons(aux: AuxiliaryGame, horizons) -> dict:
     if not wanted or wanted[0] < 1 or wanted[-1] > aux.horizon:
         raise GameModelError(
             f"horizons must lie in 1..{aux.horizon}, got {wanted}")
-    per_stage: dict = {}                 # key -> absorbing payoff per stage
-    previous: dict = {}                  # key -> V_{k-1}
+    spec = aux.spec
+    L = _denominator_lcm(spec.reward.values())
+    reward = {key: g.numerator * (L // g.denominator)
+              for key, g in spec.reward.items()}
+    first = (spec.actions1[0], spec.actions2[0])
+    plans: dict = {}                     # key -> per cell (reward, [(h, child key)])
+    absorbed: dict = {}                  # key -> sum_x mu(x) L g_abs(x)
+    previous: dict = {}                  # key -> U_{k-1}
     values = {}
+    factor = 1                           # D**(k-1)
 
-    def continuation(child):
-        return previous[child.key]
+    def stage(node, i, j):
+        return sum(a * reward[(x, i, j)] for x, a in node.mu.items())
+
+    def plan(node):
+        links = node.links.items()
+        return [[(stage(node, i, j),
+                  [(h, child.key) for (e, _), (h, child) in links
+                   if e == aux.edge_of(i, j)])
+                 for j in aux.actions2] for i in aux.actions1]
 
     for k in range(1, wanted[-1] + 1):
         current: dict = {}
@@ -488,21 +540,37 @@ def solve_horizons(aux: AuxiliaryGame, horizons) -> dict:
                 if key in current:
                     continue
                 if node.pruned:
-                    stage = per_stage.get(key)
-                    if stage is None:
-                        stage = per_stage[key] = _absorbing_stage_payoff(
-                            aux.spec, node.posterior)
-                    current[key] = stage * k
-                else:
-                    current[key] = matrix_game_value(_stage_matrix(
-                        aux, node, True,
-                        continuation if k > 1 else None))
+                    a = absorbed.get(key)
+                    if a is None:        # L g_abs(x) is reward[(x, *first)]
+                        a = absorbed[key] = sum(m * reward[(x, *first)]
+                                                for x, m in node.mu.items())
+                    current[key] = factor * k * a
+                    continue
+                if k == 1:
+                    current[key] = matrix_game_value(
+                        [[stage(node, i, j) for j in aux.actions2]
+                         for i in aux.actions1])
+                    continue
+                # a node k - 1 >= 1 levels above a horizon has its links
+                cells = plans.get(key)
+                if cells is None:
+                    cells = plans[key] = plan(node)
+                matrix = []
+                for row in cells:
+                    entries = []
+                    for r, pairs in row:
+                        total = factor * r if r else 0
+                        for h, child in pairs:
+                            u = previous[child]
+                            total += u if h == 1 else h * u
+                        entries.append(total)
+                    matrix.append(entries)
+                current[key] = matrix_game_value(matrix)
         if k in wanted:
-            total = ZERO
-            for root in aux.roots:
-                total += root.beta * current[root.key]
-            values[k] = total / k
+            total = sum(root.mass * current[root.key] for root in aux.roots)
+            values[k] = Fraction(total, aux.roots[0].scale * factor * L * k)
         previous = current
+        factor *= aux.step
     return values
 
 

@@ -1,6 +1,7 @@
 """Independent oracles: pure-strategy enumeration, closed forms, the dense
-kernel-identity check, the auxiliary game read off an explicit tree, and a
-best reply that walks every history on its own.
+kernel-identity check, the auxiliary game read off an explicit tree, the
+value recursion in Fractions, and a best reply that walks every history on
+its own.
 
 Deliberately reimplements game evaluation with plain recursion so the
 sequence-form and backward-induction paths are checked against something
@@ -9,25 +10,25 @@ piece, and it has its own grid-search oracle tests).
 """
 
 import itertools
+from dataclasses import dataclass, field
 from fractions import Fraction as F
 
 from randgen import _reachable_views
 from signalgames.errors import GameModelError
 from signalgames.histories import (
     KernelCheckReport,
+    ObservedNode,
     exact_play_distribution,
     phi_row,
 )
-from signalgames.lp import solve_matrix_game
+from signalgames.lp import matrix_game_value, solve_matrix_game
 from signalgames.model import (
     JOINT,
     PLAYER1,
     PUBLIC,
     as_general,
-    projection,
     require_public_labels,
 )
-from signalgames.reduction import AuxiliaryGame, BeliefNode
 from signalgames.seqform import TerminalPayoff
 
 
@@ -121,6 +122,41 @@ def naive_stage_matrix(aux, node, stage_reward, continuation):
     return rows
 
 
+def fraction_solve_horizons(aux, horizons):
+    """Mean values ``{n: v_n}`` by Shapley's recursion in Fractions over a
+    merged belief DAG: layer k holds the k-stage total value V_k per belief
+    key, from the normalized posterior, the transition weights and
+    ``naive_stage_matrix``; a pruned belief takes k times its absorbing
+    payoff; v_n is the beta-weighted V_n over the roots, divided by n.
+
+    Reference for ``reduction.solve_horizons``, which runs the same
+    recursion on unnormalized integer beliefs."""
+    wanted = sorted(set(horizons))
+    previous = {}
+    values = {}
+    for k in range(1, wanted[-1] + 1):
+        current = {}
+        for n in wanted:
+            if n < k:
+                continue
+            for node in aux.levels[n - k]:
+                if node.key in current:
+                    continue
+                if node.pruned:
+                    current[node.key] = k * sum(
+                        (w * aux.spec.absorbing_payoff(x)
+                         for x, w in node.posterior.items()), F(0))
+                else:
+                    current[node.key] = matrix_game_value(naive_stage_matrix(
+                        aux, node, True,
+                        (lambda child: previous[child.key]) if k > 1 else None))
+        if k in wanted:
+            values[k] = sum((root.beta * current[root.key]
+                             for root in aux.roots), F(0)) / k
+        previous = current
+    return values
+
+
 def dense_conditional_check(pair, sigma, tau, n, m):
     """The kernel identities checked on every (observation, history) pair.
 
@@ -181,28 +217,40 @@ def posterior_of_observed(node):
     return {x: a / node.beta for x, a in out.items()}
 
 
+@dataclass(eq=False)
+class ObservedBelief:
+    """An observed-tree node with the Fractions ``build_auxiliary`` derives
+    from its integers: weight, posterior and transition weights."""
+
+    label: object
+    edge: tuple | None
+    beta: F
+    posterior: dict
+    parent: "ObservedBelief | None"
+    children: dict = field(default_factory=dict)
+
+    view = ObservedNode.view
+
+
 def auxiliary_from_trees(pair):
-    """Auxiliary game over an explicit observed tree (posteriors from
-    members); reference for the belief recursion of ``build_auxiliary``."""
+    """Levels of ``ObservedBelief`` read off an explicit observed tree
+    (posteriors from members); reference for the belief recursion of
+    ``build_auxiliary``."""
     levels = []
     mapping = {}
     for n in range(1, pair.horizon + 1):
         lvl = []
         for ob in pair.observations(n):
-            node = BeliefNode(label=ob.label, edge=ob.edge, beta=ob.beta,
-                              posterior=posterior_of_observed(ob), depth=n,
-                              parent=mapping.get(id(ob.parent)))
+            node = ObservedBelief(label=ob.label, edge=ob.edge, beta=ob.beta,
+                                  posterior=posterior_of_observed(ob),
+                                  parent=mapping.get(id(ob.parent)))
             mapping[id(ob)] = node
             if node.parent is not None:
                 node.parent.children[(ob.edge, ob.label)] = (
                     ob.beta / ob.parent.beta, node)
             lvl.append(node)
         levels.append(lvl)
-    return AuxiliaryGame(spec=pair.spec, view=pair.view, horizon=pair.horizon,
-                         roots=levels[0], levels=levels,
-                         actions1=list(pair.spec.actions1),
-                         actions2=list(pair.spec.actions2),
-                         edge_of=projection(pair.view, pair.public_of)[0])
+    return levels
 
 
 def naive_best_response_value(spec_or_sym, fixed, horizon, evaluation="mean",

@@ -1,9 +1,15 @@
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from signalgames.cli import main
 from signalgames.gamefile import load_strategy
@@ -338,3 +344,118 @@ def test_undecodable_file_exits_one(tmp_path, command, data, message):
                             capture_output=True, text=True)
     assert result.returncode == 1
     assert result.stderr.splitlines() == [message.format(path=path)]
+
+
+@pytest.mark.parametrize("spaced", [False, True], ids=["joined", "spaced"])
+def test_negative_rational_parses_in_both_spellings(capsys, spaced):
+    """``--eps -1/100`` reads the value as ``--eps=-1/100`` does."""
+    value = ["--eps", "-1/100"] if spaced else ["--eps=-1/100"]
+    code = main(["verify-example", "--id", "1", "--side", "maxmin", *value])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "-1/2 <= -51/100" in out and out.endswith("FAILED\n")
+
+
+@pytest.mark.parametrize("spaced", [False, True], ids=["joined", "spaced"])
+def test_negative_tolerance_is_refused_as_nonpositive(capsys, spaced):
+    value = ["--tol", "-1/100"] if spaced else ["--tol=-1/100"]
+    with pytest.raises(SystemExit) as err:
+        main(["solve-recursive", "--game", str(GAMES / "quitting_game.game"),
+              *value])
+    assert err.value.code == 2
+    assert ("argument --tol: must be positive, got -1/100"
+            in capsys.readouterr().err)
+
+
+@pytest.fixture(scope="module")
+def cli_files(tmp_path_factory):
+    """Inputs for drawn command lines: good, missing and malformed game
+    and strategy files, writable and unwritable output paths."""
+    root = tmp_path_factory.mktemp("cli")
+    (root / "broken.game").write_text(_game_doc(initial=[1]))
+    (root / "garbage.json").write_bytes(b"\xff{")
+    (root / "plan.json").write_text(_strategy_doc())
+    (root / "half.json").write_text(_strategy_doc(table={'["o"]': {"C": "1/2"}}))
+    games = [str(GAMES / f"{name}.game") for name in (
+        "quitting_game", "mdp_final_remark", "noisy_public_2state",
+        "example1_guessing", "example3_bigmatch_blind1", "bigmatch_nosignals")]
+    inputs = [str(root / name) for name in
+              ("broken.game", "garbage.json", "missing.game")]
+    strategies = [str(root / name) for name in
+                  ("plan.json", "half.json", "garbage.json", "missing.json")]
+    outputs = [str(root / "out.txt"), str(root / "nodir" / "out.txt"), str(root)]
+    return games + inputs, strategies, outputs
+
+
+_COUNTS = st.sampled_from(["1", "2", "3", "0", "-1", "x", "1/2"])
+_RATIONALS = st.sampled_from(["1/100", "-1/100", "1/2", "0", "3", "1/0",
+                              "0.1", "abc", "-2"])
+
+
+def _command_lines(files):
+    """Argument vectors over the real subcommands and flags: each flag is
+    present or absent, with a value drawn from good and bad ones.
+    Horizons stay at most 3."""
+    game_files, strategies, outputs = files
+    game = st.sampled_from(game_files)
+    strategy = st.sampled_from(strategies)
+    output = st.sampled_from(outputs)
+    flags = {
+        "validate": {"--game": game},
+        "reduce-symmetric": {"--game": game, "--horizon": _COUNTS, "--csv": output},
+        "solve-nstage": {"--game": game, "--horizon": _COUNTS,
+                         "--eval": st.sampled_from(["mean", "terminal", "max"]),
+                         "--strategy-out": output, "--verbose": None},
+        "solve-sup": {"--game": game, "--max-horizon": _COUNTS, "--csv": output},
+        "solve-recursive": {"--game": game, "--tol": _RATIONALS,
+                            "--max-horizon": _COUNTS, "--window": _COUNTS,
+                            "--csv": output, "--strategy-out": output},
+        "simulate": {"--game": game, "--horizon": _COUNTS,
+                     "--seed": st.sampled_from(["0", "7", "-3", "x"]),
+                     "--replicas": _COUNTS, "--sigma": strategy,
+                     "--tau": strategy},
+        "kernel-check": {"--game": game, "--n": _COUNTS, "--m": _COUNTS,
+                         "--sigma": strategy, "--tau": strategy,
+                         "--dump-trees": output},
+        "verify-example": {"--id": st.sampled_from(["1", "2", "3", "4"]),
+                           "--side": st.sampled_from(["maxmin", "minmax", "x"]),
+                           "--horizon": _COUNTS, "--eps": _RATIONALS,
+                           "--verbose": None},
+        "verify-paper": {"--csv": output, "--json": output,
+                         "--only": st.sampled_from(["quitting_game",
+                                                    "mdp_final_remark", "nope"]),
+                         "--write-corpus": output},
+    }
+
+    @st.composite
+    def draw(data):
+        command = data(st.sampled_from(sorted(flags)))
+        argv = [command]
+        for flag, values in flags[command].items():
+            if data(st.booleans()):
+                argv += [flag] if values is None else [flag, data(values)]
+        if data(st.integers(0, 9)) == 0:
+            argv.append(data(st.sampled_from(["--nope", "extra", "-1/2", "-h"])))
+        return argv
+
+    return draw()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_every_command_line_exits_with_a_documented_code(cli_files, data):
+    """0, 1, 2 or 3 for every drawn command line, with no traceback.  A
+    node budget of 2000 keeps every solve small."""
+    argv = data.draw(_command_lines(cli_files))
+    err = io.StringIO()
+    with mock.patch.dict(os.environ, {"SIGNALGAMES_NODE_BUDGET": "2000"}), \
+            contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exit_:
+            # as sys.exit does: no code exits 0, a message exits 1
+            code = exit_.code
+            code = 0 if code is None else 1 if isinstance(code, str) else code
+    assert code in (0, 1, 2, 3), (argv, code)
+    assert "Traceback" not in err.getvalue(), argv

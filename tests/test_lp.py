@@ -252,6 +252,9 @@ def test_matrix_game_value_saddle_runs_no_lp(monkeypatch):
     assert matrix_game_value([[F(0), F(3)], [F(1), F(2)], [F(-1), F(5)]]) == 1
     assert matrix_game_value([[F(1, 3)], [F(1, 2)]]) == F(1, 2)
     assert matrix_game_value([[2, 7, -1]]) == -1
+    # integer entries stay integers: the saddle entry is returned as given
+    value = matrix_game_value([[0, 3], [10 ** 40, 2 * 10 ** 40]])
+    assert type(value) is int and value == 10 ** 40
     assert calls == []
 
 

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import auxiliary_from_trees, naive_stage_matrix
-from randgen import random_game, random_strategy, random_symmetric_game
-from signalgames import corpus
+from oracles import auxiliary_from_trees, fraction_solve_horizons, naive_stage_matrix
+from randgen import random_dist, random_game, random_strategy, random_symmetric_game
+from signalgames import corpus, reduction
+from signalgames import lp as lp_module
 from signalgames.errors import GameModelError, UnsupportedStructureError
 from signalgames.histories import build_trees, exact_play_distribution
 from signalgames.lp import solve_matrix_game
@@ -66,7 +67,7 @@ def test_belief_recursion_matches_member_trees():
         from_beliefs = build_auxiliary(sym, 4)
         for n in range(4):
             lhs = {node.view(): (node.beta, tuple(sorted(node.posterior.items())))
-                   for node in from_members.levels[n]}
+                   for node in from_members[n]}
             rhs = {node.view(): (node.beta, tuple(sorted(node.posterior.items())))
                    for node in from_beliefs.levels[n]}
             assert lhs == rhs, (seed, n)
@@ -298,6 +299,85 @@ def test_solve_horizons_equals_per_horizon_backward(seed, horizons):
     sym = random_symmetric_game(seed)
     dag = build_auxiliary(sym, max(horizons), merge_beliefs=True)
     assert solve_horizons(dag, horizons) == _per_horizon_values(sym, horizons)
+
+
+def _absorbing_symmetric_game(seed):
+    """A random symmetric game with an absorbing state ``z`` of constant
+    reward: non-dyadic transition denominators, reward denominators up to
+    5, negative rewards, up to three roots, and beliefs that absorb."""
+    rng = random.Random(seed)
+    states = ["x0", "x1", "z"]
+    I = [f"a{k}" for k in range(rng.randint(1, 2))]
+    J = [f"b{k}" for k in range(rng.randint(1, 2))]
+    S = ["s0", "s1"]
+    pairs = [(x, t) for x in states for t in S]
+    stay = [("z", t) for t in S]
+    initial = random_dist(rng, pairs, support_max=3)
+    transition, reward = {}, {}
+    absorbed = F(rng.randint(-3, 3), rng.randint(1, 5))
+    for x in states:
+        for i in I:
+            for j in J:
+                if x == "z":
+                    transition[(x, i, j)] = random_dist(rng, stay)
+                    reward[(x, i, j)] = absorbed
+                else:
+                    transition[(x, i, j)] = random_dist(rng, pairs, support_max=3)
+                    reward[(x, i, j)] = F(rng.randint(-4, 4), rng.randint(1, 5))
+    return SymmetricGameSpec(states=states, actions1=I, actions2=J, signals=S,
+                             initial=initial, transition=transition,
+                             reward=reward)
+
+
+def test_integer_sweep_equals_fraction_recursion(monkeypatch):
+    """The integer sweep returns the Fraction recursion's values, ``repr``
+    for ``repr``: public views of symmetric games with absorbing states,
+    and both private views of single-controller games.  Transition
+    denominators that are not powers of 2, fractional rewards (L > 1),
+    several roots, pruned beliefs and link gcds h > 1 all occur, and both
+    the saddle and the LP path of ``matrix_game_value`` are taken."""
+    games = [(_absorbing_symmetric_game(seed), None) for seed in range(60)]
+    games += [(_single_controller_game(seed, c), PLAYER1 if c == 1 else PLAYER2)
+              for seed in range(10) for c in (1, 2)]
+    lp_calls, games_solved = [], []
+
+    def counted_lp(matrix):
+        lp_calls.append(matrix)
+        return solve_matrix_game(matrix)
+
+    def counted_value(matrix):
+        games_solved.append(matrix)
+        return lp_module.matrix_game_value(matrix)
+
+    seen = {"non-dyadic step": 0, "reward lcm > 1": 0, "several roots": 0,
+            "pruned": 0, "link gcd > 1": 0}
+    for game, view in games:
+        dag = build_auxiliary(game, 4, view=view, prune_absorbed=True,
+                              merge_beliefs=True)
+        nodes = [node for level in dag.levels for node in level]
+        seen["non-dyadic step"] += dag.step & (dag.step - 1) != 0
+        seen["reward lcm > 1"] += any(g.denominator > 1
+                                      for g in dag.spec.reward.values())
+        seen["several roots"] += len(dag.roots) > 1
+        seen["pruned"] += any(node.pruned for node in nodes)
+        seen["link gcd > 1"] += any(h > 1 for node in nodes
+                                    for h, _ in node.links.values())
+        with monkeypatch.context() as patch:
+            patch.setattr(lp_module, "solve_matrix_game", counted_lp)
+            patch.setattr(reduction, "matrix_game_value", counted_value)
+            got = solve_horizons(dag, [1, 2, 4])
+        assert repr(got) == repr(fraction_solve_horizons(dag, [1, 2, 4])), view
+    assert all(seen.values()), seen
+    assert 0 < len(lp_calls) < len(games_solved), (len(lp_calls), len(games_solved))
+
+
+def test_solve_backward_refuses_strategies_on_a_merged_dag():
+    dag = build_auxiliary(corpus.quitting_game(), 3, prune_absorbed=True,
+                          merge_beliefs=True)
+    with pytest.raises(GameModelError):
+        solve_backward(dag, payoff=MEAN)
+    assert solve_backward(dag, payoff=MEAN, want_strategies=False).value == \
+        solve_horizons(dag, [3])[3]
 
 
 def _keys_and_posteriors(dag):
