@@ -263,8 +263,8 @@ def cmd_simulate(args) -> int:
 def cmd_kernel_check(args) -> int:
     spec = as_general(_load(args.game))
     sigma, tau = _strategies(args, spec)
+    pair = build_trees(spec, args.m)
     if args.dump_trees:
-        pair = build_trees(spec, args.m)
         lines = ["kind,level,sequence,weight"]
         for n in range(1, args.m + 1):
             for h in pair.histories(n):
@@ -277,7 +277,7 @@ def cmd_kernel_check(args) -> int:
                              f"{format_rational(v.beta)}")
         _write(args.dump_trees, "\n".join(lines) + "\n")
         print(f"trees written to {args.dump_trees}")
-    report = conditional_check(spec, sigma, tau, args.n, args.m)
+    report = conditional_check(pair, sigma, tau, args.n, args.m)
     print(f"kernel identities at (n={args.n}, m={args.m}): "
           f"{report.checked_pairs} pairs checked")
     for name, ok in (("row normalization", report.normalization_ok),
@@ -422,6 +422,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(_join_negative_rationals(
         sys.argv[1:] if argv is None else list(argv)))
+    if args.command == "kernel-check" and args.n > args.m:
+        parser.error(f"argument --n: must be at most --m, got --n {args.n} "
+                     f"--m {args.m}")
     try:
         return args.func(args)
     except BudgetExceededError as err:

@@ -20,6 +20,13 @@ requires the view to contain both players' actions and signals, so kernel
 checks run on the "public" view (symmetric games) or the "joint" view
 (general games: forget only the states); per-player views support only the
 weight bookkeeping, not the strategy-independence property.
+
+``phi_row`` gives that kernel in ``Fraction``s.  ``conditional_check``
+certifies the identities in Python integers instead: one play walk gives
+each history's strategy weight as an integer pair (the same walk serves
+``exact_play_distribution``), and per observation the alphas, beta and
+play masses are put over common denominators and the identities compared
+cross-multiplied.
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .errors import Budget, GameModelError, UnsupportedStructureError
 from .model import (
@@ -58,11 +66,11 @@ class HistoryNode:
     obs: "ObservedNode | None" = None   # set by build_trees
 
     def ancestor(self, n: int) -> "HistoryNode":
+        if not 1 <= n <= self.depth:
+            raise GameModelError(f"no ancestor at level {n}")
         node = self
         while node.depth > n:
             node = node.parent
-        if node.depth != n:
-            raise GameModelError(f"no ancestor at level {n}")
         return node
 
     def view(self, who: str, public_of=None) -> tuple:
@@ -279,35 +287,48 @@ def exact_play_distribution(spec_or_pair, sigma: BehavioralStrategy,
     """
     if isinstance(spec_or_pair, TreePair):
         pair = spec_or_pair
-        if pair.horizon < horizon:
-            raise GameModelError("tree pair shorter than requested horizon")
     else:
         pair = build_trees(spec_or_pair, horizon, budget=budget)
+    probs = {h: h.alpha * Fraction(num, den)
+             for h, (num, den) in _strategy_weights(pair, sigma, tau,
+                                                    horizon).items()}
+    return PlayDistribution(horizon=horizon, probs=probs, pair=pair)
 
+
+def _strategy_weights(pair: TreePair, sigma: BehavioralStrategy,
+                      tau: BehavioralStrategy, horizon: int) -> dict:
+    """The one play walk: each level-``horizon`` history's product of both
+    players' action probabilities, as an unreduced integer pair (num, den).
+
+    Keys follow the tree order; histories that a strategy plays with
+    probability 0 are left out.  A strategy missing a reachable view raises
+    IncompleteStrategyError for the first such view in tree order.
+    """
+    if pair.horizon < horizon:
+        raise GameModelError("tree pair shorter than requested horizon")
     sees1, sees2 = _viewer(sigma, pair.spec), _viewer(tau, pair.spec)
-    weights: dict = {}
-    for root in pair.histories(1):
-        weights[root] = root.alpha
+    weights: dict = {root: (1, 1) for root in pair.histories(1)}
     for n in range(1, horizon):
         nxt: dict = {}
         dists: dict = {}                # parent -> both players' action dists
         for h in pair.histories(n + 1):
-            base = weights.get(h.parent)
-            if base is None or base == 0:
+            parent = h.parent
+            base = weights.get(parent)
+            if base is None:
                 continue
-            both = dists.get(h.parent)
+            both = dists.get(parent)
             if both is None:
-                both = dists[h.parent] = (
-                    sigma.action_dist(h.parent.seen_through(*sees1)),
-                    tau.action_dist(h.parent.seen_through(*sees2)))
+                both = dists[parent] = (
+                    sigma.action_dist(parent.seen_through(*sees1)),
+                    tau.action_dist(parent.seen_through(*sees2)))
             i, j = h.via
             pi, pj = both[0].get(i, ZERO), both[1].get(j, ZERO)
-            if pi == 0 or pj == 0:
-                continue
-            # alpha already contains the chance factor of this step
-            nxt[h] = base * (h.alpha / h.parent.alpha) * pi * pj
+            num = pi.numerator * pj.numerator
+            if num:
+                nxt[h] = (base[0] * num,
+                          base[1] * pi.denominator * pj.denominator)
         weights = nxt
-    return PlayDistribution(horizon=horizon, probs=weights, pair=pair)
+    return weights
 
 
 # ---------------------------------------------------------------------------
@@ -347,6 +368,19 @@ def conditional_check(spec_or_pair, sigma, tau, n: int, m: int,
       * compatibility: the kernel at level n equals its refinement summed
         over one-step extensions.
 
+    The identities are compared in integers.  At each observation v_m the
+    member alphas and beta(v_m) are scaled to one common denominator, and
+    the play masses (alpha times the strategy weight from the play walk
+    that ``exact_play_distribution`` uses) to another; s(h_n) is the scaled
+    alpha mass of the members extending h_n, jp(h_n) their play mass and
+    qv the total.
+    The kernel is s / beta, so normalization is sum of s == beta, and the
+    sum identity and Bayes are both jp * beta == s * qv (Bayes only where
+    qv > 0, where the two tests coincide).  Compatibility compares s with
+    the level-(n+1) sums folded onto their parents.  ``Fraction``s are
+    built only when a test fails, to report the exact discrepancy, so the
+    report equals the one computed on the ``phi_row`` kernel.
+
     Each observation v_m is checked on its support only: the level-n
     histories with a nonzero kernel or a nonzero joint mass at v_m.  Every
     other pair has kernel 0 and joint mass 0 and satisfies both identities
@@ -364,13 +398,7 @@ def conditional_check(spec_or_pair, sigma, tau, n: int, m: int,
             "kernel checks need the public or joint view; per-player views "
             "do not make both strategies observation-measurable")
 
-    dist = exact_play_distribution(pair, sigma, tau, m)
-    joint: dict = {}                    # v_m -> {h_n: P(h_n and v_m)}
-    for h, p in dist.probs.items():
-        mass = joint.setdefault(h.obs, {})
-        anc = h.ancestor(n)
-        mass[anc] = mass.get(anc, ZERO) + p
-
+    weights = _strategy_weights(pair, sigma, tau, m)
     max_disc = ZERO
     checked = 0
     width = len(pair.histories(n))
@@ -380,34 +408,50 @@ def conditional_check(spec_or_pair, sigma, tau, n: int, m: int,
     compat_ok = True
 
     for v in pair.observations(m):
-        row = phi_row(pair, n, v)
-        if sum(row.values(), ZERO) != 1:
+        beta = v.beta
+        if beta.numerator <= 0:
+            raise GameModelError("observation has zero weight")
+        members = v.members
+        plays = [weights.get(h) for h in members]
+        den = lcm(beta.denominator, *(h.alpha.denominator for h in members))
+        play_den = lcm(*(w[1] for w in plays if w is not None))
+        b = beta.numerator * (den // beta.denominator)
+        s: dict = {}                    # h_n -> alpha mass over den
+        jp: dict = {}                   # h_n -> play mass over den * play_den
+        s1: dict = {}                   # h_{n+1} -> alpha mass over den
+        for h, w in zip(members, plays):
+            a = h.alpha.numerator * (den // h.alpha.denominator)
+            anc = h.ancestor(n)
+            s[anc] = s.get(anc, 0) + a
+            if w is not None:
+                jp[anc] = jp.get(anc, 0) + a * w[0] * (play_den // w[1])
+            if n < m:
+                anc1 = h.ancestor(n + 1)
+                s1[anc1] = s1.get(anc1, 0) + a
+        if sum(s.values()) != b:
             normalization_ok = False
-        mass = joint.get(v, {})
-        qv = sum(mass.values(), ZERO)
+        q = sum(jp.values())
         checked += width
-        for h in row.keys() | mass.keys():
-            k = row.get(h, ZERO)
-            jp = mass.get(h, ZERO)
-            # sum identity (eq. over cylinders): joint == kernel * Q
-            if jp != k * qv:
+        for h, sh in s.items():
+            j = jp.get(h, 0)
+            if j * b != sh * q:
+                k = Fraction(sh, b)
+                jpf = Fraction(j, den * play_den)
+                qv = Fraction(q, den * play_den)
                 sum_ok = False
-                max_disc = max(max_disc, abs(jp - k * qv))
-            if qv > 0:
-                bayes = jp / qv
-                if bayes != k:
+                max_disc = max(max_disc, abs(jpf - k * qv))
+                if q > 0:
                     bayes_ok = False
-                    max_disc = max(max_disc, abs(bayes - k))
+                    max_disc = max(max_disc, abs(jpf / qv - k))
         if n < m:
-            refined = phi_row(pair, n + 1, v)
             folded: dict = {}
-            for h1, val in refined.items():
-                folded[h1.parent] = folded.get(h1.parent, ZERO) + val
-            for h in set(row) | set(folded):
-                a, b = row.get(h, ZERO), folded.get(h, ZERO)
-                if a != b:
+            for h1, val in s1.items():
+                folded[h1.parent] = folded.get(h1.parent, 0) + val
+            for h in s.keys() | folded.keys():
+                diff = s.get(h, 0) - folded.get(h, 0)
+                if diff:
                     compat_ok = False
-                    max_disc = max(max_disc, abs(a - b))
+                    max_disc = max(max_disc, Fraction(abs(diff), b))
 
     return KernelCheckReport(n=n, m=m, checked_pairs=checked,
                              max_discrepancy=max_disc,

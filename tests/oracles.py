@@ -1,7 +1,7 @@
-"""Independent oracles: pure-strategy enumeration, closed forms, the dense
-kernel-identity check, the auxiliary game read off an explicit tree, the
-value recursion in Fractions, and a best reply that walks every history on
-its own.
+"""Independent oracles: pure-strategy enumeration, closed forms, the play
+distribution and the dense kernel-identity check in Fractions, the
+auxiliary game read off an explicit tree, the value recursion in Fractions,
+and a best reply that walks every history on its own.
 
 Deliberately reimplements game evaluation with plain recursion so the
 sequence-form and backward-induction paths are checked against something
@@ -15,18 +15,15 @@ from fractions import Fraction as F
 
 from randgen import _reachable_views
 from signalgames.errors import GameModelError
-from signalgames.histories import (
-    KernelCheckReport,
-    ObservedNode,
-    exact_play_distribution,
-    phi_row,
-)
+from signalgames.histories import KernelCheckReport, ObservedNode
 from signalgames.lp import matrix_game_value, solve_matrix_game
 from signalgames.model import (
     JOINT,
     PLAYER1,
+    PLAYER2,
     PUBLIC,
     as_general,
+    projection,
     require_public_labels,
 )
 from signalgames.seqform import TerminalPayoff
@@ -157,17 +154,66 @@ def fraction_solve_horizons(aux, horizons):
     return values
 
 
-def dense_conditional_check(pair, sigma, tau, n, m):
-    """The kernel identities checked on every (observation, history) pair.
+def fraction_play_distribution(pair, sigma, tau, horizon):
+    """Exact probability of every level-``horizon`` history that the
+    strategies play, by a walk that multiplies ``Fraction``s level by level:
+    the parent's probability, this step's chance factor alpha(h) /
+    alpha(parent) and both players' action probabilities.
 
-    Reference for ``histories.conditional_check``, which walks only each
-    observation's support: zero pairs are compared here too, so the two
-    reports must agree field by field.
+    Reference for ``histories.exact_play_distribution``, which carries the
+    strategy weights as integer pairs and multiplies by alpha once.
     """
-    dist = exact_play_distribution(pair, sigma, tau, m)
+    def sees(strategy):
+        if strategy.view_kind == "public":
+            return projection(PUBLIC, require_public_labels(pair.spec))
+        return projection(PLAYER1 if strategy.player == 1 else PLAYER2)
+
+    sees1, sees2 = sees(sigma), sees(tau)
+    weights = {root: root.alpha for root in pair.histories(1)}
+    for n in range(1, horizon):
+        nxt = {}
+        dists = {}
+        for h in pair.histories(n + 1):
+            base = weights.get(h.parent)
+            if base is None or base == 0:
+                continue
+            both = dists.get(h.parent)
+            if both is None:
+                both = dists[h.parent] = (
+                    sigma.action_dist(h.parent.seen_through(*sees1)),
+                    tau.action_dist(h.parent.seen_through(*sees2)))
+            i, j = h.via
+            pi, pj = both[0].get(i, F(0)), both[1].get(j, F(0))
+            if pi == 0 or pj == 0:
+                continue
+            nxt[h] = base * (h.alpha / h.parent.alpha) * pi * pj
+        weights = nxt
+    return weights
+
+
+def dense_conditional_check(pair, sigma, tau, n, m):
+    """The kernel identities checked in Fractions on every (observation,
+    history) pair.
+
+    The kernel at level k is the alpha mass of v_m's members extending
+    h_k divided by beta(v_m); the joint masses come from
+    ``fraction_play_distribution``.  Reference for
+    ``histories.conditional_check``, which walks only each observation's
+    support and compares integers: zero pairs are compared here too, so the
+    two reports must agree field by field.
+    """
+    def kernel(level, v):
+        if v.beta <= 0:
+            raise GameModelError("observation has zero weight")
+        sums = {}
+        for h in v.members:
+            anc = h.ancestor(level)
+            sums[anc] = sums.get(anc, F(0)) + h.alpha
+        return {h: a / v.beta for h, a in sums.items()}
+
     q = {}
     joint = {}
-    for h, p in dist.probs.items():
+    for h, p in fraction_play_distribution(pair, sigma, tau, m).items():
         v = h.obs
         q[v] = q.get(v, F(0)) + p
         key = (v, h.ancestor(n))
@@ -177,7 +223,7 @@ def dense_conditional_check(pair, sigma, tau, n, m):
     checked = 0
     normalization_ok = bayes_ok = sum_ok = compat_ok = True
     for v in pair.observations(m):
-        row = phi_row(pair, n, v)
+        row = kernel(n, v)
         if sum(row.values(), F(0)) != 1:
             normalization_ok = False
         qv = q.get(v, F(0))
@@ -193,7 +239,7 @@ def dense_conditional_check(pair, sigma, tau, n, m):
                 max_disc = max(max_disc, abs(jp / qv - k))
         if n < m:
             folded = {}
-            for h1, val in phi_row(pair, n + 1, v).items():
+            for h1, val in kernel(n + 1, v).items():
                 folded[h1.parent] = folded.get(h1.parent, F(0)) + val
             for h in set(row) | set(folded):
                 a, b = row.get(h, F(0)), folded.get(h, F(0))

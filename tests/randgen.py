@@ -107,6 +107,28 @@ def random_strategy(rng_or_seed, spec: GameSpec, player: int,
                               tail={a: F(1, len(actions)) for a in actions})
 
 
+_LARGE_PRIMES = (999961, 999979, 999983, 1000003, 1000033, 1000037)
+
+
+def coprime_strategy(rng, spec: GameSpec, player: int,
+                     stages: int) -> BehavioralStrategy:
+    """Random exact behavioral strategy on every reachable view of at most
+    ``stages`` stages, with a random ``tail`` beyond.  Each distribution
+    has its own denominator, a product of two large primes, so the
+    weights along a history rarely share factors."""
+    actions = spec.actions1 if player == 1 else spec.actions2
+
+    def dist():
+        den = rng.choice(_LARGE_PRIMES) * rng.choice(_LARGE_PRIMES)
+        cuts = sorted(rng.randint(1, den - 1) for _ in actions[1:])
+        return {a: F(hi - lo, den)
+                for a, lo, hi in zip(actions, [0] + cuts, cuts + [den])}
+
+    table = {v: dist() for v in _reachable_views(spec, player, stages)}
+    return BehavioralStrategy(player=player, horizon=stages, table=table,
+                              tail=dist())
+
+
 def random_lp(rng) -> LinearProgram:
     """Small exact LP: at most 8 rows and 8 columns, sparse rational
     coefficients, mixed senses, each column free with probability 1/4.

@@ -132,6 +132,28 @@ def test_kernel_check_cli_output_pinned(capsys):
         "max discrepancy: 0\n")
 
 
+def test_kernel_check_dump_trees_builds_trees_once(corpus_dir, tmp_path,
+                                                  monkeypatch, capsys):
+    from signalgames import cli, histories
+    horizons = []
+    build = histories.build_trees
+
+    def counting_build(spec, horizon, **kwargs):
+        horizons.append(horizon)
+        return build(spec, horizon, **kwargs)
+
+    monkeypatch.setattr(cli, "build_trees", counting_build)
+    monkeypatch.setattr(histories, "build_trees", counting_build)
+    dump = tmp_path / "trees.csv"
+    code = main(["kernel-check", "--game",
+                 str(corpus_dir / "noisy_public_2state.game"),
+                 "--n", "1", "--m", "2", "--dump-trees", str(dump)])
+    assert code == 0
+    assert horizons == [2]
+    assert dump.read_text().startswith("kind,level,sequence,weight\n")
+    assert "max discrepancy: 0" in capsys.readouterr().out
+
+
 def test_simulate_deterministic_cli(corpus_dir, capsys):
     argv = ["simulate", "--game", str(corpus_dir / "bigmatch_nosignals.game"),
             "--horizon", "5", "--seed", "9", "--replicas", "200"]
@@ -209,6 +231,19 @@ def test_nonpositive_count_usage_error(corpus_dir, capsys, argv, flag):
     stderr = capsys.readouterr().err
     assert stderr.startswith("usage:")
     assert f"argument {flag}: must be at least 1, got 0" in stderr
+    assert "Traceback" not in stderr
+
+
+def test_kernel_check_n_above_m_usage_error(corpus_dir, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["kernel-check", "--game",
+              str(corpus_dir / "noisy_public_2state.game"),
+              "--n", "3", "--m", "2"])
+    assert err.value.code == 2
+    stderr = capsys.readouterr().err
+    assert stderr.startswith("usage:")
+    assert stderr.count("error:") == 1
+    assert "error: argument --n: must be at most --m, got --n 3 --m 2" in stderr
     assert "Traceback" not in stderr
 
 

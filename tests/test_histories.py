@@ -3,10 +3,14 @@ from fractions import Fraction as F
 
 import pytest
 
-from oracles import dense_conditional_check
-from randgen import random_game, random_strategy
+from oracles import dense_conditional_check, fraction_play_distribution
+from randgen import coprime_strategy, random_game, random_strategy
 from signalgames import corpus
-from signalgames.errors import BudgetExceededError, IncompleteStrategyError
+from signalgames.errors import (
+    BudgetExceededError,
+    GameModelError,
+    IncompleteStrategyError,
+)
 from signalgames.histories import (
     build_trees,
     conditional_check,
@@ -206,6 +210,50 @@ def test_conditional_check_matches_dense_oracle():
                 assert got == want, (seed, n, m)
 
 
+def test_conditional_check_matches_oracle_coprime_strategies():
+    """Strategies whose denominators are large and rarely share factors,
+    with a tail past stage 2: the integer play walk gives the Fraction
+    walk's distribution, key order included, and the integer check the
+    dense oracle's report."""
+    rng = random.Random(4099)
+    for seed in range(5):
+        spec = random_game(200 + seed)
+        sigma = coprime_strategy(rng, spec, 1, 2)
+        tau = coprime_strategy(rng, spec, 2, 2)
+        pair = build_trees(spec, 4)
+        for m in range(1, 5):
+            got = exact_play_distribution(pair, sigma, tau, m).probs
+            want = fraction_play_distribution(pair, sigma, tau, m)
+            assert list(got.items()) == list(want.items()), (seed, m)
+            for n in range(1, m + 1):
+                assert (conditional_check(pair, sigma, tau, n, m)
+                        == dense_conditional_check(pair, sigma, tau, n, m)), \
+                    (seed, n, m)
+
+
+def test_conditional_check_corrupted_beta_matches_oracle():
+    """One level-3 observation's beta scaled by 7/5: normalization, Bayes
+    and the sum identity all fail at m = 3, with the oracle's exact
+    discrepancy; levels 1 and 2 stay exact."""
+    spec = random_game(7)
+    rng = random.Random(7)
+    sigma = random_strategy(rng, spec, 1, 3)
+    tau = random_strategy(rng, spec, 2, 3)
+    pair = build_trees(spec, 3)
+    pair.observations(3)[0].beta *= F(7, 5)
+    for m in range(1, 4):
+        for n in range(1, m + 1):
+            report = conditional_check(pair, sigma, tau, n, m)
+            assert report == dense_conditional_check(pair, sigma, tau, n, m)
+            if m < 3:
+                assert report.all_exact, (n, m)
+            else:
+                assert not (report.normalization_ok or report.bayes_ok
+                            or report.sum_identity_ok), n
+                assert report.compatibility_ok
+                assert report.max_discrepancy == F(2, 7), n
+
+
 def test_conditional_check_violation_matches_dense_oracle():
     """A public label that merges all of player 1's signals hides what the
     strategies depend on: the identities fail, and the support walk reports
@@ -228,6 +276,20 @@ def test_conditional_check_violation_matches_dense_oracle():
                 assert not report.all_exact
     assert discrepancies[(1, 2)] == F(2, 55)
     assert discrepancies[(2, 3)] == F(177, 1015)
+
+
+def test_out_of_range_levels_raise_model_error():
+    spec = random_game(3)
+    pair = build_trees(spec, 2)
+    h = pair.histories(2)[0]
+    for level in (0, -1, 3):
+        with pytest.raises(GameModelError):
+            h.ancestor(level)
+    with pytest.raises(GameModelError):
+        phi_row(pair, 0, pair.observations(2)[0])
+    with pytest.raises(GameModelError):
+        conditional_check(pair, uniform_strategy(spec, 1),
+                          uniform_strategy(spec, 2), 1, 3)
 
 
 def test_conditional_check_rejects_player_views():
