@@ -143,10 +143,6 @@ class GameSpec:
             raise GameModelError(f"state {x!r} is not absorbing")
         return self.reward[(x, self.actions1[0], self.actions2[0])]
 
-    @property
-    def max_reward(self) -> Fraction:
-        return max(self.reward.values())
-
 
 @dataclass(eq=False)
 class SymmetricGameSpec:

@@ -15,14 +15,17 @@ child belief are functions of the current belief — which scales to long
 horizons when absorbed nodes are pruned.  Beliefs are unnormalized integer
 vectors (``BeliefNode``), so the build divides nothing.
 
-``solve_horizons`` runs Shapley's value recursion, indexed by the number of
-stages left, over one merged belief DAG: every requested horizon's mean
-value in a single pass, one matrix game per distinct belief and stage
-count.  The value is positively homogeneous of degree 1 in the
-unnormalized belief (Smallwood & Sondik 1973; Mertens, Sorin & Zamir,
-*Repeated Games*), so the stage matrices are integer matrices.  Each game
-is certified by a pure saddle point (``lp.matrix_game_value``), and only a
-game without one runs the LP.
+One private recursion, Shapley's value recursion indexed by the number of
+stages left, serves both solvers: ``solve_horizons`` runs it over one merged
+belief DAG, every requested horizon's mean value in a single pass, one
+matrix game per distinct belief and stage count; ``solve_backward`` runs it
+at the single horizon of a build and, on an unmerged tree, reads both
+players' strategies off each node's matrix-game solution.  The value is
+positively homogeneous of degree 1 in the unnormalized belief (Smallwood &
+Sondik 1973; Mertens, Sorin & Zamir, *Repeated Games*), so the stage
+matrices are integer matrices.  A value-only game is certified by a pure
+saddle point (``lp.matrix_game_value``), and only a game without one runs
+the LP.
 
 The same machinery solves blind single-controller games (one player has a
 single action) on that player's private view; with an opponent who truly
@@ -34,6 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
+from operator import attrgetter
 
 from .errors import Budget, GameModelError, UnsupportedStructureError
 from .histories import ObservedNode, TreePair, phi_row
@@ -50,6 +54,7 @@ from .model import (
     projection,
     public_labels,
     require_public_labels,
+    uniform_strategy,
 )
 from .rationals import ZERO
 
@@ -325,75 +330,155 @@ def lift_payoff(pair: TreePair, f) -> LiftedPayoff:
 class BackwardSolution:
     value: Fraction
     horizon: int
-    evaluation: str
     strategy1: BehavioralStrategy | None
     strategy2: BehavioralStrategy | None
     node_count: int
     merged_count: int
 
 
-def _absorbing_stage_payoff(spec: GameSpec, post: dict) -> Fraction:
-    return sum((w * spec.absorbing_payoff(x) for x, w in post.items()), ZERO)
+def _cells(aux: AuxiliaryGame, reward: dict, node: BeliefNode, ident) -> list:
+    """Cell (i, j) of the node's integer stage matrix before scaling: the
+    reward term sum_x mu(x) L g(x, i, j) (``reward`` holds L g) and the
+    ``(h, ident(child))`` pairs of the links on edge ``edge_of(i, j)``."""
+    links = node.links.items()
+    return [[(sum(a * reward[(x, i, j)] for x, a in node.mu.items()),
+              [(h, ident(child)) for (e, _), (h, child) in links
+               if e == aux.edge_of(i, j)])
+             for j in aux.actions2] for i in aux.actions1]
 
 
-def _stage_matrix(aux: AuxiliaryGame, node: BeliefNode, stage_reward: bool,
-                  continuation) -> list:
-    """Payoff matrix at ``node``: the expected stage reward (if counted)
-    plus the transition-weighted ``continuation(child)`` (if given).
+def _integer_matrix(cells: list, factor: int, previous: dict | None) -> list:
+    """Entry (i, j) is factor * r + sum h U(child) over the cell's pairs,
+    with U = ``previous`` (None: no continuation is counted).  A zero
+    reward adds no term and h = 1 no product."""
+    matrix = []
+    for row in cells:
+        entries = []
+        for r, pairs in row:
+            total = factor * r if r else 0
+            if previous is not None:
+                for h, child in pairs:
+                    u = previous[child]
+                    total += u if h == 1 else h * u
+            entries.append(total)
+        matrix.append(entries)
+    return matrix
 
-    Entry (i, j) is  sum_x post(x) g(x, i, j) + sum_children w V(child)
-    over the children whose edge is ``edge_of(i, j)``, with no rational
-    work that cannot change it: a zero reward adds no term, a transition
-    weight of 1 adds ``continuation(child)`` itself, each entry starts from
-    its first term, and an entry with no term is ``ZERO``."""
-    reward = aux.spec.reward
-    post = node.posterior.items()
-    children = node.children.items() if continuation is not None else ()
-    rows = []
-    for i in aux.actions1:
-        row = []
-        for j in aux.actions2:
-            total = None
-            if stage_reward:
-                for x, w in post:
-                    g = reward[(x, i, j)]
-                    if g:
-                        term = w * g
-                        total = term if total is None else total + term
-            edge = aux.edge_of(i, j)
-            for (e, label), (w, child) in children:
-                if e == edge:
-                    term = continuation(child)
-                    if w != 1:
-                        term = w * term
-                    total = term if total is None else total + term
-            row.append(ZERO if total is None else total)
-        rows.append(row)
-    return rows
+
+def _shapley(aux: AuxiliaryGame, horizons, terminal: LiftedPayoff | None = None,
+             solutions: dict | None = None) -> dict:
+    """Shapley's value recursion over the number k of stages left.
+
+    Layer k holds, once per node (per ``BeliefNode.key`` on a merged DAG)
+    at depth n - k + 1 of a requested n >= k, the integer-scaled k-stage
+    value U_k(mu) = D**(k-1) L s V_k(mu/s), L the lcm of the reward
+    denominators.  A matrix game's value scales with its entries, so U_k(mu)
+    is the value of the integer matrix D**(k-1) sum_x mu(x) L g(x, i, j) +
+    sum of h U_{k-1}(child) over the children on edge (i, j) (an LP value
+    enters U as the ``Fraction`` it is); a pruned belief has U_k =
+    D**(k-1) k sum_x mu(x) L g_abs(x).  A ``terminal`` payoff counts no
+    stage reward (L = 1) and enters at k = 1 as s fhat(v).  The one fraction
+    per horizon is v_n = sum over roots of mass U_n / (P D**(n-1) L n), the
+    division by n only for the mean.  Only layers k - 1 and k are held.
+
+    On a tree each layer solves each distinct matrix once (nodes of equal
+    belief have equal matrices).  With ``solutions`` (on a tree) the solve is ``solve_matrix_game`` and ``solutions[id(node)]``
+    its solution: Bland's rule and the ratio test's tie-break, like the vector
+    games' lowest-index picks, do not see a positive scaling of the
+    entries, so these are the strategies of the node's ``Fraction`` matrix
+    (D**(k-1) L s times smaller).  Otherwise the value comes from
+    ``matrix_game_value``: a pure saddle point where one exists, the LP
+    otherwise.
+    """
+    spec = aux.spec
+    if terminal is None:
+        L = _denominator_lcm(spec.reward.values())
+        reward = {key: g.numerator * (L // g.denominator)
+                  for key, g in spec.reward.items()}
+    else:
+        L, reward = 1, dict.fromkeys(spec.reward, 0)
+    ident = attrgetter("key") if aux.merged else id
+    first = (spec.actions1[0], spec.actions2[0])
+    wanted = sorted(set(horizons))
+    plans: dict = {}                     # DAG key -> its _cells
+    absorbed: dict = {}                  # key -> sum_x mu(x) L g_abs(x)
+    previous: dict | None = None         # key -> U_{k-1}
+    values = {}
+    factor = 1                           # D**(k-1)
+
+    for k in range(1, wanted[-1] + 1):
+        current: dict = {}
+        solved: dict = {}                # tree: this layer's matrix -> result
+        for n in wanted:
+            if n < k:
+                continue
+            for node in aux.levels[n - k]:
+                key = ident(node)
+                if key in current:
+                    continue
+                if terminal is not None and k == 1:
+                    current[key] = sum(node.mu.values()) * terminal.value_at(node)
+                    continue
+                if node.pruned:
+                    if terminal is not None:
+                        raise GameModelError(
+                            "terminal payoff undefined on pruned node")
+                    a = absorbed.get(key)
+                    if a is None:        # L g_abs(x) is reward[(x, *first)]
+                        a = absorbed[key] = sum(m * reward[(x, *first)]
+                                                for x, m in node.mu.items())
+                    current[key] = factor * k * a
+                    continue
+                cells = plans.get(key)
+                if cells is None:
+                    cells = _cells(aux, reward, node, ident)
+                    # the key recurs at other depths; k > 1 puts the node
+                    # above a horizon, so it has its links
+                    if aux.merged and k > 1:
+                        plans[key] = cells
+                matrix = _integer_matrix(cells, factor, previous)
+                if aux.merged:
+                    # one node per belief already; its matrices rarely
+                    # repeat, so hashing them would cost more than it saves
+                    result = matrix_game_value(matrix)
+                else:
+                    entries = tuple(map(tuple, matrix))
+                    result = solved.get(entries)
+                    if result is None:
+                        result = solved[entries] = (
+                            matrix_game_value(matrix) if solutions is None
+                            else solve_matrix_game(matrix))
+                if solutions is None:
+                    current[key] = result
+                else:
+                    solutions[key] = result
+                    current[key] = result.value
+        if k in wanted:
+            total = sum(root.mass * current[ident(root)] for root in aux.roots)
+            values[k] = Fraction(total, aux.roots[0].scale * factor * L
+                                 * (k if terminal is None else 1))
+        previous = current
+        factor *= aux.step
+    return values
 
 
 def solve_backward(aux: AuxiliaryGame, payoff="mean",
                    want_strategies: bool = True) -> BackwardSolution:
-    """Backward induction over the auxiliary game.
+    """Backward induction over the auxiliary game at its horizon N.
 
     ``payoff``: "mean" (average of stage rewards over the horizon) or a
     LiftedPayoff terminal map on depth-``horizon`` observed nodes.  A
     general terminal payoff is history-dependent, so it is refused on a
     merged belief DAG.
 
-    Absorption-pruned nodes (see build_auxiliary) are closed in closed form:
-    a posterior concentrated on absorbing states earns its expected
-    absorbing payoff every remaining stage.
-
-    Every other node solves its stage matrix, once per distinct matrix in
-    the call: ``solve_matrix_game`` is a deterministic function of the exact
-    entries, so nodes with equal matrices share one solution and get the
-    value and strategies a solve of their own would give.  Without
-    ``want_strategies`` only the value is solved, by
-    ``matrix_game_value``: a pure saddle point where one exists, the LP
-    otherwise.  ``node_count`` still counts every node.
+    This is ``_shapley`` at the single horizon N: absorption-pruned nodes
+    (see build_auxiliary) are closed in closed form, every other node
+    solves its integer stage matrix (on a tree once per distinct matrix
+    and level).
+    With ``want_strategies`` both players' mixes are read off each node's
+    ``solve_matrix_game`` solution; a merged DAG has no per-history views,
+    so strategies are refused there.  ``node_count`` counts every node.
     """
-    spec = aux.spec
     N = aux.horizon
     if aux.view == JOINT:
         raise UnsupportedStructureError(
@@ -411,43 +496,8 @@ def solve_backward(aux: AuxiliaryGame, payoff="mean",
         raise GameModelError(
             "strategies need per-history views: solve an unmerged build")
 
-    results: dict = {}               # id(node) -> (total value, matrix solution)
-    solved: dict = {}                # exact stage matrix -> its solution
-    node_count = 0
-
-    def continuation(child):
-        return results[id(child)][0]
-
-    # bottom-up over levels: children are always resolved before parents,
-    # and no recursion depth limits bite at long horizons
-    for depth in range(N, 0, -1):
-        remaining = N - depth + 1
-        for node in aux.levels[depth - 1]:
-            node_count += 1
-            if terminal is None and node.pruned:
-                per_stage = _absorbing_stage_payoff(spec, node.posterior)
-                result = per_stage * remaining, None
-            elif terminal is not None and depth == N:
-                result = terminal.value_at(node), None
-            elif terminal is not None and node.pruned:
-                raise GameModelError("terminal payoff undefined on pruned node")
-            else:
-                matrix = _stage_matrix(aux, node, terminal is None,
-                                       continuation if depth < N else None)
-                entries = tuple(map(tuple, matrix))
-                result = solved.get(entries)
-                if result is None:
-                    if want_strategies:
-                        sol = solve_matrix_game(matrix)
-                        result = sol.value, sol
-                    else:
-                        result = matrix_game_value(matrix), None
-                    solved[entries] = result
-            results[id(node)] = result
-
-    total = ZERO
-    for root in aux.roots:
-        total += root.beta * results[id(root)][0]
+    solutions = {} if want_strategies else None
+    value = _shapley(aux, [N], terminal, solutions)[N]
 
     strategy1 = strategy2 = None
     if want_strategies:
@@ -455,51 +505,35 @@ def solve_backward(aux: AuxiliaryGame, payoff="mean",
         table2: dict = {}
         for level in aux.levels:
             for node in level:
-                sol = results[id(node)][1]
+                sol = solutions.get(id(node))
                 if sol is None:
                     continue
                 view = node.view()
                 table1[view] = dict(zip(aux.actions1, sol.row_strategy))
                 table2[view] = dict(zip(aux.actions2, sol.col_strategy))
         kind = "public" if aux.view == PUBLIC else "player"
-        if aux.view == PLAYER2:
-            strategy1 = _trivial_strategy(aux.actions1, player=1, horizon=N)
-        else:
-            strategy1 = BehavioralStrategy(player=1, horizon=N, table=table1,
-                                           tail=_uniform_tail(aux.actions1),
-                                           view_kind=kind)
-        if aux.view == PLAYER1:
-            strategy2 = _trivial_strategy(aux.actions2, player=2, horizon=N)
-        else:
-            strategy2 = BehavioralStrategy(player=2, horizon=N, table=table2,
-                                           tail=_uniform_tail(aux.actions2),
-                                           view_kind=kind)
 
-    return BackwardSolution(value=total if terminal is not None else total / N,
-                            horizon=N,
-                            evaluation=("terminal" if terminal is not None
-                                        else payoff),
+        def strategy(player, table, single_action):
+            # the other side of a single-controller game has no choices
+            uniform = uniform_strategy(aux.spec, player)
+            if single_action:
+                return uniform
+            return BehavioralStrategy(player=player, horizon=N, table=table,
+                                      tail=uniform.tail, view_kind=kind)
+
+        strategy1 = strategy(1, table1, aux.view == PLAYER2)
+        strategy2 = strategy(2, table2, aux.view == PLAYER1)
+
+    return BackwardSolution(value=value, horizon=N,
                             strategy1=strategy1, strategy2=strategy2,
-                            node_count=node_count,
+                            node_count=sum(map(len, aux.levels)),
                             merged_count=0)
 
 
 def solve_horizons(aux: AuxiliaryGame, horizons) -> dict:
-    """Mean values ``{n: v_n}`` of every requested horizon in one pass.
-
-    ``aux`` is a merged belief DAG built at least to the largest horizon.
-    Layer k of Shapley's recursion over the number k of stages left holds,
-    once per belief (``BeliefNode.key``) at depth n - k + 1 of a requested
-    n >= k, the integer-scaled k-stage value U_k(mu) = D**(k-1) L s V_k(mu/s)
-    (L the lcm of the reward denominators).  A matrix game's value scales
-    with its entries, so U_k(mu) is the value of the integer matrix
-    D**(k-1) sum_x mu(x) L g(x, i, j) + sum of h U_{k-1}(child) over the
-    children on edge (i, j), from ``matrix_game_value`` (the LP's
-    ``Fraction`` value enters U as it is); a pruned belief has
-    U_k = D**(k-1) k sum_x mu(x) L g_abs(x).  The one fraction per horizon
-    is v_n = sum over roots of mass U_n / (P D**(n-1) L n).  Only layers
-    k - 1 and k are held.
-    """
+    """Mean values ``{n: v_n}`` of every requested horizon in one pass of
+    ``_shapley`` over a merged belief DAG built at least to the largest
+    horizon: one matrix game per distinct belief and stage count."""
     if not aux.merged:
         raise GameModelError("solve_horizons needs a merged belief DAG")
     if aux.view == JOINT:
@@ -509,77 +543,4 @@ def solve_horizons(aux: AuxiliaryGame, horizons) -> dict:
     if not wanted or wanted[0] < 1 or wanted[-1] > aux.horizon:
         raise GameModelError(
             f"horizons must lie in 1..{aux.horizon}, got {wanted}")
-    spec = aux.spec
-    L = _denominator_lcm(spec.reward.values())
-    reward = {key: g.numerator * (L // g.denominator)
-              for key, g in spec.reward.items()}
-    first = (spec.actions1[0], spec.actions2[0])
-    plans: dict = {}                     # key -> per cell (reward, [(h, child key)])
-    absorbed: dict = {}                  # key -> sum_x mu(x) L g_abs(x)
-    previous: dict = {}                  # key -> U_{k-1}
-    values = {}
-    factor = 1                           # D**(k-1)
-
-    def stage(node, i, j):
-        return sum(a * reward[(x, i, j)] for x, a in node.mu.items())
-
-    def plan(node):
-        links = node.links.items()
-        return [[(stage(node, i, j),
-                  [(h, child.key) for (e, _), (h, child) in links
-                   if e == aux.edge_of(i, j)])
-                 for j in aux.actions2] for i in aux.actions1]
-
-    for k in range(1, wanted[-1] + 1):
-        current: dict = {}
-        for n in wanted:
-            if n < k:
-                continue
-            for node in aux.levels[n - k]:
-                key = node.key
-                if key in current:
-                    continue
-                if node.pruned:
-                    a = absorbed.get(key)
-                    if a is None:        # L g_abs(x) is reward[(x, *first)]
-                        a = absorbed[key] = sum(m * reward[(x, *first)]
-                                                for x, m in node.mu.items())
-                    current[key] = factor * k * a
-                    continue
-                if k == 1:
-                    current[key] = matrix_game_value(
-                        [[stage(node, i, j) for j in aux.actions2]
-                         for i in aux.actions1])
-                    continue
-                # a node k - 1 >= 1 levels above a horizon has its links
-                cells = plans.get(key)
-                if cells is None:
-                    cells = plans[key] = plan(node)
-                matrix = []
-                for row in cells:
-                    entries = []
-                    for r, pairs in row:
-                        total = factor * r if r else 0
-                        for h, child in pairs:
-                            u = previous[child]
-                            total += u if h == 1 else h * u
-                        entries.append(total)
-                    matrix.append(entries)
-                current[key] = matrix_game_value(matrix)
-        if k in wanted:
-            total = sum(root.mass * current[root.key] for root in aux.roots)
-            values[k] = Fraction(total, aux.roots[0].scale * factor * L * k)
-        previous = current
-        factor *= aux.step
-    return values
-
-
-def _uniform_tail(actions):
-    p = Fraction(1, len(actions))
-    return {a: p for a in actions}
-
-
-def _trivial_strategy(actions, player, horizon):
-    """The other side of a single-controller game: one action, no choices."""
-    return BehavioralStrategy(player=player, horizon=0, table={},
-                              tail=_uniform_tail(actions))
+    return _shapley(aux, wanted)

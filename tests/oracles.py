@@ -95,8 +95,9 @@ def naive_stage_matrix(aux, node, stage_reward, continuation):
     """Stage matrix at a belief node with every product and sum taken:
     entry (i, j) starts at 0, adds post(x) g(x, i, j) for every state and
     w V(child) for every child on an edge the view shows of (i, j).
-    Reference for ``reduction._stage_matrix``, which skips the terms that
-    cannot change the entry."""
+    Reference for ``reduction._integer_matrix``, whose entries are these
+    scaled by D**(k-1) L s, with the terms that cannot change an entry
+    skipped."""
     def on_edge(edge, i, j):
         if aux.view in (PUBLIC, JOINT):
             return edge == (i, j)

@@ -155,6 +155,49 @@ def test_matrix_game_constant_shift():
         assert solve_matrix_game(shifted).value == v + c
 
 
+def _random_scaling_cases(rng):
+    """Integer matrices: one row, one column, saddle-free 2x2 and 3x3, and
+    ones drawn from {0, 1, 2}, so tied entries occur."""
+    def draw(rows, cols, lo, hi):
+        return [[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)]
+
+    def saddle_free(size):
+        while True:
+            m = draw(size, size, -9, 9)
+            if max(map(min, m)) != min(map(max, zip(*m))):
+                return m
+
+    cases = []
+    for _ in range(15):
+        cases.append(draw(1, rng.randint(1, 5), -9, 9))
+        cases.append(draw(rng.randint(2, 5), 1, -9, 9))
+        cases.append(saddle_free(2))
+        cases.append(saddle_free(3))
+        cases.append(draw(rng.randint(1, 4), rng.randint(1, 4), 0, 2))
+    return cases
+
+
+def test_matrix_game_scale_invariance():
+    """solve_matrix_game(c M) has value c v and ``repr``-identical row and
+    column strategies for every positive integer or rational c: Bland's
+    rule, the ratio test's lowest-index tie-break and the vector games'
+    lowest-index picks do not see a positive scaling.  Backward induction
+    relies on this when it solves integer stage matrices scaled by
+    D**(k-1) L s."""
+    rng = random.Random(13)
+    scales = [F(2), F(7), F(3 ** 40), F(1, 3), F(5, 12), F(2 ** 70, 3 ** 5)]
+    lp_games = 0
+    for m in _random_scaling_cases(rng):
+        sol = solve_matrix_game(m)
+        lp_games += len(m) > 1 and len(m[0]) > 1 and len(set(sol.row_strategy)) > 1
+        for c in scales:
+            scaled = solve_matrix_game([[c * e for e in row] for row in m])
+            assert scaled.value == c * sol.value, (m, c)
+            assert repr(scaled.row_strategy) == repr(sol.row_strategy), (m, c)
+            assert repr(scaled.col_strategy) == repr(sol.col_strategy), (m, c)
+    assert lp_games >= 30, lp_games
+
+
 def _bruteforce_value_3x3(m):
     """Grid search over coarse mixed strategies; lower/upper sandwich."""
     grid = [F(a, 8) for a in range(9)]

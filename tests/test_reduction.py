@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +17,9 @@ from signalgames.model import PLAYER1, PLAYER2, GameSpec, SymmetricGameSpec
 from signalgames.rationals import ZERO
 from signalgames.reduction import (
     MEAN,
-    _stage_matrix,
+    LiftedPayoff,
+    _cells,
+    _integer_matrix,
     build_auxiliary,
     lift_payoff,
     solve_backward,
@@ -217,21 +220,27 @@ def test_solve_backward_horizon1_is_stage_game():
     assert sol.value == solve_matrix_game(matrix).value
 
 
-def _every_node_backward(aux):
-    """Reference mean-payoff backward induction on an unmerged tree: one
-    ``naive_stage_matrix`` and one solve at every unpruned node.  Returns
-    the value and both players' strategy tables."""
+def _every_node_backward(aux, payoff=MEAN):
+    """Reference backward induction on an unmerged tree: one
+    ``naive_stage_matrix`` and one solve at every unpruned node, with the
+    mean payoff or a ``LiftedPayoff`` terminal (no stage reward, the lifted
+    value at the horizon).  Returns the value and both players' strategy
+    tables."""
     N = aux.horizon
+    terminal = payoff if isinstance(payoff, LiftedPayoff) else None
     values, solutions = {}, {}
     for depth in range(N, 0, -1):
         for node in aux.levels[depth - 1]:
+            if terminal is not None and depth == N:
+                values[id(node)] = terminal.value_at(node)
+                continue
             if node.pruned:
                 values[id(node)] = (N - depth + 1) * sum(
                     (w * aux.spec.absorbing_payoff(x)
                      for x, w in node.posterior.items()), ZERO)
                 continue
             sol = solutions[id(node)] = solve_matrix_game(naive_stage_matrix(
-                aux, node, True,
+                aux, node, terminal is None,
                 (lambda child: values[id(child)]) if depth < N else None))
             values[id(node)] = sol.value
     table1, table2 = {}, {}
@@ -241,8 +250,20 @@ def _every_node_backward(aux):
             if sol is not None:
                 table1[node.view()] = dict(zip(aux.actions1, sol.row_strategy))
                 table2[node.view()] = dict(zip(aux.actions2, sol.col_strategy))
-    value = sum((root.beta * values[id(root)] for root in aux.roots), ZERO) / N
-    return value, table1, table2
+    value = sum((root.beta * values[id(root)] for root in aux.roots), ZERO)
+    return (value if terminal is not None else value / N), table1, table2
+
+
+def _assert_matches_every_node(aux, payoff=MEAN):
+    """On a private view the single-action player's strategy has no table."""
+    sol = solve_backward(aux, payoff=payoff)
+    value, table1, table2 = _every_node_backward(aux, payoff)
+    assert repr(sol.value) == repr(value)
+    if aux.view != PLAYER2:
+        assert repr(sol.strategy1.table) == repr(table1)
+    if aux.view != PLAYER1:
+        assert repr(sol.strategy2.table) == repr(table2)
+    return sol
 
 
 def test_solve_backward_solves_each_distinct_stage_matrix_once(monkeypatch):
@@ -270,6 +291,46 @@ def test_solve_backward_solves_each_distinct_stage_matrix_once(monkeypatch):
     assert repr(sol.value) == repr(value)
     assert repr(sol.strategy1.table) == repr(table1)
     assert repr(sol.strategy2.table) == repr(table2)
+
+
+def test_solve_backward_strategies_equal_every_node_solve(games):
+    """The integer recursion's values and strategy tables are those of one
+    ``Fraction`` stage-matrix solve per node, ``repr`` for ``repr``: the
+    blind MDP on player 1's view, the noisy public game, and random
+    symmetric games, unpruned and with absorbing states pruned."""
+    for n in (1, 2, 5, 9):
+        aux = build_auxiliary(games["mdp_final_remark"], n, view=PLAYER1,
+                              prune_absorbed=True)
+        _assert_matches_every_node(aux)
+    for n in range(1, 5):
+        _assert_matches_every_node(build_auxiliary(games["noisy_public_2state"], n))
+    pruned = 0
+    for seed in range(12):
+        _assert_matches_every_node(build_auxiliary(random_symmetric_game(seed), 3))
+        aux = build_auxiliary(_absorbing_symmetric_game(seed), 3,
+                              prune_absorbed=True)
+        pruned += any(node.pruned for level in aux.levels for node in level)
+        _assert_matches_every_node(aux)
+    assert pruned
+
+
+def test_solve_backward_lifted_terminal_equals_every_node_solve():
+    """Under a lifted terminal payoff (the cases of
+    ``test_backward_equals_sequence_form_lifted_terminal``) the integer
+    recursion gives the per-node ``Fraction`` solves' value and strategy
+    tables, and the value-only pass the same value."""
+    rng = random.Random(77)
+    for seed in range(8):
+        sym = random_symmetric_game(seed)
+        pair = build_trees(sym, 3)
+        f = {h: F(rng.randint(-4, 4), rng.randint(1, 3))
+             for h in pair.histories(3)}
+        lifted = lift_payoff(pair, f)
+        aux = build_auxiliary(sym, 3)
+        sol = _assert_matches_every_node(aux, lifted)
+        assert sol.strategy1.table, seed
+        assert repr(solve_backward(aux, lifted, want_strategies=False).value) \
+            == repr(sol.value), seed
 
 
 def _per_horizon_values(game, horizons, **build):
@@ -454,11 +515,14 @@ def _single_controller_game(seed, controller):
                     reward={key: spec.reward[key] for key in kept})
 
 
-def test_stage_matrix_matches_naive_formula():
-    """Skipping zero rewards and products by 1 leaves every entry of every
-    stage matrix identical, Fraction for Fraction, to the formula with all
-    products and sums taken: public views of symmetric games and private
-    views of single-controller games, on merged and unmerged builds."""
+def test_integer_stage_matrix_is_scaled_naive_formula():
+    """Every entry of the integer stage matrix with k stages left, divided
+    by c = D**(k-1) L s, is ``naive_stage_matrix``'s entry, Fraction for
+    Fraction, when the children carry U = D**(k-2) L s_child V: with and
+    without the stage reward (L = 1 without it, as under a terminal
+    payoff), with and without the continuation, on public views of
+    symmetric games and private views of single-controller games, merged
+    and unmerged."""
     rng = random.Random(7)
     cases = [(random_symmetric_game(seed, n_states=3, n_signals=3), None)
              for seed in range(12)]
@@ -470,6 +534,8 @@ def test_stage_matrix_matches_naive_formula():
         for merge in (False, True):
             aux = build_auxiliary(game, 4, view=view, prune_absorbed=merge,
                                   merge_beliefs=merge)
+            ident = (lambda node: node.key) if merge else id
+            D = aux.step
             values = {}
 
             def continuation(child):
@@ -486,8 +552,22 @@ def test_stage_matrix_matches_naive_formula():
                     for w, _ in node.children.values():
                         seen["unit weight" if w == 1 else "other weight"] += 1
                     for stage_reward in (False, True):
-                        for cont in (None, continuation):
-                            got = _stage_matrix(aux, node, stage_reward, cont)
+                        if stage_reward:
+                            L = lcm(*(g.denominator for g in aux.spec.reward.values()))
+                            reward = {key: g * L for key, g in aux.spec.reward.items()}
+                        else:
+                            L, reward = 1, dict.fromkeys(aux.spec.reward, 0)
+                        cells = _cells(aux, reward, node, ident)
+                        for k, cont in ((1, None), (2, continuation),
+                                        (3, continuation)):
+                            previous = None if cont is None else {
+                                ident(child): D ** (k - 2) * L
+                                * sum(child.mu.values()) * cont(child)
+                                for _, child in node.links.values()}
+                            c = D ** (k - 1) * L * sum(node.mu.values())
+                            got = [[F(e) / c for e in row]
+                                   for row in _integer_matrix(cells, D ** (k - 1),
+                                                              previous)]
                             want = naive_stage_matrix(aux, node, stage_reward, cont)
-                            assert repr(got) == repr(want), (view, merge, node.depth)
+                            assert repr(got) == repr(want), (view, merge, node.depth, k)
     assert all(seen.values()), seen
