@@ -10,6 +10,13 @@ The two central objects:
 * the *observed tree* for a chosen observer view: the projections of those
   histories, annotated with ``beta`` = the sum of alpha over the preimage.
 
+The weights are integers over a level scale, as in the belief DAG of
+``reduction.build_auxiliary``: with P and D the lcms of the positive
+initial and transition denominators, a level-n history carries the integer
+``mass`` with alpha = mass / (P * D**(n-1)), the scale shared by its level.
+``build_trees`` multiplies integers per child and builds one ``Fraction``
+per observation, its ``beta``.
+
 The ratio  sum of alpha over {h' extending h_n whose projection is v_m}
 divided by beta(v_m)  is the conditional probability of h_n given the
 observation v_m.  Its defining property — the reason the whole reduction
@@ -21,12 +28,12 @@ checks run on the "public" view (symmetric games) or the "joint" view
 (general games: forget only the states); per-player views support only the
 weight bookkeeping, not the strategy-independence property.
 
-``phi_row`` gives that kernel in ``Fraction``s.  ``conditional_check``
-certifies the identities in Python integers instead: one play walk gives
-each history's strategy weight as an integer pair (the same walk serves
-``exact_play_distribution``), and per observation the alphas, beta and
-play masses are put over common denominators and the identities compared
-cross-multiplied.
+``phi_row`` gives that kernel in ``Fraction``s, one per entry.
+``conditional_check`` certifies the identities in Python integers instead:
+one play walk gives each history's strategy weight as an integer pair (the
+same walk serves ``exact_play_distribution``), and per observation the
+member masses, already over their level's scale, and the play masses are
+compared with beta cross-multiplied.
 """
 
 from __future__ import annotations
@@ -49,21 +56,30 @@ from .model import (
     public_labels,
     require_public_labels,
 )
-from .rationals import ZERO
+from .rationals import ZERO, denominator_lcm
 
 
 @dataclass(eq=False)
 class HistoryNode:
-    """One full history; identity is the object itself (trees are tries)."""
+    """One full history; identity is the object itself (trees are tries).
+
+    Its chance weight is alpha = mass / scale, ``scale`` = P * D**(depth-1)
+    being shared by the level (P, D: the lcms of the positive initial and
+    transition denominators).
+    """
 
     state: str
     sig1: str
     sig2: str
-    alpha: Fraction
+    mass: int
+    scale: int
     depth: int
     parent: "HistoryNode | None" = None
     via: tuple | None = None            # (i, j) taken from parent
-    obs: "ObservedNode | None" = None   # set by build_trees
+
+    @property
+    def alpha(self) -> Fraction:
+        return Fraction(self.mass, self.scale)
 
     def ancestor(self, n: int) -> "HistoryNode":
         if not 1 <= n <= self.depth:
@@ -111,7 +127,9 @@ def _path_to(node) -> list:
 
 @dataclass(eq=False)
 class ObservedNode:
-    """One observed history; groups the full histories projecting onto it."""
+    """One observed history; groups the full histories projecting onto it.
+
+    ``beta`` is the members' mass sum over their level's scale."""
 
     label: object                       # this stage's observed component
     edge: tuple | None                  # observed action part from parent
@@ -119,7 +137,6 @@ class ObservedNode:
     depth: int
     parent: "ObservedNode | None" = None
     members: list = field(default_factory=list)
-    children: dict = field(default_factory=dict)
 
     def view(self) -> tuple:
         """The observed history: each node's edge, then its label."""
@@ -153,9 +170,11 @@ def build_trees(spec_or_sym, horizon: int, view: str | None = None,
                 budget: int | None = None) -> TreePair:
     """Build H-bar and V-bar levels 1..horizon with exact alpha/beta weights.
 
-    ``view`` defaults to "public" when the spec has symmetric signaling and
-    "joint" otherwise.  Budget overruns raise BudgetExceededError naming
-    the level reached.
+    A child's mass is its parent's times the transition numerator over D;
+    an observation's beta is its members' mass sum over the level scale,
+    the one ``Fraction`` built per observation.  ``view`` defaults to
+    "public" when the spec has symmetric signaling and "joint" otherwise.
+    Budget overruns raise BudgetExceededError naming the level reached.
     """
     spec = as_general(spec_or_sym)
     if horizon < 1:
@@ -168,61 +187,76 @@ def build_trees(spec_or_sym, horizon: int, view: str | None = None,
     edge_of, label_of = projection(view, public_of)
     nodes = Budget(budget)
 
+    # integer transition numerators over D, per state in the order
+    # (i, j, outcome), with the observation key of each move
+    step = denominator_lcm(p for dist in spec.transition.values()
+                           for p in dist.values() if p > 0)
+    moves: dict = {}
+    for x in spec.states:
+        moves[x] = [((i, j), (edge_of(i, j), label_of(c, d)), x2, c, d,
+                     p.numerator * (step // p.denominator))
+                    for i in spec.actions1 for j in spec.actions2
+                    for (x2, c, d), p in spec.transition[(x, i, j)].items()
+                    if p > 0]
+
     # Level 1 from the initial distribution.
-    roots: dict = {}
+    initial = [(x, c, d, p) for (x, c, d), p in spec.initial.items() if p > 0]
+    scale = denominator_lcm(p for *_, p in initial)
     level1 = []
-    obs1: dict = {}
-    for (x, c, d), p in spec.initial.items():
-        if p <= 0:
-            continue
+    groups: dict = {}                   # (edge, label) -> [ObservedNode, mass sum]
+    for x, c, d, p in initial:
         nodes.charge(1)
-        node = HistoryNode(state=x, sig1=c, sig2=d, alpha=p, depth=1)
+        node = HistoryNode(state=x, sig1=c, sig2=d,
+                           mass=p.numerator * (scale // p.denominator),
+                           scale=scale, depth=1)
         level1.append(node)
-        label = label_of(c, d)
-        ob = obs1.get(label)
-        if ob is None:
-            ob = obs1[label] = ObservedNode(label=label, edge=None, beta=ZERO, depth=1)
-        ob.beta += p
-        ob.members.append(node)
-        node.obs = ob
+        _group(groups, (None, label_of(c, d)), node, None)
 
     levels = [level1]
-    obs_levels = [list(obs1.values())]
+    obs_levels = [_close(groups, scale)]
 
     for n in range(1, horizon):
+        scale *= step
         next_level: list = []
         next_obs: list = []
         for ob in obs_levels[-1]:
-            children: dict = {}
+            groups = {}
             for h in ob.members:
-                for i in spec.actions1:
-                    for j in spec.actions2:
-                        edge = edge_of(i, j)
-                        for (x2, c, d), p in spec.transition[(h.state, i, j)].items():
-                            if p <= 0:
-                                continue
-                            nodes.charge(n + 1)
-                            child = HistoryNode(state=x2, sig1=c, sig2=d,
-                                                alpha=h.alpha * p, depth=n + 1,
-                                                parent=h, via=(i, j))
-                            next_level.append(child)
-                            label = label_of(c, d)
-                            key = (edge, label)
-                            ob2 = children.get(key)
-                            if ob2 is None:
-                                ob2 = children[key] = ObservedNode(
-                                    label=label, edge=edge, beta=ZERO,
-                                    depth=n + 1, parent=ob)
-                            ob2.beta += child.alpha
-                            ob2.members.append(child)
-                            child.obs = ob2
-            ob.children = children
-            next_obs.extend(children.values())
+                for via, key, x2, c, d, q in moves[h.state]:
+                    nodes.charge(n + 1)
+                    child = HistoryNode(state=x2, sig1=c, sig2=d,
+                                        mass=h.mass * q, scale=scale,
+                                        depth=n + 1, parent=h, via=via)
+                    next_level.append(child)
+                    _group(groups, key, child, ob)
+            next_obs.extend(_close(groups, scale))
         levels.append(next_level)
         obs_levels.append(next_obs)
 
     return TreePair(spec=spec, view=view, horizon=horizon, levels=levels,
                     obs_levels=obs_levels, public_of=public_of)
+
+
+def _group(groups: dict, key: tuple, node: HistoryNode, parent) -> None:
+    """Add ``node`` to the observation ``key`` = (edge, label) under
+    ``parent``, opening it on first sight, and its mass to the sum."""
+    entry = groups.get(key)
+    if entry is None:
+        entry = groups[key] = [ObservedNode(label=key[1], edge=key[0],
+                                            beta=ZERO, depth=node.depth,
+                                            parent=parent), 0]
+    entry[0].members.append(node)
+    entry[1] += node.mass
+
+
+def _close(groups: dict, scale: int) -> list:
+    """The observations in order of discovery, each with its beta set from
+    its mass sum."""
+    out = []
+    for ob, mass in groups.values():
+        ob.beta = Fraction(mass, scale)
+        out.append(ob)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -235,15 +269,18 @@ def phi_row(pair: TreePair, n: int, v_m: ObservedNode) -> dict:
 
     Exact ratio of chance weights: the alpha mass of the level-m members of
     v_m that extend h_n, divided by beta(v_m).  Maps HistoryNode -> Fraction;
-    histories inconsistent with v_m have kernel 0 and are left out.
+    histories inconsistent with v_m have kernel 0 and are left out.  The
+    member masses are summed as integers over their level's scale.
     """
-    if v_m.beta <= 0:
+    beta = v_m.beta
+    if beta <= 0:
         raise GameModelError("observation has zero weight")
     sums: dict = {}
     for h in v_m.members:
         anc = h.ancestor(n)
-        sums[anc] = sums.get(anc, ZERO) + h.alpha
-    return {h: s / v_m.beta for h, s in sums.items()}
+        sums[anc] = sums.get(anc, 0) + h.mass
+    den = v_m.members[0].scale * beta.numerator
+    return {h: Fraction(s * beta.denominator, den) for h, s in sums.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -260,9 +297,13 @@ class PlayDistribution:
     pair: TreePair
 
     def observed_marginal(self) -> dict:
+        """Probability of each observation at the horizon that some played
+        history projects onto, in the observed tree's order."""
         out: dict = {}
-        for h, p in self.probs.items():
-            out[h.obs] = out.get(h.obs, ZERO) + p
+        for v in self.pair.observations(self.horizon):
+            played = [self.probs[h] for h in v.members if h in self.probs]
+            if played:
+                out[v] = sum(played, ZERO)
         return out
 
     def total(self) -> Fraction:
@@ -289,7 +330,7 @@ def exact_play_distribution(spec_or_pair, sigma: BehavioralStrategy,
         pair = spec_or_pair
     else:
         pair = build_trees(spec_or_pair, horizon, budget=budget)
-    probs = {h: h.alpha * Fraction(num, den)
+    probs = {h: Fraction(h.mass * num, h.scale * den)
              for h, (num, den) in _strategy_weights(pair, sigma, tau,
                                                     horizon).items()}
     return PlayDistribution(horizon=horizon, probs=probs, pair=pair)
@@ -310,7 +351,7 @@ def _strategy_weights(pair: TreePair, sigma: BehavioralStrategy,
     weights: dict = {root: (1, 1) for root in pair.histories(1)}
     for n in range(1, horizon):
         nxt: dict = {}
-        dists: dict = {}                # parent -> both players' action dists
+        dists: dict = {}                # parent -> both players' (num, den) maps
         for h in pair.histories(n + 1):
             parent = h.parent
             base = weights.get(parent)
@@ -319,16 +360,19 @@ def _strategy_weights(pair: TreePair, sigma: BehavioralStrategy,
             both = dists.get(parent)
             if both is None:
                 both = dists[parent] = (
-                    sigma.action_dist(parent.seen_through(*sees1)),
-                    tau.action_dist(parent.seen_through(*sees2)))
+                    _integer_pairs(sigma.action_dist(parent.seen_through(*sees1))),
+                    _integer_pairs(tau.action_dist(parent.seen_through(*sees2))))
             i, j = h.via
-            pi, pj = both[0].get(i, ZERO), both[1].get(j, ZERO)
-            num = pi.numerator * pj.numerator
-            if num:
-                nxt[h] = (base[0] * num,
-                          base[1] * pi.denominator * pj.denominator)
+            pi, pj = both[0].get(i), both[1].get(j)
+            if pi is not None and pj is not None:
+                nxt[h] = (base[0] * pi[0] * pj[0], base[1] * pi[1] * pj[1])
         weights = nxt
     return weights
+
+
+def _integer_pairs(dist: dict) -> dict:
+    """action -> (numerator, denominator) of each positive probability."""
+    return {a: (p.numerator, p.denominator) for a, p in dist.items() if p}
 
 
 # ---------------------------------------------------------------------------
@@ -369,17 +413,23 @@ def conditional_check(spec_or_pair, sigma, tau, n: int, m: int,
         over one-step extensions.
 
     The identities are compared in integers.  At each observation v_m the
-    member alphas and beta(v_m) are scaled to one common denominator, and
-    the play masses (alpha times the strategy weight from the play walk
-    that ``exact_play_distribution`` uses) to another; s(h_n) is the scaled
-    alpha mass of the members extending h_n, jp(h_n) their play mass and
-    qv the total.
-    The kernel is s / beta, so normalization is sum of s == beta, and the
-    sum identity and Bayes are both jp * beta == s * qv (Bayes only where
-    qv > 0, where the two tests coincide).  Compatibility compares s with
-    the level-(n+1) sums folded onto their parents.  ``Fraction``s are
-    built only when a test fails, to report the exact discrepancy, so the
-    report equals the one computed on the ``phi_row`` kernel.
+    members' masses are already over one denominator, their level's scale
+    S, and the play masses (mass times the strategy weight from the play
+    walk that ``exact_play_distribution`` uses) are put over S * play_den;
+    s(h_n) is the mass of the members extending h_n, jp(h_n) their play
+    mass and qv the total.  With beta = bn / bd the kernel is
+    s * bd / (S * bn), so normalization is sum of s times bd == S * bn,
+    and the sum identity and Bayes are both jp * S * bn == s * bd * qv
+    (Bayes only where qv > 0, where the two tests coincide).  Compatibility
+    compares s with the level-(n+1) sums folded onto their parents.
+    ``Fraction``s are built only when a test fails, to report the exact
+    discrepancy, so the report equals the one computed on the ``phi_row``
+    kernel.
+
+    On a tree from ``build_trees`` compatibility holds by construction:
+    both sides fold the same member masses along the same ``parent``
+    links (each member's level-n ancestor is the parent of its level-(n+1)
+    one), so corrupting a beta or a mass leaves it True.
 
     Each observation v_m is checked on its support only: the level-n
     histories with a nonzero kernel or a nonzero joint mass at v_m.  Every
@@ -409,35 +459,38 @@ def conditional_check(spec_or_pair, sigma, tau, n: int, m: int,
 
     for v in pair.observations(m):
         beta = v.beta
-        if beta.numerator <= 0:
+        bn, bd = beta.numerator, beta.denominator
+        if bn <= 0:
             raise GameModelError("observation has zero weight")
         members = v.members
         plays = [weights.get(h) for h in members]
-        den = lcm(beta.denominator, *(h.alpha.denominator for h in members))
         play_den = lcm(*(w[1] for w in plays if w is not None))
-        b = beta.numerator * (den // beta.denominator)
-        s: dict = {}                    # h_n -> alpha mass over den
-        jp: dict = {}                   # h_n -> play mass over den * play_den
-        s1: dict = {}                   # h_{n+1} -> alpha mass over den
+        scale = members[0].scale
+        b = scale * bn                  # beta times S * bd
+        s: dict = {}                    # h_n -> mass over S
+        jp: dict = {}                   # h_n -> play mass over S * play_den
+        s1: dict = {}                   # h_{n+1} -> mass over S
         for h, w in zip(members, plays):
-            a = h.alpha.numerator * (den // h.alpha.denominator)
-            anc = h.ancestor(n)
+            a = h.mass
+            anc = h
+            while anc.depth > n + 1:
+                anc = anc.parent
+            if n < m:
+                s1[anc] = s1.get(anc, 0) + a
+                anc = anc.parent
             s[anc] = s.get(anc, 0) + a
             if w is not None:
                 jp[anc] = jp.get(anc, 0) + a * w[0] * (play_den // w[1])
-            if n < m:
-                anc1 = h.ancestor(n + 1)
-                s1[anc1] = s1.get(anc1, 0) + a
-        if sum(s.values()) != b:
+        if sum(s.values()) * bd != b:
             normalization_ok = False
         q = sum(jp.values())
         checked += width
         for h, sh in s.items():
             j = jp.get(h, 0)
-            if j * b != sh * q:
-                k = Fraction(sh, b)
-                jpf = Fraction(j, den * play_den)
-                qv = Fraction(q, den * play_den)
+            if j * b != sh * bd * q:
+                k = Fraction(sh * bd, b)
+                jpf = Fraction(j, scale * play_den)
+                qv = Fraction(q, scale * play_den)
                 sum_ok = False
                 max_disc = max(max_disc, abs(jpf - k * qv))
                 if q > 0:
@@ -451,7 +504,7 @@ def conditional_check(spec_or_pair, sigma, tau, n: int, m: int,
                 diff = s.get(h, 0) - folded.get(h, 0)
                 if diff:
                     compat_ok = False
-                    max_disc = max(max_disc, Fraction(abs(diff), b))
+                    max_disc = max(max_disc, Fraction(abs(diff) * bd, b))
 
     return KernelCheckReport(n=n, m=m, checked_pairs=checked,
                              max_discrepancy=max_disc,

@@ -38,7 +38,7 @@ from fractions import Fraction
 from itertools import chain
 
 from .errors import LPError
-from .rationals import ONE, ZERO
+from .rationals import ONE, ZERO, denominator_lcm
 
 LEQ = "<="
 GEQ = ">="
@@ -478,19 +478,42 @@ class MatrixGameSolution:
     col_strategy: list
 
     def check(self, game: MatrixGame) -> None:
-        """Exact guarantee inequalities for both strategies."""
-        if sum(self.row_strategy) != 1 or any(p < 0 for p in self.row_strategy):
+        """Exact guarantee inequalities for both strategies, in integers.
+
+        The matrix is put over one denominator L and the strategies over
+        theirs, P and Q.  With value = vn / vd, the row strategy's guarantee
+        at column c is vd * sum_r p_r M_rc >= vn * P * L, and the column
+        strategy's at row r is vd * sum_c q_c M_rc <= vn * Q * L: one
+        integer dot product per column and per row."""
+        R, C = game.rows, game.cols
+        if len(self.row_strategy) != R or len(self.col_strategy) != C:
+            raise LPError("strategy lengths do not match the game")
+        p, P = _over_common(self.row_strategy)
+        q, Q = _over_common(self.col_strategy)
+        if sum(p) != P or any(a < 0 for a in p):
             raise LPError("row strategy is not a distribution")
-        if sum(self.col_strategy) != 1 or any(q < 0 for q in self.col_strategy):
+        if sum(q) != Q or any(b < 0 for b in q):
             raise LPError("column strategy is not a distribution")
-        for c in range(game.cols):
-            got = sum(self.row_strategy[r] * game.payoff[r][c] for r in range(game.rows))
-            if got < self.value:
+        flat, L = _over_common([v for row in game.payoff for v in row])
+        matrix = [flat[r * C:(r + 1) * C] for r in range(R)]
+        vn, vd = self.value.numerator, self.value.denominator
+        rows = [(a, matrix[r]) for r, a in enumerate(p) if a]
+        floor = vn * P * L
+        for c in range(C):
+            if vd * sum(a * row[c] for a, row in rows) < floor:
                 raise LPError("row strategy fails its guarantee")
-        for r in range(game.rows):
-            got = sum(self.col_strategy[c] * game.payoff[r][c] for c in range(game.cols))
-            if got > self.value:
+        cols = [(b, c) for c, b in enumerate(q) if b]
+        ceiling = vn * Q * L
+        for row in matrix:
+            if vd * sum(b * row[c] for b, c in cols) > ceiling:
                 raise LPError("column strategy fails its guarantee")
+
+
+def _over_common(values: list) -> tuple:
+    """``(numerators, denominator)``: ``values`` over the lcm of their
+    denominators."""
+    den = denominator_lcm(values)
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def solve_matrix_game(game: MatrixGame | list) -> MatrixGameSolution:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -35,6 +36,12 @@ def parse_rational(text: str) -> Fraction:
     if den == 0:
         raise ValueError(f"zero denominator: {text!r}")
     return Fraction(num, den)
+
+
+def denominator_lcm(values) -> int:
+    """The lcm of the denominators of ``values`` (1 when there are none):
+    the one scale that puts them all over a common denominator."""
+    return lcm(1, *(v.denominator for v in values))
 
 
 def format_rational(value: Fraction) -> str:

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from operator import attrgetter
 
 from .errors import Budget, GameModelError, UnsupportedStructureError
@@ -56,7 +56,7 @@ from .model import (
     require_public_labels,
     uniform_strategy,
 )
-from .rationals import ZERO
+from .rationals import ZERO, denominator_lcm
 
 
 @dataclass(eq=False)
@@ -156,10 +156,6 @@ def _resolve_view(spec: GameSpec, view: str | None) -> tuple:
         "auxiliary game needs symmetric signaling or a single-action opponent")
 
 
-def _denominator_lcm(values) -> int:
-    return lcm(1, *(v.denominator for v in values))
-
-
 def _primitive(vector: dict) -> tuple:
     """``(h, vector / h)`` for h the gcd of the positive integer entries."""
     h = gcd(*vector.values())
@@ -199,8 +195,8 @@ def build_auxiliary(spec_or_sym, horizon: int, view: str | None = None,
 
     # integer transition numerators, flattened per state in the order
     # (i, j, outcome), so children and beliefs keep their insertion order
-    step = _denominator_lcm(p for dist in spec.transition.values()
-                            for p in dist.values() if p > 0)
+    step = denominator_lcm(p for dist in spec.transition.values()
+                           for p in dist.values() if p > 0)
     moves: dict = {}
     for x in spec.states:
         moves[x] = [((edge_of(i, j), label_of(c, d)), x2,
@@ -220,7 +216,7 @@ def build_auxiliary(spec_or_sym, horizon: int, view: str | None = None,
 
     # Level 1: one root per label, so roots never merge.
     initial = [(x, c, d, p) for (x, c, d), p in spec.initial.items() if p > 0]
-    scale = _denominator_lcm(p for *_, p in initial)
+    scale = denominator_lcm(p for *_, p in initial)
     groups: dict = {}
     for x, c, d, p in initial:
         bucket = groups.setdefault(label_of(c, d), {})
@@ -392,7 +388,7 @@ def _shapley(aux: AuxiliaryGame, horizons, terminal: LiftedPayoff | None = None,
     """
     spec = aux.spec
     if terminal is None:
-        L = _denominator_lcm(spec.reward.values())
+        L = denominator_lcm(spec.reward.values())
         reward = {key: g.numerator * (L // g.denominator)
                   for key, g in spec.reward.items()}
     else:

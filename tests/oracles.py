@@ -1,7 +1,8 @@
-"""Independent oracles: pure-strategy enumeration, closed forms, the play
-distribution and the dense kernel-identity check in Fractions, the
-auxiliary game read off an explicit tree, the value recursion in Fractions,
-and a best reply that walks every history on its own.
+"""Independent oracles: pure-strategy enumeration, closed forms, the
+history trees, the play distribution and the dense kernel-identity check
+in Fractions, the auxiliary game read off an explicit tree, the value
+recursion in Fractions, and a best reply that walks every history on its
+own.
 
 Deliberately reimplements game evaluation with plain recursion so the
 sequence-form and backward-induction paths are checked against something
@@ -14,8 +15,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction as F
 
 from randgen import _reachable_views
-from signalgames.errors import GameModelError
-from signalgames.histories import KernelCheckReport, ObservedNode
+from signalgames.errors import Budget, GameModelError
+from signalgames.histories import (
+    HistoryNode,
+    KernelCheckReport,
+    ObservedNode,
+    TreePair,
+)
 from signalgames.lp import matrix_game_value, solve_matrix_game
 from signalgames.model import (
     JOINT,
@@ -24,6 +30,7 @@ from signalgames.model import (
     PUBLIC,
     as_general,
     projection,
+    public_labels,
     require_public_labels,
 )
 from signalgames.seqform import TerminalPayoff
@@ -155,6 +162,93 @@ def fraction_solve_horizons(aux, horizons):
     return values
 
 
+@dataclass(eq=False)
+class FractionHistory:
+    """A full history whose chance weight ``alpha`` is a stored Fraction."""
+
+    state: str
+    sig1: str
+    sig2: str
+    alpha: F
+    depth: int
+    parent: "FractionHistory | None" = None
+    via: tuple | None = None
+
+    ancestor = HistoryNode.ancestor
+    view = HistoryNode.view
+    seen_through = HistoryNode.seen_through
+    stage_path = HistoryNode.stage_path
+    full_key = HistoryNode.full_key
+
+
+def fraction_build_trees(spec_or_sym, horizon, view=None, budget=None):
+    """History and observed trees built by multiplying Fractions: each
+    child's alpha is its parent's times the transition probability, and
+    each observation's beta sums its members' alphas as they arrive.
+
+    Reference for ``histories.build_trees``, which carries integer masses
+    over a level scale; nodes, their order and the budget charges must
+    agree."""
+    spec = as_general(spec_or_sym)
+    if horizon < 1:
+        raise GameModelError("horizon must be >= 1")
+    if view is None:
+        public_of = public_labels(spec)
+        view = JOINT if public_of is None else PUBLIC
+    else:
+        public_of = require_public_labels(spec) if view == PUBLIC else None
+    edge_of, label_of = projection(view, public_of)
+    nodes = Budget(budget)
+
+    level1 = []
+    obs1 = {}
+    for (x, c, d), p in spec.initial.items():
+        if p <= 0:
+            continue
+        nodes.charge(1)
+        node = FractionHistory(state=x, sig1=c, sig2=d, alpha=p, depth=1)
+        level1.append(node)
+        label = label_of(c, d)
+        ob = obs1.get(label)
+        if ob is None:
+            ob = obs1[label] = ObservedNode(label=label, edge=None,
+                                            beta=F(0), depth=1)
+        ob.beta += p
+        ob.members.append(node)
+    levels = [level1]
+    obs_levels = [list(obs1.values())]
+    for n in range(1, horizon):
+        next_level = []
+        next_obs = []
+        for ob in obs_levels[-1]:
+            children = {}
+            for h in ob.members:
+                for i in spec.actions1:
+                    for j in spec.actions2:
+                        edge = edge_of(i, j)
+                        for (x2, c, d), p in spec.transition[(h.state, i, j)].items():
+                            if p <= 0:
+                                continue
+                            nodes.charge(n + 1)
+                            child = FractionHistory(
+                                state=x2, sig1=c, sig2=d, alpha=h.alpha * p,
+                                depth=n + 1, parent=h, via=(i, j))
+                            next_level.append(child)
+                            label = label_of(c, d)
+                            ob2 = children.get((edge, label))
+                            if ob2 is None:
+                                ob2 = children[(edge, label)] = ObservedNode(
+                                    label=label, edge=edge, beta=F(0),
+                                    depth=n + 1, parent=ob)
+                            ob2.beta += child.alpha
+                            ob2.members.append(child)
+            next_obs.extend(children.values())
+        levels.append(next_level)
+        obs_levels.append(next_obs)
+    return TreePair(spec=spec, view=view, horizon=horizon, levels=levels,
+                    obs_levels=obs_levels, public_of=public_of)
+
+
 def fraction_play_distribution(pair, sigma, tau, horizon):
     """Exact probability of every level-``horizon`` history that the
     strategies play, by a walk that multiplies ``Fraction``s level by level:
@@ -212,10 +306,11 @@ def dense_conditional_check(pair, sigma, tau, n, m):
             sums[anc] = sums.get(anc, F(0)) + h.alpha
         return {h: a / v.beta for h, a in sums.items()}
 
+    obs_of = {h: v for v in pair.observations(m) for h in v.members}
     q = {}
     joint = {}
     for h, p in fraction_play_distribution(pair, sigma, tau, m).items():
-        v = h.obs
+        v = obs_of[h]
         q[v] = q.get(v, F(0)) + p
         key = (v, h.ancestor(n))
         joint[key] = joint.get(key, F(0)) + p

@@ -110,6 +110,15 @@ def random_strategy(rng_or_seed, spec: GameSpec, player: int,
 _LARGE_PRIMES = (999961, 999979, 999983, 1000003, 1000033, 1000037)
 
 
+def _coprime_dist(rng, outcomes) -> dict:
+    """Positive weights on ``outcomes`` summing to 1 over a denominator
+    that is a product of two large primes."""
+    den = rng.choice(_LARGE_PRIMES) * rng.choice(_LARGE_PRIMES)
+    cuts = sorted(rng.randint(1, den - 1) for _ in outcomes[1:])
+    return {a: F(hi - lo, den)
+            for a, lo, hi in zip(outcomes, [0] + cuts, cuts + [den])}
+
+
 def coprime_strategy(rng, spec: GameSpec, player: int,
                      stages: int) -> BehavioralStrategy:
     """Random exact behavioral strategy on every reachable view of at most
@@ -117,16 +126,26 @@ def coprime_strategy(rng, spec: GameSpec, player: int,
     has its own denominator, a product of two large primes, so the
     weights along a history rarely share factors."""
     actions = spec.actions1 if player == 1 else spec.actions2
-
-    def dist():
-        den = rng.choice(_LARGE_PRIMES) * rng.choice(_LARGE_PRIMES)
-        cuts = sorted(rng.randint(1, den - 1) for _ in actions[1:])
-        return {a: F(hi - lo, den)
-                for a, lo, hi in zip(actions, [0] + cuts, cuts + [den])}
-
-    table = {v: dist() for v in _reachable_views(spec, player, stages)}
+    table = {v: _coprime_dist(rng, actions)
+             for v in _reachable_views(spec, player, stages)}
     return BehavioralStrategy(player=player, horizon=stages, table=table,
-                              tail=dist())
+                              tail=_coprime_dist(rng, actions))
+
+
+def coprime_game(seed) -> GameSpec:
+    """``random_game(seed)`` with the initial and every transition
+    distribution reweighted on its support over a product of two large
+    primes: the lcm of the transition denominators is large, and the
+    chance weights along a history rarely share factors."""
+    spec = random_game(seed)
+    rng = random.Random(seed)
+    return GameSpec(
+        states=spec.states, actions1=spec.actions1, actions2=spec.actions2,
+        signals1=spec.signals1, signals2=spec.signals2,
+        initial=_coprime_dist(rng, list(spec.initial)),
+        transition={key: _coprime_dist(rng, list(dist))
+                    for key, dist in spec.transition.items()},
+        reward=spec.reward)
 
 
 def random_lp(rng) -> LinearProgram:

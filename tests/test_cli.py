@@ -154,6 +154,18 @@ def test_kernel_check_dump_trees_builds_trees_once(corpus_dir, tmp_path,
     assert "max discrepancy: 0" in capsys.readouterr().out
 
 
+def test_kernel_check_dump_trees_golden(corpus_dir, tmp_path, capsys):
+    # recorded from the Fraction tree build, before integer masses
+    golden = Path(__file__).resolve().parent / "golden" / "kernel_dump_noisy3.csv"
+    dump = tmp_path / "trees.csv"
+    code = main(["kernel-check", "--game",
+                 str(corpus_dir / "noisy_public_2state.game"),
+                 "--n", "1", "--m", "3", "--dump-trees", str(dump)])
+    assert code == 0
+    assert dump.read_bytes() == golden.read_bytes()
+    assert "max discrepancy: 0" in capsys.readouterr().out
+
+
 def test_simulate_deterministic_cli(corpus_dir, capsys):
     argv = ["simulate", "--game", str(corpus_dir / "bigmatch_nosignals.game"),
             "--horizon", "5", "--seed", "9", "--replicas", "200"]

@@ -1,10 +1,22 @@
+import gc
 import random
+import weakref
 from fractions import Fraction as F
 
 import pytest
 
-from oracles import dense_conditional_check, fraction_play_distribution
-from randgen import coprime_strategy, random_game, random_strategy
+from oracles import (
+    dense_conditional_check,
+    fraction_build_trees,
+    fraction_play_distribution,
+)
+from randgen import (
+    coprime_game,
+    coprime_strategy,
+    random_game,
+    random_strategy,
+    random_symmetric_game,
+)
 from signalgames import corpus
 from signalgames.errors import (
     BudgetExceededError,
@@ -53,6 +65,86 @@ def test_beta_sums_members(games):
         assert v.beta == sum((h.alpha for h in v.members), ZERO)
     (root,) = pair.observations(1)
     assert root.beta == 1  # two level-1 histories, equal observation
+
+
+def _tree_rows(pair):
+    """Every node of both trees, level by level in tree order, with its
+    parent (and an observation's members) as positions in their levels."""
+    pos = {}
+    rows = []
+    for n in range(1, pair.horizon + 1):
+        for k, h in enumerate(pair.histories(n)):
+            pos[id(h)] = k
+            rows.append(("h", n, k, h.state, h.sig1, h.sig2, h.via, h.depth,
+                         h.alpha, h.view(pair.view, pair.public_of),
+                         None if h.parent is None else pos[id(h.parent)]))
+        for k, v in enumerate(pair.observations(n)):
+            pos[id(v)] = k
+            rows.append(("v", n, k, v.label, v.edge, v.depth, v.beta, v.view(),
+                         [pos[id(h)] for h in v.members],
+                         None if v.parent is None else pos[id(v.parent)]))
+    return rows
+
+
+def test_build_trees_matches_fraction_oracle(games):
+    """The integer build gives the Fraction build's trees node by node:
+    order, states, signals, actions, depths, alpha, beta and views, on
+    random general games (small and large coprime denominators), symmetric
+    games in the public view and the corpus games to horizon 4."""
+    cases = [(random_game(seed), None, 4) for seed in range(12)]
+    cases += [(coprime_game(seed), None, 4) for seed in range(12)]
+    cases += [(random_symmetric_game(50 + seed), PUBLIC, 4)
+              for seed in range(8)]
+    cases += [(games[name], None, 4) for name in sorted(games)]
+    for spec, view, horizon in cases:
+        got = build_trees(spec, horizon, view=view)
+        want = fraction_build_trees(spec, horizon, view=view)
+        assert (got.view, got.public_of) == (want.view, want.public_of)
+        assert _tree_rows(got) == _tree_rows(want)
+
+
+def test_coprime_game_masses_need_the_level_scale():
+    # the integer masses carry the full product of transition numerators:
+    # with denominators of two large primes, alpha rarely reduces
+    pair = build_trees(coprime_game(0), 3)
+    assert any(h.alpha.denominator > 10 ** 30 for h in pair.histories(3))
+    for n in range(1, 4):
+        (scale,) = {h.scale for h in pair.histories(n)}
+        assert all(h.alpha == F(h.mass, scale) for h in pair.histories(n))
+
+
+def test_build_trees_budget_overrun_matches_fraction_oracle():
+    """Both builds charge the budget node by node in the same order, so
+    an overrun raises at the same level, or neither overruns."""
+    def outcome(build, spec, budget):
+        try:
+            build(spec, 5, budget=budget)
+        except BudgetExceededError as err:
+            return err.budget, err.level_reached
+        return "fits"
+
+    for seed in range(10):
+        for spec in (random_game(seed), coprime_game(seed)):
+            for budget in (1, 3, 10, 40, 150, 700):
+                assert (outcome(build_trees, spec, budget)
+                        == outcome(fraction_build_trees, spec, budget)), \
+                    (seed, budget)
+
+
+def test_dropped_tree_pair_is_freed_without_the_cycle_collector():
+    # no node refers back to a node that refers to it, so reference
+    # counting alone frees a dropped tree
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        pair = build_trees(corpus.noisy_public_2state(), 3)
+        leaf = weakref.ref(pair.histories(3)[-1])
+        root = weakref.ref(pair.observations(1)[0])
+        del pair
+        assert leaf() is None and root() is None
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def test_budget_exceeded_reports_level():
@@ -252,6 +344,34 @@ def test_conditional_check_corrupted_beta_matches_oracle():
                             or report.sum_identity_ok), n
                 assert report.compatibility_ok
                 assert report.max_discrepancy == F(2, 7), n
+
+
+def test_compatibility_holds_by_construction():
+    """Compatibility folds the same member masses along the same parent
+    links on both sides, so corrupting betas or masses, or rewiring a
+    parent link, leaves it True while the other identities fail."""
+    spec = random_game(11)
+    rng = random.Random(11)
+    sigma = random_strategy(rng, spec, 1, 3)
+    tau = random_strategy(rng, spec, 2, 3)
+    corruptions = {
+        "beta": lambda v: setattr(v, "beta", v.beta * F(7, 5)),
+        "mass": lambda v: setattr(v.members[0], "mass", 3 * v.members[0].mass),
+    }
+    for name, corrupt in corruptions.items():
+        pair = build_trees(spec, 3)
+        for v in pair.observations(3):
+            corrupt(v)
+        for n in (1, 2):
+            report = conditional_check(pair, sigma, tau, n, 3)
+            assert report.compatibility_ok, (name, n)
+            assert not report.normalization_ok, (name, n)
+    pair = build_trees(spec, 3)
+    deep = next(h for h in pair.histories(3)
+                if any(o is not h.parent for o in pair.histories(2)))
+    deep.parent = next(o for o in pair.histories(2) if o is not deep.parent)
+    report = conditional_check(pair, sigma, tau, 1, 3)
+    assert report.compatibility_ok and not report.bayes_ok
 
 
 def test_conditional_check_violation_matches_dense_oracle():

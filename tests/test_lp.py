@@ -495,6 +495,15 @@ def test_forged_matrix_game_solution_rejected():
             forged.check(game)
 
 
+def test_matrix_game_check_rejects_mismatched_lengths():
+    game = MatrixGame([[F(1), F(0)], [F(0), F(1)]])
+    half = [F(1, 2), F(1, 2)]
+    for forged in (MatrixGameSolution(F(1, 2), half + [F(0)], half),
+                   MatrixGameSolution(F(1, 2), half, [F(1)])):
+        with pytest.raises(LPError, match="lengths"):
+            forged.check(game)
+
+
 def test_forged_matrix_game_solution_rejected_under_optimize():
     script = (
         "from fractions import Fraction as F\n"
