@@ -195,9 +195,10 @@ def uniform_value(spec_or_sym, tol=Fraction(1, 10000), n_max: int = 512,
 
     ``stabilized`` is True when the last value is within ``tol`` of the
     value ``window`` schedule points back; ``certified_lower`` needs no such
-    heuristic and is always a true guarantee for player 1.  The schedule is
-    read up to its first point above ``n_max``.  Under a node budget the
-    values stop before the first horizon that does not fit.  The returned
+    heuristic and is always a true guarantee for player 1.  The schedule
+    must be strictly increasing positive integers and is read up to its
+    first point above ``n_max``.  Under a node budget the values stop
+    before the first horizon that does not fit.  The returned
     strategies are those of the first horizon within 1/20 of
     ``certified_lower`` whose build fits, else of the largest horizon that
     fits; ``extract_eps_optimal`` extracts for any other eps.
@@ -217,13 +218,15 @@ def uniform_value(spec_or_sym, tol=Fraction(1, 10000), n_max: int = 512,
         raise PreconditionError(f"uniform_value needs a recursive nonnegative game; {detail}")
 
     route = _value_route(spec)
-    pts = schedule if schedule is not None else default_schedule(n_max)
-    horizons = []
-    for n in pts:
-        if n > n_max:
-            break
-        horizons.append(n)
-    if not horizons or min(horizons) < 1:
+    pts = list(schedule) if schedule is not None else default_schedule(n_max)
+    if not (all(isinstance(n, int) and not isinstance(n, bool) and n >= 1
+                for n in pts)
+            and all(a < b for a, b in zip(pts, pts[1:]))):
+        raise PreconditionError(
+            f"the schedule must be strictly increasing positive integers, "
+            f"got {pts}")
+    horizons = [n for n in pts if n <= n_max]     # a prefix: pts increases
+    if not horizons:
         raise PreconditionError(
             f"the schedule needs horizons in 1..n_max={n_max}, got {pts}")
     values = _schedule_values(spec, route, horizons, budget)

@@ -23,9 +23,12 @@ at the single horizon of a build and, on an unmerged tree, reads both
 players' strategies off each node's matrix-game solution.  The value is
 positively homogeneous of degree 1 in the unnormalized belief (Smallwood &
 Sondik 1973; Mertens, Sorin & Zamir, *Repeated Games*), so the stage
-matrices are integer matrices.  A value-only game is certified by a pure
-saddle point (``lp.matrix_game_value``), and only a game without one runs
-the LP.
+matrices are integer matrices.  Under the mean payoff an absorbed (pruned)
+belief earns a constant per stage, so it is folded into its parents' stage
+cells in closed form and the recursion visits live beliefs only.  A
+value-only game with one row or one column is the min or max of its
+entries, read off the cells; any other is certified by a pure saddle point
+(``lp.matrix_game_value``), and only a game without one runs the LP.
 
 The same machinery solves blind single-controller games (one player has a
 single action) on that player's private view; with an opponent who truly
@@ -59,7 +62,7 @@ from .model import (
 from .rationals import ZERO, denominator_lcm
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class BeliefNode:
     """Observed history carried as a primitive integer belief vector.
 
@@ -80,8 +83,10 @@ class BeliefNode:
     mass: int
     scale: int                           # shared by the nodes of a level
     depth: int
-    parent: "BeliefNode | None" = None
-    links: dict = field(default_factory=dict)
+    # out of repr: through them a node's repr would hold its ancestors' and
+    # descendants' reprs, exponentially many on a deep tree or DAG
+    parent: "BeliefNode | None" = field(default=None, repr=False)
+    links: dict = field(default_factory=dict, repr=False)
     pruned: bool = False                 # belief fully on absorbing states
     key: int | None = None               # belief number (merged builds)
 
@@ -188,6 +193,8 @@ def build_auxiliary(spec_or_sym, horizon: int, view: str | None = None,
     extraction needs per-history views, hence an unmerged tree.
     """
     spec = as_general(spec_or_sym)
+    if horizon < 1:
+        raise GameModelError("horizon must be >= 1")
     view, public_of = _resolve_view(spec, view)
     edge_of, label_of = projection(view, public_of)
     absorbing = spec.absorbing_states
@@ -227,7 +234,7 @@ def build_auxiliary(spec_or_sym, horizon: int, view: str | None = None,
         nodes.charge(1)
         node = BeliefNode(label=lab, edge=None, mu=mu, mass=g, scale=scale,
                           depth=1, key=belief_key(mu) if merge_beliefs else None)
-        node.pruned = prune_absorbed and all(x in absorbing for x in mu)
+        node.pruned = prune_absorbed and absorbing.issuperset(mu)
         roots.append(node)
 
     levels = [roots]
@@ -259,8 +266,7 @@ def build_auxiliary(spec_or_sym, horizon: int, view: str | None = None,
                 child = BeliefNode(label=key[1], edge=key[0], mu=mu,
                                    mass=node.mass * h, scale=scale,
                                    depth=n + 1, parent=node, key=bkey)
-                child.pruned = (prune_absorbed
-                                and all(x in absorbing for x in mu))
+                child.pruned = prune_absorbed and absorbing.issuperset(mu)
                 if merge_beliefs:
                     seen[bkey] = child
                 node.links[key] = (h, child)
@@ -332,59 +338,101 @@ class BackwardSolution:
     merged_count: int
 
 
-def _cells(aux: AuxiliaryGame, reward: dict, node: BeliefNode, ident) -> list:
-    """Cell (i, j) of the node's integer stage matrix before scaling: the
-    reward term sum_x mu(x) L g(x, i, j) (``reward`` holds L g) and the
-    ``(h, ident(child))`` pairs of the links on edge ``edge_of(i, j)``."""
-    links = node.links.items()
-    return [[(sum(a * reward[(x, i, j)] for x, a in node.mu.items()),
-              [(h, ident(child)) for (e, _), (h, child) in links
-               if e == aux.edge_of(i, j)])
+def _absorbed_rate(aux: AuxiliaryGame, reward: dict, node: BeliefNode) -> int:
+    """a = sum_x mu(x) L g_abs(x) of a pruned node, so that U_k = D**(k-1) k a
+    (every action pair gives L g_abs(x); this reads the first)."""
+    i, j = aux.actions1[0], aux.actions2[0]
+    return sum(m * reward[(x, i, j)] for x, m in node.mu.items())
+
+
+def _cells(aux: AuxiliaryGame, reward: dict, node: BeliefNode, ident,
+           absorbed: dict | None) -> list:
+    """Cell (i, j) of the node's integer stage matrix before scaling:
+    ``(r, live, closed)``, r the reward term sum_x mu(x) L g(x, i, j)
+    (``reward`` holds L g), and the links on edge ``edge_of(i, j)`` as
+    ``(h, ident(child))`` pairs, split into live children and, when
+    ``absorbed`` is a dict, pruned ones, whose a it caches by key (with
+    None every child is live).  Links are grouped by edge once; the cells of
+    one edge share their pair tuples."""
+    by_edge: dict = {}
+    for (e, _), (h, child) in node.links.items():
+        live, closed = by_edge.setdefault(e, ([], []))
+        key = ident(child)
+        if absorbed is not None and child.pruned:
+            if key not in absorbed:
+                absorbed[key] = _absorbed_rate(aux, reward, child)
+            closed.append((h, key))
+        else:
+            live.append((h, key))
+    pairs = {e: (tuple(live), tuple(closed))
+             for e, (live, closed) in by_edge.items()}
+    mu = node.mu.items()
+    return [[(sum(a * reward[(x, i, j)] for x, a in mu),
+              *pairs.get(aux.edge_of(i, j), ((), ())))
              for j in aux.actions2] for i in aux.actions1]
 
 
-def _integer_matrix(cells: list, factor: int, previous: dict | None) -> list:
-    """Entry (i, j) is factor * r + sum h U(child) over the cell's pairs,
-    with U = ``previous`` (None: no continuation is counted).  A zero
-    reward adds no term and h = 1 no product."""
-    matrix = []
-    for row in cells:
-        entries = []
-        for r, pairs in row:
-            total = factor * r if r else 0
-            if previous is not None:
-                for h, child in pairs:
-                    u = previous[child]
-                    total += u if h == 1 else h * u
-            entries.append(total)
-        matrix.append(entries)
-    return matrix
+def _entry(cell: tuple, factor: int, previous: dict | None, tail: tuple,
+           absorbed: dict | None) -> int | Fraction:
+    """factor * r + sum h U(child) over the live pairs, U = ``previous``,
+    + t 2**shift * sum h a(child) over the closed ones, a = ``absorbed``,
+    ``tail`` = (t, shift); with ``previous`` None no continuation is
+    counted.  A zero reward adds no term, h = 1 no product, and the power
+    of 2 is a shift."""
+    r, live, closed = cell
+    total = factor * r if r else 0
+    if previous is not None:
+        for h, child in live:
+            u = previous[child]
+            total += u if h == 1 else h * u
+        if closed:
+            rate = 0
+            for h, key in closed:
+                a = absorbed[key]
+                rate += a if h == 1 else h * a
+            t, shift = tail
+            total += t * rate << shift
+    return total
+
+
+def _integer_matrix(cells: list, factor: int, previous: dict | None,
+                    tail: tuple, absorbed: dict | None) -> list:
+    """The stage matrix of ``cells``, entry by entry ``_entry``."""
+    return [[_entry(cell, factor, previous, tail, absorbed) for cell in row]
+            for row in cells]
 
 
 def _shapley(aux: AuxiliaryGame, horizons, terminal: LiftedPayoff | None = None,
              solutions: dict | None = None) -> dict:
     """Shapley's value recursion over the number k of stages left.
 
-    Layer k holds, once per node (per ``BeliefNode.key`` on a merged DAG)
-    at depth n - k + 1 of a requested n >= k, the integer-scaled k-stage
-    value U_k(mu) = D**(k-1) L s V_k(mu/s), L the lcm of the reward
+    Layer k holds, once per live node (per ``BeliefNode.key`` on a merged
+    DAG) at depth n - k + 1 of a requested n >= k, the integer-scaled
+    k-stage value U_k(mu) = D**(k-1) L s V_k(mu/s), L the lcm of the reward
     denominators.  A matrix game's value scales with its entries, so U_k(mu)
     is the value of the integer matrix D**(k-1) sum_x mu(x) L g(x, i, j) +
     sum of h U_{k-1}(child) over the children on edge (i, j) (an LP value
-    enters U as the ``Fraction`` it is); a pruned belief has U_k =
-    D**(k-1) k sum_x mu(x) L g_abs(x).  A ``terminal`` payoff counts no
-    stage reward (L = 1) and enters at k = 1 as s fhat(v).  The one fraction
+    enters U as the ``Fraction`` it is).  A pruned belief has U_k =
+    D**(k-1) k a, a = sum_x mu(x) L g_abs(x), so under the mean payoff it
+    is folded into its parents' cells: an absorbed child enters an entry as
+    h D**(k-2) (k-1) a(child), a cached per key and the power of 2 in
+    D**(k-2) applied as a shift, the layers never visit a pruned node, and
+    a pruned root enters v_k in closed form.  A ``terminal`` payoff counts
+    no stage reward (L = 1) and enters at k = 1 as s fhat(v); it folds
+    nothing, and a pruned node above its horizon raises.  The one fraction
     per horizon is v_n = sum over roots of mass U_n / (P D**(n-1) L n), the
     division by n only for the mean.  Only layers k - 1 and k are held.
 
-    On a tree each layer solves each distinct matrix once (nodes of equal
-    belief have equal matrices).  With ``solutions`` (on a tree) the solve is ``solve_matrix_game`` and ``solutions[id(node)]``
-    its solution: Bland's rule and the ratio test's tie-break, like the vector
-    games' lowest-index picks, do not see a positive scaling of the
+    Without ``solutions`` a game with one row (one column) takes the min
+    (max) of its entries, computed straight from the cells; any other game
+    takes ``matrix_game_value``: a pure saddle point where one exists, the
+    LP otherwise.  On a tree each layer solves each distinct matrix once
+    (nodes of equal belief have equal matrices).  With ``solutions`` (on a
+    tree) every solve is ``solve_matrix_game`` and ``solutions[id(node)]``
+    its solution: Bland's rule and the ratio test's tie-break, like the
+    vector games' lowest-index picks, do not see a positive scaling of the
     entries, so these are the strategies of the node's ``Fraction`` matrix
-    (D**(k-1) L s times smaller).  Otherwise the value comes from
-    ``matrix_game_value``: a pure saddle point where one exists, the LP
-    otherwise.
+    (D**(k-1) L s times smaller).
     """
     spec = aux.spec
     if terminal is None:
@@ -394,45 +442,59 @@ def _shapley(aux: AuxiliaryGame, horizons, terminal: LiftedPayoff | None = None,
     else:
         L, reward = 1, dict.fromkeys(spec.reward, 0)
     ident = attrgetter("key") if aux.merged else id
-    first = (spec.actions1[0], spec.actions2[0])
     wanted = sorted(set(horizons))
     plans: dict = {}                     # DAG key -> its _cells
-    absorbed: dict = {}                  # key -> sum_x mu(x) L g_abs(x)
+    # pruned key -> its a; None under a terminal payoff, which folds nothing
+    absorbed: dict | None = {} if terminal is None else None
+    if absorbed is not None:
+        for root in aux.roots:
+            if root.pruned:
+                absorbed[ident(root)] = _absorbed_rate(aux, reward, root)
+    one_column = len(aux.actions2) == 1
+    one_row = len(aux.actions1) == 1
     previous: dict | None = None         # key -> U_{k-1}
     values = {}
     factor = 1                           # D**(k-1)
+    tail = (0, 0)                        # closed children's multiplier
+    twos = (aux.step & -aux.step).bit_length() - 1    # D = odd * 2**twos
 
     for k in range(1, wanted[-1] + 1):
+        if k > 1:                        # D**(k-2) (k-1) = t 2**shift
+            shift = twos * (k - 2)
+            tail = ((k - 1) * (factor // aux.step >> shift), shift)
         current: dict = {}
         solved: dict = {}                # tree: this layer's matrix -> result
         for n in wanted:
             if n < k:
                 continue
             for node in aux.levels[n - k]:
+                if node.pruned and absorbed is not None:
+                    continue             # folded into its parents' cells
                 key = ident(node)
                 if key in current:
                     continue
                 if terminal is not None and k == 1:
                     current[key] = sum(node.mu.values()) * terminal.value_at(node)
                     continue
-                if node.pruned:
-                    if terminal is not None:
-                        raise GameModelError(
-                            "terminal payoff undefined on pruned node")
-                    a = absorbed.get(key)
-                    if a is None:        # L g_abs(x) is reward[(x, *first)]
-                        a = absorbed[key] = sum(m * reward[(x, *first)]
-                                                for x, m in node.mu.items())
-                    current[key] = factor * k * a
-                    continue
+                if node.pruned:            # only a terminal payoff gets here
+                    raise GameModelError(
+                        "terminal payoff undefined on pruned node")
                 cells = plans.get(key)
                 if cells is None:
-                    cells = _cells(aux, reward, node, ident)
+                    cells = _cells(aux, reward, node, ident, absorbed)
                     # the key recurs at other depths; k > 1 puts the node
                     # above a horizon, so it has its links
                     if aux.merged and k > 1:
                         plans[key] = cells
-                matrix = _integer_matrix(cells, factor, previous)
+                if solutions is None and one_column:
+                    current[key] = max([_entry(row[0], factor, previous, tail,
+                                               absorbed) for row in cells])
+                    continue
+                if solutions is None and one_row:
+                    current[key] = min([_entry(cell, factor, previous, tail,
+                                               absorbed) for cell in cells[0]])
+                    continue
+                matrix = _integer_matrix(cells, factor, previous, tail, absorbed)
                 if aux.merged:
                     # one node per belief already; its matrices rarely
                     # repeat, so hashing them would cost more than it saves
@@ -450,7 +512,11 @@ def _shapley(aux: AuxiliaryGame, horizons, terminal: LiftedPayoff | None = None,
                     solutions[key] = result
                     current[key] = result.value
         if k in wanted:
-            total = sum(root.mass * current[ident(root)] for root in aux.roots)
+            total = 0
+            for root in aux.roots:
+                key = ident(root)
+                u = current[key] if key in current else factor * k * absorbed[key]
+                total += root.mass * u
             values[k] = Fraction(total, aux.roots[0].scale * factor * L
                                  * (k if terminal is None else 1))
         previous = current
@@ -467,11 +533,11 @@ def solve_backward(aux: AuxiliaryGame, payoff="mean",
     general terminal payoff is history-dependent, so it is refused on a
     merged belief DAG.
 
-    This is ``_shapley`` at the single horizon N: absorption-pruned nodes
-    (see build_auxiliary) are closed in closed form, every other node
-    solves its integer stage matrix (on a tree once per distinct matrix
-    and level).
-    With ``want_strategies`` both players' mixes are read off each node's
+    This is ``_shapley`` at the single horizon N: under the mean payoff
+    absorption-pruned nodes (see build_auxiliary) enter their parents'
+    matrices in closed form, every other node solves its integer stage
+    matrix (on a tree once per distinct matrix and level).  With
+    ``want_strategies`` both players' mixes are read off each node's
     ``solve_matrix_game`` solution; a merged DAG has no per-history views,
     so strategies are refused there.  ``node_count`` counts every node.
     """
@@ -529,13 +595,17 @@ def solve_backward(aux: AuxiliaryGame, payoff="mean",
 def solve_horizons(aux: AuxiliaryGame, horizons) -> dict:
     """Mean values ``{n: v_n}`` of every requested horizon in one pass of
     ``_shapley`` over a merged belief DAG built at least to the largest
-    horizon: one matrix game per distinct belief and stage count."""
+    horizon: one stage game per distinct live belief and stage count.
+    Horizons must be integers in 1..``aux.horizon`` (GameModelError)."""
     if not aux.merged:
         raise GameModelError("solve_horizons needs a merged belief DAG")
     if aux.view == JOINT:
         raise UnsupportedStructureError(
             "cannot solve on the joint view: neither player observes it")
-    wanted = sorted(set(horizons))
+    wanted = list(horizons)
+    if not all(isinstance(n, int) and not isinstance(n, bool) for n in wanted):
+        raise GameModelError(f"horizons must be integers, got {wanted}")
+    wanted = sorted(set(wanted))
     if not wanted or wanted[0] < 1 or wanted[-1] > aux.horizon:
         raise GameModelError(
             f"horizons must lie in 1..{aux.horizon}, got {wanted}")

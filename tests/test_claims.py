@@ -367,10 +367,21 @@ def test_extraction_skips_horizons_past_the_first_overflow(monkeypatch):
 @pytest.mark.parametrize("kwargs", [
     {"n_max": 0}, {"window": 0}, {"tol": 0}, {"tol": F(-1, 10)},
     {"n_max": 8, "schedule": [0, 1, 2]}, {"n_max": 8, "schedule": [9, 10]},
+    # a decreasing schedule would be blamed on the game's monotonicity, and
+    # a repeated point would count twice in the ``stabilized`` window
+    {"n_max": 10, "schedule": [5, 3]}, {"n_max": 10, "schedule": [3, 3, 5]},
+    {"n_max": 10, "schedule": [1, 2.5]}, {"n_max": 10, "schedule": [True, 2]},
+    {"n_max": 10, "schedule": [1, 2, 30, 20]},
 ])
 def test_uniform_value_rejects_bad_sweep_arguments(kwargs):
     with pytest.raises(PreconditionError):
         uniform_value(corpus.quitting_game(), **kwargs)
+
+
+def test_uniform_value_reads_the_schedule_up_to_n_max():
+    report = uniform_value(corpus.quitting_game(), n_max=10,
+                           schedule=[1, 3, 10, 11, 40])
+    assert report.value_sequence == [(1, F(0)), (3, F(1, 3)), (10, F(9, 20))]
 
 
 def test_forged_certificates_raise_certificate_error(monkeypatch):

@@ -466,7 +466,7 @@ def test_solve_horizons_rejects_bad_input():
     with pytest.raises(GameModelError):
         solve_horizons(build_auxiliary(sym, 3), [1, 2])
     dag = build_auxiliary(sym, 3, merge_beliefs=True)
-    for horizons in ([], [0, 1], [4]):
+    for horizons in ([], [0, 1], [4], [2.5], [1, 2.0], [True]):
         with pytest.raises(GameModelError):
             solve_horizons(dag, horizons)
     with pytest.raises(GameModelError):
@@ -518,18 +518,21 @@ def _single_controller_game(seed, controller):
 def test_integer_stage_matrix_is_scaled_naive_formula():
     """Every entry of the integer stage matrix with k stages left, divided
     by c = D**(k-1) L s, is ``naive_stage_matrix``'s entry, Fraction for
-    Fraction, when the children carry U = D**(k-2) L s_child V: with and
-    without the stage reward (L = 1 without it, as under a terminal
-    payoff), with and without the continuation, on public views of
-    symmetric games and private views of single-controller games, merged
-    and unmerged."""
+    Fraction, when the live children carry U = D**(k-2) L s_child V and,
+    under the stage reward, the pruned children are folded into the cells
+    and enter at their closed form V = (k-1) sum_x post(x) g_abs(x): with
+    and without the stage reward (L = 1 without it, as under a terminal
+    payoff, where nothing folds), with and without the continuation, on
+    public views of symmetric games (with absorbing states among them)
+    and private views of single-controller games, merged and unmerged."""
     rng = random.Random(7)
     cases = [(random_symmetric_game(seed, n_states=3, n_signals=3), None)
              for seed in range(12)]
     cases += [(_single_controller_game(seed, c), PLAYER1 if c == 1 else PLAYER2)
               for seed in range(12) for c in (1, 2)]
+    cases += [(_absorbing_symmetric_game(seed), None) for seed in range(12)]
     seen = {"zero reward": 0, "nonzero reward": 0, "unit weight": 0,
-            "other weight": 0}
+            "other weight": 0, "folded child": 0}
     for game, view in cases:
         for merge in (False, True):
             aux = build_auxiliary(game, 4, view=view, prune_absorbed=merge,
@@ -538,7 +541,13 @@ def test_integer_stage_matrix_is_scaled_naive_formula():
             D = aux.step
             values = {}
 
-            def continuation(child):
+            def absorbed_value(child, k):
+                return (k - 1) * sum((w * aux.spec.absorbing_payoff(x)
+                                      for x, w in child.posterior.items()), F(0))
+
+            def continuation(child, k, fold):
+                if fold and child.pruned:
+                    return absorbed_value(child, k)
                 # zero for some children, so empty cells occur too
                 return values.setdefault(id(child), F(rng.randint(-3, 5),
                                                       rng.randint(1, 6)))
@@ -554,20 +563,199 @@ def test_integer_stage_matrix_is_scaled_naive_formula():
                     for stage_reward in (False, True):
                         if stage_reward:
                             L = lcm(*(g.denominator for g in aux.spec.reward.values()))
-                            reward = {key: g * L for key, g in aux.spec.reward.items()}
+                            reward = {key: int(g * L)
+                                      for key, g in aux.spec.reward.items()}
+                            absorbed = {}
                         else:
                             L, reward = 1, dict.fromkeys(aux.spec.reward, 0)
-                        cells = _cells(aux, reward, node, ident)
-                        for k, cont in ((1, None), (2, continuation),
-                                        (3, continuation)):
+                            absorbed = None
+                        cells = _cells(aux, reward, node, ident, absorbed)
+                        folded = [key for row in cells for _, _, closed in row
+                                  for _, key in closed]
+                        assert all(key in absorbed for key in folded)
+                        seen["folded child"] += len(folded)
+                        for k in (1, 2, 3):
+                            cont = None if k == 1 else (
+                                lambda child, k=k: continuation(
+                                    child, k, absorbed is not None))
                             previous = None if cont is None else {
                                 ident(child): D ** (k - 2) * L
                                 * sum(child.mu.values()) * cont(child)
-                                for _, child in node.links.values()}
+                                for _, child in node.links.values()
+                                if absorbed is None or not child.pruned}
+                            tail = (0 if k == 1 else D ** (k - 2) * (k - 1), 0)
                             c = D ** (k - 1) * L * sum(node.mu.values())
                             got = [[F(e) / c for e in row]
-                                   for row in _integer_matrix(cells, D ** (k - 1),
-                                                              previous)]
+                                   for row in _integer_matrix(
+                                       cells, D ** (k - 1), previous, tail,
+                                       absorbed)]
                             want = naive_stage_matrix(aux, node, stage_reward, cont)
                             assert repr(got) == repr(want), (view, merge, node.depth, k)
     assert all(seen.values()), seen
+
+
+def test_build_auxiliary_rejects_horizons_below_one():
+    for horizon in (0, -1):
+        with pytest.raises(GameModelError, match="horizon must be >= 1"):
+            build_auxiliary(corpus.quitting_game(), horizon)
+
+
+def _recursive_game(seed, start_absorbed=False):
+    """A random recursive symmetric game: rewards vanish on the live states
+    x0, x1, and every live transition reaches an absorbing state, z0* or
+    z1*, under the revealing signal ``a`` (so beliefs are pruned at every
+    depth) and may reach one under a live signal too (so beliefs mix live
+    and absorbing states).  Each player has one or two actions, and
+    ``start_absorbed`` adds an absorbed root (or, when ``seed`` is even,
+    makes the only root an absorbed one)."""
+    rng = random.Random(seed)
+    live, absorbing = ["x0", "x1"], ["z0*", "z1*"]
+    I = [f"a{k}" for k in range(rng.randint(1, 2))]
+    J = [f"b{k}" for k in range(rng.randint(1, 2))]
+    S = ["s0", "s1", "a"]
+    payoff = {z: F(rng.randint(0, 4), rng.randint(1, 5)) for z in absorbing}
+    transition, reward = {}, {}
+    for i in I:
+        for j in J:
+            for z in absorbing:
+                transition[(z, i, j)] = {(z, "a"): F(1)}
+                reward[(z, i, j)] = payoff[z]
+            for x in live:
+                quit_to = (rng.choice(absorbing), "a")
+                rest = random_dist(rng, [(y, t) for y in live + absorbing
+                                         for t in ("s0", "s1")], support_max=3)
+                p = F(rng.randint(1, 3), rng.choice((4, 6, 9)))
+                dist = {key: (1 - p) * w for key, w in rest.items()}
+                dist[quit_to] = dist.get(quit_to, F(0)) + p
+                transition[(x, i, j)] = dist
+                reward[(x, i, j)] = F(0)
+    initial = random_dist(rng, [(x, t) for x in live for t in ("s0", "s1")])
+    if start_absorbed:
+        kept = {} if seed % 2 == 0 else {key: w / 2 for key, w in initial.items()}
+        initial = {**kept, (rng.choice(absorbing), "a"): 1 - sum(kept.values(), F(0))}
+    return SymmetricGameSpec(states=live + absorbing, actions1=I, actions2=J,
+                             signals=S, initial=initial,
+                             transition=transition, reward=reward)
+
+
+def test_folded_sweep_equals_unpruned_and_fraction_recursion():
+    """Folding absorbed beliefs into their parents' cells changes no value
+    and no strategy: on random recursive games whose beliefs are absorbed
+    at every depth (pruned roots included, and the one-row and one-column
+    games read as a min or a max) ``solve_horizons`` on a pruned DAG equals
+    it on an unpruned one and ``fraction_solve_horizons``, and
+    ``solve_backward`` on a pruned tree gives the unpruned tree's value and
+    its strategies at every live node, and matches a per-node solve."""
+    seen = {"pruned root": 0, "live root": 0, "one row": 0, "one column": 0,
+            "square": 0, "pruned at every depth": 0}
+    games = [_recursive_game(seed) for seed in range(16)]
+    games += [_recursive_game(seed, start_absorbed=True) for seed in range(8)]
+    for game in games:
+        dag = build_auxiliary(game, 5, prune_absorbed=True, merge_beliefs=True)
+        seen["pruned root"] += any(root.pruned for root in dag.roots)
+        seen["live root"] += any(not root.pruned for root in dag.roots)
+        seen["one row"] += len(game.actions1) == 1
+        seen["one column"] += len(game.actions2) == 1
+        seen["square"] += len(game.actions1) == len(game.actions2) == 2
+        seen["pruned at every depth"] += all(
+            any(node.pruned for node in level) for level in dag.levels[1:])
+        horizons = [1, 2, 3, 5]
+        got = solve_horizons(dag, horizons)
+        unpruned = build_auxiliary(game, 5, merge_beliefs=True)
+        assert got == solve_horizons(unpruned, horizons)
+        assert got == fraction_solve_horizons(dag, horizons)
+        for n in (1, 3):
+            tree = build_auxiliary(game, n, prune_absorbed=True)
+            full = solve_backward(build_auxiliary(game, n))
+            assert solve_backward(tree).value == full.value == got[n]
+            sol = _assert_matches_every_node(tree)
+            for mine, theirs in ((sol.strategy1, full.strategy1),
+                                 (sol.strategy2, full.strategy2)):
+                assert all(theirs.table[view] == mix
+                           for view, mix in mine.table.items())
+    assert all(seen.values()), seen
+
+
+def test_lifted_payoff_still_refuses_a_pruned_node_above_the_horizon():
+    """A terminal payoff folds nothing: a pruned node at the horizon takes
+    its lifted value, and one above the horizon raises."""
+    for seed in range(6):
+        game = _recursive_game(seed, start_absorbed=True)
+        pair = build_trees(game, 2)
+        lifted = lift_payoff(pair, {h: F(h.depth) for h in pair.histories(2)})
+        aux = build_auxiliary(game, 2, prune_absorbed=True)
+        assert any(root.pruned for root in aux.roots)
+        for strategies in (True, False):
+            with pytest.raises(GameModelError, match="pruned node"):
+                solve_backward(aux, lifted, want_strategies=strategies)
+    game = _recursive_game(0, start_absorbed=True)
+    pair = build_trees(game, 1)
+    lifted = lift_payoff(pair, {h: F(3) for h in pair.histories(1)})
+    assert solve_backward(build_auxiliary(game, 1, prune_absorbed=True),
+                          lifted).value == 3
+
+
+def test_mdp_sweep_evaluates_live_beliefs_only(monkeypatch, games):
+    """On the blind MDP to n = 4000 the sweep builds cells for no pruned
+    node and evaluates each of its 26380 live (belief, stage count) pairs
+    once, two cells each; its one-column games build no matrix."""
+    from signalgames.recursive import default_schedule
+
+    dag = build_auxiliary(games["mdp_final_remark"], 4000, prune_absorbed=True,
+                          merge_beliefs=True)
+    planned, entries = [], []
+    real_cells, real_entry = reduction._cells, reduction._entry
+
+    def cells(aux, reward, node, *args):
+        planned.append(node)
+        return real_cells(aux, reward, node, *args)
+
+    def entry(*args):
+        entries.append(1)
+        return real_entry(*args)
+
+    def no_matrix(*args):
+        raise AssertionError("a one-column game built a matrix")
+
+    monkeypatch.setattr(reduction, "_cells", cells)
+    monkeypatch.setattr(reduction, "_entry", entry)
+    monkeypatch.setattr(reduction, "_integer_matrix", no_matrix)
+    monkeypatch.setattr(reduction, "matrix_game_value", no_matrix)
+    solve_horizons(dag, default_schedule(4000))
+    assert planned and not any(node.pruned for node in planned)
+    assert len(entries) == 2 * 26380
+    assert sum(node.pruned for level in dag.levels for node in level) == 3999
+
+
+def test_solve_horizons_builds_one_fraction_per_horizon(monkeypatch, games):
+    """The sweep divides once per requested horizon, through ``reduction``'s
+    binding of ``Fraction``, on one-column games and on 2x2 ones."""
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return F(*args)
+
+    monkeypatch.setattr(reduction, "Fraction", counted)
+    for game, n_max in ((games["mdp_final_remark"], 300),
+                        (corpus.quitting_game(), 100)):
+        dag = build_auxiliary(game, n_max, prune_absorbed=True,
+                              merge_beliefs=True)
+        horizons = list(range(1, 13)) + [40, n_max]
+        built.clear()
+        solve_horizons(dag, horizons)
+        assert len(built) == len(horizons)
+
+
+def test_belief_node_repr_shows_its_own_fields_only():
+    """Through ``parent`` and ``links`` a node's repr would nest its
+    ancestors' and descendants' reprs, exponentially many (800 KB for the
+    10 nodes of the quitting game's DAG to horizon 4), and a failed
+    assertion reprs the values it compared."""
+    dag = build_auxiliary(corpus.quitting_game(), 4, merge_beliefs=True)
+    for level in dag.levels:
+        for node in level:
+            assert repr(node) == (
+                f"BeliefNode(label={node.label!r}, edge={node.edge!r}, "
+                f"mu={node.mu!r}, mass={node.mass}, scale={node.scale}, "
+                f"depth={node.depth}, pruned={node.pruned}, key={node.key})")
