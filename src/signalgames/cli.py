@@ -141,7 +141,7 @@ def cmd_reduce_symmetric(args) -> int:
         return EXIT_FAIL
     print(f"symmetric signaling confirmed; public signals: "
           f"{' '.join(witness.reduced.signals)}")
-    aux = build_auxiliary(spec, args.horizon)
+    aux = build_auxiliary(spec, args.horizon, merge_beliefs=False)
     lines = ["depth,observed_history,weight,posterior,transitions"]
     for level in aux.levels:
         for node in level:

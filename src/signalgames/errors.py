@@ -89,6 +89,14 @@ class CertificateError(LPError):
     under ``python -O``."""
 
 
+def require_horizon(n, name: str = "horizon") -> None:
+    """Raise GameModelError unless ``n`` is an integer (not a bool) >= 1."""
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise GameModelError(f"{name} must be an integer, got {n!r}")
+    if n < 1:
+        raise GameModelError(f"{name} must be >= 1, got {n}")
+
+
 def require_nondecreasing(values, what: str) -> None:
     """Raise CertificateError unless the ``(n, value)`` pairs never decrease."""
     for (n0, v0), (n1, v1) in zip(values, values[1:]):

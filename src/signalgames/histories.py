@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
-from .errors import Budget, GameModelError, UnsupportedStructureError
+from .errors import Budget, GameModelError, UnsupportedStructureError, require_horizon
 from .model import (
     JOINT,
     PLAYER1,
@@ -177,8 +177,7 @@ def build_trees(spec_or_sym, horizon: int, view: str | None = None,
     Budget overruns raise BudgetExceededError naming the level reached.
     """
     spec = as_general(spec_or_sym)
-    if horizon < 1:
-        raise GameModelError("horizon must be >= 1")
+    require_horizon(horizon)
     if view is None:
         public_of = public_labels(spec)
         view = JOINT if public_of is None else PUBLIC
@@ -326,6 +325,7 @@ def exact_play_distribution(spec_or_pair, sigma: BehavioralStrategy,
     horizon.  The marginal of the result on the observed tree is the
     distribution over observed plays.
     """
+    require_horizon(horizon)
     if isinstance(spec_or_pair, TreePair):
         pair = spec_or_pair
     else:
@@ -437,7 +437,9 @@ def conditional_check(spec_or_pair, sigma, tau, n: int, m: int,
     trivially.  ``checked_pairs`` still counts every (observation, level-n
     history) pair, since every pair is certified.
     """
-    if not (1 <= n <= m):
+    require_horizon(n, "n")
+    require_horizon(m, "m")
+    if n > m:
         raise GameModelError("need 1 <= n <= m")
     if isinstance(spec_or_pair, TreePair):
         pair = spec_or_pair

@@ -16,8 +16,9 @@ On the belief-reduction routes the whole schedule is one sweep: a single
 merged belief DAG built to the largest scheduled horizon and one pass of
 the value recursion over the number of stages left
 (``reduction.solve_horizons``) give every scheduled value at once.  The DAG
-is released before strategies are extracted on an unmerged tree at one
-horizon.
+is released before strategies are extracted at one horizon from the same
+kind of build, a merged DAG, whose solutions ``reduction.solve_backward``
+spreads over every observed history.
 """
 
 from __future__ import annotations
@@ -114,7 +115,7 @@ def _value_route(spec: GameSpec):
 def _nstage(spec: GameSpec, route: str, n: int, budget):
     """Both players' horizon-n optimal strategies."""
     if route.startswith("reduction"):
-        aux = build_auxiliary(spec, n, budget=budget, prune_absorbed=True)
+        aux = build_auxiliary(spec, n, budget=budget)
         sol = solve_backward(aux, payoff=MEAN, want_strategies=True)
     else:
         sol = nstage_value(spec, n, budget=budget)
@@ -169,8 +170,7 @@ def _sweep_values(spec: GameSpec, horizons: list, budget) -> list:
     first such n, the prefix a per-horizon loop would return.
     """
     def build(top):
-        return build_auxiliary(spec, top, budget=budget, prune_absorbed=True,
-                               merge_beliefs=True)
+        return build_auxiliary(spec, top, budget=budget)
 
     try:
         aux = build(max(horizons))
@@ -241,7 +241,7 @@ def uniform_value(spec_or_sym, tol=Fraction(1, 10000), n_max: int = 512,
 
     # Strategy extraction at the smallest horizon already within 1/20 of
     # the certified level (monotonicity then makes its n-stage guarantee a
-    # uniform one), else at the largest horizon where an unmerged tree fits
+    # uniform one), else at the largest horizon whose observed histories fit
     # the budget.
     chosen = _extract(spec, route, values, certified - Fraction(1, 20), budget)
     strat_n, strat_value, strat, strat2 = chosen or (None, None, None, None)

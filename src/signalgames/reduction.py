@@ -11,23 +11,25 @@ backward induction, solving one exact matrix game per observed node.
 The observed tree is built by a belief recursion that carries only the
 belief over current states per node — equivalent to grouping the explicit
 history tree by observation, because both the signal transition and the
-child belief are functions of the current belief — which scales to long
-horizons when absorbed nodes are pruned.  Beliefs are unnormalized integer
-vectors (``BeliefNode``), so the build divides nothing.
+child belief are functions of the current belief.  Beliefs are unnormalized
+integer vectors (``BeliefNode``), so the build divides nothing.  The
+default build, for stage-additive payoffs, merges equal beliefs into a DAG
+and prunes absorbed ones; a ``LiftedPayoff`` needs the per-history tree.
 
 One private recursion, Shapley's value recursion indexed by the number of
-stages left, serves both solvers: ``solve_horizons`` runs it over one merged
-belief DAG, every requested horizon's mean value in a single pass, one
-matrix game per distinct belief and stage count; ``solve_backward`` runs it
-at the single horizon of a build and, on an unmerged tree, reads both
-players' strategies off each node's matrix-game solution.  The value is
-positively homogeneous of degree 1 in the unnormalized belief (Smallwood &
-Sondik 1973; Mertens, Sorin & Zamir, *Repeated Games*), so the stage
-matrices are integer matrices.  Under the mean payoff an absorbed (pruned)
-belief earns a constant per stage, so it is folded into its parents' stage
-cells in closed form and the recursion visits live beliefs only.  A
-value-only game with one row or one column is the min or max of its
-entries, read off the cells; any other is certified by a pure saddle point
+stages left, serves both solvers: ``solve_horizons`` runs it over one
+merged belief DAG, every requested horizon's mean value in a single pass,
+one matrix game per distinct belief and stage count; ``solve_backward``
+runs it at the single horizon of either build and reads both players'
+strategies, one table entry per observed history, off the solution of each
+path's (stages left, node key) game.  The value is positively homogeneous
+of degree 1 in the unnormalized belief (Smallwood & Sondik 1973; Mertens,
+Sorin & Zamir, *Repeated Games*), so the stage matrices are integer
+matrices.  Under the mean payoff an absorbed (pruned) belief earns a
+constant per stage, so it is folded into its parents' stage cells in
+closed form and the recursion visits live beliefs only.  A value-only game
+with one row or one column is the min or max of its entries, read off the
+cells; any other is certified by a pure saddle point
 (``lp.matrix_game_value``), and only a game without one runs the LP.
 
 The same machinery solves blind single-controller games (one player has a
@@ -39,10 +41,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import count
 from math import gcd
-from operator import attrgetter
 
-from .errors import Budget, GameModelError, UnsupportedStructureError
+from .errors import Budget, GameModelError, UnsupportedStructureError, require_horizon
 from .histories import ObservedNode, TreePair, phi_row
 from .lp import matrix_game_value, solve_matrix_game
 from .model import (
@@ -72,9 +74,10 @@ class BeliefNode:
     the lcms of the initial and of the transition denominators.  ``links``
     maps (edge, label) -> (h, child) where D * mu * Q = h * child.mu, Q the
     transition to the child's observation.  ``posterior``, ``beta`` and
-    ``children`` derive the exact fractions.  With belief merging the
-    structure is a DAG, ``parent`` is then the first discoverer and views
-    are unavailable.
+    ``children`` derive the exact fractions.  ``key`` numbers the node's
+    belief on a merged build (a DAG) and the node itself on a tree.  A
+    merged node below the roots stands for every history that reaches its
+    belief, so it has no ``parent`` and no view.
     """
 
     label: object
@@ -83,14 +86,21 @@ class BeliefNode:
     mass: int
     scale: int                           # shared by the nodes of a level
     depth: int
+    pruned: bool                         # merged and fully on absorbing states
+    key: int                             # belief number (DAG), node number (tree)
     # out of repr: through them a node's repr would hold its ancestors' and
     # descendants' reprs, exponentially many on a deep tree or DAG
     parent: "BeliefNode | None" = field(default=None, repr=False)
     links: dict = field(default_factory=dict, repr=False)
-    pruned: bool = False                 # belief fully on absorbing states
-    key: int | None = None               # belief number (merged builds)
 
-    view = ObservedNode.view
+    def view(self) -> tuple:
+        """The observed history (``ObservedNode.view``); below the roots
+        only a tree's nodes have one."""
+        if self.parent is None and self.depth > 1:
+            raise GameModelError(
+                "a merged belief node has no single observed history: "
+                "build with merge_beliefs=False")
+        return ObservedNode.view(self)
 
     @property
     def posterior(self) -> dict:
@@ -126,7 +136,8 @@ class AuxiliaryGame:
     actions2: list
     edge_of: object                      # the view's edge_of, model.projection
     step: int                            # D: lcm of the transition denominators
-    merged: bool = False                 # belief DAG (no per-history views)
+    merged: bool                         # belief DAG (no per-history views)
+    budget: int                          # the node limit the build was charged
 
     def signal_transition(self, node: BeliefNode, i: str, j: str) -> dict:
         """Distribution over child labels under (i, j): exact beta ratios."""
@@ -171,33 +182,32 @@ def _primitive(vector: dict) -> tuple:
 
 def build_auxiliary(spec_or_sym, horizon: int, view: str | None = None,
                     budget: int | None = None,
-                    prune_absorbed: bool = False,
-                    merge_beliefs: bool = False) -> AuxiliaryGame:
+                    merge_beliefs: bool = True) -> AuxiliaryGame:
     """Build the observed-history game by exact belief recursion.
 
     A child's vector sums mu(x) * D * p over the transitions into its
     observation, divided by its gcd h; mass_child sums mass * h over the
     parents.  No fraction is built here.
 
-    With ``prune_absorbed`` the children of nodes whose belief sits
-    entirely on absorbing states are not expanded: from there every
-    continuation earns the same constant per stage, so solvers can close
-    the node in closed form.  This is what makes long horizons tractable.
+    The default build is for stage-additive payoffs, whose stage reward,
+    signal transition and child beliefs are all functions of the belief
+    alone.  Nodes of equal depth and belief are shared (a DAG instead of a
+    tree, often exponentially smaller), each numbered by its belief as
+    ``key``, hashed once here so solvers share work across depths without
+    re-hashing the vectors.  A node whose belief sits entirely on absorbing
+    states is pruned, its children not expanded: from there every
+    continuation earns the same constant per stage, so solvers close it in
+    closed form.  This is what makes long horizons tractable.
 
-    With ``merge_beliefs`` nodes of equal depth and belief are shared (a
-    DAG instead of a tree): sound for stage-additive payoffs because stage
-    reward, signal transition and child beliefs are all functions of the
-    belief alone, and often exponentially smaller.  Each node then gets
-    the number of its belief as ``key``, hashed once here so solvers can
-    share work across depths without re-hashing the vectors.  Strategy
-    extraction needs per-history views, hence an unmerged tree.
+    ``merge_beliefs=False`` builds the per-history tree that a
+    ``LiftedPayoff`` and the per-history dump need: nothing is merged or
+    pruned, ``key`` numbers the nodes and every node has a view.
     """
     spec = as_general(spec_or_sym)
-    if horizon < 1:
-        raise GameModelError("horizon must be >= 1")
+    require_horizon(horizon)
     view, public_of = _resolve_view(spec, view)
     edge_of, label_of = projection(view, public_of)
-    absorbing = spec.absorbing_states
+    absorbing = spec.absorbing_states if merge_beliefs else frozenset()
     nodes = Budget(budget)
 
     # integer transition numerators, flattened per state in the order
@@ -213,8 +223,11 @@ def build_auxiliary(spec_or_sym, horizon: int, view: str | None = None,
                     if p > 0]
 
     keys: dict = {}                      # exact belief -> number
+    running = count()
 
-    def belief_key(mu):
+    def number(mu):
+        if not merge_beliefs:            # a tree numbers its nodes
+            return next(running)
         # Integers hash modulo 2**61 - 1, where 2**d hashes like 2**(d % 61),
         # so the vectors of many depths would share hashes in this one dict
         # over all depths; the bit length tells them apart.
@@ -232,51 +245,46 @@ def build_auxiliary(spec_or_sym, horizon: int, view: str | None = None,
     for lab in sorted(groups, key=str):
         g, mu = _primitive(groups[lab])
         nodes.charge(1)
-        node = BeliefNode(label=lab, edge=None, mu=mu, mass=g, scale=scale,
-                          depth=1, key=belief_key(mu) if merge_beliefs else None)
-        node.pruned = prune_absorbed and absorbing.issuperset(mu)
-        roots.append(node)
+        roots.append(BeliefNode(label=lab, edge=None, mu=mu, mass=g,
+                                scale=scale, depth=1,
+                                pruned=absorbing.issuperset(mu), key=number(mu)))
 
     levels = [roots]
     for n in range(1, horizon):
         scale *= step
         nxt = []
-        seen = {}
+        seen = {}                        # key -> node of this level
         for node in levels[-1]:
             if node.pruned:
                 continue
             buckets: dict = {}
             for x, a in node.mu.items():
-                for key, x2, q in moves[x]:
-                    bucket = buckets.get(key)
+                for link, x2, q in moves[x]:
+                    bucket = buckets.get(link)
                     if bucket is None:
-                        bucket = buckets[key] = {}
+                        bucket = buckets[link] = {}
                     bucket[x2] = bucket.get(x2, 0) + a * q
-            for key in sorted(buckets, key=str):
-                h, mu = _primitive(buckets[key])
-                bkey = None
-                if merge_beliefs:
-                    bkey = belief_key(mu)
-                    child = seen.get(bkey)
-                    if child is not None:
-                        child.mass += node.mass * h
-                        node.links[key] = (h, child)
-                        continue
+            for link in sorted(buckets, key=str):
+                h, mu = _primitive(buckets[link])
+                key = number(mu)
+                child = seen.get(key)
+                if child is not None:
+                    child.mass += node.mass * h
+                    node.links[link] = (h, child)
+                    continue
                 nodes.charge(n + 1)
-                child = BeliefNode(label=key[1], edge=key[0], mu=mu,
-                                   mass=node.mass * h, scale=scale,
-                                   depth=n + 1, parent=node, key=bkey)
-                child.pruned = prune_absorbed and absorbing.issuperset(mu)
-                if merge_beliefs:
-                    seen[bkey] = child
-                node.links[key] = (h, child)
+                child = seen[key] = BeliefNode(
+                    label=link[1], edge=link[0], mu=mu, mass=node.mass * h,
+                    scale=scale, depth=n + 1, pruned=absorbing.issuperset(mu),
+                    key=key, parent=None if merge_beliefs else node)
+                node.links[link] = (h, child)
                 nxt.append(child)
         levels.append(nxt)
 
     return AuxiliaryGame(spec=spec, view=view, horizon=horizon, roots=roots,
                          levels=levels, actions1=list(spec.actions1),
                          actions2=list(spec.actions2), edge_of=edge_of,
-                         step=step, merged=merge_beliefs)
+                         step=step, merged=merge_beliefs, budget=nodes.limit)
 
 
 # ---------------------------------------------------------------------------
@@ -345,20 +353,19 @@ def _absorbed_rate(aux: AuxiliaryGame, reward: dict, node: BeliefNode) -> int:
     return sum(m * reward[(x, i, j)] for x, m in node.mu.items())
 
 
-def _cells(aux: AuxiliaryGame, reward: dict, node: BeliefNode, ident,
-           absorbed: dict | None) -> list:
+def _cells(aux: AuxiliaryGame, reward: dict, node: BeliefNode,
+           absorbed: dict) -> list:
     """Cell (i, j) of the node's integer stage matrix before scaling:
     ``(r, live, closed)``, r the reward term sum_x mu(x) L g(x, i, j)
     (``reward`` holds L g), and the links on edge ``edge_of(i, j)`` as
-    ``(h, ident(child))`` pairs, split into live children and, when
-    ``absorbed`` is a dict, pruned ones, whose a it caches by key (with
-    None every child is live).  Links are grouped by edge once; the cells of
-    one edge share their pair tuples."""
+    ``(h, child.key)`` pairs, split into live children and pruned ones,
+    whose a ``absorbed`` caches by key.  Links are grouped by edge once;
+    the cells of one edge share their pair tuples."""
     by_edge: dict = {}
     for (e, _), (h, child) in node.links.items():
         live, closed = by_edge.setdefault(e, ([], []))
-        key = ident(child)
-        if absorbed is not None and child.pruned:
+        key = child.key
+        if child.pruned:
             if key not in absorbed:
                 absorbed[key] = _absorbed_rate(aux, reward, child)
             closed.append((h, key))
@@ -373,7 +380,7 @@ def _cells(aux: AuxiliaryGame, reward: dict, node: BeliefNode, ident,
 
 
 def _entry(cell: tuple, factor: int, previous: dict | None, tail: tuple,
-           absorbed: dict | None) -> int | Fraction:
+           absorbed: dict) -> int | Fraction:
     """factor * r + sum h U(child) over the live pairs, U = ``previous``,
     + t 2**shift * sum h a(child) over the closed ones, a = ``absorbed``,
     ``tail`` = (t, shift); with ``previous`` None no continuation is
@@ -396,7 +403,7 @@ def _entry(cell: tuple, factor: int, previous: dict | None, tail: tuple,
 
 
 def _integer_matrix(cells: list, factor: int, previous: dict | None,
-                    tail: tuple, absorbed: dict | None) -> list:
+                    tail: tuple, absorbed: dict) -> list:
     """The stage matrix of ``cells``, entry by entry ``_entry``."""
     return [[_entry(cell, factor, previous, tail, absorbed) for cell in row]
             for row in cells]
@@ -406,33 +413,32 @@ def _shapley(aux: AuxiliaryGame, horizons, terminal: LiftedPayoff | None = None,
              solutions: dict | None = None) -> dict:
     """Shapley's value recursion over the number k of stages left.
 
-    Layer k holds, once per live node (per ``BeliefNode.key`` on a merged
-    DAG) at depth n - k + 1 of a requested n >= k, the integer-scaled
-    k-stage value U_k(mu) = D**(k-1) L s V_k(mu/s), L the lcm of the reward
-    denominators.  A matrix game's value scales with its entries, so U_k(mu)
-    is the value of the integer matrix D**(k-1) sum_x mu(x) L g(x, i, j) +
-    sum of h U_{k-1}(child) over the children on edge (i, j) (an LP value
-    enters U as the ``Fraction`` it is).  A pruned belief has U_k =
-    D**(k-1) k a, a = sum_x mu(x) L g_abs(x), so under the mean payoff it
-    is folded into its parents' cells: an absorbed child enters an entry as
-    h D**(k-2) (k-1) a(child), a cached per key and the power of 2 in
-    D**(k-2) applied as a shift, the layers never visit a pruned node, and
-    a pruned root enters v_k in closed form.  A ``terminal`` payoff counts
-    no stage reward (L = 1) and enters at k = 1 as s fhat(v); it folds
-    nothing, and a pruned node above its horizon raises.  The one fraction
-    per horizon is v_n = sum over roots of mass U_n / (P D**(n-1) L n), the
+    Layer k holds, once per live ``BeliefNode.key`` at depth n - k + 1 of a
+    requested n >= k, the integer-scaled k-stage value U_k(mu) =
+    D**(k-1) L s V_k(mu/s), L the lcm of the reward denominators.  A matrix
+    game's value scales with its entries, so U_k(mu) is the value of the
+    integer matrix D**(k-1) sum_x mu(x) L g(x, i, j) + sum of h
+    U_{k-1}(child) over the children on edge (i, j) (an LP value enters U
+    as the ``Fraction`` it is).  A pruned belief (on a merged build only)
+    has U_k = D**(k-1) k a, a = sum_x mu(x) L g_abs(x), so it is folded
+    into its parents' cells: an absorbed child enters an entry as
+    h D**(k-2) (k-1) a(child), a cached per key in ``absorbed`` and the
+    power of 2 in D**(k-2) applied as a shift, the layers never visit a
+    pruned node, and a pruned root enters v_k in closed form.  A
+    ``terminal`` payoff (on a tree, which prunes nothing) counts no stage
+    reward (L = 1) and enters at k = 1 as s fhat(v).  The one fraction per
+    horizon is v_n = sum over roots of mass U_n / (P D**(n-1) L n), the
     division by n only for the mean.  Only layers k - 1 and k are held.
 
     Without ``solutions`` a game with one row (one column) takes the min
     (max) of its entries, computed straight from the cells; any other game
     takes ``matrix_game_value``: a pure saddle point where one exists, the
-    LP otherwise.  On a tree each layer solves each distinct matrix once
-    (nodes of equal belief have equal matrices).  With ``solutions`` (on a
-    tree) every solve is ``solve_matrix_game`` and ``solutions[id(node)]``
-    its solution: Bland's rule and the ratio test's tie-break, like the
-    vector games' lowest-index picks, do not see a positive scaling of the
-    entries, so these are the strategies of the node's ``Fraction`` matrix
-    (D**(k-1) L s times smaller).
+    LP otherwise.  With ``solutions`` every game is ``solve_matrix_game``
+    and ``solutions[(k, key)]`` its solution: Bland's rule and the ratio
+    test's tie-break, like the vector games' lowest-index picks, do not see
+    a positive scaling of the entries, so these are the strategies of the
+    node's ``Fraction`` matrix (D**(k-1) L s times smaller), and nodes of
+    equal belief have equal ones.
     """
     spec = aux.spec
     if terminal is None:
@@ -441,15 +447,10 @@ def _shapley(aux: AuxiliaryGame, horizons, terminal: LiftedPayoff | None = None,
                   for key, g in spec.reward.items()}
     else:
         L, reward = 1, dict.fromkeys(spec.reward, 0)
-    ident = attrgetter("key") if aux.merged else id
     wanted = sorted(set(horizons))
-    plans: dict = {}                     # DAG key -> its _cells
-    # pruned key -> its a; None under a terminal payoff, which folds nothing
-    absorbed: dict | None = {} if terminal is None else None
-    if absorbed is not None:
-        for root in aux.roots:
-            if root.pruned:
-                absorbed[ident(root)] = _absorbed_rate(aux, reward, root)
+    plans: dict = {}                     # key -> its _cells
+    absorbed = {root.key: _absorbed_rate(aux, reward, root)
+                for root in aux.roots if root.pruned}    # pruned key -> a
     one_column = len(aux.actions2) == 1
     one_row = len(aux.actions1) == 1
     previous: dict | None = None         # key -> U_{k-1}
@@ -463,59 +464,41 @@ def _shapley(aux: AuxiliaryGame, horizons, terminal: LiftedPayoff | None = None,
             shift = twos * (k - 2)
             tail = ((k - 1) * (factor // aux.step >> shift), shift)
         current: dict = {}
-        solved: dict = {}                # tree: this layer's matrix -> result
         for n in wanted:
             if n < k:
                 continue
             for node in aux.levels[n - k]:
-                if node.pruned and absorbed is not None:
-                    continue             # folded into its parents' cells
-                key = ident(node)
-                if key in current:
-                    continue
+                key = node.key
+                if node.pruned or key in current:
+                    continue             # pruned: folded into its parents
                 if terminal is not None and k == 1:
                     current[key] = sum(node.mu.values()) * terminal.value_at(node)
                     continue
-                if node.pruned:            # only a terminal payoff gets here
-                    raise GameModelError(
-                        "terminal payoff undefined on pruned node")
                 cells = plans.get(key)
                 if cells is None:
-                    cells = _cells(aux, reward, node, ident, absorbed)
-                    # the key recurs at other depths; k > 1 puts the node
-                    # above a horizon, so it has its links
-                    if aux.merged and k > 1:
+                    cells = _cells(aux, reward, node, absorbed)
+                    # on a DAG the key recurs at other depths; k > 1 puts
+                    # the node above a horizon, so it has its links
+                    if k > 1:
                         plans[key] = cells
-                if solutions is None and one_column:
+                if solutions is not None:
+                    result = solutions[(k, key)] = solve_matrix_game(
+                        _integer_matrix(cells, factor, previous, tail, absorbed))
+                    current[key] = result.value
+                elif one_column:
                     current[key] = max([_entry(row[0], factor, previous, tail,
                                                absorbed) for row in cells])
-                    continue
-                if solutions is None and one_row:
+                elif one_row:
                     current[key] = min([_entry(cell, factor, previous, tail,
                                                absorbed) for cell in cells[0]])
-                    continue
-                matrix = _integer_matrix(cells, factor, previous, tail, absorbed)
-                if aux.merged:
-                    # one node per belief already; its matrices rarely
-                    # repeat, so hashing them would cost more than it saves
-                    result = matrix_game_value(matrix)
                 else:
-                    entries = tuple(map(tuple, matrix))
-                    result = solved.get(entries)
-                    if result is None:
-                        result = solved[entries] = (
-                            matrix_game_value(matrix) if solutions is None
-                            else solve_matrix_game(matrix))
-                if solutions is None:
-                    current[key] = result
-                else:
-                    solutions[key] = result
-                    current[key] = result.value
+                    current[key] = matrix_game_value(
+                        _integer_matrix(cells, factor, previous, tail, absorbed))
         if k in wanted:
             total = 0
             for root in aux.roots:
-                key = ident(root)
-                u = current[key] if key in current else factor * k * absorbed[key]
+                u = (factor * k * absorbed[root.key] if root.pruned
+                     else current[root.key])
                 total += root.mass * u
             values[k] = Fraction(total, aux.roots[0].scale * factor * L
                                  * (k if terminal is None else 1))
@@ -533,13 +516,17 @@ def solve_backward(aux: AuxiliaryGame, payoff="mean",
     general terminal payoff is history-dependent, so it is refused on a
     merged belief DAG.
 
-    This is ``_shapley`` at the single horizon N: under the mean payoff
-    absorption-pruned nodes (see build_auxiliary) enter their parents'
-    matrices in closed form, every other node solves its integer stage
-    matrix (on a tree once per distinct matrix and level).  With
-    ``want_strategies`` both players' mixes are read off each node's
-    ``solve_matrix_game`` solution; a merged DAG has no per-history views,
-    so strategies are refused there.  ``node_count`` counts every node.
+    This is ``_shapley`` at the single horizon N: on a DAG pruned nodes
+    (see build_auxiliary) enter their parents' matrices in closed form,
+    every other node solves its integer stage matrix.  With
+    ``want_strategies`` both players' tables have one entry per observed
+    history that is neither pruned nor below a pruned node, in the
+    per-history tree's order, read off the solution of the history's
+    (stages left, node key) game.  One breadth-first walk over the build's
+    paths, in ``links`` order, yields them; it charges a fresh ``Budget``
+    of the build's limit once per path, so it raises BudgetExceededError at
+    the level where the per-history tree's build would.  ``node_count``
+    counts the build's nodes.
     """
     N = aux.horizon
     if aux.view == JOINT:
@@ -554,9 +541,6 @@ def solve_backward(aux: AuxiliaryGame, payoff="mean",
         terminal = payoff
     elif payoff != MEAN:
         raise GameModelError(f"unknown payoff {payoff!r}")
-    if want_strategies and aux.merged:
-        raise GameModelError(
-            "strategies need per-history views: solve an unmerged build")
 
     solutions = {} if want_strategies else None
     value = _shapley(aux, [N], terminal, solutions)[N]
@@ -565,14 +549,22 @@ def solve_backward(aux: AuxiliaryGame, payoff="mean",
     if want_strategies:
         table1: dict = {}
         table2: dict = {}
-        for level in aux.levels:
-            for node in level:
-                sol = solutions.get(id(node))
-                if sol is None:
-                    continue
-                view = node.view()
-                table1[view] = dict(zip(aux.actions1, sol.row_strategy))
-                table2[view] = dict(zip(aux.actions2, sol.col_strategy))
+        paths = Budget(aux.budget)
+        level = []
+        for root in aux.roots:
+            paths.charge(1)
+            level.append(((root.label,), root))
+        for depth in range(1, N + 1):
+            nxt = []
+            for view, node in level:
+                sol = solutions.get((N - depth + 1, node.key))
+                if sol is not None:
+                    table1[view] = dict(zip(aux.actions1, sol.row_strategy))
+                    table2[view] = dict(zip(aux.actions2, sol.col_strategy))
+                for (edge, label), (_, child) in node.links.items():
+                    paths.charge(depth + 1)
+                    nxt.append(((*view, *edge, label), child))
+            level = nxt
         kind = "public" if aux.view == PUBLIC else "player"
 
         def strategy(player, table, single_action):
@@ -603,10 +595,10 @@ def solve_horizons(aux: AuxiliaryGame, horizons) -> dict:
         raise UnsupportedStructureError(
             "cannot solve on the joint view: neither player observes it")
     wanted = list(horizons)
-    if not all(isinstance(n, int) and not isinstance(n, bool) for n in wanted):
-        raise GameModelError(f"horizons must be integers, got {wanted}")
+    for n in wanted:
+        require_horizon(n)
     wanted = sorted(set(wanted))
-    if not wanted or wanted[0] < 1 or wanted[-1] > aux.horizon:
+    if not wanted or wanted[-1] > aux.horizon:
         raise GameModelError(
             f"horizons must lie in 1..{aux.horizon}, got {wanted}")
     return _shapley(aux, wanted)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import Budget, GameModelError
+from .errors import Budget, GameModelError, require_horizon
 from .lp import EQ, LEQ, OPTIMAL, LPError, LinearProgram, solve_lp
 from .model import (
     MEAN,
@@ -116,9 +116,8 @@ def build_sequence_form(spec_or_sym, horizon: int, evaluation=MEAN,
                         budget: int | None = None) -> SequenceFormProgram:
     """Walk the positive-weight history tree and assemble the program."""
     spec = as_general(spec_or_sym)
+    require_horizon(horizon)
     N = horizon
-    if N < 1:
-        raise GameModelError("horizon must be >= 1")
     terminal = evaluation if isinstance(evaluation, TerminalPayoff) else None
     if terminal is None and evaluation != MEAN:
         raise GameModelError(f"unknown evaluation {evaluation!r}")
@@ -310,6 +309,7 @@ def best_response_value(spec_or_sym, fixed: BehavioralStrategy, horizon: int,
     frame, at its depth.
     """
     spec = as_general(spec_or_sym)
+    require_horizon(horizon)
     N = horizon
     terminal = evaluation if isinstance(evaluation, TerminalPayoff) else None
     public_of = (require_public_labels(spec) if fixed.view_kind == "public"

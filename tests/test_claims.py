@@ -226,9 +226,10 @@ def test_uniform_value_already_absorbed_game():
 
 
 def test_extract_eps_optimal_infeasible_horizon_warns():
-    # the quitting game's unmerged public tree is exponential: with a tight
-    # node budget, deep horizons are not extractable and the solver falls
-    # back to the best feasible one, with a warning
+    # the quitting game's observed histories are exponential in the
+    # horizon, and the strategy tables have one entry per history: with a
+    # tight node budget, deep horizons are not extractable and the solver
+    # falls back to the best feasible one, with a warning
     sym = corpus.quitting_game()
     report = uniform_value(sym, n_max=32, tol=F(1, 50), window=3)
     result = extract_eps_optimal(sym, report, eps=F(1, 10 ** 9), budget=3000)
@@ -242,9 +243,7 @@ def _per_horizon_values(game, horizons, budget=None):
     values = []
     for n in horizons:
         try:
-            aux = reduction.build_auxiliary(game, n, budget=budget,
-                                            prune_absorbed=True,
-                                            merge_beliefs=True)
+            aux = reduction.build_auxiliary(game, n, budget=budget)
         except BudgetExceededError:
             break
         sol = reduction.solve_backward(aux, payoff=reduction.MEAN,
@@ -301,9 +300,10 @@ def test_uniform_value_budget_prefix_matches_per_horizon_builds():
 
 def test_quitting_sweep_solves_one_matrix_game_per_stage_count(monkeypatch):
     """The n_max=64 values take one merged build, one sweep and at most one
-    matrix game per stage count (3 beliefs, 2 of them absorbed).  The sweep
-    needs values only, so it solves each game through ``reduction``'s
-    binding of ``matrix_game_value``."""
+    matrix game per stage count (3 beliefs, 2 of them absorbed), and the
+    strategies one more merged build at their horizon.  The sweep needs
+    values only, so it solves each game through ``reduction``'s binding of
+    ``matrix_game_value``."""
     real_solve = reduction.matrix_game_value
     real_sweep = recursive.solve_horizons
     real_build = recursive.build_auxiliary
@@ -323,9 +323,10 @@ def test_quitting_sweep_solves_one_matrix_game_per_stage_count(monkeypatch):
             active.pop()
 
     def tracked_build(*args, **kwargs):
-        if kwargs.get("merge_beliefs"):
+        aux = real_build(*args, **kwargs)
+        if aux.merged:
             merged_builds.append(args[1])
-        return real_build(*args, **kwargs)
+        return aux
 
     monkeypatch.setattr(reduction, "matrix_game_value", counting_solve)
     monkeypatch.setattr(recursive, "solve_horizons", tracked_sweep)
@@ -333,7 +334,7 @@ def test_quitting_sweep_solves_one_matrix_game_per_stage_count(monkeypatch):
     report = uniform_value(corpus.quitting_game(), n_max=64, tol=F(1, 50),
                            window=3)
     assert [n for n, _ in report.value_sequence] == default_schedule(64)
-    assert merged_builds == [64]
+    assert merged_builds == [64, report.strategy_horizon]
     assert sweeps == [default_schedule(64)]
     assert 0 < len(games) <= 64
 

@@ -166,6 +166,20 @@ def test_kernel_check_dump_trees_golden(corpus_dir, tmp_path, capsys):
     assert "max discrepancy: 0" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("game", ["bigmatch_fullmonitor", "noisy_public_2state",
+                                  "quitting_game"])
+def test_reduce_symmetric_csv_golden(corpus_dir, tmp_path, game):
+    """One row per observed history of the per-history tree, merged or
+    absorbed beliefs included; recorded before the default build became
+    the merged DAG."""
+    golden = Path(__file__).resolve().parent / "golden" / f"reduce_symmetric_{game}3.csv"
+    out = tmp_path / "aux.csv"
+    code = main(["reduce-symmetric", "--game", str(corpus_dir / f"{game}.game"),
+                 "--horizon", "3", "--csv", str(out)])
+    assert code == 0
+    assert out.read_bytes() == golden.read_bytes()
+
+
 def test_simulate_deterministic_cli(corpus_dir, capsys):
     argv = ["simulate", "--game", str(corpus_dir / "bigmatch_nosignals.game"),
             "--horizon", "5", "--seed", "9", "--replicas", "200"]

@@ -38,8 +38,9 @@ from signalgames.model import (
     uniform_strategy,
 )
 from signalgames.rationals import ZERO
-from signalgames.reduction import build_auxiliary
-from signalgames.seqform import best_response_value, build_sequence_form
+from signalgames.reduction import build_auxiliary, solve_horizons
+from signalgames.seqform import best_response_value, build_sequence_form, nstage_value
+from signalgames.supvalue import sup_lower_bound
 
 
 def test_alpha_dirac_initial(games):
@@ -465,8 +466,7 @@ def test_simulate_public_view_strategy():
     (lambda b: build_trees(corpus.noisy_public_2state(), 3, budget=b),
      146, (145, 3)),
     # 9 beliefs in the merged, pruned DAG to level 5
-    (lambda b: build_auxiliary(corpus.mdp_final_remark(), 5, budget=b,
-                               prune_absorbed=True, merge_beliefs=True),
+    (lambda b: build_auxiliary(corpus.mdp_final_remark(), 5, budget=b),
      9, (8, 5)),
     # 7 live and 6 closed nodes: closed nodes count, but only live ones
     # check, so 12 fits and the first overrun is at budget 8
@@ -493,3 +493,31 @@ def test_budget_overrun_pinned(build, fits, overrun):
     with pytest.raises(BudgetExceededError) as err:
         build(overrun[0])
     assert (err.value.budget, err.value.level_reached) == overrun
+
+
+def _uniform_pair(game):
+    return uniform_strategy(game, 1), uniform_strategy(game, 2)
+
+
+@pytest.mark.parametrize("bad", [2.5, 3.0, True, 0, -1])
+@pytest.mark.parametrize("entry", [
+    lambda g, n: build_trees(g, n),
+    lambda g, n: build_auxiliary(g, n),
+    lambda g, n: solve_horizons(build_auxiliary(g, 3), [n]),
+    lambda g, n: build_sequence_form(g, n),
+    lambda g, n: nstage_value(g, n),
+    lambda g, n: sup_lower_bound(g, n),
+    lambda g, n: best_response_value(g, uniform_strategy(g, 1), n),
+    lambda g, n: exact_play_distribution(g, *_uniform_pair(g), n),
+    lambda g, n: conditional_check(g, *_uniform_pair(g), n, 3),
+    lambda g, n: conditional_check(g, *_uniform_pair(g), 1, n),
+], ids=["build_trees", "build_auxiliary", "solve_horizons",
+        "build_sequence_form", "nstage_value", "sup_lower_bound",
+        "best_response_value", "exact_play_distribution",
+        "conditional_check_n", "conditional_check_m"])
+def test_horizons_must_be_integers_at_least_one(entry, bad):
+    """A horizon that is a float, a bool or below 1 is refused with a
+    GameModelError before any work: a float used to reach the LP and give
+    a value with a float's denominator, and True or 0 a value of 0."""
+    with pytest.raises(GameModelError, match="must be"):
+        entry(corpus.quitting_game(), bad)

@@ -10,7 +10,11 @@ from oracles import auxiliary_from_trees, fraction_solve_horizons, naive_stage_m
 from randgen import random_dist, random_game, random_strategy, random_symmetric_game
 from signalgames import corpus, reduction
 from signalgames import lp as lp_module
-from signalgames.errors import GameModelError, UnsupportedStructureError
+from signalgames.errors import (
+    BudgetExceededError,
+    GameModelError,
+    UnsupportedStructureError,
+)
 from signalgames.histories import build_trees, exact_play_distribution
 from signalgames.lp import solve_matrix_game
 from signalgames.model import PLAYER1, PLAYER2, GameSpec, SymmetricGameSpec
@@ -40,11 +44,13 @@ def test_signal_transition_noisy_example():
 
 
 def test_signal_transition_rows_sum_one_random():
+    """On both builds; a pruned node has no children."""
     for seed in range(15):
         sym = random_symmetric_game(seed)
-        aux = build_auxiliary(sym, 3)
-        for level in aux.levels[:-1]:
-            for node in level:
+        for merge in (True, False):
+            aux = build_auxiliary(sym, 3, merge_beliefs=merge)
+            for node in (node for level in aux.levels[:-1] for node in level
+                         if not node.pruned):
                 for i in aux.actions1:
                     for j in aux.actions2:
                         psi = aux.signal_transition(node, i, j)
@@ -67,7 +73,7 @@ def test_belief_recursion_matches_member_trees():
         sym = random_symmetric_game(seed)
         pair = build_trees(sym, 4)
         from_members = auxiliary_from_trees(pair)
-        from_beliefs = build_auxiliary(sym, 4)
+        from_beliefs = build_auxiliary(sym, 4, merge_beliefs=False)
         for n in range(4):
             lhs = {node.view(): (node.beta, tuple(sorted(node.posterior.items())))
                    for node in from_members[n]}
@@ -134,9 +140,10 @@ def test_posterior_martingale_one_step():
     for seed in range(12):
         sym = random_symmetric_game(seed)
         spec = sym.expand()
-        aux = build_auxiliary(sym, 3)
-        for level in aux.levels[:-1]:
-            for node in level:
+        for merge in (True, False):
+            aux = build_auxiliary(sym, 3, merge_beliefs=merge)
+            for node in (node for level in aux.levels[:-1] for node in level
+                         if not node.pruned):
                 for i in aux.actions1:
                     for j in aux.actions2:
                         predicted = {}
@@ -220,21 +227,33 @@ def test_solve_backward_horizon1_is_stage_game():
     assert sol.value == solve_matrix_game(matrix).value
 
 
-def _every_node_backward(aux, payoff=MEAN):
-    """Reference backward induction on an unmerged tree: one
-    ``naive_stage_matrix`` and one solve at every unpruned node, with the
-    mean payoff or a ``LiftedPayoff`` terminal (no stage reward, the lifted
-    value at the horizon).  Returns the value and both players' strategy
-    tables."""
-    N = aux.horizon
+def _every_node_backward(game, N, view=None, payoff=MEAN, prune=True):
+    """Reference backward induction on the per-history tree: one
+    ``naive_stage_matrix`` and one solve at every node, with the mean
+    payoff or a ``LiftedPayoff`` terminal (no stage reward, the lifted
+    value at the horizon).  With ``prune`` (for the mean payoff) a node
+    whose belief sits on absorbing states takes its closed-form value and
+    the nodes below it are left out, as the default build prunes them.
+    Returns the value and both players' strategy tables."""
+    aux = build_auxiliary(game, N, view=view, merge_beliefs=False)
     terminal = payoff if isinstance(payoff, LiftedPayoff) else None
+    absorbing = aux.spec.absorbing_states if prune else frozenset()
+    closed, below = set(), set()
+    for level in aux.levels:
+        for node in level:
+            if id(node.parent) in closed | below:
+                below.add(id(node))
+            elif absorbing.issuperset(node.mu):
+                closed.add(id(node))
     values, solutions = {}, {}
     for depth in range(N, 0, -1):
         for node in aux.levels[depth - 1]:
+            if id(node) in below:
+                continue
             if terminal is not None and depth == N:
                 values[id(node)] = terminal.value_at(node)
                 continue
-            if node.pruned:
+            if id(node) in closed:
                 values[id(node)] = (N - depth + 1) * sum(
                     (w * aux.spec.absorbing_payoff(x)
                      for x, w in node.posterior.items()), ZERO)
@@ -255,9 +274,13 @@ def _every_node_backward(aux, payoff=MEAN):
 
 
 def _assert_matches_every_node(aux, payoff=MEAN):
-    """On a private view the single-action player's strategy has no table."""
+    """``solve_backward`` on ``aux``, merged or not, against
+    ``_every_node_backward`` on the per-history tree of the same game, view
+    and horizon.  On a private view the single-action player's strategy
+    has no table."""
     sol = solve_backward(aux, payoff=payoff)
-    value, table1, table2 = _every_node_backward(aux, payoff)
+    value, table1, table2 = _every_node_backward(aux.spec, aux.horizon,
+                                                 aux.view, payoff, aux.merged)
     assert repr(sol.value) == repr(value)
     if aux.view != PLAYER2:
         assert repr(sol.strategy1.table) == repr(table1)
@@ -267,13 +290,14 @@ def _assert_matches_every_node(aux, payoff=MEAN):
 
 
 def test_solve_backward_solves_each_distinct_stage_matrix_once(monkeypatch):
-    """On the unmerged public quitting game at n=10 (2045 nodes, 1023 of
-    them unpruned, 10 distinct stage matrices) ``solve_backward`` solves
-    each distinct matrix once and returns what solving every node gives,
-    ``repr`` for ``repr``."""
+    """On the public quitting game at n=7 the merged build holds 3 beliefs
+    in 19 nodes, 7 of them live, and ``solve_backward`` solves one matrix
+    game per live (stages left, belief) pair, 7 distinct games, and
+    returns what solving every node of the per-history tree gives (127
+    live histories above the absorbed ones), ``repr`` for ``repr``."""
     from signalgames import reduction
 
-    aux = build_auxiliary(corpus.quitting_game(), 10, prune_absorbed=True)
+    aux = build_auxiliary(corpus.quitting_game(), 7)
     solved = []
 
     def counted(matrix):
@@ -283,11 +307,13 @@ def test_solve_backward_solves_each_distinct_stage_matrix_once(monkeypatch):
     monkeypatch.setattr(reduction, "solve_matrix_game", counted)
     sol = solve_backward(aux, payoff=MEAN)
     monkeypatch.undo()
-    assert len(solved) == len(set(solved)) == 10
+    assert len(solved) == len(set(solved)) == 7
     nodes = [node for level in aux.levels for node in level]
-    assert sol.node_count == len(nodes) == 2045
-    assert sum(not node.pruned for node in nodes) == 1023
-    value, table1, table2 = _every_node_backward(aux)
+    assert sol.node_count == len(nodes) == 19
+    assert sum(not node.pruned for node in nodes) == 7
+    assert len({node.key for node in nodes}) == 3
+    value, table1, table2 = _every_node_backward(aux.spec, 7)
+    assert len(table1) == len(table2) == 127
     assert repr(sol.value) == repr(value)
     assert repr(sol.strategy1.table) == repr(table1)
     assert repr(sol.strategy2.table) == repr(table2)
@@ -295,20 +321,21 @@ def test_solve_backward_solves_each_distinct_stage_matrix_once(monkeypatch):
 
 def test_solve_backward_strategies_equal_every_node_solve(games):
     """The integer recursion's values and strategy tables are those of one
-    ``Fraction`` stage-matrix solve per node, ``repr`` for ``repr``: the
-    blind MDP on player 1's view, the noisy public game, and random
-    symmetric games, unpruned and with absorbing states pruned."""
+    ``Fraction`` stage-matrix solve per history, ``repr`` for ``repr``: the
+    blind MDP on player 1's view, the noisy public game, random symmetric
+    games and games with absorbing states, on the merged build (pruned
+    where beliefs absorb) and on the per-history tree."""
     for n in (1, 2, 5, 9):
-        aux = build_auxiliary(games["mdp_final_remark"], n, view=PLAYER1,
-                              prune_absorbed=True)
+        aux = build_auxiliary(games["mdp_final_remark"], n, view=PLAYER1)
         _assert_matches_every_node(aux)
     for n in range(1, 5):
         _assert_matches_every_node(build_auxiliary(games["noisy_public_2state"], n))
     pruned = 0
     for seed in range(12):
-        _assert_matches_every_node(build_auxiliary(random_symmetric_game(seed), 3))
-        aux = build_auxiliary(_absorbing_symmetric_game(seed), 3,
-                              prune_absorbed=True)
+        for merge in (True, False):
+            _assert_matches_every_node(build_auxiliary(
+                random_symmetric_game(seed), 3, merge_beliefs=merge))
+        aux = build_auxiliary(_absorbing_symmetric_game(seed), 3)
         pruned += any(node.pruned for level in aux.levels for node in level)
         _assert_matches_every_node(aux)
     assert pruned
@@ -326,17 +353,18 @@ def test_solve_backward_lifted_terminal_equals_every_node_solve():
         f = {h: F(rng.randint(-4, 4), rng.randint(1, 3))
              for h in pair.histories(3)}
         lifted = lift_payoff(pair, f)
-        aux = build_auxiliary(sym, 3)
+        aux = build_auxiliary(sym, 3, merge_beliefs=False)
         sol = _assert_matches_every_node(aux, lifted)
         assert sol.strategy1.table, seed
         assert repr(solve_backward(aux, lifted, want_strategies=False).value) \
             == repr(sol.value), seed
 
 
-def _per_horizon_values(game, horizons, **build):
-    """Reference: one build and one plain backward pass per horizon."""
-    return {n: solve_backward(build_auxiliary(game, n, **build), payoff=MEAN,
-                              want_strategies=False).value
+def _per_horizon_values(game, horizons):
+    """Reference: one per-history tree and one plain backward pass per
+    horizon."""
+    return {n: solve_backward(build_auxiliary(game, n, merge_beliefs=False),
+                              payoff=MEAN, want_strategies=False).value
             for n in horizons}
 
 
@@ -345,10 +373,10 @@ def test_solve_backward_merge_agrees_with_plain():
     horizon's value of plain backward induction on unmerged trees."""
     for seed in range(25):
         sym = random_symmetric_game(seed)
-        dag = build_auxiliary(sym, 4, prune_absorbed=True, merge_beliefs=True)
+        dag = build_auxiliary(sym, 4)
         assert solve_horizons(dag, range(1, 5)) == _per_horizon_values(
             sym, range(1, 5)), seed
-        tree = build_auxiliary(sym, 4)
+        tree = build_auxiliary(sym, 4, merge_beliefs=False)
         assert (sum(len(level) for level in dag.levels)
                 <= sum(len(level) for level in tree.levels))
 
@@ -358,7 +386,7 @@ def test_solve_backward_merge_agrees_with_plain():
        horizons=st.sets(st.integers(min_value=1, max_value=4), min_size=1))
 def test_solve_horizons_equals_per_horizon_backward(seed, horizons):
     sym = random_symmetric_game(seed)
-    dag = build_auxiliary(sym, max(horizons), merge_beliefs=True)
+    dag = build_auxiliary(sym, max(horizons))
     assert solve_horizons(dag, horizons) == _per_horizon_values(sym, horizons)
 
 
@@ -413,8 +441,7 @@ def test_integer_sweep_equals_fraction_recursion(monkeypatch):
     seen = {"non-dyadic step": 0, "reward lcm > 1": 0, "several roots": 0,
             "pruned": 0, "link gcd > 1": 0}
     for game, view in games:
-        dag = build_auxiliary(game, 4, view=view, prune_absorbed=True,
-                              merge_beliefs=True)
+        dag = build_auxiliary(game, 4, view=view)
         nodes = [node for level in dag.levels for node in level]
         seen["non-dyadic step"] += dag.step & (dag.step - 1) != 0
         seen["reward lcm > 1"] += any(g.denominator > 1
@@ -432,13 +459,15 @@ def test_integer_sweep_equals_fraction_recursion(monkeypatch):
     assert 0 < len(lp_calls) < len(games_solved), (len(lp_calls), len(games_solved))
 
 
-def test_solve_backward_refuses_strategies_on_a_merged_dag():
-    dag = build_auxiliary(corpus.quitting_game(), 3, prune_absorbed=True,
-                          merge_beliefs=True)
-    with pytest.raises(GameModelError):
-        solve_backward(dag, payoff=MEAN)
-    assert solve_backward(dag, payoff=MEAN, want_strategies=False).value == \
+def test_solve_backward_reads_strategies_on_a_merged_dag():
+    """On the merged quitting DAG ``solve_backward`` gives the sweep's value
+    with and without strategies, and its tables are the per-history
+    tree's: one entry per live observed history, 1 + 2 + 4 at n = 3."""
+    dag = build_auxiliary(corpus.quitting_game(), 3)
+    sol = _assert_matches_every_node(dag)
+    assert sol.value == solve_backward(dag, want_strategies=False).value == \
         solve_horizons(dag, [3])[3]
+    assert len(sol.strategy1.table) == len(sol.strategy2.table) == 7
 
 
 def _keys_and_posteriors(dag):
@@ -453,19 +482,18 @@ def _keys_and_posteriors(dag):
 
 def test_belief_keys_number_posteriors_across_depths():
     """Keys are equal, at any depths, exactly when posteriors are."""
-    dag = build_auxiliary(corpus.quitting_game(), 6, prune_absorbed=True,
-                          merge_beliefs=True)
+    dag = build_auxiliary(corpus.quitting_game(), 6)
     assert len(_keys_and_posteriors(dag)) == 3
     for seed in range(20):
         sym = random_symmetric_game(seed, n_states=3, n_signals=3)
-        _keys_and_posteriors(build_auxiliary(sym, 4, merge_beliefs=True))
+        _keys_and_posteriors(build_auxiliary(sym, 4))
 
 
 def test_solve_horizons_rejects_bad_input():
     sym = corpus.quitting_game()
     with pytest.raises(GameModelError):
-        solve_horizons(build_auxiliary(sym, 3), [1, 2])
-    dag = build_auxiliary(sym, 3, merge_beliefs=True)
+        solve_horizons(build_auxiliary(sym, 3, merge_beliefs=False), [1, 2])
+    dag = build_auxiliary(sym, 3)
     for horizons in ([], [0, 1], [4], [2.5], [1, 2.0], [True]):
         with pytest.raises(GameModelError):
             solve_horizons(dag, horizons)
@@ -494,7 +522,7 @@ def test_mdp_belief_values_match_closed_form(games):
     max_k (1 - 2^-k) (n - k - 1), the hand-derived plan value."""
     spec = games["mdp_final_remark"]
     for n in (2, 4, 7, 12):
-        aux = build_auxiliary(spec, n, prune_absorbed=True)
+        aux = build_auxiliary(spec, n)
         sol = solve_backward(aux, payoff=MEAN, want_strategies=False)
         expected = max(
             (F(1) - F(1, 2 ** k)) * (n - k - 1) for k in range(n)) / n
@@ -521,10 +549,11 @@ def test_integer_stage_matrix_is_scaled_naive_formula():
     Fraction, when the live children carry U = D**(k-2) L s_child V and,
     under the stage reward, the pruned children are folded into the cells
     and enter at their closed form V = (k-1) sum_x post(x) g_abs(x): with
-    and without the stage reward (L = 1 without it, as under a terminal
-    payoff, where nothing folds), with and without the continuation, on
-    public views of symmetric games (with absorbing states among them)
-    and private views of single-controller games, merged and unmerged."""
+    the stage reward on both builds and without it (L = 1, as under a
+    terminal payoff) on the per-history tree, which prunes nothing; with
+    and without the continuation; on public views of symmetric games (with
+    absorbing states among them) and private views of single-controller
+    games."""
     rng = random.Random(7)
     cases = [(random_symmetric_game(seed, n_states=3, n_signals=3), None)
              for seed in range(12)]
@@ -535,9 +564,7 @@ def test_integer_stage_matrix_is_scaled_naive_formula():
             "other weight": 0, "folded child": 0}
     for game, view in cases:
         for merge in (False, True):
-            aux = build_auxiliary(game, 4, view=view, prune_absorbed=merge,
-                                  merge_beliefs=merge)
-            ident = (lambda node: node.key) if merge else id
+            aux = build_auxiliary(game, 4, view=view, merge_beliefs=merge)
             D = aux.step
             values = {}
 
@@ -545,8 +572,8 @@ def test_integer_stage_matrix_is_scaled_naive_formula():
                 return (k - 1) * sum((w * aux.spec.absorbing_payoff(x)
                                       for x, w in child.posterior.items()), F(0))
 
-            def continuation(child, k, fold):
-                if fold and child.pruned:
+            def continuation(child, k):
+                if child.pruned:
                     return absorbed_value(child, k)
                 # zero for some children, so empty cells occur too
                 return values.setdefault(id(child), F(rng.randint(-3, 5),
@@ -560,29 +587,27 @@ def test_integer_stage_matrix_is_scaled_naive_formula():
                                 seen["zero reward" if g == 0 else "nonzero reward"] += 1
                     for w, _ in node.children.values():
                         seen["unit weight" if w == 1 else "other weight"] += 1
-                    for stage_reward in (False, True):
+                    for stage_reward in (True,) if merge else (False, True):
                         if stage_reward:
                             L = lcm(*(g.denominator for g in aux.spec.reward.values()))
                             reward = {key: int(g * L)
                                       for key, g in aux.spec.reward.items()}
-                            absorbed = {}
                         else:
                             L, reward = 1, dict.fromkeys(aux.spec.reward, 0)
-                            absorbed = None
-                        cells = _cells(aux, reward, node, ident, absorbed)
+                        absorbed = {}
+                        cells = _cells(aux, reward, node, absorbed)
                         folded = [key for row in cells for _, _, closed in row
                                   for _, key in closed]
                         assert all(key in absorbed for key in folded)
                         seen["folded child"] += len(folded)
                         for k in (1, 2, 3):
                             cont = None if k == 1 else (
-                                lambda child, k=k: continuation(
-                                    child, k, absorbed is not None))
+                                lambda child, k=k: continuation(child, k))
                             previous = None if cont is None else {
-                                ident(child): D ** (k - 2) * L
+                                child.key: D ** (k - 2) * L
                                 * sum(child.mu.values()) * cont(child)
                                 for _, child in node.links.values()
-                                if absorbed is None or not child.pruned}
+                                if not child.pruned}
                             tail = (0 if k == 1 else D ** (k - 2) * (k - 1), 0)
                             c = D ** (k - 1) * L * sum(node.mu.values())
                             got = [[F(e) / c for e in row]
@@ -592,6 +617,39 @@ def test_integer_stage_matrix_is_scaled_naive_formula():
                             want = naive_stage_matrix(aux, node, stage_reward, cont)
                             assert repr(got) == repr(want), (view, merge, node.depth, k)
     assert all(seen.values()), seen
+
+
+def test_merged_nodes_below_the_roots_have_no_view():
+    """A merged node stands for every history that reaches its belief, so
+    only the per-history tree gives views below the roots."""
+    dag = build_auxiliary(corpus.quitting_game(), 3)
+    tree = build_auxiliary(corpus.quitting_game(), 3, merge_beliefs=False)
+    assert [root.view() for root in dag.roots] == \
+        [root.view() for root in tree.roots]
+    for node in dag.levels[1] + dag.levels[2]:
+        with pytest.raises(GameModelError, match="merge_beliefs=False"):
+            node.view()
+    assert [len(node.view()) for node in tree.levels[2]] == [7] * 16
+
+
+def test_strategy_walk_charges_one_node_per_observed_history():
+    """The strategies' walk over the merged quitting DAG charges a fresh
+    budget of the build's limit once per observed history above the
+    absorbed ones, 2**(n+1) - 3 of them: 4093 to n = 11 and 8189 to
+    n = 12.  So it raises where the per-history tree's build would, though
+    the DAG itself holds 3n - 2 nodes."""
+    game = corpus.quitting_game()
+    assert len(solve_backward(build_auxiliary(game, 11, budget=4093))
+               .strategy1.table) == 2 ** 11 - 1
+    with pytest.raises(BudgetExceededError) as err:
+        solve_backward(build_auxiliary(game, 11, budget=4092))
+    assert (err.value.budget, err.value.level_reached) == (4092, 11)
+    dag = build_auxiliary(game, 12, budget=5000)
+    assert sum(map(len, dag.levels)) == 34
+    assert solve_backward(dag, want_strategies=False).value == F(11, 24)
+    with pytest.raises(BudgetExceededError) as err:
+        solve_backward(dag)
+    assert (err.value.budget, err.value.level_reached) == (5000, 12)
 
 
 def test_build_auxiliary_rejects_horizons_below_one():
@@ -642,16 +700,17 @@ def test_folded_sweep_equals_unpruned_and_fraction_recursion():
     """Folding absorbed beliefs into their parents' cells changes no value
     and no strategy: on random recursive games whose beliefs are absorbed
     at every depth (pruned roots included, and the one-row and one-column
-    games read as a min or a max) ``solve_horizons`` on a pruned DAG equals
-    it on an unpruned one and ``fraction_solve_horizons``, and
-    ``solve_backward`` on a pruned tree gives the unpruned tree's value and
-    its strategies at every live node, and matches a per-node solve."""
+    games read as a min or a max) ``solve_horizons`` on the pruned DAG
+    equals backward induction on the unpruned per-history tree and
+    ``fraction_solve_horizons``, and ``solve_backward`` on the DAG gives
+    the tree's value and its strategies at every live history, and
+    matches a per-node solve."""
     seen = {"pruned root": 0, "live root": 0, "one row": 0, "one column": 0,
             "square": 0, "pruned at every depth": 0}
     games = [_recursive_game(seed) for seed in range(16)]
     games += [_recursive_game(seed, start_absorbed=True) for seed in range(8)]
     for game in games:
-        dag = build_auxiliary(game, 5, prune_absorbed=True, merge_beliefs=True)
+        dag = build_auxiliary(game, 5)
         seen["pruned root"] += any(root.pruned for root in dag.roots)
         seen["live root"] += any(not root.pruned for root in dag.roots)
         seen["one row"] += len(game.actions1) == 1
@@ -661,14 +720,13 @@ def test_folded_sweep_equals_unpruned_and_fraction_recursion():
             any(node.pruned for node in level) for level in dag.levels[1:])
         horizons = [1, 2, 3, 5]
         got = solve_horizons(dag, horizons)
-        unpruned = build_auxiliary(game, 5, merge_beliefs=True)
-        assert got == solve_horizons(unpruned, horizons)
+        assert got == _per_horizon_values(game, horizons)
         assert got == fraction_solve_horizons(dag, horizons)
         for n in (1, 3):
-            tree = build_auxiliary(game, n, prune_absorbed=True)
-            full = solve_backward(build_auxiliary(game, n))
-            assert solve_backward(tree).value == full.value == got[n]
-            sol = _assert_matches_every_node(tree)
+            pruned = build_auxiliary(game, n)
+            full = solve_backward(build_auxiliary(game, n, merge_beliefs=False))
+            assert solve_backward(pruned).value == full.value == got[n]
+            sol = _assert_matches_every_node(pruned)
             for mine, theirs in ((sol.strategy1, full.strategy1),
                                  (sol.strategy2, full.strategy2)):
                 assert all(theirs.table[view] == mix
@@ -676,22 +734,27 @@ def test_folded_sweep_equals_unpruned_and_fraction_recursion():
     assert all(seen.values()), seen
 
 
-def test_lifted_payoff_still_refuses_a_pruned_node_above_the_horizon():
-    """A terminal payoff folds nothing: a pruned node at the horizon takes
-    its lifted value, and one above the horizon raises."""
+def test_lifted_payoff_is_refused_on_a_pruned_build():
+    """A terminal payoff folds nothing, so it is refused on the default
+    build, which prunes absorbed beliefs; on the per-history tree, which
+    prunes nothing, an absorbed node at the horizon takes its lifted value
+    and one above it solves its stage game like any other."""
     for seed in range(6):
         game = _recursive_game(seed, start_absorbed=True)
         pair = build_trees(game, 2)
         lifted = lift_payoff(pair, {h: F(h.depth) for h in pair.histories(2)})
-        aux = build_auxiliary(game, 2, prune_absorbed=True)
+        aux = build_auxiliary(game, 2)
         assert any(root.pruned for root in aux.roots)
         for strategies in (True, False):
-            with pytest.raises(GameModelError, match="pruned node"):
+            with pytest.raises(GameModelError, match="stage-additive"):
                 solve_backward(aux, lifted, want_strategies=strategies)
+        tree = build_auxiliary(game, 2, merge_beliefs=False)
+        assert not any(node.pruned for level in tree.levels for node in level)
+        assert _assert_matches_every_node(tree, lifted).value == 2
     game = _recursive_game(0, start_absorbed=True)
     pair = build_trees(game, 1)
     lifted = lift_payoff(pair, {h: F(3) for h in pair.histories(1)})
-    assert solve_backward(build_auxiliary(game, 1, prune_absorbed=True),
+    assert solve_backward(build_auxiliary(game, 1, merge_beliefs=False),
                           lifted).value == 3
 
 
@@ -701,8 +764,7 @@ def test_mdp_sweep_evaluates_live_beliefs_only(monkeypatch, games):
     once, two cells each; its one-column games build no matrix."""
     from signalgames.recursive import default_schedule
 
-    dag = build_auxiliary(games["mdp_final_remark"], 4000, prune_absorbed=True,
-                          merge_beliefs=True)
+    dag = build_auxiliary(games["mdp_final_remark"], 4000)
     planned, entries = [], []
     real_cells, real_entry = reduction._cells, reduction._entry
 
@@ -739,8 +801,7 @@ def test_solve_horizons_builds_one_fraction_per_horizon(monkeypatch, games):
     monkeypatch.setattr(reduction, "Fraction", counted)
     for game, n_max in ((games["mdp_final_remark"], 300),
                         (corpus.quitting_game(), 100)):
-        dag = build_auxiliary(game, n_max, prune_absorbed=True,
-                              merge_beliefs=True)
+        dag = build_auxiliary(game, n_max)
         horizons = list(range(1, 13)) + [40, n_max]
         built.clear()
         solve_horizons(dag, horizons)
@@ -752,7 +813,7 @@ def test_belief_node_repr_shows_its_own_fields_only():
     ancestors' and descendants' reprs, exponentially many (800 KB for the
     10 nodes of the quitting game's DAG to horizon 4), and a failed
     assertion reprs the values it compared."""
-    dag = build_auxiliary(corpus.quitting_game(), 4, merge_beliefs=True)
+    dag = build_auxiliary(corpus.quitting_game(), 4)
     for level in dag.levels:
         for node in level:
             assert repr(node) == (

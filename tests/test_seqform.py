@@ -125,7 +125,7 @@ def test_backward_equals_sequence_form_lifted_terminal():
              for h in pair.histories(N)}
         fnode = {h: f[h.full_key()] for h in pair.histories(N)}
         lifted = lift_payoff(pair, fnode)
-        aux = build_auxiliary(sym, N)
+        aux = build_auxiliary(sym, N, merge_beliefs=False)
         back = solve_backward(aux, payoff=lifted, want_strategies=False)
         seq = nstage_value(spec, N, TerminalPayoff(node_fn=f.__getitem__))
         assert back.value == seq.value, seed
