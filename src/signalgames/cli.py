@@ -26,7 +26,6 @@ from .recursive import uniform_value
 from .reduction import build_auxiliary
 from .seqform import nstage_value
 from .supvalue import augment_running_max, sup_value_lowerbounds
-from .verify import build_corpus, run_verification, write_corpus_files
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -79,6 +78,8 @@ def _positive_int(text: str) -> int:
 
 
 def _corpus_entry(text: str) -> str:
+    from .verify import build_corpus
+
     known = [entry.entry_id for entry in build_corpus()]
     if text not in known:
         raise argparse.ArgumentTypeError(
@@ -307,6 +308,8 @@ def cmd_verify_example(args) -> int:
 
 
 def cmd_verify_paper(args) -> int:
+    from .verify import run_verification, write_corpus_files
+
     if args.write_corpus:
         try:
             paths = write_corpus_files(args.write_corpus)

@@ -38,7 +38,6 @@ compared with beta cross-multiplied.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
@@ -547,10 +546,12 @@ class SimulationSummary:
         return (self.var_of_means / self.replicas) ** 0.5
 
 
-def _counter_uniform(seed: int, replica: int, stage: int, purpose: str) -> Fraction:
-    """Deterministic uniform in [0,1): counter-based, order-independent."""
+def _counter_uniform(sha256, seed: int, replica: int, stage: int,
+                     purpose: str) -> Fraction:
+    """Deterministic uniform in [0,1): counter-based, order-independent.
+    ``sha256`` is ``hashlib.sha256``, bound by ``simulate``."""
     payload = f"{seed}:{replica}:{stage}:{purpose}".encode()
-    digest = hashlib.sha256(payload).digest()
+    digest = sha256(payload).digest()
     return Fraction(int.from_bytes(digest[:16], "big"), 1 << 128)
 
 
@@ -576,8 +577,11 @@ def simulate(spec_or_sym, sigma: BehavioralStrategy, tau: BehavioralStrategy,
     no longer asked: an absorbing state pays the same and stays put under
     every action pair, so the statistics do not depend on the actions, and
     a strategy pruned at absorbed views (as the eps-optimal ones are) plays
-    the whole horizon.
+    the whole horizon.  ``hashlib`` is imported here, on first use: it maps
+    OpenSSL into the process, and no solver needs it.
     """
+    from hashlib import sha256
+
     spec = as_general(spec_or_sym)
     absorbing = spec.absorbing_states
     init_items = sorted(spec.initial.items(), key=lambda kv: str(kv[0]))
@@ -585,7 +589,7 @@ def simulate(spec_or_sym, sigma: BehavioralStrategy, tau: BehavioralStrategy,
 
     results = []
     for r in range(replicas):
-        x, c, d = _draw(init_items, _counter_uniform(seed, r, 0, "init"))
+        x, c, d = _draw(init_items, _counter_uniform(sha256, seed, r, 0, "init"))
         v1: tuple = (label1(c, d),)
         v2: tuple = (label2(c, d),)
         total = 0.0
@@ -602,13 +606,13 @@ def simulate(spec_or_sym, sigma: BehavioralStrategy, tau: BehavioralStrategy,
                 continue
             dist1 = sigma.action_dist(v1)
             dist2 = tau.action_dist(v2)
-            i = _draw(sorted(dist1.items()), _counter_uniform(seed, r, t, "a1"))
-            j = _draw(sorted(dist2.items()), _counter_uniform(seed, r, t, "a2"))
+            i = _draw(sorted(dist1.items()), _counter_uniform(sha256, seed, r, t, "a1"))
+            j = _draw(sorted(dist2.items()), _counter_uniform(sha256, seed, r, t, "a2"))
             g = spec.reward[(x, i, j)]
             total += float(g)
             sup = float(g) if sup is None else max(sup, float(g))
             items = sorted(spec.transition[(x, i, j)].items(), key=lambda kv: str(kv[0]))
-            x, c, d = _draw(items, _counter_uniform(seed, r, t, "trans"))
+            x, c, d = _draw(items, _counter_uniform(sha256, seed, r, t, "trans"))
             if x in absorbing:
                 absorbed_stage = t
                 absorbing_payoff = float(spec.absorbing_payoff(x))

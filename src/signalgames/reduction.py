@@ -44,7 +44,13 @@ from fractions import Fraction
 from itertools import count
 from math import gcd
 
-from .errors import Budget, GameModelError, UnsupportedStructureError, require_horizon
+from .errors import (
+    Budget,
+    BudgetExceededError,
+    GameModelError,
+    UnsupportedStructureError,
+    require_horizon,
+)
 from .histories import ObservedNode, TreePair, phi_row
 from .lp import matrix_game_value, solve_matrix_game
 from .model import (
@@ -140,7 +146,16 @@ class AuxiliaryGame:
     budget: int                          # the node limit the build was charged
 
     def signal_transition(self, node: BeliefNode, i: str, j: str) -> dict:
-        """Distribution over child labels under (i, j): exact beta ratios."""
+        """Distribution over child labels under (i, j): exact beta ratios.
+
+        A horizon leaf has no children and gives ``{}`` (the
+        ``reduce-symmetric`` dump prints it as no transition).  A pruned
+        node of a merged build was never expanded, so it has no
+        distribution: GameModelError."""
+        if node.pruned:
+            raise GameModelError(
+                "a pruned (absorbed) belief node has no signal transition: "
+                "build with merge_beliefs=False")
         edge = self.edge_of(i, j)
         return {label: weight
                 for (e, label), (weight, child) in node.children.items()
@@ -507,6 +522,24 @@ def _shapley(aux: AuxiliaryGame, horizons, terminal: LiftedPayoff | None = None,
     return values
 
 
+def _count_paths(aux: AuxiliaryGame) -> None:
+    """Count the build's paths, the per-history tree's nodes, level by
+    level: a root is one path, and a node's count is the sum of its
+    parents' counts, one term per link.  Raise BudgetExceededError at the
+    first level where the running total passes the build's limit."""
+    counts = dict.fromkeys(aux.roots, 1)
+    total = 0
+    for depth in range(1, aux.horizon + 1):
+        total += sum(counts.values())
+        if total > aux.budget:
+            raise BudgetExceededError(aux.budget, depth)
+        below: dict = {}
+        for node, paths in counts.items():
+            for _, child in node.links.values():
+                below[child] = below.get(child, 0) + paths
+        counts = below
+
+
 def solve_backward(aux: AuxiliaryGame, payoff="mean",
                    want_strategies: bool = True) -> BackwardSolution:
     """Backward induction over the auxiliary game at its horizon N.
@@ -523,10 +556,11 @@ def solve_backward(aux: AuxiliaryGame, payoff="mean",
     history that is neither pruned nor below a pruned node, in the
     per-history tree's order, read off the solution of the history's
     (stages left, node key) game.  One breadth-first walk over the build's
-    paths, in ``links`` order, yields them; it charges a fresh ``Budget``
-    of the build's limit once per path, so it raises BudgetExceededError at
-    the level where the per-history tree's build would.  ``node_count``
-    counts the build's nodes.
+    paths, in ``links`` order, yields them.  Before anything is solved,
+    ``_count_paths`` counts those paths per level, so BudgetExceededError
+    is raised at the level where the per-history tree's build would
+    exceed the build's limit, without a walk.  ``node_count`` counts the
+    build's nodes.
     """
     N = aux.horizon
     if aux.view == JOINT:
@@ -542,6 +576,8 @@ def solve_backward(aux: AuxiliaryGame, payoff="mean",
     elif payoff != MEAN:
         raise GameModelError(f"unknown payoff {payoff!r}")
 
+    if want_strategies:
+        _count_paths(aux)
     solutions = {} if want_strategies else None
     value = _shapley(aux, [N], terminal, solutions)[N]
 
@@ -549,11 +585,7 @@ def solve_backward(aux: AuxiliaryGame, payoff="mean",
     if want_strategies:
         table1: dict = {}
         table2: dict = {}
-        paths = Budget(aux.budget)
-        level = []
-        for root in aux.roots:
-            paths.charge(1)
-            level.append(((root.label,), root))
+        level = [((root.label,), root) for root in aux.roots]
         for depth in range(1, N + 1):
             nxt = []
             for view, node in level:
@@ -562,7 +594,6 @@ def solve_backward(aux: AuxiliaryGame, payoff="mean",
                     table1[view] = dict(zip(aux.actions1, sol.row_strategy))
                     table2[view] = dict(zip(aux.actions2, sol.col_strategy))
                 for (edge, label), (_, child) in node.links.items():
-                    paths.charge(depth + 1)
                     nxt.append(((*view, *edge, label), child))
             level = nxt
         kind = "public" if aux.view == PUBLIC else "player"

@@ -288,6 +288,7 @@ def test_symmetric_game_missing_transition_exits_one(tmp_path, capsys):
 
 
 GAMES = Path(__file__).resolve().parents[1] / "games"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def test_recursive_plan_simulates(tmp_path, capsys):
@@ -301,6 +302,19 @@ def test_recursive_plan_simulates(tmp_path, capsys):
     assert main(["simulate", "--game", game, "--horizon", "3",
                  "--replicas", "5", "--sigma", plan]) == 0
     assert capsys.readouterr().out.startswith("replicas 5, horizon 3, seed 0\n")
+
+
+@pytest.mark.parametrize("game, argv", [
+    ("bigmatch_nosignals", ["--horizon", "6", "--seed", "7", "--replicas", "300",
+                            "--sigma", str(GOLDEN / "simulate_bigmatch_nosignals_sigma3.json")]),
+    ("noisy_public_2state", ["--horizon", "5", "--seed", "11", "--replicas", "250"]),
+])
+def test_simulate_stdout_golden(game, argv, capsys):
+    """The simulator's draws are SHA-256 counter draws: these bytes pin
+    them.  The strategy is ``solve-nstage --horizon 3``'s player-1 plan."""
+    assert main(["simulate", "--game", str(GAMES / f"{game}.game")] + argv) == 0
+    expected = (GOLDEN / f"simulate_{game}.txt").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == expected
 
 
 def _strategy_doc(**changes) -> str:

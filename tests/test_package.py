@@ -2,7 +2,11 @@ import ast
 import importlib
 import inspect
 import json
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import signalgames
 
@@ -13,6 +17,92 @@ def test_star_import_resolves_every_exported_name():
     missing = [name for name in signalgames.__all__ if name not in namespace]
     assert not missing
     assert len(set(signalgames.__all__)) == len(signalgames.__all__)
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# loaded on first use: OpenSSL's hash and the verification stack
+LAZY_MODULES = ("hashlib", "_hashlib", "signalgames.claims",
+                "signalgames.verify", "signalgames.corpus")
+
+LAZY_NAMES = {"expected_limsup": "claims", "first_switch_family": "claims",
+              "verify_example": "claims", "build_corpus": "verify",
+              "run_verification": "verify"}
+
+
+def _traced_modules() -> list:
+    """``bench/tracer.py``'s TRACED_MODULES, read without importing it."""
+    tree = ast.parse((ROOT / "bench" / "tracer.py").read_text())
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and [t.id for t in node.targets] == ["TRACED_MODULES"]):
+            return [f"signalgames.{name}" for name in ast.literal_eval(node.value)]
+    raise AssertionError("TRACED_MODULES not found")
+
+
+def _fresh(script: str, *args) -> object:
+    """Run ``script`` in a fresh interpreter; its last output line, as JSON."""
+    result = subprocess.run([sys.executable, "-c", script, *args], cwd=ROOT,
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout.splitlines()[-1])
+
+
+MODULES_AFTER_IMPORT = """
+import json, sys
+import signalgames
+print(json.dumps(sorted(sys.modules)))
+"""
+
+MODULES_AFTER_KERNEL_CHECK = """
+import json, runpy, sys
+sys.argv = ["signalgames", "kernel-check", "--game",
+            "games/noisy_public_2state.game", "--n", "1", "--m", "2"]
+try:
+    runpy.run_module("signalgames.cli", run_name="__main__")
+except SystemExit as exit:
+    print(json.dumps(sorted(sys.modules) if exit.code == 0 else exit.code))
+"""
+
+LAZY_IDENTITIES = """
+import importlib, json, sys
+import signalgames
+homes = json.loads(sys.argv[1])
+found = {}
+for name, home in homes.items():
+    value = getattr(signalgames, name)   # through the package first
+    home_value = getattr(importlib.import_module("signalgames." + home), name)
+    found[name] = [value is home_value, name in vars(signalgames)]
+for short in ("claims", "verify", "corpus"):
+    found[short] = [getattr(signalgames, short) is sys.modules["signalgames." + short],
+                    short in vars(signalgames)]
+found["missing"] = not hasattr(signalgames, "no_such_name")
+print(json.dumps(found))
+"""
+
+
+@pytest.mark.parametrize("script", [MODULES_AFTER_IMPORT, MODULES_AFTER_KERNEL_CHECK],
+                         ids=["import", "kernel-check"])
+def test_start_up_loads_the_solver_modules_only(script):
+    """``import signalgames``, and a ``kernel-check`` run, leave the
+    simulator's hash and the verification stack unloaded, and load every
+    module the benchmark's tracer rebinds right after the import."""
+    loaded = _fresh(script)
+    assert isinstance(loaded, list), f"exit code {loaded}"
+    loaded = set(loaded)
+    assert not loaded.intersection(LAZY_MODULES)
+    assert loaded.issuperset(_traced_modules())
+
+
+def test_lazy_names_are_their_home_modules_attributes():
+    """Resolved through the package in a fresh interpreter, each lazy name
+    is its home module's attribute and each lazy submodule the loaded
+    module, cached in the package namespace; other names still raise
+    AttributeError."""
+    found = _fresh(LAZY_IDENTITIES, json.dumps(LAZY_NAMES))
+    assert found.pop("missing") is True
+    assert found == {name: [True, True]
+                     for name in [*LAZY_NAMES, "claims", "verify", "corpus"]}
 
 
 def test_no_assert_statements_in_src():

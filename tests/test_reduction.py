@@ -11,6 +11,7 @@ from randgen import random_dist, random_game, random_strategy, random_symmetric_
 from signalgames import corpus, reduction
 from signalgames import lp as lp_module
 from signalgames.errors import (
+    Budget,
     BudgetExceededError,
     GameModelError,
     UnsupportedStructureError,
@@ -55,6 +56,28 @@ def test_signal_transition_rows_sum_one_random():
                     for j in aux.actions2:
                         psi = aux.signal_transition(node, i, j)
                         assert sum(psi.values(), ZERO) == 1
+
+
+def test_signal_transition_refuses_pruned_nodes_and_is_empty_at_leaves():
+    """A pruned node of the merged build was never expanded, so it has no
+    distribution; a horizon leaf, on either build, has the empty one."""
+    game = corpus.quitting_game()
+    dag = build_auxiliary(game, 3)
+    tree = build_auxiliary(game, 3, merge_beliefs=False)
+    pruned = [node for level in dag.levels for node in level if node.pruned]
+    assert pruned
+    for node in pruned:
+        for i in dag.actions1:
+            for j in dag.actions2:
+                with pytest.raises(GameModelError, match="pruned"):
+                    dag.signal_transition(node, i, j)
+    for aux in (dag, tree):
+        leaves = [node for node in aux.levels[-1] if not node.pruned]
+        assert leaves
+        for node in leaves:
+            for i in aux.actions1:
+                for j in aux.actions2:
+                    assert aux.signal_transition(node, i, j) == {}
 
 
 def test_constant_signal_psi_trivial():
@@ -650,6 +673,57 @@ def test_strategy_walk_charges_one_node_per_observed_history():
     with pytest.raises(BudgetExceededError) as err:
         solve_backward(dag)
     assert (err.value.budget, err.value.level_reached) == (5000, 12)
+
+
+def _charged_walk(aux):
+    """The strategies' path walk as it once charged the budget: a fresh
+    ``Budget`` of the build's limit, one charge per path, in walk order."""
+    paths = Budget(aux.budget)
+    level = []
+    for root in aux.roots:
+        paths.charge(1)
+        level.append(root)
+    for depth in range(1, aux.horizon + 1):
+        below = []
+        for node in level:
+            for _, child in node.links.values():
+                paths.charge(depth + 1)
+                below.append(child)
+        level = below
+    return paths.count
+
+
+def _overflow(call, *args):
+    try:
+        call(*args)
+    except BudgetExceededError as err:
+        return err.budget, err.level_reached
+    return None
+
+
+def test_path_count_precheck_matches_charged_walk():
+    """``solve_backward``'s path count overflows at the level, and with the
+    budget, where the charged walk would, on both builds of random
+    symmetric games under budgets around their path totals."""
+    rng = random.Random(17)
+    overflows = fits = 0
+    for seed in range(16):
+        sym = random_symmetric_game(seed)
+        for merge in (True, False):
+            total = _charged_walk(build_auxiliary(sym, 4, merge_beliefs=merge))
+            for budget in {total - 1, total, rng.randint(1, total), rng.randint(1, total)}:
+                try:
+                    aux = build_auxiliary(sym, 4, budget=budget, merge_beliefs=merge)
+                except BudgetExceededError:
+                    continue
+                expected = _overflow(_charged_walk, aux)
+                assert _overflow(reduction._count_paths, aux) == expected
+                assert _overflow(solve_backward, aux) == expected
+                if expected is None:
+                    fits += 1
+                else:
+                    overflows += 1
+    assert overflows >= 10 and fits >= 10
 
 
 def test_build_auxiliary_rejects_horizons_below_one():
