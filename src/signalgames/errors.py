@@ -89,12 +89,12 @@ class CertificateError(LPError):
     under ``python -O``."""
 
 
-def require_horizon(n, name: str = "horizon") -> None:
-    """Raise GameModelError unless ``n`` is an integer (not a bool) >= 1."""
+def require_horizon(n, name: str = "horizon", error=GameModelError) -> None:
+    """Raise ``error`` unless ``n`` is an integer (not a bool) >= 1."""
     if not isinstance(n, int) or isinstance(n, bool):
-        raise GameModelError(f"{name} must be an integer, got {n!r}")
+        raise error(f"{name} must be an integer, got {n!r}")
     if n < 1:
-        raise GameModelError(f"{name} must be >= 1, got {n}")
+        raise error(f"{name} must be >= 1, got {n}")
 
 
 def require_nondecreasing(values, what: str) -> None:

@@ -106,13 +106,6 @@ class HistoryNode:
         chain = _path_to(self)
         return [n.state for n in chain], [n.via for n in chain[1:]]
 
-    def full_key(self) -> tuple:
-        """Hashable identity of the full history: ((x,c,d) triples, actions).
-        Stable across independent tree constructions."""
-        chain = _path_to(self)
-        return (tuple((n.state, n.sig1, n.sig2) for n in chain),
-                tuple(n.via for n in chain[1:]))
-
 
 def _path_to(node) -> list:
     """The nodes from the root down to ``node``, following ``parent``."""

@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import GameModelError, IncompleteStrategyError, UnsupportedStructureError
-from .rationals import ONE, ZERO, format_rational
+from .rationals import ZERO, format_rational
 
 # A finite-support exact distribution.
 Dist = dict
@@ -480,10 +480,3 @@ def uniform_strategy(spec: GameSpec, player: int) -> BehavioralStrategy:
     return BehavioralStrategy(player=player, horizon=0, table={},
                               tail={a: p for a in actions})
 
-
-def constant_strategy(spec: GameSpec, player: int, action: str) -> BehavioralStrategy:
-    actions = spec.actions1 if player == 1 else spec.actions2
-    if action not in actions:
-        raise GameModelError(f"unknown action {action!r} for player {player}")
-    return BehavioralStrategy(player=player, horizon=0, table={},
-                              tail={a: ONE if a == action else ZERO for a in actions})

@@ -32,6 +32,7 @@ from .errors import (
     CertificateError,
     PreconditionError,
     UnsupportedStructureError,
+    require_horizon,
     require_nondecreasing,
 )
 from .model import MEAN, PUBLIC, BehavioralStrategy, GameSpec, as_general
@@ -87,6 +88,19 @@ class UniformValueReport:
     route: str
 
 
+def _exact(value, name: str) -> Fraction:
+    """``value``, an int, a Fraction or a ``"p/q"`` string, as a Fraction.
+    Anything else raises PreconditionError, a float too: 0.01 is binary,
+    5764607523034235/576460752303423488."""
+    if not isinstance(value, float):
+        try:
+            return Fraction(value)
+        except (TypeError, ValueError):
+            pass
+    raise PreconditionError(
+        f"{name} must be an int, a Fraction or a 'p/q' string, got {value!r}")
+
+
 def default_schedule(n_max: int) -> list:
     """1..12 consecutively, then ratio 3/2, then, from n_max = 100 on, four
     points spaced n_max // 10 apart below n_max (tight spacing where the
@@ -106,7 +120,7 @@ def _value_route(spec: GameSpec):
     """Pick the cheapest sound engine for n-stage values: the view the
     belief reduction would use, else the sequence form."""
     try:
-        view, _ = _resolve_view(spec, None)
+        view, _ = _resolve_view(spec)
     except UnsupportedStructureError:
         return "sequence-form"
     return "reduction-public" if view == PUBLIC else "reduction-private"
@@ -192,6 +206,9 @@ def uniform_value(spec_or_sym, tol=Fraction(1, 10000), n_max: int = 512,
     Raises PreconditionError otherwise: with negative absorbing payoffs the
     n-stage values need not converge upward to anything (the guessing game
     has no uniform value at all), so the certificate below would be unsound.
+    It is raised too for an ``n_max`` or ``window`` that is not an integer
+    >= 1, and for a ``tol`` that is not a positive int, Fraction or
+    ``"p/q"`` string.
 
     ``stabilized`` is True when the last value is within ``tol`` of the
     value ``window`` schedule points back; ``certified_lower`` needs no such
@@ -204,11 +221,11 @@ def uniform_value(spec_or_sym, tol=Fraction(1, 10000), n_max: int = 512,
     fits; ``extract_eps_optimal`` extracts for any other eps.
     """
     spec = as_general(spec_or_sym)
-    tol = Fraction(tol)
-    if n_max < 1 or window < 1 or tol <= 0:
-        raise PreconditionError(
-            f"uniform_value needs n_max >= 1, window >= 1 and tol > 0; got "
-            f"n_max={n_max}, window={window}, tol={tol}")
+    require_horizon(n_max, "n_max", PreconditionError)
+    require_horizon(window, "window", PreconditionError)
+    tol = _exact(tol, "tol")
+    if tol <= 0:
+        raise PreconditionError(f"tol must be > 0, got {tol}")
     cls = classify(spec)
     if not cls.solvable:
         detail = ("rewards outside absorbing states: "
@@ -297,10 +314,11 @@ def extract_eps_optimal(spec_or_sym, report: UniformValueReport, eps,
     against any reply at any horizon m >= N is at least v_N.  The
     certificate list re-verifies this with exact best responses at
     N..N+3.  When even the deepest extractable strategy misses eps, the
-    best available one is returned with a warning.
+    best available one is returned with a warning.  ``eps`` is exact, like
+    ``uniform_value``'s ``tol``: a float raises PreconditionError.
     """
     spec = as_general(spec_or_sym)
-    eps = Fraction(eps)
+    eps = _exact(eps, "eps")
     target = report.certified_lower - eps
     chosen = _extract(spec, report.route, report.value_sequence, target, budget)
     if chosen is None:

@@ -32,9 +32,11 @@ with one row or one column is the min or max of its entries, read off the
 cells; any other is certified by a pure saddle point
 (``lp.matrix_game_value``), and only a game without one runs the LP.
 
-The same machinery solves blind single-controller games (one player has a
-single action) on that player's private view; with an opponent who truly
-has choices, a private view would not support the reduction.
+The observer view is derived from the game, never chosen by the caller:
+the public view under symmetric signaling, else, in a single-controller
+game (one player has a single action), the private view of the player who
+has choices.  With an opponent who truly has choices, a private view would
+not support the reduction, so any other game is refused.
 """
 
 from __future__ import annotations
@@ -54,7 +56,6 @@ from .errors import (
 from .histories import ObservedNode, TreePair, phi_row
 from .lp import matrix_game_value, solve_matrix_game
 from .model import (
-    JOINT,
     MEAN,
     PLAYER1,
     PLAYER2,
@@ -64,7 +65,6 @@ from .model import (
     as_general,
     projection,
     public_labels,
-    require_public_labels,
     uniform_strategy,
 )
 from .rationals import ZERO, denominator_lcm
@@ -162,20 +162,13 @@ class AuxiliaryGame:
                 if e == edge}
 
 
-def _resolve_view(spec: GameSpec, view: str | None) -> tuple:
-    """``(view, public_of)`` of the auxiliary game: the public view when the
-    spec has symmetric signaling, else the private view of a player whose
-    opponent has a single action."""
-    if view == PUBLIC:
-        return view, require_public_labels(spec)
-    if view is not None:
-        if view in (PLAYER1, PLAYER2):
-            free = spec.actions2 if view == PLAYER1 else spec.actions1
-            if len(free) != 1:
-                raise UnsupportedStructureError(
-                    "a private view only supports the reduction when the "
-                    "unobserved player has a single action")
-        return view, None
+def _resolve_view(spec: GameSpec) -> tuple:
+    """``(view, public_of)`` of the auxiliary game, derived from the spec:
+    the public view when it has symmetric signaling, else the private view
+    of player 1 when player 2 has a single action, else that of player 2
+    when player 1 has one.  UnsupportedStructureError otherwise: on any
+    other view a player would face an opponent whose choices it does not
+    see."""
     public_of = public_labels(spec)
     if public_of is not None:
         return PUBLIC, public_of
@@ -195,10 +188,13 @@ def _primitive(vector: dict) -> tuple:
     return h, {x: a // h for x, a in vector.items()}
 
 
-def build_auxiliary(spec_or_sym, horizon: int, view: str | None = None,
-                    budget: int | None = None,
+def build_auxiliary(spec_or_sym, horizon: int, budget: int | None = None,
                     merge_beliefs: bool = True) -> AuxiliaryGame:
     """Build the observed-history game by exact belief recursion.
+
+    The observer view is the one ``_resolve_view`` derives from the game:
+    public under symmetric signaling, else the private view of the only
+    player with choices.
 
     A child's vector sums mu(x) * D * p over the transitions into its
     observation, divided by its gcd h; mass_child sums mass * h over the
@@ -220,7 +216,7 @@ def build_auxiliary(spec_or_sym, horizon: int, view: str | None = None,
     """
     spec = as_general(spec_or_sym)
     require_horizon(horizon)
-    view, public_of = _resolve_view(spec, view)
+    view, public_of = _resolve_view(spec)
     edge_of, label_of = projection(view, public_of)
     absorbing = spec.absorbing_states if merge_beliefs else frozenset()
     nodes = Budget(budget)
@@ -563,9 +559,6 @@ def solve_backward(aux: AuxiliaryGame, payoff="mean",
     build's nodes.
     """
     N = aux.horizon
-    if aux.view == JOINT:
-        raise UnsupportedStructureError(
-            "cannot solve on the joint view: neither player observes it")
     terminal = None
     if isinstance(payoff, LiftedPayoff):
         if payoff.horizon != N:
@@ -622,9 +615,6 @@ def solve_horizons(aux: AuxiliaryGame, horizons) -> dict:
     Horizons must be integers in 1..``aux.horizon`` (GameModelError)."""
     if not aux.merged:
         raise GameModelError("solve_horizons needs a merged belief DAG")
-    if aux.view == JOINT:
-        raise UnsupportedStructureError(
-            "cannot solve on the joint view: neither player observes it")
     wanted = list(horizons)
     for n in wanted:
         require_horizon(n)

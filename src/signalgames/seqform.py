@@ -34,21 +34,21 @@ from .rationals import ONE, ZERO
 class TerminalPayoff:
     """Terminal evaluation of an N-stage game.
 
-    ``action_fn(state, i, j)``: payoff collected at stage N (may depend on
-    the stage-N actions); alternatively ``node_fn(full_key)`` for payoffs
-    measurable on the length-N history alone.  ``determined_fn(state)`` may
-    return the constant continuation value at any state where the remaining
-    payoff no longer depends on play, enabling early closing.
+    ``action_fn(state, i, j)`` is the payoff collected at stage N; it may
+    depend on the stage-N actions.  ``determined_fn(state)`` returns the
+    constant continuation value at a state where the remaining payoff no
+    longer depends on play, which closes the history early, and None
+    elsewhere.  A payoff of the whole history is the ``action_fn`` of a game
+    whose states carry the history.
     """
 
-    action_fn: object = None
-    node_fn: object = None
-    determined_fn: object = None
+    action_fn: object
+    determined_fn: object
 
     def __post_init__(self):
-        if (self.action_fn is None) == (self.node_fn is None):
-            raise GameModelError("terminal payoff needs exactly one of "
-                                 "action_fn / node_fn")
+        if not (callable(self.action_fn) and callable(self.determined_fn)):
+            raise GameModelError("terminal payoff needs callable action_fn "
+                                 "and determined_fn")
 
 
 @dataclass
@@ -107,9 +107,7 @@ def _determined(spec: GameSpec, terminal, state: str, depth: int, N: int):
         if state in spec.absorbing_states:
             return spec.absorbing_payoff(state) * (N - depth + 1) / N
         return None
-    if terminal.determined_fn is not None:
-        return terminal.determined_fn(state)
-    return None
+    return terminal.determined_fn(state)
 
 
 def build_sequence_form(spec_or_sym, horizon: int, evaluation=MEAN,
@@ -133,14 +131,14 @@ def build_sequence_form(spec_or_sym, horizon: int, evaluation=MEAN,
             key = (s1, s2)
             payoff[key] = payoff.get(key, ZERO) + amount
 
-    # Iterative DFS; each frame: (state, alpha, v1, v2, key, depth).
+    # Iterative DFS; each frame: (state, alpha, v1, v2, depth).
     stack = []
     for (x, c, d), p in sorted(spec.initial.items(), key=str):
         if p > 0:
-            stack.append((x, p, (c,), (d,), (((x, c, d),), ()), 1))
+            stack.append((x, p, (c,), (d,), 1))
 
     while stack:
-        x, alpha, v1, v2, key, depth = stack.pop()
+        x, alpha, v1, v2, depth = stack.pop()
         det = _determined(spec, terminal, x, depth, N)
         if det is not None:
             # closed nodes count against the budget; only live ones check it
@@ -158,17 +156,13 @@ def build_sequence_form(spec_or_sym, horizon: int, evaluation=MEAN,
                 s2 = p2.sequence(v2 + (j,))
                 if terminal is None:
                     bank(s1, s2, alpha * spec.reward[(x, i, j)] / N)
-                elif depth == N and terminal.action_fn is not None:
+                elif depth == N:
                     bank(s1, s2, alpha * terminal.action_fn(x, i, j))
                 if depth < N:
                     for (x2, c, d), p in spec.transition[(x, i, j)].items():
                         if p > 0:
-                            stack.append((x2, alpha * p, v1 + (i, c), v2 + (j, d),
-                                          (key[0] + ((x2, c, d),), key[1] + ((i, j),)),
-                                          depth + 1))
-        if depth == N and terminal is not None and terminal.node_fn is not None:
-            bank(p1.sequence(v1[:-1]), p2.sequence(v2[:-1]),
-                 alpha * terminal.node_fn(key))
+                            stack.append((x2, alpha * p, v1 + (i, c),
+                                          v2 + (j, d), depth + 1))
 
     return SequenceFormProgram(spec=spec, horizon=N, evaluation=evaluation,
                                p1=p1, p2=p2, payoff=payoff,
@@ -296,10 +290,11 @@ def best_response_value(spec_or_sym, fixed: BehavioralStrategy, horizon: int,
                         budget: int | None = None) -> Fraction:
     """Exact value of the responder's best reply against ``fixed``.
 
-    responder=2 minimizes, responder=1 maximizes.  Works by collapsing the
-    fixed player with chance and running backward induction over the
-    responder's view tree; independent of the LP path, so it doubles as a
-    certificate check for returned strategies.
+    responder=2 minimizes, responder=1 maximizes; ``fixed`` is the other
+    player's (else GameModelError).  Works by collapsing the fixed player
+    with chance and running backward induction over the responder's view
+    tree; independent of the LP path, so it doubles as a certificate check
+    for returned strategies.
 
     The walk goes one depth at a time and merges frames: histories that
     agree on the state, both players' views and the public view are one
@@ -310,6 +305,12 @@ def best_response_value(spec_or_sym, fixed: BehavioralStrategy, horizon: int,
     """
     spec = as_general(spec_or_sym)
     require_horizon(horizon)
+    if responder not in (1, 2) or isinstance(responder, bool):
+        raise GameModelError(f"responder must be 1 or 2, got {responder!r}")
+    if fixed.player != 3 - responder:
+        raise GameModelError(
+            f"the fixed strategy must be player {3 - responder}'s, the "
+            f"responder's opponent; got player {fixed.player}'s")
     N = horizon
     terminal = evaluation if isinstance(evaluation, TerminalPayoff) else None
     public_of = (require_public_labels(spec) if fixed.view_kind == "public"
@@ -364,7 +365,7 @@ def best_response_value(spec_or_sym, fixed: BehavioralStrategy, horizon: int,
                         g = spec.reward[(x, i, j)]
                         if g:
                             bank(s_resp, w * g / N)
-                    elif depth == N and terminal.action_fn is not None:
+                    elif depth == N:
                         bank(s_resp, w * terminal.action_fn(x, i, j))
                     if depth < N:
                         for (x2, c, d), p in spec.transition[(x, i, j)].items():
@@ -375,10 +376,6 @@ def best_response_value(spec_or_sym, fixed: BehavioralStrategy, horizon: int,
                                          if vpub is not None else None)
                                 add(nxt, (x2, vf2, vr2, vpub2),
                                     w if p == 1 else w * p)
-            if (depth == N and terminal is not None
-                    and terminal.node_fn is not None):
-                raise GameModelError("best_response_value needs an "
-                                     "action-style terminal payoff")
         level = nxt
 
     # fold the responder tree: minimize (responder 2) or maximize (1).  An

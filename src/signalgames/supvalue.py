@@ -18,7 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import Budget, BudgetExceededError, PreconditionError, require_nondecreasing
+from .errors import (
+    Budget,
+    BudgetExceededError,
+    PreconditionError,
+    require_horizon,
+    require_nondecreasing,
+)
 from .model import GameSpec, as_general
 from .rationals import ZERO, format_rational
 from .seqform import TerminalPayoff, nstage_value
@@ -194,8 +200,7 @@ def sup_value_lowerbounds(spec_or_sym, max_horizon: int,
     ``stabilized`` is True when the last bound equals the one three
     horizons back.
     """
-    if max_horizon < 1:
-        raise PreconditionError(f"max_horizon must be >= 1, got {max_horizon}")
+    require_horizon(max_horizon, "max_horizon", PreconditionError)
     aug = augment_running_max(spec_or_sym)
     terminal = aug.terminal_running_max()
     values = []

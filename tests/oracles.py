@@ -1,8 +1,8 @@
-"""Independent oracles: pure-strategy enumeration, closed forms, the
-history trees, the play distribution and the dense kernel-identity check
-in Fractions, the auxiliary game read off an explicit tree, the value
-recursion in Fractions, and a best reply that walks every history on its
-own.
+"""Independent oracles: pure-strategy enumeration, closed forms, the game
+whose states are a tree's histories, the history trees, the play
+distribution and the dense kernel-identity check in Fractions, the
+auxiliary game read off an explicit tree, the value recursion in
+Fractions, and a best reply that walks every history on its own.
 
 Deliberately reimplements game evaluation with plain recursion so the
 sequence-form and backward-induction paths are checked against something
@@ -28,6 +28,7 @@ from signalgames.model import (
     PLAYER1,
     PLAYER2,
     PUBLIC,
+    GameSpec,
     as_general,
     projection,
     public_labels,
@@ -178,7 +179,44 @@ class FractionHistory:
     view = HistoryNode.view
     seen_through = HistoryNode.seen_through
     stage_path = HistoryNode.stage_path
-    full_key = HistoryNode.full_key
+
+
+def history_augmented(spec, pair):
+    """The game whose states are the histories of ``pair``'s tree, so that
+    a payoff of the whole horizon history is a payoff of the last state.
+
+    Returns ``(game, state_of)``, ``state_of`` mapping each HistoryNode to
+    its state.  A level-1 history starts with its alpha and signals; a
+    history below the horizon moves under (i, j) to each child reached by
+    (i, j), with probability alpha(child) / alpha(history) and the child's
+    signals; a horizon history loops to itself.  Every reward is 0.  The
+    players see the signals and actions they see in ``spec``, so each
+    player's views, and so the N-stage game, are those of ``spec``."""
+    state_of = {h: f"h{k}" for k, h in enumerate(
+        h for level in pair.levels for h in level)}
+    below = {}
+    for level in pair.levels[1:]:
+        for h in level:
+            below.setdefault((h.parent, h.via), []).append(h)
+    transition = {}
+    for h, x in state_of.items():
+        for i in spec.actions1:
+            for j in spec.actions2:
+                if h.depth == pair.horizon:
+                    dist = {(x, h.sig1, h.sig2): F(1)}
+                else:
+                    dist = {(state_of[c], c.sig1, c.sig2): c.alpha / h.alpha
+                            for c in below[(h, (i, j))]}
+                transition[(x, i, j)] = dist
+    game = GameSpec(
+        states=list(state_of.values()), actions1=list(spec.actions1),
+        actions2=list(spec.actions2), signals1=list(spec.signals1),
+        signals2=list(spec.signals2),
+        initial={(state_of[h], h.sig1, h.sig2): h.alpha
+                 for h in pair.histories(1)},
+        transition=transition, reward=dict.fromkeys(transition, F(0)))
+    game.require_valid()
+    return game, state_of
 
 
 def fraction_build_trees(spec_or_sym, horizon, view=None, budget=None):
@@ -423,7 +461,7 @@ def naive_best_response_value(spec_or_sym, fixed, horizon, evaluation="mean",
             if x in spec.absorbing_states:
                 return spec.absorbing_payoff(x) * (N - depth + 1) / N
             return None
-        return terminal.determined_fn(x) if terminal.determined_fn else None
+        return terminal.determined_fn(x)
 
     stack = []
     for (x, c, d), p in sorted(spec.initial.items(), key=str):

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction as F
 
+from signalgames.errors import GameModelError
 from signalgames.lp import EQ, GEQ, LEQ, LinearProgram
 from signalgames.model import BehavioralStrategy, GameSpec, SymmetricGameSpec
 
@@ -105,6 +106,15 @@ def random_strategy(rng_or_seed, spec: GameSpec, player: int,
         table[v] = dict(zip(actions, ws))
     return BehavioralStrategy(player=player, horizon=horizon, table=table,
                               tail={a: F(1, len(actions)) for a in actions})
+
+
+def constant_strategy(spec: GameSpec, player: int, action: str) -> BehavioralStrategy:
+    """The strategy that always plays ``action``."""
+    actions = spec.actions1 if player == 1 else spec.actions2
+    if action not in actions:
+        raise GameModelError(f"unknown action {action!r} for player {player}")
+    return BehavioralStrategy(player=player, horizon=0, table={},
+                              tail={a: F(1 if a == action else 0) for a in actions})
 
 
 _LARGE_PRIMES = (999961, 999979, 999983, 1000003, 1000033, 1000037)

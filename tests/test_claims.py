@@ -385,6 +385,24 @@ def test_uniform_value_reads_the_schedule_up_to_n_max():
     assert report.value_sequence == [(1, F(0)), (3, F(1, 3)), (10, F(9, 20))]
 
 
+def test_tolerances_are_exact():
+    """``tol`` and ``eps`` are exact: an int, a Fraction or a "p/q" string
+    gives the Fraction it denotes, and a float, which is binary and so not
+    the decimal it was written as, is refused."""
+    game = corpus.quitting_game()
+    for tol in (F(1, 100), "1/100"):
+        assert uniform_value(game, n_max=8, tol=tol).tol == F(1, 100)
+    assert uniform_value(game, n_max=8, tol=1).tol == 1
+    for bad in (0.01, "a/b", None):
+        with pytest.raises(PreconditionError, match="^tol must be"):
+            uniform_value(game, n_max=8, tol=bad)
+    report = uniform_value(game, n_max=8, tol=F(1, 100))
+    for eps in (F(1, 20), "1/20"):
+        assert extract_eps_optimal(game, report, eps).requested_eps == F(1, 20)
+    with pytest.raises(PreconditionError, match="^eps must be"):
+        extract_eps_optimal(game, report, 0.05)
+
+
 def test_forged_certificates_raise_certificate_error(monkeypatch):
     spec = corpus.mdp_final_remark()
     report = uniform_value(spec, n_max=16, tol=F(1, 100), window=3)

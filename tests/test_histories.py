@@ -11,6 +11,7 @@ from oracles import (
     fraction_play_distribution,
 )
 from randgen import (
+    constant_strategy,
     coprime_game,
     coprime_strategy,
     random_game,
@@ -22,6 +23,7 @@ from signalgames.errors import (
     BudgetExceededError,
     GameModelError,
     IncompleteStrategyError,
+    PreconditionError,
 )
 from signalgames.histories import (
     build_trees,
@@ -34,13 +36,13 @@ from signalgames.model import (
     PLAYER1,
     PUBLIC,
     BehavioralStrategy,
-    constant_strategy,
     uniform_strategy,
 )
 from signalgames.rationals import ZERO
+from signalgames.recursive import uniform_value
 from signalgames.reduction import build_auxiliary, solve_horizons
 from signalgames.seqform import best_response_value, build_sequence_form, nstage_value
-from signalgames.supvalue import sup_lower_bound
+from signalgames.supvalue import sup_lower_bound, sup_value_lowerbounds
 
 
 def test_alpha_dirac_initial(games):
@@ -520,4 +522,19 @@ def test_horizons_must_be_integers_at_least_one(entry, bad):
     GameModelError before any work: a float used to reach the LP and give
     a value with a float's denominator, and True or 0 a value of 0."""
     with pytest.raises(GameModelError, match="must be"):
+        entry(corpus.quitting_game(), bad)
+
+
+@pytest.mark.parametrize("bad", [2.5, 3.0, True, 0, -1])
+@pytest.mark.parametrize("name, entry", [
+    ("max_horizon", lambda g, n: sup_value_lowerbounds(g, n)),
+    ("n_max", lambda g, n: uniform_value(g, n_max=n)),
+    ("window", lambda g, n: uniform_value(g, n_max=8, window=n)),
+], ids=["sup_value_lowerbounds", "uniform_value_n_max", "uniform_value_window"])
+def test_sweep_counts_must_be_integers_at_least_one(name, entry, bad):
+    """A sweep's horizon count or window that is a float, a bool or below 1
+    is refused with a PreconditionError naming the argument: a float used
+    to end in a TypeError from ``range`` or a list index, and True was
+    taken as 1."""
+    with pytest.raises(PreconditionError, match=f"^{name} must be"):
         entry(corpus.quitting_game(), bad)

@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from randgen import random_game, random_symmetric_game
+from randgen import constant_strategy, random_game, random_symmetric_game
 from signalgames import corpus
 from signalgames.errors import GameModelError, UnsupportedStructureError
 from signalgames.histories import build_trees
@@ -13,7 +13,6 @@ from signalgames.model import (
     PUBLIC,
     BehavioralStrategy,
     GameSpec,
-    constant_strategy,
     is_symmetric_signaling,
     uniform_strategy,
 )

@@ -133,3 +133,40 @@ def test_benchmark_layer_functions_stay_bindings():
         if name == "model.expand":
             owner = owner.SymmetricGameSpec
         assert inspect.isfunction(vars(owner).get(attr)), name
+
+
+def _defined_names(path: Path) -> list:
+    """``(name, line)`` of every function, method and class defined in
+    ``path``, dunder methods left out: the interpreter calls those."""
+    return [(node.name, node.lineno)
+            for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef))
+            and not (node.name.startswith("__") and node.name.endswith("__"))]
+
+
+def _referenced_names(path: Path) -> set:
+    """Every name ``path`` reads: as a Name, an Attribute or an import."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name.rpartition(".")[2])
+    return found
+
+
+def test_src_names_have_a_non_test_reader():
+    """Every function, method and class under ``src/signalgames`` is read
+    by the package or the benchmark, or is exported in ``__all__``: API
+    that only tests use belongs to the tests."""
+    src = Path(signalgames.__file__).parent
+    readers = set(signalgames.__all__)
+    for path in [*sorted(src.rglob("*.py")), *sorted((ROOT / "bench").rglob("*.py"))]:
+        readers |= _referenced_names(path)
+    unread = [f"{path.name}:{line} {name}"
+              for path in sorted(src.rglob("*.py"))
+              for name, line in _defined_names(path) if name not in readers]
+    assert not unread, unread

@@ -18,7 +18,7 @@ from signalgames.errors import (
 )
 from signalgames.histories import build_trees, exact_play_distribution
 from signalgames.lp import solve_matrix_game
-from signalgames.model import PLAYER1, PLAYER2, GameSpec, SymmetricGameSpec
+from signalgames.model import PLAYER1, PLAYER2, PUBLIC, GameSpec, SymmetricGameSpec
 from signalgames.rationals import ZERO
 from signalgames.reduction import (
     MEAN,
@@ -250,7 +250,7 @@ def test_solve_backward_horizon1_is_stage_game():
     assert sol.value == solve_matrix_game(matrix).value
 
 
-def _every_node_backward(game, N, view=None, payoff=MEAN, prune=True):
+def _every_node_backward(game, N, payoff=MEAN, prune=True):
     """Reference backward induction on the per-history tree: one
     ``naive_stage_matrix`` and one solve at every node, with the mean
     payoff or a ``LiftedPayoff`` terminal (no stage reward, the lifted
@@ -258,7 +258,7 @@ def _every_node_backward(game, N, view=None, payoff=MEAN, prune=True):
     whose belief sits on absorbing states takes its closed-form value and
     the nodes below it are left out, as the default build prunes them.
     Returns the value and both players' strategy tables."""
-    aux = build_auxiliary(game, N, view=view, merge_beliefs=False)
+    aux = build_auxiliary(game, N, merge_beliefs=False)
     terminal = payoff if isinstance(payoff, LiftedPayoff) else None
     absorbing = aux.spec.absorbing_states if prune else frozenset()
     closed, below = set(), set()
@@ -298,12 +298,12 @@ def _every_node_backward(game, N, view=None, payoff=MEAN, prune=True):
 
 def _assert_matches_every_node(aux, payoff=MEAN):
     """``solve_backward`` on ``aux``, merged or not, against
-    ``_every_node_backward`` on the per-history tree of the same game, view
-    and horizon.  On a private view the single-action player's strategy
-    has no table."""
+    ``_every_node_backward`` on the per-history tree of the same game and
+    horizon, which has the same view.  On a private view the single-action
+    player's strategy has no table."""
     sol = solve_backward(aux, payoff=payoff)
     value, table1, table2 = _every_node_backward(aux.spec, aux.horizon,
-                                                 aux.view, payoff, aux.merged)
+                                                 payoff, aux.merged)
     assert repr(sol.value) == repr(value)
     if aux.view != PLAYER2:
         assert repr(sol.strategy1.table) == repr(table1)
@@ -349,7 +349,8 @@ def test_solve_backward_strategies_equal_every_node_solve(games):
     games and games with absorbing states, on the merged build (pruned
     where beliefs absorb) and on the per-history tree."""
     for n in (1, 2, 5, 9):
-        aux = build_auxiliary(games["mdp_final_remark"], n, view=PLAYER1)
+        aux = build_auxiliary(games["mdp_final_remark"], n)
+        assert aux.view == PLAYER1
         _assert_matches_every_node(aux)
     for n in range(1, 5):
         _assert_matches_every_node(build_auxiliary(games["noisy_public_2state"], n))
@@ -365,7 +366,7 @@ def test_solve_backward_strategies_equal_every_node_solve(games):
 
 
 def test_solve_backward_lifted_terminal_equals_every_node_solve():
-    """Under a lifted terminal payoff (the cases of
+    """Under a lifted terminal payoff (the first eight cases of
     ``test_backward_equals_sequence_form_lifted_terminal``) the integer
     recursion gives the per-node ``Fraction`` solves' value and strategy
     tables, and the value-only pass the same value."""
@@ -448,8 +449,8 @@ def test_integer_sweep_equals_fraction_recursion(monkeypatch):
     denominators that are not powers of 2, fractional rewards (L > 1),
     several roots, pruned beliefs and link gcds h > 1 all occur, and both
     the saddle and the LP path of ``matrix_game_value`` are taken."""
-    games = [(_absorbing_symmetric_game(seed), None) for seed in range(60)]
-    games += [(_single_controller_game(seed, c), PLAYER1 if c == 1 else PLAYER2)
+    games = [_absorbing_symmetric_game(seed) for seed in range(60)]
+    games += [_single_controller_game(seed, c)
               for seed in range(10) for c in (1, 2)]
     lp_calls, games_solved = [], []
 
@@ -462,9 +463,10 @@ def test_integer_sweep_equals_fraction_recursion(monkeypatch):
         return lp_module.matrix_game_value(matrix)
 
     seen = {"non-dyadic step": 0, "reward lcm > 1": 0, "several roots": 0,
-            "pruned": 0, "link gcd > 1": 0}
-    for game, view in games:
-        dag = build_auxiliary(game, 4, view=view)
+            "pruned": 0, "link gcd > 1": 0, PUBLIC: 0, PLAYER1: 0, PLAYER2: 0}
+    for game in games:
+        dag = build_auxiliary(game, 4)
+        seen[dag.view] += 1
         nodes = [node for level in dag.levels for node in level]
         seen["non-dyadic step"] += dag.step & (dag.step - 1) != 0
         seen["reward lcm > 1"] += any(g.denominator > 1
@@ -477,7 +479,7 @@ def test_integer_sweep_equals_fraction_recursion(monkeypatch):
             patch.setattr(lp_module, "solve_matrix_game", counted_lp)
             patch.setattr(reduction, "matrix_game_value", counted_value)
             got = solve_horizons(dag, [1, 2, 4])
-        assert repr(got) == repr(fraction_solve_horizons(dag, [1, 2, 4])), view
+        assert repr(got) == repr(fraction_solve_horizons(dag, [1, 2, 4])), dag.view
     assert all(seen.values()), seen
     assert 0 < len(lp_calls) < len(games_solved), (len(lp_calls), len(games_solved))
 
@@ -533,10 +535,12 @@ def test_solve_backward_strategies_are_distributions():
 
 
 def test_build_auxiliary_private_view_requires_single_opponent(games):
+    """Without symmetric signaling the view is the private one of the only
+    player with choices; a game where both have choices is refused."""
     with pytest.raises(UnsupportedStructureError):
-        build_auxiliary(games["example3_bigmatch_blind1"], 2, view=PLAYER1)
+        build_auxiliary(games["example3_bigmatch_blind1"], 2)
     # the blind MDP has a single-action opponent: allowed
-    aux = build_auxiliary(games["mdp_final_remark"], 3, view=PLAYER1)
+    aux = build_auxiliary(games["mdp_final_remark"], 3)
     assert aux.view == PLAYER1
 
 
@@ -578,16 +582,18 @@ def test_integer_stage_matrix_is_scaled_naive_formula():
     absorbing states among them) and private views of single-controller
     games."""
     rng = random.Random(7)
-    cases = [(random_symmetric_game(seed, n_states=3, n_signals=3), None)
+    cases = [random_symmetric_game(seed, n_states=3, n_signals=3)
              for seed in range(12)]
-    cases += [(_single_controller_game(seed, c), PLAYER1 if c == 1 else PLAYER2)
+    cases += [_single_controller_game(seed, c)
               for seed in range(12) for c in (1, 2)]
-    cases += [(_absorbing_symmetric_game(seed), None) for seed in range(12)]
+    cases += [_absorbing_symmetric_game(seed) for seed in range(12)]
     seen = {"zero reward": 0, "nonzero reward": 0, "unit weight": 0,
-            "other weight": 0, "folded child": 0}
-    for game, view in cases:
+            "other weight": 0, "folded child": 0,
+            PUBLIC: 0, PLAYER1: 0, PLAYER2: 0}
+    for game in cases:
         for merge in (False, True):
-            aux = build_auxiliary(game, 4, view=view, merge_beliefs=merge)
+            aux = build_auxiliary(game, 4, merge_beliefs=merge)
+            seen[aux.view] += 1
             D = aux.step
             values = {}
 
@@ -638,7 +644,7 @@ def test_integer_stage_matrix_is_scaled_naive_formula():
                                        cells, D ** (k - 1), previous, tail,
                                        absorbed)]
                             want = naive_stage_matrix(aux, node, stage_reward, cont)
-                            assert repr(got) == repr(want), (view, merge, node.depth, k)
+                            assert repr(got) == repr(want), (aux.view, merge, node.depth, k)
     assert all(seen.values()), seen
 
 

@@ -1,10 +1,15 @@
+import dataclasses
 import random
 import sys
 from fractions import Fraction as F
 
 import pytest
 
-from oracles import bruteforce_mean_value, naive_best_response_value
+from oracles import (
+    bruteforce_mean_value,
+    history_augmented,
+    naive_best_response_value,
+)
 from randgen import (
     random_game,
     random_strategy,
@@ -12,7 +17,11 @@ from randgen import (
     rational_weights,
 )
 from signalgames import corpus
-from signalgames.errors import BudgetExceededError, UnsupportedStructureError
+from signalgames.errors import (
+    BudgetExceededError,
+    GameModelError,
+    UnsupportedStructureError,
+)
 from signalgames.lp import solve_matrix_game
 from signalgames.model import PUBLIC, BehavioralStrategy, uniform_strategy
 from signalgames.reduction import MEAN as RED_MEAN
@@ -114,21 +123,40 @@ def test_backward_equals_sequence_form_random_symmetric():
 
 def test_backward_equals_sequence_form_lifted_terminal():
     """Terminal payoff f on full histories: the observed-game value with the
-    lifted payoff equals the original game's value with f."""
+    lifted payoff equals the original game's value with f, solved by the
+    sequence form on the game whose states are the histories, where f is a
+    payoff of the last state.  In the second family, several states and
+    a transition support of 3 put beliefs with s = sum(mu) > 1 on the
+    players' best replies, so the lifted terminal's factor s counts."""
     rng = random.Random(77)
-    for seed in range(8):
-        sym = random_symmetric_game(seed)
+    cases = [random_symmetric_game(seed) for seed in range(8)]
+    cases += [random_symmetric_game(seed, n_states=3, support_max=3)
+              for seed in range(8)]
+    for case, sym in enumerate(cases):
         spec = sym.expand()
         N = 3
         pair = build_trees(spec, N)
-        f = {h.full_key(): F(rng.randint(-4, 4), rng.randint(1, 3))
+        f = {h: F(rng.randint(-4, 4), rng.randint(1, 3))
              for h in pair.histories(N)}
-        fnode = {h: f[h.full_key()] for h in pair.histories(N)}
-        lifted = lift_payoff(pair, fnode)
+        lifted = lift_payoff(pair, f)
         aux = build_auxiliary(sym, N, merge_beliefs=False)
         back = solve_backward(aux, payoff=lifted, want_strategies=False)
-        seq = nstage_value(spec, N, TerminalPayoff(node_fn=f.__getitem__))
-        assert back.value == seq.value, seed
+        augmented, state_of = history_augmented(spec, pair)
+        f_last = {state_of[h]: v for h, v in f.items()}
+        seq = nstage_value(augmented, N, TerminalPayoff(
+            action_fn=lambda x, i, j: f_last[x], determined_fn=lambda x: None))
+        assert back.value == seq.value, case
+
+
+def test_terminal_payoff_is_two_callables():
+    """A terminal payoff is its stage-N ``action_fn`` and its
+    ``determined_fn``, both required and both callable."""
+    assert [f.name for f in dataclasses.fields(TerminalPayoff)] == [
+        "action_fn", "determined_fn"]
+    with pytest.raises(GameModelError, match="callable"):
+        TerminalPayoff(action_fn=lambda x, i, j: F(0), determined_fn=None)
+    with pytest.raises(GameModelError, match="callable"):
+        TerminalPayoff(action_fn=F(0), determined_fn=lambda x: None)
 
 
 def test_public_strategy_certificates(games):
@@ -163,6 +191,22 @@ def test_best_response_public_strategy_needs_symmetric_signaling(games):
                                view_kind="public")
     with pytest.raises(UnsupportedStructureError, match="symmetric signaling"):
         best_response_value(spec, fixed, 2)
+
+
+@pytest.mark.parametrize("responder, fixed_player, match", [
+    (3, 1, "responder must be 1 or 2"), (0, 1, "responder must be 1 or 2"),
+    (True, 2, "responder must be 1 or 2"),
+    (2, 2, "must be player 1's"), (1, 1, "must be player 2's"),
+])
+def test_best_response_refuses_a_bad_responder_or_fixed_player(
+        responder, fixed_player, match):
+    """The responder is player 1 or 2, and ``fixed`` is its opponent's
+    strategy: either mistake is a GameModelError before the walk, where it
+    used to end in a KeyError on a stage key."""
+    spec = corpus.quitting_game().expand()
+    fixed = uniform_strategy(spec, fixed_player)
+    with pytest.raises(GameModelError, match=match):
+        best_response_value(spec, fixed, 3, responder=responder)
 
 
 def test_best_response_fold_runs_below_recursion_limit(games):
