@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import GameModelError
+from .errors import GameModelError, PreconditionError, _exact, require_horizon
 from .lp import solve_matrix_game
 from .model import GameSpec
 from .rationals import ONE, ZERO, format_rational
@@ -262,10 +262,17 @@ def verify_example(spec_for, example: int, side: str, horizon: int = 20,
     looked up rather than rebuilt so callers can substitute file-loaded
     copies.  All payoffs are exact; the finite scale (horizon for the
     truncated family, eps for the tail allowance) is reported in the check.
+    ``horizon`` must be an integer >= 1 (>= 2 for example 2 minmax, which
+    probes a switch at stage horizon // 2) and ``eps`` exact, else
+    PreconditionError.
     """
-    eps = Fraction(eps)
+    require_horizon(horizon, error=PreconditionError)
+    eps = _exact(eps, "eps")
     N = horizon
     if (example, side) == (2, "minmax"):
+        if N < 2:
+            raise PreconditionError(
+                f"horizon must be >= 2 for example 2 minmax, got {N}")
         spec = spec_for("example2_informed")
         # the two relevant strategies per player span the reduced game:
         # stay forever vs. switch once (switch times do not change the

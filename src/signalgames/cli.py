@@ -61,10 +61,21 @@ def _write(path, text: str) -> None:
 
 
 def _strategies(args, spec) -> tuple:
-    """``--sigma``/``--tau`` strategy files, uniform play where absent."""
-    return tuple(_load(path, load_strategy, "strategy") if path
-                 else uniform_strategy(spec, player)
-                 for player, path in ((1, args.sigma), (2, args.tau)))
+    """``--sigma``/``--tau`` strategy files, uniform play where absent.  A
+    file playing an action its player lacks exits 1 with one line."""
+    out = []
+    for player, path in ((1, args.sigma), (2, args.tau)):
+        strategy = (_load(path, load_strategy, "strategy") if path
+                    else uniform_strategy(spec, player))
+        actions = spec.actions1 if player == 1 else spec.actions2
+        tail = strategy.tail if isinstance(strategy.tail, dict) else {}
+        played = {a for d in (*strategy.table.values(), tail) for a in d}
+        foreign = sorted(played - set(actions))
+        if foreign:
+            raise SystemExit(f"error: {path}: player {player} has no action "
+                             f"{foreign[0]!r} (actions: {', '.join(actions)})")
+        out.append(strategy)
+    return tuple(out)
 
 
 def _positive_int(text: str) -> int:
@@ -428,6 +439,10 @@ def main(argv=None) -> int:
     if args.command == "kernel-check" and args.n > args.m:
         parser.error(f"argument --n: must be at most --m, got --n {args.n} "
                      f"--m {args.m}")
+    if (args.command == "verify-example" and (args.id, args.side) == (2, "minmax")
+            and args.horizon < 2):
+        parser.error(f"argument --horizon: must be at least 2 for --id 2 "
+                     f"--side minmax, got {args.horizon}")
     try:
         return args.func(args)
     except BudgetExceededError as err:

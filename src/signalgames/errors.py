@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+from fractions import Fraction
 
 DEFAULT_NODE_BUDGET = 10 ** 6
 NODE_BUDGET_ENV = "SIGNALGAMES_NODE_BUDGET"
@@ -95,6 +96,19 @@ def require_horizon(n, name: str = "horizon", error=GameModelError) -> None:
         raise error(f"{name} must be an integer, got {n!r}")
     if n < 1:
         raise error(f"{name} must be >= 1, got {n}")
+
+
+def _exact(value, name: str) -> Fraction:
+    """``value``, an int, a Fraction or a ``"p/q"`` string, as a Fraction.
+    Anything else raises PreconditionError, a float too: 0.01 is binary,
+    5764607523034235/576460752303423488."""
+    if not isinstance(value, float):
+        try:
+            return Fraction(value)
+        except (TypeError, ValueError):
+            pass
+    raise PreconditionError(
+        f"{name} must be an int, a Fraction or a 'p/q' string, got {value!r}")
 
 
 def require_nondecreasing(values, what: str) -> None:

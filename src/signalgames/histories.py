@@ -23,10 +23,10 @@ observation v_m.  Its defining property — the reason the whole reduction
 works — is that it equals the Bayes conditional induced by *any* strategy
 pair, because both players' action probabilities are measurable with
 respect to the observation and cancel in the ratio.  That cancellation
-requires the view to contain both players' actions and signals, so kernel
-checks run on the "public" view (symmetric games) or the "joint" view
-(general games: forget only the states); per-player views support only the
-weight bookkeeping, not the strategy-independence property.
+requires the view to contain both players' actions and signals, so
+``build_trees`` derives it from the game: the "public" view under symmetric
+signaling, else the "joint" view (forget only the states), never a
+per-player view.
 
 ``phi_row`` gives that kernel in ``Fraction``s, one per entry.
 ``conditional_check`` certifies the identities in Python integers instead:
@@ -42,18 +42,16 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
-from .errors import Budget, GameModelError, UnsupportedStructureError, require_horizon
+from .errors import Budget, GameModelError, require_horizon
 from .model import (
     JOINT,
-    PLAYER1,
-    PLAYER2,
     PUBLIC,
     BehavioralStrategy,
     GameSpec,
+    _viewer,
     as_general,
     projection,
     public_labels,
-    require_public_labels,
 )
 from .rationals import ZERO, denominator_lcm
 
@@ -87,10 +85,6 @@ class HistoryNode:
         while node.depth > n:
             node = node.parent
         return node
-
-    def view(self, who: str, public_of=None) -> tuple:
-        """Observed view tuple of this history for player1/player2/joint/public."""
-        return self.seen_through(*projection(who, public_of))
 
     def seen_through(self, edge_of, label_of) -> tuple:
         """View tuple under the ``projection`` functions of a view."""
@@ -149,7 +143,6 @@ class TreePair:
     horizon: int
     levels: list                        # levels[n-1] = list[HistoryNode] at length n
     obs_levels: list                    # same for ObservedNode
-    public_of: dict | None = None
 
     def histories(self, n: int):
         return self.levels[n - 1]
@@ -158,23 +151,20 @@ class TreePair:
         return self.obs_levels[n - 1]
 
 
-def build_trees(spec_or_sym, horizon: int, view: str | None = None,
+def build_trees(spec_or_sym, horizon: int,
                 budget: int | None = None) -> TreePair:
     """Build H-bar and V-bar levels 1..horizon with exact alpha/beta weights.
 
     A child's mass is its parent's times the transition numerator over D;
     an observation's beta is its members' mass sum over the level scale,
-    the one ``Fraction`` built per observation.  ``view`` defaults to
-    "public" when the spec has symmetric signaling and "joint" otherwise.
+    the one ``Fraction`` built per observation.  The view is "public" when
+    ``public_labels`` finds symmetric signaling and "joint" otherwise.
     Budget overruns raise BudgetExceededError naming the level reached.
     """
     spec = as_general(spec_or_sym)
     require_horizon(horizon)
-    if view is None:
-        public_of = public_labels(spec)
-        view = JOINT if public_of is None else PUBLIC
-    else:
-        public_of = require_public_labels(spec) if view == PUBLIC else None
+    public_of = public_labels(spec)
+    view = JOINT if public_of is None else PUBLIC
     edge_of, label_of = projection(view, public_of)
     nodes = Budget(budget)
 
@@ -225,7 +215,7 @@ def build_trees(spec_or_sym, horizon: int, view: str | None = None,
         obs_levels.append(next_obs)
 
     return TreePair(spec=spec, view=view, horizon=horizon, levels=levels,
-                    obs_levels=obs_levels, public_of=public_of)
+                    obs_levels=obs_levels)
 
 
 def _group(groups: dict, key: tuple, node: HistoryNode, parent) -> None:
@@ -297,31 +287,17 @@ class PlayDistribution:
                 out[v] = sum(played, ZERO)
         return out
 
-    def total(self) -> Fraction:
-        return sum(self.probs.values(), ZERO)
 
-
-def _viewer(strategy: BehavioralStrategy, spec: GameSpec):
-    """The ``projection`` functions giving ``strategy`` its views."""
-    if strategy.view_kind == "public":
-        return projection(PUBLIC, require_public_labels(spec))
-    return projection(PLAYER1 if strategy.player == 1 else PLAYER2)
-
-
-def exact_play_distribution(spec_or_pair, sigma: BehavioralStrategy,
-                            tau: BehavioralStrategy, horizon: int,
-                            budget: int | None = None) -> PlayDistribution:
+def exact_play_distribution(pair: TreePair, sigma: BehavioralStrategy,
+                            tau: BehavioralStrategy,
+                            horizon: int) -> PlayDistribution:
     """P(h) = alpha(h) * product of the players' action probabilities along h.
 
-    Accepts a spec (trees are built) or an existing TreePair covering the
-    horizon.  The marginal of the result on the observed tree is the
-    distribution over observed plays.
+    ``pair`` is a ``build_trees`` result covering the horizon, ``sigma``
+    player 1's strategy and ``tau`` player 2's.  The marginal of the result
+    on the observed tree is the distribution over observed plays.
     """
     require_horizon(horizon)
-    if isinstance(spec_or_pair, TreePair):
-        pair = spec_or_pair
-    else:
-        pair = build_trees(spec_or_pair, horizon, budget=budget)
     probs = {h: Fraction(h.mass * num, h.scale * den)
              for h, (num, den) in _strategy_weights(pair, sigma, tau,
                                                     horizon).items()}
@@ -339,7 +315,7 @@ def _strategy_weights(pair: TreePair, sigma: BehavioralStrategy,
     """
     if pair.horizon < horizon:
         raise GameModelError("tree pair shorter than requested horizon")
-    sees1, sees2 = _viewer(sigma, pair.spec), _viewer(tau, pair.spec)
+    sees1, sees2 = _viewer(sigma, pair.spec, 1), _viewer(tau, pair.spec, 2)
     weights: dict = {root: (1, 1) for root in pair.histories(1)}
     for n in range(1, horizon):
         nxt: dict = {}
@@ -390,9 +366,11 @@ class KernelCheckReport:
                 and self.max_discrepancy == 0)
 
 
-def conditional_check(spec_or_pair, sigma, tau, n: int, m: int,
-                      budget: int | None = None) -> KernelCheckReport:
-    """Exact regression test of the kernel identities at depths (n, m).
+def conditional_check(pair: TreePair, sigma, tau, n: int,
+                      m: int) -> KernelCheckReport:
+    """Exact regression test of the kernel identities at depths (n, m) of
+    ``pair``, a ``build_trees`` result covering m, under player 1's
+    ``sigma`` and player 2's ``tau``.
 
     Checks, with exact rational equality:
       * normalization: the kernel row over level-n histories sums to 1 at
@@ -433,14 +411,6 @@ def conditional_check(spec_or_pair, sigma, tau, n: int, m: int,
     require_horizon(m, "m")
     if n > m:
         raise GameModelError("need 1 <= n <= m")
-    if isinstance(spec_or_pair, TreePair):
-        pair = spec_or_pair
-    else:
-        pair = build_trees(spec_or_pair, m, budget=budget)
-    if pair.view not in (PUBLIC, JOINT):
-        raise UnsupportedStructureError(
-            "kernel checks need the public or joint view; per-player views "
-            "do not make both strategies observation-measurable")
 
     weights = _strategy_weights(pair, sigma, tau, m)
     max_disc = ZERO
@@ -576,9 +546,12 @@ def simulate(spec_or_sym, sigma: BehavioralStrategy, tau: BehavioralStrategy,
     from hashlib import sha256
 
     spec = as_general(spec_or_sym)
+    require_horizon(horizon)
+    require_horizon(replicas, "replicas")
     absorbing = spec.absorbing_states
     init_items = sorted(spec.initial.items(), key=lambda kv: str(kv[0]))
-    (edge1, label1), (edge2, label2) = _viewer(sigma, spec), _viewer(tau, spec)
+    edge1, label1 = _viewer(sigma, spec, 1)
+    edge2, label2 = _viewer(tau, spec, 2)
 
     results = []
     for r in range(replicas):
@@ -620,7 +593,7 @@ def simulate(spec_or_sym, sigma: BehavioralStrategy, tau: BehavioralStrategy,
         ))
 
     means = [res.mean_payoff for res in results]
-    mean = sum(means) / replicas if replicas else 0.0
+    mean = sum(means) / replicas
     var = (sum((v - mean) ** 2 for v in means) / (replicas - 1)
            if replicas > 1 else 0.0)
     sups = [res.sup_payoff for res in results]
@@ -629,8 +602,8 @@ def simulate(spec_or_sym, sigma: BehavioralStrategy, tau: BehavioralStrategy,
     return SimulationSummary(
         replicas=replicas, horizon=horizon, seed=seed,
         mean_of_means=mean, var_of_means=var,
-        mean_sup=sum(sups) / replicas if replicas else 0.0,
-        absorbed_fraction=len(absorbed) / replicas if replicas else 0.0,
-        stage1_absorbed_fraction=len(stage1) / replicas if replicas else 0.0,
+        mean_sup=sum(sups) / replicas,
+        absorbed_fraction=len(absorbed) / replicas,
+        stage1_absorbed_fraction=len(stage1) / replicas,
         results=results,
     )

@@ -415,6 +415,17 @@ def projection(view: str, public_of: dict | None = None) -> tuple:
     raise GameModelError(f"unknown view {view!r}")
 
 
+def _viewer(strategy: BehavioralStrategy, spec: GameSpec, player: int) -> tuple:
+    """The ``projection`` of ``strategy``'s views, the public or its player's
+    own; GameModelError unless ``strategy`` is ``player``'s."""
+    if strategy.player != player:
+        raise GameModelError(f"the strategy must be player {player}'s, got "
+                             f"player {strategy.player}'s")
+    if strategy.view_kind == "public":
+        return projection(PUBLIC, require_public_labels(spec))
+    return projection(PLAYER1 if player == 1 else PLAYER2)
+
+
 # ---------------------------------------------------------------------------
 # Behavioral strategies
 # ---------------------------------------------------------------------------

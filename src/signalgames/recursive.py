@@ -32,6 +32,7 @@ from .errors import (
     CertificateError,
     PreconditionError,
     UnsupportedStructureError,
+    _exact,
     require_horizon,
     require_nondecreasing,
 )
@@ -86,19 +87,6 @@ class UniformValueReport:
     player2_cap_at_horizon: Fraction | None
     strategy_eps_achieved: Fraction | None
     route: str
-
-
-def _exact(value, name: str) -> Fraction:
-    """``value``, an int, a Fraction or a ``"p/q"`` string, as a Fraction.
-    Anything else raises PreconditionError, a float too: 0.01 is binary,
-    5764607523034235/576460752303423488."""
-    if not isinstance(value, float):
-        try:
-            return Fraction(value)
-        except (TypeError, ValueError):
-            pass
-    raise PreconditionError(
-        f"{name} must be an int, a Fraction or a 'p/q' string, got {value!r}")
 
 
 def default_schedule(n_max: int) -> list:

@@ -22,10 +22,13 @@ from .errors import Budget, GameModelError, require_horizon
 from .lp import EQ, LEQ, OPTIMAL, LPError, LinearProgram, solve_lp
 from .model import (
     MEAN,
+    PLAYER1,
+    PLAYER2,
     BehavioralStrategy,
     GameSpec,
+    _viewer,
     as_general,
-    require_public_labels,
+    projection,
 )
 from .rationals import ONE, ZERO
 
@@ -297,24 +300,20 @@ def best_response_value(spec_or_sym, fixed: BehavioralStrategy, horizon: int,
     for returned strategies.
 
     The walk goes one depth at a time and merges frames: histories that
-    agree on the state, both players' views and the public view are one
-    frame carrying their summed weight.  Everything a frame banks and every
-    child weight is linear in its weight, so a merged frame banks exactly
-    what its histories would have.  The budget is charged once per merged
-    frame, at its depth.
+    agree on the state, the fixed strategy's view (``model._viewer``) and
+    the responder's are one frame carrying their summed weight.  Everything
+    a frame banks and every child weight is linear in its weight, so a
+    merged frame banks exactly what its histories would have.  The budget
+    is charged once per merged frame, at its depth.
     """
     spec = as_general(spec_or_sym)
     require_horizon(horizon)
     if responder not in (1, 2) or isinstance(responder, bool):
         raise GameModelError(f"responder must be 1 or 2, got {responder!r}")
-    if fixed.player != 3 - responder:
-        raise GameModelError(
-            f"the fixed strategy must be player {3 - responder}'s, the "
-            f"responder's opponent; got player {fixed.player}'s")
     N = horizon
     terminal = evaluation if isinstance(evaluation, TerminalPayoff) else None
-    public_of = (require_public_labels(spec) if fixed.view_kind == "public"
-                 else None)
+    edge_f, label_f = _viewer(fixed, spec, 3 - responder)
+    edge_r, label_r = projection(PLAYER2 if responder == 2 else PLAYER1)
 
     form = _PlayerForm(actions=list(spec.actions2 if responder == 2
                                     else spec.actions1))
@@ -329,29 +328,22 @@ def best_response_value(spec_or_sym, fixed: BehavioralStrategy, horizon: int,
         old = frames.get(key)
         frames[key] = weight if old is None else old + weight
 
-    def fixed_dist(v_fixed, vpub):
-        view = vpub if fixed.view_kind == "public" else v_fixed
-        return fixed.action_dist(view)
-
-    # one depth of frames: (state, v_fixed, v_resp, vpub) -> summed weight
+    # one depth of frames: (state, fixed view, responder view) -> summed weight
     level: dict = {}
     for (x, c, d), p in sorted(spec.initial.items(), key=str):
         if p > 0:
-            vf = (c,) if responder == 2 else (d,)
-            vr = (d,) if responder == 2 else (c,)
-            vpub = (public_of.get(c, c),) if public_of is not None else None
-            add(level, (x, vf, vr, vpub), p)
+            add(level, (x, (label_f(c, d),), (label_r(c, d),)), p)
 
     for depth in range(1, N + 1):
         nxt: dict = {}
-        for (x, vf, vr, vpub), weight in level.items():
+        for (x, vf, vr), weight in level.items():
             nodes.charge(depth)
             det = _determined(spec, terminal, x, depth, N)
             if det is not None:
                 bank(form.sequence(vr[:-1]), weight * det)
                 continue
             form.visit(vr)
-            dist = fixed_dist(vf, vpub)
+            dist = fixed.action_dist(vf)
             for a_resp in form.actions:
                 s_resp = form.sequence(vr + (a_resp,))
                 for a_fixed, pf in dist.items():
@@ -368,13 +360,11 @@ def best_response_value(spec_or_sym, fixed: BehavioralStrategy, horizon: int,
                     elif depth == N:
                         bank(s_resp, w * terminal.action_fn(x, i, j))
                     if depth < N:
+                        vf1, vr1 = vf + edge_f(i, j), vr + edge_r(i, j)
                         for (x2, c, d), p in spec.transition[(x, i, j)].items():
                             if p > 0:
-                                vf2 = vf + ((i, c) if responder == 2 else (j, d))
-                                vr2 = vr + ((j, d) if responder == 2 else (i, c))
-                                vpub2 = (vpub + (i, j, public_of.get(c, c))
-                                         if vpub is not None else None)
-                                add(nxt, (x2, vf2, vr2, vpub2),
+                                add(nxt, (x2, vf1 + (label_f(c, d),),
+                                          vr1 + (label_r(c, d),)),
                                     w if p == 1 else w * p)
         level = nxt
 

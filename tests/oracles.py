@@ -176,7 +176,6 @@ class FractionHistory:
     via: tuple | None = None
 
     ancestor = HistoryNode.ancestor
-    view = HistoryNode.view
     seen_through = HistoryNode.seen_through
     stage_path = HistoryNode.stage_path
 
@@ -219,22 +218,20 @@ def history_augmented(spec, pair):
     return game, state_of
 
 
-def fraction_build_trees(spec_or_sym, horizon, view=None, budget=None):
+def fraction_build_trees(spec_or_sym, horizon, budget=None):
     """History and observed trees built by multiplying Fractions: each
     child's alpha is its parent's times the transition probability, and
     each observation's beta sums its members' alphas as they arrive.
 
     Reference for ``histories.build_trees``, which carries integer masses
     over a level scale; nodes, their order and the budget charges must
-    agree."""
+    agree.  The view is the public one under symmetric signaling, else
+    the joint one."""
     spec = as_general(spec_or_sym)
     if horizon < 1:
         raise GameModelError("horizon must be >= 1")
-    if view is None:
-        public_of = public_labels(spec)
-        view = JOINT if public_of is None else PUBLIC
-    else:
-        public_of = require_public_labels(spec) if view == PUBLIC else None
+    public_of = public_labels(spec)
+    view = JOINT if public_of is None else PUBLIC
     edge_of, label_of = projection(view, public_of)
     nodes = Budget(budget)
 
@@ -284,7 +281,7 @@ def fraction_build_trees(spec_or_sym, horizon, view=None, budget=None):
         levels.append(next_level)
         obs_levels.append(next_obs)
     return TreePair(spec=spec, view=view, horizon=horizon, levels=levels,
-                    obs_levels=obs_levels, public_of=public_of)
+                    obs_levels=obs_levels)
 
 
 def fraction_play_distribution(pair, sigma, tau, horizon):

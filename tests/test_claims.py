@@ -110,6 +110,26 @@ def test_unknown_example_raises():
         verify_example(spec_for, 4, "maxmin")
 
 
+@pytest.mark.parametrize("example, side, kwargs, match", [
+    (1, "maxmin", {"horizon": 0}, "^horizon must be >= 1"),
+    (3, "minmax", {"horizon": -1}, "^horizon must be >= 1"),
+    (1, "maxmin", {"horizon": 2.5}, "^horizon must be an integer"),
+    (1, "minmax", {"horizon": True}, "^horizon must be an integer"),
+    (2, "minmax", {"horizon": 1}, "^horizon must be >= 2 for example 2 minmax"),
+    (3, "maxmin", {"eps": 0.01}, "^eps must be"),
+    (2, "maxmin", {"eps": "a/b"}, "^eps must be"),
+], ids=["zero", "negative", "float", "bool", "example-2-minmax-one-stage",
+        "float-eps", "text-eps"])
+def test_verify_example_checks_its_inputs(example, side, kwargs, match):
+    """A horizon must be an integer >= 1 (>= 2 for example 2 minmax, whose
+    probe runs at stage horizon // 2) and eps exact; anything else is a
+    PreconditionError.  Horizon 0 used to give a vacuous certificate, 2.5 a
+    TypeError, example 2 minmax at horizon 1 a misleading GameModelError,
+    and eps 0.01 the binary fraction 5764607523034235/576460752303423488."""
+    with pytest.raises(PreconditionError, match=match):
+        verify_example(spec_for, example, side, **kwargs)
+
+
 # --- recursive solver ------------------------------------------------------
 
 

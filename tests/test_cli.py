@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -355,6 +356,38 @@ def test_malformed_file_exits_one(tmp_path, command, document, message):
     assert "Traceback" not in result.stderr
 
 
+@pytest.mark.parametrize("command, extra", [
+    ("simulate", ["--horizon", "2"]),
+    ("kernel-check", ["--n", "1", "--m", "2"]),
+])
+@pytest.mark.parametrize("flag, document, message", [
+    ("--tau", _strategy_doc(),
+     "error: {path}: player 2 has no action 'C' (actions: c, q)"),
+    ("--sigma", _strategy_doc(table={'["o"]': {"C": "1/2", "X": "1/2"}}),
+     "error: {path}: player 1 has no action 'X' (actions: C, Q)"),
+    ("--sigma", _strategy_doc(player=2),
+     "error: the strategy must be player 1's, got player 2's"),
+], ids=["other-player-actions", "foreign-action", "other-player"])
+def test_strategy_of_another_player_or_game_exits_one(
+        tmp_path, capsys, command, extra, flag, document, message):
+    """A strategy file is checked against the game and its slot: an action
+    the slot's player does not have, or a file of the other player, exits 1
+    with one line.  A player-1 plan given as ``--tau`` used to end in a
+    KeyError traceback under ``simulate`` and to pass every identity under
+    ``kernel-check``."""
+    path = tmp_path / "plan.json"
+    path.write_text(document)
+    argv = [command, "--game", str(GAMES / "quitting_game.game"), *extra,
+            flag, str(path)]
+    try:
+        code = main(argv)
+    except SystemExit as exit_:
+        code, err = 1, [str(exit_.code)]
+    else:
+        err = capsys.readouterr().err.splitlines()
+    assert (code, err) == (1, [message.format(path=path)])
+
+
 @pytest.mark.parametrize("command, flag, extra", [
     ("simulate", "--sigma", ["--horizon", "2"]),
     ("kernel-check", "--tau", ["--n", "1", "--m", "2"]),
@@ -429,6 +462,55 @@ def test_negative_rational_parses_in_both_spellings(capsys, spaced):
     out = capsys.readouterr().out
     assert code == 1
     assert "-1/2 <= -51/100" in out and out.endswith("FAILED\n")
+
+
+def test_example_2_minmax_needs_two_stages(capsys):
+    """Example 2's minmax check probes a switch at stage horizon // 2, so
+    ``--horizon 1`` is a usage error, as ``kernel-check --n`` above ``--m``
+    is; it used to fail with "reduced matrix is not switch-time invariant"."""
+    with pytest.raises(SystemExit) as err:
+        main(["verify-example", "--id", "2", "--side", "minmax",
+              "--horizon", "1"])
+    assert err.value.code == 2
+    assert ("argument --horizon: must be at least 2 for --id 2 --side "
+            "minmax, got 1" in capsys.readouterr().err)
+    assert main(["verify-example", "--id", "2", "--side", "minmax",
+                 "--horizon", "2"]) == 0
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_command_lines() -> list:
+    """``(argv, documented output lines)`` of each ``signalgames`` line of
+    README's "Command line" block, ``\\`` continuations joined; a
+    ``# -> text`` comment under a command documents a line it prints."""
+    section = README.read_text(encoding="utf-8").split("## Command line\n")[1]
+    block = section.split("```sh\n")[1].split("```")[0]
+    commands = []
+    for line in block.replace("\\\n", " ").splitlines():
+        if line.startswith("signalgames "):
+            commands.append((shlex.split(line)[1:], []))
+        elif line.startswith("# -> "):
+            commands[-1][1].append(line[len("# -> "):])
+    return commands
+
+
+def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):
+    """Every command line README shows runs, from a scratch directory with
+    ``games/`` read from the checkout, exits 0 and prints what the README
+    says it prints."""
+    commands = _readme_command_lines()
+    assert len(commands) == 10
+    assert sum(len(documented) for _, documented in commands) == 1
+    monkeypatch.chdir(tmp_path)
+    for argv, documented in commands:
+        argv = [str(GAMES / arg[len("games/"):]) if arg.startswith("games/")
+                else arg for arg in argv]
+        assert main(argv) == 0, argv
+        printed = capsys.readouterr().out.splitlines()
+        for line in documented:
+            assert line in printed, (argv, line)
 
 
 @pytest.mark.parametrize("spaced", [False, True], ids=["joined", "spaced"])

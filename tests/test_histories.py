@@ -33,9 +33,10 @@ from signalgames.histories import (
     simulate,
 )
 from signalgames.model import (
-    PLAYER1,
     PUBLIC,
     BehavioralStrategy,
+    projection,
+    public_labels,
     uniform_strategy,
 )
 from signalgames.rationals import ZERO
@@ -73,13 +74,14 @@ def test_beta_sums_members(games):
 def _tree_rows(pair):
     """Every node of both trees, level by level in tree order, with its
     parent (and an observation's members) as positions in their levels."""
+    sees = projection(pair.view, public_labels(pair.spec))
     pos = {}
     rows = []
     for n in range(1, pair.horizon + 1):
         for k, h in enumerate(pair.histories(n)):
             pos[id(h)] = k
             rows.append(("h", n, k, h.state, h.sig1, h.sig2, h.via, h.depth,
-                         h.alpha, h.view(pair.view, pair.public_of),
+                         h.alpha, h.seen_through(*sees),
                          None if h.parent is None else pos[id(h.parent)]))
         for k, v in enumerate(pair.observations(n)):
             pos[id(v)] = k
@@ -93,17 +95,20 @@ def test_build_trees_matches_fraction_oracle(games):
     """The integer build gives the Fraction build's trees node by node:
     order, states, signals, actions, depths, alpha, beta and views, on
     random general games (small and large coprime denominators), symmetric
-    games in the public view and the corpus games to horizon 4."""
-    cases = [(random_game(seed), None, 4) for seed in range(12)]
-    cases += [(coprime_game(seed), None, 4) for seed in range(12)]
-    cases += [(random_symmetric_game(50 + seed), PUBLIC, 4)
-              for seed in range(8)]
-    cases += [(games[name], None, 4) for name in sorted(games)]
-    for spec, view, horizon in cases:
-        got = build_trees(spec, horizon, view=view)
-        want = fraction_build_trees(spec, horizon, view=view)
-        assert (got.view, got.public_of) == (want.view, want.public_of)
+    games and the corpus games to horizon 4.  Both derive the view from the
+    game: the public one for the symmetric games, the joint one for the
+    random general ones."""
+    cases = [random_game(seed) for seed in range(12)]
+    cases += [coprime_game(seed) for seed in range(12)]
+    cases += [random_symmetric_game(50 + seed) for seed in range(8)]
+    cases += [games[name] for name in sorted(games)]
+    for spec in cases:
+        got = build_trees(spec, 4)
+        want = fraction_build_trees(spec, 4)
+        assert got.view == want.view
         assert _tree_rows(got) == _tree_rows(want)
+    assert {build_trees(spec, 1).view for spec in cases[:24]} == {"joint"}
+    assert {build_trees(spec, 1).view for spec in cases[24:32]} == {PUBLIC}
 
 
 def test_coprime_game_masses_need_the_level_scale():
@@ -224,9 +229,10 @@ def test_phi_fully_revealing_is_indicator():
 
 def test_play_distribution_pure_dirac(games):
     spec = games["bigmatch_nosignals"]
-    dist = exact_play_distribution(spec, constant_strategy(spec, 1, "B"),
+    dist = exact_play_distribution(build_trees(spec, 4),
+                                   constant_strategy(spec, 1, "B"),
                                    constant_strategy(spec, 2, "R"), 4)
-    assert dist.total() == 1
+    assert sum(dist.probs.values(), ZERO) == 1
     supported = [h for h, p in dist.probs.items() if p > 0]
     assert len(supported) == 1  # deterministic transitions, pure strategies
     states, actions = supported[0].stage_path()
@@ -238,15 +244,16 @@ def test_play_distribution_normalizes_random():
         spec = random_game(seed)
         sigma = random_strategy(seed * 31 + 1, spec, 1, 3)
         tau = random_strategy(seed * 31 + 2, spec, 2, 3)
-        dist = exact_play_distribution(spec, sigma, tau, 3)
-        assert dist.total() == 1
+        dist = exact_play_distribution(build_trees(spec, 3), sigma, tau, 3)
+        assert sum(dist.probs.values(), ZERO) == 1
         # support inside positive-alpha histories by construction
         assert all(h.alpha > 0 for h in dist.probs)
 
 
 def test_play_distribution_example3_stage1_absorption(games):
     spec = games["example3_bigmatch_blind1"]
-    dist = exact_play_distribution(spec, uniform_strategy(spec, 1),
+    dist = exact_play_distribution(build_trees(spec, 2),
+                                   uniform_strategy(spec, 1),
                                    uniform_strategy(spec, 2), 2)
     absorbed = sum((p for h, p in dist.probs.items()
                     if h.state in spec.absorbing_states), ZERO)
@@ -259,7 +266,8 @@ def test_incomplete_strategy_error_names_view(games):
     broken = BehavioralStrategy(player=1, horizon=5, table={("n1",): {"T": F(1)}},
                                 tail=None)
     with pytest.raises(IncompleteStrategyError) as err:
-        exact_play_distribution(spec, broken, uniform_strategy(spec, 2), 3)
+        exact_play_distribution(build_trees(spec, 3), broken,
+                                uniform_strategy(spec, 2), 3)
     assert err.value.view == ("n1", "T", "n1")
 
 
@@ -268,8 +276,9 @@ def test_conditional_check_corpus_games(games):
         spec = games[name]
         sigma = uniform_strategy(spec, 1)
         tau = uniform_strategy(spec, 2)
+        pair = build_trees(spec, 3)
         for n, m in ((1, 1), (1, 3), (2, 3), (3, 3)):
-            report = conditional_check(spec, sigma, tau, n, m)
+            report = conditional_check(pair, sigma, tau, n, m)
             assert report.all_exact, (name, n, m)
 
 
@@ -380,13 +389,15 @@ def test_compatibility_holds_by_construction():
 def test_conditional_check_violation_matches_dense_oracle():
     """A public label that merges all of player 1's signals hides what the
     strategies depend on: the identities fail, and the support walk reports
-    the same failures and discrepancy as the dense check."""
+    the same failures and discrepancy as the dense check.  The label map
+    makes ``build_trees`` take the public view."""
     spec = random_game(0)
     spec.public_label = {c: "merged" for c in spec.signals1}
     rng = random.Random(0)
     sigma = random_strategy(rng, spec, 1, 3)
     tau = random_strategy(rng, spec, 2, 3)
-    pair = build_trees(spec, 3, view=PUBLIC)
+    pair = build_trees(spec, 3)
+    assert pair.view == PUBLIC
     discrepancies = {}
     for m in range(1, 4):
         for n in range(1, m + 1):
@@ -413,14 +424,6 @@ def test_out_of_range_levels_raise_model_error():
     with pytest.raises(GameModelError):
         conditional_check(pair, uniform_strategy(spec, 1),
                           uniform_strategy(spec, 2), 1, 3)
-
-
-def test_conditional_check_rejects_player_views():
-    spec = random_game(1)
-    pair = build_trees(spec, 2, view=PLAYER1)
-    with pytest.raises(Exception):
-        conditional_check(pair, uniform_strategy(spec, 1),
-                          uniform_strategy(spec, 2), 1, 2)
 
 
 def test_simulate_deterministic_and_bigmatch(games):
@@ -452,7 +455,7 @@ def test_simulate_public_view_strategy():
     # same distribution: the same draws, so the same replicas.
     spec = corpus.noisy_public_2state()
     dist = {"T": F(1, 3), "B": F(2, 3)}
-    pair = build_trees(spec, 4, view=PUBLIC)
+    pair = build_trees(spec, 4)
     public = BehavioralStrategy(
         player=1, horizon=4, view_kind="public",
         table={o.view(): dist for n in range(1, 5) for o in pair.observations(n)})
@@ -461,6 +464,26 @@ def test_simulate_public_view_strategy():
     runs = [simulate(spec, sigma, tau, horizon=4, seed=3, replicas=40)
             for sigma in (public, tail_only)]
     assert runs[0].results == runs[1].results
+
+
+@pytest.mark.parametrize("entry", [
+    lambda g, sigma, tau: simulate(g, sigma, tau, 2, seed=0, replicas=2),
+    lambda g, sigma, tau: exact_play_distribution(build_trees(g, 2), sigma,
+                                                  tau, 2),
+    lambda g, sigma, tau: conditional_check(build_trees(g, 2), sigma, tau,
+                                            1, 2),
+], ids=["simulate", "exact_play_distribution", "conditional_check"])
+def test_strategies_of_the_wrong_player_are_refused(entry):
+    """``sigma`` must be player 1's strategy and ``tau`` player 2's: a
+    strategy in the wrong slot is a GameModelError naming the player, where
+    ``simulate`` used to end in a KeyError on a stage key and
+    ``conditional_check`` reported every identity exact."""
+    game = corpus.bigmatch_nosignals()
+    sigma, tau = uniform_strategy(game, 1), uniform_strategy(game, 2)
+    with pytest.raises(GameModelError, match="must be player 1's, got player 2's"):
+        entry(game, tau, tau)
+    with pytest.raises(GameModelError, match="must be player 2's, got player 1's"):
+        entry(game, sigma, sigma)
 
 
 @pytest.mark.parametrize("build, fits, overrun", [
@@ -510,17 +533,22 @@ def _uniform_pair(game):
     lambda g, n: nstage_value(g, n),
     lambda g, n: sup_lower_bound(g, n),
     lambda g, n: best_response_value(g, uniform_strategy(g, 1), n),
-    lambda g, n: exact_play_distribution(g, *_uniform_pair(g), n),
-    lambda g, n: conditional_check(g, *_uniform_pair(g), n, 3),
-    lambda g, n: conditional_check(g, *_uniform_pair(g), 1, n),
+    lambda g, n: exact_play_distribution(build_trees(g, 3), *_uniform_pair(g), n),
+    lambda g, n: conditional_check(build_trees(g, 3), *_uniform_pair(g), n, 3),
+    lambda g, n: conditional_check(build_trees(g, 3), *_uniform_pair(g), 1, n),
+    lambda g, n: simulate(g, *_uniform_pair(g), n, seed=0, replicas=2),
+    lambda g, n: simulate(g, *_uniform_pair(g), 2, seed=0, replicas=n),
 ], ids=["build_trees", "build_auxiliary", "solve_horizons",
         "build_sequence_form", "nstage_value", "sup_lower_bound",
         "best_response_value", "exact_play_distribution",
-        "conditional_check_n", "conditional_check_m"])
+        "conditional_check_n", "conditional_check_m", "simulate",
+        "simulate_replicas"])
 def test_horizons_must_be_integers_at_least_one(entry, bad):
-    """A horizon that is a float, a bool or below 1 is refused with a
-    GameModelError before any work: a float used to reach the LP and give
-    a value with a float's denominator, and True or 0 a value of 0."""
+    """A horizon (or a replica count) that is a float, a bool or below 1 is
+    refused with a GameModelError before any work: a float used to reach
+    the LP and give a value with a float's denominator, and True or 0 a
+    value of 0; ``simulate`` ended in a ZeroDivisionError or a TypeError,
+    or gave a summary of -1 replicas."""
     with pytest.raises(GameModelError, match="must be"):
         entry(corpus.quitting_game(), bad)
 

@@ -5,7 +5,7 @@ import pytest
 from randgen import constant_strategy, random_game, random_symmetric_game
 from signalgames import corpus
 from signalgames.errors import GameModelError, UnsupportedStructureError
-from signalgames.histories import build_trees
+from signalgames.histories import build_trees, exact_play_distribution
 from signalgames.model import (
     JOINT,
     PLAYER1,
@@ -14,6 +14,8 @@ from signalgames.model import (
     BehavioralStrategy,
     GameSpec,
     is_symmetric_signaling,
+    projection,
+    public_labels,
     uniform_strategy,
 )
 from signalgames.rationals import format_rational, parse_rational
@@ -128,34 +130,44 @@ def test_project_views():
         transition={(x, "i1", "j1"): {("x2", "c2", "d2"): F(1)}
                     for x in ("x1", "x2")},
         reward={(x, "i1", "j1"): F(0) for x in ("x1", "x2")})
-    (h,) = build_trees(spec, 2, view=JOINT).histories(2)
-    assert h.view(PLAYER1) == ("c1", "i1", "c2")
-    assert h.view(PLAYER2) == ("d1", "j1", "d2")
-    assert h.view(JOINT) == (("c1", "d1"), "i1", "j1", ("c2", "d2"))
+    (h,) = build_trees(spec, 2).histories(2)
+    assert h.seen_through(*projection(PLAYER1)) == ("c1", "i1", "c2")
+    assert h.seen_through(*projection(PLAYER2)) == ("d1", "j1", "d2")
+    assert (h.seen_through(*projection(JOINT))
+            == (("c1", "d1"), "i1", "j1", ("c2", "d2")))
 
 
 def test_project_prefix_monotone():
     pair = build_trees(random_game(3), 3)
     for h in pair.histories(3):
         for who in (PLAYER1, PLAYER2, JOINT):
-            full = h.view(who)
+            full = h.seen_through(*projection(who))
             for n in (1, 2, 3):
-                pref = h.ancestor(n).view(who)
+                pref = h.ancestor(n).seen_through(*projection(who))
                 assert full[: len(pref)] == pref
 
 
 def test_project_public_requires_symmetric(games):
-    with pytest.raises(UnsupportedStructureError):
-        build_trees(games["example1_guessing"], 1, view=PUBLIC)
+    # a public-view strategy has no views in a game without symmetric
+    # signaling
+    spec = games["example1_guessing"]
+    uniform = uniform_strategy(spec, 1)
+    public = BehavioralStrategy(player=1, horizon=0, table={},
+                                tail=uniform.tail, view_kind="public")
+    with pytest.raises(UnsupportedStructureError, match="symmetric signaling"):
+        exact_play_distribution(build_trees(spec, 1), public,
+                                uniform_strategy(spec, 2), 1)
 
 
 def test_project_public_forgets_states(games):
     pair = build_trees(games["noisy_public_2state"], 2)
+    assert pair.view == PUBLIC
     h1, h2 = [h for h in pair.histories(2)
               if h.via == ("T", "L") and h.sig1 == "T|L|u"]
     assert {h1.state, h2.state} == {"xa", "xb"}
-    assert h1.view(PUBLIC, pair.public_of) == h2.view(PUBLIC, pair.public_of)
-    assert h1.view(PUBLIC, pair.public_of) == ("s0", "T", "L", "u")
+    public = projection(PUBLIC, public_labels(pair.spec))
+    assert h1.seen_through(*public) == h2.seen_through(*public)
+    assert h1.seen_through(*public) == ("s0", "T", "L", "u")
 
 
 def test_strategy_lookup_and_tail():

@@ -239,7 +239,7 @@ def test_best_response_fold_runs_below_recursion_limit(games):
 def _random_public_strategy(rng, spec, player, horizon):
     """Random exact strategy on every public view to ``horizon``, no tail."""
     actions = spec.actions1 if player == 1 else spec.actions2
-    pair = build_trees(spec, horizon, view=PUBLIC)
+    pair = build_trees(spec, horizon)
     table = {o.view(): dict(zip(actions, rational_weights(rng, len(actions))))
              for n in range(1, horizon + 1) for o in pair.observations(n)}
     return BehavioralStrategy(player=player, horizon=horizon, table=table,
