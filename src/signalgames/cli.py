@@ -294,8 +294,7 @@ def cmd_kernel_check(args) -> int:
           f"{report.checked_pairs} pairs checked")
     for name, ok in (("row normalization", report.normalization_ok),
                      ("strategy independence", report.bayes_ok),
-                     ("sum identity", report.sum_identity_ok),
-                     ("one-step compatibility", report.compatibility_ok)):
+                     ("sum identity", report.sum_identity_ok)):
         print(f"  {name}: {'exact' if ok else 'VIOLATED'}")
     print(f"max discrepancy: {format_rational(report.max_discrepancy)}")
     return EXIT_OK if report.all_exact else EXIT_FAIL
@@ -408,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau")
     p.add_argument("--dump-trees", metavar="CSV",
                    help="also dump both weighted trees as CSV")
-    p.set_defaults(func=cmd_kernel_check)
+    p.set_defaults(func=cmd_kernel_check, usage_error=p.error)
 
     p = sub.add_parser("verify-example",
                        help="re-run a no-limsup-value example's reply bound")
@@ -418,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=_rational, default="1/100",
                    help="tail allowance, a rational p/q")
     p.add_argument("--verbose", action="store_true")
-    p.set_defaults(func=cmd_verify_example)
+    p.set_defaults(func=cmd_verify_example, usage_error=p.error)
 
     p = sub.add_parser("verify-paper",
                        help="re-verify every documented corpus claim")
@@ -437,12 +436,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(_join_negative_rationals(
         sys.argv[1:] if argv is None else list(argv)))
     if args.command == "kernel-check" and args.n > args.m:
-        parser.error(f"argument --n: must be at most --m, got --n {args.n} "
-                     f"--m {args.m}")
+        args.usage_error(f"argument --n: must be at most --m, "
+                         f"got --n {args.n} --m {args.m}")
     if (args.command == "verify-example" and (args.id, args.side) == (2, "minmax")
             and args.horizon < 2):
-        parser.error(f"argument --horizon: must be at least 2 for --id 2 "
-                     f"--side minmax, got {args.horizon}")
+        args.usage_error(f"argument --horizon: must be at least 2 for --id 2 "
+                         f"--side minmax, got {args.horizon}")
     try:
         return args.func(args)
     except BudgetExceededError as err:

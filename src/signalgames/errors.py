@@ -51,17 +51,24 @@ class BudgetExceededError(GameModelError):
 
 class Budget:
     """The node budget of one build: ``limit`` is the explicit override,
-    else ``SIGNALGAMES_NODE_BUDGET``, else the default.  ``charge`` counts
-    one node and raises BudgetExceededError, naming the level being
-    expanded, once the count passes the limit."""
+    else ``SIGNALGAMES_NODE_BUDGET``, else the default.  Either must be an
+    integer >= 0, else GameModelError.  ``charge`` counts one node and
+    raises BudgetExceededError, naming the level being expanded, once the
+    count passes the limit."""
 
     def __init__(self, override: int | None = None):
+        source = "budget"
         if override is None:
             raw = os.environ.get(NODE_BUDGET_ENV)
+            source = NODE_BUDGET_ENV
             try:
                 override = DEFAULT_NODE_BUDGET if raw is None else int(raw)
             except ValueError:
                 raise GameModelError(f"invalid {NODE_BUDGET_ENV}: {raw!r}") from None
+        if (not isinstance(override, int) or isinstance(override, bool)
+                or override < 0):
+            raise GameModelError(
+                f"{source} must be an integer >= 0, got {override!r}")
         self.limit = override
         self.count = 0
 
@@ -69,11 +76,6 @@ class Budget:
         self.count += 1
         if self.count > self.limit:
             raise BudgetExceededError(self.limit, level)
-
-    @staticmethod
-    def nothing_fits() -> BudgetExceededError:
-        """The error for a sweep none of whose horizons fits the budget."""
-        return BudgetExceededError(0, 1)
 
 
 class PreconditionError(GameModelError):

@@ -28,12 +28,14 @@ requires the view to contain both players' actions and signals, so
 signaling, else the "joint" view (forget only the states), never a
 per-player view.
 
-``phi_row`` gives that kernel in ``Fraction``s, one per entry.
-``conditional_check`` certifies the identities in Python integers instead:
-one play walk gives each history's strategy weight as an integer pair (the
+That kernel is never built as a table of ``Fraction``s.
+``conditional_check`` certifies its identities in Python integers: one
+play walk gives each history's strategy weight as an integer pair (the
 same walk serves ``exact_play_distribution``), and per observation the
 member masses, already over their level's scale, and the play masses are
-compared with beta cross-multiplied.
+compared with beta cross-multiplied.  At the horizon the kernel row of an
+observation is its members' masses over their sum, which is all
+``reduction.lift_payoff`` reads.
 """
 
 from __future__ import annotations
@@ -77,14 +79,6 @@ class HistoryNode:
     @property
     def alpha(self) -> Fraction:
         return Fraction(self.mass, self.scale)
-
-    def ancestor(self, n: int) -> "HistoryNode":
-        if not 1 <= n <= self.depth:
-            raise GameModelError(f"no ancestor at level {n}")
-        node = self
-        while node.depth > n:
-            node = node.parent
-        return node
 
     def seen_through(self, edge_of, label_of) -> tuple:
         """View tuple under the ``projection`` functions of a view."""
@@ -241,30 +235,6 @@ def _close(groups: dict, scale: int) -> list:
 
 
 # ---------------------------------------------------------------------------
-# The conditional kernel
-# ---------------------------------------------------------------------------
-
-
-def phi_row(pair: TreePair, n: int, v_m: ObservedNode) -> dict:
-    """Conditional probability of each level-n history given v_m (m >= n).
-
-    Exact ratio of chance weights: the alpha mass of the level-m members of
-    v_m that extend h_n, divided by beta(v_m).  Maps HistoryNode -> Fraction;
-    histories inconsistent with v_m have kernel 0 and are left out.  The
-    member masses are summed as integers over their level's scale.
-    """
-    beta = v_m.beta
-    if beta <= 0:
-        raise GameModelError("observation has zero weight")
-    sums: dict = {}
-    for h in v_m.members:
-        anc = h.ancestor(n)
-        sums[anc] = sums.get(anc, 0) + h.mass
-    den = v_m.members[0].scale * beta.numerator
-    return {h: Fraction(s * beta.denominator, den) for h, s in sums.items()}
-
-
-# ---------------------------------------------------------------------------
 # Exact play distributions
 # ---------------------------------------------------------------------------
 
@@ -350,6 +320,8 @@ def _integer_pairs(dist: dict) -> dict:
 
 @dataclass
 class KernelCheckReport:
+    """The kernel identities that a tree can fail, at depths (n, m)."""
+
     n: int
     m: int
     checked_pairs: int
@@ -357,13 +329,11 @@ class KernelCheckReport:
     normalization_ok: bool
     bayes_ok: bool
     sum_identity_ok: bool
-    compatibility_ok: bool
 
     @property
     def all_exact(self) -> bool:
         return (self.normalization_ok and self.bayes_ok
-                and self.sum_identity_ok and self.compatibility_ok
-                and self.max_discrepancy == 0)
+                and self.sum_identity_ok and self.max_discrepancy == 0)
 
 
 def conditional_check(pair: TreePair, sigma, tau, n: int,
@@ -378,9 +348,7 @@ def conditional_check(pair: TreePair, sigma, tau, n: int,
       * Bayes: the kernel equals the conditional distribution induced by the
         given strategy pair wherever the observation has positive
         probability (strategy independence);
-      * sum identity: P(h_n and v_m) = kernel * Q(v_m) for all pairs;
-      * compatibility: the kernel at level n equals its refinement summed
-        over one-step extensions.
+      * sum identity: P(h_n and v_m) = kernel * Q(v_m) for all pairs.
 
     The identities are compared in integers.  At each observation v_m the
     members' masses are already over one denominator, their level's scale
@@ -390,16 +358,16 @@ def conditional_check(pair: TreePair, sigma, tau, n: int,
     mass and qv the total.  With beta = bn / bd the kernel is
     s * bd / (S * bn), so normalization is sum of s times bd == S * bn,
     and the sum identity and Bayes are both jp * S * bn == s * bd * qv
-    (Bayes only where qv > 0, where the two tests coincide).  Compatibility
-    compares s with the level-(n+1) sums folded onto their parents.
+    (Bayes only where qv > 0, where the two tests coincide).
     ``Fraction``s are built only when a test fails, to report the exact
-    discrepancy, so the report equals the one computed on the ``phi_row``
-    kernel.
+    discrepancy, so the report equals the dense every-pair check in
+    ``Fraction``s.
 
-    On a tree from ``build_trees`` compatibility holds by construction:
-    both sides fold the same member masses along the same ``parent``
-    links (each member's level-n ancestor is the parent of its level-(n+1)
-    one), so corrupting a beta or a mass leaves it True.
+    One-step compatibility (the level-n kernel is its level-(n+1)
+    refinement folded onto parents) is not checked here: both sides fold
+    the same member masses along the same ``parent`` links, so no tree can
+    fail it.  It rests on the structure ``build_trees`` makes: a history's
+    parent is one level up and held by the parent of its observation.
 
     Each observation v_m is checked on its support only: the level-n
     histories with a nonzero kernel or a nonzero joint mass at v_m.  Every
@@ -419,7 +387,6 @@ def conditional_check(pair: TreePair, sigma, tau, n: int,
     normalization_ok = True
     bayes_ok = True
     sum_ok = True
-    compat_ok = True
 
     for v in pair.observations(m):
         beta = v.beta
@@ -433,14 +400,10 @@ def conditional_check(pair: TreePair, sigma, tau, n: int,
         b = scale * bn                  # beta times S * bd
         s: dict = {}                    # h_n -> mass over S
         jp: dict = {}                   # h_n -> play mass over S * play_den
-        s1: dict = {}                   # h_{n+1} -> mass over S
         for h, w in zip(members, plays):
             a = h.mass
             anc = h
-            while anc.depth > n + 1:
-                anc = anc.parent
-            if n < m:
-                s1[anc] = s1.get(anc, 0) + a
+            while anc.depth > n:
                 anc = anc.parent
             s[anc] = s.get(anc, 0) + a
             if w is not None:
@@ -460,21 +423,11 @@ def conditional_check(pair: TreePair, sigma, tau, n: int,
                 if q > 0:
                     bayes_ok = False
                     max_disc = max(max_disc, abs(jpf / qv - k))
-        if n < m:
-            folded: dict = {}
-            for h1, val in s1.items():
-                folded[h1.parent] = folded.get(h1.parent, 0) + val
-            for h in s.keys() | folded.keys():
-                diff = s.get(h, 0) - folded.get(h, 0)
-                if diff:
-                    compat_ok = False
-                    max_disc = max(max_disc, Fraction(abs(diff) * bd, b))
 
     return KernelCheckReport(n=n, m=m, checked_pairs=checked,
                              max_discrepancy=max_disc,
                              normalization_ok=normalization_ok,
-                             bayes_ok=bayes_ok, sum_identity_ok=sum_ok,
-                             compatibility_ok=compat_ok)
+                             bayes_ok=bayes_ok, sum_identity_ok=sum_ok)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
-    Budget,
     BudgetExceededError,
     CertificateError,
     PreconditionError,
@@ -128,30 +127,32 @@ def _extract(spec: GameSpec, route: str, values: list, target, budget):
     """Strategies at the first horizon whose value reaches ``target`` and
     whose build fits the budget, else at the largest horizon that fits.
 
-    Returns ``(n, v_n, strategy1, strategy2)``, or None when no build fits.
-    Levels 1..n of a build are the build to n, so a build that overflows
-    at n overflows at every larger horizon too: neither search tries one.
+    Returns ``(n, v_n, strategy1, strategy2)``; when no build fits, raises
+    the first BudgetExceededError caught.  Levels 1..n of a build are the
+    build to n, so a build that overflows at n overflows at every larger
+    horizon too: neither search tries one.
     """
-    limit = None
+    limit = first = None
     for n, v in values:
         if v >= target:
             try:
                 return (n, v, *_nstage(spec, route, n, budget))
-            except BudgetExceededError:
-                limit = n
+            except BudgetExceededError as err:
+                # without its traceback, whose frames hold the failed build
+                first, limit = err.with_traceback(None), n
             break
     for n, v in reversed(values):
         if limit is None or n < limit:
             try:
                 return (n, v, *_nstage(spec, route, n, budget))
-            except BudgetExceededError:
-                pass
-    return None
+            except BudgetExceededError as err:
+                first = first or err.with_traceback(None)
+    raise first
 
 
 def _schedule_values(spec: GameSpec, route: str, horizons: list, budget) -> list:
     """``[(n, v_n)]`` for the longest prefix of ``horizons`` that fits the
-    node budget."""
+    node budget; the first horizon's BudgetExceededError when none does."""
     if route.startswith("reduction"):
         return _sweep_values(spec, horizons, budget)
     values = []
@@ -159,6 +160,8 @@ def _schedule_values(spec: GameSpec, route: str, horizons: list, budget) -> list
         try:
             values.append((n, nstage_value(spec, n, budget=budget).value))
         except BudgetExceededError:
+            if not values:
+                raise
             break
     return values
 
@@ -203,7 +206,8 @@ def uniform_value(spec_or_sym, tol=Fraction(1, 10000), n_max: int = 512,
     heuristic and is always a true guarantee for player 1.  The schedule
     must be strictly increasing positive integers and is read up to its
     first point above ``n_max``.  Under a node budget the values stop
-    before the first horizon that does not fit.  The returned
+    before the first horizon that does not fit; when the first does not,
+    its BudgetExceededError is raised.  The returned
     strategies are those of the first horizon within 1/20 of
     ``certified_lower`` whose build fits, else of the largest horizon that
     fits; ``extract_eps_optimal`` extracts for any other eps.
@@ -235,8 +239,6 @@ def uniform_value(spec_or_sym, tol=Fraction(1, 10000), n_max: int = 512,
         raise PreconditionError(
             f"the schedule needs horizons in 1..n_max={n_max}, got {pts}")
     values = _schedule_values(spec, route, horizons, budget)
-    if not values:
-        raise Budget.nothing_fits()
     require_nondecreasing(
         values, "n-stage values of a recursive nonnegative game")
 
@@ -248,8 +250,11 @@ def uniform_value(spec_or_sym, tol=Fraction(1, 10000), n_max: int = 512,
     # the certified level (monotonicity then makes its n-stage guarantee a
     # uniform one), else at the largest horizon whose observed histories fit
     # the budget.
-    chosen = _extract(spec, route, values, certified - Fraction(1, 20), budget)
-    strat_n, strat_value, strat, strat2 = chosen or (None, None, None, None)
+    try:
+        strat_n, strat_value, strat, strat2 = _extract(
+            spec, route, values, certified - Fraction(1, 20), budget)
+    except BudgetExceededError:
+        strat_n = strat_value = strat = strat2 = None
     p2_cap = None
     if strat is not None:
         # two exact certificates at the extraction horizon: player 1's
@@ -308,10 +313,8 @@ def extract_eps_optimal(spec_or_sym, report: UniformValueReport, eps,
     spec = as_general(spec_or_sym)
     eps = _exact(eps, "eps")
     target = report.certified_lower - eps
-    chosen = _extract(spec, report.route, report.value_sequence, target, budget)
-    if chosen is None:
-        raise Budget.nothing_fits()
-    n, v, strategy, _ = chosen
+    n, v, strategy, _ = _extract(spec, report.route, report.value_sequence,
+                                 target, budget)
     warning = ""
     if v < target:
         warning = (f"requested eps {eps} unattainable within the computed "

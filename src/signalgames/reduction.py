@@ -53,7 +53,7 @@ from .errors import (
     UnsupportedStructureError,
     require_horizon,
 )
-from .histories import ObservedNode, TreePair, phi_row
+from .histories import ObservedNode, TreePair
 from .lp import matrix_game_value, solve_matrix_game
 from .model import (
     MEAN,
@@ -321,25 +321,29 @@ class LiftedPayoff:
 def lift_payoff(pair: TreePair, f) -> LiftedPayoff:
     """fhat(v) = sum over horizon histories of kernel(h, v) * f(h).
 
-    ``f`` maps HistoryNode -> Fraction (callable or dict) and must be defined
-    on every positive-weight horizon history.  The defining identity — the
-    expectation of f under any strategy pair equals the expectation of fhat
-    under the induced observed-play distribution — is exercised by tests.
+    At the horizon the kernel row of v is each member's mass over the
+    members' mass sum, so fhat(v) = sum of mass(h) * f(h) over sum of
+    mass(h), taken over v's members.  ``f`` maps HistoryNode -> Fraction
+    (callable or dict) and must be defined on every positive-weight horizon
+    history.  The defining identity — the expectation of f under any
+    strategy pair equals the expectation of fhat under the induced
+    observed-play distribution — is exercised by tests.
     """
     n = pair.horizon
     get = f.__getitem__ if isinstance(f, dict) else f
     values = {}
     for v in pair.observations(n):
-        row = phi_row(pair, n, v)
         total = ZERO
-        for h, k in row.items():
+        mass = 0
+        for h in v.members:
             try:
                 fh = get(h)
             except KeyError:
                 raise GameModelError(
                     f"payoff undefined on reachable history at level {n}") from None
-            total += k * fh
-        values[v.view()] = total
+            total += h.mass * fh
+            mass += h.mass
+        values[v.view()] = total / mass
     return LiftedPayoff(horizon=n, values=values)
 
 

@@ -82,7 +82,6 @@ class _PlayerForm:
 class SequenceFormProgram:
     spec: GameSpec
     horizon: int
-    evaluation: object
     p1: _PlayerForm
     p2: _PlayerForm
     payoff: dict                                       # (s1, s2) -> Fraction
@@ -94,7 +93,6 @@ class SequenceFormProgram:
 class NStageSolution:
     value: Fraction
     horizon: int
-    evaluation: object
     strategy1: BehavioralStrategy
     strategy2: BehavioralStrategy
     arbitrary_views1: list
@@ -167,9 +165,9 @@ def build_sequence_form(spec_or_sym, horizon: int, evaluation=MEAN,
                             stack.append((x2, alpha * p, v1 + (i, c),
                                           v2 + (j, d), depth + 1))
 
-    return SequenceFormProgram(spec=spec, horizon=N, evaluation=evaluation,
-                               p1=p1, p2=p2, payoff=payoff,
-                               live_nodes=live, closed_nodes=closed)
+    return SequenceFormProgram(spec=spec, horizon=N, p1=p1, p2=p2,
+                               payoff=payoff, live_nodes=live,
+                               closed_nodes=closed)
 
 
 def _solve_program(prog: SequenceFormProgram):
@@ -278,7 +276,7 @@ def nstage_value(spec_or_sym, horizon: int, evaluation=MEAN,
     value, plan1_vec, plan2_vec = _solve_program(prog)
     strategy1, arb1 = _plan_to_strategy(prog.p1, plan1_vec, 1, horizon)
     strategy2, arb2 = _plan_to_strategy(prog.p2, plan2_vec, 2, horizon)
-    return NStageSolution(value=value, horizon=horizon, evaluation=evaluation,
+    return NStageSolution(value=value, horizon=horizon,
                           strategy1=strategy1, strategy2=strategy2,
                           arbitrary_views1=arb1, arbitrary_views2=arb2)
 

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
-    Budget,
     BudgetExceededError,
     PreconditionError,
     require_horizon,
@@ -196,7 +195,8 @@ def sup_value_lowerbounds(spec_or_sym, max_horizon: int,
 
     Monotonicity is checked exactly (it is a theorem, so a violation is an
     implementation bug and raises CertificateError).  On budget exhaustion
-    the prefix computed so far is returned with ``budget_hit`` set.
+    the prefix computed so far is returned with ``budget_hit`` set; when
+    horizon 1 does not fit, its BudgetExceededError is raised.
     ``stabilized`` is True when the last bound equals the one three
     horizons back.
     """
@@ -209,13 +209,13 @@ def sup_value_lowerbounds(spec_or_sym, max_horizon: int,
         try:
             sol = nstage_value(aug.spec, n, terminal, budget)
         except BudgetExceededError:
+            if not values:
+                raise
             budget_hit = True
             break
         values.append((n, sol.value))
         require_nondecreasing(values[-2:], "sup lower bounds")
 
-    if not values:
-        raise Budget.nothing_fits()
     best_lower = values[-1][1]
     upper = None
     if compute_upper:

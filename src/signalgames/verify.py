@@ -47,7 +47,6 @@ class Claim:
     expected: str
     provenance: str
     run: object                          # callable(games) -> ClaimResult
-    description: str = ""
 
 
 @dataclass

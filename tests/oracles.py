@@ -1,8 +1,9 @@
 """Independent oracles: pure-strategy enumeration, closed forms, the game
 whose states are a tree's histories, the history trees, the play
-distribution and the dense kernel-identity check in Fractions, the
-auxiliary game read off an explicit tree, the value recursion in
-Fractions, and a best reply that walks every history on its own.
+distribution, the conditional kernel and the dense kernel-identity check
+in Fractions, the auxiliary game read off an explicit tree, the value
+recursion in Fractions, and a best reply that walks every history on its
+own.
 
 Deliberately reimplements game evaluation with plain recursion so the
 sequence-form and backward-induction paths are checked against something
@@ -163,6 +164,53 @@ def fraction_solve_horizons(aux, horizons):
     return values
 
 
+def ancestor(node, n):
+    """The level-``n`` history that ``node`` extends (itself at its own
+    level), following ``parent`` links."""
+    if not 1 <= n <= node.depth:
+        raise GameModelError(f"no ancestor at level {n}")
+    while node.depth > n:
+        node = node.parent
+    return node
+
+
+def phi_row(pair, n, v_m):
+    """Conditional probability of each level-n history given v_m (m >= n).
+
+    Exact ratio of chance weights: the alpha mass of the level-m members of
+    v_m that extend h_n, divided by beta(v_m).  Maps HistoryNode -> Fraction;
+    histories inconsistent with v_m have kernel 0 and are left out.
+
+    Reference for the kernel that ``histories.conditional_check`` checks in
+    integers and that ``reduction.lift_payoff`` reads at n = m."""
+    if v_m.beta <= 0:
+        raise GameModelError("observation has zero weight")
+    sums = {}
+    for h in v_m.members:
+        anc = ancestor(h, n)
+        sums[anc] = sums.get(anc, F(0)) + h.alpha
+    return {h: a / v_m.beta for h, a in sums.items()}
+
+
+def lift_payoff_by_kernel(pair, f):
+    """fhat(v) = sum over v's kernel row at the horizon of kernel * f(h),
+    keyed by view in observation order; reference for
+    ``reduction.lift_payoff``."""
+    n = pair.horizon
+    get = f.__getitem__ if isinstance(f, dict) else f
+    values = {}
+    for v in pair.observations(n):
+        total = F(0)
+        for h, k in phi_row(pair, n, v).items():
+            try:
+                total += k * get(h)
+            except KeyError:
+                raise GameModelError(
+                    f"payoff undefined on reachable history at level {n}") from None
+        values[v.view()] = total
+    return values
+
+
 @dataclass(eq=False)
 class FractionHistory:
     """A full history whose chance weight ``alpha`` is a stored Fraction."""
@@ -175,7 +223,6 @@ class FractionHistory:
     parent: "FractionHistory | None" = None
     via: tuple | None = None
 
-    ancestor = HistoryNode.ancestor
     seen_through = HistoryNode.seen_through
     stage_path = HistoryNode.stage_path
 
@@ -325,36 +372,26 @@ def dense_conditional_check(pair, sigma, tau, n, m):
     """The kernel identities checked in Fractions on every (observation,
     history) pair.
 
-    The kernel at level k is the alpha mass of v_m's members extending
-    h_k divided by beta(v_m); the joint masses come from
+    The kernel is ``phi_row``; the joint masses come from
     ``fraction_play_distribution``.  Reference for
     ``histories.conditional_check``, which walks only each observation's
     support and compares integers: zero pairs are compared here too, so the
     two reports must agree field by field.
     """
-    def kernel(level, v):
-        if v.beta <= 0:
-            raise GameModelError("observation has zero weight")
-        sums = {}
-        for h in v.members:
-            anc = h.ancestor(level)
-            sums[anc] = sums.get(anc, F(0)) + h.alpha
-        return {h: a / v.beta for h, a in sums.items()}
-
     obs_of = {h: v for v in pair.observations(m) for h in v.members}
     q = {}
     joint = {}
     for h, p in fraction_play_distribution(pair, sigma, tau, m).items():
         v = obs_of[h]
         q[v] = q.get(v, F(0)) + p
-        key = (v, h.ancestor(n))
+        key = (v, ancestor(h, n))
         joint[key] = joint.get(key, F(0)) + p
 
     max_disc = F(0)
     checked = 0
-    normalization_ok = bayes_ok = sum_ok = compat_ok = True
+    normalization_ok = bayes_ok = sum_ok = True
     for v in pair.observations(m):
-        row = kernel(n, v)
+        row = phi_row(pair, n, v)
         if sum(row.values(), F(0)) != 1:
             normalization_ok = False
         qv = q.get(v, F(0))
@@ -368,20 +405,10 @@ def dense_conditional_check(pair, sigma, tau, n, m):
             if qv > 0 and jp / qv != k:
                 bayes_ok = False
                 max_disc = max(max_disc, abs(jp / qv - k))
-        if n < m:
-            folded = {}
-            for h1, val in kernel(n + 1, v).items():
-                folded[h1.parent] = folded.get(h1.parent, F(0)) + val
-            for h in set(row) | set(folded):
-                a, b = row.get(h, F(0)), folded.get(h, F(0))
-                if a != b:
-                    compat_ok = False
-                    max_disc = max(max_disc, abs(a - b))
     return KernelCheckReport(n=n, m=m, checked_pairs=checked,
                              max_discrepancy=max_disc,
                              normalization_ok=normalization_ok,
-                             bayes_ok=bayes_ok, sum_identity_ok=sum_ok,
-                             compatibility_ok=compat_ok)
+                             bayes_ok=bayes_ok, sum_identity_ok=sum_ok)
 
 
 def posterior_of_observed(node):

@@ -95,6 +95,20 @@ def test_budget_exit_code(corpus_dir, capsys, monkeypatch):
     assert code == 3
 
 
+@pytest.mark.parametrize("raw", ["-5", "many"])
+def test_invalid_budget_variable_exits_one(corpus_dir, capsys, monkeypatch,
+                                           raw):
+    """A negative budget is refused like a non-integer one, where it used
+    to exit 3 reporting "node budget -5 exceeded"."""
+    monkeypatch.setenv("SIGNALGAMES_NODE_BUDGET", raw)
+    code = main(["solve-nstage", "--game",
+                 str(corpus_dir / "example2_informed.game"), "--horizon", "2"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "SIGNALGAMES_NODE_BUDGET" in err
+    assert "exceeded" not in err
+
+
 def test_lp_failure_exits_one_without_traceback(corpus_dir, capsys, monkeypatch):
     import signalgames.seqform as seqform
     from signalgames.errors import LPError
@@ -129,7 +143,6 @@ def test_kernel_check_cli_output_pinned(capsys):
         "  row normalization: exact\n"
         "  strategy independence: exact\n"
         "  sum identity: exact\n"
-        "  one-step compatibility: exact\n"
         "max discrepancy: 0\n")
 
 
@@ -268,9 +281,11 @@ def test_kernel_check_n_above_m_usage_error(corpus_dir, capsys):
               "--n", "3", "--m", "2"])
     assert err.value.code == 2
     stderr = capsys.readouterr().err
-    assert stderr.startswith("usage:")
+    assert stderr.startswith("usage: signalgames kernel-check ")
     assert stderr.count("error:") == 1
-    assert "error: argument --n: must be at most --m, got --n 3 --m 2" in stderr
+    assert ("signalgames kernel-check: error: argument --n: must be at most "
+            "--m, got --n 3 --m 2") in stderr
+    assert "verify-paper" not in stderr
     assert "Traceback" not in stderr
 
 
@@ -472,8 +487,11 @@ def test_example_2_minmax_needs_two_stages(capsys):
         main(["verify-example", "--id", "2", "--side", "minmax",
               "--horizon", "1"])
     assert err.value.code == 2
-    assert ("argument --horizon: must be at least 2 for --id 2 --side "
-            "minmax, got 1" in capsys.readouterr().err)
+    stderr = capsys.readouterr().err
+    assert stderr.startswith("usage: signalgames verify-example ")
+    assert ("signalgames verify-example: error: argument --horizon: must be "
+            "at least 2 for --id 2 --side minmax, got 1") in stderr
+    assert "kernel-check" not in stderr
     assert main(["verify-example", "--id", "2", "--side", "minmax",
                  "--horizon", "2"]) == 0
 

@@ -6,9 +6,11 @@ from fractions import Fraction as F
 import pytest
 
 from oracles import (
+    ancestor,
     dense_conditional_check,
     fraction_build_trees,
     fraction_play_distribution,
+    phi_row,
 )
 from randgen import (
     constant_strategy,
@@ -29,18 +31,19 @@ from signalgames.histories import (
     build_trees,
     conditional_check,
     exact_play_distribution,
-    phi_row,
     simulate,
 )
 from signalgames.model import (
     PUBLIC,
     BehavioralStrategy,
+    GameSpec,
+    as_general,
     projection,
     public_labels,
     uniform_strategy,
 )
 from signalgames.rationals import ZERO
-from signalgames.recursive import uniform_value
+from signalgames.recursive import extract_eps_optimal, uniform_value
 from signalgames.reduction import build_auxiliary, solve_horizons
 from signalgames.seqform import best_response_value, build_sequence_form, nstage_value
 from signalgames.supvalue import sup_lower_bound, sup_value_lowerbounds
@@ -354,36 +357,38 @@ def test_conditional_check_corrupted_beta_matches_oracle():
             else:
                 assert not (report.normalization_ok or report.bayes_ok
                             or report.sum_identity_ok), n
-                assert report.compatibility_ok
                 assert report.max_discrepancy == F(2, 7), n
 
 
-def test_compatibility_holds_by_construction():
-    """Compatibility folds the same member masses along the same parent
-    links on both sides, so corrupting betas or masses, or rewiring a
-    parent link, leaves it True while the other identities fail."""
-    spec = random_game(11)
-    rng = random.Random(11)
-    sigma = random_strategy(rng, spec, 1, 3)
-    tau = random_strategy(rng, spec, 2, 3)
-    corruptions = {
-        "beta": lambda v: setattr(v, "beta", v.beta * F(7, 5)),
-        "mass": lambda v: setattr(v.members[0], "mass", 3 * v.members[0].mass),
-    }
-    for name, corrupt in corruptions.items():
-        pair = build_trees(spec, 3)
-        for v in pair.observations(3):
-            corrupt(v)
-        for n in (1, 2):
-            report = conditional_check(pair, sigma, tau, n, 3)
-            assert report.compatibility_ok, (name, n)
-            assert not report.normalization_ok, (name, n)
-    pair = build_trees(spec, 3)
+def _parent_links_compatible(pair) -> bool:
+    """Every level-(n+1) history's parent is a level-n history of the
+    same tree, held by the parent of the observation that holds it: the
+    structure on which one-step compatibility of the kernel rests."""
+    for n in range(1, pair.horizon):
+        level = set(pair.histories(n))
+        holder = {h: v for v in pair.observations(n) for h in v.members}
+        for v in pair.observations(n + 1):
+            for h in v.members:
+                if h.parent not in level or holder.get(h.parent) is not v.parent:
+                    return False
+    return True
+
+
+def test_build_trees_parent_links_are_compatible(games):
+    """Compatibility is checked on the structure, where a tree can fail
+    it: on corpus and random trees it holds, and rewiring one parent link
+    to another observation's history breaks it."""
+    for spec in games.values():
+        assert _parent_links_compatible(build_trees(spec, 3))
+    for seed in range(12):
+        assert _parent_links_compatible(build_trees(random_game(seed), 4))
+        assert _parent_links_compatible(
+            build_trees(random_symmetric_game(seed), 4))
+    pair = build_trees(random_game(11), 3)
     deep = next(h for h in pair.histories(3)
                 if any(o is not h.parent for o in pair.histories(2)))
     deep.parent = next(o for o in pair.histories(2) if o is not deep.parent)
-    report = conditional_check(pair, sigma, tau, 1, 3)
-    assert report.compatibility_ok and not report.bayes_ok
+    assert not _parent_links_compatible(pair)
 
 
 def test_conditional_check_violation_matches_dense_oracle():
@@ -418,7 +423,7 @@ def test_out_of_range_levels_raise_model_error():
     h = pair.histories(2)[0]
     for level in (0, -1, 3):
         with pytest.raises(GameModelError):
-            h.ancestor(level)
+            ancestor(h, level)
     with pytest.raises(GameModelError):
         phi_row(pair, 0, pair.observations(2)[0])
     with pytest.raises(GameModelError):
@@ -518,6 +523,66 @@ def test_budget_overrun_pinned(build, fits, overrun):
     with pytest.raises(BudgetExceededError) as err:
         build(overrun[0])
     assert (err.value.budget, err.value.level_reached) == overrun
+
+
+@pytest.mark.parametrize("bad", ["10", True, 2.5, -1])
+@pytest.mark.parametrize("entry", [
+    lambda g, b: build_trees(g, 3, budget=b),
+    lambda g, b: build_auxiliary(g, 3, budget=b),
+    lambda g, b: build_sequence_form(g, 3, budget=b),
+    lambda g, b: best_response_value(g, uniform_strategy(g, 1), 3, budget=b),
+], ids=["build_trees", "build_auxiliary", "build_sequence_form",
+        "best_response_value"])
+def test_budget_must_be_an_integer_at_least_zero(entry, bad):
+    """A budget that is a string, a bool, a float or negative is a
+    GameModelError before any work: "10" used to end in a TypeError, and
+    True, 2.5 or -1 in an overrun reporting that limit."""
+    with pytest.raises(GameModelError, match="budget must be an integer >= 0"):
+        entry(corpus.quitting_game(), bad)
+
+
+def _blind_two_root_quitting_game():
+    """``quitting_game`` with blind players and two equally likely initial
+    signals: no view, so the sequence-form route, and two level-1
+    histories, so a budget of 1 fits no horizon."""
+    g = as_general(corpus.quitting_game())
+    game = GameSpec(
+        states=g.states, actions1=g.actions1, actions2=g.actions2,
+        signals1=["o", "p"], signals2=["o", "p"],
+        initial={("go", "o", "o"): F(1, 2), ("go", "p", "p"): F(1, 2)},
+        transition={key: {(x2, "o", "o"): p for (x2, _, _), p in dist.items()}
+                    for key, dist in g.transition.items()},
+        reward=g.reward)
+    game.require_valid()
+    return game
+
+
+@pytest.mark.parametrize("entry, overrun", [
+    (lambda b: sup_value_lowerbounds(corpus.noisy_public_2state(), 3,
+                                     budget=b), (1, 1)),
+    (lambda b: uniform_value(_blind_two_root_quitting_game(), n_max=6,
+                             budget=b), (1, 1)),
+    (lambda b: extract_eps_optimal(
+        _blind_two_root_quitting_game(),
+        uniform_value(_blind_two_root_quitting_game(), n_max=6), F(1, 100),
+        budget=b), (1, 2)),
+    (lambda b: extract_eps_optimal(
+        corpus.quitting_game(), uniform_value(corpus.quitting_game(), n_max=8),
+        F(1, 100), budget=b), (0, 1)),
+], ids=["sup_value_lowerbounds", "uniform_value_sequence_form",
+        "extract_eps_optimal_sequence_form", "extract_eps_optimal_reduction"])
+def test_nothing_fits_reports_the_real_limit(entry, overrun):
+    """A sweep none of whose horizons fits re-raises its first overrun, so
+    the error names the limit it was given and the level it reached, where
+    it used to name budget 0 at level 1.  The sequence-form extraction
+    first tries the horizon that meets eps, whose depth-first walk passes
+    budget 1 at level 2."""
+    budget, level = overrun
+    with pytest.raises(BudgetExceededError) as err:
+        entry(budget)
+    assert (err.value.budget, err.value.level_reached) == overrun
+    assert str(err.value) == (f"node budget {budget} exceeded while "
+                              f"expanding level {level}")
 
 
 def _uniform_pair(game):

@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from oracles import ancestor
 from randgen import constant_strategy, random_game, random_symmetric_game
 from signalgames import corpus
 from signalgames.errors import GameModelError, UnsupportedStructureError
@@ -143,7 +144,7 @@ def test_project_prefix_monotone():
         for who in (PLAYER1, PLAYER2, JOINT):
             full = h.seen_through(*projection(who))
             for n in (1, 2, 3):
-                pref = h.ancestor(n).seen_through(*projection(who))
+                pref = ancestor(h, n).seen_through(*projection(who))
                 assert full[: len(pref)] == pref
 
 

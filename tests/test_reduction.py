@@ -6,7 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import auxiliary_from_trees, fraction_solve_horizons, naive_stage_matrix
+from oracles import (
+    auxiliary_from_trees,
+    fraction_solve_horizons,
+    lift_payoff_by_kernel,
+    naive_stage_matrix,
+)
 from randgen import random_dist, random_game, random_strategy, random_symmetric_game
 from signalgames import corpus, reduction
 from signalgames import lp as lp_module
@@ -18,7 +23,14 @@ from signalgames.errors import (
 )
 from signalgames.histories import build_trees, exact_play_distribution
 from signalgames.lp import solve_matrix_game
-from signalgames.model import PLAYER1, PLAYER2, PUBLIC, GameSpec, SymmetricGameSpec
+from signalgames.model import (
+    JOINT,
+    PLAYER1,
+    PLAYER2,
+    PUBLIC,
+    GameSpec,
+    SymmetricGameSpec,
+)
 from signalgames.rationals import ZERO
 from signalgames.reduction import (
     MEAN,
@@ -236,6 +248,32 @@ def test_lift_bounds():
     lo, hi = min(f.values()), max(f.values())
     for value in lifted.values.values():
         assert lo <= value <= hi
+
+
+def test_lift_payoff_matches_kernel_oracle():
+    """``lift_payoff`` reads member masses; the oracle sums the ``phi_row``
+    kernel times f.  Keys, key order and values agree on random symmetric
+    games (public view) and random general games (joint view) at horizons
+    1 to 4, for f as a dict and as a callable, and both refuse an f
+    undefined on a reachable history."""
+    rng = random.Random(20)
+    for seed in range(6):
+        for game, view in ((random_symmetric_game(seed), PUBLIC),
+                           (random_game(seed), JOINT)):
+            for n in range(1, 5):
+                pair = build_trees(game, n)
+                assert pair.view == view
+                f = {h: F(rng.randint(-9, 9), rng.randint(1, 7))
+                     for h in pair.histories(n)}
+                want = list(lift_payoff_by_kernel(pair, f).items())
+                assert list(lift_payoff(pair, f).values.items()) == want
+                assert list(lift_payoff(pair, f.get).values.items()) == want
+                del f[pair.histories(n)[-1]]
+                for lift in (lift_payoff, lift_payoff_by_kernel):
+                    with pytest.raises(GameModelError,
+                                       match="payoff undefined on reachable "
+                                             f"history at level {n}"):
+                        lift(pair, f)
 
 
 def test_solve_backward_horizon1_is_stage_game():
