@@ -113,6 +113,16 @@ def _exact(value, name: str) -> Fraction:
         f"{name} must be an int, a Fraction or a 'p/q' string, got {value!r}")
 
 
+def require_exact(value, what: str):
+    """``value`` unchanged if it is an int (not a bool) or a Fraction, else
+    GameModelError: a float would enter the exact solvers as its binary
+    expansion, 0.1 as 3602879701896397/36028797018963968."""
+    if isinstance(value, Fraction) or (isinstance(value, int)
+                                       and not isinstance(value, bool)):
+        return value
+    raise GameModelError(f"{what} must be an int or a Fraction, got {value!r}")
+
+
 def require_nondecreasing(values, what: str) -> None:
     """Raise CertificateError unless the ``(n, value)`` pairs never decrease."""
     for (n0, v0), (n1, v1) in zip(values, values[1:]):

@@ -10,8 +10,8 @@ The two central objects:
 * the *observed tree* for a chosen observer view: the projections of those
   histories, annotated with ``beta`` = the sum of alpha over the preimage.
 
-The weights are integers over a level scale, as in the belief DAG of
-``reduction.build_auxiliary``: with P and D the lcms of the positive
+The weights are integers over a level scale, as in the per-history tree
+of ``reduction.build_auxiliary``: with P and D the lcms of the positive
 initial and transition denominators, a level-n history carries the integer
 ``mass`` with alpha = mass / (P * D**(n-1)), the scale shared by its level.
 ``build_trees`` multiplies integers per child and builds one ``Fraction``

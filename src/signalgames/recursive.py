@@ -13,12 +13,13 @@ horizons first, then geometrically spaced, densified near the top of
 long schedules — because meaningful accuracy on blind games needs horizons far past
 anything a per-horizon enumeration of every intermediate n could afford.
 On the belief-reduction routes the whole schedule is one sweep: a single
-merged belief DAG built to the largest scheduled horizon and one pass of
-the value recursion over the number of stages left
-(``reduction.solve_horizons``) give every scheduled value at once.  The DAG
-is released before strategies are extracted at one horizon from the same
-kind of build, a merged DAG, whose solutions ``reduction.solve_backward``
-spreads over every observed history.
+belief graph built to the largest scheduled horizon (one node per distinct
+belief, expanded once, and the list of nodes reached at each depth) and
+one pass of the value recursion over the number of stages left
+(``reduction.solve_horizons``) give every scheduled value at once.  The
+graph is released before strategies are extracted at one horizon from the
+same kind of build, whose solutions ``reduction.solve_backward`` spreads
+over every observed history.
 """
 
 from __future__ import annotations
@@ -167,12 +168,13 @@ def _schedule_values(spec: GameSpec, route: str, horizons: list, budget) -> list
 
 
 def _sweep_values(spec: GameSpec, horizons: list, budget) -> list:
-    """One merged belief DAG to the largest horizon, one stage-indexed pass.
+    """One belief graph to the largest horizon, one stage-indexed pass.
 
-    Levels 1..n of that DAG, node charges included, are exactly the DAG
-    built to horizon n, so an overflow at level L rules out precisely the
-    horizons n >= L: the sweep is rebuilt once, for the horizons before the
-    first such n, the prefix a per-horizon loop would return.
+    Levels 1..n of that graph, the nodes reached at each depth and their
+    charges, are those of the graph built to horizon n, so an overflow at
+    level L rules out precisely the horizons n >= L: the sweep is rebuilt
+    once, for the horizons before the first such n, the prefix a
+    per-horizon loop would return.
     """
     def build(top):
         return build_auxiliary(spec, top, budget=budget)
@@ -308,10 +310,13 @@ def extract_eps_optimal(spec_or_sym, report: UniformValueReport, eps,
     certificate list re-verifies this with exact best responses at
     N..N+3.  When even the deepest extractable strategy misses eps, the
     best available one is returned with a warning.  ``eps`` is exact, like
-    ``uniform_value``'s ``tol``: a float raises PreconditionError.
+    ``uniform_value``'s ``tol``, and >= 0: a float or a negative eps raises
+    PreconditionError.
     """
     spec = as_general(spec_or_sym)
     eps = _exact(eps, "eps")
+    if eps < 0:
+        raise PreconditionError(f"eps must be >= 0, got {eps}")
     target = report.certified_lower - eps
     n, v, strategy, _ = _extract(spec, report.route, report.value_sequence,
                                  target, budget)

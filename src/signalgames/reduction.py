@@ -13,24 +13,30 @@ belief over current states per node — equivalent to grouping the explicit
 history tree by observation, because both the signal transition and the
 child belief are functions of the current belief.  Beliefs are unnormalized
 integer vectors (``BeliefNode``), so the build divides nothing.  The
-default build, for stage-additive payoffs, merges equal beliefs into a DAG
-and prunes absorbed ones; a ``LiftedPayoff`` needs the per-history tree.
+default build, for stage-additive payoffs, is a belief graph: one node per
+distinct belief, expanded once, the first time the belief is reached, at
+whatever depth, with links that may lead back to an earlier belief (a
+cycle), and a per-depth membership list of the nodes reached at each depth
+up to the horizon.  Absorbed beliefs are pruned.  A ``LiftedPayoff`` needs
+the per-history tree, which the same expansion loop builds when nothing is
+merged.
 
 One private recursion, Shapley's value recursion indexed by the number of
-stages left, serves both solvers: ``solve_horizons`` runs it over one
-merged belief DAG, every requested horizon's mean value in a single pass,
-one matrix game per distinct belief and stage count; ``solve_backward``
-runs it at the single horizon of either build and reads both players'
-strategies, one table entry per observed history, off the solution of each
-path's (stages left, node key) game.  The value is positively homogeneous
-of degree 1 in the unnormalized belief (Smallwood & Sondik 1973; Mertens,
-Sorin & Zamir, *Repeated Games*), so the stage matrices are integer
-matrices.  Under the mean payoff an absorbed (pruned) belief earns a
-constant per stage, so it is folded into its parents' stage cells in
-closed form and the recursion visits live beliefs only.  A value-only game
-with one row or one column is the min or max of its entries, read off the
-cells; any other is certified by a pure saddle point
-(``lp.matrix_game_value``), and only a game without one runs the LP.
+stages left, serves both solvers: ``solve_horizons`` runs it over the
+membership lists of one belief graph, every requested horizon's mean value
+in a single pass, one matrix game per distinct belief and stage count;
+``solve_backward`` runs it at the single horizon of either build and reads
+both players' strategies, one table entry per observed history, off the
+solution of each path's (stages left, node key) game.  The value is
+positively homogeneous of degree 1 in the unnormalized belief (Smallwood &
+Sondik 1973; Mertens, Sorin & Zamir, *Repeated Games*), so the stage
+matrices are integer matrices.  Under the mean payoff an absorbed (pruned)
+belief earns a constant per stage, so it is folded into its parents' stage
+cells in closed form and the recursion visits live beliefs only.  A
+value-only game with one row or one column is the min or max of its
+entries, computed in one loop over the cells compiled once per belief; any
+other is certified by a pure saddle point (``lp.matrix_game_value``), and
+only a game without one runs the LP.
 
 The observer view is derived from the game, never chosen by the caller:
 the public view under symmetric signaling, else, in a single-controller
@@ -41,7 +47,7 @@ not support the reduction, so any other game is refused.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import count
 from math import gcd
@@ -51,6 +57,7 @@ from .errors import (
     BudgetExceededError,
     GameModelError,
     UnsupportedStructureError,
+    require_exact,
     require_horizon,
 )
 from .histories import ObservedNode, TreePair
@@ -72,40 +79,53 @@ from .rationals import ZERO, denominator_lcm
 
 @dataclass(eq=False, slots=True)
 class BeliefNode:
-    """Observed history carried as a primitive integer belief vector.
+    """A belief, carried as a primitive integer vector.
 
     ``mu`` maps the support's states to coprime positive integers; the
-    posterior is mu / s, s = sum(mu).  The history's weight is
-    beta = mass * s / scale, ``scale`` being P * D**(depth - 1) for P and D
-    the lcms of the initial and of the transition denominators.  ``links``
-    maps (edge, label) -> (h, child) where D * mu * Q = h * child.mu, Q the
-    transition to the child's observation.  ``posterior``, ``beta`` and
-    ``children`` derive the exact fractions.  ``key`` numbers the node's
-    belief on a merged build (a DAG) and the node itself on a tree.  A
-    merged node below the roots stands for every history that reaches its
-    belief, so it has no ``parent`` and no view.
+    posterior is mu / s, s = sum(mu).  ``links`` maps (edge, label) ->
+    (h, child) where D * mu * Q = h * child.mu, Q the transition to the
+    child's observation and D = ``step`` the lcm of the transition
+    denominators.  ``children`` derives the link weights h * s_child /
+    (D * s), which depend on the two beliefs alone, not on a depth.
+
+    On a belief graph (the default build) a node is a belief: ``key``
+    numbers it, it is expanded once, and it stands at every depth its
+    belief is reached (``AuxiliaryGame.levels``).  Its ``label``, ``edge``
+    and ``depth`` are those of the first link that reached it.  Only a root
+    carries a history weight, beta = mass * s / scale with ``scale`` = P the
+    lcm of the initial denominators; roots of equal belief (and different
+    labels) share one ``links`` dict.  A node below the roots stands for
+    every history that reaches its belief, so it has no ``mass``,
+    ``scale``, ``parent``, view or beta.  On the per-history tree
+    (``merge_beliefs=False``) a node is an observed history: ``key``
+    numbers it, and it has its ``parent`` and its weight, ``scale`` being
+    P * D**(depth - 1).
     """
 
     label: object
     edge: tuple | None
     mu: dict                             # state -> int, entries coprime
-    mass: int
-    scale: int                           # shared by the nodes of a level
-    depth: int
+    mass: int | None                     # None below a graph's roots
+    scale: int | None
+    depth: int                           # first depth reached (graph)
     pruned: bool                         # merged and fully on absorbing states
-    key: int                             # belief number (DAG), node number (tree)
+    key: int                             # belief number (graph), node number (tree)
+    step: int = field(repr=False)        # D, the same for every node
     # out of repr: through them a node's repr would hold its ancestors' and
-    # descendants' reprs, exponentially many on a deep tree or DAG
+    # descendants' reprs, exponentially many on a deep tree or a graph
     parent: "BeliefNode | None" = field(default=None, repr=False)
     links: dict = field(default_factory=dict, repr=False)
 
-    def view(self) -> tuple:
-        """The observed history (``ObservedNode.view``); below the roots
-        only a tree's nodes have one."""
-        if self.parent is None and self.depth > 1:
+    def _require_history(self) -> None:
+        if self.mass is None:
             raise GameModelError(
                 "a merged belief node has no single observed history: "
                 "build with merge_beliefs=False")
+
+    def view(self) -> tuple:
+        """The observed history (``ObservedNode.view``): a root's, or a
+        tree node's."""
+        self._require_history()
         return ObservedNode.view(self)
 
     @property
@@ -116,6 +136,8 @@ class BeliefNode:
 
     @property
     def beta(self) -> Fraction:
+        """The observed history's weight: a root's, or a tree node's."""
+        self._require_history()
         return Fraction(self.mass * sum(self.mu.values()), self.scale)
 
     @property
@@ -123,9 +145,8 @@ class BeliefNode:
         """(edge, label) -> (transition weight, child node); the weight
         h * s_child / (D * s) is the probability of the child observation
         given the node and the actions on the edge."""
-        s = sum(self.mu.values())
-        return {key: (Fraction(h * sum(child.mu.values()) * self.scale,
-                               s * child.scale), child)
+        s = self.step * sum(self.mu.values())
+        return {key: (Fraction(h * sum(child.mu.values()), s), child)
                 for key, (h, child) in self.links.items()}
 
 
@@ -136,21 +157,26 @@ class AuxiliaryGame:
     spec: GameSpec                       # expanded/general form
     view: str
     horizon: int
-    roots: list                          # level-1 BeliefNodes
-    levels: list                         # levels[n-1] = BeliefNodes at depth n
+    roots: list                          # level-1 BeliefNodes, one per label
+    # levels[n-1]: the nodes reached at depth n, each once, in the order
+    # first reached; on a belief graph a node is a member of every level
+    # its belief is reached at, so a level is a membership list, not a set
+    # of nodes of its own
+    levels: list
     actions1: list
     actions2: list
     edge_of: object                      # the view's edge_of, model.projection
     step: int                            # D: lcm of the transition denominators
-    merged: bool                         # belief DAG (no per-history views)
+    merged: bool                         # belief graph (no per-history views)
     budget: int                          # the node limit the build was charged
 
     def signal_transition(self, node: BeliefNode, i: str, j: str) -> dict:
         """Distribution over child labels under (i, j): exact beta ratios.
 
-        A horizon leaf has no children and gives ``{}`` (the
+        A node never expanded, a tree's horizon leaf or a belief first
+        reached at the horizon, has no links and gives ``{}`` (the
         ``reduce-symmetric`` dump prints it as no transition).  A pruned
-        node of a merged build was never expanded, so it has no
+        node of a merged build is never expanded, so it has no
         distribution: GameModelError."""
         if node.pruned:
             raise GameModelError(
@@ -197,22 +223,29 @@ def build_auxiliary(spec_or_sym, horizon: int, budget: int | None = None,
     player with choices.
 
     A child's vector sums mu(x) * D * p over the transitions into its
-    observation, divided by its gcd h; mass_child sums mass * h over the
-    parents.  No fraction is built here.
+    observation, divided by its gcd h.  No fraction is built here.  A
+    node's links are ordered by the ``str`` of their (edge, label), ranked
+    once per build.
 
     The default build is for stage-additive payoffs, whose stage reward,
     signal transition and child beliefs are all functions of the belief
-    alone.  Nodes of equal depth and belief are shared (a DAG instead of a
-    tree, often exponentially smaller), each numbered by its belief as
-    ``key``, hashed once here so solvers share work across depths without
-    re-hashing the vectors.  A node whose belief sits entirely on absorbing
-    states is pruned, its children not expanded: from there every
-    continuation earns the same constant per stage, so solvers close it in
-    closed form.  This is what makes long horizons tractable.
+    alone.  It is a belief graph: one node per distinct belief, numbered
+    as ``key``, hashed once here, so solvers share work across depths
+    without re-hashing the vectors.  One loop walks the depths: a member
+    of a level that has no links yet is expanded, so a belief is expanded
+    once, the first time it is reached, and roots of equal belief share
+    that expansion; the next level lists the members' children, each once.
+    A node whose belief sits entirely on absorbing states is pruned, its
+    children not expanded: from there every continuation earns the same
+    constant per stage, so solvers close it in closed form.  This is what
+    makes long horizons tractable.  The budget is charged once per level
+    membership, a (depth, belief) pair, so levels 1..n of any build, and
+    their charges, are the build to n.
 
-    ``merge_beliefs=False`` builds the per-history tree that a
-    ``LiftedPayoff`` and the per-history dump need: nothing is merged or
-    pruned, ``key`` numbers the nodes and every node has a view.
+    ``merge_beliefs=False`` builds, with the same loop, the per-history
+    tree that a ``LiftedPayoff`` and the per-history dump need: nothing is
+    merged or pruned, ``key`` numbers the nodes, and every node has its
+    parent, mass, scale and view.
     """
     spec = as_general(spec_or_sym)
     require_horizon(horizon)
@@ -232,20 +265,32 @@ def build_auxiliary(spec_or_sym, horizon: int, budget: int | None = None,
                     for i in spec.actions1 for j in spec.actions2
                     for (x2, c, d), p in spec.transition[(x, i, j)].items()
                     if p > 0]
+    rank = {link: r for r, link in enumerate(sorted(
+        {link for row in moves.values() for link, _, _ in row}, key=str))}
 
-    keys: dict = {}                      # exact belief -> number
+    graph: dict = {}                     # exact belief -> its node (graph)
     running = count()
 
-    def number(mu):
-        if not merge_beliefs:            # a tree numbers its nodes
-            return next(running)
-        # Integers hash modulo 2**61 - 1, where 2**d hashes like 2**(d % 61),
-        # so the vectors of many depths would share hashes in this one dict
-        # over all depths; the bit length tells them apart.
-        exact = (tuple(sorted(mu.items())), max(mu.values()).bit_length())
-        return keys.setdefault(exact, len(keys))
+    def node_of(mu, label, edge, depth, mass=None, scale=None, parent=None):
+        """A new node of belief ``mu``, numbered in the order made; on the
+        graph, the belief's node, made the first time it is reached."""
+        if merge_beliefs:
+            # Integers hash modulo 2**61 - 1, where 2**d hashes like
+            # 2**(d % 61), so the vectors of many depths would share hashes
+            # in this one dict; the bit length tells them apart.
+            exact = (tuple(sorted(mu.items())), max(mu.values()).bit_length())
+            made = graph.get(exact)
+            if made is not None:
+                return made
+        made = BeliefNode(label=label, edge=edge, mu=mu, mass=mass,
+                          scale=scale, depth=depth,
+                          pruned=absorbing.issuperset(mu), key=next(running),
+                          step=step, parent=parent)
+        if merge_beliefs:
+            graph[exact] = made
+        return made
 
-    # Level 1: one root per label, so roots never merge.
+    # Level 1: one root per label, each with its mass.
     initial = [(x, c, d, p) for (x, c, d), p in spec.initial.items() if p > 0]
     scale = denominator_lcm(p for *_, p in initial)
     groups: dict = {}
@@ -256,41 +301,36 @@ def build_auxiliary(spec_or_sym, horizon: int, budget: int | None = None,
     for lab in sorted(groups, key=str):
         g, mu = _primitive(groups[lab])
         nodes.charge(1)
-        roots.append(BeliefNode(label=lab, edge=None, mu=mu, mass=g,
-                                scale=scale, depth=1,
-                                pruned=absorbing.issuperset(mu), key=number(mu)))
+        root = node_of(mu, lab, None, 1, g, scale)
+        if root in roots:                # an earlier root's belief: this
+            root = replace(root, label=lab, mass=g)    # one shares its links
+        roots.append(root)
 
     levels = [roots]
-    for n in range(1, horizon):
-        scale *= step
-        nxt = []
-        seen = {}                        # key -> node of this level
-        for node in levels[-1]:
-            if node.pruned:
+    for depth in range(2, horizon + 1):
+        members: dict = {}               # key -> node, in the order reached
+        for parent in levels[-1]:
+            if parent.pruned:
                 continue
-            buckets: dict = {}
-            for x, a in node.mu.items():
-                for link, x2, q in moves[x]:
-                    bucket = buckets.get(link)
-                    if bucket is None:
-                        bucket = buckets[link] = {}
-                    bucket[x2] = bucket.get(x2, 0) + a * q
-            for link in sorted(buckets, key=str):
-                h, mu = _primitive(buckets[link])
-                key = number(mu)
-                child = seen.get(key)
-                if child is not None:
-                    child.mass += node.mass * h
-                    node.links[link] = (h, child)
-                    continue
-                nodes.charge(n + 1)
-                child = seen[key] = BeliefNode(
-                    label=link[1], edge=link[0], mu=mu, mass=node.mass * h,
-                    scale=scale, depth=n + 1, pruned=absorbing.issuperset(mu),
-                    key=key, parent=None if merge_beliefs else node)
-                node.links[link] = (h, child)
-                nxt.append(child)
-        levels.append(nxt)
+            if not parent.links:         # reached for the first time
+                buckets: dict = {}
+                for x, a in parent.mu.items():
+                    for link, x2, q in moves[x]:
+                        bucket = buckets.get(link)
+                        if bucket is None:
+                            bucket = buckets[link] = {}
+                        bucket[x2] = bucket.get(x2, 0) + a * q
+                for link in sorted(buckets, key=rank.__getitem__):
+                    h, mu = _primitive(buckets[link])
+                    history = (() if merge_beliefs else
+                               (parent.mass * h, parent.scale * step, parent))
+                    parent.links[link] = (h, node_of(mu, link[1], link[0],
+                                                     depth, *history))
+            for _, child in parent.links.values():
+                if child.key not in members:
+                    nodes.charge(depth)
+                    members[child.key] = child
+        levels.append(list(members.values()))
 
     return AuxiliaryGame(spec=spec, view=view, horizon=horizon, roots=roots,
                          levels=levels, actions1=list(spec.actions1),
@@ -325,9 +365,10 @@ def lift_payoff(pair: TreePair, f) -> LiftedPayoff:
     members' mass sum, so fhat(v) = sum of mass(h) * f(h) over sum of
     mass(h), taken over v's members.  ``f`` maps HistoryNode -> Fraction
     (callable or dict) and must be defined on every positive-weight horizon
-    history.  The defining identity — the expectation of f under any
-    strategy pair equals the expectation of fhat under the induced
-    observed-play distribution — is exercised by tests.
+    history, with int or Fraction values (any other, a float or a bool,
+    raises GameModelError).  The defining identity — the expectation of f
+    under any strategy pair equals the expectation of fhat under the
+    induced observed-play distribution — is exercised by tests.
     """
     n = pair.horizon
     get = f.__getitem__ if isinstance(f, dict) else f
@@ -341,7 +382,7 @@ def lift_payoff(pair: TreePair, f) -> LiftedPayoff:
             except KeyError:
                 raise GameModelError(
                     f"payoff undefined on reachable history at level {n}") from None
-            total += h.mass * fh
+            total += h.mass * require_exact(fh, "a lifted payoff")
             mass += h.mass
         values[v.view()] = total / mass
     return LiftedPayoff(horizon=n, values=values)
@@ -357,6 +398,8 @@ class BackwardSolution:
     horizon: int
     strategy1: BehavioralStrategy | None
     strategy2: BehavioralStrategy | None
+    # level memberships of the build, one per (depth, node): on a belief
+    # graph more than its nodes, which recur across depths
     node_count: int
     merged_count: int
 
@@ -394,16 +437,19 @@ def _cells(aux: AuxiliaryGame, reward: dict, node: BeliefNode,
              for j in aux.actions2] for i in aux.actions1]
 
 
-def _entry(cell: tuple, factor: int, previous: dict | None, tail: tuple,
-           absorbed: dict) -> int | Fraction:
-    """factor * r + sum h U(child) over the live pairs, U = ``previous``,
-    + t 2**shift * sum h a(child) over the closed ones, a = ``absorbed``,
-    ``tail`` = (t, shift); with ``previous`` None no continuation is
-    counted.  A zero reward adds no term, h = 1 no product, and the power
-    of 2 is a shift."""
-    r, live, closed = cell
-    total = factor * r if r else 0
-    if previous is not None:
+def _entries(cells, factor: int, previous: dict | None, tail: tuple,
+             absorbed: dict) -> list:
+    """The entries of ``cells``, in one loop: factor * r + sum h U(child)
+    over the live pairs, U = ``previous``, + t 2**shift * sum h a(child)
+    over the closed ones, a = ``absorbed``, ``tail`` = (t, shift); with
+    ``previous`` None no continuation is counted.  A zero reward adds no
+    term, h = 1 no product, and the power of 2 is a shift."""
+    if previous is None:
+        return [factor * r for r, _, _ in cells]
+    t, shift = tail
+    out = []
+    for r, live, closed in cells:
+        total = factor * r if r else 0
         for h, child in live:
             u = previous[child]
             total += u if h == 1 else h * u
@@ -412,48 +458,51 @@ def _entry(cell: tuple, factor: int, previous: dict | None, tail: tuple,
             for h, key in closed:
                 a = absorbed[key]
                 rate += a if h == 1 else h * a
-            t, shift = tail
             total += t * rate << shift
-    return total
+        out.append(total)
+    return out
 
 
 def _integer_matrix(cells: list, factor: int, previous: dict | None,
                     tail: tuple, absorbed: dict) -> list:
-    """The stage matrix of ``cells``, entry by entry ``_entry``."""
-    return [[_entry(cell, factor, previous, tail, absorbed) for cell in row]
-            for row in cells]
+    """The stage matrix of ``cells``, row by row ``_entries``."""
+    return [_entries(row, factor, previous, tail, absorbed) for row in cells]
 
 
 def _shapley(aux: AuxiliaryGame, horizons, terminal: LiftedPayoff | None = None,
              solutions: dict | None = None) -> dict:
     """Shapley's value recursion over the number k of stages left.
 
-    Layer k holds, once per live ``BeliefNode.key`` at depth n - k + 1 of a
-    requested n >= k, the integer-scaled k-stage value U_k(mu) =
-    D**(k-1) L s V_k(mu/s), L the lcm of the reward denominators.  A matrix
-    game's value scales with its entries, so U_k(mu) is the value of the
-    integer matrix D**(k-1) sum_x mu(x) L g(x, i, j) + sum of h
-    U_{k-1}(child) over the children on edge (i, j) (an LP value enters U
-    as the ``Fraction`` it is).  A pruned belief (on a merged build only)
-    has U_k = D**(k-1) k a, a = sum_x mu(x) L g_abs(x), so it is folded
-    into its parents' cells: an absorbed child enters an entry as
-    h D**(k-2) (k-1) a(child), a cached per key in ``absorbed`` and the
-    power of 2 in D**(k-2) applied as a shift, the layers never visit a
-    pruned node, and a pruned root enters v_k in closed form.  A
-    ``terminal`` payoff (on a tree, which prunes nothing) counts no stage
-    reward (L = 1) and enters at k = 1 as s fhat(v).  The one fraction per
-    horizon is v_n = sum over roots of mass U_n / (P D**(n-1) L n), the
-    division by n only for the mean.  Only layers k - 1 and k are held.
+    Layer k holds, once per live ``BeliefNode.key`` in the level of depth
+    n - k + 1 of a requested n >= k, the integer-scaled k-stage value
+    U_k(mu) = D**(k-1) L s V_k(mu/s), L the lcm of the reward
+    denominators.  A matrix game's value scales with its entries, so
+    U_k(mu) is the value of the integer matrix D**(k-1) sum_x mu(x) L
+    g(x, i, j) + sum of h U_{k-1}(child) over the children on edge (i, j)
+    (an LP value enters U as the ``Fraction`` it is).  A pruned belief (on
+    a merged build only) has U_k = D**(k-1) k a, a = sum_x mu(x) L
+    g_abs(x), so it is folded into its parents' cells: an absorbed child
+    enters an entry as h D**(k-2) (k-1) a(child), a cached per key in
+    ``absorbed`` and the power of 2 in D**(k-2) applied as a shift, the
+    layers never visit a pruned node, and a pruned root enters v_k in
+    closed form.  A ``terminal`` payoff (on a tree, which prunes nothing)
+    counts no stage reward (L = 1) and enters at k = 1 as s fhat(v).  The
+    one fraction per horizon is v_n = sum over roots of mass U_n / (P
+    D**(n-1) L n), the division by n only for the mean.  Only layers k - 1
+    and k are held, and an index tracks the horizons n >= k.
 
-    Without ``solutions`` a game with one row (one column) takes the min
-    (max) of its entries, computed straight from the cells; any other game
-    takes ``matrix_game_value``: a pure saddle point where one exists, the
-    LP otherwise.  With ``solutions`` every game is ``solve_matrix_game``
-    and ``solutions[(k, key)]`` its solution: Bland's rule and the ratio
-    test's tie-break, like the vector games' lowest-index picks, do not see
-    a positive scaling of the entries, so these are the strategies of the
-    node's ``Fraction`` matrix (D**(k-1) L s times smaller), and nodes of
-    equal belief have equal ones.
+    A node's cells are planned once per key, whatever the depth: on a
+    belief graph a node's links are those of its belief.  Without
+    ``solutions`` a game with one row (one column) is planned as that row
+    (column) and takes the min (max) of its ``_entries``, one loop with no
+    matrix built; any other game takes ``matrix_game_value``: a pure
+    saddle point where one exists, the LP otherwise.  With ``solutions``
+    every game is ``solve_matrix_game`` and ``solutions[(k, key)]`` its
+    solution: Bland's rule and the ratio test's tie-break, like the vector
+    games' lowest-index picks, do not see a positive scaling of the
+    entries, so these are the strategies of the node's ``Fraction`` matrix
+    (D**(k-1) L s times smaller), and nodes of equal belief have equal
+    ones.
     """
     spec = aux.spec
     if terminal is None:
@@ -463,25 +512,30 @@ def _shapley(aux: AuxiliaryGame, horizons, terminal: LiftedPayoff | None = None,
     else:
         L, reward = 1, dict.fromkeys(spec.reward, 0)
     wanted = sorted(set(horizons))
-    plans: dict = {}                     # key -> its _cells
+    plans: dict = {}                     # key -> its cells, row or column
     absorbed = {root.key: _absorbed_rate(aux, reward, root)
                 for root in aux.roots if root.pruned}    # pruned key -> a
-    one_column = len(aux.actions2) == 1
-    one_row = len(aux.actions1) == 1
+    pick = None                          # a vector game's min or max
+    if solutions is None:
+        if len(aux.actions2) == 1:
+            pick = max
+        elif len(aux.actions1) == 1:
+            pick = min
     previous: dict | None = None         # key -> U_{k-1}
     values = {}
     factor = 1                           # D**(k-1)
     tail = (0, 0)                        # closed children's multiplier
     twos = (aux.step & -aux.step).bit_length() - 1    # D = odd * 2**twos
+    active = 0                           # wanted[active:] are the n >= k
 
     for k in range(1, wanted[-1] + 1):
         if k > 1:                        # D**(k-2) (k-1) = t 2**shift
             shift = twos * (k - 2)
             tail = ((k - 1) * (factor // aux.step >> shift), shift)
+        if wanted[active] < k:
+            active += 1
         current: dict = {}
-        for n in wanted:
-            if n < k:
-                continue
+        for n in wanted[active:]:
             for node in aux.levels[n - k]:
                 key = node.key
                 if node.pruned or key in current:
@@ -489,27 +543,25 @@ def _shapley(aux: AuxiliaryGame, horizons, terminal: LiftedPayoff | None = None,
                 if terminal is not None and k == 1:
                     current[key] = sum(node.mu.values()) * terminal.value_at(node)
                     continue
-                cells = plans.get(key)
-                if cells is None:
-                    cells = _cells(aux, reward, node, absorbed)
-                    # on a DAG the key recurs at other depths; k > 1 puts
-                    # the node above a horizon, so it has its links
-                    if k > 1:
-                        plans[key] = cells
-                if solutions is not None:
+                plan = plans.get(key)
+                if plan is None:
+                    plan = _cells(aux, reward, node, absorbed)
+                    if pick is max:
+                        plan = [row[0] for row in plan]
+                    elif pick is min:
+                        plan = plan[0]
+                    plans[key] = plan
+                if pick is not None:
+                    current[key] = pick(_entries(plan, factor, previous, tail,
+                                                 absorbed))
+                elif solutions is not None:
                     result = solutions[(k, key)] = solve_matrix_game(
-                        _integer_matrix(cells, factor, previous, tail, absorbed))
+                        _integer_matrix(plan, factor, previous, tail, absorbed))
                     current[key] = result.value
-                elif one_column:
-                    current[key] = max([_entry(row[0], factor, previous, tail,
-                                               absorbed) for row in cells])
-                elif one_row:
-                    current[key] = min([_entry(cell, factor, previous, tail,
-                                               absorbed) for cell in cells[0]])
                 else:
                     current[key] = matrix_game_value(
-                        _integer_matrix(cells, factor, previous, tail, absorbed))
-        if k in wanted:
+                        _integer_matrix(plan, factor, previous, tail, absorbed))
+        if wanted[active] == k:
             total = 0
             for root in aux.roots:
                 u = (factor * k * absorbed[root.key] if root.pruned
@@ -523,21 +575,23 @@ def _shapley(aux: AuxiliaryGame, horizons, terminal: LiftedPayoff | None = None,
 
 
 def _count_paths(aux: AuxiliaryGame) -> None:
-    """Count the build's paths, the per-history tree's nodes, level by
-    level: a root is one path, and a node's count is the sum of its
-    parents' counts, one term per link.  Raise BudgetExceededError at the
-    first level where the running total passes the build's limit."""
+    """Count the build's paths to its horizon, the per-history tree's
+    nodes, level by level: a root is one path, and a node's count is the
+    sum of its parents' counts, one term per link.  Raise
+    BudgetExceededError at the first level where the running total passes
+    the build's limit."""
     counts = dict.fromkeys(aux.roots, 1)
     total = 0
     for depth in range(1, aux.horizon + 1):
+        if depth > 1:
+            below: dict = {}
+            for node, paths in counts.items():
+                for _, child in node.links.values():
+                    below[child] = below.get(child, 0) + paths
+            counts = below
         total += sum(counts.values())
         if total > aux.budget:
             raise BudgetExceededError(aux.budget, depth)
-        below: dict = {}
-        for node, paths in counts.items():
-            for _, child in node.links.values():
-                below[child] = below.get(child, 0) + paths
-        counts = below
 
 
 def solve_backward(aux: AuxiliaryGame, payoff="mean",
@@ -547,20 +601,20 @@ def solve_backward(aux: AuxiliaryGame, payoff="mean",
     ``payoff``: "mean" (average of stage rewards over the horizon) or a
     LiftedPayoff terminal map on depth-``horizon`` observed nodes.  A
     general terminal payoff is history-dependent, so it is refused on a
-    merged belief DAG.
+    belief graph.
 
-    This is ``_shapley`` at the single horizon N: on a DAG pruned nodes
+    This is ``_shapley`` at the single horizon N: on a graph pruned nodes
     (see build_auxiliary) enter their parents' matrices in closed form,
     every other node solves its integer stage matrix.  With
     ``want_strategies`` both players' tables have one entry per observed
     history that is neither pruned nor below a pruned node, in the
     per-history tree's order, read off the solution of the history's
     (stages left, node key) game.  One breadth-first walk over the build's
-    paths, in ``links`` order, yields them.  Before anything is solved,
-    ``_count_paths`` counts those paths per level, so BudgetExceededError
-    is raised at the level where the per-history tree's build would
-    exceed the build's limit, without a walk.  ``node_count`` counts the
-    build's nodes.
+    paths to the horizon, in ``links`` order, yields them.  Before anything
+    is solved, ``_count_paths`` counts those paths per level, so
+    BudgetExceededError is raised at the level where the per-history
+    tree's build would exceed the build's limit, without a walk.
+    ``node_count`` counts the build's level memberships.
     """
     N = aux.horizon
     terminal = None
@@ -584,15 +638,14 @@ def solve_backward(aux: AuxiliaryGame, payoff="mean",
         table2: dict = {}
         level = [((root.label,), root) for root in aux.roots]
         for depth in range(1, N + 1):
-            nxt = []
+            if depth > 1:
+                level = [((*view, *edge, label), child) for view, node in level
+                         for (edge, label), (_, child) in node.links.items()]
             for view, node in level:
                 sol = solutions.get((N - depth + 1, node.key))
                 if sol is not None:
                     table1[view] = dict(zip(aux.actions1, sol.row_strategy))
                     table2[view] = dict(zip(aux.actions2, sol.col_strategy))
-                for (edge, label), (_, child) in node.links.items():
-                    nxt.append(((*view, *edge, label), child))
-            level = nxt
         kind = "public" if aux.view == PUBLIC else "player"
 
         def strategy(player, table, single_action):
@@ -614,11 +667,11 @@ def solve_backward(aux: AuxiliaryGame, payoff="mean",
 
 def solve_horizons(aux: AuxiliaryGame, horizons) -> dict:
     """Mean values ``{n: v_n}`` of every requested horizon in one pass of
-    ``_shapley`` over a merged belief DAG built at least to the largest
+    ``_shapley`` over a belief graph built at least to the largest
     horizon: one stage game per distinct live belief and stage count.
     Horizons must be integers in 1..``aux.horizon`` (GameModelError)."""
     if not aux.merged:
-        raise GameModelError("solve_horizons needs a merged belief DAG")
+        raise GameModelError("solve_horizons needs a belief graph")
     wanted = list(horizons)
     for n in wanted:
         require_horizon(n)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import Budget, GameModelError, require_horizon
+from .errors import Budget, GameModelError, require_exact, require_horizon
 from .lp import EQ, LEQ, OPTIMAL, LPError, LinearProgram, solve_lp
 from .model import (
     MEAN,
@@ -41,8 +41,10 @@ class TerminalPayoff:
     depend on the stage-N actions.  ``determined_fn(state)`` returns the
     constant continuation value at a state where the remaining payoff no
     longer depends on play, which closes the history early, and None
-    elsewhere.  A payoff of the whole history is the ``action_fn`` of a game
-    whose states carry the history.
+    elsewhere.  Every value either returns must be an int or a Fraction:
+    the solvers refuse any other (a float, a bool) with GameModelError.  A
+    payoff of the whole history is the ``action_fn`` of a game whose states
+    carry the history.
     """
 
     action_fn: object
@@ -108,7 +110,8 @@ def _determined(spec: GameSpec, terminal, state: str, depth: int, N: int):
         if state in spec.absorbing_states:
             return spec.absorbing_payoff(state) * (N - depth + 1) / N
         return None
-    return terminal.determined_fn(state)
+    value = terminal.determined_fn(state)
+    return None if value is None else require_exact(value, "a determined payoff")
 
 
 def build_sequence_form(spec_or_sym, horizon: int, evaluation=MEAN,
@@ -158,7 +161,8 @@ def build_sequence_form(spec_or_sym, horizon: int, evaluation=MEAN,
                 if terminal is None:
                     bank(s1, s2, alpha * spec.reward[(x, i, j)] / N)
                 elif depth == N:
-                    bank(s1, s2, alpha * terminal.action_fn(x, i, j))
+                    bank(s1, s2, alpha * require_exact(
+                        terminal.action_fn(x, i, j), "a terminal payoff"))
                 if depth < N:
                     for (x2, c, d), p in spec.transition[(x, i, j)].items():
                         if p > 0:
@@ -356,7 +360,8 @@ def best_response_value(spec_or_sym, fixed: BehavioralStrategy, horizon: int,
                         if g:
                             bank(s_resp, w * g / N)
                     elif depth == N:
-                        bank(s_resp, w * terminal.action_fn(x, i, j))
+                        bank(s_resp, w * require_exact(
+                            terminal.action_fn(x, i, j), "a terminal payoff"))
                     if depth < N:
                         vf1, vr1 = vf + edge_f(i, j), vr + edge_r(i, j)
                         for (x2, c, d), p in spec.transition[(x, i, j)].items():

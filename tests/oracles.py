@@ -131,7 +131,7 @@ def naive_stage_matrix(aux, node, stage_reward, continuation):
 
 def fraction_solve_horizons(aux, horizons):
     """Mean values ``{n: v_n}`` by Shapley's recursion in Fractions over a
-    merged belief DAG: layer k holds the k-stage total value V_k per belief
+    belief graph's levels: layer k holds the k-stage total value V_k per belief
     key, from the normalized posterior, the transition weights and
     ``naive_stage_matrix``; a pruned belief takes k times its absorbing
     payoff; v_n is the beta-weighted V_n over the roots, divided by n.

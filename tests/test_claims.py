@@ -304,8 +304,9 @@ def test_uniform_value_long_sweep_matches_closed_form(game, n_max, options, clos
 
 
 def test_uniform_value_budget_prefix_matches_per_horizon_builds():
-    # the merged DAG to depth n holds 1 + 2(n-1) (mdp) or 1 + 3(n-1)
-    # (quitting game) nodes, so these budgets cut the schedule mid-way
+    # the belief graph to depth n has 1 + 2(n-1) (mdp) or 1 + 3(n-1)
+    # (quitting game) level memberships, each charged, so these budgets
+    # cut the schedule mid-way
     for game, budget in ((corpus.mdp_final_remark(), 40),
                          (corpus.mdp_final_remark(), 23),
                          (corpus.quitting_game(), 50)):
@@ -421,6 +422,19 @@ def test_tolerances_are_exact():
         assert extract_eps_optimal(game, report, eps).requested_eps == F(1, 20)
     with pytest.raises(PreconditionError, match="^eps must be"):
         extract_eps_optimal(game, report, 0.05)
+
+
+def test_negative_eps_is_refused():
+    """eps = 0 asks for the certified level itself; a negative eps asks for
+    more than it and is refused, like a tol <= 0."""
+    game = corpus.quitting_game()
+    report = uniform_value(game, n_max=12)
+    for eps in (F(-1, 10), -1, "-1/1000"):
+        with pytest.raises(PreconditionError, match=r"^eps must be >= 0"):
+            extract_eps_optimal(game, report, eps)
+    result = extract_eps_optimal(game, report, 0)
+    assert (result.requested_eps, result.horizon) == (0, 12)
+    assert result.guarantee == report.certified_lower and not result.warning
 
 
 def test_forged_certificates_raise_certificate_error(monkeypatch):

@@ -4,11 +4,13 @@ import inspect
 import json
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
 
 import signalgames
+from signalgames import corpus, reduction
 
 
 def test_star_import_resolves_every_exported_name():
@@ -38,6 +40,34 @@ def _traced_modules() -> list:
                 and [t.id for t in node.targets] == ["TRACED_MODULES"]):
             return [f"signalgames.{name}" for name in ast.literal_eval(node.value)]
     raise AssertionError("TRACED_MODULES not found")
+
+
+def _tracer() -> types.ModuleType:
+    """``bench/tracer.py`` run from its text as a fresh module: nothing is
+    imported from ``bench`` or written there."""
+    path = ROOT / "bench" / "tracer.py"
+    module = types.ModuleType("tracer")
+    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+    return module
+
+
+def test_tracer_hooks_read_belief_graphs():
+    """The benchmark tracer's count hooks of ``build_auxiliary`` and
+    ``solve_backward`` run on belief graphs, whose levels list shared
+    nodes, and count one belief node per level membership, so a change to
+    the reduction's build cannot silently break ``bench/run.py --trace
+    1``."""
+    tracer = _tracer()
+    for game, n in ((corpus.quitting_game(), 100),
+                    (corpus.noisy_public_2state(), 40)):
+        counts = {name: 0 for name in tracer.COUNT_NAMES}
+        aux = reduction.build_auxiliary(game, n)
+        tracer.HOOKS["reduction.build_auxiliary"](counts, (game, n), {}, aux)
+        sol = reduction.solve_backward(aux, want_strategies=False)
+        tracer.HOOKS["reduction.solve_backward"](counts, (aux,), {}, sol)
+        assert counts["reduction.belief_nodes"] == sum(map(len, aux.levels))
+        assert counts["reduction.backward_nodes"] == sol.node_count == \
+            sum(map(len, aux.levels))
 
 
 def _fresh(script: str, *args) -> object:

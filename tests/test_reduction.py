@@ -71,11 +71,13 @@ def test_signal_transition_rows_sum_one_random():
 
 
 def test_signal_transition_refuses_pruned_nodes_and_is_empty_at_leaves():
-    """A pruned node of the merged build was never expanded, so it has no
-    distribution; a horizon leaf, on either build, has the empty one."""
+    """A pruned node of the belief graph is never expanded, so it has no
+    distribution.  A node never expanded has the empty one: every horizon
+    leaf of the tree, and on the graph a belief first reached at the
+    horizon.  A graph's horizon member whose belief was expanded at an
+    earlier depth has that belief's distribution."""
     game = corpus.quitting_game()
     dag = build_auxiliary(game, 3)
-    tree = build_auxiliary(game, 3, merge_beliefs=False)
     pruned = [node for level in dag.levels for node in level if node.pruned]
     assert pruned
     for node in pruned:
@@ -83,13 +85,30 @@ def test_signal_transition_refuses_pruned_nodes_and_is_empty_at_leaves():
             for j in dag.actions2:
                 with pytest.raises(GameModelError, match="pruned"):
                     dag.signal_transition(node, i, j)
-    for aux in (dag, tree):
-        leaves = [node for node in aux.levels[-1] if not node.pruned]
-        assert leaves
-        for node in leaves:
-            for i in aux.actions1:
-                for j in aux.actions2:
-                    assert aux.signal_transition(node, i, j) == {}
+    seen = {"tree leaf": 0, "unexpanded": 0, "expanded": 0}
+    for game in (corpus.quitting_game(), corpus.noisy_public_2state()):
+        tree = build_auxiliary(game, 3, merge_beliefs=False)
+        for node in tree.levels[-1]:
+            seen["tree leaf"] += 1
+            for i in tree.actions1:
+                for j in tree.actions2:
+                    assert tree.signal_transition(node, i, j) == {}
+        dag = build_auxiliary(game, 3)
+        above = {node.key for level in dag.levels[:-1] for node in level}
+        for node in dag.levels[-1]:
+            if node.pruned:
+                continue
+            expanded = node.key in above
+            seen["expanded" if expanded else "unexpanded"] += 1
+            assert bool(node.links) == expanded
+            for i in dag.actions1:
+                for j in dag.actions2:
+                    psi = dag.signal_transition(node, i, j)
+                    if expanded:
+                        assert sum(psi.values(), ZERO) == 1
+                    else:
+                        assert psi == {}
+    assert all(seen.values()), seen
 
 
 def test_constant_signal_psi_trivial():
@@ -215,6 +234,22 @@ def test_lift_payoff_constant_and_revealing():
     lifted2 = lift_payoff(pair2, f)
     for v in pair2.observations(3):
         assert lifted2.value_at(v) == (F(1) if v.label == "sb" else F(0))
+
+
+def test_lift_payoff_refuses_inexact_values():
+    """A payoff value must be an int or a Fraction: a float would enter the
+    solvers as its binary expansion, 0.1 as
+    3602879701896397/36028797018963968, passed off as an exact value."""
+    pair = build_trees(corpus.quitting_game(), 2)
+    for bad in (0.1, 1.0, True, False, "1/10", None):
+        with pytest.raises(GameModelError, match="an int or a Fraction"):
+            lift_payoff(pair, lambda h, bad=bad: bad)
+        with pytest.raises(GameModelError, match="an int or a Fraction"):
+            lift_payoff(pair, dict.fromkeys(pair.histories(2), bad))
+    for good, value in ((1, F(1)), (F(1, 10), F(1, 10))):
+        lifted = lift_payoff(pair, lambda h: good)
+        aux = build_auxiliary(corpus.quitting_game(), 2, merge_beliefs=False)
+        assert solve_backward(aux, lifted).value == value
 
 
 def test_transfer_identity_random_symmetric():
@@ -687,15 +722,29 @@ def test_integer_stage_matrix_is_scaled_naive_formula():
 
 
 def test_merged_nodes_below_the_roots_have_no_view():
-    """A merged node stands for every history that reaches its belief, so
-    only the per-history tree gives views below the roots."""
+    """A graph node below the roots stands for every history that reaches
+    its belief, so it has no view and no history weight; only the
+    per-history tree gives them below the roots.  A root whose belief
+    recurs below depth 1 is a member of those levels as itself, the same
+    node, and its view stays its depth-1 history."""
     dag = build_auxiliary(corpus.quitting_game(), 3)
     tree = build_auxiliary(corpus.quitting_game(), 3, merge_beliefs=False)
     assert [root.view() for root in dag.roots] == \
         [root.view() for root in tree.roots]
+    assert [root.beta for root in dag.roots] == [root.beta for root in tree.roots]
+    below = recurring = 0
     for node in dag.levels[1] + dag.levels[2]:
+        if any(node is root for root in dag.roots):
+            recurring += 1
+            assert node.view() == (node.label,)
+            continue
+        below += 1
+        assert node.mass is node.scale is node.parent is None
         with pytest.raises(GameModelError, match="merge_beliefs=False"):
             node.view()
+        with pytest.raises(GameModelError, match="merge_beliefs=False"):
+            node.beta
+    assert below == 4 and recurring == 2
     assert [len(node.view()) for node in tree.levels[2]] == [7] * 16
 
 
@@ -721,13 +770,15 @@ def test_strategy_walk_charges_one_node_per_observed_history():
 
 def _charged_walk(aux):
     """The strategies' path walk as it once charged the budget: a fresh
-    ``Budget`` of the build's limit, one charge per path, in walk order."""
+    ``Budget`` of the build's limit, one charge per path, in walk order,
+    down to the horizon (on the belief graph a horizon member may have
+    links, from an earlier depth of its belief)."""
     paths = Budget(aux.budget)
     level = []
     for root in aux.roots:
         paths.charge(1)
         level.append(root)
-    for depth in range(1, aux.horizon + 1):
+    for depth in range(1, aux.horizon):
         below = []
         for node in level:
             for _, child in node.links.values():
@@ -884,21 +935,22 @@ def test_mdp_sweep_evaluates_live_beliefs_only(monkeypatch, games):
 
     dag = build_auxiliary(games["mdp_final_remark"], 4000)
     planned, entries = [], []
-    real_cells, real_entry = reduction._cells, reduction._entry
+    real_cells, real_entries = reduction._cells, reduction._entries
 
     def cells(aux, reward, node, *args):
         planned.append(node)
         return real_cells(aux, reward, node, *args)
 
-    def entry(*args):
-        entries.append(1)
-        return real_entry(*args)
+    def counted_entries(*args):
+        found = real_entries(*args)
+        entries.extend(found)
+        return found
 
     def no_matrix(*args):
         raise AssertionError("a one-column game built a matrix")
 
     monkeypatch.setattr(reduction, "_cells", cells)
-    monkeypatch.setattr(reduction, "_entry", entry)
+    monkeypatch.setattr(reduction, "_entries", counted_entries)
     monkeypatch.setattr(reduction, "_integer_matrix", no_matrix)
     monkeypatch.setattr(reduction, "matrix_game_value", no_matrix)
     solve_horizons(dag, default_schedule(4000))
@@ -938,3 +990,109 @@ def test_belief_node_repr_shows_its_own_fields_only():
                 f"BeliefNode(label={node.label!r}, edge={node.edge!r}, "
                 f"mu={node.mu!r}, mass={node.mass}, scale={node.scale}, "
                 f"depth={node.depth}, pruned={node.pruned}, key={node.key})")
+
+
+def _equal_belief_roots(seed):
+    """``random_symmetric_game(seed)`` on two states, restarted from two
+    roots of equal belief (1, 2) and masses 1 and 2, labels s0 and s1."""
+    sym = random_symmetric_game(seed, n_states=2, n_signals=2)
+    states = ["x0", "x1"]
+    transition = {(x, i, j): {(y, s): F(1, 4) for y in states
+                              for s in ("s0", "s1")}
+                  for x in states for i in sym.actions1 for j in sym.actions2}
+    transition.update({key: dist for key, dist in sym.transition.items()
+                       if all(s in ("s0", "s1") for _, s in dist)})
+    reward = {key: sym.reward.get(key, F(key[0] == "x1"))
+              for key in transition}
+    return SymmetricGameSpec(
+        states=states, actions1=sym.actions1, actions2=sym.actions2,
+        signals=["s0", "s1"],
+        initial={("x0", "s0"): F(1, 9), ("x1", "s0"): F(2, 9),
+                 ("x0", "s1"): F(2, 9), ("x1", "s1"): F(4, 9)},
+        transition=transition, reward=reward)
+
+
+def test_roots_of_equal_belief_share_one_expansion():
+    """Two roots of equal belief and different labels are two nodes, each
+    with its label and mass, sharing one ``links`` dict, so the second is
+    expanded with the first: values, strategy tables and path counts are
+    the per-history tree's."""
+    for seed in range(12):
+        game = _equal_belief_roots(seed)
+        dag = build_auxiliary(game, 4)
+        first, second = dag.roots
+        assert (first.label, first.mass, second.label, second.mass) == \
+            ("s0", 1, "s1", 2)
+        assert first.key == second.key
+        assert first.mu == second.mu == {"x0": 1, "x1": 2}
+        assert first.links and first.links is second.links
+        got = solve_horizons(dag, [1, 2, 3, 4])
+        assert got == _per_horizon_values(game, [1, 2, 3, 4]), seed
+        assert repr(got) == repr(fraction_solve_horizons(dag, [1, 2, 3, 4]))
+        _assert_matches_every_node(build_auxiliary(game, 3))
+        assert _charged_walk(dag) == sum(map(len, build_auxiliary(
+            game, 4, merge_beliefs=False).levels))
+
+
+def _tree_and_graph_pairs(tree, dag):
+    """``(tree node, graph node)`` for every history of the tree that is
+    neither pruned on the graph nor below a pruned node, paired by
+    following the same links from the roots."""
+    pairs = list(zip(tree.roots, dag.roots))
+    found = []
+    while pairs:
+        found.extend(pairs)
+        pairs = [(t_child, dag_node.links[link][1])
+                 for t_node, dag_node in pairs if not dag_node.pruned
+                 for link, (_, t_child) in t_node.links.items()]
+    return found
+
+
+def test_graph_link_weights_are_depth_free():
+    """On the quitting game at n >= 4 the live belief recurs at every
+    depth as one node, the root.  Every live member's signal transition
+    sums to 1, also at the horizon, and each graph node's link weights
+    equal those of every tree history it stands for (a weight scaled by
+    its node's depth would be off by a power of D)."""
+    game = corpus.quitting_game()
+    for n in (4, 5, 7):
+        dag = build_auxiliary(game, n)
+        tree = build_auxiliary(game, n, merge_beliefs=False)
+        assert len({node.key for level in dag.levels for node in level}) == 3
+        live = [node for level in dag.levels for node in level if not node.pruned]
+        assert len(live) == n and all(node is dag.roots[0] for node in live)
+        for node in live:
+            for i in dag.actions1:
+                for j in dag.actions2:
+                    psi = dag.signal_transition(node, i, j)
+                    assert sum(psi.values(), ZERO) == 1
+        # above the horizon: 2**(n-1) - 1 live histories, 2**(n-1) - 2
+        # absorbed ones
+        pairs = [(t, g) for t, g in _tree_and_graph_pairs(tree, dag)
+                 if t.depth < n]
+        assert len(pairs) == 2 ** n - 3
+        pairs = [(t, g) for t, g in pairs if not g.pruned]
+        assert len(pairs) == 2 ** (n - 1) - 1
+        for t_node, dag_node in pairs:
+            assert {link: w for link, (w, _) in t_node.children.items()} == \
+                {link: w for link, (w, _) in dag_node.children.items()}
+            assert [(link, child.posterior) for link, (_, child)
+                    in t_node.children.items()] == \
+                [(link, child.posterior) for link, (_, child)
+                 in dag_node.children.items()]
+
+
+def test_belief_graph_node_counts_pinned():
+    """One node per distinct belief, level memberships per (depth,
+    belief): 3 nodes and 2998 memberships for the quitting game to
+    n = 1000, 399 nodes and 20100 memberships for the noisy public game
+    to n = 200."""
+    for game, n, distinct, members in (
+            (corpus.quitting_game(), 1000, 3, 2998),
+            (corpus.noisy_public_2state(), 200, 399, 20100)):
+        dag = build_auxiliary(game, n)
+        nodes = {id(node): node for level in dag.levels for node in level}
+        assert len(nodes) == len({node.key for node in nodes.values()}) == distinct
+        assert sum(map(len, dag.levels)) == members
+        assert all(len({node.key for node in level}) == len(level)
+                   for level in dag.levels)

@@ -159,6 +159,28 @@ def test_terminal_payoff_is_two_callables():
         TerminalPayoff(action_fn=F(0), determined_fn=lambda x: None)
 
 
+def test_terminal_payoff_values_must_be_exact():
+    """Both solvers refuse a terminal or determined payoff value that is
+    not an int or a Fraction (a float, a bool), which would otherwise come
+    back as a binary expansion passed off as an exact value."""
+    game = corpus.quitting_game()
+    fixed = uniform_strategy(game.expand(), 1)
+    for bad in (0.1, True, "1/10"):
+        for terminal in (
+                TerminalPayoff(lambda x, i, j, bad=bad: bad, lambda x: None),
+                TerminalPayoff(lambda x, i, j: F(0),
+                               lambda x, bad=bad: bad if x == "1*" else None)):
+            with pytest.raises(GameModelError, match="an int or a Fraction"):
+                nstage_value(game, 2, evaluation=terminal)
+            with pytest.raises(GameModelError, match="an int or a Fraction"):
+                best_response_value(game, fixed, 2, terminal)
+    exact = TerminalPayoff(lambda x, i, j: F(1, 10), lambda x: None)
+    assert nstage_value(game, 2, evaluation=exact).value == F(1, 10)
+    assert best_response_value(game, fixed, 2, exact) == F(1, 10)
+    whole = TerminalPayoff(lambda x, i, j: 1, lambda x: 1 if x == "1*" else None)
+    assert nstage_value(game, 2, evaluation=whole).value == 1
+
+
 def test_public_strategy_certificates(games):
     sym = games["quitting_game"]
     n = 3
