@@ -438,16 +438,20 @@ def _cells(aux: AuxiliaryGame, reward: dict, node: BeliefNode,
 
 
 def _entries(cells, factor: int, previous: dict | None, tail: tuple,
-             absorbed: dict) -> list:
+             absorbed: dict, pick=None):
     """The entries of ``cells``, in one loop: factor * r + sum h U(child)
     over the live pairs, U = ``previous``, + t 2**shift * sum h a(child)
     over the closed ones, a = ``absorbed``, ``tail`` = (t, shift); with
     ``previous`` None no continuation is counted.  A zero reward adds no
-    term, h = 1 no product, and the power of 2 is a shift."""
+    term, h = 1 no product, and the power of 2 is a shift.  Returns their
+    list, or with ``pick`` (min or max) the entry it picks, no list built."""
     if previous is None:
-        return [factor * r for r, _, _ in cells]
+        entries = [factor * r for r, _, _ in cells]
+        return entries if pick is None else pick(entries)
     t, shift = tail
-    out = []
+    out = [] if pick is None else None
+    lower = pick is min
+    best = None
     for r, live, closed in cells:
         total = factor * r if r else 0
         for h, child in live:
@@ -459,8 +463,11 @@ def _entries(cells, factor: int, previous: dict | None, tail: tuple,
                 a = absorbed[key]
                 rate += a if h == 1 else h * a
             total += t * rate << shift
-        out.append(total)
-    return out
+        if out is not None:
+            out.append(total)
+        elif best is None or (total < best if lower else total > best):
+            best = total
+    return best if out is None else out
 
 
 def _integer_matrix(cells: list, factor: int, previous: dict | None,
@@ -495,7 +502,7 @@ def _shapley(aux: AuxiliaryGame, horizons, terminal: LiftedPayoff | None = None,
     belief graph a node's links are those of its belief.  Without
     ``solutions`` a game with one row (one column) is planned as that row
     (column) and takes the min (max) of its ``_entries``, one loop with no
-    matrix built; any other game takes ``matrix_game_value``: a pure
+    list or matrix built; any other game takes ``matrix_game_value``: a pure
     saddle point where one exists, the LP otherwise.  With ``solutions``
     every game is ``solve_matrix_game`` and ``solutions[(k, key)]`` its
     solution: Bland's rule and the ratio test's tie-break, like the vector
@@ -552,8 +559,8 @@ def _shapley(aux: AuxiliaryGame, horizons, terminal: LiftedPayoff | None = None,
                         plan = plan[0]
                     plans[key] = plan
                 if pick is not None:
-                    current[key] = pick(_entries(plan, factor, previous, tail,
-                                                 absorbed))
+                    current[key] = _entries(plan, factor, previous, tail,
+                                            absorbed, pick)
                 elif solutions is not None:
                     result = solutions[(k, key)] = solve_matrix_game(
                         _integer_matrix(plan, factor, previous, tail, absorbed))

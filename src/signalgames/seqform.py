@@ -290,6 +290,36 @@ def nstage_value(spec_or_sym, horizon: int, evaluation=MEAN,
 # ---------------------------------------------------------------------------
 
 
+def _mix_problem(dist: dict, actions, player: int):
+    """What keeps ``dist`` from being a mix of ``actions``, else None: an
+    action not among them, a probability that is not an int or a Fraction,
+    a negative one, or a mass other than 1 (which, with none negative,
+    keeps each in [0, 1]).  The mass is summed as one integer fraction
+    num/den, cross-multiplied, with no Fraction built."""
+    num, den = 0, 1
+    for a, p in dist.items():
+        if a not in actions:
+            return f"{a!r} is not an action of player {player}"
+        if not isinstance(p, (int, Fraction)) or isinstance(p, bool):
+            return f"the probability of {a!r} is {p!r}, not an int or a Fraction"
+        if p.numerator < 0:
+            return f"the probability {p} of {a!r} is negative"
+        num, den = num * p.denominator + p.numerator * den, den * p.denominator
+    return None if num == den else f"the mass is {Fraction(num, den)}, not 1"
+
+
+def _fixed_mix(fixed: BehavioralStrategy, view: tuple, actions) -> list:
+    """``fixed``'s mix at ``view`` as its ``(action, probability)`` pairs of
+    nonzero probability, in the mix's order; GameModelError naming the
+    view if it is no mix of ``actions`` (``_mix_problem``)."""
+    dist = fixed.action_dist(view)
+    problem = _mix_problem(dist, actions, fixed.player)
+    if problem is not None:
+        raise GameModelError(f"player {fixed.player} strategy at view "
+                             f"{view!r}: {problem}")
+    return [(a, p) for a, p in dist.items() if p]
+
+
 def best_response_value(spec_or_sym, fixed: BehavioralStrategy, horizon: int,
                         evaluation=MEAN, responder: int = 2,
                         budget: int | None = None) -> Fraction:
@@ -299,7 +329,9 @@ def best_response_value(spec_or_sym, fixed: BehavioralStrategy, horizon: int,
     player's (else GameModelError).  Works by collapsing the fixed player
     with chance and running backward induction over the responder's view
     tree; independent of the LP path, so it doubles as a certificate check
-    for returned strategies.
+    for returned strategies.  ``fixed``'s mix at each view it is read at
+    must be a distribution over its player's actions, with int or Fraction
+    probabilities (else GameModelError naming the view).
 
     The walk goes one depth at a time and merges frames: histories that
     agree on the state, the fixed strategy's view (``model._viewer``) and
@@ -307,6 +339,12 @@ def best_response_value(spec_or_sym, fixed: BehavioralStrategy, horizon: int,
     a frame banks and every child weight is linear in its weight, so a
     merged frame banks exactly what its histories would have.  The budget
     is charged once per merged frame, at its depth.
+
+    Views are interned: a frame is ``(state, fixed id, responder id)``, an
+    id handed out per (parent id, step), so equal ids are equal views.  A
+    responder sequence is ``(responder id, action)``, and ``()`` the empty
+    one.  A fixed view's tuple is built only to read its mix, once per id,
+    from its parent's tuple, and only the previous depth's tuples are kept.
     """
     spec = as_general(spec_or_sym)
     require_horizon(horizon)
@@ -314,43 +352,65 @@ def best_response_value(spec_or_sym, fixed: BehavioralStrategy, horizon: int,
         raise GameModelError(f"responder must be 1 or 2, got {responder!r}")
     N = horizon
     terminal = evaluation if isinstance(evaluation, TerminalPayoff) else None
+    if terminal is None and evaluation != MEAN:
+        raise GameModelError(f"unknown evaluation {evaluation!r}")
     edge_f, label_f = _viewer(fixed, spec, 3 - responder)
-    edge_r, label_r = projection(PLAYER2 if responder == 2 else PLAYER1)
+    _, label_r = projection(PLAYER2 if responder == 2 else PLAYER1)
+    actions, fixed_actions = ((spec.actions2, spec.actions1) if responder == 2
+                              else (spec.actions1, spec.actions2))
 
-    form = _PlayerForm(actions=list(spec.actions2 if responder == 2
-                                    else spec.actions1))
-    cost: dict = {}                      # seq id -> banked Fraction
+    cost: dict = {}                      # responder sequence -> banked Fraction
     nodes = Budget(budget)
+    resp_ids: dict = {}                  # (sequence, label) -> responder id
+    resp_parent: list = []               # responder id -> its parent sequence
+    infosets: dict = {}                  # live responder id -> parent sequence
+    moves: dict = {}                     # (x, i, j) -> [(x2, fixed step, label, p)]
 
-    def bank(seq_id, amount):
+    def bank(seq, amount):
         if amount:
-            cost[seq_id] = cost.get(seq_id, ZERO) + amount
+            cost[seq] = cost.get(seq, ZERO) + amount
 
     def add(frames, key, weight):
         old = frames.get(key)
         frames[key] = weight if old is None else old + weight
 
-    # one depth of frames: (state, fixed view, responder view) -> summed weight
+    def resp_id(seq, label):
+        rid = resp_ids.get((seq, label))
+        if rid is None:
+            rid = resp_ids[(seq, label)] = len(resp_parent)
+            resp_parent.append(seq)
+        return rid
+
+    # one depth of frames: (state, fixed id, responder id) -> summed weight;
+    # a fixed id of this depth is origins[id] = (parent id, step)
     level: dict = {}
+    fixed_ids: dict = {}                 # (parent id, step) -> fixed id
     for (x, c, d), p in sorted(spec.initial.items(), key=str):
         if p > 0:
-            add(level, (x, (label_f(c, d),), (label_r(c, d),)), p)
+            fid = fixed_ids.setdefault((-1, (label_f(c, d),)), len(fixed_ids))
+            add(level, (x, fid, resp_id((), label_r(c, d))), p)
+    origins = list(fixed_ids)
+    views = {-1: ()}                     # fixed id -> view, previous depth
 
     for depth in range(1, N + 1):
         nxt: dict = {}
-        for (x, vf, vr), weight in level.items():
+        fixed_ids = {}
+        last_views, views, mixes = views, {}, {}
+        for (x, fid, rid), weight in level.items():
             nodes.charge(depth)
             det = _determined(spec, terminal, x, depth, N)
             if det is not None:
-                bank(form.sequence(vr[:-1]), weight * det)
+                bank(resp_parent[rid], weight * det)
                 continue
-            form.visit(vr)
-            dist = fixed.action_dist(vf)
-            for a_resp in form.actions:
-                s_resp = form.sequence(vr + (a_resp,))
-                for a_fixed, pf in dist.items():
-                    if pf == 0:
-                        continue
+            infosets[rid] = resp_parent[rid]
+            mix = mixes.get(fid)
+            if mix is None:
+                parent, step = origins[fid]
+                view = views[fid] = last_views[parent] + step
+                mix = mixes[fid] = _fixed_mix(fixed, view, fixed_actions)
+            for a_resp in actions:
+                s_resp = (rid, a_resp)
+                for a_fixed, pf in mix:
                     i, j = ((a_fixed, a_resp) if responder == 2
                             else (a_resp, a_fixed))
                     # a product by 1 and a zero reward change nothing banked
@@ -363,21 +423,26 @@ def best_response_value(spec_or_sym, fixed: BehavioralStrategy, horizon: int,
                         bank(s_resp, w * require_exact(
                             terminal.action_fn(x, i, j), "a terminal payoff"))
                     if depth < N:
-                        vf1, vr1 = vf + edge_f(i, j), vr + edge_r(i, j)
-                        for (x2, c, d), p in spec.transition[(x, i, j)].items():
-                            if p > 0:
-                                add(nxt, (x2, vf1 + (label_f(c, d),),
-                                          vr1 + (label_r(c, d),)),
-                                    w if p == 1 else w * p)
-        level = nxt
+                        out = moves.get((x, i, j))
+                        if out is None:
+                            edge = edge_f(i, j)
+                            out = moves[(x, i, j)] = [
+                                (x2, edge + (label_f(c, d),), label_r(c, d), p)
+                                for (x2, c, d), p
+                                in spec.transition[(x, i, j)].items() if p > 0]
+                        for x2, step, label, p in out:
+                            fid2 = fixed_ids.setdefault((fid, step),
+                                                        len(fixed_ids))
+                            add(nxt, (x2, fid2, resp_id(s_resp, label)),
+                                w if p == 1 else w * p)
+        level, origins = nxt, list(fixed_ids)
 
     # fold the responder tree: minimize (responder 2) or maximize (1).  An
-    # information set enters ``form.infosets`` before any of its successors
+    # information set enters ``infosets`` before any of its successors
     # (depths are walked in order), so a pass in reverse order folds every
     # sequence's successors into it before the sequence itself is read.
     pick = min if responder == 2 else max
-    for view in reversed(form.infosets):
-        parent = form.parent_seq[view]
+    for rid, parent in reversed(infosets.items()):
         cost[parent] = cost.get(parent, ZERO) + pick(
-            cost.get(s, ZERO) for s in form.infosets[view])
-    return cost.get(0, ZERO)
+            cost.get((rid, a), ZERO) for a in actions)
+    return cost.get((), ZERO)

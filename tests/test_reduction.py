@@ -930,20 +930,22 @@ def test_lifted_payoff_is_refused_on_a_pruned_build():
 def test_mdp_sweep_evaluates_live_beliefs_only(monkeypatch, games):
     """On the blind MDP to n = 4000 the sweep builds cells for no pruned
     node and evaluates each of its 26380 live (belief, stage count) pairs
-    once, two cells each; its one-column games build no matrix."""
+    once, two cells each; its one-column games build no matrix, and
+    ``_entries`` returns their max, no list."""
     from signalgames.recursive import default_schedule
 
     dag = build_auxiliary(games["mdp_final_remark"], 4000)
-    planned, entries = [], []
+    planned, games_cells = [], []
     real_cells, real_entries = reduction._cells, reduction._entries
 
     def cells(aux, reward, node, *args):
         planned.append(node)
         return real_cells(aux, reward, node, *args)
 
-    def counted_entries(*args):
-        found = real_entries(*args)
-        entries.extend(found)
+    def counted_entries(plan, *args):
+        found = real_entries(plan, *args)
+        assert not isinstance(found, list)
+        games_cells.append(len(plan))
         return found
 
     def no_matrix(*args):
@@ -955,7 +957,7 @@ def test_mdp_sweep_evaluates_live_beliefs_only(monkeypatch, games):
     monkeypatch.setattr(reduction, "matrix_game_value", no_matrix)
     solve_horizons(dag, default_schedule(4000))
     assert planned and not any(node.pruned for node in planned)
-    assert len(entries) == 2 * 26380
+    assert games_cells == [2] * 26380
     assert sum(node.pruned for level in dag.levels for node in level) == 3999
 
 

@@ -307,3 +307,89 @@ def test_best_response_matches_history_walk(kind):
                         except BudgetExceededError:
                             pass
     assert 0 < merged < runs, (merged, runs)
+
+
+def test_best_response_refuses_an_unknown_evaluation():
+    """An evaluation that is neither "mean" nor a TerminalPayoff is a
+    GameModelError, as in ``nstage_value``, where it used to be read as the
+    mean payoff."""
+    spec = corpus.quitting_game().expand()
+    fixed = uniform_strategy(spec, 1)
+    assert best_response_value(spec, fixed, 2, "mean") == F(1, 8)
+    for bad in ("bogus", None, 0):
+        with pytest.raises(GameModelError, match="unknown evaluation"):
+            best_response_value(spec, fixed, 2, bad)
+        with pytest.raises(GameModelError, match="unknown evaluation"):
+            nstage_value(spec, 2, evaluation=bad)
+
+
+@pytest.mark.parametrize("tail, match", [
+    ({"Z": F(1)}, "'Z' is not an action of player 1"),
+    ({"C": F(1, 2), "Q": F(1, 3)}, "the mass is 5/6, not 1"),
+    ({"C": F(5, 4), "Q": F(-1, 4)}, "-1/4 of 'Q' is negative"),
+    ({"C": F(-1), "Q": F(2)}, "-1 of 'C' is negative"),
+    ({"C": F(3, 2)}, "the mass is 3/2, not 1"),
+    ({"C": 0.5, "Q": 0.5}, "not an int or a Fraction"),
+    ({"C": True}, "not an int or a Fraction"),
+])
+def test_best_response_refuses_a_malformed_fixed_mix(tail, match):
+    """A fixed mix with an action its player lacks, a mass other than 1,
+    or a probability that is negative or not exact is a GameModelError
+    naming the view (with none negative, mass 1 keeps each in [0, 1]).  It used to end in a KeyError on the stage key, or
+    return a number that certifies nothing (1/12 for mass 5/6, -1/8 for a
+    negative weight, 0.125 for floats)."""
+    spec = corpus.quitting_game().expand()
+    fixed = BehavioralStrategy(player=1, horizon=0, table={}, tail=tail)
+    with pytest.raises(GameModelError, match=match) as err:
+        best_response_value(spec, fixed, 2)
+    assert "player 1 strategy at view (" in str(err.value)
+    exact = BehavioralStrategy(player=1, horizon=0, table={},
+                               tail={"C": 1, "Q": F(0)})
+    assert best_response_value(spec, exact, 2) == 0
+
+
+def test_best_response_at_a_long_horizon_matches_the_blind_mdp():
+    """At n = 1000 player 1's best reply to player 2's only strategy in the
+    blind MDP is its n-stage value: a blind plan is an action sequence, and
+    only its first Bottom counts, at stage t, for (n - t)(1 - 2**(1-t))/n;
+    t <= 64 covers every n below 2**64."""
+    spec = corpus.mdp_final_remark()
+    n = 1000
+    want = max(F((n - t) * (2 ** (t - 1) - 1), n * 2 ** (t - 1))
+               for t in range(1, 65))
+    assert best_response_value(spec, uniform_strategy(spec, 2), n,
+                               responder=1) == want
+
+
+# smallest budget under which the best reply to a uniform strategy fits, at
+# horizons 1-4: one merged frame per (state, fixed view, responder view)
+_BEST_REPLY_FRAMES = {
+    ("example1_guessing", "player"): (1, 7, 21, 51),
+    ("example2_informed", "player"): (1, 6, 15, 32),
+    ("example3_bigmatch_blind1", "player"): (1, 5, 13, 29),
+    ("bigmatch_nosignals", "player"): (1, 5, 13, 29),
+    ("bigmatch_fullmonitor", "player"): (1, 5, 13, 29),
+    ("bigmatch_fullmonitor", PUBLIC): (1, 5, 13, 29),
+    ("mdp_final_remark", "player"): (1, 4, 8, 12),
+    ("noisy_public_2state", "player"): (2, 18, 146, 1170),
+    ("noisy_public_2state", PUBLIC): (2, 18, 146, 1170),
+    ("quitting_game", "player"): (1, 6, 16, 36),
+    ("quitting_game", PUBLIC): (1, 6, 16, 36),
+}
+
+
+@pytest.mark.parametrize("name, view_kind", list(_BEST_REPLY_FRAMES))
+def test_best_response_frame_counts_pinned(games, name, view_kind):
+    """Each corpus best reply fits a budget of its pinned merged-frame
+    count, for both responders, and not one below it."""
+    game = games[name]
+    spec = game.expand() if hasattr(game, "expand") else game
+    for responder in (1, 2):
+        fixed = dataclasses.replace(uniform_strategy(spec, 3 - responder),
+                                    view_kind=view_kind)
+        for n, frames in enumerate(_BEST_REPLY_FRAMES[(name, view_kind)], 1):
+            best_response_value(spec, fixed, n, responder=responder,
+                                budget=frames)
+            with pytest.raises(BudgetExceededError):
+                best_response_value(spec, fixed, n, responder=responder,
+                                    budget=frames - 1)
