@@ -18,10 +18,13 @@ cross-multiplying integers (the row denominator cancels), and the reduced
 costs and the objective are one more scaled row, updated by the same
 elimination.  Rows the pivot does not touch keep their scale; that is what
 separates this from an integer-preserving (Edmonds/Bareiss) tableau, which
-rescales every row on every pivot.  Fractions appear only where results are
-read off the final tableau, and the optimality certificate is checked
-against the exact Fraction program in one pass over its nonzeros, O(nnz)
-rather than O(rows x cols).
+rescales every row on every pivot.  Each input row is read once into
+integer numerators over its lcm denominator; no Fraction copy of the
+program is made.  Fractions appear only where results are read off the
+final tableau, and the optimality certificate is checked in integers
+against those input rows, in one pass over their nonzeros, O(nnz) rather
+than O(rows x cols).  Coefficients, right-hand sides and objective
+entries must be ints or Fractions, so no float's binary expansion enters.
 
 Determinism: entering variable = lowest eligible index, leaving row = lowest
 ratio with ties broken by lowest basic-variable index, which also guarantees
@@ -48,6 +51,19 @@ OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
+# The exact scalar types: a bool, a float or a str is none of them.
+_EXACT_TYPES = frozenset((Fraction, int))
+_INDEX_TYPES = frozenset((int,))
+
+
+def _inexact(values) -> object:
+    """The first of ``values`` that is not an int or a Fraction (by type,
+    so a bool is not an int here), else None."""
+    if _EXACT_TYPES.issuperset(map(type, values)):
+        return None
+    return next(v for v in values if type(v) not in _EXACT_TYPES)
+
+
 @dataclass
 class LinearProgram:
     """maximize objective . z   subject to  rows[k] . z  (sense_k)  rhs[k].
@@ -55,7 +71,8 @@ class LinearProgram:
     ``objective`` is a dense list with one coefficient per variable; each
     row is a sparse ``{variable index: coefficient}`` dict of its nonzeros
     (a zero-valued entry is allowed and ignored).  Variables are
-    nonnegative unless their index appears in ``free``.
+    nonnegative unless their index appears in ``free``.  Every objective
+    entry, coefficient and right-hand side is an int or a Fraction.
     """
 
     objective: list
@@ -65,18 +82,40 @@ class LinearProgram:
     free: frozenset = frozenset()
 
     def validate(self) -> None:
+        """LPError unless the program is well formed: equal row, sense and
+        rhs counts, int or Fraction numbers, int (not bool) column indices
+        in 0..n-1, free indices among them and known senses.  O(nnz)."""
         n = len(self.objective)
         if not (len(self.rows) == len(self.senses) == len(self.rhs)):
             raise LPError("row/sense/rhs length mismatch")
+        bad = _inexact(self.objective)
+        if bad is not None:
+            raise LPError(f"objective entry {bad!r} is not an int or a Fraction")
+        bad = _inexact(self.rhs)
+        if bad is not None:
+            raise LPError(f"right-hand side {bad!r} is not an int or a Fraction")
         for k, row in enumerate(self.rows):
             if not isinstance(row, dict):
                 raise LPError(f"row {k} must be a {{column: coefficient}} dict")
-            for j in row:
-                if not (isinstance(j, int) and 0 <= j < n):
-                    raise LPError(f"row {k} has column {j!r}, expected 0..{n - 1}")
+            if not _valid_columns(row, n):
+                j = next(j for j in row if not _valid_columns((j,), n))
+                raise LPError(f"row {k} has column {j!r}, expected 0..{n - 1}")
+            bad = _inexact(row.values())
+            if bad is not None:
+                raise LPError(f"row {k} has coefficient {bad!r}, "
+                              f"not an int or a Fraction")
+        if not _valid_columns(self.free, n):
+            t = next(t for t in self.free if not _valid_columns((t,), n))
+            raise LPError(f"free variable {t!r}, expected 0..{n - 1}")
         for s in self.senses:
             if s not in (LEQ, GEQ, EQ):
                 raise LPError(f"unknown sense {s!r}")
+
+
+def _valid_columns(indices, n: int) -> bool:
+    """Whether every index is an int (not a bool) in 0..n-1."""
+    return not indices or (_INDEX_TYPES.issuperset(map(type, indices))
+                           and min(indices) >= 0 and max(indices) < n)
 
 
 @dataclass
@@ -90,12 +129,13 @@ class LPSolution:
 
 
 def _integer_row(row: dict, rhs) -> tuple:
-    """``(numerators, rhs numerator, denominator)`` of a row of rationals.
+    """``(numerators, rhs numerator, denominator)`` of a row of rationals,
+    zero entries dropped.
 
     The denominator is the lcm of the entries' denominators, so the row
     comes out in lowest terms."""
     den = math.lcm(rhs.denominator, *(v.denominator for v in row.values()))
-    return ({j: v.numerator * (den // v.denominator) for j, v in row.items()},
+    return ({j: v.numerator * (den // v.denominator) for j, v in row.items() if v},
             rhs.numerator * (den // rhs.denominator), den)
 
 
@@ -163,7 +203,9 @@ class _Tableau:
             for j in row:
                 self.cols[j].add(r)
 
-    def pivot(self, row: int, col: int) -> None:
+    def pivot(self, row: int, col: int) -> list:
+        """Pivot on (row, col); returns the pivot row's (column, numerator)
+        pairs off ``col``, for eliminating ``col`` from the objective row."""
         # Dividing the pivot row by m/d at col makes it (m, b) / m[col].  It
         # stays in lowest terms: its old basic column holds d[row], so the
         # numerators alone already have gcd 1.
@@ -181,6 +223,7 @@ class _Tableau:
                 m[r], b[r], d[r] = _eliminate(other, b[r], d[r], k, terms, pb, pd, cols, r)
         cols[col] = {row}
         self.basis[row] = col
+        return terms
 
 
 def _run_simplex(tab: _Tableau, cost, allowed):
@@ -221,9 +264,8 @@ def _run_simplex(tab: _Tableau, cost, allowed):
         if leave < 0:
             return UNBOUNDED, pivots, enter, Fraction(-zb, zd)
 
-        tab.pivot(leave, enter)
+        terms = tab.pivot(leave, enter)
         k = red.pop(enter)
-        terms = [(j, p) for j, p in m[leave].items() if j != enter]
         red, zb, zd = _eliminate(red, zb, zd, k, terms, b[leave], tab.d[leave])
         pivots += 1
         if pivots > pivot_limit:
@@ -233,24 +275,24 @@ def _run_simplex(tab: _Tableau, cost, allowed):
 def solve_lp(lp: LinearProgram) -> LPSolution:
     """Two-phase exact simplex.
 
-    Returns an LPSolution whose duals certify optimality: dual feasibility
-    and complementary slackness are re-checked exactly before returning.
-    Infeasibility returns a Farkas certificate y with y.A <= 0 (componentwise
-    over variable columns) and y.b > 0; unboundedness returns an improving
-    ray of the original variables.
+    Returns an LPSolution whose duals certify optimality: primal and dual
+    feasibility and complementary slackness are re-checked exactly, in
+    integers, before returning.  Infeasibility returns a Farkas certificate
+    y with y.A <= 0 (componentwise over variable columns) and y.b > 0;
+    unboundedness returns an improving ray of the original variables.
+
+    Each input row is read once into integer numerators over its lcm
+    denominator (``_integer_row``).  That copy, in the input orientation,
+    is the one the certificate is checked against; the tableau gets its
+    own rows, negated where the rhs is negative, with free columns split.
     """
     lp.validate()
-    # The program as Fractions, converted once; the certificate is checked
-    # against this exact copy.
-    exact = LinearProgram(
-        objective=[Fraction(c) for c in lp.objective],
-        rows=[{j: Fraction(v) for j, v in row.items() if v} for row in lp.rows],
-        senses=lp.senses, rhs=[Fraction(b) for b in lp.rhs], free=lp.free)
+    rows = [_integer_row(row, rhs) for row, rhs in zip(lp.rows, lp.rhs)]
 
     # Variable mapping: free variables are split z = z+ - z-.
     col_of = []          # per original var: (plus_col, minus_col or None)
     cost_struct = []
-    for k, c in enumerate(exact.objective):
+    for k, c in enumerate(lp.objective):
         plus = len(cost_struct)
         cost_struct.append(c)
         if k in lp.free:
@@ -260,54 +302,47 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
             col_of.append((plus, None))
     nstruct = len(cost_struct)
 
-    # Row normalization to rhs >= 0; remember flips for dual orientation.
-    rows, flips = [], []
-    for row, rhs, sense in zip(exact.rows, exact.rhs, lp.senses):
-        if rhs < 0:
-            row = {j: -v for j, v in row.items()}
-            rhs = -rhs
-            sense = {LEQ: GEQ, GEQ: LEQ, EQ: EQ}[sense]
-            flips.append(-1)
-        else:
-            flips.append(1)
-        rows.append((row, rhs, sense))
-
     # Standard-form columns: structural | slacks/surplus | artificials.
+    # A row with a negative rhs is negated, which swaps <= and >=; its
+    # flip turns the duals back to the input orientation.
     nrows = len(rows)
+    flips = [-1 if b < 0 else 1 for _, b, _ in rows]
+    senses = [{LEQ: GEQ, GEQ: LEQ, EQ: EQ}[sense] if flip < 0 else sense
+              for sense, flip in zip(lp.senses, flips)]
     slack_col = {}
     art_col = {}
     ncols = nstruct
-    for r, (_, _, sense) in enumerate(rows):
+    for r, sense in enumerate(senses):
         if sense in (LEQ, GEQ):
             slack_col[r] = ncols
             ncols += 1
-    for r, (_, _, sense) in enumerate(rows):
+    for r, sense in enumerate(senses):
         if sense in (GEQ, EQ):
             art_col[r] = ncols
             ncols += 1
 
     # Initial +1 unit column per row (slack for <=, artificial otherwise);
     # its final tableau column is B^-1 e_r, which yields the duals.
-    unit_col = [slack_col[r] if rows[r][2] == LEQ else art_col[r]
+    unit_col = [slack_col[r] if senses[r] == LEQ else art_col[r]
                 for r in range(nrows)]
 
     matrix, bvec, dvec = [], [], []
-    for r, (row, rhs, sense) in enumerate(rows):
+    for r, ((row, b, den), sense, flip) in enumerate(zip(rows, senses, flips)):
         full = {}
         for k, v in row.items():
+            v *= flip
             plus, minus = col_of[k]
             full[plus] = v
             if minus is not None:
                 full[minus] = -v
-        ints, b, den = _integer_row(full, rhs)
         if sense == LEQ:
-            ints[slack_col[r]] = den
+            full[slack_col[r]] = den
         elif sense == GEQ:
-            ints[slack_col[r]] = -den
+            full[slack_col[r]] = -den
         if r in art_col:
-            ints[art_col[r]] = den
-        matrix.append(ints)
-        bvec.append(b)
+            full[art_col[r]] = den
+        matrix.append(full)
+        bvec.append(b * flip)
         dvec.append(den)
 
     tab = _Tableau(matrix, bvec, dvec, ncols)
@@ -357,8 +392,8 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
     y = _duals_from_basis(tab, cost2, unit_col)
     duals = [flips[r] * y[r] for r in range(nrows)]
 
-    _verify_optimal(exact, primal, duals)
-    objective = sum((c * v for c, v in zip(exact.objective, primal)), ZERO)
+    _verify_optimal(lp, rows, primal, duals)
+    objective = sum((c * v for c, v in zip(lp.objective, primal) if c and v), ZERO)
     return LPSolution(status=OPTIMAL, objective=objective, primal=primal,
                       duals=duals, pivots=total_pivots)
 
@@ -395,24 +430,34 @@ def _by_variable(values: dict, col_of) -> list:
             for plus, minus in col_of]
 
 
-def _verify_optimal(lp: LinearProgram, primal, duals) -> None:
+def _verify_optimal(lp: LinearProgram, rows: list, primal, duals) -> None:
     """Exact optimality certificate: primal feasibility, dual feasibility,
     complementary slackness.  A failure here is an internal bug.
 
-    ``lp`` holds the program as Fractions.  One pass over the nonzeros
-    yields every row's lhs and every column's dual combination, so the
-    check costs O(nnz)."""
-    used = [ZERO] * len(lp.objective)     # duals . column t
-    for k, row in enumerate(lp.rows):
-        y = duals[k]
-        lhs = ZERO
-        for t, coef in row.items():
-            x = primal[t]
+    ``rows`` are ``lp``'s rows as ``_integer_row`` reads them, row k being
+    (A_k, b_k) / d_k.  The check runs in integers: the primal is put over
+    the lcm X of its denominators, the duals over theirs, Y, and the
+    objective over its own, C.  Row k's lhs is then A_k . x / (d_k X),
+    compared with b_k X.  Every dual combination goes over Y times the lcm
+    M of the denominators of the rows with a nonzero dual, so column t's
+    reduced cost has the sign of c_t Y M - C sum_k y_k A_kt M / d_k.  One
+    pass over the nonzeros yields every row's lhs and every column's dual
+    combination, so the check costs O(nnz)."""
+    xs, X = _over_common(primal)
+    ys, Y = _over_common(duals)
+    cs, C = _over_common(lp.objective)
+    M = math.lcm(1, *(den for (_, _, den), y in zip(rows, ys) if y))
+    used = [0] * len(cs)                  # M Y (duals . column t)
+    for k, (row, b, den) in enumerate(rows):
+        y = ys[k] * (M // den) if ys[k] else 0
+        lhs = 0
+        for t, a in row.items():
+            x = xs[t]
             if x:
-                lhs += coef * x
+                lhs += a * x
             if y:
-                used[t] += y * coef
-        rhs = lp.rhs[k]
+                used[t] += y * a
+        rhs = b * X
         sense = lp.senses[k]
         if sense == LEQ:
             ok = lhs <= rhs
@@ -428,17 +473,18 @@ def _verify_optimal(lp: LinearProgram, primal, duals) -> None:
             raise LPError(f"primal infeasibility at row {k}")
         if y != 0 and rhs != lhs:
             raise LPError(f"complementary slackness violated at row {k}")
+    scale = Y * M
     for t, col_used in enumerate(used):
-        reduced = lp.objective[t] - col_used
+        reduced = cs[t] * scale - col_used * C
         if t in lp.free:
             if reduced != 0:
                 raise LPError(f"dual feasibility violated at free var {t}")
         else:
             if reduced > 0:
                 raise LPError(f"dual feasibility violated at var {t}")
-            if primal[t] != 0 and reduced != 0:
+            if xs[t] != 0 and reduced != 0:
                 raise LPError(f"complementary slackness violated at var {t}")
-        if primal[t] < 0 and t not in lp.free:
+        if xs[t] < 0 and t not in lp.free:
             raise LPError(f"negative value for nonnegative var {t}")
 
 
@@ -449,7 +495,9 @@ def _verify_optimal(lp: LinearProgram, primal, duals) -> None:
 
 @dataclass
 class MatrixGame:
-    """Finite zero-sum game; the row player maximizes payoff[r][c]."""
+    """Finite zero-sum game; the row player maximizes payoff[r][c].
+
+    Entries are ints or Fractions (else LPError), stored as Fractions."""
 
     payoff: list
 
@@ -459,6 +507,9 @@ class MatrixGame:
         width = len(self.payoff[0])
         if any(len(row) != width for row in self.payoff):
             raise LPError("matrix game must be rectangular")
+        bad = _inexact(list(chain.from_iterable(self.payoff)))
+        if bad is not None:
+            raise LPError(f"matrix game entry {bad!r} is not an int or a Fraction")
         self.payoff = [[v if isinstance(v, Fraction) else Fraction(v) for v in row]
                        for row in self.payoff]
 
@@ -556,9 +607,6 @@ def solve_matrix_game(game: MatrixGame | list) -> MatrixGameSolution:
     return solution
 
 
-_EXACT_TYPES = frozenset((Fraction, int))
-
-
 def matrix_game_value(game: MatrixGame | list) -> Fraction | int:
     """Exact value of a matrix game, without strategies.
 
@@ -571,13 +619,14 @@ def matrix_game_value(game: MatrixGame | list) -> Fraction | int:
     row, which certifies it completely.  With one column (one row) both
     are the maximum (minimum) of the same entries, so it is computed once.
     Otherwise the value is ``solve_matrix_game``'s, a ``Fraction`` whose
-    certificate is checked there.  Empty or ragged input raises LPError, as
-    ``MatrixGame`` does; no check is an ``assert``.
+    certificate is checked there.  Empty or ragged input, or an entry that
+    is not an int or a Fraction, raises LPError, as ``MatrixGame`` does; no
+    check is an ``assert``.
     """
     if not isinstance(game, MatrixGame) and not (
             game and game[0] and len(set(map(len, game))) == 1
             and _EXACT_TYPES.issuperset(map(type, chain.from_iterable(game)))):
-        game = MatrixGame(game)          # raises LPError, or converts entries
+        game = MatrixGame(game)          # raises LPError
     payoff = game.payoff if isinstance(game, MatrixGame) else game
     if len(payoff[0]) == 1:
         return max([row[0] for row in payoff])
@@ -637,9 +686,14 @@ def matrix_reply_value(game: MatrixGame | list, mixed: list, side: str) -> Fract
 
     side="row": ``mixed`` is a row mix, returns min over columns.
     side="col": ``mixed`` is a column mix, returns max over rows.
+    Its probabilities are ints or Fractions, else LPError.
     """
     if not isinstance(game, MatrixGame):
         game = MatrixGame(game)
+    mixed = list(mixed)
+    bad = _inexact(mixed)
+    if bad is not None:
+        raise LPError(f"mixed strategy entry {bad!r} is not an int or a Fraction")
     mixed = [Fraction(v) for v in mixed]
     if sum(mixed) != 1 or any(p < 0 for p in mixed):
         raise LPError("mixed strategy must be a distribution")

@@ -24,17 +24,26 @@ Dist = dict
 
 
 def check_distribution(dist: Dist, what: str) -> list[str]:
+    """What keeps ``dist`` from being a distribution: a probability that is
+    not a Fraction, one outside [0, 1], or a mass (of the Fractions) other
+    than 1.  The range test reads numerators and denominators, and the mass
+    is one integer fraction num/den, cross-multiplied; a Fraction is built
+    only for a message."""
     problems = []
-    total = ZERO
+    num, den = 0, 1
     for outcome, p in dist.items():
         if not isinstance(p, Fraction):
             problems.append(f"{what}: probability of {outcome!r} is not a Fraction")
             continue
-        if p < 0 or p > 1:
+        n, d = p.numerator, p.denominator
+        if n < 0 or n > d:
             problems.append(f"{what}: probability {format_rational(p)} of {outcome!r} outside [0,1]")
-        total += p
-    if total != 1:
-        problems.append(f"{what}: mass {format_rational(total)} != 1")
+        if d == den:
+            num += n
+        else:
+            num, den = num * d + n * den, den * d
+    if num != den:
+        problems.append(f"{what}: mass {format_rational(Fraction(num, den))} != 1")
     return problems
 
 

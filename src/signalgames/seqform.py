@@ -30,7 +30,7 @@ from .model import (
     as_general,
     projection,
 )
-from .rationals import ONE, ZERO
+from .rationals import ONE, ZERO, denominator_lcm
 
 
 @dataclass
@@ -116,7 +116,18 @@ def _determined(spec: GameSpec, terminal, state: str, depth: int, N: int):
 
 def build_sequence_form(spec_or_sym, horizon: int, evaluation=MEAN,
                         budget: int | None = None) -> SequenceFormProgram:
-    """Walk the positive-weight history tree and assemble the program."""
+    """Walk the positive-weight history tree and assemble the program.
+
+    A depth-d history carries its chance weight as an integer mass over
+    P * D**(d-1), P and D being the lcms of the positive initial and
+    transition denominators, as in ``histories.build_trees``; a child's
+    mass is its parent's times the transition numerator over D.  Every
+    payoff is banked over one program denominator: under the mean
+    P * D**(N-1) * L * N, L the lcm of the reward denominators, so each
+    bank is one integer product.  A ``TerminalPayoff`` banks over
+    P * D**(N-1), multiplying its exact value in where it banks.  One
+    Fraction is built per payoff entry, at the end.
+    """
     spec = as_general(spec_or_sym)
     require_horizon(horizon)
     N = horizon
@@ -126,29 +137,58 @@ def build_sequence_form(spec_or_sym, horizon: int, evaluation=MEAN,
 
     p1 = _PlayerForm(actions=list(spec.actions1))
     p2 = _PlayerForm(actions=list(spec.actions2))
-    payoff: dict = {}
+    banked: dict = {}                    # (s1, s2) -> numerator over ``den``
     nodes = Budget(budget)
     live = closed = 0
 
-    def bank(s1: int, s2: int, amount: Fraction):
+    initial = [(x, c, d, p) for (x, c, d), p in sorted(spec.initial.items(), key=str)
+               if p > 0]
+    scale = denominator_lcm(p for *_, p in initial)
+    step = denominator_lcm(p for dist in spec.transition.values()
+                           for p in dist.values() if p > 0)
+    moves = {key: [(x2, c, d, p.numerator * (step // p.denominator))
+                   for (x2, c, d), p in dist.items() if p > 0]
+             for key, dist in spec.transition.items()}
+    lift: dict = {}                      # depth -> D**(N-depth), on first use
+    den = scale * step ** (N - 1)
+    if terminal is None:
+        L = denominator_lcm(spec.reward.values())
+        reward = {key: g.numerator * (L // g.denominator)
+                  for key, g in spec.reward.items()}
+        # an absorbing state's payoff numerator over L, times the stages
+        # left, is its closing value over L * N
+        absorbing = {x: reward[(x, spec.actions1[0], spec.actions2[0])]
+                     for x in spec.absorbing_states}
+        den *= L * N
+
+    def bank(s1: int, s2: int, amount):
         if amount:
             key = (s1, s2)
-            payoff[key] = payoff.get(key, ZERO) + amount
+            banked[key] = banked.get(key, 0) + amount
 
-    # Iterative DFS; each frame: (state, alpha, v1, v2, depth).
-    stack = []
-    for (x, c, d), p in sorted(spec.initial.items(), key=str):
-        if p > 0:
-            stack.append((x, p, (c,), (d,), 1))
+    # Iterative DFS; each frame: (state, mass, v1, v2, depth).
+    stack = [(x, p.numerator * (scale // p.denominator), (c,), (d,), 1)
+             for x, c, d, p in initial]
 
     while stack:
-        x, alpha, v1, v2, depth = stack.pop()
-        det = _determined(spec, terminal, x, depth, N)
+        x, mass, v1, v2, depth = stack.pop()
+        up = lift.get(depth)
+        if up is None:
+            up = lift[depth] = step ** (N - depth)
+        w = mass * up                    # the mass over P * D**(N-1)
+        if terminal is None:
+            det = absorbing.get(x)
+            if det is not None:
+                det *= N - depth + 1
+        else:
+            det = terminal.determined_fn(x)
+            if det is not None:
+                det = require_exact(det, "a determined payoff")
         if det is not None:
             # closed nodes count against the budget; only live ones check it
             closed += 1
             nodes.count += 1
-            bank(p1.sequence(v1[:-1]), p2.sequence(v2[:-1]), alpha * det)
+            bank(p1.sequence(v1[:-1]), p2.sequence(v2[:-1]), w * det)
             continue
         live += 1
         nodes.charge(depth)
@@ -159,16 +199,16 @@ def build_sequence_form(spec_or_sym, horizon: int, evaluation=MEAN,
             for j in spec.actions2:
                 s2 = p2.sequence(v2 + (j,))
                 if terminal is None:
-                    bank(s1, s2, alpha * spec.reward[(x, i, j)] / N)
+                    bank(s1, s2, w * reward[(x, i, j)])
                 elif depth == N:
-                    bank(s1, s2, alpha * require_exact(
+                    bank(s1, s2, w * require_exact(
                         terminal.action_fn(x, i, j), "a terminal payoff"))
                 if depth < N:
-                    for (x2, c, d), p in spec.transition[(x, i, j)].items():
-                        if p > 0:
-                            stack.append((x2, alpha * p, v1 + (i, c),
-                                          v2 + (j, d), depth + 1))
+                    for x2, c, d, q in moves[(x, i, j)]:
+                        stack.append((x2, mass * q, v1 + (i, c),
+                                      v2 + (j, d), depth + 1))
 
+    payoff = {key: Fraction(amount, den) for key, amount in banked.items()}
     return SequenceFormProgram(spec=spec, horizon=N, p1=p1, p2=p2,
                                payoff=payoff, live_nodes=live,
                                closed_nodes=closed)

@@ -25,6 +25,8 @@ from signalgames.lp import (
     MatrixGame,
     MatrixGameSolution,
     _check_pure_optimum,
+    _integer_row,
+    _verify_optimal,
     matrix_game_value,
     matrix_reply_value,
     solve_lp,
@@ -338,6 +340,117 @@ def test_lp_rejects_out_of_range_column():
             solve_lp(lp)
 
 
+def _two_variable_lp(**changes) -> LinearProgram:
+    # maximize 3/2 x + y  s.t.  x/10 + y <= 1, free variables as given
+    fields = {"objective": [F(3, 2), F(1)], "rows": [{0: F(1, 10), 1: F(1)}],
+              "senses": [LEQ], "rhs": [F(1)]}
+    fields.update(changes)
+    return LinearProgram(**fields)
+
+
+@pytest.mark.parametrize("changes,match", [
+    ({"rows": [{0: 0.1, 1: F(1)}]}, "row 0 has coefficient 0.1"),
+    ({"rows": [{0: True, 1: F(1)}]}, "row 0 has coefficient True"),
+    ({"rows": [{0: "1/10", 1: F(1)}]}, "row 0 has coefficient '1/10'"),
+    ({"objective": [1.5, F(1)]}, "objective entry 1.5"),
+    ({"objective": [F(3, 2), False]}, "objective entry False"),
+    ({"rhs": [1.0]}, "right-hand side 1.0"),
+    ({"rhs": ["1"]}, "right-hand side '1'"),
+    ({"rows": [{True: F(1)}]}, "row 0 has column True"),
+    ({"free": frozenset({5})}, "free variable 5"),
+    ({"free": frozenset({-1})}, "free variable -1"),
+])
+def test_lp_refuses_inexact_or_out_of_range_input(changes, match):
+    with pytest.raises(LPError, match=match):
+        solve_lp(_two_variable_lp(**changes))
+
+
+def test_lp_accepts_ints_and_fractions():
+    sol = solve_lp(_two_variable_lp(rows=[{0: F(1, 10), 1: 1}], rhs=[1],
+                                    free=frozenset({1})))
+    assert sol.status == UNBOUNDED
+    sol = solve_lp(_two_variable_lp())
+    assert (sol.status, sol.objective, sol.primal) == (OPTIMAL, 15, [10, 0])
+
+
+@pytest.mark.parametrize("matrix", [[[0.1]], [[F(1), True]], [[F(1)], ["1/2"]]])
+def test_matrix_game_refuses_inexact_entries(matrix):
+    with pytest.raises(LPError, match="not an int or a Fraction"):
+        MatrixGame(matrix)
+    with pytest.raises(LPError, match="not an int or a Fraction"):
+        solve_matrix_game(matrix)
+    with pytest.raises(LPError, match="not an int or a Fraction"):
+        matrix_game_value(matrix)
+
+
+@pytest.mark.parametrize("mixed", [[0.5, 0.5], [F(1, 2), "1/2"], [True, 0]])
+def test_matrix_reply_value_refuses_inexact_mixes(mixed):
+    with pytest.raises(LPError, match="mixed strategy entry"):
+        matrix_reply_value([[1, 0], [0, 1]], mixed, "row")
+
+
+# maximize x0 + x1 + x2 (x2 free) s.t.  x0/2 + x1/2 <= 1,  x0/3 >= 1/3,
+# 2/5 x2 = 2/5: optimal with value 3, primal (1, 1, 1) or (2, 0, 1) and
+# duals (2, 0, 5/2).  Each forged (primal, duals) pair below fails one
+# branch of the certificate check; the messages are those of the check
+# when it ran on Fractions.
+_CERTIFIED_LP = LinearProgram(
+    objective=[F(1), F(1), F(1)],
+    rows=[{0: F(1, 2), 1: F(1, 2)}, {0: F(1, 3)}, {2: F(2, 5)}],
+    senses=[LEQ, GEQ, EQ], rhs=[F(1), F(1, 3), F(2, 5)], free=frozenset({2}))
+_FORGED_CERTIFICATES = [
+    ([2, 0, 1], [-2, 0, F(5, 2)], "dual sign violation on <= row"),
+    ([2, 0, 1], [2, 3, F(5, 2)], "dual sign violation on >= row"),
+    ([3, 0, 1], [2, 0, F(5, 2)], "primal infeasibility at row 0"),
+    ([0, 2, 1], [2, 0, F(5, 2)], "primal infeasibility at row 1"),
+    ([2, 0, 2], [2, 0, F(5, 2)], "primal infeasibility at row 2"),
+    ([1, 0, 1], [2, 0, F(5, 2)], "complementary slackness violated at row 0"),
+    ([2, 0, 1], [2, 0, 5], "dual feasibility violated at free var 2"),
+    ([2, 0, 1], [1, 0, F(5, 2)], "dual feasibility violated at var 0"),
+    ([2, 0, 1], [4, 0, F(5, 2)], "complementary slackness violated at var 0"),
+    ([3, -1, 1], [2, 0, F(5, 2)], "negative value for nonnegative var 1"),
+]
+
+
+def _certificate_rows(lp: LinearProgram) -> list:
+    return [_integer_row(row, rhs) for row, rhs in zip(lp.rows, lp.rhs)]
+
+
+def test_certificate_check_fails_branch_by_branch():
+    lp = _CERTIFIED_LP
+    sol = solve_lp(lp)
+    assert (sol.status, sol.objective) == (OPTIMAL, 3)
+    assert sol.duals == [2, 0, F(5, 2)]
+    rows = _certificate_rows(lp)
+    for primal in (sol.primal, [F(2), F(0), F(1)]):
+        _verify_optimal(lp, rows, primal, sol.duals)
+    for primal, duals, message in _FORGED_CERTIFICATES:
+        with pytest.raises(LPError) as err:
+            _verify_optimal(lp, rows, [F(v) for v in primal], [F(v) for v in duals])
+        assert str(err.value) == message
+
+
+def test_certificate_check_fails_under_optimize():
+    script = (
+        "from fractions import Fraction as F\n"
+        "from signalgames.errors import LPError\n"
+        "from signalgames.lp import EQ, GEQ, LEQ, LinearProgram, _integer_row, _verify_optimal\n"
+        "assert False, 'asserts were not stripped'\n"
+        "lp = LinearProgram([F(1), F(1), F(1)], [{0: F(1, 2), 1: F(1, 2)}, {0: F(1, 3)},\n"
+        "                   {2: F(2, 5)}], [LEQ, GEQ, EQ], [F(1), F(1, 3), F(2, 5)],\n"
+        "                   frozenset({2}))\n"
+        "rows = [_integer_row(row, rhs) for row, rhs in zip(lp.rows, lp.rhs)]\n"
+        "try:\n"
+        "    _verify_optimal(lp, rows, [F(2), F(0), F(1)], [F(4), F(0), F(5, 2)])\n"
+        "except LPError as err:\n"
+        "    print('rejected:', err)\n"
+    )
+    result = subprocess.run([sys.executable, "-O", "-c", script],
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "rejected: complementary slackness violated at var 0\n"
+
+
 def test_lp_pivot_cancellation_keeps_tableau_sparse(monkeypatch):
     # max x + y + z s.t. x + y <= 2, x + y + z <= 3.  The first pivot (x on
     # row 0) turns row 1's y coefficient into 1 - 1 = 0, which must leave
@@ -347,7 +460,7 @@ def test_lp_pivot_cancellation_keeps_tableau_sparse(monkeypatch):
 
     def checked_pivot(tab, row, col):
         before = [set(r) for r in tab.m]
-        pivot(tab, row, col)
+        terms = pivot(tab, row, col)
         for r, entries in enumerate(tab.m):
             assert all(v != 0 for v in entries.values())
             # each row is integers over one positive denominator, in lowest terms
@@ -357,6 +470,9 @@ def test_lp_pivot_cancellation_keeps_tableau_sparse(monkeypatch):
                 cancelled.extend((r, j) for j in before[r] - set(entries) if j != col)
         for j, holders in enumerate(tab.cols):
             assert holders == {r for r, entries in enumerate(tab.m) if j in entries}
+        # the pivot row's terms off the pivot column, for the objective row
+        assert terms == [(j, p) for j, p in tab.m[row].items() if j != col]
+        return terms
 
     monkeypatch.setattr(lp_module._Tableau, "pivot", checked_pivot)
     lp = LinearProgram(

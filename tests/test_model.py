@@ -14,6 +14,7 @@ from signalgames.model import (
     PUBLIC,
     BehavioralStrategy,
     GameSpec,
+    check_distribution,
     is_symmetric_signaling,
     projection,
     public_labels,
@@ -195,3 +196,16 @@ def test_strategy_lookup_and_tail():
 def test_random_games_validate():
     for seed in range(30):
         assert random_game(seed).validate() == []
+
+
+def test_check_distribution_messages():
+    # the integer range and mass tests report what the Fraction ones did
+    assert check_distribution({"a": F(1, 3), "b": F(2, 3)}, "w") == []
+    assert check_distribution({}, "w") == ["w: mass 0 != 1"]
+    assert check_distribution({"a": F(3, 2), "b": F(-1, 2)}, "w") == [
+        "w: probability 3/2 of 'a' outside [0,1]",
+        "w: probability -1/2 of 'b' outside [0,1]"]
+    assert check_distribution({"a": F(1, 2), "b": 0.5, "c": F(1, 3)}, "w") == [
+        "w: probability of 'b' is not a Fraction", "w: mass 5/6 != 1"]
+    assert check_distribution({"a": F(1, 4), "b": F(1, 6), "c": 1}, "w") == [
+        "w: probability of 'c' is not a Fraction", "w: mass 5/12 != 1"]
