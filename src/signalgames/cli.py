@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
+from fractions import Fraction
 
 from .errors import BudgetExceededError, GameModelError, LPError, ParseError
 from .gamefile import load_game, load_strategy, serialize_strategy
@@ -23,7 +24,6 @@ from .histories import build_trees, conditional_check, simulate
 from .model import SymmetricGameSpec, as_general, is_symmetric_signaling, uniform_strategy
 from .rationals import decimal_repr, format_rational, parse_rational
 from .recursive import uniform_value
-from .reduction import build_auxiliary
 from .seqform import nstage_value
 from .supvalue import augment_running_max, sup_value_lowerbounds
 
@@ -153,33 +153,47 @@ def cmd_reduce_symmetric(args) -> int:
         return EXIT_FAIL
     print(f"symmetric signaling confirmed; public signals: "
           f"{' '.join(witness.reduced.signals)}")
-    aux = build_auxiliary(spec, args.horizon, merge_beliefs=False)
+    pair = build_trees(spec, args.horizon)
+    below: dict = {}                     # observation -> its children
+    for level in pair.obs_levels[1:]:
+        for ob in level:
+            below.setdefault(ob.parent, []).append(ob)
     lines = ["depth,observed_history,weight,posterior,transitions"]
-    for level in aux.levels:
-        for node in level:
-            post = " ".join(f"{x}:{format_rational(p)}"
-                            for x, p in sorted(node.posterior.items()))
+    level = sorted(pair.observations(1), key=lambda ob: str(ob.label))
+    while level:
+        deeper = []
+        for ob in level:
+            children = sorted(below.get(ob, ()),
+                              key=lambda child: str((child.edge, child.label)))
+            deeper.extend(children)
+            masses: dict = {}
+            for h in ob.members:
+                masses[h.state] = masses.get(h.state, 0) + h.mass
+            total = sum(masses.values())
+            post = " ".join(f"{x}:{format_rational(Fraction(m, total))}"
+                            for x, m in sorted(masses.items()))
             trans = []
-            for i in aux.actions1:
-                for j in aux.actions2:
-                    psi = aux.signal_transition(node, i, j)
+            for i in spec.actions1:
+                for j in spec.actions2:
+                    # the public view shows both actions: the edge is (i, j)
+                    psi = sorted(((child.label, child.beta / ob.beta)
+                                  for child in children if child.edge == (i, j)),
+                                 key=str)
                     if psi:
-                        trans.append(
-                            f"({i},{j})->"
-                            + "/".join(f"{s}:{format_rational(p)}"
-                                       for s, p in sorted(psi.items(), key=str)))
+                        trans.append(f"({i},{j})->" + "/".join(
+                            f"{s}:{format_rational(p)}" for s, p in psi))
             lines.append(",".join([
-                str(node.depth),
-                '"%s"' % " ".join(map(str, node.view())),
-                format_rational(node.beta),
+                str(ob.depth),
+                '"%s"' % " ".join(map(str, ob.view())),
+                format_rational(ob.beta),
                 '"%s"' % post,
                 '"%s"' % "; ".join(trans),
             ]))
+        level = deeper
     text = "\n".join(lines) + "\n"
     if args.csv:
         _write(args.csv, text)
-        print(f"auxiliary game written to {args.csv} "
-              f"({sum(len(l) for l in aux.levels)} nodes)")
+        print(f"auxiliary game written to {args.csv} ({len(lines) - 1} nodes)")
     else:
         print(text, end="")
     return EXIT_OK

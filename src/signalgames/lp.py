@@ -403,16 +403,19 @@ def _duals_from_basis(tab: _Tableau, cost, unit_col):
 
     Row r started with a +1 unit column (slack for <= rows, artificial
     otherwise); its final tableau column equals B^-1 e_r, hence
-    y_r = c_B . (final column of unit_col[r]).
+    y_r = c_B . (final column of unit_col[r]).  The sum runs in integers:
+    c_B over the lcm C of its denominators, the column's entries m / d
+    over the lcm M of the denominators of the rows it touches, so y_r is
+    one ``Fraction`` of sum c m (M / d) over C M.
     """
+    cb, C = _over_common([cost[j] for j in tab.basis])
+    m, d = tab.m, tab.d
     y = []
     for col in unit_col:
-        acc = ZERO
-        for rr in tab.cols[col]:
-            cb = cost[tab.basis[rr]]
-            if cb:
-                acc += cb * Fraction(tab.m[rr][col], tab.d[rr])
-        y.append(acc)
+        touched = [rr for rr in tab.cols[col] if cb[rr]]
+        M = math.lcm(*(d[rr] for rr in touched))    # 1 when none is
+        acc = sum(cb[rr] * m[rr][col] * (M // d[rr]) for rr in touched)
+        y.append(Fraction(acc, C * M))
     return y
 
 

@@ -12,20 +12,20 @@ The observed tree is built by a belief recursion that carries only the
 belief over current states per node — equivalent to grouping the explicit
 history tree by observation, because both the signal transition and the
 child belief are functions of the current belief.  Beliefs are unnormalized
-integer vectors (``BeliefNode``), so the build divides nothing.  The
-default build, for stage-additive payoffs, is a belief graph: one node per
-distinct belief, expanded once, the first time the belief is reached, at
-whatever depth, with links that may lead back to an earlier belief (a
-cycle), and a per-depth membership list of the nodes reached at each depth
-up to the horizon.  Absorbed beliefs are pruned.  A ``LiftedPayoff`` needs
-the per-history tree, which the same expansion loop builds when nothing is
-merged.
+integer vectors (``BeliefNode``), so the build divides nothing.  The build,
+for stage-additive payoffs, is a belief graph: one node per distinct
+belief, expanded once, the first time the belief is reached, at whatever
+depth, with links that may lead back to an earlier belief (a cycle), and a
+per-depth membership list of the nodes reached at each depth up to the
+horizon.  Absorbed beliefs are pruned.  A payoff of the whole horizon
+history is not stage-additive; ``lift_payoff`` gives its observed
+equivalent, for the transfer identity.
 
 One private recursion, Shapley's value recursion indexed by the number of
 stages left, serves both solvers: ``solve_horizons`` runs it over the
 membership lists of one belief graph, every requested horizon's mean value
 in a single pass, one matrix game per distinct belief and stage count;
-``solve_backward`` runs it at the single horizon of either build and reads
+``solve_backward`` runs it at the single horizon of the build and reads
 both players' strategies, one table entry per observed history, off the
 solution of each path's (stages left, node key) game.  The value is
 positively homogeneous of degree 1 in the unnormalized belief (Smallwood &
@@ -60,7 +60,7 @@ from .errors import (
     require_exact,
     require_horizon,
 )
-from .histories import ObservedNode, TreePair
+from .histories import TreePair
 from .lp import matrix_game_value, solve_matrix_game
 from .model import (
     MEAN,
@@ -88,57 +88,32 @@ class BeliefNode:
     denominators.  ``children`` derives the link weights h * s_child /
     (D * s), which depend on the two beliefs alone, not on a depth.
 
-    On a belief graph (the default build) a node is a belief: ``key``
-    numbers it, it is expanded once, and it stands at every depth its
-    belief is reached (``AuxiliaryGame.levels``).  Its ``label``, ``edge``
-    and ``depth`` are those of the first link that reached it.  Only a root
-    carries a history weight, beta = mass * s / scale with ``scale`` = P the
-    lcm of the initial denominators; roots of equal belief (and different
-    labels) share one ``links`` dict.  A node below the roots stands for
-    every history that reaches its belief, so it has no ``mass``,
-    ``scale``, ``parent``, view or beta.  On the per-history tree
-    (``merge_beliefs=False``) a node is an observed history: ``key``
-    numbers it, and it has its ``parent`` and its weight, ``scale`` being
-    P * D**(depth - 1).
+    A node is a belief: ``key`` numbers it, it is expanded once, and it
+    stands at every depth its belief is reached (``AuxiliaryGame.levels``).
+    Its ``label`` is that of the first link that reached it.  Only a root
+    carries a history weight, beta = mass * s / scale with ``scale`` = P
+    the lcm of the initial denominators; roots of equal belief (and
+    different labels) share one ``links`` dict.  A node below the roots
+    stands for every history that reaches its belief, so it has no
+    ``mass`` or ``scale``.
     """
 
     label: object
-    edge: tuple | None
     mu: dict                             # state -> int, entries coprime
-    mass: int | None                     # None below a graph's roots
+    mass: int | None                     # None below the roots
     scale: int | None
-    depth: int                           # first depth reached (graph)
-    pruned: bool                         # merged and fully on absorbing states
-    key: int                             # belief number (graph), node number (tree)
+    pruned: bool                         # fully on absorbing states
+    key: int                             # belief number
     step: int = field(repr=False)        # D, the same for every node
-    # out of repr: through them a node's repr would hold its ancestors' and
-    # descendants' reprs, exponentially many on a deep tree or a graph
-    parent: "BeliefNode | None" = field(default=None, repr=False)
+    # out of repr: through them a node's repr would hold its descendants'
+    # reprs, exponentially many on a deep graph
     links: dict = field(default_factory=dict, repr=False)
-
-    def _require_history(self) -> None:
-        if self.mass is None:
-            raise GameModelError(
-                "a merged belief node has no single observed history: "
-                "build with merge_beliefs=False")
-
-    def view(self) -> tuple:
-        """The observed history (``ObservedNode.view``): a root's, or a
-        tree node's."""
-        self._require_history()
-        return ObservedNode.view(self)
 
     @property
     def posterior(self) -> dict:
         """state -> Fraction, summing to 1."""
         s = sum(self.mu.values())
         return {x: Fraction(a, s) for x, a in self.mu.items()}
-
-    @property
-    def beta(self) -> Fraction:
-        """The observed history's weight: a root's, or a tree node's."""
-        self._require_history()
-        return Fraction(self.mass * sum(self.mu.values()), self.scale)
 
     @property
     def children(self) -> dict:
@@ -159,29 +134,26 @@ class AuxiliaryGame:
     horizon: int
     roots: list                          # level-1 BeliefNodes, one per label
     # levels[n-1]: the nodes reached at depth n, each once, in the order
-    # first reached; on a belief graph a node is a member of every level
-    # its belief is reached at, so a level is a membership list, not a set
-    # of nodes of its own
+    # first reached; a node is a member of every level its belief is
+    # reached at, so a level is a membership list, not a set of nodes of
+    # its own
     levels: list
     actions1: list
     actions2: list
     edge_of: object                      # the view's edge_of, model.projection
     step: int                            # D: lcm of the transition denominators
-    merged: bool                         # belief graph (no per-history views)
     budget: int                          # the node limit the build was charged
 
     def signal_transition(self, node: BeliefNode, i: str, j: str) -> dict:
         """Distribution over child labels under (i, j): exact beta ratios.
 
-        A node never expanded, a tree's horizon leaf or a belief first
-        reached at the horizon, has no links and gives ``{}`` (the
-        ``reduce-symmetric`` dump prints it as no transition).  A pruned
-        node of a merged build is never expanded, so it has no
-        distribution: GameModelError."""
+        A node never expanded, a belief first reached at the horizon, has
+        no links and gives ``{}``.  A pruned node is never expanded and
+        has no distribution: GameModelError."""
         if node.pruned:
             raise GameModelError(
                 "a pruned (absorbed) belief node has no signal transition: "
-                "build with merge_beliefs=False")
+                "the build never expands it")
         edge = self.edge_of(i, j)
         return {label: weight
                 for (e, label), (weight, child) in node.children.items()
@@ -214,8 +186,8 @@ def _primitive(vector: dict) -> tuple:
     return h, {x: a // h for x, a in vector.items()}
 
 
-def build_auxiliary(spec_or_sym, horizon: int, budget: int | None = None,
-                    merge_beliefs: bool = True) -> AuxiliaryGame:
+def build_auxiliary(spec_or_sym, horizon: int,
+                    budget: int | None = None) -> AuxiliaryGame:
     """Build the observed-history game by exact belief recursion.
 
     The observer view is the one ``_resolve_view`` derives from the game:
@@ -227,10 +199,10 @@ def build_auxiliary(spec_or_sym, horizon: int, budget: int | None = None,
     node's links are ordered by the ``str`` of their (edge, label), ranked
     once per build.
 
-    The default build is for stage-additive payoffs, whose stage reward,
-    signal transition and child beliefs are all functions of the belief
-    alone.  It is a belief graph: one node per distinct belief, numbered
-    as ``key``, hashed once here, so solvers share work across depths
+    The build is for stage-additive payoffs, whose stage reward, signal
+    transition and child beliefs are all functions of the belief alone.
+    It is a belief graph: one node per distinct belief, numbered as
+    ``key``, hashed once here, so solvers share work across depths
     without re-hashing the vectors.  One loop walks the depths: a member
     of a level that has no links yet is expanded, so a belief is expanded
     once, the first time it is reached, and roots of equal belief share
@@ -241,17 +213,12 @@ def build_auxiliary(spec_or_sym, horizon: int, budget: int | None = None,
     makes long horizons tractable.  The budget is charged once per level
     membership, a (depth, belief) pair, so levels 1..n of any build, and
     their charges, are the build to n.
-
-    ``merge_beliefs=False`` builds, with the same loop, the per-history
-    tree that a ``LiftedPayoff`` and the per-history dump need: nothing is
-    merged or pruned, ``key`` numbers the nodes, and every node has its
-    parent, mass, scale and view.
     """
     spec = as_general(spec_or_sym)
     require_horizon(horizon)
     view, public_of = _resolve_view(spec)
     edge_of, label_of = projection(view, public_of)
-    absorbing = spec.absorbing_states if merge_beliefs else frozenset()
+    absorbing = spec.absorbing_states
     nodes = Budget(budget)
 
     # integer transition numerators, flattened per state in the order
@@ -268,26 +235,21 @@ def build_auxiliary(spec_or_sym, horizon: int, budget: int | None = None,
     rank = {link: r for r, link in enumerate(sorted(
         {link for row in moves.values() for link, _, _ in row}, key=str))}
 
-    graph: dict = {}                     # exact belief -> its node (graph)
+    graph: dict = {}                     # exact belief -> its node
     running = count()
 
-    def node_of(mu, label, edge, depth, mass=None, scale=None, parent=None):
-        """A new node of belief ``mu``, numbered in the order made; on the
-        graph, the belief's node, made the first time it is reached."""
-        if merge_beliefs:
-            # Integers hash modulo 2**61 - 1, where 2**d hashes like
-            # 2**(d % 61), so the vectors of many depths would share hashes
-            # in this one dict; the bit length tells them apart.
-            exact = (tuple(sorted(mu.items())), max(mu.values()).bit_length())
-            made = graph.get(exact)
-            if made is not None:
-                return made
-        made = BeliefNode(label=label, edge=edge, mu=mu, mass=mass,
-                          scale=scale, depth=depth,
-                          pruned=absorbing.issuperset(mu), key=next(running),
-                          step=step, parent=parent)
-        if merge_beliefs:
-            graph[exact] = made
+    def node_of(mu, label, mass=None, scale=None):
+        """The belief's node, made and numbered the first time it is
+        reached."""
+        # Integers hash modulo 2**61 - 1, where 2**d hashes like
+        # 2**(d % 61), so the vectors of many depths would share hashes
+        # in this one dict; the bit length tells them apart.
+        exact = (tuple(sorted(mu.items())), max(mu.values()).bit_length())
+        made = graph.get(exact)
+        if made is None:
+            made = graph[exact] = BeliefNode(
+                label=label, mu=mu, mass=mass, scale=scale,
+                pruned=absorbing.issuperset(mu), key=next(running), step=step)
         return made
 
     # Level 1: one root per label, each with its mass.
@@ -301,7 +263,7 @@ def build_auxiliary(spec_or_sym, horizon: int, budget: int | None = None,
     for lab in sorted(groups, key=str):
         g, mu = _primitive(groups[lab])
         nodes.charge(1)
-        root = node_of(mu, lab, None, 1, g, scale)
+        root = node_of(mu, lab, g, scale)
         if root in roots:                # an earlier root's belief: this
             root = replace(root, label=lab, mass=g)    # one shares its links
         roots.append(root)
@@ -322,10 +284,7 @@ def build_auxiliary(spec_or_sym, horizon: int, budget: int | None = None,
                         bucket[x2] = bucket.get(x2, 0) + a * q
                 for link in sorted(buckets, key=rank.__getitem__):
                     h, mu = _primitive(buckets[link])
-                    history = (() if merge_beliefs else
-                               (parent.mass * h, parent.scale * step, parent))
-                    parent.links[link] = (h, node_of(mu, link[1], link[0],
-                                                     depth, *history))
+                    parent.links[link] = (h, node_of(mu, link[1]))
             for _, child in parent.links.values():
                 if child.key not in members:
                     nodes.charge(depth)
@@ -335,7 +294,7 @@ def build_auxiliary(spec_or_sym, horizon: int, budget: int | None = None,
     return AuxiliaryGame(spec=spec, view=view, horizon=horizon, roots=roots,
                          levels=levels, actions1=list(spec.actions1),
                          actions2=list(spec.actions2), edge_of=edge_of,
-                         step=step, merged=merge_beliefs, budget=nodes.limit)
+                         step=step, budget=nodes.limit)
 
 
 # ---------------------------------------------------------------------------
@@ -343,23 +302,9 @@ def build_auxiliary(spec_or_sym, horizon: int, budget: int | None = None,
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class LiftedPayoff:
-    """Terminal payoff on observed histories equivalent to f on full ones.
-
-    Keyed by observed view tuples so the same payoff works on trees built
-    either from explicit histories or by the belief recursion.
-    """
-
-    horizon: int
-    values: dict                         # view tuple -> Fraction
-
-    def value_at(self, node) -> Fraction:
-        return self.values[node.view()]
-
-
-def lift_payoff(pair: TreePair, f) -> LiftedPayoff:
-    """fhat(v) = sum over horizon histories of kernel(h, v) * f(h).
+def lift_payoff(pair: TreePair, f) -> dict:
+    """fhat(v) = sum over horizon histories of kernel(h, v) * f(h), as a
+    dict from each horizon observation's ``view()`` to its value.
 
     At the horizon the kernel row of v is each member's mass over the
     members' mass sum, so fhat(v) = sum of mass(h) * f(h) over sum of
@@ -385,7 +330,7 @@ def lift_payoff(pair: TreePair, f) -> LiftedPayoff:
             total += h.mass * require_exact(fh, "a lifted payoff")
             mass += h.mass
         values[v.view()] = total / mass
-    return LiftedPayoff(horizon=n, values=values)
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -476,8 +421,7 @@ def _integer_matrix(cells: list, factor: int, previous: dict | None,
     return [_entries(row, factor, previous, tail, absorbed) for row in cells]
 
 
-def _shapley(aux: AuxiliaryGame, horizons, terminal: LiftedPayoff | None = None,
-             solutions: dict | None = None) -> dict:
+def _shapley(aux: AuxiliaryGame, horizons, solutions: dict | None = None) -> dict:
     """Shapley's value recursion over the number k of stages left.
 
     Layer k holds, once per live ``BeliefNode.key`` in the level of depth
@@ -486,38 +430,31 @@ def _shapley(aux: AuxiliaryGame, horizons, terminal: LiftedPayoff | None = None,
     denominators.  A matrix game's value scales with its entries, so
     U_k(mu) is the value of the integer matrix D**(k-1) sum_x mu(x) L
     g(x, i, j) + sum of h U_{k-1}(child) over the children on edge (i, j)
-    (an LP value enters U as the ``Fraction`` it is).  A pruned belief (on
-    a merged build only) has U_k = D**(k-1) k a, a = sum_x mu(x) L
-    g_abs(x), so it is folded into its parents' cells: an absorbed child
-    enters an entry as h D**(k-2) (k-1) a(child), a cached per key in
-    ``absorbed`` and the power of 2 in D**(k-2) applied as a shift, the
-    layers never visit a pruned node, and a pruned root enters v_k in
-    closed form.  A ``terminal`` payoff (on a tree, which prunes nothing)
-    counts no stage reward (L = 1) and enters at k = 1 as s fhat(v).  The
-    one fraction per horizon is v_n = sum over roots of mass U_n / (P
-    D**(n-1) L n), the division by n only for the mean.  Only layers k - 1
-    and k are held, and an index tracks the horizons n >= k.
+    (an LP value enters U as the ``Fraction`` it is).  A pruned belief has
+    U_k = D**(k-1) k a, a = sum_x mu(x) L g_abs(x), so it is folded into
+    its parents' cells: an absorbed child enters an entry as h D**(k-2)
+    (k-1) a(child), a cached per key in ``absorbed`` and the power of 2 in
+    D**(k-2) applied as a shift, the layers never visit a pruned node, and
+    a pruned root enters v_k in closed form.  The one fraction per horizon
+    is the mean v_n = sum over roots of mass U_n / (P D**(n-1) L n).  Only
+    layers k - 1 and k are held, and an index tracks the horizons n >= k.
 
-    A node's cells are planned once per key, whatever the depth: on a
-    belief graph a node's links are those of its belief.  Without
-    ``solutions`` a game with one row (one column) is planned as that row
-    (column) and takes the min (max) of its ``_entries``, one loop with no
-    list or matrix built; any other game takes ``matrix_game_value``: a pure
-    saddle point where one exists, the LP otherwise.  With ``solutions``
-    every game is ``solve_matrix_game`` and ``solutions[(k, key)]`` its
-    solution: Bland's rule and the ratio test's tie-break, like the vector
-    games' lowest-index picks, do not see a positive scaling of the
-    entries, so these are the strategies of the node's ``Fraction`` matrix
-    (D**(k-1) L s times smaller), and nodes of equal belief have equal
-    ones.
+    A node's cells are planned once per key, whatever the depth: a node's
+    links are those of its belief.  Without ``solutions`` a game with one
+    row (one column) is planned as that row (column) and takes the min
+    (max) of its ``_entries``, one loop with no list or matrix built; any
+    other game takes ``matrix_game_value``: a pure saddle point where one
+    exists, the LP otherwise.  With ``solutions`` every game is
+    ``solve_matrix_game`` and ``solutions[(k, key)]`` its solution: Bland's
+    rule and the ratio test's tie-break, like the vector games'
+    lowest-index picks, do not see a positive scaling of the entries, so
+    these are the strategies of the node's ``Fraction`` matrix (D**(k-1) L
+    s times smaller), and nodes of equal belief have equal ones.
     """
     spec = aux.spec
-    if terminal is None:
-        L = denominator_lcm(spec.reward.values())
-        reward = {key: g.numerator * (L // g.denominator)
-                  for key, g in spec.reward.items()}
-    else:
-        L, reward = 1, dict.fromkeys(spec.reward, 0)
+    L = denominator_lcm(spec.reward.values())
+    reward = {key: g.numerator * (L // g.denominator)
+              for key, g in spec.reward.items()}
     wanted = sorted(set(horizons))
     plans: dict = {}                     # key -> its cells, row or column
     absorbed = {root.key: _absorbed_rate(aux, reward, root)
@@ -547,9 +484,6 @@ def _shapley(aux: AuxiliaryGame, horizons, terminal: LiftedPayoff | None = None,
                 key = node.key
                 if node.pruned or key in current:
                     continue             # pruned: folded into its parents
-                if terminal is not None and k == 1:
-                    current[key] = sum(node.mu.values()) * terminal.value_at(node)
-                    continue
                 plan = plans.get(key)
                 if plan is None:
                     plan = _cells(aux, reward, node, absorbed)
@@ -574,16 +508,15 @@ def _shapley(aux: AuxiliaryGame, horizons, terminal: LiftedPayoff | None = None,
                 u = (factor * k * absorbed[root.key] if root.pruned
                      else current[root.key])
                 total += root.mass * u
-            values[k] = Fraction(total, aux.roots[0].scale * factor * L
-                                 * (k if terminal is None else 1))
+            values[k] = Fraction(total, aux.roots[0].scale * factor * L * k)
         previous = current
         factor *= aux.step
     return values
 
 
 def _count_paths(aux: AuxiliaryGame) -> None:
-    """Count the build's paths to its horizon, the per-history tree's
-    nodes, level by level: a root is one path, and a node's count is the
+    """Count the build's paths to its horizon, its observed histories,
+    level by level: a root is one path, and a node's count is the
     sum of its parents' counts, one term per link.  Raise
     BudgetExceededError at the first level where the running total passes
     the build's limit."""
@@ -605,39 +538,30 @@ def solve_backward(aux: AuxiliaryGame, payoff="mean",
                    want_strategies: bool = True) -> BackwardSolution:
     """Backward induction over the auxiliary game at its horizon N.
 
-    ``payoff``: "mean" (average of stage rewards over the horizon) or a
-    LiftedPayoff terminal map on depth-``horizon`` observed nodes.  A
-    general terminal payoff is history-dependent, so it is refused on a
-    belief graph.
+    ``payoff`` must be "mean", the average of the stage rewards over the
+    horizon (any other is a GameModelError): the belief graph holds a
+    stage-additive payoff only.
 
-    This is ``_shapley`` at the single horizon N: on a graph pruned nodes
-    (see build_auxiliary) enter their parents' matrices in closed form,
-    every other node solves its integer stage matrix.  With
-    ``want_strategies`` both players' tables have one entry per observed
-    history that is neither pruned nor below a pruned node, in the
-    per-history tree's order, read off the solution of the history's
-    (stages left, node key) game.  One breadth-first walk over the build's
-    paths to the horizon, in ``links`` order, yields them.  Before anything
-    is solved, ``_count_paths`` counts those paths per level, so
-    BudgetExceededError is raised at the level where the per-history
-    tree's build would exceed the build's limit, without a walk.
+    This is ``_shapley`` at the single horizon N: pruned nodes (see
+    build_auxiliary) enter their parents' matrices in closed form, every
+    other node solves its integer stage matrix.  With ``want_strategies``
+    both players' tables have one entry per observed history that is
+    neither pruned nor below a pruned node, read off the solution of the
+    history's (stages left, node key) game.  One breadth-first walk over
+    the build's paths to the horizon, in ``links`` order, yields them.
+    Before anything is solved, ``_count_paths`` counts those paths per
+    level, so BudgetExceededError is raised at the level where the
+    observed histories would exceed the build's limit, without a walk.
     ``node_count`` counts the build's level memberships.
     """
     N = aux.horizon
-    terminal = None
-    if isinstance(payoff, LiftedPayoff):
-        if payoff.horizon != N:
-            raise GameModelError("lifted payoff horizon mismatch")
-        if aux.merged:
-            raise GameModelError("belief merging needs a stage-additive payoff")
-        terminal = payoff
-    elif payoff != MEAN:
+    if payoff != MEAN:
         raise GameModelError(f"unknown payoff {payoff!r}")
 
     if want_strategies:
         _count_paths(aux)
     solutions = {} if want_strategies else None
-    value = _shapley(aux, [N], terminal, solutions)[N]
+    value = _shapley(aux, [N], solutions)[N]
 
     strategy1 = strategy2 = None
     if want_strategies:
@@ -677,8 +601,6 @@ def solve_horizons(aux: AuxiliaryGame, horizons) -> dict:
     ``_shapley`` over a belief graph built at least to the largest
     horizon: one stage game per distinct live belief and stage count.
     Horizons must be integers in 1..``aux.horizon`` (GameModelError)."""
-    if not aux.merged:
-        raise GameModelError("solve_horizons needs a belief graph")
     wanted = list(horizons)
     for n in wanted:
         require_horizon(n)

@@ -281,7 +281,7 @@ def _run_transfer_identity(name):
         for sigma, tau in _fixed_strategies(spec, N):
             dist = exact_play_distribution(pair, sigma, tau, N)
             lhs = sum((p * f[h] for h, p in dist.probs.items()), ZERO)
-            rhs = sum((p * lifted.values[v.view()]
+            rhs = sum((p * lifted[v.view()]
                        for v, p in dist.observed_marginal().items()), ZERO)
             ok = ok and lhs == rhs
             gaps.append(lhs - rhs)

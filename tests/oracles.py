@@ -1,9 +1,9 @@
 """Independent oracles: pure-strategy enumeration, closed forms, the game
 whose states are a tree's histories, the history trees, the play
 distribution, the conditional kernel and the dense kernel-identity check
-in Fractions, the auxiliary game read off an explicit tree, the value
-recursion in Fractions, and a best reply that walks every history on its
-own.
+in Fractions, the per-history observed tree read off an explicit tree,
+the value recursion in Fractions, and a best reply that walks every
+history on its own.
 
 Deliberately reimplements game evaluation with plain recursion so the
 sequence-form and backward-induction paths are checked against something
@@ -35,6 +35,7 @@ from signalgames.model import (
     public_labels,
     require_public_labels,
 )
+from signalgames.reduction import _resolve_view
 from signalgames.seqform import TerminalPayoff
 
 
@@ -100,10 +101,11 @@ def mdp_nstage_value(n):
     return best
 
 
-def naive_stage_matrix(aux, node, stage_reward, continuation):
+def naive_stage_matrix(aux, node, continuation):
     """Stage matrix at a belief node with every product and sum taken:
     entry (i, j) starts at 0, adds post(x) g(x, i, j) for every state and
     w V(child) for every child on an edge the view shows of (i, j).
+    ``aux`` is a ``build_auxiliary`` game or an ``ObservedTree``.
     Reference for ``reduction._integer_matrix``, whose entries are these
     scaled by D**(k-1) L s, with the terms that cannot change an entry
     skipped."""
@@ -116,10 +118,8 @@ def naive_stage_matrix(aux, node, stage_reward, continuation):
     for i in aux.actions1:
         row = []
         for j in aux.actions2:
-            total = F(0)
-            if stage_reward:
-                total += sum((w * aux.spec.reward[(x, i, j)]
-                              for x, w in node.posterior.items()), F(0))
+            total = sum((w * aux.spec.reward[(x, i, j)]
+                         for x, w in node.posterior.items()), F(0))
             if continuation is not None:
                 for (edge, label), (w, child) in node.children.items():
                     if on_edge(edge, i, j):
@@ -155,13 +155,18 @@ def fraction_solve_horizons(aux, horizons):
                          for x, w in node.posterior.items()), F(0))
                 else:
                     current[node.key] = matrix_game_value(naive_stage_matrix(
-                        aux, node, True,
+                        aux, node,
                         (lambda child: previous[child.key]) if k > 1 else None))
         if k in wanted:
-            values[k] = sum((root.beta * current[root.key]
+            values[k] = sum((root_weight(root) * current[root.key]
                              for root in aux.roots), F(0)) / k
         previous = current
     return values
+
+
+def root_weight(root):
+    """A belief graph root's history weight, beta = mass * s / scale."""
+    return F(root.mass * sum(root.mu.values()), root.scale)
 
 
 def ancestor(node, n):
@@ -227,7 +232,7 @@ class FractionHistory:
     stage_path = HistoryNode.stage_path
 
 
-def history_augmented(spec, pair):
+def history_augmented(spec, pair, f=None):
     """The game whose states are the histories of ``pair``'s tree, so that
     a payoff of the whole horizon history is a payoff of the last state.
 
@@ -235,16 +240,20 @@ def history_augmented(spec, pair):
     its state.  A level-1 history starts with its alpha and signals; a
     history below the horizon moves under (i, j) to each child reached by
     (i, j), with probability alpha(child) / alpha(history) and the child's
-    signals; a horizon history loops to itself.  Every reward is 0.  The
-    players see the signals and actions they see in ``spec``, so each
-    player's views, and so the N-stage game, are those of ``spec``."""
+    signals; a horizon history loops to itself.  Every reward is 0, but
+    for ``f`` (HistoryNode -> value): a horizon history h then pays
+    N * f(h), so the N-stage mean is the expectation of f, the lifted
+    terminal payoff's value.  The players see the signals and actions
+    they see in ``spec``, and the game keeps ``spec``'s public labels, so
+    each player's views, the public view, and so the N-stage game, are
+    those of ``spec``."""
     state_of = {h: f"h{k}" for k, h in enumerate(
         h for level in pair.levels for h in level)}
     below = {}
     for level in pair.levels[1:]:
         for h in level:
             below.setdefault((h.parent, h.via), []).append(h)
-    transition = {}
+    transition, reward = {}, {}
     for h, x in state_of.items():
         for i in spec.actions1:
             for j in spec.actions2:
@@ -254,31 +263,36 @@ def history_augmented(spec, pair):
                     dist = {(state_of[c], c.sig1, c.sig2): c.alpha / h.alpha
                             for c in below[(h, (i, j))]}
                 transition[(x, i, j)] = dist
+                reward[(x, i, j)] = (pair.horizon * F(f[h])
+                                     if f is not None and h.depth == pair.horizon
+                                     else F(0))
     game = GameSpec(
         states=list(state_of.values()), actions1=list(spec.actions1),
         actions2=list(spec.actions2), signals1=list(spec.signals1),
         signals2=list(spec.signals2),
         initial={(state_of[h], h.sig1, h.sig2): h.alpha
                  for h in pair.histories(1)},
-        transition=transition, reward=dict.fromkeys(transition, F(0)))
+        transition=transition, reward=reward,
+        public_label=dict(spec.public_label))
     game.require_valid()
     return game, state_of
 
 
-def fraction_build_trees(spec_or_sym, horizon, budget=None):
+def fraction_build_trees(spec_or_sym, horizon, budget=None, view=None):
     """History and observed trees built by multiplying Fractions: each
     child's alpha is its parent's times the transition probability, and
     each observation's beta sums its members' alphas as they arrive.
 
     Reference for ``histories.build_trees``, which carries integer masses
     over a level scale; nodes, their order and the budget charges must
-    agree.  The view is the public one under symmetric signaling, else
-    the joint one."""
+    agree.  The view is ``view`` when given, else the public one under
+    symmetric signaling, else the joint one."""
     spec = as_general(spec_or_sym)
     if horizon < 1:
         raise GameModelError("horizon must be >= 1")
     public_of = public_labels(spec)
-    view = JOINT if public_of is None else PUBLIC
+    if view is None:
+        view = JOINT if public_of is None else PUBLIC
     edge_of, label_of = projection(view, public_of)
     nodes = Budget(budget)
 
@@ -423,13 +437,14 @@ def posterior_of_observed(node):
 
 @dataclass(eq=False)
 class ObservedBelief:
-    """An observed-tree node with the Fractions ``build_auxiliary`` derives
+    """An observed history with the Fractions the belief graph derives
     from its integers: weight, posterior and transition weights."""
 
     label: object
     edge: tuple | None
     beta: F
     posterior: dict
+    depth: int
     parent: "ObservedBelief | None"
     children: dict = field(default_factory=dict)
 
@@ -438,23 +453,68 @@ class ObservedBelief:
 
 def auxiliary_from_trees(pair):
     """Levels of ``ObservedBelief`` read off an explicit observed tree
-    (posteriors from members); reference for the belief recursion of
-    ``build_auxiliary``."""
+    (posteriors from members, transition weights beta(child) / beta), in
+    the belief build's order: roots by the ``str`` of their label, each
+    node's children by the ``str`` of their (edge, label), breadth first.
+    Reference for the belief recursion of ``build_auxiliary``."""
+    below = {}
+    for level in pair.obs_levels[1:]:
+        for ob in level:
+            below.setdefault(id(ob.parent), []).append(ob)
+
+    def belief(ob, parent):
+        return ObservedBelief(label=ob.label, edge=ob.edge, beta=ob.beta,
+                              posterior=posterior_of_observed(ob),
+                              depth=ob.depth, parent=parent)
+
+    level = [(ob, belief(ob, None)) for ob in
+             sorted(pair.observations(1), key=lambda ob: str(ob.label))]
     levels = []
-    mapping = {}
-    for n in range(1, pair.horizon + 1):
-        lvl = []
-        for ob in pair.observations(n):
-            node = ObservedBelief(label=ob.label, edge=ob.edge, beta=ob.beta,
-                                  posterior=posterior_of_observed(ob),
-                                  parent=mapping.get(id(ob.parent)))
-            mapping[id(ob)] = node
-            if node.parent is not None:
-                node.parent.children[(ob.edge, ob.label)] = (
-                    ob.beta / ob.parent.beta, node)
-            lvl.append(node)
-        levels.append(lvl)
+    while level:
+        levels.append([node for _, node in level])
+        deeper = []
+        for ob, node in level:
+            for child in sorted(below.get(id(ob), ()),
+                                key=lambda c: str((c.edge, c.label))):
+                made = belief(child, node)
+                node.children[(child.edge, child.label)] = (
+                    child.beta / ob.beta, made)
+                deeper.append((child, made))
+        level = deeper
     return levels
+
+
+@dataclass(eq=False)
+class ObservedTree:
+    """The per-history observed tree of a game: one ``ObservedBelief`` per
+    observed history, nothing merged or pruned, on the view the belief
+    graph of ``build_auxiliary`` uses."""
+
+    spec: GameSpec
+    view: str
+    horizon: int
+    actions1: list
+    actions2: list
+    levels: list
+
+    @property
+    def roots(self):
+        return self.levels[0]
+
+
+def observed_tree(spec_or_sym, horizon):
+    """The ``ObservedTree`` read off ``fraction_build_trees`` on the view
+    that ``reduction._resolve_view`` derives: the public view under
+    symmetric signaling, else the private view of the only player with
+    choices.  Reference for ``build_auxiliary``'s belief graph, whose
+    paths from the roots are these histories."""
+    spec = as_general(spec_or_sym)
+    view, _ = _resolve_view(spec)
+    pair = fraction_build_trees(spec, horizon, view=view)
+    return ObservedTree(spec=spec, view=view, horizon=horizon,
+                        actions1=list(spec.actions1),
+                        actions2=list(spec.actions2),
+                        levels=auxiliary_from_trees(pair))
 
 
 def naive_best_response_value(spec_or_sym, fixed, horizon, evaluation="mean",

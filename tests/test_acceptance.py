@@ -85,8 +85,7 @@ def test_criterion_3_transfer_identity():
         pair = build_trees(spec, N)
         f = {h: F(rng.randint(-8, 8), rng.randint(1, 4))
              for h in pair.histories(N)}
-        lifted = lift_payoff(pair, f)
-        fhat = lifted.values
+        fhat = lift_payoff(pair, f)
         for _ in range(20):
             sigma = random_strategy(rng, spec, 1, N)
             tau = random_strategy(rng, spec, 2, N)

@@ -320,15 +320,15 @@ def test_uniform_value_budget_prefix_matches_per_horizon_builds():
 
 
 def test_quitting_sweep_solves_one_matrix_game_per_stage_count(monkeypatch):
-    """The n_max=64 values take one merged build, one sweep and at most one
+    """The n_max=64 values take one belief-graph build, one sweep and at most one
     matrix game per stage count (3 beliefs, 2 of them absorbed), and the
-    strategies one more merged build at their horizon.  The sweep needs
+    strategies one more build at their horizon.  The sweep needs
     values only, so it solves each game through ``reduction``'s binding of
     ``matrix_game_value``."""
     real_solve = reduction.matrix_game_value
     real_sweep = recursive.solve_horizons
     real_build = recursive.build_auxiliary
-    merged_builds, sweeps, games, active = [], [], [], []
+    builds, sweeps, games, active = [], [], [], []
 
     def counting_solve(matrix):
         if active:
@@ -345,8 +345,7 @@ def test_quitting_sweep_solves_one_matrix_game_per_stage_count(monkeypatch):
 
     def tracked_build(*args, **kwargs):
         aux = real_build(*args, **kwargs)
-        if aux.merged:
-            merged_builds.append(args[1])
+        builds.append(args[1])
         return aux
 
     monkeypatch.setattr(reduction, "matrix_game_value", counting_solve)
@@ -355,7 +354,7 @@ def test_quitting_sweep_solves_one_matrix_game_per_stage_count(monkeypatch):
     report = uniform_value(corpus.quitting_game(), n_max=64, tol=F(1, 50),
                            window=3)
     assert [n for n, _ in report.value_sequence] == default_schedule(64)
-    assert merged_builds == [64, report.strategy_horizon]
+    assert builds == [64, report.strategy_horizon]
     assert sweeps == [default_schedule(64)]
     assert 0 < len(games) <= 64
 

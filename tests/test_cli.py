@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import os
@@ -182,16 +183,44 @@ def test_kernel_check_dump_trees_golden(corpus_dir, tmp_path, capsys):
 
 @pytest.mark.parametrize("game", ["bigmatch_fullmonitor", "noisy_public_2state",
                                   "quitting_game"])
-def test_reduce_symmetric_csv_golden(corpus_dir, tmp_path, game):
-    """One row per observed history of the per-history tree, merged or
-    absorbed beliefs included; recorded before the default build became
-    the merged DAG."""
+def test_reduce_symmetric_csv_golden(corpus_dir, tmp_path, capsys, game):
+    """One row per public observed history, histories of equal or absorbed
+    beliefs included, read off the observed tree; recorded when a
+    per-history belief build wrote it.  The summary counts the rows, and
+    without ``--csv`` the same text goes to stdout."""
     golden = Path(__file__).resolve().parent / "golden" / f"reduce_symmetric_{game}3.csv"
     out = tmp_path / "aux.csv"
-    code = main(["reduce-symmetric", "--game", str(corpus_dir / f"{game}.game"),
-                 "--horizon", "3", "--csv", str(out)])
-    assert code == 0
+    argv = ["reduce-symmetric", "--game", str(corpus_dir / f"{game}.game"),
+            "--horizon", "3"]
+    assert main(argv + ["--csv", str(out)]) == 0
     assert out.read_bytes() == golden.read_bytes()
+    rows = golden.read_text().count("\n") - 1
+    assert capsys.readouterr().out.splitlines()[-1] == \
+        f"auxiliary game written to {out} ({rows} nodes)"
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    assert printed.partition("\n")[2] == golden.read_text()
+
+
+@pytest.mark.parametrize("game", ["bigmatch_fullmonitor", "noisy_public_2state",
+                                  "quitting_game"])
+@pytest.mark.parametrize("horizon", [1, 2])
+def test_reduce_symmetric_shorter_horizons_are_golden_prefixes(
+        corpus_dir, capsys, game, horizon):
+    """At horizons 1 and 2 the dump is the horizon-3 golden's rows of
+    depth <= n, the depth-n rows without transitions: a horizon leaf is
+    never expanded."""
+    golden = Path(__file__).resolve().parent / "golden" / f"reduce_symmetric_{game}3.csv"
+    header, *rows = golden.read_text().splitlines()
+    want = [header]
+    for row in csv.reader(rows):
+        depth, view, weight, posterior, transitions = row
+        if int(depth) <= horizon:
+            want.append(",".join([depth, f'"{view}"', weight, f'"{posterior}"',
+                                  f'"{transitions if int(depth) < horizon else ""}"']))
+    assert main(["reduce-symmetric", "--game", str(corpus_dir / f"{game}.game"),
+                 "--horizon", str(horizon)]) == 0
+    assert capsys.readouterr().out.partition("\n")[2] == "\n".join(want) + "\n"
 
 
 def test_simulate_deterministic_cli(corpus_dir, capsys):

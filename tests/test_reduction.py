@@ -9,8 +9,11 @@ from hypothesis import strategies as st
 from oracles import (
     auxiliary_from_trees,
     fraction_solve_horizons,
+    history_augmented,
     lift_payoff_by_kernel,
     naive_stage_matrix,
+    observed_tree,
+    root_weight,
 )
 from randgen import random_dist, random_game, random_strategy, random_symmetric_game
 from signalgames import corpus, reduction
@@ -34,7 +37,6 @@ from signalgames.model import (
 from signalgames.rationals import ZERO
 from signalgames.reduction import (
     MEAN,
-    LiftedPayoff,
     _cells,
     _integer_matrix,
     build_auxiliary,
@@ -57,25 +59,24 @@ def test_signal_transition_noisy_example():
 
 
 def test_signal_transition_rows_sum_one_random():
-    """On both builds; a pruned node has no children."""
+    """A pruned node has no children."""
     for seed in range(15):
         sym = random_symmetric_game(seed)
-        for merge in (True, False):
-            aux = build_auxiliary(sym, 3, merge_beliefs=merge)
-            for node in (node for level in aux.levels[:-1] for node in level
-                         if not node.pruned):
-                for i in aux.actions1:
-                    for j in aux.actions2:
-                        psi = aux.signal_transition(node, i, j)
-                        assert sum(psi.values(), ZERO) == 1
+        aux = build_auxiliary(sym, 3)
+        for node in (node for level in aux.levels[:-1] for node in level
+                     if not node.pruned):
+            for i in aux.actions1:
+                for j in aux.actions2:
+                    psi = aux.signal_transition(node, i, j)
+                    assert sum(psi.values(), ZERO) == 1
 
 
 def test_signal_transition_refuses_pruned_nodes_and_is_empty_at_leaves():
     """A pruned node of the belief graph is never expanded, so it has no
-    distribution.  A node never expanded has the empty one: every horizon
-    leaf of the tree, and on the graph a belief first reached at the
-    horizon.  A graph's horizon member whose belief was expanded at an
-    earlier depth has that belief's distribution."""
+    distribution, and the refusal names no build option.  A node never
+    expanded, a belief first reached at the horizon, has the empty one.  A
+    horizon member whose belief was expanded at an earlier depth has that
+    belief's distribution."""
     game = corpus.quitting_game()
     dag = build_auxiliary(game, 3)
     pruned = [node for level in dag.levels for node in level if node.pruned]
@@ -83,16 +84,12 @@ def test_signal_transition_refuses_pruned_nodes_and_is_empty_at_leaves():
     for node in pruned:
         for i in dag.actions1:
             for j in dag.actions2:
-                with pytest.raises(GameModelError, match="pruned"):
+                with pytest.raises(GameModelError, match="pruned") as err:
                     dag.signal_transition(node, i, j)
-    seen = {"tree leaf": 0, "unexpanded": 0, "expanded": 0}
+                assert "merge" not in str(err.value)
+                assert "build with" not in str(err.value)
+    seen = {"unexpanded": 0, "expanded": 0}
     for game in (corpus.quitting_game(), corpus.noisy_public_2state()):
-        tree = build_auxiliary(game, 3, merge_beliefs=False)
-        for node in tree.levels[-1]:
-            seen["tree leaf"] += 1
-            for i in tree.actions1:
-                for j in tree.actions2:
-                    assert tree.signal_transition(node, i, j) == {}
         dag = build_auxiliary(game, 3)
         above = {node.key for level in dag.levels[:-1] for node in level}
         for node in dag.levels[-1]:
@@ -121,19 +118,37 @@ def test_constant_signal_psi_trivial():
 
 
 def test_belief_recursion_matches_member_trees():
-    """The lightweight belief recursion and the explicit member-based
-    observed tree agree on beta and posterior at every node."""
+    """The belief graph read along each observed history's links and the
+    explicit member-based observed tree agree, history by history, on
+    beta (a root's weight times the link weights on the path), posterior,
+    and the links and their weights, in the same order: so the graph's
+    paths are the tree's histories, down to the graph's pruned beliefs."""
+    seen = {"pruned": 0, "several roots": 0, "paths": 0}
     for seed in range(12):
-        sym = random_symmetric_game(seed)
-        pair = build_trees(sym, 4)
-        from_members = auxiliary_from_trees(pair)
-        from_beliefs = build_auxiliary(sym, 4, merge_beliefs=False)
-        for n in range(4):
-            lhs = {node.view(): (node.beta, tuple(sorted(node.posterior.items())))
-                   for node in from_members[n]}
-            rhs = {node.view(): (node.beta, tuple(sorted(node.posterior.items())))
-                   for node in from_beliefs.levels[n]}
-            assert lhs == rhs, (seed, n)
+        for sym in (random_symmetric_game(seed), _absorbing_symmetric_game(seed)):
+            from_members = auxiliary_from_trees(build_trees(sym, 4))
+            dag = build_auxiliary(sym, 4)
+            seen["several roots"] += len(dag.roots) > 1
+            level = [(t, g, root_weight(g))
+                     for t, g in zip(from_members[0], dag.roots, strict=True)]
+            for depth in range(1, 5):
+                deeper = []
+                for t_node, dag_node, beta in level:
+                    seen["paths"] += 1
+                    assert (t_node.beta, t_node.posterior) == \
+                        (beta, dag_node.posterior), (seed, depth)
+                    if dag_node.pruned:
+                        seen["pruned"] += 1
+                    elif depth < 4:
+                        t_links = list(t_node.children.items())
+                        dag_links = list(dag_node.children.items())
+                        assert [(link, w) for link, (w, _) in t_links] == \
+                            [(link, w) for link, (w, _) in dag_links], seed
+                        deeper += [(t_child, dag_child, beta * w)
+                                   for (_, (w, t_child)), (_, (_, dag_child))
+                                   in zip(t_links, dag_links)]
+                level = deeper
+    assert all(seen.values()), seen
 
 
 def test_posterior_examples():
@@ -194,29 +209,28 @@ def test_posterior_martingale_one_step():
     for seed in range(12):
         sym = random_symmetric_game(seed)
         spec = sym.expand()
-        for merge in (True, False):
-            aux = build_auxiliary(sym, 3, merge_beliefs=merge)
-            for node in (node for level in aux.levels[:-1] for node in level
-                         if not node.pruned):
-                for i in aux.actions1:
-                    for j in aux.actions2:
-                        predicted = {}
-                        for x, w in node.posterior.items():
-                            for (x2, c, d), p in spec.transition[(x, i, j)].items():
-                                predicted[x2] = predicted.get(x2, ZERO) + w * p
-                        mixed = {}
-                        for (edge, label), (w, child) in node.children.items():
-                            if edge == (i, j):
-                                for x2, q in child.posterior.items():
-                                    mixed[x2] = mixed.get(x2, ZERO) + w * q
-                        assert predicted == mixed, (seed, i, j)
+        aux = build_auxiliary(sym, 3)
+        for node in (node for level in aux.levels[:-1] for node in level
+                     if not node.pruned):
+            for i in aux.actions1:
+                for j in aux.actions2:
+                    predicted = {}
+                    for x, w in node.posterior.items():
+                        for (x2, c, d), p in spec.transition[(x, i, j)].items():
+                            predicted[x2] = predicted.get(x2, ZERO) + w * p
+                    mixed = {}
+                    for (edge, label), (w, child) in node.children.items():
+                        if edge == (i, j):
+                            for x2, q in child.posterior.items():
+                                mixed[x2] = mixed.get(x2, ZERO) + w * q
+                    assert predicted == mixed, (seed, i, j)
 
 
 def test_lift_payoff_constant_and_revealing():
     sym = corpus.noisy_public_2state()
     pair = build_trees(sym, 3)
     lifted = lift_payoff(pair, lambda h: F(7, 3))
-    assert set(lifted.values.values()) == {F(7, 3)}
+    assert set(lifted.values()) == {F(7, 3)}
 
     # fully revealing: public signal names the state, so fhat is f renamed
     revealing = SymmetricGameSpec(
@@ -233,7 +247,7 @@ def test_lift_payoff_constant_and_revealing():
     f = lambda h: F(1) if h.state == "xb" else F(0)
     lifted2 = lift_payoff(pair2, f)
     for v in pair2.observations(3):
-        assert lifted2.value_at(v) == (F(1) if v.label == "sb" else F(0))
+        assert lifted2[v.view()] == (F(1) if v.label == "sb" else F(0))
 
 
 def test_lift_payoff_refuses_inexact_values():
@@ -247,9 +261,10 @@ def test_lift_payoff_refuses_inexact_values():
         with pytest.raises(GameModelError, match="an int or a Fraction"):
             lift_payoff(pair, dict.fromkeys(pair.histories(2), bad))
     for good, value in ((1, F(1)), (F(1, 10), F(1, 10))):
-        lifted = lift_payoff(pair, lambda h: good)
-        aux = build_auxiliary(corpus.quitting_game(), 2, merge_beliefs=False)
-        assert solve_backward(aux, lifted).value == value
+        f = dict.fromkeys(pair.histories(2), good)
+        assert set(lift_payoff(pair, f).values()) == {value}
+        augmented, _ = history_augmented(pair.spec, pair, f)
+        assert solve_backward(build_auxiliary(augmented, 2)).value == value
 
 
 def test_transfer_identity_random_symmetric():
@@ -268,7 +283,7 @@ def test_transfer_identity_random_symmetric():
             tau = random_strategy(rng, spec, 2, N)
             dist = exact_play_distribution(pair, sigma, tau, N)
             lhs = sum((p * f[h] for h, p in dist.probs.items()), ZERO)
-            rhs = sum((p * lifted.values[v.view()]
+            rhs = sum((p * lifted[v.view()]
                        for v, p in dist.observed_marginal().items()), ZERO)
             assert lhs == rhs, seed
 
@@ -281,7 +296,7 @@ def test_lift_bounds():
     f = {h: F(rng.randint(-5, 5)) for h in pair.histories(3)}
     lifted = lift_payoff(pair, f)
     lo, hi = min(f.values()), max(f.values())
-    for value in lifted.values.values():
+    for value in lifted.values():
         assert lo <= value <= hi
 
 
@@ -301,8 +316,8 @@ def test_lift_payoff_matches_kernel_oracle():
                 f = {h: F(rng.randint(-9, 9), rng.randint(1, 7))
                      for h in pair.histories(n)}
                 want = list(lift_payoff_by_kernel(pair, f).items())
-                assert list(lift_payoff(pair, f).values.items()) == want
-                assert list(lift_payoff(pair, f.get).values.items()) == want
+                assert list(lift_payoff(pair, f).items()) == want
+                assert list(lift_payoff(pair, f.get).items()) == want
                 del f[pair.histories(n)[-1]]
                 for lift in (lift_payoff, lift_payoff_by_kernel):
                     with pytest.raises(GameModelError,
@@ -323,60 +338,58 @@ def test_solve_backward_horizon1_is_stage_game():
     assert sol.value == solve_matrix_game(matrix).value
 
 
-def _every_node_backward(game, N, payoff=MEAN, prune=True):
-    """Reference backward induction on the per-history tree: one
-    ``naive_stage_matrix`` and one solve at every node, with the mean
-    payoff or a ``LiftedPayoff`` terminal (no stage reward, the lifted
-    value at the horizon).  With ``prune`` (for the mean payoff) a node
-    whose belief sits on absorbing states takes its closed-form value and
-    the nodes below it are left out, as the default build prunes them.
-    Returns the value and both players' strategy tables."""
-    aux = build_auxiliary(game, N, merge_beliefs=False)
-    terminal = payoff if isinstance(payoff, LiftedPayoff) else None
-    absorbing = aux.spec.absorbing_states if prune else frozenset()
+def _every_node_backward(game, N, prune=True, strategies=True):
+    """Reference backward induction under the mean payoff on the
+    per-history tree (``oracles.observed_tree``): one
+    ``naive_stage_matrix`` and one solve at every node.  With ``prune`` a
+    node whose belief sits on absorbing states takes its closed-form value
+    and the nodes below it are left out, as the belief graph prunes them.
+    Returns the value and both players' strategy tables, which are empty
+    without ``strategies``: then each node takes its game's value only."""
+    tree = observed_tree(game, N)
+    absorbing = tree.spec.absorbing_states if prune else frozenset()
     closed, below = set(), set()
-    for level in aux.levels:
+    for level in tree.levels:
         for node in level:
             if id(node.parent) in closed | below:
                 below.add(id(node))
-            elif absorbing.issuperset(node.mu):
+            elif absorbing.issuperset(node.posterior):
                 closed.add(id(node))
     values, solutions = {}, {}
     for depth in range(N, 0, -1):
-        for node in aux.levels[depth - 1]:
+        for node in tree.levels[depth - 1]:
             if id(node) in below:
-                continue
-            if terminal is not None and depth == N:
-                values[id(node)] = terminal.value_at(node)
                 continue
             if id(node) in closed:
                 values[id(node)] = (N - depth + 1) * sum(
-                    (w * aux.spec.absorbing_payoff(x)
+                    (w * tree.spec.absorbing_payoff(x)
                      for x, w in node.posterior.items()), ZERO)
                 continue
-            sol = solutions[id(node)] = solve_matrix_game(naive_stage_matrix(
-                aux, node, terminal is None,
-                (lambda child: values[id(child)]) if depth < N else None))
-            values[id(node)] = sol.value
+            matrix = naive_stage_matrix(
+                tree, node, (lambda child: values[id(child)]) if depth < N else None)
+            if strategies:
+                solutions[id(node)] = solve_matrix_game(matrix)
+                values[id(node)] = solutions[id(node)].value
+            else:
+                values[id(node)] = lp_module.matrix_game_value(matrix)
     table1, table2 = {}, {}
-    for level in aux.levels:
+    for level in tree.levels:
         for node in level:
             sol = solutions.get(id(node))
             if sol is not None:
-                table1[node.view()] = dict(zip(aux.actions1, sol.row_strategy))
-                table2[node.view()] = dict(zip(aux.actions2, sol.col_strategy))
-    value = sum((root.beta * values[id(root)] for root in aux.roots), ZERO)
-    return (value if terminal is not None else value / N), table1, table2
+                table1[node.view()] = dict(zip(tree.actions1, sol.row_strategy))
+                table2[node.view()] = dict(zip(tree.actions2, sol.col_strategy))
+    value = sum((root.beta * values[id(root)] for root in tree.roots), ZERO)
+    return value / N, table1, table2
 
 
-def _assert_matches_every_node(aux, payoff=MEAN):
-    """``solve_backward`` on ``aux``, merged or not, against
+def _assert_matches_every_node(aux):
+    """``solve_backward`` on the belief graph ``aux`` against
     ``_every_node_backward`` on the per-history tree of the same game and
-    horizon, which has the same view.  On a private view the single-action
-    player's strategy has no table."""
-    sol = solve_backward(aux, payoff=payoff)
-    value, table1, table2 = _every_node_backward(aux.spec, aux.horizon,
-                                                 payoff, aux.merged)
+    horizon, which has the same view.  On a private view the
+    single-action player's strategy has no table."""
+    sol = solve_backward(aux, payoff=MEAN)
+    value, table1, table2 = _every_node_backward(aux.spec, aux.horizon)
     assert repr(sol.value) == repr(value)
     if aux.view != PLAYER2:
         assert repr(sol.strategy1.table) == repr(table1)
@@ -419,8 +432,8 @@ def test_solve_backward_strategies_equal_every_node_solve(games):
     """The integer recursion's values and strategy tables are those of one
     ``Fraction`` stage-matrix solve per history, ``repr`` for ``repr``: the
     blind MDP on player 1's view, the noisy public game, random symmetric
-    games and games with absorbing states, on the merged build (pruned
-    where beliefs absorb) and on the per-history tree."""
+    games and games with absorbing states, on the belief graph (pruned
+    where beliefs absorb)."""
     for n in (1, 2, 5, 9):
         aux = build_auxiliary(games["mdp_final_remark"], n)
         assert aux.view == PLAYER1
@@ -429,39 +442,68 @@ def test_solve_backward_strategies_equal_every_node_solve(games):
         _assert_matches_every_node(build_auxiliary(games["noisy_public_2state"], n))
     pruned = 0
     for seed in range(12):
-        for merge in (True, False):
-            _assert_matches_every_node(build_auxiliary(
-                random_symmetric_game(seed), 3, merge_beliefs=merge))
+        _assert_matches_every_node(build_auxiliary(random_symmetric_game(seed), 3))
         aux = build_auxiliary(_absorbing_symmetric_game(seed), 3)
         pruned += any(node.pruned for level in aux.levels for node in level)
         _assert_matches_every_node(aux)
     assert pruned
 
 
+def _augmented_paths(aux):
+    """``{view: node}`` over the paths of ``aux`` to its horizon, in
+    ``links`` order."""
+    level = [((root.label,), root) for root in aux.roots]
+    for _ in range(aux.horizon - 1):
+        level = [((*view, *edge, label), child) for view, node in level
+                 for (edge, label), (_, child) in node.links.items()]
+    return dict(level)
+
+
+def test_history_augmented_game_keeps_the_public_view(games):
+    """The game whose states are the histories keeps its base game's
+    public labels, so ``_resolve_view`` finds the public view on it for
+    the symmetric corpus games at N = 3; without the labels its signals
+    admit no public view and it is refused."""
+    for name in corpus.SYMMETRIC_GAMES:
+        spec = games[name].expand()
+        pair = build_trees(spec, 3)
+        augmented, _ = history_augmented(spec, pair)
+        assert augmented.public_label == spec.public_label
+        assert reduction._resolve_view(augmented)[0] == PUBLIC, name
+        augmented.public_label = {}
+        with pytest.raises(UnsupportedStructureError):
+            reduction._resolve_view(augmented)
+
+
 def test_solve_backward_lifted_terminal_equals_every_node_solve():
-    """Under a lifted terminal payoff (the first eight cases of
-    ``test_backward_equals_sequence_form_lifted_terminal``) the integer
+    """A lifted terminal payoff (the first eight cases of
+    ``test_backward_equals_sequence_form_lifted_terminal``) is the mean
+    payoff of the game whose states are the histories: there the integer
     recursion gives the per-node ``Fraction`` solves' value and strategy
-    tables, and the value-only pass the same value."""
+    tables, the value-only pass the same value, and at each horizon view
+    the posterior mean of f is the lift of f."""
     rng = random.Random(77)
     for seed in range(8):
         sym = random_symmetric_game(seed)
         pair = build_trees(sym, 3)
         f = {h: F(rng.randint(-4, 4), rng.randint(1, 3))
              for h in pair.histories(3)}
-        lifted = lift_payoff(pair, f)
-        aux = build_auxiliary(sym, 3, merge_beliefs=False)
-        sol = _assert_matches_every_node(aux, lifted)
+        augmented, state_of = history_augmented(pair.spec, pair, f)
+        aux = build_auxiliary(augmented, 3)
+        sol = _assert_matches_every_node(aux)
         assert sol.strategy1.table, seed
-        assert repr(solve_backward(aux, lifted, want_strategies=False).value) \
+        assert repr(solve_backward(aux, want_strategies=False).value) \
             == repr(sol.value), seed
+        f_of = {state_of[h]: value for h, value in f.items()}
+        assert {view: sum(w * f_of[x] for x, w in node.posterior.items())
+                for view, node in _augmented_paths(aux).items()} \
+            == lift_payoff(pair, f), seed
 
 
 def _per_horizon_values(game, horizons):
     """Reference: one per-history tree and one plain backward pass per
-    horizon."""
-    return {n: solve_backward(build_auxiliary(game, n, merge_beliefs=False),
-                              payoff=MEAN, want_strategies=False).value
+    horizon, nothing pruned."""
+    return {n: _every_node_backward(game, n, prune=False, strategies=False)[0]
             for n in horizons}
 
 
@@ -473,7 +515,7 @@ def test_solve_backward_merge_agrees_with_plain():
         dag = build_auxiliary(sym, 4)
         assert solve_horizons(dag, range(1, 5)) == _per_horizon_values(
             sym, range(1, 5)), seed
-        tree = build_auxiliary(sym, 4, merge_beliefs=False)
+        tree = observed_tree(sym, 4)
         assert (sum(len(level) for level in dag.levels)
                 <= sum(len(level) for level in tree.levels))
 
@@ -588,15 +630,26 @@ def test_belief_keys_number_posteriors_across_depths():
 
 
 def test_solve_horizons_rejects_bad_input():
-    sym = corpus.quitting_game()
-    with pytest.raises(GameModelError):
-        solve_horizons(build_auxiliary(sym, 3, merge_beliefs=False), [1, 2])
-    dag = build_auxiliary(sym, 3)
+    dag = build_auxiliary(corpus.quitting_game(), 3)
     for horizons in ([], [0, 1], [4], [2.5], [1, 2.0], [True]):
         with pytest.raises(GameModelError):
             solve_horizons(dag, horizons)
-    with pytest.raises(GameModelError):
-        solve_backward(dag, payoff="total")
+
+
+def test_solve_backward_refuses_every_payoff_but_the_mean():
+    """The belief graph holds a stage-additive payoff only: any payoff
+    other than "mean", the lifted values of ``lift_payoff`` among them,
+    is refused before anything is solved."""
+    game = corpus.quitting_game()
+    dag = build_auxiliary(game, 3)
+    pair = build_trees(game, 3)
+    lifted = lift_payoff(pair, dict.fromkeys(pair.histories(3), F(1)))
+    for payoff in ("total", "Mean", None, lifted, {}):
+        for strategies in (True, False):
+            with pytest.raises(GameModelError, match="unknown payoff"):
+                solve_backward(dag, payoff=payoff, want_strategies=strategies)
+    assert solve_backward(dag, payoff="mean").value == \
+        solve_backward(dag).value
 
 
 def test_solve_backward_strategies_are_distributions():
@@ -646,14 +699,11 @@ def _single_controller_game(seed, controller):
 def test_integer_stage_matrix_is_scaled_naive_formula():
     """Every entry of the integer stage matrix with k stages left, divided
     by c = D**(k-1) L s, is ``naive_stage_matrix``'s entry, Fraction for
-    Fraction, when the live children carry U = D**(k-2) L s_child V and,
-    under the stage reward, the pruned children are folded into the cells
-    and enter at their closed form V = (k-1) sum_x post(x) g_abs(x): with
-    the stage reward on both builds and without it (L = 1, as under a
-    terminal payoff) on the per-history tree, which prunes nothing; with
-    and without the continuation; on public views of symmetric games (with
-    absorbing states among them) and private views of single-controller
-    games."""
+    Fraction, when the live children carry U = D**(k-2) L s_child V and
+    the pruned children are folded into the cells and enter at their
+    closed form V = (k-1) sum_x post(x) g_abs(x): with and without the
+    continuation; on public views of symmetric games (with absorbing
+    states among them) and private views of single-controller games."""
     rng = random.Random(7)
     cases = [random_symmetric_game(seed, n_states=3, n_signals=3)
              for seed in range(12)]
@@ -664,96 +714,62 @@ def test_integer_stage_matrix_is_scaled_naive_formula():
             "other weight": 0, "folded child": 0,
             PUBLIC: 0, PLAYER1: 0, PLAYER2: 0}
     for game in cases:
-        for merge in (False, True):
-            aux = build_auxiliary(game, 4, merge_beliefs=merge)
-            seen[aux.view] += 1
-            D = aux.step
-            values = {}
+        aux = build_auxiliary(game, 4)
+        seen[aux.view] += 1
+        D = aux.step
+        L = lcm(*(g.denominator for g in aux.spec.reward.values()))
+        reward = {key: int(g * L) for key, g in aux.spec.reward.items()}
+        values = {}
 
-            def absorbed_value(child, k):
-                return (k - 1) * sum((w * aux.spec.absorbing_payoff(x)
-                                      for x, w in child.posterior.items()), F(0))
+        def absorbed_value(child, k):
+            return (k - 1) * sum((w * aux.spec.absorbing_payoff(x)
+                                  for x, w in child.posterior.items()), F(0))
 
-            def continuation(child, k):
-                if child.pruned:
-                    return absorbed_value(child, k)
-                # zero for some children, so empty cells occur too
-                return values.setdefault(id(child), F(rng.randint(-3, 5),
-                                                      rng.randint(1, 6)))
+        def continuation(child, k):
+            if child.pruned:
+                return absorbed_value(child, k)
+            # zero for some children, so empty cells occur too
+            return values.setdefault(id(child), F(rng.randint(-3, 5),
+                                                  rng.randint(1, 6)))
 
-            for level in aux.levels:
-                for node in level:
-                    for x, w in node.posterior.items():
-                        for key, g in aux.spec.reward.items():
-                            if key[0] == x:
-                                seen["zero reward" if g == 0 else "nonzero reward"] += 1
-                    for w, _ in node.children.values():
-                        seen["unit weight" if w == 1 else "other weight"] += 1
-                    for stage_reward in (True,) if merge else (False, True):
-                        if stage_reward:
-                            L = lcm(*(g.denominator for g in aux.spec.reward.values()))
-                            reward = {key: int(g * L)
-                                      for key, g in aux.spec.reward.items()}
-                        else:
-                            L, reward = 1, dict.fromkeys(aux.spec.reward, 0)
-                        absorbed = {}
-                        cells = _cells(aux, reward, node, absorbed)
-                        folded = [key for row in cells for _, _, closed in row
-                                  for _, key in closed]
-                        assert all(key in absorbed for key in folded)
-                        seen["folded child"] += len(folded)
-                        for k in (1, 2, 3):
-                            cont = None if k == 1 else (
-                                lambda child, k=k: continuation(child, k))
-                            previous = None if cont is None else {
-                                child.key: D ** (k - 2) * L
-                                * sum(child.mu.values()) * cont(child)
-                                for _, child in node.links.values()
-                                if not child.pruned}
-                            tail = (0 if k == 1 else D ** (k - 2) * (k - 1), 0)
-                            c = D ** (k - 1) * L * sum(node.mu.values())
-                            got = [[F(e) / c for e in row]
-                                   for row in _integer_matrix(
-                                       cells, D ** (k - 1), previous, tail,
-                                       absorbed)]
-                            want = naive_stage_matrix(aux, node, stage_reward, cont)
-                            assert repr(got) == repr(want), (aux.view, merge, node.depth, k)
+        for level in aux.levels:
+            for node in level:
+                for x, w in node.posterior.items():
+                    for key, g in aux.spec.reward.items():
+                        if key[0] == x:
+                            seen["zero reward" if g == 0 else "nonzero reward"] += 1
+                for w, _ in node.children.values():
+                    seen["unit weight" if w == 1 else "other weight"] += 1
+                absorbed = {}
+                cells = _cells(aux, reward, node, absorbed)
+                folded = [key for row in cells for _, _, closed in row
+                          for _, key in closed]
+                assert all(key in absorbed for key in folded)
+                seen["folded child"] += len(folded)
+                for k in (1, 2, 3):
+                    cont = None if k == 1 else (
+                        lambda child, k=k: continuation(child, k))
+                    previous = None if cont is None else {
+                        child.key: D ** (k - 2) * L
+                        * sum(child.mu.values()) * cont(child)
+                        for _, child in node.links.values()
+                        if not child.pruned}
+                    tail = (0 if k == 1 else D ** (k - 2) * (k - 1), 0)
+                    c = D ** (k - 1) * L * sum(node.mu.values())
+                    got = [[F(e) / c for e in row]
+                           for row in _integer_matrix(
+                               cells, D ** (k - 1), previous, tail, absorbed)]
+                    want = naive_stage_matrix(aux, node, cont)
+                    assert repr(got) == repr(want), (aux.view, node.key, k)
     assert all(seen.values()), seen
-
-
-def test_merged_nodes_below_the_roots_have_no_view():
-    """A graph node below the roots stands for every history that reaches
-    its belief, so it has no view and no history weight; only the
-    per-history tree gives them below the roots.  A root whose belief
-    recurs below depth 1 is a member of those levels as itself, the same
-    node, and its view stays its depth-1 history."""
-    dag = build_auxiliary(corpus.quitting_game(), 3)
-    tree = build_auxiliary(corpus.quitting_game(), 3, merge_beliefs=False)
-    assert [root.view() for root in dag.roots] == \
-        [root.view() for root in tree.roots]
-    assert [root.beta for root in dag.roots] == [root.beta for root in tree.roots]
-    below = recurring = 0
-    for node in dag.levels[1] + dag.levels[2]:
-        if any(node is root for root in dag.roots):
-            recurring += 1
-            assert node.view() == (node.label,)
-            continue
-        below += 1
-        assert node.mass is node.scale is node.parent is None
-        with pytest.raises(GameModelError, match="merge_beliefs=False"):
-            node.view()
-        with pytest.raises(GameModelError, match="merge_beliefs=False"):
-            node.beta
-    assert below == 4 and recurring == 2
-    assert [len(node.view()) for node in tree.levels[2]] == [7] * 16
 
 
 def test_strategy_walk_charges_one_node_per_observed_history():
     """The strategies' walk over the merged quitting DAG charges a fresh
     budget of the build's limit once per observed history above the
     absorbed ones, 2**(n+1) - 3 of them: 4093 to n = 11 and 8189 to
-    n = 12.  So it raises where the per-history tree's build would, though
-    the DAG itself holds 3n - 2 nodes."""
+    n = 12.  So it raises where a build of one node per observed history
+    would, though the DAG itself holds 3n - 2 nodes."""
     game = corpus.quitting_game()
     assert len(solve_backward(build_auxiliary(game, 11, budget=4093))
                .strategy1.table) == 2 ** 11 - 1
@@ -798,26 +814,29 @@ def _overflow(call, *args):
 
 def test_path_count_precheck_matches_charged_walk():
     """``solve_backward``'s path count overflows at the level, and with the
-    budget, where the charged walk would, on both builds of random
-    symmetric games under budgets around their path totals."""
+    budget, where the charged walk would, on belief graphs of random
+    symmetric games under budgets around their path totals; with nothing
+    pruned the walk charges one per history of the per-history tree."""
     rng = random.Random(17)
     overflows = fits = 0
-    for seed in range(16):
+    for seed in range(32):
         sym = random_symmetric_game(seed)
-        for merge in (True, False):
-            total = _charged_walk(build_auxiliary(sym, 4, merge_beliefs=merge))
-            for budget in {total - 1, total, rng.randint(1, total), rng.randint(1, total)}:
-                try:
-                    aux = build_auxiliary(sym, 4, budget=budget, merge_beliefs=merge)
-                except BudgetExceededError:
-                    continue
-                expected = _overflow(_charged_walk, aux)
-                assert _overflow(reduction._count_paths, aux) == expected
-                assert _overflow(solve_backward, aux) == expected
-                if expected is None:
-                    fits += 1
-                else:
-                    overflows += 1
+        dag = build_auxiliary(sym, 4)
+        total = _charged_walk(dag)
+        if not any(node.pruned for level in dag.levels for node in level):
+            assert total == sum(map(len, observed_tree(sym, 4).levels)), seed
+        for budget in {total - 1, total, rng.randint(1, total), rng.randint(1, total)}:
+            try:
+                aux = build_auxiliary(sym, 4, budget=budget)
+            except BudgetExceededError:
+                continue
+            expected = _overflow(_charged_walk, aux)
+            assert _overflow(reduction._count_paths, aux) == expected
+            assert _overflow(solve_backward, aux) == expected
+            if expected is None:
+                fits += 1
+            else:
+                overflows += 1
     assert overflows >= 10 and fits >= 10
 
 
@@ -872,8 +891,8 @@ def test_folded_sweep_equals_unpruned_and_fraction_recursion():
     games read as a min or a max) ``solve_horizons`` on the pruned DAG
     equals backward induction on the unpruned per-history tree and
     ``fraction_solve_horizons``, and ``solve_backward`` on the DAG gives
-    the tree's value and its strategies at every live history, and
-    matches a per-node solve."""
+    the unpruned tree's value and its strategies at every live history,
+    and matches a per-node solve."""
     seen = {"pruned root": 0, "live root": 0, "one row": 0, "one column": 0,
             "square": 0, "pruned at every depth": 0}
     games = [_recursive_game(seed) for seed in range(16)]
@@ -893,38 +912,36 @@ def test_folded_sweep_equals_unpruned_and_fraction_recursion():
         assert got == fraction_solve_horizons(dag, horizons)
         for n in (1, 3):
             pruned = build_auxiliary(game, n)
-            full = solve_backward(build_auxiliary(game, n, merge_beliefs=False))
-            assert solve_backward(pruned).value == full.value == got[n]
+            value, table1, table2 = _every_node_backward(game, n, prune=False)
+            assert solve_backward(pruned).value == value == got[n]
             sol = _assert_matches_every_node(pruned)
-            for mine, theirs in ((sol.strategy1, full.strategy1),
-                                 (sol.strategy2, full.strategy2)):
-                assert all(theirs.table[view] == mix
+            for mine, theirs in ((sol.strategy1, table1),
+                                 (sol.strategy2, table2)):
+                assert all(theirs[view] == mix
                            for view, mix in mine.table.items())
     assert all(seen.values()), seen
 
 
-def test_lifted_payoff_is_refused_on_a_pruned_build():
-    """A terminal payoff folds nothing, so it is refused on the default
-    build, which prunes absorbed beliefs; on the per-history tree, which
-    prunes nothing, an absorbed node at the horizon takes its lifted value
-    and one above it solves its stage game like any other."""
+def test_lifted_terminal_on_absorbed_roots_is_the_augmented_mean():
+    """A lifted terminal payoff on games with absorbed roots is the mean
+    payoff of the game whose states are the histories, where the horizon
+    histories are absorbing and pruned: its belief graph gives the value
+    and strategies of the per-node solves, f's constant at every horizon
+    history."""
     for seed in range(6):
         game = _recursive_game(seed, start_absorbed=True)
+        assert any(root.pruned for root in build_auxiliary(game, 2).roots)
         pair = build_trees(game, 2)
-        lifted = lift_payoff(pair, {h: F(h.depth) for h in pair.histories(2)})
-        aux = build_auxiliary(game, 2)
-        assert any(root.pruned for root in aux.roots)
-        for strategies in (True, False):
-            with pytest.raises(GameModelError, match="stage-additive"):
-                solve_backward(aux, lifted, want_strategies=strategies)
-        tree = build_auxiliary(game, 2, merge_beliefs=False)
-        assert not any(node.pruned for level in tree.levels for node in level)
-        assert _assert_matches_every_node(tree, lifted).value == 2
+        f = {h: F(h.depth) for h in pair.histories(2)}
+        augmented, _ = history_augmented(pair.spec, pair, f)
+        aux = build_auxiliary(augmented, 2)
+        assert all(node.pruned for node in aux.levels[-1])
+        assert _assert_matches_every_node(aux).value == 2
     game = _recursive_game(0, start_absorbed=True)
     pair = build_trees(game, 1)
-    lifted = lift_payoff(pair, {h: F(3) for h in pair.histories(1)})
-    assert solve_backward(build_auxiliary(game, 1, merge_beliefs=False),
-                          lifted).value == 3
+    augmented, _ = history_augmented(
+        pair.spec, pair, {h: F(3) for h in pair.histories(1)})
+    assert solve_backward(build_auxiliary(augmented, 1)).value == 3
 
 
 def test_mdp_sweep_evaluates_live_beliefs_only(monkeypatch, games):
@@ -981,17 +998,16 @@ def test_solve_horizons_builds_one_fraction_per_horizon(monkeypatch, games):
 
 
 def test_belief_node_repr_shows_its_own_fields_only():
-    """Through ``parent`` and ``links`` a node's repr would nest its
-    ancestors' and descendants' reprs, exponentially many (800 KB for the
-    10 nodes of the quitting game's DAG to horizon 4), and a failed
-    assertion reprs the values it compared."""
+    """Through ``links`` a node's repr would nest its descendants' reprs,
+    exponentially many on a deep graph, and a failed assertion reprs the
+    values it compared."""
     dag = build_auxiliary(corpus.quitting_game(), 4)
     for level in dag.levels:
         for node in level:
             assert repr(node) == (
-                f"BeliefNode(label={node.label!r}, edge={node.edge!r}, "
-                f"mu={node.mu!r}, mass={node.mass}, scale={node.scale}, "
-                f"depth={node.depth}, pruned={node.pruned}, key={node.key})")
+                f"BeliefNode(label={node.label!r}, mu={node.mu!r}, "
+                f"mass={node.mass}, scale={node.scale}, "
+                f"pruned={node.pruned}, key={node.key})")
 
 
 def _equal_belief_roots(seed):
@@ -1032,21 +1048,20 @@ def test_roots_of_equal_belief_share_one_expansion():
         assert got == _per_horizon_values(game, [1, 2, 3, 4]), seed
         assert repr(got) == repr(fraction_solve_horizons(dag, [1, 2, 3, 4]))
         _assert_matches_every_node(build_auxiliary(game, 3))
-        assert _charged_walk(dag) == sum(map(len, build_auxiliary(
-            game, 4, merge_beliefs=False).levels))
+        assert _charged_walk(dag) == sum(map(len, observed_tree(game, 4).levels))
 
 
 def _tree_and_graph_pairs(tree, dag):
-    """``(tree node, graph node)`` for every history of the tree that is
-    neither pruned on the graph nor below a pruned node, paired by
-    following the same links from the roots."""
+    """``(tree node, graph node)`` for every history of the per-history
+    tree that is neither pruned on the graph nor below a pruned node,
+    paired by following the same links from the roots."""
     pairs = list(zip(tree.roots, dag.roots))
     found = []
     while pairs:
         found.extend(pairs)
         pairs = [(t_child, dag_node.links[link][1])
                  for t_node, dag_node in pairs if not dag_node.pruned
-                 for link, (_, t_child) in t_node.links.items()]
+                 for link, (_, t_child) in t_node.children.items()]
     return found
 
 
@@ -1059,7 +1074,7 @@ def test_graph_link_weights_are_depth_free():
     game = corpus.quitting_game()
     for n in (4, 5, 7):
         dag = build_auxiliary(game, n)
-        tree = build_auxiliary(game, n, merge_beliefs=False)
+        tree = observed_tree(game, n)
         assert len({node.key for level in dag.levels for node in level}) == 3
         live = [node for level in dag.levels for node in level if not node.pruned]
         assert len(live) == n and all(node is dag.roots[0] for node in live)

@@ -25,7 +25,7 @@ from signalgames.errors import (
 from signalgames.lp import solve_matrix_game
 from signalgames.model import PUBLIC, BehavioralStrategy, uniform_strategy
 from signalgames.reduction import MEAN as RED_MEAN
-from signalgames.reduction import build_auxiliary, lift_payoff, solve_backward
+from signalgames.reduction import build_auxiliary, solve_backward
 from signalgames.histories import build_trees
 from signalgames.seqform import (
     TerminalPayoff,
@@ -122,12 +122,13 @@ def test_backward_equals_sequence_form_random_symmetric():
 
 
 def test_backward_equals_sequence_form_lifted_terminal():
-    """Terminal payoff f on full histories: the observed-game value with the
-    lifted payoff equals the original game's value with f, solved by the
-    sequence form on the game whose states are the histories, where f is a
-    payoff of the last state.  In the second family, several states and
-    a transition support of 3 put beliefs with s = sum(mu) > 1 on the
-    players' best replies, so the lifted terminal's factor s counts."""
+    """Terminal payoff f on full histories, on the game whose states are
+    the histories: the belief graph's mean value, where the horizon
+    histories pay N f, equals the sequence form's value with f as a
+    terminal payoff of the last state.  In the second family, several
+    states and a transition support of 3 put beliefs with s = sum(mu) > 1
+    on the players' best replies, so the lift's weighting by the
+    posterior counts."""
     rng = random.Random(77)
     cases = [random_symmetric_game(seed) for seed in range(8)]
     cases += [random_symmetric_game(seed, n_states=3, support_max=3)
@@ -138,10 +139,9 @@ def test_backward_equals_sequence_form_lifted_terminal():
         pair = build_trees(spec, N)
         f = {h: F(rng.randint(-4, 4), rng.randint(1, 3))
              for h in pair.histories(N)}
-        lifted = lift_payoff(pair, f)
-        aux = build_auxiliary(sym, N, merge_beliefs=False)
-        back = solve_backward(aux, payoff=lifted, want_strategies=False)
-        augmented, state_of = history_augmented(spec, pair)
+        augmented, state_of = history_augmented(spec, pair, f)
+        back = solve_backward(build_auxiliary(augmented, N),
+                              payoff=RED_MEAN, want_strategies=False)
         f_last = {state_of[h]: v for h, v in f.items()}
         seq = nstage_value(augmented, N, TerminalPayoff(
             action_fn=lambda x, i, j: f_last[x], determined_fn=lambda x: None))
