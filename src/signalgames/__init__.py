@@ -26,9 +26,7 @@ from .model import (
 from .gamefile import load_game, parse_spec, serialize_spec
 from .lp import (
     LinearProgram,
-    MatrixGame,
     MatrixGameSolution,
-    matrix_reply_value,
     solve_lp,
     solve_matrix_game,
 )
@@ -63,7 +61,6 @@ __all__ = [
     "GameSpec",
     "SymmetricGameSpec",
     "LinearProgram",
-    "MatrixGame",
     "MatrixGameSolution",
     "TerminalPayoff",
     "augment_running_max",
@@ -79,7 +76,6 @@ __all__ = [
     "is_symmetric_signaling",
     "lift_payoff",
     "load_game",
-    "matrix_reply_value",
     "nstage_value",
     "parse_spec",
     "run_verification",

@@ -38,11 +38,14 @@ def _fmt(value) -> str:
 
 
 def _load(path, loader=load_game, kind="game"):
-    """``loader(path)``; a missing or malformed file exits 1 with one line."""
+    """``loader(path)``; a missing, unreadable or malformed file exits 1
+    with one line."""
     try:
         return loader(path)
     except FileNotFoundError:
         raise SystemExit(f"error: no such {kind} file: {path}")
+    except OSError as err:
+        raise SystemExit(f"error: cannot read {path}: {err.strerror or err}")
     except ParseError as err:
         raise SystemExit(f"error: {err}")
 

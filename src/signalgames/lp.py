@@ -496,50 +496,37 @@ def _verify_optimal(lp: LinearProgram, rows: list, primal, duals) -> None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class MatrixGame:
-    """Finite zero-sum game; the row player maximizes payoff[r][c].
-
-    Entries are ints or Fractions (else LPError), stored as Fractions."""
-
-    payoff: list
-
-    def __post_init__(self):
-        if not self.payoff or not self.payoff[0]:
-            raise LPError("matrix game must be nonempty")
-        width = len(self.payoff[0])
-        if any(len(row) != width for row in self.payoff):
-            raise LPError("matrix game must be rectangular")
-        bad = _inexact(list(chain.from_iterable(self.payoff)))
-        if bad is not None:
-            raise LPError(f"matrix game entry {bad!r} is not an int or a Fraction")
-        self.payoff = [[v if isinstance(v, Fraction) else Fraction(v) for v in row]
-                       for row in self.payoff]
-
-    @property
-    def rows(self) -> int:
-        return len(self.payoff)
-
-    @property
-    def cols(self) -> int:
-        return len(self.payoff[0])
+def _matrix(payoff: list) -> list:
+    """``payoff`` itself, checked to be a matrix game: a nonempty list of
+    rows of equal length, the row player maximizing ``payoff[r][c]``.
+    Entries must be ints or Fractions (else LPError) and are used as
+    given: no Fraction copy is made."""
+    if not payoff or not payoff[0]:
+        raise LPError("matrix game must be nonempty")
+    if len(set(map(len, payoff))) != 1:
+        raise LPError("matrix game must be rectangular")
+    if not _EXACT_TYPES.issuperset(map(type, chain.from_iterable(payoff))):
+        bad = _inexact(list(chain.from_iterable(payoff)))
+        raise LPError(f"matrix game entry {bad!r} is not an int or a Fraction")
+    return payoff
 
 
 @dataclass
 class MatrixGameSolution:
-    value: Fraction
+    value: Fraction | int                # a saddle entry is as given
     row_strategy: list
     col_strategy: list
 
-    def check(self, game: MatrixGame) -> None:
-        """Exact guarantee inequalities for both strategies, in integers.
+    def check(self, payoff: list) -> None:
+        """Exact guarantee inequalities for both strategies against the
+        matrix game ``payoff`` (checked by ``_matrix``), in integers.
 
         The matrix is put over one denominator L and the strategies over
         theirs, P and Q.  With value = vn / vd, the row strategy's guarantee
         at column c is vd * sum_r p_r M_rc >= vn * P * L, and the column
         strategy's at row r is vd * sum_c q_c M_rc <= vn * Q * L: one
         integer dot product per column and per row."""
-        R, C = game.rows, game.cols
+        R, C = len(_matrix(payoff)), len(payoff[0])
         if len(self.row_strategy) != R or len(self.col_strategy) != C:
             raise LPError("strategy lengths do not match the game")
         p, P = _over_common(self.row_strategy)
@@ -548,7 +535,7 @@ class MatrixGameSolution:
             raise LPError("row strategy is not a distribution")
         if sum(q) != Q or any(b < 0 for b in q):
             raise LPError("column strategy is not a distribution")
-        flat, L = _over_common([v for row in game.payoff for v in row])
+        flat, L = _over_common([v for row in payoff for v in row])
         matrix = [flat[r * C:(r + 1) * C] for r in range(R)]
         vn, vd = self.value.numerator, self.value.denominator
         rows = [(a, matrix[r]) for r, a in enumerate(p) if a]
@@ -570,29 +557,65 @@ def _over_common(values: list) -> tuple:
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
-def solve_matrix_game(game: MatrixGame | list) -> MatrixGameSolution:
-    """Exact value and optimal mixed strategies of a matrix game.
+def _saddle(M: list) -> tuple | None:
+    """``(r, c)``, the lowest-index maximin row and the lowest-index
+    minimax column, when max_r min_c M[r][c] == min_c max_r M[r][c]: a
+    pure saddle point, whose entry M[r][c] is the value.  Else None.  A
+    game with one row or one column always has one: the lowest-index min
+    of its row, or max of its column."""
+    mins = list(map(min, M))
+    maxes = list(map(max, zip(*M)))
+    lower = max(mins)
+    if lower != min(maxes):
+        return None
+    return mins.index(lower), maxes.index(lower)
 
-    LP over (p, v): maximize v subject to  p^T M >= v per column,
-    sum p = 1, p >= 0.  Column duals give the minimizer's optimal mix.
-    Single-row and single-column games short-circuit to a pure min/max.
+
+def _check_saddle(M: list, r: int, c: int, value) -> None:
+    """Exact certificate of the pure saddle point (r, c) with ``value``:
+    the value is the entry M[r][c], no entry of row r is below it (row r
+    guarantees it against every column) and no entry of column c is above
+    it (column c holds every row to it).  Lookups and comparisons only.
+    Raises LPError, so the check also runs under ``python -O``."""
+    if M[r][c] != value:
+        raise LPError(f"saddle value {value} is not the entry at ({r}, {c})")
+    if min(M[r]) < value:
+        raise LPError(f"row {r} does not guarantee {value}")
+    if max(row[c] for row in M) > value:
+        raise LPError(f"column {c} does not hold the rows to {value}")
+
+
+def solve_matrix_game(payoff: list) -> MatrixGameSolution:
+    """Exact value and optimal mixed strategies of a matrix game, a list
+    of rows (see ``_matrix``).
+
+    A game with one row or one column is solved at its saddle point
+    (``_saddle``): the value is that entry, as given, and both strategies
+    are pure, certified by ``_check_saddle``.  Any other game, saddle or
+    not, is the LP over (p, v): maximize v subject to p^T M >= v per
+    column, sum p = 1, p >= 0.  Column duals give the minimizer's optimal
+    mix, and ``MatrixGameSolution.check`` certifies both.
     """
-    if not isinstance(game, MatrixGame):
-        game = MatrixGame(game)
-    R, C = game.rows, game.cols
+    M = _matrix(payoff)
+    R, C = len(M), len(M[0])
     if R == 1 or C == 1:
-        return _solve_vector_game(game)
-    objective = [Fraction(0)] * R + [Fraction(1)]    # p_0..p_{R-1}, v
+        r, c = _saddle(M)
+        value = M[r][c]
+        _check_saddle(M, r, c, value)
+        return MatrixGameSolution(value=value,
+                                  row_strategy=[ONE if k == r else ZERO for k in range(R)],
+                                  col_strategy=[ONE if k == c else ZERO for k in range(C)])
+    objective = [0] * R + [1]          # p_0..p_{R-1}, v
     rows, senses, rhs = [], [], []
     for c in range(C):                 # v - p^T M_col <= 0
-        row = {r: -game.payoff[r][c] for r in range(R) if game.payoff[r][c]}
-        row[R] = Fraction(1)
+        row = {r: -M[r][c] for r in range(R) if M[r][c]}
+        row[R] = 1
         rows.append(row)
         senses.append(LEQ)
-        rhs.append(Fraction(0))
-    rows.append(dict.fromkeys(range(R), Fraction(1)))
+        rhs.append(0)
+    rows.append(dict.fromkeys(range(R), 1))
     senses.append(EQ)
-    rhs.append(Fraction(1))
+    rhs.append(1)
 
     sol = solve_lp(LinearProgram(objective, rows, senses, rhs, free=frozenset({R})))
     if sol.status != OPTIMAL:
@@ -602,116 +625,28 @@ def solve_matrix_game(game: MatrixGame | list) -> MatrixGameSolution:
     # Duals of the C column constraints are >= 0 and sum to 1 (stationarity
     # of the free variable v): they are the minimizer's optimal mix.
     col_strategy = [sol.duals[c] for c in range(C)]
-    if sum(col_strategy, Fraction(0)) != 1:
+    if sum(col_strategy, ZERO) != 1:
         raise LPError("column duals do not form a distribution")
     solution = MatrixGameSolution(value=value, row_strategy=row_strategy,
                                   col_strategy=col_strategy)
-    solution.check(game)
+    solution.check(M)
     return solution
 
 
-def matrix_game_value(game: MatrixGame | list) -> Fraction | int:
+def matrix_game_value(payoff: list) -> Fraction | int:
     """Exact value of a matrix game, without strategies.
 
-    Entries are ``Fraction``s or ``int``s; an integer matrix needs no
-    fraction at all when it has a pure saddle point.  ``lower = max_r min_c
-    M[r][c]`` and ``upper = min_c max_r M[r][c]`` are computed with exact
-    comparisons.  When they are equal the game has a pure saddle point and
-    that entry, as given, is its value: the maximin row guarantees it
-    against every column and the minimax column holds it against every
-    row, which certifies it completely.  With one column (one row) both
-    are the maximum (minimum) of the same entries, so it is computed once.
-    Otherwise the value is ``solve_matrix_game``'s, a ``Fraction`` whose
-    certificate is checked there.  Empty or ragged input, or an entry that
-    is not an int or a Fraction, raises LPError, as ``MatrixGame`` does; no
-    check is an ``assert``.
+    A game with a pure saddle point (``_saddle``) has that entry, as
+    given, as its value, so an integer matrix with one needs no Fraction:
+    max min == min max is itself the certificate, the maximin row
+    guaranteeing the entry against every column and the minimax column
+    holding every row to it.  Otherwise the value is
+    ``solve_matrix_game``'s, a Fraction whose certificate is checked
+    there.  Malformed input raises LPError (``_matrix``).
     """
-    if not isinstance(game, MatrixGame) and not (
-            game and game[0] and len(set(map(len, game))) == 1
-            and _EXACT_TYPES.issuperset(map(type, chain.from_iterable(game)))):
-        game = MatrixGame(game)          # raises LPError
-    payoff = game.payoff if isinstance(game, MatrixGame) else game
-    if len(payoff[0]) == 1:
-        return max([row[0] for row in payoff])
-    if len(payoff) == 1:
-        return min(payoff[0])
-    lower = max(map(min, payoff))
-    upper = min(map(max, zip(*payoff)))
-    if lower == upper:
-        return lower
-    return solve_matrix_game(game).value
-
-
-def _solve_vector_game(game: MatrixGame) -> MatrixGameSolution:
-    """Degenerate games with one row or one column: pure optima.
-
-    The opponent of the player with one action picks the entry at ``pick``,
-    the lowest index of a min (one row) or max (one column), so outputs are
-    deterministic.  Both strategies are pure, so their guarantee
-    inequalities are lookups: ``_check_pure_optimum`` compares every other
-    entry with the picked one, with no products by 0 or 1."""
-    R, C = game.rows, game.cols
-    if R == 1:
-        entries = game.payoff[0]
-        pick = min(range(C), key=entries.__getitem__)
-        _check_pure_optimum(entries, pick, entries[pick], maximum=False)
-        col = [ONE if c == pick else ZERO for c in range(C)]
-        return MatrixGameSolution(value=entries[pick], row_strategy=[ONE],
-                                  col_strategy=col)
-    entries = [row[0] for row in game.payoff]
-    pick = max(range(R), key=entries.__getitem__)
-    _check_pure_optimum(entries, pick, entries[pick], maximum=True)
-    row = [ONE if r == pick else ZERO for r in range(R)]
-    return MatrixGameSolution(value=entries[pick], row_strategy=row,
-                              col_strategy=[ONE])
-
-
-def _check_pure_optimum(entries: list, pick: int, value: Fraction, maximum: bool) -> None:
-    """Exact certificate of the pure optimum of a one-row or one-column game.
-
-    ``entries`` is the game's only column (``maximum``: the row player
-    picks) or only row (the column player picks).  The value must be the
-    entry at ``pick``, and no other entry may be above it (a column) or
-    below it (a row): these are the guarantee inequalities of both pure
-    strategies.  Raises LPError, so the check also runs under
-    ``python -O``."""
-    if entries[pick] != value:
-        raise LPError("vector game value is not the picked entry")
-    for k, e in enumerate(entries):
-        if k != pick and (e > value if maximum else e < value):
-            raise LPError(f"picked entry {pick} is not a "
-                          f"{'maximum' if maximum else 'minimum'}, entry {k} beats it")
-
-
-def matrix_reply_value(game: MatrixGame | list, mixed: list, side: str) -> Fraction:
-    """Exact value of the opponent's best pure reply to a mix in a matrix
-    game.
-
-    side="row": ``mixed`` is a row mix, returns min over columns.
-    side="col": ``mixed`` is a column mix, returns max over rows.
-    Its probabilities are ints or Fractions, else LPError.
-    """
-    if not isinstance(game, MatrixGame):
-        game = MatrixGame(game)
-    mixed = list(mixed)
-    bad = _inexact(mixed)
-    if bad is not None:
-        raise LPError(f"mixed strategy entry {bad!r} is not an int or a Fraction")
-    mixed = [Fraction(v) for v in mixed]
-    if sum(mixed) != 1 or any(p < 0 for p in mixed):
-        raise LPError("mixed strategy must be a distribution")
-    if side == "row":
-        if len(mixed) != game.rows:
-            raise LPError("row mix has wrong length")
-        return min(
-            sum(mixed[r] * game.payoff[r][c] for r in range(game.rows))
-            for c in range(game.cols)
-        )
-    if side == "col":
-        if len(mixed) != game.cols:
-            raise LPError("column mix has wrong length")
-        return max(
-            sum(mixed[c] * game.payoff[r][c] for c in range(game.cols))
-            for r in range(game.rows)
-        )
-    raise LPError(f"side must be 'row' or 'col', got {side!r}")
+    M = _matrix(payoff)
+    saddle = _saddle(M)
+    if saddle is not None:
+        r, c = saddle
+        return M[r][c]
+    return solve_matrix_game(M).value

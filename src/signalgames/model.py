@@ -202,6 +202,10 @@ class SymmetricGameSpec:
                             v.append(f"transition{key}: unknown signal {s!r}")
                 if key not in self.reward:
                     v.append(f"reward: missing entry {key}")
+        actions1, actions2 = set(self.actions1), set(self.actions2)
+        for key in self.transition:
+            if key[0] not in states or key[1] not in actions1 or key[2] not in actions2:
+                v.append(f"transition: spurious entry {key}")
         return v
 
     def require_valid(self) -> None:

@@ -253,7 +253,7 @@ def _run_signal_marginal(name):
     return run
 
 
-def _fixed_strategies(spec, horizon):
+def _fixed_strategies(spec):
     """Two deterministic exact strategy pairs (no test-only RNG here)."""
     u1 = {a: F(1, len(spec.actions1)) for a in spec.actions1}
     u2 = {a: F(1, len(spec.actions2)) for a in spec.actions2}
@@ -278,7 +278,7 @@ def _run_transfer_identity(name):
         lifted = lift_payoff(pair, f)
         ok = True
         gaps = []
-        for sigma, tau in _fixed_strategies(spec, N):
+        for sigma, tau in _fixed_strategies(spec):
             dist = exact_play_distribution(pair, sigma, tau, N)
             lhs = sum((p * f[h] for h, p in dist.probs.items()), ZERO)
             rhs = sum((p * lifted[v.view()]
@@ -303,7 +303,7 @@ def _run_quitting_values(name):
     return run
 
 
-def _run_example2_matrix(games_unused=None):
+def _run_example2_matrix():
     def run(games):
         check = verify_example(corpus.build_game, 2, "minmax", horizon=20)
         matrix = " ; ".join(

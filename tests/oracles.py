@@ -2,8 +2,8 @@
 whose states are a tree's histories, the history trees, the play
 distribution, the conditional kernel and the dense kernel-identity check
 in Fractions, the per-history observed tree read off an explicit tree,
-the value recursion in Fractions, and a best reply that walks every
-history on its own.
+the value recursion in Fractions, a best reply that walks every history
+on its own, and the best pure reply to a mix in a matrix game.
 
 Deliberately reimplements game evaluation with plain recursion so the
 sequence-form and backward-induction paths are checked against something
@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction as F
 
 from randgen import _reachable_views
-from signalgames.errors import Budget, GameModelError
+from signalgames.errors import Budget, GameModelError, LPError
 from signalgames.histories import (
     HistoryNode,
     KernelCheckReport,
@@ -91,6 +91,33 @@ def guessing_matrix_value(n):
     size = n + 1
     matrix = [[F(0) if a == b else F(1) for b in range(size)] for a in range(size)]
     return solve_matrix_game(matrix).value
+
+
+def matrix_reply_value(matrix, mixed, side):
+    """Exact value of the opponent's best pure reply to a mix in a matrix
+    game, a list of rows.
+
+    side="row": ``mixed`` is a row mix, returns min over columns.
+    side="col": ``mixed`` is a column mix, returns max over rows.
+    Its probabilities are ints or Fractions, else LPError.
+    """
+    mixed = list(mixed)
+    bad = next((p for p in mixed if type(p) not in (int, F)), None)
+    if bad is not None:
+        raise LPError(f"mixed strategy entry {bad!r} is not an int or a Fraction")
+    if sum(mixed) != 1 or any(p < 0 for p in mixed):
+        raise LPError("mixed strategy must be a distribution")
+    rows = range(len(matrix))
+    cols = range(len(matrix[0]))
+    if side == "row":
+        if len(mixed) != len(matrix):
+            raise LPError("row mix has wrong length")
+        return min(sum((mixed[r] * matrix[r][c] for r in rows), F(0)) for c in cols)
+    if side == "col":
+        if len(mixed) != len(matrix[0]):
+            raise LPError("column mix has wrong length")
+        return max(sum((mixed[c] * matrix[r][c] for c in cols), F(0)) for r in rows)
+    raise LPError(f"side must be 'row' or 'col', got {side!r}")
 
 
 def mdp_nstage_value(n):

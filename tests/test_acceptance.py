@@ -12,13 +12,13 @@ from pathlib import Path
 
 import pytest
 
-from oracles import bruteforce_mean_value
+from oracles import bruteforce_mean_value, matrix_reply_value
 from randgen import random_game, random_strategy, random_symmetric_game
 from signalgames import corpus
 from signalgames.cli import main as cli_main
 from signalgames.errors import PreconditionError
 from signalgames.histories import build_trees, conditional_check, exact_play_distribution
-from signalgames.lp import MatrixGame, matrix_reply_value, solve_matrix_game
+from signalgames.lp import solve_matrix_game
 from signalgames.rationals import ZERO
 from signalgames.recursive import uniform_value
 from signalgames.reduction import MEAN as RED_MEAN
@@ -40,11 +40,10 @@ def test_criterion_1_exact_matrix_value():
     matrix = [[F(0), F(-1, 2)], [F(-1, 2), F(1, 2)]]
     sol = solve_matrix_game(matrix)
     assert sol.value == F(-1, 6)
-    game = MatrixGame(matrix)
     # optimal mixes certified by exact best-response inequalities
-    assert matrix_reply_value(game, sol.row_strategy, "row") == F(-1, 6)
-    assert matrix_reply_value(game, sol.col_strategy, "col") == F(-1, 6)
-    sol.check(game)
+    assert matrix_reply_value(matrix, sol.row_strategy, "row") == F(-1, 6)
+    assert matrix_reply_value(matrix, sol.col_strategy, "col") == F(-1, 6)
+    sol.check(matrix)
     _report(1, "exact matrix value",
             f"value {sol.value}, mixes {sol.row_strategy}/{sol.col_strategy}",
             time.perf_counter() - start, 1)

@@ -446,6 +446,22 @@ def test_missing_strategy_file_exits_one(tmp_path, command, flag, extra):
     assert result.stderr.splitlines() == [f"error: no such strategy file: {missing}"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["validate", "--game", "DIR"],
+    ["simulate", "--game", str(GAMES / "quitting_game.game"), "--horizon", "2",
+     "--sigma", "DIR"],
+], ids=["game", "strategy"])
+def test_unreadable_input_exits_one(tmp_path, argv):
+    """A game or strategy path that cannot be read, here a directory, exits
+    1 with one line naming the path and the reason, not a traceback."""
+    argv = [str(tmp_path) if arg == "DIR" else arg for arg in argv]
+    result = subprocess.run([sys.executable, "-m", "signalgames.cli", *argv],
+                            capture_output=True, text=True)
+    assert result.returncode == 1
+    assert result.stderr.splitlines() == [
+        f"error: cannot read {tmp_path}: Is a directory"]
+
+
 @pytest.mark.parametrize("command, game, flag, extra", [
     ("solve-sup", "example3_bigmatch_blind1", "--csv", ["--max-horizon", "2"]),
     ("solve-recursive", "quitting_game", "--strategy-out",

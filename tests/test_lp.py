@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import signalgames.lp as lp_module
+from oracles import matrix_reply_value
 from randgen import random_lp
 from signalgames import corpus, seqform, supvalue
 from signalgames.errors import LPError
@@ -22,13 +23,13 @@ from signalgames.lp import (
     OPTIMAL,
     UNBOUNDED,
     LinearProgram,
-    MatrixGame,
     MatrixGameSolution,
-    _check_pure_optimum,
+    _check_saddle,
     _integer_row,
+    _matrix,
+    _saddle,
     _verify_optimal,
     matrix_game_value,
-    matrix_reply_value,
     solve_lp,
     solve_matrix_game,
 )
@@ -232,10 +233,9 @@ def test_matrix_game_guarantees_hold_exactly():
         m = [[F(rng.randint(-8, 8), rng.randint(1, 5)) for _ in range(cols_n)]
              for _ in range(rows_n)]
         sol = solve_matrix_game(m)
-        game = MatrixGame(m)
         # min over columns of row-mix payoff == value == max over rows of col-mix
-        assert matrix_reply_value(game, sol.row_strategy, "row") == sol.value
-        assert matrix_reply_value(game, sol.col_strategy, "col") == sol.value
+        assert matrix_reply_value(m, sol.row_strategy, "row") == sol.value
+        assert matrix_reply_value(m, sol.col_strategy, "col") == sol.value
 
 
 def test_matrix_reply_value_examples():
@@ -248,28 +248,44 @@ def test_matrix_reply_value_examples():
 
 
 def test_matrix_game_rejects_malformed():
-    with pytest.raises(Exception):
+    with pytest.raises(LPError, match="nonempty"):
         solve_matrix_game([])
-    with pytest.raises(Exception):
-        MatrixGame([[F(1)], [F(1), F(2)]])
+    with pytest.raises(LPError, match="rectangular"):
+        _matrix([[F(1)], [F(1), F(2)]])
+    half = [F(1, 2), F(1, 2)]
+    with pytest.raises(LPError, match="rectangular"):
+        MatrixGameSolution(F(1, 2), half, half).check([[F(1), F(0)], [F(0)]])
 
 
 _small_rationals = st.builds(F, st.integers(-2, 2), st.integers(1, 2))
 
 
+def _matrices(entries):
+    return st.integers(1, 4).flatmap(lambda cols: st.lists(
+        st.lists(entries, min_size=cols, max_size=cols), min_size=1, max_size=4))
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.integers(1, 4).flatmap(lambda cols: st.lists(
-    st.lists(_small_rationals, min_size=cols, max_size=cols),
-    min_size=1, max_size=4)))
+@given(st.one_of(_matrices(_small_rationals), _matrices(st.integers(-2, 2))))
 @example([[F(1), F(0)], [F(0), F(1)]])
 @example([[F(0), F(0)], [F(0), F(0)]])
+@example([[1, 0], [0, 1]])
+@example([[0, 0], [0, 0]])
+@example([[2, 7, -1]])
 def test_matrix_game_value_matches_solve_matrix_game(matrix):
     """Saddle games (``max min == min max``) and games without a saddle,
-    ties included: the value-only solve returns the LP's value exactly."""
+    ties included, over Fraction and over int matrices: the value-only
+    solve returns the LP's value exactly.  A saddle's value is its entry
+    as given, an int in an int matrix, and so is a one-row or one-column
+    game's in ``solve_matrix_game``; an LP value is a Fraction."""
     got = matrix_game_value(matrix)
-    assert type(got) is F
-    assert got == solve_matrix_game(matrix).value
-    assert matrix_game_value(MatrixGame(matrix)) == got
+    sol = solve_matrix_game(matrix)
+    assert got == sol.value
+    exact = int if type(matrix[0][0]) is int else F
+    saddle = max(map(min, matrix)) == min(map(max, zip(*matrix)))
+    vector = len(matrix) == 1 or len(matrix[0]) == 1
+    assert type(got) is (exact if saddle else F)
+    assert type(sol.value) is (exact if vector else F)
 
 
 def _count_lp_calls(monkeypatch):
@@ -376,7 +392,7 @@ def test_lp_accepts_ints_and_fractions():
 @pytest.mark.parametrize("matrix", [[[0.1]], [[F(1), True]], [[F(1)], ["1/2"]]])
 def test_matrix_game_refuses_inexact_entries(matrix):
     with pytest.raises(LPError, match="not an int or a Fraction"):
-        MatrixGame(matrix)
+        _matrix(matrix)
     with pytest.raises(LPError, match="not an int or a Fraction"):
         solve_matrix_game(matrix)
     with pytest.raises(LPError, match="not an int or a Fraction"):
@@ -598,7 +614,7 @@ def test_random_lps_match_golden():
 
 
 def test_forged_matrix_game_solution_rejected():
-    game = MatrixGame([[F(1), F(0)], [F(0), F(1)]])
+    game = [[F(1), F(0)], [F(0), F(1)]]
     good = solve_matrix_game(game)
     forgeries = [
         MatrixGameSolution(F(1, 2), [F(1), F(1)], good.col_strategy),
@@ -612,7 +628,7 @@ def test_forged_matrix_game_solution_rejected():
 
 
 def test_matrix_game_check_rejects_mismatched_lengths():
-    game = MatrixGame([[F(1), F(0)], [F(0), F(1)]])
+    game = [[F(1), F(0)], [F(0), F(1)]]
     half = [F(1, 2), F(1, 2)]
     for forged in (MatrixGameSolution(F(1, 2), half + [F(0)], half),
                    MatrixGameSolution(F(1, 2), half, [F(1)])):
@@ -624,9 +640,9 @@ def test_forged_matrix_game_solution_rejected_under_optimize():
     script = (
         "from fractions import Fraction as F\n"
         "from signalgames.errors import LPError\n"
-        "from signalgames.lp import MatrixGame, MatrixGameSolution\n"
+        "from signalgames.lp import MatrixGameSolution\n"
         "assert False, 'asserts were not stripped'\n"
-        "game = MatrixGame([[F(1), F(0)], [F(0), F(1)]])\n"
+        "game = [[F(1), F(0)], [F(0), F(1)]]\n"
         "forged = MatrixGameSolution(F(1), [F(1, 2), F(1, 2)], [F(1, 2), F(1, 2)])\n"
         "try:\n"
         "    forged.check(game)\n"
@@ -651,39 +667,60 @@ def test_vector_game_solutions_are_lowest_index_pure_optima():
             pure = sol.col_strategy if game == "row" else sol.row_strategy
             assert pure.index(1) == entries.index(sol.value)
             assert sorted(pure) == [0] * (len(entries) - 1) + [1]
-            sol.check(MatrixGame(matrix))
+            sol.check(matrix)
+
+
+# Row 1 guarantees 2 against every column, and columns 1 and 2 both hold
+# every row to 2: saddle points (1, 1) and (1, 2) with value 2.
+_SADDLE_GAME = [[F(1), F(0), F(2)], [F(3), F(2), F(2)], [F(0), F(2), F(-1)]]
+_COLUMN_GAME = [[F(1)], [F(3)], [F(3)], [F(2)]]
+_ROW_GAME = [[F(1), F(3), F(3), F(2)]]
 
 
 def test_forged_vector_game_certificate_rejected():
-    column = [F(1), F(3), F(3), F(2)]
-    _check_pure_optimum(column, 1, F(3), maximum=True)
-    _check_pure_optimum(column, 2, F(3), maximum=True)     # a tie is a maximum too
-    _check_pure_optimum(column, 0, F(1), maximum=False)
-    for pick, value, maximum in [(0, F(1), True),           # not a maximum
-                                 (3, F(2), True),
-                                 (1, F(2), True),           # value is not the entry
-                                 (1, F(3), False),          # not a minimum
-                                 (0, F(0), False)]:
+    """``_check_saddle`` accepts every saddle point, ties included, and
+    rejects a forged row, column or value on a 3x3 game with a saddle and
+    on one-column and one-row games."""
+    assert _saddle(_SADDLE_GAME) == (1, 1)
+    assert _saddle(_COLUMN_GAME) == (1, 0)
+    assert _saddle(_ROW_GAME) == (0, 0)
+    assert _saddle([[F(1), F(0)], [F(0), F(1)]]) is None
+    for game, r, c, value in [(_SADDLE_GAME, 1, 1, F(2)),
+                              (_SADDLE_GAME, 1, 2, F(2)),     # a tie is a saddle too
+                              (_COLUMN_GAME, 1, 0, F(3)),
+                              (_COLUMN_GAME, 2, 0, F(3)),
+                              (_ROW_GAME, 0, 0, F(1))]:
+        _check_saddle(game, r, c, value)
+    for game, r, c, value in [(_SADDLE_GAME, 1, 1, F(3)),     # value is not the entry
+                              (_SADDLE_GAME, 2, 1, F(2)),     # row 2 does not guarantee it
+                              (_SADDLE_GAME, 1, 0, F(3)),     # nor does row 1 guarantee 3
+                              (_SADDLE_GAME, 0, 1, F(0)),     # column 1 lets row 1 have 2
+                              (_COLUMN_GAME, 0, 0, F(1)),     # not a maximum
+                              (_COLUMN_GAME, 3, 0, F(2)),
+                              (_COLUMN_GAME, 1, 0, F(2)),     # value is not the entry
+                              (_ROW_GAME, 0, 1, F(3)),        # not a minimum
+                              (_ROW_GAME, 0, 0, F(0))]:
         with pytest.raises(LPError):
-            _check_pure_optimum(column, pick, value, maximum)
+            _check_saddle(game, r, c, value)
 
 
 def test_forged_vector_game_certificate_rejected_under_optimize():
     script = (
         "from fractions import Fraction as F\n"
         "from signalgames.errors import LPError\n"
-        "from signalgames.lp import _check_pure_optimum\n"
+        "from signalgames.lp import _check_saddle\n"
         "assert False, 'asserts were not stripped'\n"
-        "for pick, value in ((0, F(1)), (1, F(2))):\n"
+        "game = [[F(1), F(0)], [F(3), F(2)]]\n"
+        "for r, c, value in ((1, 1, F(3)), (0, 1, F(0)), (1, 0, F(3))):\n"
         "    try:\n"
-        "        _check_pure_optimum([F(1), F(3)], pick, value, maximum=True)\n"
+        "        _check_saddle(game, r, c, value)\n"
         "    except LPError as err:\n"
         "        print('rejected:', err)\n"
     )
     result = subprocess.run([sys.executable, "-O", "-c", script],
                             capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.count("rejected:") == 2
+    assert result.stdout.count("rejected:") == 3
 
 
 if __name__ == "__main__":

@@ -51,6 +51,21 @@ def test_validate_reports_bad_mass_and_missing_entry():
     assert any("missing entry ('s1', 'T', 'R')" in p for p in problems2)
 
 
+def test_symmetric_validate_reports_spurious_transition_entries():
+    """A transition key outside states x actions1 x actions2, which
+    ``expand`` would drop, is reported as ``GameSpec.validate`` reports
+    it."""
+    spec = corpus.quitting_game()
+    assert spec.validate() == []
+    some = next(iter(spec.transition.values()))
+    spec.transition[("nowhere", "Q", "J")] = dict(some)
+    x = spec.states[0]
+    spec.transition[(x, spec.actions1[0], "no_action")] = dict(some)
+    assert spec.validate() == [
+        "transition: spurious entry ('nowhere', 'Q', 'J')",
+        f"transition: spurious entry ({x!r}, {spec.actions1[0]!r}, 'no_action')"]
+
+
 def test_absorbing_detection_matches_bruteforce(games):
     for name, spec in games.items():
         if hasattr(spec, "expand"):
