@@ -6,25 +6,40 @@ rational are themselves rational, and every acceptance value downstream is
 asserted with exact equality.
 
 Programs are sparse throughout.  A constraint row is a ``{column:
-coefficient}`` dict of its nonzeros.  The tableau holds each row as integers:
-the numerators of its nonzeros, a right-hand-side numerator and one positive
-row denominator, in lowest terms.  Per column it keeps the set of rows that
-hold it, so a pivot touches only the rows of the entering column.  A touched
-row A with denominator d becomes (A*D - k*P) / (d*D), where P is the pivot
-row scaled so that P[col] = D > 0 and k = A[col]; entries that cancel to
-zero are dropped, and one gcd per touched row restores lowest terms.  The
-pivot loop builds no Fraction: the ratio test compares b_r/a_r by
-cross-multiplying integers (the row denominator cancels), and the reduced
-costs and the objective are one more scaled row, updated by the same
-elimination.  Rows the pivot does not touch keep their scale; that is what
+coefficient}`` dict of its nonzeros.  The tableau holds each row, and the
+objective row, as integers: the numerators of its nonzeros, a
+right-hand-side numerator and one positive row denominator, in lowest
+terms.  Per column it keeps the set of rows that hold it, so a pivot
+touches only the rows of the entering column, in one elimination pass.  A
+touched row A with denominator d becomes (A*D - k*P) / (d*D), where P is the
+pivot row scaled so that P[col] = D > 0 and k = A[col]; entries that cancel
+to zero are dropped, and one gcd per touched row restores lowest terms.
+The pivot loop builds no Fraction: the ratio test compares b_r/a_r by
+cross-multiplying integers (the row denominator cancels), and the objective
+row (minus the reduced costs, and the objective value) is one more touched
+row.  Rows the pivot does not touch keep their scale; that is what
 separates this from an integer-preserving (Edmonds/Bareiss) tableau, which
-rescales every row on every pivot.  Each input row is read once into
-integer numerators over its lcm denominator; no Fraction copy of the
-program is made.  Fractions appear only where results are read off the
-final tableau, and the optimality certificate is checked in integers
-against those input rows, in one pass over their nonzeros, O(nnz) rather
-than O(rows x cols).  Coefficients, right-hand sides and objective
-entries must be ints or Fractions, so no float's binary expansion enters.
+rescales every row on every pivot.
+
+Only columns that can change the pivot path are stored.  A free variable is
+split z = z+ - z-, and the minus column, always minus the plus column, is
+never stored: the entering scan, the ratio test, the pivot and the ray read
+it as -1 times its plus column.  The artificial columns are deleted when
+phase 2 starts, which never lets them enter.  Column numbering, the basis
+and every tie-break are those of the full standard form, and as rationals the
+rows are the full tableau's rows with those columns left out, so the pivot
+path and every returned fraction are unchanged.  The duals are read off the
+final objective row at each row's slack or surplus column; an = row's dual
+comes from its artificial column at the start of phase 2 and one backward
+pass over phase 2's pivots (``_backward_duals``).
+
+Each input row is read once into integer numerators over its lcm
+denominator; no Fraction copy of the program is made.  Fractions appear
+only where results are read off the final tableau, and the optimality
+certificate is checked in integers against those input rows, in one pass
+over their nonzeros, O(nnz) rather than O(rows x cols).  Coefficients,
+right-hand sides and objective entries must be ints or Fractions, so no
+float's binary expansion enters.
 
 Determinism: entering variable = lowest eligible index, leaving row = lowest
 ratio with ties broken by lowest basic-variable index, which also guarantees
@@ -139,134 +154,203 @@ def _integer_row(row: dict, rhs) -> tuple:
             rhs.numerator * (den // rhs.denominator), den)
 
 
-def _eliminate(row: dict, b: int, d: int, k: int, terms: list, pb: int, pd: int,
-               cols=None, r=None) -> tuple:
-    """Row (row, b)/d minus k/d times the pivot row, in lowest terms.
-
-    The pivot row is (P, pb)/pd with P[col] = pd, ``terms`` its (column,
-    numerator) pairs off the pivot column, and k the row's numerator in the
-    pivot column, already popped from ``row``.  The result is
-    (A*pd - k*P) / (d*pd), with the scaling skipped when pd = 1, reduced by
-    one gcd.  A factor common to k and pd is cancelled first, so the
-    scaling is also skipped when pd divides k.  Returns ``(row, b, d)``;
-    ``row`` may be a new dict.  With ``cols`` given, the column index
-    follows row r's entries."""
-    g = math.gcd(k, pd)
-    if g != 1:
-        k //= g
-        pd //= g
-    if pd != 1:
-        row = {j: a * pd for j, a in row.items()}
-        b *= pd
-        d *= pd
-    for j, p in terms:
-        a = row.get(j)
-        if a is None:
-            row[j] = -k * p
-            if cols is not None:
-                cols[j].add(r)
-        else:
-            a -= k * p
-            if a:
-                row[j] = a
-            else:
-                del row[j]
-                if cols is not None:
-                    cols[j].discard(r)
-    if pb:
-        b -= k * pb
+def _lowest_terms(row: dict, b: int, d: int) -> tuple:
+    """``(row, b, d)`` divided by gcd(d, b, *row.values())."""
     g = math.gcd(d, b, *row.values())
-    if g != 1:
-        row = {j: a // g for j, a in row.items()}
-        b //= g
-        d //= g
-    return row, b, d
+    if g == 1:
+        return row, b, d
+    return {j: a // g for j, a in row.items()}, b // g, d // g
 
 
 class _Tableau:
     """Sparse simplex tableau over the integers, one denominator per row.
 
-    Row r is ``(m[r], b[r]) / d[r]``: ``m[r]`` is a ``{column: numerator}``
-    dict of its nonzeros, ``b[r] >= 0`` the right-hand side's numerator and
-    ``d[r] > 0`` the row denominator, with gcd(d[r], b[r], *m[r].values())
-    equal to 1.  A basic column has numerator d[r] in its row.  ``cols[j]``
-    is the set of rows whose dict holds column j; the two always agree.
+    Rows 0..n-1 are the constraint rows and row n (``obj``) is the
+    objective row.  Row r is ``(m[r], b[r]) / d[r]``: ``m[r]`` is a
+    ``{column: numerator}`` dict of its nonzeros, ``b[r]`` the right-hand
+    side's numerator (``>= 0`` on a constraint row) and ``d[r] > 0`` the row
+    denominator, with gcd(d[r], b[r], *m[r].values()) equal to 1.  The
+    objective row is z = c_B B^-1 A - c, minus the reduced costs, with the
+    objective value c_B B^-1 b on its right.  ``cols[j]`` is the set of rows,
+    the objective row included, whose dict holds column j; the two always
+    agree.
+
+    Only live columns are stored.  The minus half of a split free variable
+    (column t + 1, with ``split[t]`` true for its plus half t) is always
+    minus its plus half, so it has no key: its entries and its reduced cost
+    are read as -1 times column t's (``key``).  A basic column holds
+    numerator d[r] in its row; a basic minus column holds -d[r] at its plus
+    key.  Artificial columns are stored in phase 1 and deleted (``drop``)
+    before phase 2, where they could never enter.  Column numbering and the
+    basis are those of the full standard form.  So every column Bland's
+    rule could pick has the index, the reduced cost and the entries it has
+    in the full tableau, the same pivots follow, and the pivot path cannot
+    move.
+
+    While ``record`` is a list, each pivot appends the entering column's
+    elimination step (see ``pivot``), for ``_backward_duals``.
     """
 
-    def __init__(self, matrix, rhs, dens, ncols):
-        self.m = matrix            # list of sparse integer rows
-        self.b = rhs               # right-hand-side numerators, all >= 0
-        self.d = dens              # row denominators, all > 0
+    def __init__(self, matrix, rhs, dens, ncols, split):
+        self.obj = len(matrix)
+        self.m = matrix + [{}]
+        self.b = rhs + [0]
+        self.d = dens + [1]
         self.basis = [None] * len(matrix)
+        self.split = split
+        self.record = None
         self.cols = [set() for _ in range(ncols)]
         for r, row in enumerate(matrix):
             for j in row:
                 self.cols[j].add(r)
 
-    def pivot(self, row: int, col: int) -> list:
-        """Pivot on (row, col); returns the pivot row's (column, numerator)
-        pairs off ``col``, for eliminating ``col`` from the objective row."""
-        # Dividing the pivot row by m/d at col makes it (m, b) / m[col].  It
-        # stays in lowest terms: its old basic column holds d[row], so the
-        # numerators alone already have gcd 1.
-        piv, pb, pd = self.m[row], self.b[row], self.m[row][col]
+    def key(self, col: int) -> tuple:
+        """``(stored column, sign)`` of standard-form column ``col``: a
+        minus column reads as -1 times its plus column."""
+        if col and self.split[col - 1]:
+            return col - 1, -1
+        return col, 1
+
+    def set_objective(self, cost) -> None:
+        """Make the objective row z = c_B B^-1 A - c of ``cost`` (one entry
+        per standard-form column) over the current basis.
+
+        In integers: the costs over their lcm C, and the basic rows with a
+        nonzero cost over the lcm L of their denominators, so z is the sum
+        of cost(basis[r]) (L / d[r]) times row r, minus L c, over C L."""
+        m, b, d, cols, z = self.m, self.b, self.d, self.cols, self.obj
+        for j in m[z]:
+            cols[j].discard(z)
+        cs, C = _over_common(cost)
+        basic = [(r, cs[j]) for r, j in enumerate(self.basis) if cs[j]]
+        L = math.lcm(1, *(d[r] for r, _ in basic))
+        row = {j: -c * L for j, c in enumerate(cs) if c and self.key(j)[1] > 0}
+        zb = 0
+        for r, c in basic:
+            f = c * (L // d[r])
+            for j, a in m[r].items():
+                row[j] = row.get(j, 0) + f * a
+            zb += f * b[r]
+        m[z], b[z], d[z] = _lowest_terms({j: a for j, a in row.items() if a}, zb, C * L)
+        for j in m[z]:
+            cols[j].add(z)
+
+    def drop(self, columns) -> None:
+        """Delete ``columns`` from every row, and bring each row that held
+        one back to lowest terms."""
+        m, b, d, cols = self.m, self.b, self.d, self.cols
+        touched = set()
+        for c in columns:
+            for r in cols[c]:
+                del m[r][c]
+            touched |= cols[c]
+            cols[c] = set()
+        for r in touched:
+            m[r], b[r], d[r] = _lowest_terms(m[r], b[r], d[r])
+
+    def pivot(self, row: int, col: int) -> None:
+        """Pivot on (row, col): one elimination pass over the rows that
+        hold the column, the objective row among them.
+
+        The pivot row (P, pb)/pd is scaled so that its entry in ``col`` is
+        pd > 0.  A touched row (A, b)/d, whose entry in ``col`` has
+        numerator k, becomes (A*pd - k*P) / (d*pd), with a factor common to
+        k and pd cancelled first, so the scaling is skipped when pd divides
+        k.  Entries that cancel to zero leave the row and ``cols``, and one
+        gcd per row restores lowest terms.  With ``record`` on, the step is
+        appended as (row, pivot numerator, old row denominator, [(r, k,
+        d[r])] of the touched rows): the entering column, read before the
+        pivot."""
+        m, b, d, cols = self.m, self.b, self.d, self.cols
+        key, sign = self.key(col)
+        pd = m[row][key]
+        hits = [(r, m[r].pop(key), d[r]) for r in cols[key] if r != row]
+        if sign < 0:
+            pd = -pd
+            hits = [(r, -k, dr) for r, k, dr in hits]
+        if self.record is not None:
+            self.record.append((row, pd, d[row], hits))
+        # Dividing the pivot row by its entry pd/d makes it (P, pb) / pd.
+        # It stays in lowest terms: its old basic column holds +-d[row], so
+        # the numerators alone already have gcd 1.
+        piv, pb = m[row], b[row]
         if pd < 0:                      # only a phase-1 drive-out pivot
             piv = {j: -p for j, p in piv.items()}
             pb, pd = -pb, -pd
-        m, b, d, cols = self.m, self.b, self.d, self.cols
         m[row], b[row], d[row] = piv, pb, pd
-        terms = [(j, p) for j, p in piv.items() if j != col]
-        for r in cols[col]:
-            if r != row:
-                other = m[r]
-                k = other.pop(col)
-                m[r], b[r], d[r] = _eliminate(other, b[r], d[r], k, terms, pb, pd, cols, r)
-        cols[col] = {row}
+        terms = [(j, p) for j, p in piv.items() if j != key]
+        gcd = math.gcd
+        for r, k, dr in hits:
+            a_row, br = m[r], b[r]
+            g = gcd(k, pd)
+            scale = pd
+            if g != 1:
+                k //= g
+                scale //= g
+            if scale != 1:
+                a_row = {j: a * scale for j, a in a_row.items()}
+                br *= scale
+                dr *= scale
+            for j, p in terms:
+                a = a_row.get(j)
+                if a is None:
+                    a_row[j] = -k * p
+                    cols[j].add(r)
+                else:
+                    a -= k * p
+                    if a:
+                        a_row[j] = a
+                    else:
+                        del a_row[j]
+                        cols[j].discard(r)
+            if pb:
+                br -= k * pb
+            g = gcd(dr, br, *a_row.values())
+            if g != 1:
+                a_row = {j: a // g for j, a in a_row.items()}
+                br //= g
+                dr //= g
+            m[r], b[r], d[r] = a_row, br, dr
+        cols[key] = {row}
         self.basis[row] = col
-        return terms
 
 
-def _run_simplex(tab: _Tableau, cost, allowed):
-    """Maximize cost over the tableau; returns (status, pivots, bad_col, obj).
+def _run_simplex(tab: _Tableau):
+    """Maximize the tableau's objective row; returns (status, pivots,
+    bad_col), ``bad_col`` being the unbounded entering column.
 
-    ``allowed[j]`` False bars column j from entering (used to freeze
-    artificials in phase 2).  ``bad_col`` is the unbounded entering column.
-    More than 50000 + 200 * (rows + columns) pivots raise LPError.
-    """
-    pivot_limit = 50000 + 200 * (len(tab.m) + len(tab.cols))
-    # The objective row (red, zb)/zd: reduced costs, nonzeros only, and
-    # minus the objective value.  Start from the cost row and eliminate
-    # every basic column, exactly as a pivot eliminates its column.
-    red, zb, zd = _integer_row({j: c for j, c in enumerate(cost) if c}, 0)
-    for r, bcol in enumerate(tab.basis):
-        k = red.pop(bcol, 0)
-        if k:
-            terms = [(j, p) for j, p in tab.m[r].items() if j != bcol]
-            red, zb, zd = _eliminate(red, zb, zd, k, terms, tab.b[r], tab.d[r])
-
-    m, b, basis = tab.m, tab.b, tab.basis
+    More than 50000 + 200 * (rows + columns) pivots raise LPError, columns
+    counted in the full standard form."""
+    n = tab.obj
+    pivot_limit = 50000 + 200 * (n + len(tab.cols))
+    m, b, basis, cols, split = tab.m, tab.b, tab.basis, tab.cols, tab.split
     pivots = 0
     while True:
-        # Bland: lowest eligible index
-        enter = min((j for j, v in red.items() if v > 0 and allowed[j]), default=-1)
+        # Bland: lowest index with a positive reduced cost, i.e. a negative
+        # z entry, or a positive one at the plus key of a minus column.
+        enter = min((j if v < 0 else j + 1 for j, v in m[n].items() if v < 0 or split[j]),
+                    default=-1)
         if enter < 0:
-            return OPTIMAL, pivots, -1, Fraction(-zb, zd)
+            return OPTIMAL, pivots, -1
 
-        # Lowest ratio b[r]/a over rows with a = m[r][enter] > 0, compared
-        # as b[r] * a_best < b_best * a; ties go to the lowest basic index.
+        # Lowest ratio b[r]/a over rows with entry a > 0 in the entering
+        # column, compared as b[r] * a_best < b_best * a; ties go to the
+        # lowest basic index.  The objective row holds the column too, with
+        # an entry of the wrong sign, so it never qualifies.
+        key, sign = tab.key(enter)
         leave, best_b, best_a, best_basis = -1, 0, 1, None
-        for r in tab.cols[enter]:
-            a = m[r][enter]
+        for r in cols[key]:
+            a = m[r][key]
+            if sign < 0:
+                a = -a
             if a > 0:
                 lhs, rhs = b[r] * best_a, best_b * a
                 if leave < 0 or lhs < rhs or (lhs == rhs and basis[r] < best_basis):
                     leave, best_b, best_a, best_basis = r, b[r], a, basis[r]
         if leave < 0:
-            return UNBOUNDED, pivots, enter, Fraction(-zb, zd)
+            return UNBOUNDED, pivots, enter
 
-        terms = tab.pivot(leave, enter)
-        k = red.pop(enter)
-        red, zb, zd = _eliminate(red, zb, zd, k, terms, b[leave], tab.d[leave])
+        tab.pivot(leave, enter)
         pivots += 1
         if pivots > pivot_limit:
             raise LPError(f"pivot limit {pivot_limit} exceeded")
@@ -284,7 +368,8 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
     Each input row is read once into integer numerators over its lcm
     denominator (``_integer_row``).  That copy, in the input orientation,
     is the one the certificate is checked against; the tableau gets its
-    own rows, negated where the rhs is negative, with free columns split.
+    own rows, negated where the rhs is negative, holding only live columns
+    (see ``_Tableau``).
     """
     lp.validate()
     rows = [_integer_row(row, rhs) for row, rhs in zip(lp.rows, lp.rhs)]
@@ -320,21 +405,13 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
         if sense in (GEQ, EQ):
             art_col[r] = ncols
             ncols += 1
-
-    # Initial +1 unit column per row (slack for <=, artificial otherwise);
-    # its final tableau column is B^-1 e_r, which yields the duals.
-    unit_col = [slack_col[r] if senses[r] == LEQ else art_col[r]
-                for r in range(nrows)]
+    split = [False] * ncols
+    for plus, minus in col_of:
+        split[plus] = minus is not None
 
     matrix, bvec, dvec = [], [], []
     for r, ((row, b, den), sense, flip) in enumerate(zip(rows, senses, flips)):
-        full = {}
-        for k, v in row.items():
-            v *= flip
-            plus, minus = col_of[k]
-            full[plus] = v
-            if minus is not None:
-                full[minus] = -v
+        full = {col_of[k][0]: v * flip for k, v in row.items()}
         if sense == LEQ:
             full[slack_col[r]] = den
         elif sense == GEQ:
@@ -345,25 +422,29 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
         bvec.append(b * flip)
         dvec.append(den)
 
-    tab = _Tableau(matrix, bvec, dvec, ncols)
+    tab = _Tableau(matrix, bvec, dvec, ncols, split)
     for r in range(nrows):
         tab.basis[r] = art_col.get(r, slack_col.get(r))
 
     total_pivots = 0
     art_set = set(art_col.values())
+    eq_cols = {}
 
     # Phase 1: drive artificials to zero.
     if art_col:
         cost1 = [0] * ncols
         for c in art_set:
             cost1[c] = -1
-        allowed = [True] * ncols
-        status, pivots, _, obj1 = _run_simplex(tab, cost1, allowed)
+        tab.set_objective(cost1)
+        _, pivots, _ = _run_simplex(tab)
         total_pivots += pivots
-        if obj1 < 0:
+        if tab.b[tab.obj] < 0:
             # Farkas certificate: y = -(phase-1 duals), in original row
             # orientation; satisfies y.rhs > 0 while y'A <= 0 over columns.
-            y = _duals_from_basis(tab, cost1, unit_col)
+            # Row r's +1 unit column is its slack (<=) or its artificial.
+            units = [(slack_col[r] if senses[r] == LEQ else art_col[r], 1)
+                     for r in range(nrows)]
+            y = _duals_from_basis(tab, cost1, units)
             cert = [-flips[r] * y[r] for r in range(nrows)]
             return LPSolution(status=INFEASIBLE, certificate=cert, pivots=total_pivots)
         # Pivot remaining artificials out of the basis on their lowest
@@ -375,11 +456,19 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
                 if j is not None:
                     tab.pivot(r, j)
                     total_pivots += 1
+        # Phase 2 never lets an artificial enter, so it stores none.  An =
+        # row's dual needs its artificial's column B0^-1 e_r, kept here as
+        # (row, numerator, denominator) triples, and phase 2's pivots.
+        eq_cols = {r: [(i, tab.m[i][c], tab.d[i]) for i in tab.cols[c]]
+                   for r, c in art_col.items() if senses[r] == EQ}
+        tab.drop(art_set)
+        if eq_cols:
+            tab.record = []
 
     # Phase 2.
     cost2 = cost_struct + [0] * (ncols - nstruct)
-    allowed = [j not in art_set for j in range(ncols)]
-    status, pivots, bad_col, obj = _run_simplex(tab, cost2, allowed)
+    tab.set_objective(cost2)
+    status, pivots, bad_col = _run_simplex(tab)
     total_pivots += pivots
 
     if status == UNBOUNDED:
@@ -389,7 +478,10 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
     values = {col: Fraction(b, d) for col, b, d in zip(tab.basis, tab.b, tab.d)}
     primal = _by_variable(values, col_of)
 
-    y = _duals_from_basis(tab, cost2, unit_col)
+    # Row r's slack is +e_r (<=) and its surplus -e_r (>=).
+    units = [None if r not in slack_col else (slack_col[r], 1 if senses[r] == LEQ else -1)
+             for r in range(nrows)]
+    y = _duals_from_basis(tab, cost2, units, eq_cols)
     duals = [flips[r] * y[r] for r in range(nrows)]
 
     _verify_optimal(lp, rows, primal, duals)
@@ -398,32 +490,64 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
                       duals=duals, pivots=total_pivots)
 
 
-def _duals_from_basis(tab: _Tableau, cost, unit_col):
-    """Duals y = c_B . B^-1, read off the transformed unit columns.
+def _duals_from_basis(tab: _Tableau, cost, units, eq_cols=None) -> list:
+    """Duals y = c_B B^-1 of the final basis, one per row.
 
-    Row r started with a +1 unit column (slack for <= rows, artificial
-    otherwise); its final tableau column equals B^-1 e_r, hence
-    y_r = c_B . (final column of unit_col[r]).  The sum runs in integers:
-    c_B over the lcm C of its denominators, the column's entries m / d
-    over the lcm M of the denominators of the rows it touches, so y_r is
-    one ``Fraction`` of sum c m (M / d) over C M.
+    Where ``units[r]`` is (u, s), standard-form column u is s e_r: the
+    row's slack (s = 1), its surplus (s = -1) or, in phase 1, its
+    artificial (s = 1).  The objective row holds z_u = c_B B^-1 A_u - c_u
+    = s y_r - c_u there, so y_r = s (z_u + c_u), one ``Fraction`` read off
+    the row (c_u is the integer 0 or -1).  The other rows are the = rows
+    after phase 2, whose artificial columns are not stored:
+    ``_backward_duals`` gets theirs from ``eq_cols``.
     """
-    cb, C = _over_common([cost[j] for j in tab.basis])
-    m, d = tab.m, tab.d
-    y = []
-    for col in unit_col:
-        touched = [rr for rr in tab.cols[col] if cb[rr]]
-        M = math.lcm(*(d[rr] for rr in touched))    # 1 when none is
-        acc = sum(cb[rr] * m[rr][col] * (M // d[rr]) for rr in touched)
-        y.append(Fraction(acc, C * M))
-    return y
+    z, zd = tab.m[tab.obj], tab.d[tab.obj]
+    y = _backward_duals(tab, cost, eq_cols) if eq_cols else {}
+    return [y[r] if unit is None
+            else Fraction(unit[1] * (z.get(unit[0], 0) + cost[unit[0]] * zd), zd)
+            for r, unit in enumerate(units)]
+
+
+def _backward_duals(tab: _Tableau, cost, eq_cols: dict) -> dict:
+    """``{r: y_r}`` for the = rows, from their artificial columns at the
+    start of phase 2 and the pivots recorded since.
+
+    ``eq_cols[r]`` is B0^-1 e_r as (row, numerator, denominator) triples.
+    A recorded pivot on row p whose entering column was alpha (alpha_i =
+    k_i / d_i off the pivot row, alpha_p = pd / dp) maps a column v to
+    E v: v_p / alpha_p in row p and v_i - alpha_i v_p / alpha_p elsewhere.
+    So the final artificial column is E_k...E_1 B0^-1 e_r, and y_r =
+    c_B . E_k...E_1 B0^-1 e_r = w . B0^-1 e_r with w = c_B E_k...E_1.  One
+    backward pass over the record builds w: each step changes only w_p,
+    to (w_p - sum_i w_i alpha_i) / alpha_p, summed in integers over the
+    lcm of its terms' denominators, one ``Fraction`` per step.  The
+    objective row is no basis row: its weight is 0."""
+    w = [cost[j] for j in tab.basis] + [0]
+    for p, pd, dp, hits in reversed(tab.record):
+        terms = [(w[i], k, di) for i, k, di in hits if w[i]]
+        if terms or w[p]:
+            terms.append((w[p], -1, 1))
+            acc, L = _dot(terms)            # sum_i w_i alpha_i - w_p
+            w[p] = Fraction(-acc * dp, L * pd)
+    return {r: Fraction(*_dot([(w[i], a, di) for i, a, di in col if w[i]]))
+            for r, col in eq_cols.items()}
+
+
+def _dot(terms) -> tuple:
+    """``(acc, L)`` with acc / L the sum of v k / d over ``terms`` of (v,
+    k, d), v an int or a Fraction, k and d integers: L is the lcm of the
+    denominators of the v / d."""
+    L = math.lcm(1, *(v.denominator * d for v, _, d in terms))
+    return sum(v.numerator * k * (L // (v.denominator * d)) for v, k, d in terms), L
 
 
 def _extract_ray(tab: _Tableau, enter_col: int, col_of):
     """Improving direction: entering column increases, basics adjust."""
+    key, sign = tab.key(enter_col)
     direction = {enter_col: Fraction(1)}
-    for r in tab.cols[enter_col]:
-        direction[tab.basis[r]] = -Fraction(tab.m[r][enter_col], tab.d[r])
+    for r in tab.cols[key]:
+        if r != tab.obj:
+            direction[tab.basis[r]] = -Fraction(sign * tab.m[r][key], tab.d[r])
     return _by_variable(direction, col_of)
 
 

@@ -4,6 +4,13 @@ All probabilities, payoffs and values in the solver paths are
 `fractions.Fraction` instances; nothing is ever rounded.  Game documents
 carry numbers as strings like ``"2/3"`` or ``"-1"`` so that parsing is
 exact as well.
+
+CPython refuses to convert an int of more than
+``sys.get_int_max_str_digits()`` digits (4300 by default, never fewer
+than 640) to or from a decimal string.  Exact values outgrow that, so
+numbers are converted in pieces of at most ``_PIECE`` digits, split at
+powers of ten; the text is the same decimal text ``str`` and ``int`` give,
+at any length.
 """
 
 from __future__ import annotations
@@ -14,6 +21,9 @@ from math import lcm
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+_PIECE = 600
+_PIECE_BITS = 1993          # 2**1993 < 10**600: at most _PIECE digits
 
 _RATIONAL_RE = re.compile(r"^\s*(-?\d+)\s*(?:/\s*(\d+)\s*)?$")
 
@@ -31,8 +41,8 @@ def parse_rational(text: str) -> Fraction:
     m = _RATIONAL_RE.match(text)
     if not m:
         raise ValueError(f"not a rational literal: {text!r}")
-    num = int(m.group(1))
-    den = int(m.group(2)) if m.group(2) else 1
+    num = _parse_int(m.group(1))
+    den = _parse_int(m.group(2)) if m.group(2) else 1
     if den == 0:
         raise ValueError(f"zero denominator: {text!r}")
     return Fraction(num, den)
@@ -48,8 +58,32 @@ def format_rational(value: Fraction) -> str:
     """Render in lowest terms, ``"p/q"`` or plain integer."""
     value = Fraction(value)
     if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+        return _format_int(value.numerator)
+    return f"{_format_int(value.numerator)}/{_format_int(value.denominator)}"
+
+
+def _format_int(n: int) -> str:
+    """``str(n)`` at any length: a number of more than ``_PIECE`` digits
+    is split as hi * 10**k + lo, lo padded to its k digits."""
+    if n.bit_length() <= _PIECE_BITS:
+        return str(n)
+    if n < 0:
+        return "-" + _format_int(-n)
+    k = n.bit_length() * 30103 // 200000          # about half its digits
+    hi, lo = divmod(n, 10 ** k)
+    return _format_int(hi) + _format_int(lo).zfill(k)
+
+
+def _parse_int(text: str) -> int:
+    """``int(text)`` of an optionally signed digit string, at any length:
+    a string of more than ``_PIECE`` digits is read as its leading digits
+    times 10**k plus its last k."""
+    if len(text) <= _PIECE:
+        return int(text)
+    if text.startswith("-"):
+        return -_parse_int(text[1:])
+    k = len(text) // 2
+    return _parse_int(text[:-k]) * 10 ** k + _parse_int(text[-k:])
 
 
 def decimal_repr(value: Fraction) -> str:

@@ -471,26 +471,48 @@ def test_lp_pivot_cancellation_keeps_tableau_sparse(monkeypatch):
     # max x + y + z s.t. x + y <= 2, x + y + z <= 3.  The first pivot (x on
     # row 0) turns row 1's y coefficient into 1 - 1 = 0, which must leave
     # both the row and the column index.
-    cancelled = []
-    pivot = lp_module._Tableau.pivot
+    cancelled, minus_pivots, phase2_pivots, dropped = [], [], [], set()
+    pivot, drop = lp_module._Tableau.pivot, lp_module._Tableau.drop
 
-    def checked_pivot(tab, row, col):
-        before = [set(r) for r in tab.m]
-        terms = pivot(tab, row, col)
+    def check(tab):
+        minus = {j + 1 for j, s in enumerate(tab.split) if s}
         for r, entries in enumerate(tab.m):
             assert all(v != 0 for v in entries.values())
             # each row is integers over one positive denominator, in lowest terms
             assert tab.d[r] > 0
             assert math.gcd(tab.d[r], tab.b[r], *entries.values()) == 1
-            if r != row:
-                cancelled.extend((r, j) for j in before[r] - set(entries) if j != col)
+            # a minus column is never stored; an artificial is not once
+            # phase 2 starts
+            assert not minus.intersection(entries)
+            assert not dropped.intersection(entries)
         for j, holders in enumerate(tab.cols):
             assert holders == {r for r, entries in enumerate(tab.m) if j in entries}
-        # the pivot row's terms off the pivot column, for the objective row
-        assert terms == [(j, p) for j, p in tab.m[row].items() if j != col]
-        return terms
+
+    def checked_pivot(tab, row, col):
+        before = [set(r) for r in tab.m]
+        pivot(tab, row, col)
+        check(tab)
+        key, sign = tab.key(col)
+        for r, entries in enumerate(tab.m):
+            if r != row:
+                cancelled.extend((r, j) for j in before[r] - set(entries) if j != key)
+        # the entering column is stored as the pivot row's unit column: a
+        # minus column as -d[row] at its plus key, nowhere else
+        assert tab.basis[row] == col
+        assert tab.cols[key] == {row}
+        assert tab.m[row][key] == sign * tab.d[row]
+        if sign < 0:
+            minus_pivots.append(col)
+        if dropped:
+            phase2_pivots.append(col)
+
+    def checked_drop(tab, columns):
+        dropped.update(columns)
+        drop(tab, columns)
+        check(tab)
 
     monkeypatch.setattr(lp_module._Tableau, "pivot", checked_pivot)
+    monkeypatch.setattr(lp_module._Tableau, "drop", checked_drop)
     lp = LinearProgram(
         objective=[F(1), F(1), F(1)],
         rows=[{0: F(1), 1: F(1)}, {0: F(1), 1: F(1), 2: F(1)}],
@@ -504,10 +526,75 @@ def test_lp_pivot_cancellation_keeps_tableau_sparse(monkeypatch):
     assert sol.primal == [F(2), F(0), F(1)]
     assert sol.duals == [F(0), F(1)]
     assert sol.pivots == 2
-    # The same invariants along the pivots of programs with fractional data.
+    # The same invariants along the pivots of programs with fractional data,
+    # free variables and artificial rows.
     rng = random.Random(5)
     for _ in range(40):
+        dropped.clear()
         solve_lp(random_lp(rng))
+    assert minus_pivots and phase2_pivots
+
+
+# Programs pinned with what the full tableau returned before minus and
+# artificial columns left it: each one reads a column the tableau no longer
+# stores.  Columns are numbered as in the standard form: structural (a
+# free variable's plus half, then its minus half), slacks, artificials.
+def test_minus_column_enters_as_the_negated_plus_column():
+    # max -x s.t. x >= -3, x free: the minus half of x enters at once.
+    sol = solve_lp(LinearProgram([-1], [{0: 1}], [GEQ], [-3], frozenset({0})))
+    assert (sol.status, sol.objective, sol.primal, sol.duals, sol.pivots) == (
+        OPTIMAL, 3, [-3], [-1], 1)
+
+
+def test_unbounded_ray_enters_through_a_minus_column(monkeypatch):
+    # max y - x s.t. y + x <= 2, x/2 - 3y <= 7, x free: y enters, then the
+    # minus half of x (column 2) meets no blocking row, and y grows with it.
+    entered = []
+    extract = lp_module._extract_ray
+
+    def recording(tab, col, col_of):
+        entered.append(col)
+        return extract(tab, col, col_of)
+
+    monkeypatch.setattr(lp_module, "_extract_ray", recording)
+    sol = solve_lp(LinearProgram([1, -1], [{0: 1, 1: 1}, {0: -3, 1: F(1, 2)}],
+                                 [LEQ, LEQ], [2, 7], frozenset({1})))
+    assert entered == [2]
+    assert (sol.status, sol.certificate, sol.pivots) == (UNBOUNDED, [1, -1], 1)
+
+
+def test_equality_duals_after_phase_two_pivots(monkeypatch):
+    # Row 4 is twice row 0, so its artificial (column 9) stays basic at 0.
+    # The = rows read their duals through both phase-2 pivots, each of
+    # which moves row 0's dual; row 1 (>=) reads its surplus column.
+    seen = []
+    backward = lp_module._backward_duals
+
+    def recording(tab, cost, eq_cols):
+        seen.append((len(tab.record), list(tab.basis), sorted(eq_cols)))
+        return backward(tab, cost, eq_cols)
+
+    monkeypatch.setattr(lp_module, "_backward_duals", recording)
+    sol = solve_lp(LinearProgram(
+        [3, 4, 1, 2],
+        [{0: 2, 1: -1, 3: 1}, {1: -1, 2: 1, 3: F(-3, 2)}, {0: F(3, 2), 1: F(1, 2)},
+         {0: 1, 1: 1, 2: 1, 3: 1}, {0: 4, 1: -2, 3: 2}],
+        [EQ, GEQ, LEQ, LEQ, EQ], [F(1, 2), 2, F(5, 2), 10, 1]))
+    assert seen == [(2, [0, 2, 1, 3, 9], [0, 4])]
+    assert (sol.status, sol.objective, sol.pivots) == (OPTIMAL, F(197, 10), 4)
+    assert sol.primal == [F(9, 10), F(23, 10), F(29, 5), 1]
+    assert sol.duals == [F(-5, 7), F(-24, 35), F(64, 35), F(59, 35), 0]
+
+
+def test_matrix_game_lp_equality_dual_is_the_value():
+    # The LP solve_matrix_game builds for [[0, -1/2], [-1/2, 1/2]]: the
+    # dual of its = row (sum p = 1) is the value, the others the column mix.
+    sol = solve_lp(LinearProgram(
+        [0, 0, 1], [{1: F(1, 2), 2: 1}, {0: F(1, 2), 1: F(-1, 2), 2: 1}, {0: 1, 1: 1}],
+        [LEQ, LEQ, EQ], [0, 0, 1], frozenset({2})))
+    assert (sol.status, sol.objective, sol.pivots) == (OPTIMAL, F(-1, 6), 3)
+    assert sol.primal == [F(2, 3), F(1, 3), F(-1, 6)]
+    assert sol.duals == [F(2, 3), F(1, 3), F(-1, 6)]
 
 
 # Sequence-form LPs recorded before the LP core became sparse: the pivot

@@ -1,10 +1,11 @@
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
 
 from oracles import ancestor
 from randgen import constant_strategy, random_game, random_symmetric_game
-from signalgames import corpus
+from signalgames import corpus, reduction
 from signalgames.errors import GameModelError, UnsupportedStructureError
 from signalgames.histories import build_trees, exact_play_distribution
 from signalgames.model import (
@@ -32,6 +33,24 @@ def test_parse_rational_exact():
         parse_rational("0.5")
     with pytest.raises(ValueError):
         parse_rational("1/0")
+
+
+def test_rationals_past_the_int_str_limit_round_trip():
+    # v_10 of this game has 5174-digit terms, past CPython's default
+    # 4300-digit int/str limit; v_9 (3779 characters) is below it.
+    values = reduction.solve_horizons(
+        reduction.build_auxiliary(random_symmetric_game(17), 10), [9, 10])
+    v9, v10 = values[9], values[10]
+    assert format_rational(v9) == f"{v9.numerator}/{v9.denominator}"
+    text = format_rational(v10)
+    # the decimal module converts without the int/str limit
+    assert text == f"{Decimal(v10.numerator)}/{Decimal(v10.denominator)}"
+    assert len(text) > 10000
+    assert parse_rational(text) == v10
+    assert parse_rational(format_rational(-v10)) == -v10
+    num, den = text.split("/")
+    assert format_rational(v10.numerator) == num
+    assert parse_rational(f" 007/ {den}") == F(7, v10.denominator)
 
 
 def test_corpus_games_validate(games):
