@@ -172,8 +172,7 @@ def cmd_reduce_symmetric(args) -> int:
             masses: dict = {}
             for h in ob.members:
                 masses[h.state] = masses.get(h.state, 0) + h.mass
-            total = sum(masses.values())
-            post = " ".join(f"{x}:{format_rational(Fraction(m, total))}"
+            post = " ".join(f"{x}:{format_rational(Fraction(m, ob.mass))}"
                             for x, m in sorted(masses.items()))
             trans = []
             for i in spec.actions1:

@@ -10,12 +10,13 @@ The two central objects:
 * the *observed tree* for a chosen observer view: the projections of those
   histories, annotated with ``beta`` = the sum of alpha over the preimage.
 
-The weights are integers over a level scale, as in the per-history tree
-of ``reduction.build_auxiliary``: with P and D the lcms of the positive
-initial and transition denominators, a level-n history carries the integer
-``mass`` with alpha = mass / (P * D**(n-1)), the scale shared by its level.
-``build_trees`` multiplies integers per child and builds one ``Fraction``
-per observation, its ``beta``.
+The weights are integers over a level scale: with P and D the lcms of the
+positive initial and transition denominators, a level-n history carries
+the integer ``mass`` with alpha = mass / (P * D**(n-1)), the scale shared
+by its level, and an observation the sum of its members' masses, with
+beta = mass / scale.  ``build_trees`` multiplies integers per child, adds
+them per observation and builds no ``Fraction``; ``alpha`` and ``beta``
+are derived on demand.
 
 The ratio  sum of alpha over {h' extending h_n whose projection is v_m}
 divided by beta(v_m)  is the conditional probability of h_n given the
@@ -32,9 +33,9 @@ That kernel is never built as a table of ``Fraction``s.
 ``conditional_check`` certifies its identities in Python integers: one
 play walk gives each history's strategy weight as an integer pair (the
 same walk serves ``exact_play_distribution``), and per observation the
-member masses, already over their level's scale, and the play masses are
-compared with beta cross-multiplied.  At the horizon the kernel row of an
-observation is its members' masses over their sum, which is all
+member masses and the play masses are compared with the observation's
+mass, all over their level's scale.  At the horizon the kernel row of an
+observation is its members' masses over its own, which is all
 ``reduction.lift_payoff`` reads.
 """
 
@@ -109,14 +110,20 @@ def _path_to(node) -> list:
 class ObservedNode:
     """One observed history; groups the full histories projecting onto it.
 
-    ``beta`` is the members' mass sum over their level's scale."""
+    Its weight is beta = mass / scale, ``mass`` being its members' mass sum
+    and ``scale`` their level's."""
 
     label: object                       # this stage's observed component
     edge: tuple | None                  # observed action part from parent
-    beta: Fraction
+    mass: int
+    scale: int
     depth: int
     parent: "ObservedNode | None" = None
     members: list = field(default_factory=list)
+
+    @property
+    def beta(self) -> Fraction:
+        return Fraction(self.mass, self.scale)
 
     def view(self) -> tuple:
         """The observed history: each node's edge, then its label."""
@@ -149,10 +156,10 @@ def build_trees(spec_or_sym, horizon: int,
                 budget: int | None = None) -> TreePair:
     """Build H-bar and V-bar levels 1..horizon with exact alpha/beta weights.
 
-    A child's mass is its parent's times the transition numerator over D;
-    an observation's beta is its members' mass sum over the level scale,
-    the one ``Fraction`` built per observation.  The view is "public" when
-    ``public_labels`` finds symmetric signaling and "joint" otherwise.
+    A child's mass is its parent's times the transition numerator over D,
+    and an observation's mass its members' sum; no ``Fraction`` is built.
+    The view is "public" when ``public_labels`` finds symmetric signaling
+    and "joint" otherwise.
     Budget overruns raise BudgetExceededError naming the level reached.
     """
     spec = as_general(spec_or_sym)
@@ -178,7 +185,7 @@ def build_trees(spec_or_sym, horizon: int,
     initial = [(x, c, d, p) for (x, c, d), p in spec.initial.items() if p > 0]
     scale = denominator_lcm(p for *_, p in initial)
     level1 = []
-    groups: dict = {}                   # (edge, label) -> [ObservedNode, mass sum]
+    groups: dict = {}                   # (edge, label) -> ObservedNode
     for x, c, d, p in initial:
         nodes.charge(1)
         node = HistoryNode(state=x, sig1=c, sig2=d,
@@ -188,7 +195,7 @@ def build_trees(spec_or_sym, horizon: int,
         _group(groups, (None, label_of(c, d)), node, None)
 
     levels = [level1]
-    obs_levels = [_close(groups, scale)]
+    obs_levels = [list(groups.values())]
 
     for n in range(1, horizon):
         scale *= step
@@ -204,7 +211,7 @@ def build_trees(spec_or_sym, horizon: int,
                                         depth=n + 1, parent=h, via=via)
                     next_level.append(child)
                     _group(groups, key, child, ob)
-            next_obs.extend(_close(groups, scale))
+            next_obs.extend(groups.values())
         levels.append(next_level)
         obs_levels.append(next_obs)
 
@@ -213,25 +220,15 @@ def build_trees(spec_or_sym, horizon: int,
 
 
 def _group(groups: dict, key: tuple, node: HistoryNode, parent) -> None:
-    """Add ``node`` to the observation ``key`` = (edge, label) under
-    ``parent``, opening it on first sight, and its mass to the sum."""
-    entry = groups.get(key)
-    if entry is None:
-        entry = groups[key] = [ObservedNode(label=key[1], edge=key[0],
-                                            beta=ZERO, depth=node.depth,
-                                            parent=parent), 0]
-    entry[0].members.append(node)
-    entry[1] += node.mass
-
-
-def _close(groups: dict, scale: int) -> list:
-    """The observations in order of discovery, each with its beta set from
-    its mass sum."""
-    out = []
-    for ob, mass in groups.values():
-        ob.beta = Fraction(mass, scale)
-        out.append(ob)
-    return out
+    """Add ``node`` and its mass to the observation ``key`` = (edge, label)
+    under ``parent``, opening it on first sight."""
+    ob = groups.get(key)
+    if ob is None:
+        ob = groups[key] = ObservedNode(label=key[1], edge=key[0], mass=0,
+                                        scale=node.scale, depth=node.depth,
+                                        parent=parent)
+    ob.members.append(node)
+    ob.mass += node.mass
 
 
 # ---------------------------------------------------------------------------
@@ -350,15 +347,15 @@ def conditional_check(pair: TreePair, sigma, tau, n: int,
         probability (strategy independence);
       * sum identity: P(h_n and v_m) = kernel * Q(v_m) for all pairs.
 
-    The identities are compared in integers.  At each observation v_m the
-    members' masses are already over one denominator, their level's scale
-    S, and the play masses (mass times the strategy weight from the play
-    walk that ``exact_play_distribution`` uses) are put over S * play_den;
-    s(h_n) is the mass of the members extending h_n, jp(h_n) their play
-    mass and qv the total.  With beta = bn / bd the kernel is
-    s * bd / (S * bn), so normalization is sum of s times bd == S * bn,
-    and the sum identity and Bayes are both jp * S * bn == s * bd * qv
-    (Bayes only where qv > 0, where the two tests coincide).
+    The identities are compared in integers.  At each observation v_m its
+    mass and its members' masses are over one denominator, their level's
+    scale S, and the play masses (mass times the strategy weight from the
+    play walk that ``exact_play_distribution`` uses) are put over
+    S * play_den; s(h_n) is the mass of the members extending h_n, jp(h_n)
+    their play mass and q the total.  The kernel is s / mass, so
+    normalization is sum of s == mass, and the sum identity and Bayes are
+    both jp * mass == s * q (Bayes only where q > 0, where the two tests
+    coincide).
     ``Fraction``s are built only when a test fails, to report the exact
     discrepancy, so the report equals the dense every-pair check in
     ``Fraction``s.
@@ -389,15 +386,12 @@ def conditional_check(pair: TreePair, sigma, tau, n: int,
     sum_ok = True
 
     for v in pair.observations(m):
-        beta = v.beta
-        bn, bd = beta.numerator, beta.denominator
-        if bn <= 0:
+        mass = v.mass
+        if mass <= 0:
             raise GameModelError("observation has zero weight")
         members = v.members
         plays = [weights.get(h) for h in members]
         play_den = lcm(*(w[1] for w in plays if w is not None))
-        scale = members[0].scale
-        b = scale * bn                  # beta times S * bd
         s: dict = {}                    # h_n -> mass over S
         jp: dict = {}                   # h_n -> play mass over S * play_den
         for h, w in zip(members, plays):
@@ -408,16 +402,16 @@ def conditional_check(pair: TreePair, sigma, tau, n: int,
             s[anc] = s.get(anc, 0) + a
             if w is not None:
                 jp[anc] = jp.get(anc, 0) + a * w[0] * (play_den // w[1])
-        if sum(s.values()) * bd != b:
+        if sum(s.values()) != mass:
             normalization_ok = False
         q = sum(jp.values())
         checked += width
         for h, sh in s.items():
             j = jp.get(h, 0)
-            if j * b != sh * bd * q:
-                k = Fraction(sh * bd, b)
-                jpf = Fraction(j, scale * play_den)
-                qv = Fraction(q, scale * play_den)
+            if j * mass != sh * q:
+                k = Fraction(sh, mass)
+                jpf = Fraction(j, v.scale * play_den)
+                qv = Fraction(q, v.scale * play_den)
                 sum_ok = False
                 max_disc = max(max_disc, abs(jpf - k * qv))
                 if q > 0:
@@ -488,7 +482,9 @@ def simulate(spec_or_sym, sigma: BehavioralStrategy, tau: BehavioralStrategy,
 
     Uses a counter-based generator keyed by (seed, replica, stage, purpose):
     replicas are independent of execution order.  Sampling comparisons are
-    exact; only the reported statistics are floats.  Each strategy sees the
+    exact; only the reported statistics are floats, and the rewards are
+    converted to floats once, up front: one past float range raises
+    GameModelError naming its entry.  Each strategy sees the
     views of its ``view_kind``.  Once play is absorbed the strategies are
     no longer asked: an absorbing state pays the same and stays put under
     every action pair, so the statistics do not depend on the actions, and
@@ -501,7 +497,16 @@ def simulate(spec_or_sym, sigma: BehavioralStrategy, tau: BehavioralStrategy,
     spec = as_general(spec_or_sym)
     require_horizon(horizon)
     require_horizon(replicas, "replicas")
-    absorbing = spec.absorbing_states
+    gains: dict = {}                    # (x, i, j) -> the reward as a float
+    for (x, i, j), g in spec.reward.items():
+        try:
+            gains[(x, i, j)] = float(g)
+        except OverflowError:
+            raise GameModelError(f"reward at state {x!r}, actions {i!r}, "
+                                 f"{j!r} is beyond float range") from None
+    # absorbing state -> its payoff, the reward under any action pair
+    held = {x: gains[(x, spec.actions1[0], spec.actions2[0])]
+            for x in spec.absorbing_states}
     init_items = sorted(spec.initial.items(), key=lambda kv: str(kv[0]))
     edge1, label1 = _viewer(sigma, spec, 1)
     edge2, label2 = _viewer(tau, spec, 2)
@@ -515,9 +520,8 @@ def simulate(spec_or_sym, sigma: BehavioralStrategy, tau: BehavioralStrategy,
         sup = None
         # absorption_stage = the stage whose transition landed in an
         # absorbing state (0 when the game starts absorbed already)
-        absorbed_stage = 0 if x in absorbing else None
-        absorbing_payoff = (float(spec.absorbing_payoff(x))
-                            if absorbed_stage is not None else None)
+        absorbed_stage = 0 if x in held else None
+        absorbing_payoff = held.get(x)
         for t in range(1, horizon + 1):
             if absorbed_stage is not None:
                 total += absorbing_payoff
@@ -527,14 +531,14 @@ def simulate(spec_or_sym, sigma: BehavioralStrategy, tau: BehavioralStrategy,
             dist2 = tau.action_dist(v2)
             i = _draw(sorted(dist1.items()), _counter_uniform(sha256, seed, r, t, "a1"))
             j = _draw(sorted(dist2.items()), _counter_uniform(sha256, seed, r, t, "a2"))
-            g = spec.reward[(x, i, j)]
-            total += float(g)
-            sup = float(g) if sup is None else max(sup, float(g))
+            g = gains[(x, i, j)]
+            total += g
+            sup = g if sup is None else max(sup, g)
             items = sorted(spec.transition[(x, i, j)].items(), key=lambda kv: str(kv[0]))
             x, c, d = _draw(items, _counter_uniform(sha256, seed, r, t, "trans"))
-            if x in absorbing:
+            if x in held:
                 absorbed_stage = t
-                absorbing_payoff = float(spec.absorbing_payoff(x))
+                absorbing_payoff = held[x]
             v1 = v1 + edge1(i, j) + (label1(c, d),)
             v2 = v2 + edge2(i, j) + (label2(c, d),)
         results.append(ReplicaResult(

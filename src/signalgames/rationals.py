@@ -88,5 +88,16 @@ def _parse_int(text: str) -> int:
 
 def decimal_repr(value: Fraction) -> str:
     """Six-significant-digit decimal rendering for humans; never fed back
-    into solvers."""
-    return f"{float(value):.6g}"
+    into solvers.  Past float range the quotient is rounded to six digits
+    in ``decimal`` instead, which reads integers of any length exactly, and
+    printed in the same style (``1.5e+400``); ``decimal`` is imported there,
+    on first use."""
+    try:
+        return f"{float(value):.6g}"
+    except OverflowError:
+        pass
+    from decimal import Decimal, localcontext
+    with localcontext() as context:
+        context.prec = 6
+        digits = Decimal(value.numerator) / value.denominator
+        return f"{digits.normalize():.6g}"

@@ -306,9 +306,9 @@ def lift_payoff(pair: TreePair, f) -> dict:
     """fhat(v) = sum over horizon histories of kernel(h, v) * f(h), as a
     dict from each horizon observation's ``view()`` to its value.
 
-    At the horizon the kernel row of v is each member's mass over the
-    members' mass sum, so fhat(v) = sum of mass(h) * f(h) over sum of
-    mass(h), taken over v's members.  ``f`` maps HistoryNode -> Fraction
+    At the horizon the kernel row of v is each member's mass over v's
+    mass, their sum, so fhat(v) = sum of mass(h) * f(h) over v's members,
+    divided by mass(v).  ``f`` maps HistoryNode -> Fraction
     (callable or dict) and must be defined on every positive-weight horizon
     history, with int or Fraction values (any other, a float or a bool,
     raises GameModelError).  The defining identity — the expectation of f
@@ -320,7 +320,6 @@ def lift_payoff(pair: TreePair, f) -> dict:
     values = {}
     for v in pair.observations(n):
         total = ZERO
-        mass = 0
         for h in v.members:
             try:
                 fh = get(h)
@@ -328,8 +327,7 @@ def lift_payoff(pair: TreePair, f) -> dict:
                 raise GameModelError(
                     f"payoff undefined on reachable history at level {n}") from None
             total += h.mass * require_exact(fh, "a lifted payoff")
-            mass += h.mass
-        values[v.view()] = total / mass
+        values[v.view()] = total / v.mass
     return values
 
 

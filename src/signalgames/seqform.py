@@ -104,11 +104,12 @@ class NStageSolution:
 def _determined(spec: GameSpec, terminal, state: str, depth: int, N: int):
     """The constant continuation value at a depth-``depth`` history in
     ``state``, or None while it still depends on play.  For the mean payoff
-    (``terminal`` None) an absorbing state is determined; a terminal payoff
-    decides through its ``determined_fn``."""
+    (``terminal`` None) an absorbing state is determined, worth its payoff
+    times the stages left: the walk banks stage sums, not means.  A
+    terminal payoff decides through its ``determined_fn``."""
     if terminal is None:
         if state in spec.absorbing_states:
-            return spec.absorbing_payoff(state) * (N - depth + 1) / N
+            return spec.absorbing_payoff(state) * (N - depth + 1)
         return None
     value = terminal.determined_fn(state)
     return None if value is None else require_exact(value, "a determined payoff")
@@ -458,7 +459,7 @@ def best_response_value(spec_or_sym, fixed: BehavioralStrategy, horizon: int,
                     if terminal is None:
                         g = spec.reward[(x, i, j)]
                         if g:
-                            bank(s_resp, w * g / N)
+                            bank(s_resp, w * g)
                     elif depth == N:
                         bank(s_resp, w * require_exact(
                             terminal.action_fn(x, i, j), "a terminal payoff"))
@@ -481,8 +482,11 @@ def best_response_value(spec_or_sym, fixed: BehavioralStrategy, horizon: int,
     # information set enters ``infosets`` before any of its successors
     # (depths are walked in order), so a pass in reverse order folds every
     # sequence's successors into it before the sequence itself is read.
+    # Under the mean the walk banked stage sums: min and max commute with
+    # the positive scale 1/N, so the root is divided once.
     pick = min if responder == 2 else max
     for rid, parent in reversed(infosets.items()):
         cost[parent] = cost.get(parent, ZERO) + pick(
             cost.get((rid, a), ZERO) for a in actions)
-    return cost.get((), ZERO)
+    root = cost.get((), ZERO)
+    return root if terminal is not None else root / N

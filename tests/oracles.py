@@ -259,6 +259,21 @@ class FractionHistory:
     stage_path = HistoryNode.stage_path
 
 
+@dataclass(eq=False)
+class FractionObservation:
+    """An observed history whose weight ``beta`` is a stored Fraction, the
+    sum of its members' alphas."""
+
+    label: object
+    edge: tuple | None
+    beta: F
+    depth: int
+    parent: "FractionObservation | None" = None
+    members: list = field(default_factory=list)
+
+    view = ObservedNode.view
+
+
 def history_augmented(spec, pair, f=None):
     """The game whose states are the histories of ``pair``'s tree, so that
     a payoff of the whole horizon history is a payoff of the last state.
@@ -334,8 +349,8 @@ def fraction_build_trees(spec_or_sym, horizon, budget=None, view=None):
         label = label_of(c, d)
         ob = obs1.get(label)
         if ob is None:
-            ob = obs1[label] = ObservedNode(label=label, edge=None,
-                                            beta=F(0), depth=1)
+            ob = obs1[label] = FractionObservation(label=label, edge=None,
+                                                   beta=F(0), depth=1)
         ob.beta += p
         ob.members.append(node)
     levels = [level1]
@@ -360,7 +375,7 @@ def fraction_build_trees(spec_or_sym, horizon, budget=None, view=None):
                             label = label_of(c, d)
                             ob2 = children.get((edge, label))
                             if ob2 is None:
-                                ob2 = children[(edge, label)] = ObservedNode(
+                                ob2 = children[(edge, label)] = FractionObservation(
                                     label=label, edge=edge, beta=F(0),
                                     depth=n + 1, parent=ob)
                             ob2.beta += child.alpha

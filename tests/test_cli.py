@@ -375,6 +375,40 @@ def _game_doc(**changes) -> str:
     return json.dumps(doc)
 
 
+def _huge_reward_doc() -> str:
+    """``mdp_final_remark`` with both rewards of its state 1* set to
+    10**400, an exact integer past float range."""
+    doc = json.loads((GAMES / "mdp_final_remark.game").read_text())
+    for entry in doc["rewards"]:
+        if entry["state"] == "1*":
+            entry["value"] = str(10 ** 400)
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("argv, code, line", [
+    (["solve-nstage", "--horizon", "4"], 0,
+     f"value (mean, horizon 4): {25 * 10 ** 398} (= 2.5e+399)"),
+    (["solve-sup", "--max-horizon", "2"], 0,
+     "sup value bracketed; lower bounds are guarantees, stabilized=False"),
+    (["solve-recursive", "--max-horizon", "6"], 0,
+     f"certified lower bound of the uniform value: {375 * 10 ** 397} "
+     "(= 3.75e+399)"),
+    (["simulate", "--horizon", "10", "--replicas", "200", "--seed", "1"], 1,
+     "error: reward at state '1*', actions 'Top', '-' is beyond float range"),
+], ids=["solve-nstage", "solve-sup", "solve-recursive", "simulate"])
+def test_values_beyond_float_range(tmp_path, capsys, argv, code, line):
+    """Exact values past float range print their decimal form through
+    ``decimal``; the simulator, whose statistics are floats, refuses the
+    game with one line."""
+    game = tmp_path / "huge.game"
+    game.write_text(_huge_reward_doc())
+    assert main(["validate", "--game", str(game)]) == 0
+    assert main([argv[0], "--game", str(game), *argv[1:]]) == code
+    out, err = capsys.readouterr()
+    assert line in (out if code == 0 else err).splitlines()
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("command, document, message", [
     ("validate", _game_doc(initial=[1]),
      "error: $.initial[0]: expected an object with field 'state'"),
@@ -596,11 +630,12 @@ def cli_files(tmp_path_factory):
     (root / "garbage.json").write_bytes(b"\xff{")
     (root / "plan.json").write_text(_strategy_doc())
     (root / "half.json").write_text(_strategy_doc(table={'["o"]': {"C": "1/2"}}))
+    (root / "huge.game").write_text(_huge_reward_doc())
     games = [str(GAMES / f"{name}.game") for name in (
         "quitting_game", "mdp_final_remark", "noisy_public_2state",
         "example1_guessing", "example3_bigmatch_blind1", "bigmatch_nosignals")]
     inputs = [str(root / name) for name in
-              ("broken.game", "garbage.json", "missing.game")]
+              ("huge.game", "broken.game", "garbage.json", "missing.game")]
     strategies = [str(root / name) for name in
                   ("plan.json", "half.json", "garbage.json", "missing.json")]
     outputs = [str(root / "out.txt"), str(root / "nodir" / "out.txt"), str(root)]

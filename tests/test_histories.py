@@ -114,6 +114,29 @@ def test_build_trees_matches_fraction_oracle(games):
     assert {build_trees(spec, 1).view for spec in cases[24:32]} == {PUBLIC}
 
 
+def test_build_trees_builds_no_fraction(games, monkeypatch):
+    """Both trees carry integer masses over their level's scale: with
+    ``Fraction`` refused inside ``histories``, the build still gives the
+    trees an unpatched build gives, and alpha and beta are derived only
+    when read."""
+    from signalgames import histories
+
+    def refuse(*args):
+        raise AssertionError("build_trees built a Fraction")
+
+    cases = [random_game(3), coprime_game(1), random_symmetric_game(51)]
+    cases += [games[name] for name in sorted(games)]
+    monkeypatch.setattr(histories, "Fraction", refuse)
+    built = [build_trees(spec, 3) for spec in cases]
+    monkeypatch.undo()
+    for spec, got in zip(cases, built):
+        assert _tree_rows(got) == _tree_rows(build_trees(spec, 3))
+        for n in range(1, 4):
+            for v in got.observations(n):
+                assert v.mass == sum(h.mass for h in v.members)
+                assert {v.scale} == {h.scale for h in v.members}
+
+
 def test_coprime_game_masses_need_the_level_scale():
     # the integer masses carry the full product of transition numerators:
     # with denominators of two large primes, alpha rarely reduces
@@ -339,15 +362,15 @@ def test_conditional_check_matches_oracle_coprime_strategies():
 
 
 def test_conditional_check_corrupted_beta_matches_oracle():
-    """One level-3 observation's beta scaled by 7/5: normalization, Bayes
-    and the sum identity all fail at m = 3, with the oracle's exact
-    discrepancy; levels 1 and 2 stay exact."""
+    """One level-3 observation's mass, and so its beta, scaled by 7:
+    normalization, Bayes and the sum identity all fail at m = 3, with the
+    oracle's exact discrepancy; levels 1 and 2 stay exact."""
     spec = random_game(7)
     rng = random.Random(7)
     sigma = random_strategy(rng, spec, 1, 3)
     tau = random_strategy(rng, spec, 2, 3)
     pair = build_trees(spec, 3)
-    pair.observations(3)[0].beta *= F(7, 5)
+    pair.observations(3)[0].mass *= 7
     for m in range(1, 4):
         for n in range(1, m + 1):
             report = conditional_check(pair, sigma, tau, n, m)
@@ -357,7 +380,7 @@ def test_conditional_check_corrupted_beta_matches_oracle():
             else:
                 assert not (report.normalization_ok or report.bayes_ok
                             or report.sum_identity_ok), n
-                assert report.max_discrepancy == F(2, 7), n
+                assert report.max_discrepancy == F(6, 7), n
 
 
 def _parent_links_compatible(pair) -> bool:

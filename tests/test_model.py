@@ -21,7 +21,7 @@ from signalgames.model import (
     public_labels,
     uniform_strategy,
 )
-from signalgames.rationals import format_rational, parse_rational
+from signalgames.rationals import decimal_repr, format_rational, parse_rational
 
 
 def test_parse_rational_exact():
@@ -51,6 +51,18 @@ def test_rationals_past_the_int_str_limit_round_trip():
     num, den = text.split("/")
     assert format_rational(v10.numerator) == num
     assert parse_rational(f" 007/ {den}") == F(7, v10.denominator)
+
+
+def test_decimal_repr_past_float_range():
+    # within float range the text is float's, whatever the size of the
+    # numerator and denominator; past it, decimal gives the same style
+    assert decimal_repr(F(2, 3)) == "0.666667"
+    assert decimal_repr(F(10 ** 5000 + 1, 10 ** 5000)) == "1"
+    assert decimal_repr(F(3, 2) * 10 ** 300) == f"{1.5e300:.6g}" == "1.5e+300"
+    assert decimal_repr(F(3, 2) * 10 ** 400) == "1.5e+400"
+    assert decimal_repr(F(-7, 3) * 10 ** 5000) == "-2.33333e+5000"
+    assert decimal_repr(10 ** 400) == "1e+400"
+    assert decimal_repr(F(1, 10 ** 400)) == "0"
 
 
 def test_corpus_games_validate(games):

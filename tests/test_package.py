@@ -146,6 +146,45 @@ def test_no_assert_statements_in_src():
     assert not found, found
 
 
+# the Monte Carlo simulator's statistics and the human-readable decimal
+FLOAT_SITES = {"histories.simulate", "histories.SimulationSummary.stderr_of_means",
+               "rationals.decimal_repr"}
+
+
+def _float_sites(path: Path) -> list:
+    """(module.qualified.name, line) of each ``float(...)`` call and float
+    literal in the module at ``path``, named after the innermost enclosing
+    def or class (the module alone at top level)."""
+    found = []
+
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                walk(child, scope + [child.name])
+                continue
+            if ((isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                 and child.func.id == "float")
+                    or (isinstance(child, ast.Constant)
+                        and isinstance(child.value, float))):
+                found.append((".".join([path.stem, *scope]), child.lineno))
+            walk(child, scope)
+
+    walk(ast.parse(path.read_text(), str(path)), [])
+    return found
+
+
+def test_no_float_outside_the_simulator_and_decimal_rendering():
+    """No float touches a solver path: ``float(...)`` and float literals
+    occur only in the Monte Carlo simulator and ``decimal_repr``, and each
+    of those still holds one (so the list stays exact)."""
+    root = Path(signalgames.__file__).parent
+    sites = [site for path in sorted(root.rglob("*.py"))
+             for site in _float_sites(path)]
+    assert [site for site in sites if site[0] not in FLOAT_SITES] == []
+    assert {name for name, _ in sites} == FLOAT_SITES
+
+
 def test_benchmark_layer_functions_stay_bindings():
     """The benchmark tracer wraps the layer functions that BENCHMARK.json
     counts calls of (``model.expand`` is ``SymmetricGameSpec.expand``), and
