@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import inf, isfinite, lcm
 
 from .errors import Budget, GameModelError, require_horizon
 from .model import (
@@ -484,8 +484,10 @@ def simulate(spec_or_sym, sigma: BehavioralStrategy, tau: BehavioralStrategy,
     replicas are independent of execution order.  Sampling comparisons are
     exact; only the reported statistics are floats, and the rewards are
     converted to floats once, up front: one past float range raises
-    GameModelError naming its entry.  Each strategy sees the
-    views of its ``view_kind``.  Once play is absorbed the strategies are
+    GameModelError naming its entry, and so does a statistic (the mean
+    payoff, the variance of the mean payoffs, the mean sup payoff) whose
+    float sum leaves float range.  Each strategy sees the views of its
+    ``view_kind``.  Once play is absorbed the strategies are
     no longer asked: an absorbing state pays the same and stays put under
     every action pair, so the statistics do not depend on the actions, and
     a strategy pruned at absorbed views (as the eps-optimal ones are) plays
@@ -551,15 +553,22 @@ def simulate(spec_or_sym, sigma: BehavioralStrategy, tau: BehavioralStrategy,
 
     means = [res.mean_payoff for res in results]
     mean = sum(means) / replicas
-    var = (sum((v - mean) ** 2 for v in means) / (replicas - 1)
-           if replicas > 1 else 0.0)
-    sups = [res.sup_payoff for res in results]
+    try:
+        var = (sum((v - mean) ** 2 for v in means) / (replicas - 1)
+               if replicas > 1 else 0.0)
+    except OverflowError:
+        var = inf
+    mean_sup = sum(res.sup_payoff for res in results) / replicas
+    for name, value in (("mean payoff", mean), ("variance of the mean payoffs", var),
+                        ("mean sup payoff", mean_sup)):
+        if not isfinite(value):
+            raise GameModelError(f"simulated {name} is beyond float range")
     absorbed = [res for res in results if res.absorbed]
     stage1 = [res for res in results if res.absorption_stage == 1]
     return SimulationSummary(
         replicas=replicas, horizon=horizon, seed=seed,
         mean_of_means=mean, var_of_means=var,
-        mean_sup=sum(sups) / replicas,
+        mean_sup=mean_sup,
         absorbed_fraction=len(absorbed) / replicas,
         stage1_absorbed_fraction=len(stage1) / replicas,
         results=results,

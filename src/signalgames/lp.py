@@ -8,16 +8,19 @@ asserted with exact equality.
 Programs are sparse throughout.  A constraint row is a ``{column:
 coefficient}`` dict of its nonzeros.  The tableau holds each row, and the
 objective row, as integers: the numerators of its nonzeros, a
-right-hand-side numerator and one positive row denominator, in lowest
-terms.  Per column it keeps the set of rows that hold it, so a pivot
-touches only the rows of the entering column, in one elimination pass.  A
-touched row A with denominator d becomes (A*D - k*P) / (d*D), where P is the
-pivot row scaled so that P[col] = D > 0 and k = A[col]; entries that cancel
-to zero are dropped, and one gcd per touched row restores lowest terms.
-The pivot loop builds no Fraction: the ratio test compares b_r/a_r by
-cross-multiplying integers (the row denominator cancels), and the objective
-row (minus the reduced costs, and the objective value) is one more touched
-row.  Rows the pivot does not touch keep their scale; that is what
+right-hand-side numerator and one positive row denominator.  Per column it
+keeps an index of the rows that hold it, so a pivot touches only the rows
+of the entering column, in one elimination pass.  A touched row A with
+denominator d becomes (A*D - k*P) / (d*D), where P is the pivot row scaled
+so that P[col] = D > 0 and k = A[col]; entries that cancel to zero are
+dropped.  A row is not kept in lowest terms: it is divided by the gcd of
+its denominator and numerators only once its denominator passes
+``_REDUCE_BITS`` bits, since every pivot decision reads a row only up to a
+positive scale.  The pivot loop builds no Fraction: the ratio test
+compares b_r/a_r by cross-multiplying integers (the row denominator
+cancels), and the objective row (minus the reduced costs, and the
+objective value) is one more touched row, whose signs are all Bland's
+rule reads.  Rows the pivot does not touch keep their scale; that is what
 separates this from an integer-preserving (Edmonds/Bareiss) tableau, which
 rescales every row on every pivot.
 
@@ -65,6 +68,15 @@ EQ = "="
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
+
+# A tableau row is brought to lowest terms only once its denominator is
+# longer than this many bits.  Below it, a gcd scan and a rebuilt row per
+# touched row cost more than the longer integers they save; far above it,
+# dense programs carry integers many times their reduced length.  On the
+# sequence-form programs of the benchmark and on dense 25x25 random ones,
+# 250 bits ran faster than reducing every row or than a 60-bit bound, and
+# never reducing took 1.6 times as long as always reducing on the dense ones.
+_REDUCE_BITS = 250
 
 # The exact scalar types: a bool, a float or a str is none of them.
 _EXACT_TYPES = frozenset((Fraction, int))
@@ -169,9 +181,12 @@ class _Tableau:
     objective row.  Row r is ``(m[r], b[r]) / d[r]``: ``m[r]`` is a
     ``{column: numerator}`` dict of its nonzeros, ``b[r]`` the right-hand
     side's numerator (``>= 0`` on a constraint row) and ``d[r] > 0`` the row
-    denominator, with gcd(d[r], b[r], *m[r].values()) equal to 1.  The
-    objective row is z = c_B B^-1 A - c, minus the reduced costs, with the
-    objective value c_B B^-1 b on its right.  ``cols[j]`` is the set of rows,
+    denominator.  A row need not be in lowest terms: one whose denominator
+    is longer than ``_REDUCE_BITS`` bits is brought there by the pivot or
+    ``drop`` that leaves it so, and any other keeps the common factors its
+    eliminations left.  The objective row is z = c_B B^-1 A - c, minus the
+    reduced costs, with the objective value c_B B^-1 b on its right.
+    ``cols[j]`` is a ``{row: None}`` dict (smaller than a set) of the rows,
     the objective row included, whose dict holds column j; the two always
     agree.
 
@@ -189,6 +204,11 @@ class _Tableau:
 
     While ``record`` is a list, each pivot appends the entering column's
     elimination step (see ``pivot``), for ``_backward_duals``.
+
+    Every pivot decision reads a row only up to a positive scale: Bland's
+    rule the signs of the objective row, the ratio test b[r]/a within one
+    row (d[r] cancels), and its tie-break the basis.  So leaving a common
+    factor in a row moves no pivot and no returned fraction.
     """
 
     def __init__(self, matrix, rhs, dens, ncols, split):
@@ -199,10 +219,10 @@ class _Tableau:
         self.basis = [None] * len(matrix)
         self.split = split
         self.record = None
-        self.cols = [set() for _ in range(ncols)]
+        self.cols = [{} for _ in range(ncols)]
         for r, row in enumerate(matrix):
             for j in row:
-                self.cols[j].add(r)
+                self.cols[j][r] = None
 
     def key(self, col: int) -> tuple:
         """``(stored column, sign)`` of standard-form column ``col``: a
@@ -220,7 +240,7 @@ class _Tableau:
         of cost(basis[r]) (L / d[r]) times row r, minus L c, over C L."""
         m, b, d, cols, z = self.m, self.b, self.d, self.cols, self.obj
         for j in m[z]:
-            cols[j].discard(z)
+            del cols[j][z]
         cs, C = _over_common(cost)
         basic = [(r, cs[j]) for r, j in enumerate(self.basis) if cs[j]]
         L = math.lcm(1, *(d[r] for r, _ in basic))
@@ -233,20 +253,21 @@ class _Tableau:
             zb += f * b[r]
         m[z], b[z], d[z] = _lowest_terms({j: a for j, a in row.items() if a}, zb, C * L)
         for j in m[z]:
-            cols[j].add(z)
+            cols[j][z] = None
 
     def drop(self, columns) -> None:
         """Delete ``columns`` from every row, and bring each row that held
-        one back to lowest terms."""
+        one and is past ``_REDUCE_BITS`` back to lowest terms."""
         m, b, d, cols = self.m, self.b, self.d, self.cols
         touched = set()
         for c in columns:
             for r in cols[c]:
                 del m[r][c]
-            touched |= cols[c]
-            cols[c] = set()
+            touched.update(cols[c])
+            cols[c] = {}
         for r in touched:
-            m[r], b[r], d[r] = _lowest_terms(m[r], b[r], d[r])
+            if d[r].bit_length() > _REDUCE_BITS:
+                m[r], b[r], d[r] = _lowest_terms(m[r], b[r], d[r])
 
     def pivot(self, row: int, col: int) -> None:
         """Pivot on (row, col): one elimination pass over the rows that
@@ -256,11 +277,13 @@ class _Tableau:
         pd > 0.  A touched row (A, b)/d, whose entry in ``col`` has
         numerator k, becomes (A*pd - k*P) / (d*pd), with a factor common to
         k and pd cancelled first, so the scaling is skipped when pd divides
-        k.  Entries that cancel to zero leave the row and ``cols``, and one
-        gcd per row restores lowest terms.  With ``record`` on, the step is
-        appended as (row, pivot numerator, old row denominator, [(r, k,
-        d[r])] of the touched rows): the entering column, read before the
-        pivot."""
+        k.  Entries that cancel to zero leave the row and ``cols``.  A row,
+        the pivot row included, whose new denominator is longer than
+        ``_REDUCE_BITS`` bits is divided by gcd(d, b, *row); any other
+        keeps its common factors.  With ``record`` on, the step is appended
+        as (row, pivot numerator, old row denominator, (r, k, d[r], ...)),
+        the last a flat tuple of the touched rows: the entering column,
+        read before the pivot."""
         m, b, d, cols = self.m, self.b, self.d, self.cols
         key, sign = self.key(col)
         pd = m[row][key]
@@ -269,14 +292,17 @@ class _Tableau:
             pd = -pd
             hits = [(r, -k, dr) for r, k, dr in hits]
         if self.record is not None:
-            self.record.append((row, pd, d[row], hits))
-        # Dividing the pivot row by its entry pd/d makes it (P, pb) / pd.
-        # It stays in lowest terms: its old basic column holds +-d[row], so
-        # the numerators alone already have gcd 1.
+            self.record.append((row, pd, d[row], tuple(chain.from_iterable(hits))))
+        # Dividing the pivot row by its entry pd/d makes it (P, pb) / pd:
+        # its old basic column holds +-d[row], so P shares with pd only the
+        # common factor the row already had.
         piv, pb = m[row], b[row]
         if pd < 0:                      # only a phase-1 drive-out pivot
             piv = {j: -p for j, p in piv.items()}
             pb, pd = -pb, -pd
+        bound = _REDUCE_BITS
+        if pd.bit_length() > bound:
+            piv, pb, pd = _lowest_terms(piv, pb, pd)
         m[row], b[row], d[row] = piv, pb, pd
         terms = [(j, p) for j, p in piv.items() if j != key]
         gcd = math.gcd
@@ -295,23 +321,20 @@ class _Tableau:
                 a = a_row.get(j)
                 if a is None:
                     a_row[j] = -k * p
-                    cols[j].add(r)
+                    cols[j][r] = None
                 else:
                     a -= k * p
                     if a:
                         a_row[j] = a
                     else:
                         del a_row[j]
-                        cols[j].discard(r)
+                        del cols[j][r]
             if pb:
                 br -= k * pb
-            g = gcd(dr, br, *a_row.values())
-            if g != 1:
-                a_row = {j: a // g for j, a in a_row.items()}
-                br //= g
-                dr //= g
+            if dr.bit_length() > bound:
+                a_row, br, dr = _lowest_terms(a_row, br, dr)
             m[r], b[r], d[r] = a_row, br, dr
-        cols[key] = {row}
+        cols[key] = {row: None}
         self.basis[row] = col
 
 
@@ -524,7 +547,8 @@ def _backward_duals(tab: _Tableau, cost, eq_cols: dict) -> dict:
     objective row is no basis row: its weight is 0."""
     w = [cost[j] for j in tab.basis] + [0]
     for p, pd, dp, hits in reversed(tab.record):
-        terms = [(w[i], k, di) for i, k, di in hits if w[i]]
+        steps = iter(hits)
+        terms = [(w[i], k, di) for i, k, di in zip(steps, steps, steps) if w[i]]
         if terms or w[p]:
             terms.append((w[p], -1, 1))
             acc, L = _dot(terms)            # sum_i w_i alpha_i - w_p

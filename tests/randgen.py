@@ -186,3 +186,23 @@ def random_lp(rng) -> LinearProgram:
     return LinearProgram(
         objective=[F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(ncols)],
         rows=rows, senses=senses, rhs=rhs, free=free)
+
+
+def dense_lp(rng, size=25) -> LinearProgram:
+    """Dense exact LP: ``size`` full rows of integers in -9..9 over ``size``
+    nonnegative columns, mostly <= with some >= and = rows, right-hand
+    sides from a planted rational point, and one more row bounding the sum
+    of the columns: bounded, and infeasible only where the point breaks
+    that bound.  Its tableau rows grow to denominators of hundreds of
+    bits."""
+    rows = [{j: rng.randint(-9, 9) for j in range(size)} for _ in range(size)]
+    senses = [rng.choice((LEQ, LEQ, LEQ, GEQ, EQ)) for _ in range(size)]
+    point = [F(rng.randint(0, 5), rng.randint(1, 4)) for _ in range(size)]
+    room = {LEQ: 1, GEQ: -1, EQ: 0}
+    rhs = [sum(v * point[j] for j, v in row.items()) + room[s] * rng.randint(0, 3)
+           for row, s in zip(rows, senses)]
+    rows.append(dict.fromkeys(range(size), 1))
+    senses.append(LEQ)
+    rhs.append(rng.randint(20, 60))
+    return LinearProgram(objective=[rng.randint(-5, 9) for _ in range(size)],
+                         rows=rows, senses=senses, rhs=rhs)

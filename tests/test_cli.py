@@ -375,33 +375,42 @@ def _game_doc(**changes) -> str:
     return json.dumps(doc)
 
 
-def _huge_reward_doc() -> str:
+def _huge_reward_doc(exponent: int = 400) -> str:
     """``mdp_final_remark`` with both rewards of its state 1* set to
-    10**400, an exact integer past float range."""
+    10**exponent, an exact integer past float range at the default."""
     doc = json.loads((GAMES / "mdp_final_remark.game").read_text())
     for entry in doc["rewards"]:
         if entry["state"] == "1*":
-            entry["value"] = str(10 ** 400)
+            entry["value"] = str(10 ** exponent)
     return json.dumps(doc)
 
 
-@pytest.mark.parametrize("argv, code, line", [
-    (["solve-nstage", "--horizon", "4"], 0,
+_SIMULATE_20 = ["simulate", "--horizon", "10", "--replicas", "20", "--seed", "1"]
+
+
+@pytest.mark.parametrize("exponent, argv, code, line", [
+    (400, ["solve-nstage", "--horizon", "4"], 0,
      f"value (mean, horizon 4): {25 * 10 ** 398} (= 2.5e+399)"),
-    (["solve-sup", "--max-horizon", "2"], 0,
+    (400, ["solve-sup", "--max-horizon", "2"], 0,
      "sup value bracketed; lower bounds are guarantees, stabilized=False"),
-    (["solve-recursive", "--max-horizon", "6"], 0,
+    (400, ["solve-recursive", "--max-horizon", "6"], 0,
      f"certified lower bound of the uniform value: {375 * 10 ** 397} "
      "(= 3.75e+399)"),
-    (["simulate", "--horizon", "10", "--replicas", "200", "--seed", "1"], 1,
+    (400, ["simulate", "--horizon", "10", "--replicas", "200", "--seed", "1"], 1,
      "error: reward at state '1*', actions 'Top', '-' is beyond float range"),
-], ids=["solve-nstage", "solve-sup", "solve-recursive", "simulate"])
-def test_values_beyond_float_range(tmp_path, capsys, argv, code, line):
+    # rewards inside float range whose sums are not
+    (308, _SIMULATE_20, 1, "error: simulated mean payoff is beyond float range"),
+    # a finite mean whose squared deviations are not
+    (200, _SIMULATE_20, 1,
+     "error: simulated variance of the mean payoffs is beyond float range"),
+], ids=["solve-nstage", "solve-sup", "solve-recursive", "simulate",
+        "simulate-mean", "simulate-variance"])
+def test_values_beyond_float_range(tmp_path, capsys, exponent, argv, code, line):
     """Exact values past float range print their decimal form through
-    ``decimal``; the simulator, whose statistics are floats, refuses the
-    game with one line."""
+    ``decimal``; the simulator, whose statistics are floats, refuses a
+    reward or a statistic past float range with one line."""
     game = tmp_path / "huge.game"
-    game.write_text(_huge_reward_doc())
+    game.write_text(_huge_reward_doc(exponent))
     assert main(["validate", "--game", str(game)]) == 0
     assert main([argv[0], "--game", str(game), *argv[1:]]) == code
     out, err = capsys.readouterr()
@@ -631,11 +640,13 @@ def cli_files(tmp_path_factory):
     (root / "plan.json").write_text(_strategy_doc())
     (root / "half.json").write_text(_strategy_doc(table={'["o"]': {"C": "1/2"}}))
     (root / "huge.game").write_text(_huge_reward_doc())
+    (root / "huge200.game").write_text(_huge_reward_doc(200))
     games = [str(GAMES / f"{name}.game") for name in (
         "quitting_game", "mdp_final_remark", "noisy_public_2state",
         "example1_guessing", "example3_bigmatch_blind1", "bigmatch_nosignals")]
     inputs = [str(root / name) for name in
-              ("huge.game", "broken.game", "garbage.json", "missing.game")]
+              ("huge.game", "huge200.game", "broken.game", "garbage.json",
+               "missing.game")]
     strategies = [str(root / name) for name in
                   ("plan.json", "half.json", "garbage.json", "missing.json")]
     outputs = [str(root / "out.txt"), str(root / "nodir" / "out.txt"), str(root)]
@@ -696,12 +707,9 @@ def _command_lines(files):
     return draw()
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(data=st.data())
-def test_every_command_line_exits_with_a_documented_code(cli_files, data):
-    """0, 1, 2 or 3 for every drawn command line, with no traceback.  A
-    node budget of 2000 keeps every solve small."""
-    argv = data.draw(_command_lines(cli_files))
+def _exit_code(argv) -> tuple:
+    """``(exit code, stderr)`` of one command line under a node budget of
+    2000, which keeps every solve small."""
     err = io.StringIO()
     with mock.patch.dict(os.environ, {"SIGNALGAMES_NODE_BUDGET": "2000"}), \
             contextlib.redirect_stdout(io.StringIO()), \
@@ -712,5 +720,45 @@ def test_every_command_line_exits_with_a_documented_code(cli_files, data):
             # as sys.exit does: no code exits 0, a message exits 1
             code = exit_.code
             code = 0 if code is None else 1 if isinstance(code, str) else code
+    return code, err.getvalue()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_every_command_line_exits_with_a_documented_code(cli_files, data):
+    """0, 1, 2 or 3 for every drawn command line, with no traceback."""
+    argv = data.draw(_command_lines(cli_files))
+    code, err = _exit_code(argv)
     assert code in (0, 1, 2, 3), (argv, code)
-    assert "Traceback" not in err.getvalue(), argv
+    assert "Traceback" not in err, argv
+
+
+# Fixed small arguments per command; the seven that read a game get one.
+_FIXED_ARGS = {
+    "validate": [],
+    "reduce-symmetric": ["--horizon", "2"],
+    "solve-nstage": ["--horizon", "2"],
+    "solve-sup": ["--max-horizon", "2"],
+    "solve-recursive": ["--max-horizon", "3"],
+    "simulate": _SIMULATE_20[1:],
+    "kernel-check": ["--n", "1", "--m", "2"],
+    "verify-example": ["--id", "1", "--side", "maxmin", "--horizon", "2"],
+    "verify-paper": ["--only", "quitting_game"],
+}
+_GAMELESS = ("verify-example", "verify-paper")
+
+
+def test_every_command_on_every_game_file_exits_with_a_documented_code(cli_files):
+    """Each command once on each game input of ``cli_files`` (the two
+    commands that read no game once each), so a fault that one file shows
+    on one command is always reached: 0, 1, 2 or 3, with no traceback."""
+    game_files = cli_files[0]
+    lines = [[command, *args] for command, args in _FIXED_ARGS.items()
+             if command in _GAMELESS]
+    lines += [[command, "--game", game, *args] for command, args in _FIXED_ARGS.items()
+              if command not in _GAMELESS for game in game_files]
+    assert len(lines) == 2 + 7 * len(game_files)
+    for argv in lines:
+        code, err = _exit_code(argv)
+        assert code in (0, 1, 2, 3), (argv, code)
+        assert "Traceback" not in err, argv

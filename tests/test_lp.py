@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import signalgames.lp as lp_module
 from oracles import matrix_reply_value
-from randgen import random_lp
+from randgen import dense_lp, random_lp
 from signalgames import corpus, seqform, supvalue
 from signalgames.errors import LPError
 from signalgames.lp import (
@@ -478,15 +478,22 @@ def test_lp_pivot_cancellation_keeps_tableau_sparse(monkeypatch):
         minus = {j + 1 for j, s in enumerate(tab.split) if s}
         for r, entries in enumerate(tab.m):
             assert all(v != 0 for v in entries.values())
-            # each row is integers over one positive denominator, in lowest terms
+            # each row is integers over one positive denominator, in lowest
+            # terms once the denominator is past the bound
             assert tab.d[r] > 0
-            assert math.gcd(tab.d[r], tab.b[r], *entries.values()) == 1
+            if tab.d[r].bit_length() > lp_module._REDUCE_BITS:
+                assert math.gcd(tab.d[r], tab.b[r], *entries.values()) == 1
+            # a basic column holds the row denominator (a minus column its
+            # negation at the plus key), unless it was an artificial, dropped
+            if r < tab.obj and tab.basis[r] not in dropped:
+                key, sign = tab.key(tab.basis[r])
+                assert entries[key] == sign * tab.d[r]
             # a minus column is never stored; an artificial is not once
             # phase 2 starts
             assert not minus.intersection(entries)
             assert not dropped.intersection(entries)
         for j, holders in enumerate(tab.cols):
-            assert holders == {r for r, entries in enumerate(tab.m) if j in entries}
+            assert set(holders) == {r for r, entries in enumerate(tab.m) if j in entries}
 
     def checked_pivot(tab, row, col):
         before = [set(r) for r in tab.m]
@@ -499,7 +506,7 @@ def test_lp_pivot_cancellation_keeps_tableau_sparse(monkeypatch):
         # the entering column is stored as the pivot row's unit column: a
         # minus column as -d[row] at its plus key, nowhere else
         assert tab.basis[row] == col
-        assert tab.cols[key] == {row}
+        assert set(tab.cols[key]) == {row}
         assert tab.m[row][key] == sign * tab.d[row]
         if sign < 0:
             minus_pivots.append(col)
@@ -527,11 +534,14 @@ def test_lp_pivot_cancellation_keeps_tableau_sparse(monkeypatch):
     assert sol.duals == [F(0), F(1)]
     assert sol.pivots == 2
     # The same invariants along the pivots of programs with fractional data,
-    # free variables and artificial rows.
-    rng = random.Random(5)
-    for _ in range(40):
-        dropped.clear()
-        solve_lp(random_lp(rng))
+    # free variables and artificial rows, at the default bound and at one
+    # low enough that these small programs pass it.
+    for bits in (lp_module._REDUCE_BITS, 8):
+        monkeypatch.setattr(lp_module, "_REDUCE_BITS", bits)
+        rng = random.Random(5)
+        for _ in range(40):
+            dropped.clear()
+            solve_lp(random_lp(rng))
     assert minus_pivots and phase2_pivots
 
 
@@ -700,6 +710,44 @@ def test_random_lps_match_golden():
         assert _lp_record(lp, solve_lp(lp)) == entry, f"program {k}"
 
 
+GOLDEN_DENSE = Path(__file__).parent / "golden" / "lp_dense.json"
+GOLDEN_DENSE_SEED = 2028
+GOLDEN_DENSE_COUNT = 10
+
+
+@pytest.mark.parametrize("bits", [None, 0], ids=["default-bound", "every-row"])
+def test_dense_lps_reduce_rows_and_match_golden(bits, monkeypatch):
+    # Dense 25x25 programs (tests/randgen.dense_lp), recorded when every
+    # tableau row was kept in lowest terms.  Their rows pass the reduction
+    # bound, so pivots do reduce rows, and only rows past it; bound 0
+    # reduces every row on every pivot.  Status, value, primal, duals and
+    # pivot count match either way.  Rewrite with ``python tests/test_lp.py``.
+    if bits is not None:
+        monkeypatch.setattr(lp_module, "_REDUCE_BITS", bits)
+    pivot, lowest = lp_module._Tableau.pivot, lp_module._lowest_terms
+    pivoting, reduced = [], []
+
+    def flagged_pivot(tab, row, col):
+        pivoting.append(True)
+        pivot(tab, row, col)
+        pivoting.pop()
+
+    def counted(row, b, d):
+        if pivoting:
+            reduced.append(d)
+        return lowest(row, b, d)
+
+    monkeypatch.setattr(lp_module._Tableau, "pivot", flagged_pivot)
+    monkeypatch.setattr(lp_module, "_lowest_terms", counted)
+    entries = json.loads(GOLDEN_DENSE.read_text())
+    assert len(entries) == GOLDEN_DENSE_COUNT
+    for k, entry in enumerate(entries):
+        lp = _lp_from_record(entry)
+        assert _lp_record(lp, solve_lp(lp)) == entry, f"program {k}"
+    assert reduced
+    assert all(d.bit_length() > lp_module._REDUCE_BITS for d in reduced)
+
+
 def test_forged_matrix_game_solution_rejected():
     game = [[F(1), F(0)], [F(0), F(1)]]
     good = solve_matrix_game(game)
@@ -810,8 +858,13 @@ def test_forged_vector_game_certificate_rejected_under_optimize():
     assert result.stdout.count("rejected:") == 3
 
 
-if __name__ == "__main__":
-    rng = random.Random(GOLDEN_LP_SEED)
-    programs = [random_lp(rng) for _ in range(GOLDEN_LP_COUNT)]
+def _write_golden(path: Path, make, seed: int, count: int) -> None:
+    rng = random.Random(seed)
+    programs = [make(rng) for _ in range(count)]
     lines = [json.dumps(_lp_record(lp, solve_lp(lp))) for lp in programs]
-    GOLDEN_LP.write_text("[\n" + ",\n".join(lines) + "\n]\n")
+    path.write_text("[\n" + ",\n".join(lines) + "\n]\n")
+
+
+if __name__ == "__main__":
+    _write_golden(GOLDEN_LP, random_lp, GOLDEN_LP_SEED, GOLDEN_LP_COUNT)
+    _write_golden(GOLDEN_DENSE, dense_lp, GOLDEN_DENSE_SEED, GOLDEN_DENSE_COUNT)
