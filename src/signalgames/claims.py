@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .corpus import build_game
 from .errors import GameModelError, PreconditionError, _exact, require_horizon
 from .lp import solve_matrix_game
 from .model import GameSpec
@@ -254,14 +255,13 @@ _REPLY_BOUNDS = {
 }
 
 
-def verify_example(spec_for, example: int, side: str, horizon: int = 20,
+def verify_example(example: int, side: str, horizon: int = 20,
                    eps=Fraction(1, 100)) -> ClaimCheck:
-    """Reconstruct the reply construction for one example and side.
+    """Reconstruct the reply construction for one example and side, on the
+    example's corpus game (``corpus.build_game``).
 
-    ``spec_for`` is a callable name->GameSpec (the corpus); the games are
-    looked up rather than rebuilt so callers can substitute file-loaded
-    copies.  All payoffs are exact; the finite scale (horizon for the
-    truncated family, eps for the tail allowance) is reported in the check.
+    All payoffs are exact; the finite scale (horizon for the truncated
+    family, eps for the tail allowance) is reported in the check.
     ``horizon`` must be an integer >= 1 (>= 2 for example 2 minmax, which
     probes a switch at stage horizon // 2) and ``eps`` exact, else
     PreconditionError.
@@ -273,7 +273,7 @@ def verify_example(spec_for, example: int, side: str, horizon: int = 20,
         if N < 2:
             raise PreconditionError(
                 f"horizon must be >= 2 for example 2 minmax, got {N}")
-        spec = spec_for("example2_informed")
+        spec = build_game("example2_informed")
         # the two relevant strategies per player span the reduced game:
         # stay forever vs. switch once (switch times do not change the
         # entries; exactness of that collapse is re-verified here)
@@ -298,7 +298,7 @@ def verify_example(spec_for, example: int, side: str, horizon: int = 20,
     if row is None:
         raise GameModelError(f"unknown example/side: {example}/{side}")
     game, (base, switch_action), replier, reply, text, (a, b) = row
-    spec = spec_for(game)
+    spec = build_game(game)
     mix = reply(N)
     values = []
     for plan in first_switch_family(base, switch_action, N):

@@ -21,7 +21,13 @@ from fractions import Fraction
 from .errors import BudgetExceededError, GameModelError, LPError, ParseError
 from .gamefile import load_game, load_strategy, serialize_strategy
 from .histories import build_trees, conditional_check, simulate
-from .model import SymmetricGameSpec, as_general, is_symmetric_signaling, uniform_strategy
+from .model import (
+    SymmetricGameSpec,
+    as_general,
+    is_symmetric_signaling,
+    public_labels,
+    uniform_strategy,
+)
 from .rationals import decimal_repr, format_rational, parse_rational
 from .recursive import uniform_value
 from .seqform import nstage_value
@@ -155,7 +161,7 @@ def cmd_reduce_symmetric(args) -> int:
         print(f"not a symmetric-signaling game: {witness.reason}")
         return EXIT_FAIL
     print(f"symmetric signaling confirmed; public signals: "
-          f"{' '.join(witness.reduced.signals)}")
+          f"{' '.join(dict.fromkeys(public_labels(spec).values()))}")
     pair = build_trees(spec, args.horizon)
     below: dict = {}                     # observation -> its children
     for level in pair.obs_levels[1:]:
@@ -317,11 +323,9 @@ def cmd_kernel_check(args) -> int:
 
 
 def cmd_verify_example(args) -> int:
-    from . import corpus as corpus_mod
     from .claims import verify_example
 
-    check = verify_example(corpus_mod.build_game, args.id, args.side,
-                           horizon=args.horizon, eps=args.eps)
+    check = verify_example(args.id, args.side, horizon=args.horizon, eps=args.eps)
     print(check.describe())
     if check.reduced_matrix is not None:
         for row in check.reduced_matrix:

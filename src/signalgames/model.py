@@ -47,6 +47,51 @@ def check_distribution(dist: Dist, what: str) -> list[str]:
     return problems
 
 
+def _violations(spec, signals) -> list[str]:
+    """What keeps ``spec``, of either kind, from being well formed, in one
+    order: its alphabets, the initial distribution, each transition and
+    reward entry in declared order, then spurious transition keys.
+    ``signals`` gives, for each signal position of an outcome (after its
+    state), the alphabet's name, the id kind its messages name, and the
+    alphabet."""
+    v: list[str] = []
+    for name, ids in (("states", spec.states), ("actions1", spec.actions1),
+                      ("actions2", spec.actions2), *((n, ids) for n, _, ids in signals)):
+        if not ids:
+            v.append(f"{name}: empty alphabet")
+        if len(set(ids)) != len(ids):
+            v.append(f"{name}: duplicate ids")
+    states = set(spec.states)
+    alphabets = [(kind, set(ids)) for _, kind, ids in signals]
+
+    def check_dist(dist, where):
+        v.extend(check_distribution(dist, where))
+        for x, *sigs in dist:
+            if x not in states:
+                v.append(f"{where}: unknown state {x!r}")
+            for (kind, ids), s in zip(alphabets, sigs, strict=True):
+                if s not in ids:
+                    v.append(f"{where}: unknown {kind} {s!r}")
+
+    check_dist(spec.initial, "initial")
+    for x in spec.states:
+        for i, j in spec.action_pairs():
+            key = (x, i, j)
+            if key not in spec.transition:
+                v.append(f"transition: missing entry {key}")
+            else:
+                check_dist(spec.transition[key], f"transition{key}")
+            if key not in spec.reward:
+                v.append(f"reward: missing entry {key}")
+            elif not isinstance(spec.reward[key], Fraction):
+                v.append(f"reward{key}: not a Fraction")
+    actions1, actions2 = set(spec.actions1), set(spec.actions2)
+    for key in spec.transition:
+        if key[0] not in states or key[1] not in actions1 or key[2] not in actions2:
+            v.append(f"transition: spurious entry {key}")
+    return v
+
+
 @dataclass(eq=False)
 class GameSpec:
     """Finite-support description of a repeated game with signals.
@@ -65,7 +110,8 @@ class GameSpec:
     reward: dict                        # (state, a1, a2) -> Fraction
     comment: str = ""
     # When this spec is the expansion of a SymmetricGameSpec, maps each
-    # composite signal id back to its public component (used for display).
+    # composite signal id back to its public component: the public view's
+    # label of that signal (``public_labels`` reads it before any witness).
     public_label: dict = field(default_factory=dict)
 
     # -- indices ---------------------------------------------------------
@@ -79,47 +125,8 @@ class GameSpec:
 
     def validate(self) -> list[str]:
         """Return violations; empty list means the spec is well formed."""
-        v: list[str] = []
-        for name, ids in (("states", self.states), ("actions1", self.actions1),
-                          ("actions2", self.actions2), ("signals1", self.signals1),
-                          ("signals2", self.signals2)):
-            if not ids:
-                v.append(f"{name}: empty alphabet")
-            if len(set(ids)) != len(ids):
-                v.append(f"{name}: duplicate ids")
-
-        states, sig1, sig2 = set(self.states), set(self.signals1), set(self.signals2)
-
-        def check_triple(trip, where):
-            x, c, d = trip
-            if x not in states:
-                v.append(f"{where}: unknown state {x!r}")
-            if c not in sig1:
-                v.append(f"{where}: unknown signal1 {c!r}")
-            if d not in sig2:
-                v.append(f"{where}: unknown signal2 {d!r}")
-
-        v.extend(check_distribution(self.initial, "initial"))
-        for trip in self.initial:
-            check_triple(trip, "initial")
-
-        for x in self.states:
-            for i, j in self.action_pairs():
-                key = (x, i, j)
-                if key not in self.transition:
-                    v.append(f"transition: missing entry {key}")
-                else:
-                    v.extend(check_distribution(self.transition[key], f"transition{key}"))
-                    for trip in self.transition[key]:
-                        check_triple(trip, f"transition{key}")
-                if key not in self.reward:
-                    v.append(f"reward: missing entry {key}")
-                elif not isinstance(self.reward[key], Fraction):
-                    v.append(f"reward{key}: not a Fraction")
-        for key in self.transition:
-            if key[0] not in states or key[1] not in set(self.actions1) or key[2] not in set(self.actions2):
-                v.append(f"transition: spurious entry {key}")
-        return v
+        return _violations(self, (("signals1", "signal1", self.signals1),
+                                  ("signals2", "signal2", self.signals2)))
 
     def require_valid(self) -> None:
         problems = self.validate()
@@ -174,39 +181,8 @@ class SymmetricGameSpec:
                 yield i, j
 
     def validate(self) -> list[str]:
-        v: list[str] = []
-        for name, ids in (("states", self.states), ("actions1", self.actions1),
-                          ("actions2", self.actions2), ("signals", self.signals)):
-            if not ids:
-                v.append(f"{name}: empty alphabet")
-            if len(set(ids)) != len(ids):
-                v.append(f"{name}: duplicate ids")
-        states, sigs = set(self.states), set(self.signals)
-        v.extend(check_distribution(self.initial, "initial"))
-        for (x, s) in self.initial:
-            if x not in states:
-                v.append(f"initial: unknown state {x!r}")
-            if s not in sigs:
-                v.append(f"initial: unknown signal {s!r}")
-        for x in self.states:
-            for i, j in self.action_pairs():
-                key = (x, i, j)
-                if key not in self.transition:
-                    v.append(f"transition: missing entry {key}")
-                else:
-                    v.extend(check_distribution(self.transition[key], f"transition{key}"))
-                    for (x2, s) in self.transition[key]:
-                        if x2 not in states:
-                            v.append(f"transition{key}: unknown state {x2!r}")
-                        if s not in sigs:
-                            v.append(f"transition{key}: unknown signal {s!r}")
-                if key not in self.reward:
-                    v.append(f"reward: missing entry {key}")
-        actions1, actions2 = set(self.actions1), set(self.actions2)
-        for key in self.transition:
-            if key[0] not in states or key[1] not in actions1 or key[2] not in actions2:
-                v.append(f"transition: spurious entry {key}")
-        return v
+        """Return violations; empty list means the spec is well formed."""
+        return _violations(self, (("signals", "signal", self.signals),))
 
     def require_valid(self) -> None:
         problems = self.validate()
@@ -276,13 +252,13 @@ MEAN = "mean"
 class SymmetryWitness:
     """Outcome of structural symmetric-signaling detection.
 
-    On success ``reduced`` holds the recovered public-signal game and
-    ``public_of`` maps each player-1 signal id to its public id.  On failure
-    ``reason`` names the offending entry.
+    On success ``public_of`` maps each player-1 signal id of positive mass
+    to its public label: the signals that one action pair emits (or the
+    initial distribution draws) get distinct labels ``s0``, ``s1``, ... in
+    declared order.  On failure ``reason`` names the offending entry.
     """
 
     symmetric: bool
-    reduced: SymmetricGameSpec | None = None
     public_of: dict | None = None
     reason: str = ""
 
@@ -345,34 +321,7 @@ def is_symmetric_signaling(spec: GameSpec) -> SymmetryWitness:
         k = counters.get(ctx, 0)
         counters[ctx] = k + 1
         public_of[c] = f"s{k}"
-    n_public = max(counters.values(), default=1)
-    public_ids = [f"s{k}" for k in range(n_public)]
-
-    initial = {}
-    for (x, c, d), p in spec.initial.items():
-        if p > 0:
-            key = (x, public_of[c])
-            initial[key] = initial.get(key, ZERO) + p
-    transition = {}
-    for x in spec.states:
-        for i, j in spec.action_pairs():
-            dist = {}
-            for (x2, c, d), p in spec.transition[(x, i, j)].items():
-                if p > 0:
-                    key = (x2, public_of[c])
-                    dist[key] = dist.get(key, ZERO) + p
-            transition[(x, i, j)] = dist
-    reduced = SymmetricGameSpec(
-        states=list(spec.states),
-        actions1=list(spec.actions1),
-        actions2=list(spec.actions2),
-        signals=public_ids,
-        initial=initial,
-        transition=transition,
-        reward=dict(spec.reward),
-        comment=spec.comment,
-    )
-    return SymmetryWitness(True, reduced=reduced, public_of=public_of)
+    return SymmetryWitness(True, public_of=public_of)
 
 
 # ---------------------------------------------------------------------------
@@ -389,8 +338,8 @@ JOINT = "joint"
 def public_labels(spec: GameSpec) -> dict | None:
     """Public component of each player-1 signal id: the spec's own
     ``public_label``, else the symmetry witness's ``public_of``; None when
-    the spec has no symmetric signaling.  Uncached on purpose: a spec's
-    ``public_label`` may be set after construction."""
+    the spec has no symmetric signaling.  Not cached on the spec: the
+    witness is one linear pass, cheap next to the builds that ask for it."""
     return spec.public_label or is_symmetric_signaling(spec).public_of
 
 

@@ -32,10 +32,10 @@ def parse_rational(text: str) -> Fraction:
     """Parse ``"p/q"`` or an integer string into an exact Fraction.
 
     Float syntax is rejected on purpose: decimal literals in a game file
-    would smuggle rounding into exact solver paths.
+    would smuggle rounding into exact solver paths.  Anything but a string,
+    an int or a bool included, raises ValueError: a file writes every
+    number as a string.
     """
-    if isinstance(text, int):
-        return Fraction(text)
     if not isinstance(text, str):
         raise ValueError(f"rational must be a string, got {type(text).__name__}")
     m = _RATIONAL_RE.match(text)

@@ -102,8 +102,7 @@ def _fmt(value) -> str:
 
 def _bound_claim(example, side):
     def run(games):
-        check = verify_example(corpus.build_game, example, side,
-                               horizon=20, eps=F(1, 100))
+        check = verify_example(example, side, horizon=20, eps=F(1, 100))
         return ClaimResult(computed=_fmt(check.bound), ok=check.ok)
     return run
 
@@ -305,7 +304,7 @@ def _run_quitting_values(name):
 
 def _run_example2_matrix():
     def run(games):
-        check = verify_example(corpus.build_game, 2, "minmax", horizon=20)
+        check = verify_example(2, "minmax", horizon=20)
         matrix = " ; ".join(
             "[" + ", ".join(format_rational(v) for v in row) + "]"
             for row in check.reduced_matrix)

@@ -131,17 +131,17 @@ def test_criterion_5_bigmatch_values():
 def test_criterion_6_example_gaps():
     start = time.perf_counter()
     eps = F(1, 100)
-    c = verify_example(corpus.build_game, 1, "maxmin", 20, eps)
+    c = verify_example(1, "maxmin", 20, eps)
     assert c.ok and c.bound <= F(-1, 2) + eps
-    c = verify_example(corpus.build_game, 1, "minmax", 20, eps)
+    c = verify_example(1, "minmax", 20, eps)
     assert c.ok and c.bound >= F(1, 2) - eps
-    c = verify_example(corpus.build_game, 2, "minmax", 20, eps)
+    c = verify_example(2, "minmax", 20, eps)
     assert c.ok and c.reduced_value == F(-1, 6)
-    c = verify_example(corpus.build_game, 2, "maxmin", 20, eps)
+    c = verify_example(2, "maxmin", 20, eps)
     assert c.ok and c.bound <= F(-1, 2) + eps
-    c = verify_example(corpus.build_game, 3, "minmax", 20, eps)
+    c = verify_example(3, "minmax", 20, eps)
     assert c.ok and c.bound <= F(1, 2)
-    c = verify_example(corpus.build_game, 3, "maxmin", 20, eps)
+    c = verify_example(3, "maxmin", 20, eps)
     assert c.ok and c.bound <= eps
     _report(6, "example gaps",
             "all reply constructions certified at N=20, eps=1/100",

@@ -27,10 +27,6 @@ from signalgames.recursive import (
 )
 
 
-def spec_for(name):
-    return corpus.build_game(name)
-
-
 def test_expected_limsup_always_T_vs_reply():
     # T forever against (L until 20, then R): half absorbed at -1, half
     # parked in s3 earning 0 -> exactly -1/2
@@ -54,7 +50,7 @@ def test_expected_limsup_bigmatch_tail_classes():
 
 
 def test_example1_maxmin_bound():
-    check = verify_example(spec_for, 1, "maxmin", horizon=20, eps=F(1, 100))
+    check = verify_example(1, "maxmin", horizon=20, eps=F(1, 100))
     assert check.ok
     assert check.bound == F(-1, 2)
     # every vertex of the truncated family earns exactly -1/2 here
@@ -62,26 +58,26 @@ def test_example1_maxmin_bound():
 
 
 def test_example1_minmax_bound():
-    check = verify_example(spec_for, 1, "minmax", horizon=20, eps=F(1, 100))
+    check = verify_example(1, "minmax", horizon=20, eps=F(1, 100))
     assert check.ok
     assert check.bound == F(1, 2)
 
 
 def test_example2_minmax_exact_sixth():
-    check = verify_example(spec_for, 2, "minmax", horizon=20)
+    check = verify_example(2, "minmax", horizon=20)
     assert check.ok
     assert check.reduced_matrix == [[F(0), F(-1, 2)], [F(-1, 2), F(1, 2)]]
     assert check.reduced_value == F(-1, 6)
 
 
 def test_example2_maxmin_bound():
-    check = verify_example(spec_for, 2, "maxmin", horizon=20, eps=F(1, 100))
+    check = verify_example(2, "maxmin", horizon=20, eps=F(1, 100))
     assert check.ok
     assert check.bound == F(-1, 2)
 
 
 def test_example3_minmax_even_mix_caps_half():
-    check = verify_example(spec_for, 3, "minmax", horizon=20)
+    check = verify_example(3, "minmax", horizon=20)
     assert check.ok
     assert check.bound == F(1, 2)
     # every first-switch vertex earns exactly 1/2 against the even mix
@@ -89,7 +85,7 @@ def test_example3_minmax_even_mix_caps_half():
 
 
 def test_example3_maxmin_reply_zero():
-    check = verify_example(spec_for, 3, "maxmin", horizon=20, eps=F(1, 100))
+    check = verify_example(3, "maxmin", horizon=20, eps=F(1, 100))
     assert check.ok
     assert check.bound == 0
 
@@ -107,7 +103,7 @@ def test_mixture_evaluation_linear():
 
 def test_unknown_example_raises():
     with pytest.raises(GameModelError):
-        verify_example(spec_for, 4, "maxmin")
+        verify_example(4, "maxmin")
 
 
 @pytest.mark.parametrize("example, side, kwargs, match", [
@@ -127,7 +123,7 @@ def test_verify_example_checks_its_inputs(example, side, kwargs, match):
     TypeError, example 2 minmax at horizon 1 a misleading GameModelError,
     and eps 0.01 the binary fraction 5764607523034235/576460752303423488."""
     with pytest.raises(PreconditionError, match=match):
-        verify_example(spec_for, example, side, **kwargs)
+        verify_example(example, side, **kwargs)
 
 
 # --- recursive solver ------------------------------------------------------

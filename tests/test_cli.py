@@ -223,6 +223,21 @@ def test_reduce_symmetric_shorter_horizons_are_golden_prefixes(
     assert capsys.readouterr().out.partition("\n")[2] == "\n".join(want) + "\n"
 
 
+@pytest.mark.parametrize("game, labels", [("bigmatch_fullmonitor", "o"),
+                                          ("noisy_public_2state", "s0 u w"),
+                                          ("quitting_game", "o")])
+def test_reduce_symmetric_header_names_the_row_labels(corpus_dir, capsys, game, labels):
+    """The header lists the public labels of ``public_labels``, in order,
+    and each row's last observed signal is one of them; it used to print
+    ids the symmetry witness invents (s0, s1, ...), which no row used."""
+    assert main(["reduce-symmetric", "--game", str(corpus_dir / f"{game}.game"),
+                 "--horizon", "3"]) == 0
+    header, _, table = capsys.readouterr().out.partition("\n")
+    assert header == f"symmetric signaling confirmed; public signals: {labels}"
+    last = {row["observed_history"].split()[-1] for row in csv.DictReader(table.splitlines())}
+    assert last <= set(labels.split())
+
+
 def test_simulate_deterministic_cli(corpus_dir, capsys):
     argv = ["simulate", "--game", str(corpus_dir / "bigmatch_nosignals.game"),
             "--horizon", "5", "--seed", "9", "--replicas", "200"]
@@ -375,6 +390,14 @@ def _game_doc(**changes) -> str:
     return json.dumps(doc)
 
 
+def _first_entry_doc(field: str, key: str, value) -> str:
+    """The quitting game with ``key`` of its first ``field`` entry set to
+    ``value``."""
+    doc = json.loads((GAMES / "quitting_game.game").read_text())
+    doc[field][0][key] = value
+    return json.dumps(doc)
+
+
 def _huge_reward_doc(exponent: int = 400) -> str:
     """``mdp_final_remark`` with both rewards of its state 1* set to
     10**exponent, an exact integer past float range at the default."""
@@ -427,8 +450,15 @@ def test_values_beyond_float_range(tmp_path, capsys, exponent, argv, code, line)
      "error: $: invalid strategy: strategy view ('o',): mass 1/2 != 1"),
     ("simulate", _strategy_doc(tail={"C": "1", "Q": "1"}),
      "error: $: invalid strategy: strategy tail: mass 2 != 1"),
+    # every number in a file is a string: a JSON number or true is refused
+    ("validate", _first_entry_doc("rewards", "value", True),
+     "error: $.rewards[0].value: rational must be a string, got bool"),
+    ("validate", _first_entry_doc("initial", "prob", 1),
+     "error: $.initial[0].prob: rational must be a string, got int"),
+    ("simulate", _strategy_doc(tail={"C": True}),
+     "error: $.tail: rational must be a string, got bool"),
 ], ids=["game-initial-not-object", "strategy-player-text", "strategy-table-mass",
-        "strategy-tail-mass"])
+        "strategy-tail-mass", "game-reward-true", "game-prob-int", "strategy-tail-true"])
 def test_malformed_file_exits_one(tmp_path, command, document, message):
     path = tmp_path / "input.json"
     path.write_text(document)

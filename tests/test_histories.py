@@ -1,6 +1,7 @@
 import gc
 import random
 import weakref
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -420,7 +421,7 @@ def test_conditional_check_violation_matches_dense_oracle():
     the same failures and discrepancy as the dense check.  The label map
     makes ``build_trees`` take the public view."""
     spec = random_game(0)
-    spec.public_label = {c: "merged" for c in spec.signals1}
+    spec = replace(spec, public_label={c: "merged" for c in spec.signals1})
     rng = random.Random(0)
     sigma = random_strategy(rng, spec, 1, 3)
     tau = random_strategy(rng, spec, 2, 3)

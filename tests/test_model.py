@@ -15,6 +15,7 @@ from signalgames.model import (
     PUBLIC,
     BehavioralStrategy,
     GameSpec,
+    SymmetricGameSpec,
     check_distribution,
     is_symmetric_signaling,
     projection,
@@ -122,34 +123,92 @@ def test_absorbing_payoffs_example1():
     assert spec.absorbing_payoff("-2*") == F(-2)
 
 
+def _check_witness_labels(sym):
+    """The witness on ``sym``'s expansion labels every signal of positive
+    mass, gives the signals that one action pair emits distinct labels, and
+    grouping each transition of the expansion by (next state, label) gives
+    back ``sym``'s masses: label s<k> of an action pair is the k-th public
+    signal, in declared order, that the pair emits from any state."""
+    spec = sym.expand()
+    witness = is_symmetric_signaling(spec)
+    assert witness
+    public_of = witness.public_of
+    assert {c for (_, c, _), p in spec.initial.items() if p > 0} <= set(public_of)
+    for i, j in sym.action_pairs():
+        emitted = [c for c in spec.signals1
+                   if any(p > 0 and c2 == c for x in spec.states
+                          for (_, c2, _), p in spec.transition[(x, i, j)].items())]
+        assert len({public_of[c] for c in emitted}) == len(emitted)
+        index = {s: f"s{k}" for k, s in enumerate(
+            s for s in sym.signals if sym.signal_id(i, j, s) in emitted)}
+        for x in sym.states:
+            grouped = {}
+            for (x2, c, _), p in spec.transition[(x, i, j)].items():
+                if p > 0:
+                    grouped[(x2, public_of[c])] = grouped.get((x2, public_of[c]), 0) + p
+            assert grouped == {(x2, index[s]): p
+                               for (x2, s), p in sym.transition[(x, i, j)].items() if p > 0}
+
+
 def test_symmetric_detection_roundtrip_corpus(games):
     for name in corpus.SYMMETRIC_GAMES:
-        sym = games[name]
-        witness = is_symmetric_signaling(sym.expand())
-        assert witness, name
-        red = witness.reduced
-        assert red.states == sym.states
-        assert red.actions1 == sym.actions1 and red.actions2 == sym.actions2
-        # recovery may merge initial-only signals; never invents new ones
-        assert len(red.signals) <= len(sym.signals)
-        assert red.validate() == []
-        # the recovered game expands to a symmetric spec again
-        assert is_symmetric_signaling(red.expand()), name
+        _check_witness_labels(games[name])
 
 
 def test_symmetric_detection_roundtrip_random():
     for seed in range(25):
-        sym = random_symmetric_game(seed)
-        witness = is_symmetric_signaling(sym.expand())
-        assert witness, seed
-        # weights survive the round trip: compare transition mass by index
-        red = witness.reduced
-        for x in sym.states:
-            for i in sym.actions1:
-                for j in sym.actions2:
-                    lhs = sorted(sym.transition[(x, i, j)].values())
-                    rhs = sorted(red.transition[(x, i, j)].values())
-                    assert lhs == rhs
+        _check_witness_labels(random_symmetric_game(seed))
+
+
+def test_validate_lists_every_violation_in_order():
+    """Both spec kinds run one validator: a spec that breaks each rule gets
+    the same messages in the same order, the symmetric one naming its one
+    signal alphabet.  A symmetric spec's reward that is not a Fraction is
+    reported like a general spec's."""
+    general = GameSpec(
+        states=["x", "y"], actions1=["T"], actions2=["L"],
+        signals1=[], signals2=["d", "d"],
+        initial={("z", "c", "d"): F(1, 2), ("x", "c", "d"): 0.5},
+        transition={("y", "T", "L"): {("y", "c", "e"): F(3, 2)},
+                    ("x", "T", "R"): {("x", "c", "d"): F(1)}},
+        reward={("y", "T", "L"): 1})
+    assert general.validate() == [
+        "signals1: empty alphabet",
+        "signals2: duplicate ids",
+        "initial: probability of ('x', 'c', 'd') is not a Fraction",
+        "initial: mass 1/2 != 1",
+        "initial: unknown state 'z'",
+        "initial: unknown signal1 'c'",
+        "initial: unknown signal1 'c'",
+        "transition: missing entry ('x', 'T', 'L')",
+        "reward: missing entry ('x', 'T', 'L')",
+        "transition('y', 'T', 'L'): probability 3/2 of ('y', 'c', 'e') outside [0,1]",
+        "transition('y', 'T', 'L'): mass 3/2 != 1",
+        "transition('y', 'T', 'L'): unknown signal1 'c'",
+        "transition('y', 'T', 'L'): unknown signal2 'e'",
+        "reward('y', 'T', 'L'): not a Fraction",
+        "transition: spurious entry ('x', 'T', 'R')",
+    ]
+    symmetric = SymmetricGameSpec(
+        states=["x", "y"], actions1=["T"], actions2=["L"], signals=["o", "o"],
+        initial={("z", "p"): F(1, 2), ("x", "o"): 0.5},
+        transition={("y", "T", "L"): {("y", "q"): F(3, 2)},
+                    ("x", "T", "R"): {("x", "o"): F(1)}},
+        reward={("y", "T", "L"): 1})
+    assert symmetric.validate() == [
+        "signals: duplicate ids",
+        "initial: probability of ('x', 'o') is not a Fraction",
+        "initial: mass 1/2 != 1",
+        "initial: unknown state 'z'",
+        "initial: unknown signal 'p'",
+        "transition: missing entry ('x', 'T', 'L')",
+        "reward: missing entry ('x', 'T', 'L')",
+        "transition('y', 'T', 'L'): probability 3/2 of ('y', 'q') outside [0,1]",
+        "transition('y', 'T', 'L'): mass 3/2 != 1",
+        "transition('y', 'T', 'L'): unknown signal 'q'",
+        "reward('y', 'T', 'L'): not a Fraction",
+        "transition: spurious entry ('x', 'T', 'R')",
+    ]
 
 
 def test_example2_not_symmetric(games):

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 from math import lcm
 
@@ -470,9 +471,8 @@ def test_history_augmented_game_keeps_the_public_view(games):
         augmented, _ = history_augmented(spec, pair)
         assert augmented.public_label == spec.public_label
         assert reduction._resolve_view(augmented)[0] == PUBLIC, name
-        augmented.public_label = {}
         with pytest.raises(UnsupportedStructureError):
-            reduction._resolve_view(augmented)
+            reduction._resolve_view(replace(augmented, public_label={}))
 
 
 def test_solve_backward_lifted_terminal_equals_every_node_solve():
