@@ -37,6 +37,15 @@ member masses and the play masses are compared with the observation's
 mass, all over their level's scale.  At the horizon the kernel row of an
 observation is its members' masses over its own, which is all
 ``reduction.lift_payoff`` reads.
+
+The play walk belongs to the (tree pair, sigma, tau) triple, not to a
+call: the pair keeps the levels walked so far for the last strategy pair
+it was given, with each walked observation's play masses, and a later
+call with the same two strategy objects extends the walk instead of
+starting again.  What is kept depends only on the strategies and the
+tree's shape, which are not changed once built (the convention of the
+``model`` module docstring, held by the trees too); masses are read
+afresh on every call.
 """
 
 from __future__ import annotations
@@ -137,13 +146,21 @@ class ObservedNode:
 
 @dataclass(eq=False)
 class TreePair:
-    """History tree and observed tree built jointly to a horizon."""
+    """History tree and observed tree built jointly to a horizon.
+
+    ``_walk`` keeps the play walk of the last strategy pair given to
+    ``exact_play_distribution`` or ``conditional_check`` (see
+    ``_PlayWalk``); another pair replaces it.  It refers only to the
+    strategies and to the pair's own nodes, so a dropped pair is still
+    freed by reference counting.
+    """
 
     spec: GameSpec
     view: str
     horizon: int
     levels: list                        # levels[n-1] = list[HistoryNode] at length n
     obs_levels: list                    # same for ObservedNode
+    _walk: "_PlayWalk | None" = field(default=None, init=False, repr=False)
 
     def histories(self, n: int):
         return self.levels[n - 1]
@@ -262,7 +279,10 @@ def exact_play_distribution(pair: TreePair, sigma: BehavioralStrategy,
 
     ``pair`` is a ``build_trees`` result covering the horizon, ``sigma``
     player 1's strategy and ``tau`` player 2's.  The marginal of the result
-    on the observed tree is the distribution over observed plays.
+    on the observed tree is the distribution over observed plays.  The
+    strategy weights come from the play walk kept on ``pair``, so a later
+    call (or ``conditional_check``) with the same strategies walks only
+    levels not yet walked; alpha is read from the nodes on every call.
     """
     require_horizon(horizon)
     probs = {h: Fraction(h.mass * num, h.scale * den)
@@ -271,20 +291,46 @@ def exact_play_distribution(pair: TreePair, sigma: BehavioralStrategy,
     return PlayDistribution(horizon=horizon, probs=probs, pair=pair)
 
 
+@dataclass(eq=False)
+class _PlayWalk:
+    """The play walk of one strategy pair on one tree pair, kept on the
+    pair and compared to a call's strategies by identity.
+
+    ``weights[n-1]`` maps each level-n history that the strategies play to
+    the product of both players' action probabilities along it, as an
+    unreduced integer pair (num, den), in tree order; histories played
+    with probability 0 are left out.  ``plays[m]`` holds, for each level-m
+    observation in tree order, its play denominator (the lcm of its played
+    members' weight denominators) and each member's play numerator over it
+    (0 where the member is not played).  Only the strategies and the tree's
+    shape determine either; no mass is kept.
+    """
+
+    sigma: BehavioralStrategy
+    tau: BehavioralStrategy
+    weights: list
+    plays: dict = field(default_factory=dict)
+
+
 def _strategy_weights(pair: TreePair, sigma: BehavioralStrategy,
                       tau: BehavioralStrategy, horizon: int) -> dict:
-    """The one play walk: each level-``horizon`` history's product of both
-    players' action probabilities, as an unreduced integer pair (num, den).
+    """The level-``horizon`` weights of the play walk kept on ``pair``
+    (``_PlayWalk.weights``), extending the walk level by level as far as
+    needed; strategies other than the kept ones start a new walk.
 
-    Keys follow the tree order; histories that a strategy plays with
-    probability 0 are left out.  A strategy missing a reachable view raises
-    IncompleteStrategyError for the first such view in tree order.
+    A strategy missing a reachable view raises IncompleteStrategyError for
+    the first such view in tree order; the walk keeps the levels it
+    completed, so a repeated call raises the same error.
     """
     if pair.horizon < horizon:
         raise GameModelError("tree pair shorter than requested horizon")
     sees1, sees2 = _viewer(sigma, pair.spec, 1), _viewer(tau, pair.spec, 2)
-    weights: dict = {root: (1, 1) for root in pair.histories(1)}
-    for n in range(1, horizon):
+    walk = pair._walk
+    if walk is None or walk.sigma is not sigma or walk.tau is not tau:
+        walk = pair._walk = _PlayWalk(
+            sigma, tau, [{root: (1, 1) for root in pair.histories(1)}])
+    for n in range(len(walk.weights), horizon):
+        weights = walk.weights[-1]
         nxt: dict = {}
         dists: dict = {}                # parent -> both players' (num, den) maps
         for h in pair.histories(n + 1):
@@ -301,8 +347,25 @@ def _strategy_weights(pair: TreePair, sigma: BehavioralStrategy,
             pi, pj = both[0].get(i), both[1].get(j)
             if pi is not None and pj is not None:
                 nxt[h] = (base[0] * pi[0] * pj[0], base[1] * pi[1] * pj[1])
-        weights = nxt
-    return weights
+        walk.weights.append(nxt)
+    return walk.weights[horizon - 1]
+
+
+def _play_masses(pair: TreePair, sigma: BehavioralStrategy,
+                 tau: BehavioralStrategy, m: int) -> list:
+    """``_PlayWalk.plays[m]`` of the walk kept on ``pair``, made on first
+    request from the level-m weights."""
+    weights = _strategy_weights(pair, sigma, tau, m)
+    plays = pair._walk.plays
+    kept = plays.get(m)
+    if kept is None:
+        kept = plays[m] = []
+        for v in pair.observations(m):
+            ws = [weights.get(h) for h in v.members]
+            play_den = lcm(*(w[1] for w in ws if w is not None))
+            kept.append((play_den, [0 if w is None else w[0] * (play_den // w[1])
+                                    for w in ws]))
+    return kept
 
 
 def _integer_pairs(dist: dict) -> dict:
@@ -355,7 +418,10 @@ def conditional_check(pair: TreePair, sigma, tau, n: int,
     their play mass and q the total.  The kernel is s / mass, so
     normalization is sum of s == mass, and the sum identity and Bayes are
     both jp * mass == s * q (Bayes only where q > 0, where the two tests
-    coincide).
+    coincide).  The walk, and each level-m observation's play denominator
+    and members' play numerators, are kept on ``pair`` for these strategies
+    (``_PlayWalk``), so checking every n <= m walks once; the masses are
+    read afresh on every call.
     ``Fraction``s are built only when a test fails, to report the exact
     discrepancy, so the report equals the dense every-pair check in
     ``Fraction``s.
@@ -377,7 +443,7 @@ def conditional_check(pair: TreePair, sigma, tau, n: int,
     if n > m:
         raise GameModelError("need 1 <= n <= m")
 
-    weights = _strategy_weights(pair, sigma, tau, m)
+    plays = _play_masses(pair, sigma, tau, m)
     max_disc = ZERO
     checked = 0
     width = len(pair.histories(n))
@@ -385,23 +451,19 @@ def conditional_check(pair: TreePair, sigma, tau, n: int,
     bayes_ok = True
     sum_ok = True
 
-    for v in pair.observations(m):
+    for v, (play_den, nums) in zip(pair.observations(m), plays):
         mass = v.mass
         if mass <= 0:
             raise GameModelError("observation has zero weight")
-        members = v.members
-        plays = [weights.get(h) for h in members]
-        play_den = lcm(*(w[1] for w in plays if w is not None))
         s: dict = {}                    # h_n -> mass over S
         jp: dict = {}                   # h_n -> play mass over S * play_den
-        for h, w in zip(members, plays):
+        for h, p in zip(v.members, nums):
             a = h.mass
             anc = h
             while anc.depth > n:
                 anc = anc.parent
             s[anc] = s.get(anc, 0) + a
-            if w is not None:
-                jp[anc] = jp.get(anc, 0) + a * w[0] * (play_den // w[1])
+            jp[anc] = jp.get(anc, 0) + a * p
         if sum(s.values()) != mass:
             normalization_ok = False
         q = sum(jp.values())

@@ -253,9 +253,10 @@ class SymmetryWitness:
     """Outcome of structural symmetric-signaling detection.
 
     On success ``public_of`` maps each player-1 signal id of positive mass
-    to its public label: the signals that one action pair emits (or the
-    initial distribution draws) get distinct labels ``s0``, ``s1``, ... in
-    declared order.  On failure ``reason`` names the offending entry.
+    to its public label ``s0``, ``s1``, ...: the signals that one action
+    pair emits get distinct labels, in declared order where no two initial
+    signals would collide, and so do the signals the initial distribution
+    draws.  On failure ``reason`` names the offending entry.
     """
 
     symmetric: bool
@@ -284,11 +285,13 @@ def is_symmetric_signaling(spec: GameSpec) -> SymmetryWitness:
             return f"{where}: signal2 {d!r} pairs with both {pair_d[d]!r} and {c!r}"
         return None
 
+    initial: set[str] = set()
     for (x, c, d), p in spec.initial.items():
         if p > 0:
             err = bind(c, d, "initial")
             if err:
                 return SymmetryWitness(False, reason=err)
+            initial.add(c)
 
     # Which action pair emits each signal; must be unique per signal.
     context: dict[str, tuple[str, str]] = {}
@@ -307,20 +310,32 @@ def is_symmetric_signaling(spec: GameSpec) -> SymmetryWitness:
                                 f"{context[c]} and {(i, j)}: does not reveal the action pair"),
                     )
 
-    # Assign public ids: per emitting context, signals in declared order get
-    # s0, s1, ...; initial-only signals form their own context.
-    counters: dict[tuple, int] = {}
-    public_of: dict[str, str] = {}
-    for c in spec.signals1:
-        if c in context:
-            ctx = context[c]
-        elif c in pair_c:
-            ctx = ("<initial>",)
-        else:
+    # Assign public ids: each signal gets the lowest s<k> not yet given
+    # among the signals its action pair emits nor, for a signal of the
+    # initial distribution, among the initial signals, so the actions and
+    # the label tell apart every two signals the players do.  Emitted
+    # signals go first, in declared order, so the k-th signal an action pair
+    # emits gets s<k> unless two initial signals would share it.
+    given: dict[tuple, set] = {}        # group -> labels given in it
+    low: dict[tuple, int] = {}          # group -> lowest label not given in it
+    label: dict[str, str] = {}
+    for c in sorted(spec.signals1, key=lambda c: c not in context):
+        groups = [g for g in (context.get(c), ("<initial>",) if c in initial else None)
+                  if g is not None]
+        if not groups:
             continue  # unused id
-        k = counters.get(ctx, 0)
-        counters[ctx] = k + 1
-        public_of[c] = f"s{k}"
+        k = max(low.get(g, 0) for g in groups)
+        while any(k in given.get(g, ()) for g in groups):
+            k += 1
+        for g in groups:
+            taken = given.setdefault(g, set())
+            taken.add(k)
+            j = low.get(g, 0)
+            while j in taken:
+                j += 1
+            low[g] = j
+        label[c] = f"s{k}"
+    public_of = {c: label[c] for c in spec.signals1 if c in label}
     return SymmetryWitness(True, public_of=public_of)
 
 

@@ -167,16 +167,22 @@ def test_build_trees_budget_overrun_matches_fraction_oracle():
 
 
 def test_dropped_tree_pair_is_freed_without_the_cycle_collector():
-    # no node refers back to a node that refers to it, so reference
-    # counting alone frees a dropped tree
+    # no node refers back to a node that refers to it, and the play walk
+    # a checked pair keeps refers only to its nodes and the strategies, so
+    # reference counting alone frees a dropped tree
+    spec = corpus.noisy_public_2state()
+    sigma, tau = uniform_strategy(spec, 1), uniform_strategy(spec, 2)
     was_enabled = gc.isenabled()
     gc.disable()
     try:
-        pair = build_trees(corpus.noisy_public_2state(), 3)
-        leaf = weakref.ref(pair.histories(3)[-1])
-        root = weakref.ref(pair.observations(1)[0])
-        del pair
-        assert leaf() is None and root() is None
+        for checked in (False, True):
+            pair = build_trees(spec, 3)
+            if checked:
+                assert conditional_check(pair, sigma, tau, 2, 3).all_exact
+            leaf = weakref.ref(pair.histories(3)[-1])
+            root = weakref.ref(pair.observations(1)[0])
+            del pair
+            assert leaf() is None and root() is None, checked
     finally:
         if was_enabled:
             gc.enable()
@@ -382,6 +388,115 @@ def test_conditional_check_corrupted_beta_matches_oracle():
                 assert not (report.normalization_ok or report.bayes_ok
                             or report.sum_identity_ok), n
                 assert report.max_discrepancy == F(6, 7), n
+
+
+def test_kept_walk_serves_alternating_strategy_pairs():
+    """One tree pair given two strategy pairs in turn, A, B, A, at every
+    1 <= n <= m <= 3: each report is the dense oracle's and each play
+    distribution the Fraction walk's, so a replaced walk never leaks into
+    the other pair's results."""
+    rng = random.Random(3001)
+    for seed in range(4):
+        spec = random_game(300 + seed)
+        a = (random_strategy(rng, spec, 1, 3), random_strategy(rng, spec, 2, 3))
+        b = (coprime_strategy(rng, spec, 1, 2), coprime_strategy(rng, spec, 2, 2))
+        pair = build_trees(spec, 3)
+        for m in range(1, 4):
+            for n in range(1, m + 1):
+                for sigma, tau in (a, b, a):
+                    assert (conditional_check(pair, sigma, tau, n, m)
+                            == dense_conditional_check(pair, sigma, tau, n, m)), \
+                        (seed, n, m)
+                    got = exact_play_distribution(pair, sigma, tau, m).probs
+                    want = fraction_play_distribution(pair, sigma, tau, m)
+                    assert list(got.items()) == list(want.items()), (seed, n, m)
+
+
+def test_kept_walk_repeats_an_incomplete_strategy_error(games):
+    """A strategy missing a level-2 view fails the level-3 walk with the
+    same error on every call, also after a complete pair was walked on the
+    same tree; the levels it completed still check as the oracle does."""
+    spec = games["bigmatch_nosignals"]
+    broken = BehavioralStrategy(player=1, horizon=5,
+                                table={("n1",): {"T": F(1)}}, tail=None)
+    tau = uniform_strategy(spec, 2)
+    sigma = uniform_strategy(spec, 1)
+    pair = build_trees(spec, 3)
+
+    def fails():
+        with pytest.raises(IncompleteStrategyError) as err:
+            conditional_check(pair, broken, tau, 1, 3)
+        return err.value.player, err.value.view
+
+    first = fails()
+    assert first == (1, ("n1", "T", "n1"))
+    assert fails() == first
+    assert (conditional_check(pair, broken, tau, 2, 2)
+            == dense_conditional_check(pair, broken, tau, 2, 2))
+    assert fails() == first
+    assert conditional_check(pair, sigma, tau, 1, 3).all_exact
+    assert fails() == first
+    with pytest.raises(IncompleteStrategyError) as err:
+        exact_play_distribution(pair, broken, tau, 3)
+    assert err.value.view == first[1]
+
+
+def test_kept_walk_reads_masses_afresh():
+    """A pair checked at every (n, m), then given a level-3 observation
+    mass scaled by 7 and a member mass of another scaled by 3, reports what
+    the dense oracle reports on the corrupted tree: the pair keeps no
+    mass."""
+    spec = random_game(7)
+    rng = random.Random(7)
+    sigma = random_strategy(rng, spec, 1, 3)
+    tau = random_strategy(rng, spec, 2, 3)
+    pair = build_trees(spec, 3)
+    for m in range(1, 4):
+        for n in range(1, m + 1):
+            assert conditional_check(pair, sigma, tau, n, m).all_exact
+    pair.observations(3)[0].mass *= 7
+    pair.observations(3)[1].members[0].mass *= 3
+    for m in range(1, 4):
+        for n in range(1, m + 1):
+            report = conditional_check(pair, sigma, tau, n, m)
+            assert report == dense_conditional_check(pair, sigma, tau, n, m)
+            assert report.all_exact == (m < 3), (n, m)
+
+
+def _count_action_dists(strategy, calls: list) -> None:
+    """Record every ``action_dist`` call of ``strategy`` in ``calls``."""
+    ask = strategy.action_dist
+
+    def action_dist(view):
+        calls.append((strategy.player, view))
+        return ask(view)
+
+    strategy.action_dist = action_dist
+
+
+def test_checks_at_every_depth_pair_walk_once():
+    """Checking every 1 <= n <= m <= 3 asks the strategies exactly what one
+    level-3 play distribution asks, and a play distribution after the
+    checks asks nothing more."""
+    spec = random_game(42)
+    rng = random.Random(42)
+    sigma = random_strategy(rng, spec, 1, 3)
+    tau = random_strategy(rng, spec, 2, 3)
+    calls: list = []
+    _count_action_dists(sigma, calls)
+    _count_action_dists(tau, calls)
+
+    exact_play_distribution(build_trees(spec, 3), sigma, tau, 3)
+    once = list(calls)
+    assert once
+    calls.clear()
+    pair = build_trees(spec, 3)
+    for m in range(1, 4):
+        for n in range(1, m + 1):
+            assert conditional_check(pair, sigma, tau, n, m).all_exact
+    assert calls == once
+    exact_play_distribution(pair, sigma, tau, 3)
+    assert calls == once
 
 
 def _parent_links_compatible(pair) -> bool:

@@ -34,6 +34,7 @@ from signalgames.model import (
     PUBLIC,
     GameSpec,
     SymmetricGameSpec,
+    public_labels,
 )
 from signalgames.rationals import ZERO
 from signalgames.reduction import (
@@ -45,6 +46,7 @@ from signalgames.reduction import (
     solve_backward,
     solve_horizons,
 )
+from signalgames.seqform import nstage_value
 
 
 def test_signal_transition_noisy_example():
@@ -505,6 +507,29 @@ def _per_horizon_values(game, horizons):
     horizon, nothing pruned."""
     return {n: _every_node_backward(game, n, prune=False, strategies=False)[0]
             for n in horizons}
+
+
+def test_initial_signals_get_distinct_public_labels():
+    """Signal a is drawn initially and emitted under (T, L), e is emitted
+    under (B, L) and b is drawn initially only.  Per action pair a and b
+    would both be the first label; the public view must still tell the
+    two initial observations apart, which reveal the state: the value is
+    1 (play T in x, B in y) on both engines."""
+    half = F(1, 2)
+    spec = GameSpec(
+        states=["x", "y"], actions1=["T", "B"], actions2=["L"],
+        signals1=["a", "b", "e"], signals2=["a", "b", "e"],
+        initial={("x", "a", "a"): half, ("y", "b", "b"): half},
+        transition={(x, i, "L"): {(x, c, c): F(1)}
+                    for x in ("x", "y") for i, c in (("T", "a"), ("B", "e"))},
+        reward={(x, i, "L"): F(int((x, i) in {("x", "T"), ("y", "B")}))
+                for x in ("x", "y") for i in ("T", "B")})
+    labels = public_labels(spec)
+    assert labels["a"] != labels["b"]
+    assert labels["a"] == labels["e"] == "s0"
+    for n in (1, 2, 3):
+        assert solve_backward(build_auxiliary(spec, n)).value == 1, n
+        assert nstage_value(spec, n).value == 1, n
 
 
 def test_solve_backward_merge_agrees_with_plain():
