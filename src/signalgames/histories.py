@@ -10,8 +10,8 @@ The two central objects:
 * the *observed tree* for a chosen observer view: the projections of those
   histories, annotated with ``beta`` = the sum of alpha over the preimage.
 
-The weights are integers over a level scale: with P and D the lcms of the
-positive initial and transition denominators, a level-n history carries
+The weights are integers over a level scale: with P and D the initial and
+transition scales of ``GameSpec.integer_form``, a level-n history carries
 the integer ``mass`` with alpha = mass / (P * D**(n-1)), the scale shared
 by its level, and an observation the sum of its members' masses, with
 beta = mass / scale.  ``build_trees`` multiplies integers per child, adds
@@ -65,7 +65,7 @@ from .model import (
     projection,
     public_labels,
 )
-from .rationals import ZERO, denominator_lcm
+from .rationals import ZERO
 
 
 @dataclass(eq=False)
@@ -73,8 +73,7 @@ class HistoryNode:
     """One full history; identity is the object itself (trees are tries).
 
     Its chance weight is alpha = mass / scale, ``scale`` = P * D**(depth-1)
-    being shared by the level (P, D: the lcms of the positive initial and
-    transition denominators).
+    being shared by the level (P, D: the scales of ``GameSpec.integer_form``).
     """
 
     state: str
@@ -188,25 +187,20 @@ def build_trees(spec_or_sym, horizon: int,
 
     # integer transition numerators over D, per state in the order
     # (i, j, outcome), with the observation key of each move
-    step = denominator_lcm(p for dist in spec.transition.values()
-                           for p in dist.values() if p > 0)
+    form = spec.integer_form()
     moves: dict = {}
     for x in spec.states:
-        moves[x] = [((i, j), (edge_of(i, j), label_of(c, d)), x2, c, d,
-                     p.numerator * (step // p.denominator))
+        moves[x] = [((i, j), (edge_of(i, j), label_of(c, d)), x2, c, d, q)
                     for i in spec.actions1 for j in spec.actions2
-                    for (x2, c, d), p in spec.transition[(x, i, j)].items()
-                    if p > 0]
+                    for x2, c, d, q in form.transition[(x, i, j)]]
 
     # Level 1 from the initial distribution.
-    initial = [(x, c, d, p) for (x, c, d), p in spec.initial.items() if p > 0]
-    scale = denominator_lcm(p for *_, p in initial)
+    scale = form.P
     level1 = []
     groups: dict = {}                   # (edge, label) -> ObservedNode
-    for x, c, d, p in initial:
+    for x, c, d, mass in form.initial:
         nodes.charge(1)
-        node = HistoryNode(state=x, sig1=c, sig2=d,
-                           mass=p.numerator * (scale // p.denominator),
+        node = HistoryNode(state=x, sig1=c, sig2=d, mass=mass,
                            scale=scale, depth=1)
         level1.append(node)
         _group(groups, (None, label_of(c, d)), node, None)
@@ -215,7 +209,7 @@ def build_trees(spec_or_sym, horizon: int,
     obs_levels = [list(groups.values())]
 
     for n in range(1, horizon):
-        scale *= step
+        scale *= form.D
         next_level: list = []
         next_obs: list = []
         for ob in obs_levels[-1]:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import GameModelError, IncompleteStrategyError, UnsupportedStructureError
-from .rationals import ZERO, format_rational
+from .rationals import ZERO, denominator_lcm, format_rational
 
 # A finite-support exact distribution.
 Dist = dict
@@ -50,7 +50,11 @@ def check_distribution(dist: Dist, what: str) -> list[str]:
 def _violations(spec, signals) -> list[str]:
     """What keeps ``spec``, of either kind, from being well formed, in one
     order: its alphabets, the initial distribution, each transition and
-    reward entry in declared order, then spurious transition keys.
+    reward entry in declared order, then spurious transition keys, then
+    spurious reward keys.  A distribution that is not a dict, an outcome
+    that is not a tuple of a state and one id per signal alphabet, and a
+    key that is not a (state, action1, action2) tuple of declared ids are
+    reported, not raised.
     ``signals`` gives, for each signal position of an outcome (after its
     state), the alphabet's name, the id kind its messages name, and the
     alphabet."""
@@ -63,10 +67,18 @@ def _violations(spec, signals) -> list[str]:
             v.append(f"{name}: duplicate ids")
     states = set(spec.states)
     alphabets = [(kind, set(ids)) for _, kind, ids in signals]
+    width = 1 + len(alphabets)
 
     def check_dist(dist, where):
+        if not isinstance(dist, dict):
+            v.append(f"{where}: not a dict")
+            return
         v.extend(check_distribution(dist, where))
-        for x, *sigs in dist:
+        for outcome in dist:
+            if not isinstance(outcome, tuple) or len(outcome) != width:
+                v.append(f"{where}: outcome {outcome!r} is not a {width}-tuple")
+                continue
+            x, *sigs = outcome
             if x not in states:
                 v.append(f"{where}: unknown state {x!r}")
             for (kind, ids), s in zip(alphabets, sigs, strict=True):
@@ -86,10 +98,28 @@ def _violations(spec, signals) -> list[str]:
             elif not isinstance(spec.reward[key], Fraction):
                 v.append(f"reward{key}: not a Fraction")
     actions1, actions2 = set(spec.actions1), set(spec.actions2)
-    for key in spec.transition:
-        if key[0] not in states or key[1] not in actions1 or key[2] not in actions2:
-            v.append(f"transition: spurious entry {key}")
+    for name, table in (("transition", spec.transition), ("reward", spec.reward)):
+        for key in table:
+            if not (isinstance(key, tuple) and len(key) == 3 and key[0] in states
+                    and key[1] in actions1 and key[2] in actions2):
+                v.append(f"{name}: spurious entry {key}")
     return v
+
+
+@dataclass(frozen=True)
+class IntegerForm:
+    """A game's numbers as integers over three scales (``GameSpec.integer_form``):
+    P, D and L are the lcms of the denominators of the positive initial
+    probabilities, the positive transition probabilities and the rewards.
+    Zero-probability outcomes are dropped; the rest keep the spec's order."""
+
+    P: int
+    initial: list                       # [(x, c, d, mass over P)]
+    D: int
+    transition: dict                    # (x, i, j) -> [(x2, c, d, numerator over D)]
+    L: int
+    reward: dict                        # (x, i, j) -> reward over L
+    absorbing: dict                     # absorbing state -> its payoff over L
 
 
 @dataclass(eq=False)
@@ -158,6 +188,26 @@ class GameSpec:
         if x not in self.absorbing_states:
             raise GameModelError(f"state {x!r} is not absorbing")
         return self.reward[(x, self.actions1[0], self.actions2[0])]
+
+    def integer_form(self) -> IntegerForm:
+        """The spec's ``IntegerForm``, derived afresh on every call: a spec
+        may still be changed after it is built.  An absorbing state's payoff
+        is its reward under the first action pair, as under any other."""
+        initial = [(key, p) for key, p in self.initial.items() if p]
+        transition = {key: [(out, p) for out, p in dist.items() if p]
+                      for key, dist in self.transition.items()}
+        P = denominator_lcm(p for _, p in initial)
+        D = denominator_lcm(p for outs in transition.values() for _, p in outs)
+        L = denominator_lcm(self.reward.values())
+        reward = {key: g.numerator * (L // g.denominator)
+                  for key, g in self.reward.items()}
+        i, j = self.actions1[0], self.actions2[0]
+        return IntegerForm(
+            P, [(*key, p.numerator * (P // p.denominator)) for key, p in initial],
+            D, {key: [(*out, p.numerator * (D // p.denominator)) for out, p in outs]
+                for key, outs in transition.items()},
+            L, reward, {x: reward[(x, i, j)] for x in self.states
+                        if x in self.absorbing_states})
 
 
 @dataclass(eq=False)

@@ -92,7 +92,9 @@ class UniformValueReport:
 def default_schedule(n_max: int) -> list:
     """1..12 consecutively, then ratio 3/2, then, from n_max = 100 on, four
     points spaced n_max // 10 apart below n_max (tight spacing where the
-    stopping rule looks)."""
+    stopping rule looks).  ``n_max`` must be an integer >= 1, else
+    PreconditionError."""
+    require_horizon(n_max, "n_max", PreconditionError)
     pts = list(range(1, min(12, n_max) + 1))
     n = pts[-1]
     while n < n_max:

@@ -69,12 +69,13 @@ from .model import (
     PUBLIC,
     BehavioralStrategy,
     GameSpec,
+    IntegerForm,
     as_general,
     projection,
     public_labels,
     uniform_strategy,
 )
-from .rationals import ZERO, denominator_lcm
+from .rationals import ZERO
 
 
 @dataclass(eq=False, slots=True)
@@ -84,17 +85,18 @@ class BeliefNode:
     ``mu`` maps the support's states to coprime positive integers; the
     posterior is mu / s, s = sum(mu).  ``links`` maps (edge, label) ->
     (h, child) where D * mu * Q = h * child.mu, Q the transition to the
-    child's observation and D = ``step`` the lcm of the transition
-    denominators.  ``children`` derives the link weights h * s_child /
-    (D * s), which depend on the two beliefs alone, not on a depth.
+    child's observation and D = ``step`` the transition scale of
+    ``GameSpec.integer_form``.  ``children`` derives the link weights
+    h * s_child / (D * s), which depend on the two beliefs alone, not on a
+    depth.
 
     A node is a belief: ``key`` numbers it, it is expanded once, and it
     stands at every depth its belief is reached (``AuxiliaryGame.levels``).
     Its ``label`` is that of the first link that reached it.  Only a root
-    carries a history weight, beta = mass * s / scale with ``scale`` = P
-    the lcm of the initial denominators; roots of equal belief (and
-    different labels) share one ``links`` dict.  A node below the roots
-    stands for every history that reaches its belief, so it has no
+    carries a history weight, beta = mass * s / scale with ``scale`` = P,
+    the initial scale of ``GameSpec.integer_form``; roots of equal belief
+    (and different labels) share one ``links`` dict.  A node below the
+    roots stands for every history that reaches its belief, so it has no
     ``mass`` or ``scale``.
     """
 
@@ -141,7 +143,7 @@ class AuxiliaryGame:
     actions1: list
     actions2: list
     edge_of: object                      # the view's edge_of, model.projection
-    step: int                            # D: lcm of the transition denominators
+    step: int                            # D of ``GameSpec.integer_form``
     budget: int                          # the node limit the build was charged
 
     def signal_transition(self, node: BeliefNode, i: str, j: str) -> dict:
@@ -223,15 +225,12 @@ def build_auxiliary(spec_or_sym, horizon: int,
 
     # integer transition numerators, flattened per state in the order
     # (i, j, outcome), so children and beliefs keep their insertion order
-    step = denominator_lcm(p for dist in spec.transition.values()
-                           for p in dist.values() if p > 0)
+    form = spec.integer_form()
     moves: dict = {}
     for x in spec.states:
-        moves[x] = [((edge_of(i, j), label_of(c, d)), x2,
-                     p.numerator * (step // p.denominator))
+        moves[x] = [((edge_of(i, j), label_of(c, d)), x2, q)
                     for i in spec.actions1 for j in spec.actions2
-                    for (x2, c, d), p in spec.transition[(x, i, j)].items()
-                    if p > 0]
+                    for x2, c, d, q in form.transition[(x, i, j)]]
     rank = {link: r for r, link in enumerate(sorted(
         {link for row in moves.values() for link, _, _ in row}, key=str))}
 
@@ -249,21 +248,19 @@ def build_auxiliary(spec_or_sym, horizon: int,
         if made is None:
             made = graph[exact] = BeliefNode(
                 label=label, mu=mu, mass=mass, scale=scale,
-                pruned=absorbing.issuperset(mu), key=next(running), step=step)
+                pruned=absorbing.issuperset(mu), key=next(running), step=form.D)
         return made
 
     # Level 1: one root per label, each with its mass.
-    initial = [(x, c, d, p) for (x, c, d), p in spec.initial.items() if p > 0]
-    scale = denominator_lcm(p for *_, p in initial)
     groups: dict = {}
-    for x, c, d, p in initial:
+    for x, c, d, mass in form.initial:
         bucket = groups.setdefault(label_of(c, d), {})
-        bucket[x] = bucket.get(x, 0) + p.numerator * (scale // p.denominator)
+        bucket[x] = bucket.get(x, 0) + mass
     roots = []
     for lab in sorted(groups, key=str):
         g, mu = _primitive(groups[lab])
         nodes.charge(1)
-        root = node_of(mu, lab, g, scale)
+        root = node_of(mu, lab, g, form.P)
         if root in roots:                # an earlier root's belief: this
             root = replace(root, label=lab, mass=g)    # one shares its links
         roots.append(root)
@@ -294,7 +291,7 @@ def build_auxiliary(spec_or_sym, horizon: int,
     return AuxiliaryGame(spec=spec, view=view, horizon=horizon, roots=roots,
                          levels=levels, actions1=list(spec.actions1),
                          actions2=list(spec.actions2), edge_of=edge_of,
-                         step=step, budget=nodes.limit)
+                         step=form.D, budget=nodes.limit)
 
 
 # ---------------------------------------------------------------------------
@@ -347,18 +344,17 @@ class BackwardSolution:
     merged_count: int
 
 
-def _absorbed_rate(aux: AuxiliaryGame, reward: dict, node: BeliefNode) -> int:
+def _absorbed_rate(form: IntegerForm, node: BeliefNode) -> int:
     """a = sum_x mu(x) L g_abs(x) of a pruned node, so that U_k = D**(k-1) k a
-    (every action pair gives L g_abs(x); this reads the first)."""
-    i, j = aux.actions1[0], aux.actions2[0]
-    return sum(m * reward[(x, i, j)] for x, m in node.mu.items())
+    (``form.absorbing`` holds L g_abs)."""
+    return sum(m * form.absorbing[x] for x, m in node.mu.items())
 
 
-def _cells(aux: AuxiliaryGame, reward: dict, node: BeliefNode,
+def _cells(aux: AuxiliaryGame, form: IntegerForm, node: BeliefNode,
            absorbed: dict) -> list:
     """Cell (i, j) of the node's integer stage matrix before scaling:
     ``(r, live, closed)``, r the reward term sum_x mu(x) L g(x, i, j)
-    (``reward`` holds L g), and the links on edge ``edge_of(i, j)`` as
+    (``form.reward`` holds L g), and the links on edge ``edge_of(i, j)`` as
     ``(h, child.key)`` pairs, split into live children and pruned ones,
     whose a ``absorbed`` caches by key.  Links are grouped by edge once;
     the cells of one edge share their pair tuples."""
@@ -368,13 +364,13 @@ def _cells(aux: AuxiliaryGame, reward: dict, node: BeliefNode,
         key = child.key
         if child.pruned:
             if key not in absorbed:
-                absorbed[key] = _absorbed_rate(aux, reward, child)
+                absorbed[key] = _absorbed_rate(form, child)
             closed.append((h, key))
         else:
             live.append((h, key))
     pairs = {e: (tuple(live), tuple(closed))
              for e, (live, closed) in by_edge.items()}
-    mu = node.mu.items()
+    mu, reward = node.mu.items(), form.reward
     return [[(sum(a * reward[(x, i, j)] for x, a in mu),
               *pairs.get(aux.edge_of(i, j), ((), ())))
              for j in aux.actions2] for i in aux.actions1]
@@ -424,11 +420,11 @@ def _shapley(aux: AuxiliaryGame, horizons, solutions: dict | None = None) -> dic
 
     Layer k holds, once per live ``BeliefNode.key`` in the level of depth
     n - k + 1 of a requested n >= k, the integer-scaled k-stage value
-    U_k(mu) = D**(k-1) L s V_k(mu/s), L the lcm of the reward
-    denominators.  A matrix game's value scales with its entries, so
-    U_k(mu) is the value of the integer matrix D**(k-1) sum_x mu(x) L
-    g(x, i, j) + sum of h U_{k-1}(child) over the children on edge (i, j)
-    (an LP value enters U as the ``Fraction`` it is).  A pruned belief has
+    U_k(mu) = D**(k-1) L s V_k(mu/s), with D and L (and P below) the
+    scales of ``GameSpec.integer_form``.  A matrix game's value scales with
+    its entries, so U_k(mu) is the value of the integer matrix D**(k-1)
+    sum_x mu(x) L g(x, i, j) + sum of h U_{k-1}(child) over the children on
+    edge (i, j) (an LP value enters U as the ``Fraction`` it is).  A pruned belief has
     U_k = D**(k-1) k a, a = sum_x mu(x) L g_abs(x), so it is folded into
     its parents' cells: an absorbed child enters an entry as h D**(k-2)
     (k-1) a(child), a cached per key in ``absorbed`` and the power of 2 in
@@ -449,13 +445,10 @@ def _shapley(aux: AuxiliaryGame, horizons, solutions: dict | None = None) -> dic
     these are the strategies of the node's ``Fraction`` matrix (D**(k-1) L
     s times smaller), and nodes of equal belief have equal ones.
     """
-    spec = aux.spec
-    L = denominator_lcm(spec.reward.values())
-    reward = {key: g.numerator * (L // g.denominator)
-              for key, g in spec.reward.items()}
+    form = aux.spec.integer_form()
     wanted = sorted(set(horizons))
     plans: dict = {}                     # key -> its cells, row or column
-    absorbed = {root.key: _absorbed_rate(aux, reward, root)
+    absorbed = {root.key: _absorbed_rate(form, root)
                 for root in aux.roots if root.pruned}    # pruned key -> a
     pick = None                          # a vector game's min or max
     if solutions is None:
@@ -484,7 +477,7 @@ def _shapley(aux: AuxiliaryGame, horizons, solutions: dict | None = None) -> dic
                     continue             # pruned: folded into its parents
                 plan = plans.get(key)
                 if plan is None:
-                    plan = _cells(aux, reward, node, absorbed)
+                    plan = _cells(aux, form, node, absorbed)
                     if pick is max:
                         plan = [row[0] for row in plan]
                     elif pick is min:
@@ -506,7 +499,7 @@ def _shapley(aux: AuxiliaryGame, horizons, solutions: dict | None = None) -> dic
                 u = (factor * k * absorbed[root.key] if root.pruned
                      else current[root.key])
                 total += root.mass * u
-            values[k] = Fraction(total, aux.roots[0].scale * factor * L * k)
+            values[k] = Fraction(total, form.P * factor * form.L * k)
         previous = current
         factor *= aux.step
     return values

@@ -26,11 +26,12 @@ from .model import (
     PLAYER2,
     BehavioralStrategy,
     GameSpec,
+    IntegerForm,
     _viewer,
     as_general,
     projection,
 )
-from .rationals import ONE, ZERO, denominator_lcm
+from .rationals import ONE, ZERO
 
 
 @dataclass
@@ -101,16 +102,16 @@ class NStageSolution:
     arbitrary_views2: list
 
 
-def _determined(spec: GameSpec, terminal, state: str, depth: int, N: int):
+def _determined(form: IntegerForm, terminal, state: str, depth: int, N: int):
     """The constant continuation value at a depth-``depth`` history in
     ``state``, or None while it still depends on play.  For the mean payoff
     (``terminal`` None) an absorbing state is determined, worth its payoff
-    times the stages left: the walk banks stage sums, not means.  A
-    terminal payoff decides through its ``determined_fn``."""
+    over L (``form.absorbing``) times the stages left: the walks bank stage
+    sums over L, not means.  A terminal payoff decides through its
+    ``determined_fn``."""
     if terminal is None:
-        if state in spec.absorbing_states:
-            return spec.absorbing_payoff(state) * (N - depth + 1)
-        return None
+        payoff = form.absorbing.get(state)
+        return None if payoff is None else payoff * (N - depth + 1)
     value = terminal.determined_fn(state)
     return None if value is None else require_exact(value, "a determined payoff")
 
@@ -120,14 +121,14 @@ def build_sequence_form(spec_or_sym, horizon: int, evaluation=MEAN,
     """Walk the positive-weight history tree and assemble the program.
 
     A depth-d history carries its chance weight as an integer mass over
-    P * D**(d-1), P and D being the lcms of the positive initial and
-    transition denominators, as in ``histories.build_trees``; a child's
-    mass is its parent's times the transition numerator over D.  Every
-    payoff is banked over one program denominator: under the mean
-    P * D**(N-1) * L * N, L the lcm of the reward denominators, so each
-    bank is one integer product.  A ``TerminalPayoff`` banks over
-    P * D**(N-1), multiplying its exact value in where it banks.  One
-    Fraction is built per payoff entry, at the end.
+    P * D**(d-1), with P, D and L the scales of ``GameSpec.integer_form``,
+    as in ``histories.build_trees``; a child's mass is its parent's times
+    the transition numerator over D.  Every payoff is banked over one
+    program denominator: under the mean P * D**(N-1) * L * N, so each bank
+    is one integer product.  A ``TerminalPayoff`` banks over P * D**(N-1),
+    multiplying its exact value in where it banks.  A history closes where
+    ``_determined`` finds its continuation constant.  One Fraction is built
+    per payoff entry, at the end.
     """
     spec = as_general(spec_or_sym)
     require_horizon(horizon)
@@ -142,25 +143,10 @@ def build_sequence_form(spec_or_sym, horizon: int, evaluation=MEAN,
     nodes = Budget(budget)
     live = closed = 0
 
-    initial = [(x, c, d, p) for (x, c, d), p in sorted(spec.initial.items(), key=str)
-               if p > 0]
-    scale = denominator_lcm(p for *_, p in initial)
-    step = denominator_lcm(p for dist in spec.transition.values()
-                           for p in dist.values() if p > 0)
-    moves = {key: [(x2, c, d, p.numerator * (step // p.denominator))
-                   for (x2, c, d), p in dist.items() if p > 0]
-             for key, dist in spec.transition.items()}
+    form = spec.integer_form()
+    step, moves, reward = form.D, form.transition, form.reward
     lift: dict = {}                      # depth -> D**(N-depth), on first use
-    den = scale * step ** (N - 1)
-    if terminal is None:
-        L = denominator_lcm(spec.reward.values())
-        reward = {key: g.numerator * (L // g.denominator)
-                  for key, g in spec.reward.items()}
-        # an absorbing state's payoff numerator over L, times the stages
-        # left, is its closing value over L * N
-        absorbing = {x: reward[(x, spec.actions1[0], spec.actions2[0])]
-                     for x in spec.absorbing_states}
-        den *= L * N
+    den = form.P * step ** (N - 1) * (form.L * N if terminal is None else 1)
 
     def bank(s1: int, s2: int, amount):
         if amount:
@@ -168,8 +154,8 @@ def build_sequence_form(spec_or_sym, horizon: int, evaluation=MEAN,
             banked[key] = banked.get(key, 0) + amount
 
     # Iterative DFS; each frame: (state, mass, v1, v2, depth).
-    stack = [(x, p.numerator * (scale // p.denominator), (c,), (d,), 1)
-             for x, c, d, p in initial]
+    stack = [(x, mass, (c,), (d,), 1) for x, c, d, mass
+             in sorted(form.initial, key=lambda entry: str(entry[:3]))]
 
     while stack:
         x, mass, v1, v2, depth = stack.pop()
@@ -177,14 +163,7 @@ def build_sequence_form(spec_or_sym, horizon: int, evaluation=MEAN,
         if up is None:
             up = lift[depth] = step ** (N - depth)
         w = mass * up                    # the mass over P * D**(N-1)
-        if terminal is None:
-            det = absorbing.get(x)
-            if det is not None:
-                det *= N - depth + 1
-        else:
-            det = terminal.determined_fn(x)
-            if det is not None:
-                det = require_exact(det, "a determined payoff")
+        det = _determined(form, terminal, x, depth, N)
         if det is not None:
             # closed nodes count against the budget; only live ones check it
             closed += 1
@@ -400,6 +379,7 @@ def best_response_value(spec_or_sym, fixed: BehavioralStrategy, horizon: int,
     actions, fixed_actions = ((spec.actions2, spec.actions1) if responder == 2
                               else (spec.actions1, spec.actions2))
 
+    form = spec.integer_form()
     cost: dict = {}                      # responder sequence -> banked Fraction
     nodes = Budget(budget)
     resp_ids: dict = {}                  # (sequence, label) -> responder id
@@ -439,7 +419,7 @@ def best_response_value(spec_or_sym, fixed: BehavioralStrategy, horizon: int,
         last_views, views, mixes = views, {}, {}
         for (x, fid, rid), weight in level.items():
             nodes.charge(depth)
-            det = _determined(spec, terminal, x, depth, N)
+            det = _determined(form, terminal, x, depth, N)
             if det is not None:
                 bank(resp_parent[rid], weight * det)
                 continue
@@ -457,7 +437,7 @@ def best_response_value(spec_or_sym, fixed: BehavioralStrategy, horizon: int,
                     # a product by 1 and a zero reward change nothing banked
                     w = weight if pf == 1 else weight * pf
                     if terminal is None:
-                        g = spec.reward[(x, i, j)]
+                        g = form.reward[(x, i, j)]
                         if g:
                             bank(s_resp, w * g)
                     elif depth == N:
@@ -482,11 +462,11 @@ def best_response_value(spec_or_sym, fixed: BehavioralStrategy, horizon: int,
     # information set enters ``infosets`` before any of its successors
     # (depths are walked in order), so a pass in reverse order folds every
     # sequence's successors into it before the sequence itself is read.
-    # Under the mean the walk banked stage sums: min and max commute with
-    # the positive scale 1/N, so the root is divided once.
+    # Under the mean the walk banked stage sums over L: min and max commute
+    # with the positive scale 1/(N L), so the root is divided once.
     pick = min if responder == 2 else max
     for rid, parent in reversed(infosets.items()):
         cost[parent] = cost.get(parent, ZERO) + pick(
             cost.get((rid, a), ZERO) for a in actions)
     root = cost.get((), ZERO)
-    return root if terminal is not None else root / N
+    return root if terminal is not None else root / (N * form.L)

@@ -389,10 +389,14 @@ def test_extraction_skips_horizons_past_the_first_overflow(monkeypatch):
     {"n_max": 10, "schedule": [5, 3]}, {"n_max": 10, "schedule": [3, 3, 5]},
     {"n_max": 10, "schedule": [1, 2.5]}, {"n_max": 10, "schedule": [True, 2]},
     {"n_max": 10, "schedule": [1, 2, 30, 20]},
+    {"n_max": -3}, {"n_max": 2.5}, {"n_max": True},
 ])
 def test_uniform_value_rejects_bad_sweep_arguments(kwargs):
     with pytest.raises(PreconditionError):
         uniform_value(corpus.quitting_game(), **kwargs)
+    if set(kwargs) == {"n_max"}:        # the default schedule checks it too
+        with pytest.raises(PreconditionError, match="^n_max must be"):
+            default_schedule(kwargs["n_max"])
 
 
 def test_uniform_value_reads_the_schedule_up_to_n_max():

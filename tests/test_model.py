@@ -1,5 +1,7 @@
+from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 
@@ -16,6 +18,7 @@ from signalgames.model import (
     BehavioralStrategy,
     GameSpec,
     SymmetricGameSpec,
+    as_general,
     check_distribution,
     is_symmetric_signaling,
     projection,
@@ -23,6 +26,8 @@ from signalgames.model import (
     uniform_strategy,
 )
 from signalgames.rationals import decimal_repr, format_rational, parse_rational
+from signalgames.recursive import uniform_value
+from signalgames.seqform import nstage_value
 
 
 def test_parse_rational_exact():
@@ -209,6 +214,109 @@ def test_validate_lists_every_violation_in_order():
         "reward('y', 'T', 'L'): not a Fraction",
         "transition: spurious entry ('x', 'T', 'R')",
     ]
+
+
+def test_validate_reports_malformed_keys_and_spurious_rewards():
+    """Entries of the wrong shape are reported, not raised: an outcome key
+    of the wrong length, a transition key that is not a 3-tuple, an
+    ``initial`` that is not a dict, and a reward entry for an undeclared
+    state, listed after the spurious transition entries.  ``as_general``
+    refuses each such spec with GameModelError."""
+    spec = corpus.bigmatch_nosignals()
+    dist = spec.transition[("s", "T", "L")]
+    dist[("1*", "n1")] = dist.pop(("1*", "n1", "n2"))
+    spec.transition[("s", "T")] = {("s", "n1", "n2"): F(1)}
+    spec.reward[("nowhere", "T", "L")] = F(1, 2)
+    spec.transition["sTL"] = {("s", "n1", "n2"): F(1)}
+    assert spec.validate() == [
+        "transition('s', 'T', 'L'): outcome ('1*', 'n1') is not a 3-tuple",
+        "transition: spurious entry ('s', 'T')",
+        "transition: spurious entry sTL",
+        "reward: spurious entry ('nowhere', 'T', 'L')",
+    ]
+    with pytest.raises(GameModelError, match="not a 3-tuple"):
+        as_general(spec)
+
+    spec = corpus.bigmatch_nosignals()
+    spec.initial = [(("s", "n1", "n2"), F(1))]
+    assert spec.validate() == ["initial: not a dict"]
+
+    symmetric = corpus.quitting_game()
+    (key, p), = symmetric.initial.items()
+    symmetric.initial = {key + ("extra",): p}
+    assert symmetric.validate() == [
+        f"initial: outcome {key + ('extra',)!r} is not a 2-tuple"]
+    with pytest.raises(GameModelError, match="not a 2-tuple"):
+        as_general(symmetric)
+
+    # a spurious reward entry used to pass validation and end in an
+    # AttributeError (a float) or in a refusal naming the undeclared state
+    spec = corpus.bigmatch_nosignals()
+    spec.reward[("nowhere", "T", "L")] = 0.5
+    with pytest.raises(GameModelError, match="spurious entry"):
+        nstage_value(spec, 2)
+    spec = corpus.mdp_final_remark()
+    spec.reward[("nowhere", "Top", "-")] = F(1, 7)
+    assert spec.validate() == ["reward: spurious entry ('nowhere', 'Top', '-')"]
+    with pytest.raises(GameModelError, match="spurious entry"):
+        uniform_value(spec, n_max=4)
+
+
+def _with_zero_entries(spec: GameSpec) -> GameSpec:
+    """A copy of ``spec`` whose initial distribution and each transition
+    gain a zero-probability outcome, first in order, where a free (state,
+    signal1, signal2) triple is left."""
+    triples = [(x, c, d) for x in spec.states for c in spec.signals1
+               for d in spec.signals2]
+
+    def padded(dist):
+        free = [t for t in triples if t not in dist]
+        return {free[-1]: F(0), **dist} if free else dict(dist)
+
+    return replace(spec, initial=padded(spec.initial),
+                   transition={key: padded(dist)
+                               for key, dist in spec.transition.items()},
+                   reward=dict(spec.reward))
+
+
+def test_integer_form_matches_the_spec_fractions(games):
+    """``integer_form`` on the corpus and on seeded random games of both
+    kinds: masses over P, transition numerators over D, rewards and
+    absorbing payoffs over L are the spec's Fractions, all integers;
+    zero-probability outcomes are dropped and the spec's order kept; P, D
+    and L are the least common denominators.  It is derived afresh on
+    every call."""
+    specs = [as_general(game) for game in games.values()]
+    specs += [random_game(seed) for seed in range(20)]
+    specs += [random_symmetric_game(seed).expand() for seed in range(20)]
+    zeros = 0
+    for spec in specs + [_with_zero_entries(spec) for spec in specs]:
+        form = spec.integer_form()
+        positive = [(*key, p) for key, p in spec.initial.items() if p > 0]
+        zeros += len(spec.initial) - len(positive)
+        assert form.P == lcm(*(p.denominator for *_, p in positive))
+        assert [(x, c, d, F(m, form.P)) for x, c, d, m in form.initial] == positive
+        assert list(form.transition) == list(spec.transition)
+        outcomes = [p for dist in spec.transition.values()
+                    for p in dist.values() if p > 0]
+        assert form.D == lcm(*(p.denominator for p in outcomes))
+        for key, dist in spec.transition.items():
+            assert [(x2, c, d, F(q, form.D)) for x2, c, d, q in form.transition[key]] \
+                == [(*out, p) for out, p in dist.items() if p > 0]
+        assert form.L == lcm(*(g.denominator for g in spec.reward.values()))
+        assert list(form.reward) == list(spec.reward)
+        assert {key: F(r, form.L) for key, r in form.reward.items()} == spec.reward
+        assert {x: F(a, form.L) for x, a in form.absorbing.items()} == {
+            x: spec.absorbing_payoff(x) for x in spec.states
+            if x in spec.absorbing_states}
+        numbers = [m for *_, m in form.initial] + list(form.reward.values()) + [
+            q for out in form.transition.values() for *_, q in out]
+        assert all(type(n) is int for n in numbers)
+    assert zeros > 0
+    spec = random_game(3)
+    key = next(iter(spec.reward))
+    spec.reward[key] = F(1, 7919)
+    assert spec.integer_form().L % 7919 == 0
 
 
 def test_example2_not_symmetric(games):

@@ -242,3 +242,15 @@ def test_src_names_have_a_non_test_reader():
               for path in sorted(src.rglob("*.py"))
               for name, line in _defined_names(path) if name not in readers]
     assert not unread, unread
+
+
+def test_only_model_and_lp_read_denominator_lcm():
+    """A game's scales P, D and L are derived in one place,
+    ``GameSpec.integer_form``, and the tree, belief-graph, Shapley and
+    sequence-form walkers read that record: ``rationals.denominator_lcm``
+    is read by ``model`` and by ``lp`` (which puts a program over one
+    denominator) and by no other module."""
+    src = Path(signalgames.__file__).parent
+    readers = [path.name for path in sorted(src.rglob("*.py"))
+               if "denominator_lcm" in _referenced_names(path)]
+    assert readers == ["lp.py", "model.py"]

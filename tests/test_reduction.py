@@ -743,7 +743,7 @@ def test_integer_stage_matrix_is_scaled_naive_formula():
         seen[aux.view] += 1
         D = aux.step
         L = lcm(*(g.denominator for g in aux.spec.reward.values()))
-        reward = {key: int(g * L) for key, g in aux.spec.reward.items()}
+        form = aux.spec.integer_form()
         values = {}
 
         def absorbed_value(child, k):
@@ -766,7 +766,7 @@ def test_integer_stage_matrix_is_scaled_naive_formula():
                 for w, _ in node.children.values():
                     seen["unit weight" if w == 1 else "other weight"] += 1
                 absorbed = {}
-                cells = _cells(aux, reward, node, absorbed)
+                cells = _cells(aux, form, node, absorbed)
                 folded = [key for row in cells for _, _, closed in row
                           for _, key in closed]
                 assert all(key in absorbed for key in folded)
@@ -980,9 +980,9 @@ def test_mdp_sweep_evaluates_live_beliefs_only(monkeypatch, games):
     planned, games_cells = [], []
     real_cells, real_entries = reduction._cells, reduction._entries
 
-    def cells(aux, reward, node, *args):
+    def cells(aux, form, node, *args):
         planned.append(node)
-        return real_cells(aux, reward, node, *args)
+        return real_cells(aux, form, node, *args)
 
     def counted_entries(plan, *args):
         found = real_entries(plan, *args)
