@@ -276,7 +276,8 @@ def exact_play_distribution(pair: TreePair, sigma: BehavioralStrategy,
     on the observed tree is the distribution over observed plays.  The
     strategy weights come from the play walk kept on ``pair``, so a later
     call (or ``conditional_check``) with the same strategies walks only
-    levels not yet walked; alpha is read from the nodes on every call.
+    levels not yet walked; alpha is read from the nodes on every call.  A
+    malformed mix raises GameModelError naming its view (``model._viewer``).
     """
     require_horizon(horizon)
     probs = {h: Fraction(h.mass * num, h.scale * den)
@@ -312,13 +313,14 @@ def _strategy_weights(pair: TreePair, sigma: BehavioralStrategy,
     (``_PlayWalk.weights``), extending the walk level by level as far as
     needed; strategies other than the kept ones start a new walk.
 
-    A strategy missing a reachable view raises IncompleteStrategyError for
-    the first such view in tree order; the walk keeps the levels it
-    completed, so a repeated call raises the same error.
+    A missing view (IncompleteStrategyError) or malformed mix (GameModelError,
+    ``model._viewer``) raises at the first such view in tree order; the walk
+    keeps the levels it completed, so a repeated call raises the same error.
     """
     if pair.horizon < horizon:
         raise GameModelError("tree pair shorter than requested horizon")
-    sees1, sees2 = _viewer(sigma, pair.spec, 1), _viewer(tau, pair.spec, 2)
+    edge1, label1, mix1 = _viewer(sigma, pair.spec, 1)
+    edge2, label2, mix2 = _viewer(tau, pair.spec, 2)
     walk = pair._walk
     if walk is None or walk.sigma is not sigma or walk.tau is not tau:
         walk = pair._walk = _PlayWalk(
@@ -334,9 +336,8 @@ def _strategy_weights(pair: TreePair, sigma: BehavioralStrategy,
                 continue
             both = dists.get(parent)
             if both is None:
-                both = dists[parent] = (
-                    _integer_pairs(sigma.action_dist(parent.seen_through(*sees1))),
-                    _integer_pairs(tau.action_dist(parent.seen_through(*sees2))))
+                both = dists[parent] = (mix1(parent.seen_through(edge1, label1)),
+                                        mix2(parent.seen_through(edge2, label2)))
             i, j = h.via
             pi, pj = both[0].get(i), both[1].get(j)
             if pi is not None and pj is not None:
@@ -360,11 +361,6 @@ def _play_masses(pair: TreePair, sigma: BehavioralStrategy,
             kept.append((play_den, [0 if w is None else w[0] * (play_den // w[1])
                                     for w in ws]))
     return kept
-
-
-def _integer_pairs(dist: dict) -> dict:
-    """action -> (numerator, denominator) of each positive probability."""
-    return {a: (p.numerator, p.denominator) for a, p in dist.items() if p}
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +411,7 @@ def conditional_check(pair: TreePair, sigma, tau, n: int,
     coincide).  The walk, and each level-m observation's play denominator
     and members' play numerators, are kept on ``pair`` for these strategies
     (``_PlayWalk``), so checking every n <= m walks once; the masses are
-    read afresh on every call.
+    read afresh on every call; a malformed mix raises as in the play walk.
     ``Fraction``s are built only when a test fails, to report the exact
     discrepancy, so the report equals the dense every-pair check in
     ``Fraction``s.
@@ -513,21 +509,19 @@ class SimulationSummary:
 
 
 def _counter_uniform(sha256, seed: int, replica: int, stage: int,
-                     purpose: str) -> Fraction:
-    """Deterministic uniform in [0,1): counter-based, order-independent.
-    ``sha256`` is ``hashlib.sha256``, bound by ``simulate``."""
+                     purpose: str) -> int:
+    """Deterministic uniform in [0,1) as its numerator over 2**128, counter-based
+    and order-independent; ``sha256`` is ``hashlib.sha256``, bound by ``simulate``."""
     payload = f"{seed}:{replica}:{stage}:{purpose}".encode()
-    digest = sha256(payload).digest()
-    return Fraction(int.from_bytes(digest[:16], "big"), 1 << 128)
+    return int.from_bytes(sha256(payload).digest()[:16], "big")
 
 
-def _draw(dist_items, u: Fraction):
-    acc = ZERO
-    last = None
-    for outcome, p in dist_items:
-        acc += p
-        last = outcome
-        if u < acc:
+def _draw(pairs, k: int):
+    """The first outcome of ``pairs`` whose running mass passes k / 2**128, else the last."""
+    num, den, last = 0, 1, None
+    for outcome, (n, d) in pairs:
+        num, den, last = num * d + n * den, den * d, outcome
+        if k * den < num << 128:
             return outcome
     return last
 
@@ -543,12 +537,13 @@ def simulate(spec_or_sym, sigma: BehavioralStrategy, tau: BehavioralStrategy,
     GameModelError naming its entry, and so does a statistic (the mean
     payoff, the variance of the mean payoffs, the mean sup payoff) whose
     float sum leaves float range.  Each strategy sees the views of its
-    ``view_kind``.  Once play is absorbed the strategies are
-    no longer asked: an absorbing state pays the same and stays put under
-    every action pair, so the statistics do not depend on the actions, and
-    a strategy pruned at absorbed views (as the eps-optimal ones are) plays
-    the whole horizon.  ``hashlib`` is imported here, on first use: it maps
-    OpenSSL into the process, and no solver needs it.
+    ``view_kind``, and a malformed mix (``model._viewer``) raises
+    GameModelError naming its view.  Once play is absorbed the strategies
+    are no longer asked: an absorbing state pays the same and stays put
+    under every action pair, so the statistics do not depend on the
+    actions, and a strategy pruned at absorbed views (as the eps-optimal
+    ones are) plays the whole horizon.  ``hashlib`` is imported here, on
+    first use: it maps OpenSSL into the process, and no solver needs it.
     """
     from hashlib import sha256
 
@@ -565,9 +560,14 @@ def simulate(spec_or_sym, sigma: BehavioralStrategy, tau: BehavioralStrategy,
     # absorbing state -> its payoff, the reward under any action pair
     held = {x: gains[(x, spec.actions1[0], spec.actions2[0])]
             for x in spec.absorbing_states}
-    init_items = sorted(spec.initial.items(), key=lambda kv: str(kv[0]))
-    edge1, label1 = _viewer(sigma, spec, 1)
-    edge2, label2 = _viewer(tau, spec, 2)
+    form = spec.integer_form()
+    init_items = sorted((((x, c, d), (m, form.P)) for x, c, d, m in form.initial),
+                        key=lambda kv: str(kv[0]))
+    moves = {key: sorted((((x2, c, d), (q, form.D)) for x2, c, d, q in outs),
+                         key=lambda kv: str(kv[0]))
+             for key, outs in form.transition.items()}
+    edge1, label1, mix1 = _viewer(sigma, spec, 1)
+    edge2, label2, mix2 = _viewer(tau, spec, 2)
 
     results = []
     for r in range(replicas):
@@ -585,15 +585,12 @@ def simulate(spec_or_sym, sigma: BehavioralStrategy, tau: BehavioralStrategy,
                 total += absorbing_payoff
                 sup = absorbing_payoff if sup is None else max(sup, absorbing_payoff)
                 continue
-            dist1 = sigma.action_dist(v1)
-            dist2 = tau.action_dist(v2)
-            i = _draw(sorted(dist1.items()), _counter_uniform(sha256, seed, r, t, "a1"))
-            j = _draw(sorted(dist2.items()), _counter_uniform(sha256, seed, r, t, "a2"))
+            i = _draw(sorted(mix1(v1).items()), _counter_uniform(sha256, seed, r, t, "a1"))
+            j = _draw(sorted(mix2(v2).items()), _counter_uniform(sha256, seed, r, t, "a2"))
             g = gains[(x, i, j)]
             total += g
             sup = g if sup is None else max(sup, g)
-            items = sorted(spec.transition[(x, i, j)].items(), key=lambda kv: str(kv[0]))
-            x, c, d = _draw(items, _counter_uniform(sha256, seed, r, t, "trans"))
+            x, c, d = _draw(moves[(x, i, j)], _counter_uniform(sha256, seed, r, t, "trans"))
             if x in held:
                 absorbed_stage = t
                 absorbing_payoff = held[x]

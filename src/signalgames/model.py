@@ -190,9 +190,9 @@ class GameSpec:
         return self.reward[(x, self.actions1[0], self.actions2[0])]
 
     def integer_form(self) -> IntegerForm:
-        """The spec's ``IntegerForm``, derived afresh on every call: a spec
-        may still be changed after it is built.  An absorbing state's payoff
-        is its reward under the first action pair, as under any other."""
+        """The spec's ``IntegerForm``, derived on every call, but ``absorbing``
+        reads the cached ``absorbing_states``, stale on a spec changed since
+        (ROADMAP item 14); an absorbing payoff is the first pair's reward."""
         initial = [(key, p) for key, p in self.initial.items() if p]
         transition = {key: [(out, p) for out, p in dist.items() if p]
                       for key, dist in self.transition.items()}
@@ -443,14 +443,45 @@ def projection(view: str, public_of: dict | None = None) -> tuple:
 
 
 def _viewer(strategy: BehavioralStrategy, spec: GameSpec, player: int) -> tuple:
-    """The ``projection`` of ``strategy``'s views, the public or its player's
-    own; GameModelError unless ``strategy`` is ``player``'s."""
+    """``(edge_of, label_of, mix_of)``: the ``projection`` of ``strategy``'s
+    views, the public or its player's own, and its one mix reader;
+    GameModelError unless ``strategy`` is ``player``'s, of view kind
+    "player" or "public".  ``mix_of(view)`` is the mix's positive entries as
+    ``{action: (numerator, denominator)}``, in its order, or GameModelError
+    naming the view for an action the player lacks, a probability that is
+    negative or not an int or a Fraction, or an integer mass other than 1."""
     if strategy.player != player:
         raise GameModelError(f"the strategy must be player {player}'s, got "
                              f"player {strategy.player}'s")
+    if strategy.view_kind not in ("player", "public"):
+        raise GameModelError(f"unknown view kind {strategy.view_kind!r}")
+    actions = set(spec.actions1 if player == 1 else spec.actions2)
+
+    def mix_of(view: tuple) -> dict:
+        pairs, num, den = {}, 0, 1
+        for a, p in strategy.action_dist(view).items():
+            if a not in actions:
+                problem = f"{a!r} is not an action of player {player}"
+            elif not isinstance(p, (int, Fraction)) or isinstance(p, bool):
+                problem = f"the probability of {a!r} is {p!r}, not an int or a Fraction"
+            elif (n := p.numerator) < 0:
+                problem = f"the probability {p} of {a!r} is negative"
+            else:
+                if n:
+                    d = p.denominator
+                    pairs[a] = (n, d)
+                    num, den = num * d + n * den, den * d
+                continue
+            break
+        else:
+            if num == den:
+                return pairs
+            problem = f"the mass is {Fraction(num, den)}, not 1"
+        raise GameModelError(f"player {player} strategy at view {view!r}: {problem}")
+
     if strategy.view_kind == "public":
-        return projection(PUBLIC, require_public_labels(spec))
-    return projection(PLAYER1 if player == 1 else PLAYER2)
+        return (*projection(PUBLIC, require_public_labels(spec)), mix_of)
+    return (*projection(PLAYER1 if player == 1 else PLAYER2), mix_of)
 
 
 # ---------------------------------------------------------------------------

@@ -310,36 +310,6 @@ def nstage_value(spec_or_sym, horizon: int, evaluation=MEAN,
 # ---------------------------------------------------------------------------
 
 
-def _mix_problem(dist: dict, actions, player: int):
-    """What keeps ``dist`` from being a mix of ``actions``, else None: an
-    action not among them, a probability that is not an int or a Fraction,
-    a negative one, or a mass other than 1 (which, with none negative,
-    keeps each in [0, 1]).  The mass is summed as one integer fraction
-    num/den, cross-multiplied, with no Fraction built."""
-    num, den = 0, 1
-    for a, p in dist.items():
-        if a not in actions:
-            return f"{a!r} is not an action of player {player}"
-        if not isinstance(p, (int, Fraction)) or isinstance(p, bool):
-            return f"the probability of {a!r} is {p!r}, not an int or a Fraction"
-        if p.numerator < 0:
-            return f"the probability {p} of {a!r} is negative"
-        num, den = num * p.denominator + p.numerator * den, den * p.denominator
-    return None if num == den else f"the mass is {Fraction(num, den)}, not 1"
-
-
-def _fixed_mix(fixed: BehavioralStrategy, view: tuple, actions) -> list:
-    """``fixed``'s mix at ``view`` as its ``(action, probability)`` pairs of
-    nonzero probability, in the mix's order; GameModelError naming the
-    view if it is no mix of ``actions`` (``_mix_problem``)."""
-    dist = fixed.action_dist(view)
-    problem = _mix_problem(dist, actions, fixed.player)
-    if problem is not None:
-        raise GameModelError(f"player {fixed.player} strategy at view "
-                             f"{view!r}: {problem}")
-    return [(a, p) for a, p in dist.items() if p]
-
-
 def best_response_value(spec_or_sym, fixed: BehavioralStrategy, horizon: int,
                         evaluation=MEAN, responder: int = 2,
                         budget: int | None = None) -> Fraction:
@@ -349,9 +319,9 @@ def best_response_value(spec_or_sym, fixed: BehavioralStrategy, horizon: int,
     player's (else GameModelError).  Works by collapsing the fixed player
     with chance and running backward induction over the responder's view
     tree; independent of the LP path, so it doubles as a certificate check
-    for returned strategies.  ``fixed``'s mix at each view it is read at
-    must be a distribution over its player's actions, with int or Fraction
-    probabilities (else GameModelError naming the view).
+    for returned strategies.  ``fixed``'s mixes are read through the mix
+    reader of ``model._viewer``, so a malformed one raises GameModelError
+    naming its view, as in the play walk and ``histories.simulate``.
 
     The walk goes one depth at a time and merges frames: histories that
     agree on the state, the fixed strategy's view (``model._viewer``) and
@@ -374,10 +344,9 @@ def best_response_value(spec_or_sym, fixed: BehavioralStrategy, horizon: int,
     terminal = evaluation if isinstance(evaluation, TerminalPayoff) else None
     if terminal is None and evaluation != MEAN:
         raise GameModelError(f"unknown evaluation {evaluation!r}")
-    edge_f, label_f = _viewer(fixed, spec, 3 - responder)
+    edge_f, label_f, mix_f = _viewer(fixed, spec, 3 - responder)
     _, label_r = projection(PLAYER2 if responder == 2 else PLAYER1)
-    actions, fixed_actions = ((spec.actions2, spec.actions1) if responder == 2
-                              else (spec.actions1, spec.actions2))
+    actions = spec.actions2 if responder == 2 else spec.actions1
 
     form = spec.integer_form()
     cost: dict = {}                      # responder sequence -> banked Fraction
@@ -428,7 +397,7 @@ def best_response_value(spec_or_sym, fixed: BehavioralStrategy, horizon: int,
             if mix is None:
                 parent, step = origins[fid]
                 view = views[fid] = last_views[parent] + step
-                mix = mixes[fid] = _fixed_mix(fixed, view, fixed_actions)
+                mix = mixes[fid] = [(a, Fraction(*nd)) for a, nd in mix_f(view).items()]
             for a_resp in actions:
                 s_resp = (rid, a_resp)
                 for a_fixed, pf in mix:

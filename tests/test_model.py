@@ -27,7 +27,7 @@ from signalgames.model import (
 )
 from signalgames.rationals import decimal_repr, format_rational, parse_rational
 from signalgames.recursive import uniform_value
-from signalgames.seqform import nstage_value
+from signalgames.seqform import best_response_value, nstage_value
 
 
 def test_parse_rational_exact():
@@ -404,6 +404,20 @@ def test_strategy_lookup_and_tail():
     assert u.action_dist(("n2", "L", "n2")) == {"L": F(1, 2), "R": F(1, 2)}
     c = constant_strategy(spec, 1, "B")
     assert c.action_dist(("n1",))["B"] == 1
+
+    # a view kind other than "player" or "public" is refused where the
+    # strategy is mapped onto the game.  It used to be read with the
+    # player's projection but public stage counts, so the best reply raised
+    # IncompleteStrategyError at the stage-2 view ('n1', 'B', 'n1'), which
+    # those counts put within the table's horizon, not past it in the tail
+    tail = {"T": F(1, 2), "B": F(1, 2)}
+    assert best_response_value(spec, replace(sigma, tail=tail), 3) == F(7, 18)
+    for kind in ("Public", ""):
+        s = replace(sigma, view_kind=kind, tail=tail)
+        with pytest.raises(GameModelError, match=f"unknown view kind {kind!r}"):
+            best_response_value(spec, s, 3)
+        with pytest.raises(GameModelError, match=f"unknown view kind {kind!r}"):
+            exact_play_distribution(build_trees(spec, 1), s, u, 1)
 
 
 def test_random_games_validate():

@@ -254,3 +254,13 @@ def test_only_model_and_lp_read_denominator_lcm():
     readers = [path.name for path in sorted(src.rglob("*.py"))
                if "denominator_lcm" in _referenced_names(path)]
     assert readers == ["lp.py", "model.py"]
+
+
+def test_only_model_reads_action_dist():
+    """A strategy's mixes are read through the one checked reader that
+    ``model._viewer`` returns: ``BehavioralStrategy.action_dist`` is read by
+    ``model`` and by no other module, so no engine reads a mix unchecked."""
+    src = Path(signalgames.__file__).parent
+    readers = [path.name for path in sorted(src.rglob("*.py"))
+               if "action_dist" in _referenced_names(path)]
+    assert readers == ["model.py"]

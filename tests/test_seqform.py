@@ -26,7 +26,12 @@ from signalgames.lp import solve_matrix_game
 from signalgames.model import PUBLIC, BehavioralStrategy, uniform_strategy
 from signalgames.reduction import MEAN as RED_MEAN
 from signalgames.reduction import build_auxiliary, solve_backward
-from signalgames.histories import build_trees
+from signalgames.histories import (
+    build_trees,
+    conditional_check,
+    exact_play_distribution,
+    simulate,
+)
 from signalgames.seqform import (
     TerminalPayoff,
     best_response_value,
@@ -323,7 +328,7 @@ def test_best_response_refuses_an_unknown_evaluation():
             nstage_value(spec, 2, evaluation=bad)
 
 
-@pytest.mark.parametrize("tail, match", [
+_MALFORMED_TAILS = [
     ({"Z": F(1)}, "'Z' is not an action of player 1"),
     ({"C": F(1, 2), "Q": F(1, 3)}, "the mass is 5/6, not 1"),
     ({"C": F(5, 4), "Q": F(-1, 4)}, "-1/4 of 'Q' is negative"),
@@ -331,21 +336,56 @@ def test_best_response_refuses_an_unknown_evaluation():
     ({"C": F(3, 2)}, "the mass is 3/2, not 1"),
     ({"C": 0.5, "Q": 0.5}, "not an int or a Fraction"),
     ({"C": True}, "not an int or a Fraction"),
-])
-def test_best_response_refuses_a_malformed_fixed_mix(tail, match):
+]
+
+# each engine that reads player 1's mixes, run at horizon 2 against player
+# 2's uniform strategy on one tree pair: (spec, fixed, tau, pair) -> result
+_MIX_READERS = {
+    "best_response": lambda spec, fixed, tau, pair: best_response_value(spec, fixed, 2),
+    "play_distribution": lambda spec, fixed, tau, pair: sum(
+        exact_play_distribution(pair, fixed, tau, 2).probs.values()),
+    "conditional_check": lambda spec, fixed, tau, pair: conditional_check(
+        pair, fixed, tau, 1, 2).all_exact,
+    "simulate": lambda spec, fixed, tau, pair: simulate(
+        spec, fixed, tau, 2, seed=1, replicas=4).mean_of_means,
+}
+
+
+# the best-reply cases keep the ids they had with the tail as the only
+# parameter; the other engines' ids end in the engine's name
+@pytest.mark.parametrize("tail, match, engine", [
+    pytest.param(tail, match, engine, id=f"tail{k}-{match}" + (
+        "" if engine == "best_response" else f"-{engine}"))
+    for engine in _MIX_READERS for k, (tail, match) in enumerate(_MALFORMED_TAILS)])
+def test_best_response_refuses_a_malformed_fixed_mix(tail, match, engine):
     """A fixed mix with an action its player lacks, a mass other than 1,
     or a probability that is negative or not exact is a GameModelError
-    naming the view (with none negative, mass 1 keeps each in [0, 1]).  It used to end in a KeyError on the stage key, or
-    return a number that certifies nothing (1/12 for mass 5/6, -1/8 for a
-    negative weight, 0.125 for floats)."""
+    naming the view (with none negative, mass 1 keeps each in [0, 1]), in
+    the best reply, the play walk (``exact_play_distribution``,
+    ``conditional_check``) and ``simulate`` alike, and again on a second
+    call with the same tree pair.  The best reply used to end in a KeyError
+    on the stage key, or return a number that certifies nothing (1/12 for
+    mass 5/6, -1/8 for a negative weight, 0.125 for floats).  The play
+    walk read the mix unchecked: a play distribution of mass 5/6 or 3/2,
+    or 0 for an unknown action, each with a kernel check reporting all
+    exact, and an AttributeError on floats; ``simulate`` sampled from the
+    same mixes and ended in a KeyError on an unknown action."""
     spec = corpus.quitting_game().expand()
+    tau = uniform_strategy(spec, 2)
+    run = _MIX_READERS[engine]
+    pair = build_trees(spec, 2)
     fixed = BehavioralStrategy(player=1, horizon=0, table={}, tail=tail)
     with pytest.raises(GameModelError, match=match) as err:
-        best_response_value(spec, fixed, 2)
+        run(spec, fixed, tau, pair)
     assert "player 1 strategy at view (" in str(err.value)
+    with pytest.raises(GameModelError) as again:
+        run(spec, fixed, tau, pair)
+    assert str(again.value) == str(err.value)
     exact = BehavioralStrategy(player=1, horizon=0, table={},
                                tail={"C": 1, "Q": F(0)})
-    assert best_response_value(spec, exact, 2) == 0
+    assert run(spec, exact, tau, pair) == {
+        "best_response": 0, "play_distribution": 1,
+        "conditional_check": True, "simulate": 0}[engine]
 
 
 def test_best_response_at_a_long_horizon_matches_the_blind_mdp():
