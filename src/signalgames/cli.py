@@ -71,18 +71,16 @@ def _write(path, text: str) -> None:
 
 def _strategies(args, spec) -> tuple:
     """``--sigma``/``--tau`` strategy files, uniform play where absent.  A
-    file playing an action its player lacks exits 1 with one line."""
+    file playing an action its player lacks exits 1 with one line; a file of
+    the other player is left to the engines, which refuse it."""
     out = []
     for player, path in ((1, args.sigma), (2, args.tau)):
         strategy = (_load(path, load_strategy, "strategy") if path
                     else uniform_strategy(spec, player))
         actions = spec.actions1 if player == 1 else spec.actions2
-        tail = strategy.tail if isinstance(strategy.tail, dict) else {}
-        played = {a for d in (*strategy.table.values(), tail) for a in d}
-        foreign = sorted(played - set(actions))
-        if foreign:
-            raise SystemExit(f"error: {path}: player {player} has no action "
-                             f"{foreign[0]!r} (actions: {', '.join(actions)})")
+        problems = strategy.validate(actions) if strategy.player == player else []
+        if problems:
+            raise SystemExit(f"error: {path}: {problems[0]}")
         out.append(strategy)
     return tuple(out)
 

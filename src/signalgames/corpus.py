@@ -5,7 +5,9 @@ literature on repeated games with signals (the guessing game also known as
 "pick the largest integer", its one-sided-information variant, a Big Match
 variant with one blind player, the Big Match with no signals, and a blind
 two-armed MDP); three more are symmetric-signaling companions used by the
-reduction and transfer test suites.
+reduction and transfer test suites.  Each game is the game file
+``games/<name>.game`` at the root of the checkout, the one copy the command
+line, the README and the benchmark read too.
 
 Encoding conventions, recorded here because the sources describe signaling
 in prose:
@@ -19,291 +21,56 @@ in prose:
   recursive game pay nothing);
 * in the Big Match family the cell entries are genuine stage payoffs: the
   starred ones also absorb.
+
+The games:
+
+* ``example1_guessing``: recursive, both players blind, start s2; its
+  limsup maxmin is -1/2 and its limsup minmax 1/2, so no limsup value.
+* ``example2_informed``: recursive, player 2's signals name the arrival
+  state and both actions, player 1 is blind, start s2; limsup maxmin -1/2,
+  minmax -1/6.
+* ``example3_bigmatch_blind1``: Big Match, player 2's signals name the
+  action pair, player 1 is blind; sup value 1, limsup maxmin 0, minmax 1/2.
+* ``bigmatch_nosignals``: Big Match, both players blind; the n-stage mean
+  value is 1/2 for every n, yet there is no uniform value.
+* ``bigmatch_fullmonitor``: Big Match with one constant public signal, so
+  both players observe the actions (symmetric signaling).
+* ``mdp_final_remark``: blind single-controller game, recursive and
+  nonnegative; uniform value 1, but no strategy of the maximizer guarantees
+  it (absorbing 0* stays reachable under any plan that ever stops playing
+  Top), so only eps-optimal strategies exist.
+* ``noisy_public_2state``: two hidden states, uniform prior, actions do not
+  move the state; the public signal u has likelihood 1/3 under xa and 2/3
+  under xb, so the one-step posterior after u is (1/3, 2/3).
+* ``quitting_game``: recursive nonnegative, public monitoring; player 1
+  quitting alone absorbs at payoff 1, at payoff 1/2 on average if player 2
+  quits too, and staying pays nothing; the n-stage mean values are
+  (n-1)/(2n), increasing to the uniform value 1/2.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction as F
+from pathlib import Path
 
-from .model import GameSpec, SymmetricGameSpec
+from .errors import GameModelError
+from .gamefile import load_game
 
-HALF = F(1, 2)
+GAMES = Path(__file__).resolve().parents[2] / "games"
 
-
-def _zero_rewards(states, actions1, actions2):
-    return {(x, i, j): F(0) for x in states for i in actions1 for j in actions2}
-
-
-def example1_guessing() -> GameSpec:
-    """Recursive game where both players are in the dark; starts at s2.
-
-    Known as "pick the largest integer"; its limsup maxmin is -1/2 while
-    the limsup minmax is 1/2, so it has no limsup value.
-    """
-    states = ["s1", "s2", "s3", "1*", "-1*", "2*", "-2*", "0*"]
-    I, J = ["T", "B"], ["L", "R"]
-    c0, d0 = "n1", "n2"
-    trans = {
-        ("s1", "T", "L"): {"s1": F(1)},
-        ("s1", "T", "R"): {"-2*": F(1)},
-        ("s1", "B", "L"): {"s1": F(1)},
-        ("s1", "B", "R"): {"-2*": F(1)},
-        ("s2", "T", "L"): {"s2": F(1)},
-        ("s2", "T", "R"): {"-1*": HALF, "s3": HALF},
-        ("s2", "B", "L"): {"1*": HALF, "s1": HALF},
-        ("s2", "B", "R"): {"0*": F(1)},
-        ("s3", "T", "L"): {"s3": F(1)},
-        ("s3", "T", "R"): {"s3": F(1)},
-        ("s3", "B", "L"): {"2*": F(1)},
-        ("s3", "B", "R"): {"2*": F(1)},
-    }
-    pays = {"1*": F(1), "-1*": F(-1), "2*": F(2), "-2*": F(-2), "0*": F(0)}
-    for x, pay in pays.items():
-        for i in I:
-            for j in J:
-                trans[(x, i, j)] = {x: F(1)}
-    transition = {key: {(x2, c0, d0): p for x2, p in dist.items()}
-                  for key, dist in trans.items()}
-    reward = _zero_rewards(states, I, J)
-    for x, pay in pays.items():
-        for i in I:
-            for j in J:
-                reward[(x, i, j)] = pay
-    return GameSpec(
-        states=states, actions1=I, actions2=J, signals1=[c0], signals2=[d0],
-        initial={("s2", c0, d0): F(1)},
-        transition=transition, reward=reward,
-        comment=("Guessing game ('pick the largest integer'): recursive, both "
-                 "players blind, start s2. Blind = singleton signal alphabets."),
-    )
-
-
-def example2_informed() -> GameSpec:
-    """Recursive game where player 2 sees the state and both actions while
-    player 1 sees nothing; starts at s2.  Limsup maxmin -1/2, minmax -1/6."""
-    states = ["s2", "s3", "-1/2*", "-1*", "2*", "0*"]
-    I, J = ["T", "B"], ["L", "R"]
-    c0 = "n1"
-    trans = {
-        ("s2", "T", "L"): {"s2": F(1)},
-        ("s2", "T", "R"): {"-1*": HALF, "s3": HALF},
-        ("s2", "B", "L"): {"-1/2*": F(1)},
-        ("s2", "B", "R"): {"0*": F(1)},
-        ("s3", "T", "L"): {"s3": F(1)},
-        ("s3", "T", "R"): {"s3": F(1)},
-        ("s3", "B", "L"): {"2*": F(1)},
-        ("s3", "B", "R"): {"2*": F(1)},
-    }
-    pays = {"-1/2*": F(-1, 2), "-1*": F(-1), "2*": F(2), "0*": F(0)}
-    for x in pays:
-        for i in I:
-            for j in J:
-                trans[(x, i, j)] = {x: F(1)}
-    # player 2's signal spells out (arrival state, actions played)
-    d_ids = sorted({f"{x2}:{i}:{j}" for (x, i, j), dist in trans.items()
-                    for x2 in dist})
-    d_start = "start:s2"
-    transition = {}
-    for (x, i, j), dist in trans.items():
-        transition[(x, i, j)] = {(x2, c0, f"{x2}:{i}:{j}"): p for x2, p in dist.items()}
-    reward = _zero_rewards(states, I, J)
-    for x, pay in pays.items():
-        for i in I:
-            for j in J:
-                reward[(x, i, j)] = pay
-    return GameSpec(
-        states=states, actions1=I, actions2=J,
-        signals1=[c0], signals2=[d_start] + d_ids,
-        initial={("s2", c0, d_start): F(1)},
-        transition=transition, reward=reward,
-        comment=("One-sided information guessing variant: player 2's signals "
-                 "name the arrival state and the played actions, player 1 is "
-                 "blind; start s2."),
-    )
-
-
-def _bigmatch_core():
-    states = ["s", "1*", "0*"]
-    I, J = ["T", "B"], ["L", "R"]
-    trans = {
-        ("s", "T", "L"): {"1*": F(1)},
-        ("s", "T", "R"): {"0*": F(1)},
-        ("s", "B", "L"): {"s": F(1)},
-        ("s", "B", "R"): {"s": F(1)},
-    }
-    for x in ("1*", "0*"):
-        for i in I:
-            for j in J:
-                trans[(x, i, j)] = {x: F(1)}
-    reward = _zero_rewards(states, I, J)
-    reward.update({
-        ("s", "T", "L"): F(1), ("s", "T", "R"): F(0),
-        ("s", "B", "L"): F(0), ("s", "B", "R"): F(1),
-    })
-    for i in I:
-        for j in J:
-            reward[("1*", i, j)] = F(1)
-            reward[("0*", i, j)] = F(0)
-    return states, I, J, trans, reward
-
-
-def example3_bigmatch_blind1() -> GameSpec:
-    """Big Match variant: player 2 observes the actions played, player 1
-    observes nothing.  Sup value 1; limsup maxmin 0, minmax 1/2."""
-    states, I, J, trans, reward = _bigmatch_core()
-    c0, d_start = "n1", "start"
-    transition = {}
-    for (x, i, j), dist in trans.items():
-        transition[(x, i, j)] = {(x2, c0, f"{i}:{j}"): p for x2, p in dist.items()}
-    d_ids = [d_start] + [f"{i}:{j}" for i in I for j in J]
-    return GameSpec(
-        states=states, actions1=I, actions2=J, signals1=[c0], signals2=d_ids,
-        initial={("s", c0, d_start): F(1)},
-        transition=transition, reward=reward,
-        comment=("Big Match variant: player 2's signals name the played action "
-                 "pair, player 1 is blind."),
-    )
-
-
-def bigmatch_nosignals() -> GameSpec:
-    """Big Match with no signals at all; n-stage mean value is 1/2 for every n,
-    yet the game has no uniform value."""
-    states, I, J, trans, reward = _bigmatch_core()
-    c0, d0 = "n1", "n2"
-    transition = {}
-    for (x, i, j), dist in trans.items():
-        transition[(x, i, j)] = {(x2, c0, d0): p for x2, p in dist.items()}
-    return GameSpec(
-        states=states, actions1=I, actions2=J, signals1=[c0], signals2=[d0],
-        initial={("s", c0, d0): F(1)},
-        transition=transition, reward=reward,
-        comment="Big Match with singleton signal alphabets on both sides.",
-    )
-
-
-def bigmatch_fullmonitor() -> SymmetricGameSpec:
-    """Big Match with a public constant signal: both players observe the
-    actions (symmetric signaling)."""
-    states, I, J, trans, reward = _bigmatch_core()
-    s0 = "o"
-    transition = {}
-    for (x, i, j), dist in trans.items():
-        transition[(x, i, j)] = {(x2, s0): p for x2, p in dist.items()}
-    return SymmetricGameSpec(
-        states=states, actions1=I, actions2=J, signals=[s0],
-        initial={("s", s0): F(1)},
-        transition=transition, reward=reward,
-        comment="Big Match under full monitoring via a constant public signal.",
-    )
-
-
-def mdp_final_remark() -> GameSpec:
-    """Blind single-controller game: uniform value 1 but no strategy of the
-    maximizer guarantees it (absorbing 0* stays reachable under any plan
-    that ever stops playing Top)."""
-    states = ["s1", "s2", "1*", "0*"]
-    I, J = ["Top", "Bottom"], ["-"]
-    c0, d0 = "n1", "n2"
-    trans = {
-        ("s1", "Top", "-"): {"s1": HALF, "s2": HALF},
-        ("s1", "Bottom", "-"): {"0*": F(1)},
-        ("s2", "Top", "-"): {"s2": F(1)},
-        ("s2", "Bottom", "-"): {"1*": F(1)},
-    }
-    for x in ("1*", "0*"):
-        for i in I:
-            trans[(x, i, "-")] = {x: F(1)}
-    transition = {key: {(x2, c0, d0): p for x2, p in dist.items()}
-                  for key, dist in trans.items()}
-    reward = _zero_rewards(states, I, J)
-    for i in I:
-        reward[("1*", i, "-")] = F(1)
-        reward[("0*", i, "-")] = F(0)
-    return GameSpec(
-        states=states, actions1=I, actions2=J, signals1=[c0], signals2=[d0],
-        initial={("s1", c0, d0): F(1)},
-        transition=transition, reward=reward,
-        comment=("Blind MDP (opponent has a single action): recursive and "
-                 "nonnegative, uniform value 1, only eps-optimal strategies."),
-    )
-
-
-def noisy_public_2state() -> SymmetricGameSpec:
-    """Two hidden states, uniform prior, actions do not move the state; the
-    public signal is u with likelihood 1/3 under xa and 2/3 under xb.
-    The one-step posterior after u is (1/3, 2/3)."""
-    states = ["xa", "xb"]
-    I, J = ["T", "B"], ["L", "R"]
-    signals = ["s0", "u", "w"]
-    transition = {}
-    for i in I:
-        for j in J:
-            transition[("xa", i, j)] = {("xa", "u"): F(1, 3), ("xa", "w"): F(2, 3)}
-            transition[("xb", i, j)] = {("xb", "u"): F(2, 3), ("xb", "w"): F(1, 3)}
-    reward = {}
-    for i in I:
-        for j in J:
-            reward[("xa", i, j)] = F(0) if i == "T" else F(1, 2)
-            reward[("xb", i, j)] = F(1) if j == "L" else F(1, 4)
-    return SymmetricGameSpec(
-        states=states, actions1=I, actions2=J, signals=signals,
-        initial={("xa", "s0"): HALF, ("xb", "s0"): HALF},
-        transition=transition, reward=reward,
-        comment=("Symmetric-signaling filtering example: state fixed, public "
-                 "signal u twice as likely under xb."),
-    )
-
-
-def quitting_game() -> SymmetricGameSpec:
-    """Quitting-style recursive nonnegative game with public monitoring.
-
-    Player 1 quitting alone absorbs at payoff 1; if player 2 quits
-    simultaneously the absorbing payoff averages 1/2; staying pays nothing.
-    The n-stage mean values are (n-1)/(2n), increasing to the uniform
-    value 1/2."""
-    states = ["go", "1*", "0*"]
-    I, J = ["C", "Q"], ["c", "q"]
-    s0 = "o"
-    trans = {
-        ("go", "C", "c"): {"go": F(1)},
-        ("go", "C", "q"): {"go": F(1)},
-        ("go", "Q", "c"): {"1*": F(1)},
-        ("go", "Q", "q"): {"1*": HALF, "0*": HALF},
-    }
-    for x in ("1*", "0*"):
-        for i in I:
-            for j in J:
-                trans[(x, i, j)] = {x: F(1)}
-    transition = {key: {(x2, s0): p for x2, p in dist.items()}
-                  for key, dist in trans.items()}
-    reward = _zero_rewards(states, I, J)
-    for i in I:
-        for j in J:
-            reward[("1*", i, j)] = F(1)
-            reward[("0*", i, j)] = F(0)
-    return SymmetricGameSpec(
-        states=states, actions1=I, actions2=J, signals=[s0],
-        initial={("go", s0): F(1)},
-        transition=transition, reward=reward,
-        comment="Quitting-style recursive nonnegative game with public monitoring.",
-    )
-
-
-GAME_BUILDERS = {
-    "example1_guessing": example1_guessing,
-    "example2_informed": example2_informed,
-    "example3_bigmatch_blind1": example3_bigmatch_blind1,
-    "bigmatch_nosignals": bigmatch_nosignals,
-    "bigmatch_fullmonitor": bigmatch_fullmonitor,
-    "mdp_final_remark": mdp_final_remark,
-    "noisy_public_2state": noisy_public_2state,
-    "quitting_game": quitting_game,
-}
-
-SYMMETRIC_GAMES = ["bigmatch_fullmonitor", "noisy_public_2state", "quitting_game"]
+NAMES = ("example1_guessing", "example2_informed", "example3_bigmatch_blind1",
+         "bigmatch_nosignals", "bigmatch_fullmonitor", "mdp_final_remark",
+         "noisy_public_2state", "quitting_game")
 
 
 def build_game(name: str):
-    if name not in GAME_BUILDERS:
+    """The corpus game ``name``, loaded from ``GAMES``: KeyError for a name
+    outside ``NAMES``, GameModelError naming the path for a file that
+    cannot be read."""
+    if name not in NAMES:
         raise KeyError(f"unknown corpus game {name!r}")
-    return GAME_BUILDERS[name]()
+    path = GAMES / f"{name}.game"
+    try:
+        return load_game(path)
+    except OSError as err:
+        raise GameModelError(
+            f"cannot read corpus game {path}: {err.strerror or err}") from None

@@ -19,16 +19,12 @@ from functools import cached_property
 from .errors import GameModelError, IncompleteStrategyError, UnsupportedStructureError
 from .rationals import ZERO, denominator_lcm, format_rational
 
-# A finite-support exact distribution.
-Dist = dict
-
-
-def check_distribution(dist: Dist, what: str) -> list[str]:
-    """What keeps ``dist`` from being a distribution: a probability that is
-    not a Fraction, one outside [0, 1], or a mass (of the Fractions) other
-    than 1.  The range test reads numerators and denominators, and the mass
-    is one integer fraction num/den, cross-multiplied; a Fraction is built
-    only for a message."""
+def check_distribution(dist: dict, what: str) -> list[str]:
+    """What keeps a spec's ``dist`` from being a distribution: a probability
+    that is not a Fraction, one outside [0, 1], or a mass (of the Fractions)
+    other than 1.  The range test reads numerators and denominators, and the
+    mass is one integer fraction num/den, cross-multiplied; a Fraction is
+    built only for a message."""
     problems = []
     num, den = 0, 1
     for outcome, p in dist.items():
@@ -135,7 +131,7 @@ class GameSpec:
     actions2: list[str]
     signals1: list[str]
     signals2: list[str]
-    initial: Dist                       # (state, sig1, sig2) -> Fraction
+    initial: dict                       # (state, sig1, sig2) -> Fraction
     transition: dict                    # (state, a1, a2) -> {(state', c, d): Fraction}
     reward: dict                        # (state, a1, a2) -> Fraction
     comment: str = ""
@@ -220,7 +216,7 @@ class SymmetricGameSpec:
     actions1: list[str]
     actions2: list[str]
     signals: list[str]                  # public signal alphabet
-    initial: Dist                       # (state, signal) -> Fraction
+    initial: dict                       # (state, signal) -> Fraction
     transition: dict                    # (x,i,j) -> {(x', s): Fraction}
     reward: dict
     comment: str = ""
@@ -442,14 +438,31 @@ def projection(view: str, public_of: dict | None = None) -> tuple:
     raise GameModelError(f"unknown view {view!r}")
 
 
+def _read_mix(dist: dict, actions, player: int) -> tuple:
+    """``(pairs, problem)``: the mix's positive entries as ``{action:
+    (numerator, denominator)}``, in its order, and its first problem or None:
+    an action not in ``actions``, a probability negative or not an int or a
+    Fraction, a mass other than 1."""
+    pairs, num, den = {}, 0, 1
+    for a, p in dist.items():
+        if a not in actions:
+            return pairs, f"{a!r} is not an action of player {player}"
+        if not isinstance(p, (int, Fraction)) or isinstance(p, bool):
+            return pairs, f"the probability of {a!r} is {p!r}, not an int or a Fraction"
+        if (n := p.numerator) < 0:
+            return pairs, f"the probability {p} of {a!r} is negative"
+        if n:
+            d = p.denominator
+            pairs[a] = (n, d)
+            num, den = num * d + n * den, den * d
+    return pairs, None if num == den else f"the mass is {Fraction(num, den)}, not 1"
+
+
 def _viewer(strategy: BehavioralStrategy, spec: GameSpec, player: int) -> tuple:
     """``(edge_of, label_of, mix_of)``: the ``projection`` of ``strategy``'s
-    views, the public or its player's own, and its one mix reader;
-    GameModelError unless ``strategy`` is ``player``'s, of view kind
-    "player" or "public".  ``mix_of(view)`` is the mix's positive entries as
-    ``{action: (numerator, denominator)}``, in its order, or GameModelError
-    naming the view for an action the player lacks, a probability that is
-    negative or not an int or a Fraction, or an integer mass other than 1."""
+    ``view_kind`` and its one mix reader, the ``_read_mix`` pairs or
+    GameModelError naming the view and its problem; GameModelError unless
+    ``strategy`` is ``player``'s, of view kind "player" or "public"."""
     if strategy.player != player:
         raise GameModelError(f"the strategy must be player {player}'s, got "
                              f"player {strategy.player}'s")
@@ -458,26 +471,10 @@ def _viewer(strategy: BehavioralStrategy, spec: GameSpec, player: int) -> tuple:
     actions = set(spec.actions1 if player == 1 else spec.actions2)
 
     def mix_of(view: tuple) -> dict:
-        pairs, num, den = {}, 0, 1
-        for a, p in strategy.action_dist(view).items():
-            if a not in actions:
-                problem = f"{a!r} is not an action of player {player}"
-            elif not isinstance(p, (int, Fraction)) or isinstance(p, bool):
-                problem = f"the probability of {a!r} is {p!r}, not an int or a Fraction"
-            elif (n := p.numerator) < 0:
-                problem = f"the probability {p} of {a!r} is negative"
-            else:
-                if n:
-                    d = p.denominator
-                    pairs[a] = (n, d)
-                    num, den = num * d + n * den, den * d
-                continue
-            break
-        else:
-            if num == den:
-                return pairs
-            problem = f"the mass is {Fraction(num, den)}, not 1"
-        raise GameModelError(f"player {player} strategy at view {view!r}: {problem}")
+        pairs, problem = _read_mix(strategy.action_dist(view), actions, player)
+        if problem:
+            raise GameModelError(f"player {player} strategy at view {view!r}: {problem}")
+        return pairs
 
     if strategy.view_kind == "public":
         return (*projection(PUBLIC, require_public_labels(spec)), mix_of)
@@ -534,13 +531,14 @@ class BehavioralStrategy:
             raise IncompleteStrategyError(self.player, view)
         return self.tail
 
-    def validate(self) -> list[str]:
-        v = []
-        for view, dist in self.table.items():
-            v.extend(check_distribution(dist, f"strategy view {view!r}"))
+    def validate(self, actions=None) -> list[str]:
+        """Each mix's ``_read_mix`` problem; actions checked if given."""
+        mixes = {f"strategy view {view!r}": d for view, d in self.table.items()}
         if isinstance(self.tail, dict):
-            v.extend(check_distribution(self.tail, "strategy tail"))
-        return v
+            mixes["strategy tail"] = self.tail
+        return [f"{where}: {problem}" for where, d in mixes.items()
+                if (problem := _read_mix(d, d if actions is None else actions,
+                                         self.player)[1])]
 
 
 def uniform_strategy(spec: GameSpec, player: int) -> BehavioralStrategy:

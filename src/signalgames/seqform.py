@@ -98,8 +98,6 @@ class NStageSolution:
     horizon: int
     strategy1: BehavioralStrategy
     strategy2: BehavioralStrategy
-    arbitrary_views1: list
-    arbitrary_views2: list
 
 
 def _determined(form: IntegerForm, terminal, state: str, depth: int, N: int):
@@ -270,21 +268,18 @@ def _solve_program(prog: SequenceFormProgram):
 
 
 def _plan_to_strategy(form: _PlayerForm, plan_vec, player: int,
-                      horizon: int) -> tuple[BehavioralStrategy, list]:
+                      horizon: int) -> BehavioralStrategy:
     table = {}
-    arbitrary = []
     uniform = Fraction(1, len(form.actions))
     for view, seqs in form.infosets.items():
         enter = plan_vec[form.parent_seq[view]]
         if enter == 0:
             table[view] = {a: uniform for a in form.actions}
-            arbitrary.append(view)
         else:
             table[view] = {a: plan_vec[s] / enter
                            for a, s in zip(form.actions, seqs)}
-    return (BehavioralStrategy(player=player, horizon=horizon, table=table,
-                               tail={a: uniform for a in form.actions}),
-            arbitrary)
+    return BehavioralStrategy(player=player, horizon=horizon, table=table,
+                              tail={a: uniform for a in form.actions})
 
 
 def nstage_value(spec_or_sym, horizon: int, evaluation=MEAN,
@@ -293,16 +288,14 @@ def nstage_value(spec_or_sym, horizon: int, evaluation=MEAN,
 
     ``evaluation``: "mean" for the average of the N stage rewards, or a
     TerminalPayoff.  The LP's realization plans are returned only as these
-    behavioral strategies.  Strategies at unreached views carry uniform
-    placeholders and are listed in ``arbitrary_views*``.
+    behavioral strategies.  Strategies at views their own plan never
+    reaches carry uniform placeholders.
     """
     prog = build_sequence_form(spec_or_sym, horizon, evaluation, budget)
     value, plan1_vec, plan2_vec = _solve_program(prog)
-    strategy1, arb1 = _plan_to_strategy(prog.p1, plan1_vec, 1, horizon)
-    strategy2, arb2 = _plan_to_strategy(prog.p2, plan2_vec, 2, horizon)
     return NStageSolution(value=value, horizon=horizon,
-                          strategy1=strategy1, strategy2=strategy2,
-                          arbitrary_views1=arb1, arbitrary_views2=arb2)
+                          strategy1=_plan_to_strategy(prog.p1, plan1_vec, 1, horizon),
+                          strategy2=_plan_to_strategy(prog.p2, plan2_vec, 2, horizon))
 
 
 # ---------------------------------------------------------------------------

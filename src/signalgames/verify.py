@@ -461,7 +461,7 @@ def run_verification(only: str | None = None) -> VerificationReport:
         if only not in known:
             raise KeyError(f"unknown corpus entry {only!r} (known: {', '.join(known)})")
         entries = [entry for entry in entries if entry.entry_id == only]
-    games = {name: corpus.build_game(name) for name in corpus.GAME_BUILDERS}
+    games = {name: corpus.build_game(name) for name in corpus.NAMES}
     rows = []
     for entry in entries:
         for claim in entry.claims:

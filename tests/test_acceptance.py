@@ -72,10 +72,10 @@ def test_criterion_2_kernel_identities():
             time.perf_counter() - start, 120)
 
 
-def test_criterion_3_transfer_identity():
+def test_criterion_3_transfer_identity(symmetric_games):
     start = time.perf_counter()
     rng = random.Random(7141)
-    specs = [corpus.build_game(name) for name in corpus.SYMMETRIC_GAMES]
+    specs = list(symmetric_games.values())
     specs += [random_symmetric_game(seed) for seed in range(20)]
     games_checked = 0
     for sym in specs:
@@ -99,11 +99,10 @@ def test_criterion_3_transfer_identity():
             time.perf_counter() - start, 120)
 
 
-def test_criterion_4_reduction_equivalence():
+def test_criterion_4_reduction_equivalence(symmetric_games):
     start = time.perf_counter()
     checked = []
-    for name in corpus.SYMMETRIC_GAMES:
-        sym = corpus.build_game(name)
+    for name, sym in symmetric_games.items():
         for n in range(1, 5):
             aux = build_auxiliary(sym, n)
             back = solve_backward(aux, payoff=RED_MEAN, want_strategies=False)
@@ -150,7 +149,7 @@ def test_criterion_6_example_gaps():
 
 def test_criterion_7_sup_monotone_scheme():
     start = time.perf_counter()
-    for name in corpus.GAME_BUILDERS:
+    for name in corpus.NAMES:
         report = sup_value_lowerbounds(corpus.build_game(name), 4,
                                        compute_upper=False)
         values = [v for _, v in report.values]

@@ -30,14 +30,14 @@ from signalgames.recursive import (
 def test_expected_limsup_always_T_vs_reply():
     # T forever against (L until 20, then R): half absorbed at -1, half
     # parked in s3 earning 0 -> exactly -1/2
-    spec = corpus.example1_guessing()
+    spec = corpus.build_game("example1_guessing")
     sigma = FirstSwitchPlan("T", "B", None)
     tau = FirstSwitchPlan("L", "R", 21)
     assert expected_limsup(spec, sigma, tau) == F(-1, 2)
 
 
 def test_expected_limsup_bigmatch_tail_classes():
-    spec = corpus.example3_bigmatch_blind1()
+    spec = corpus.build_game("example3_bigmatch_blind1")
     # B forever vs R forever: payoff 1 every stage, never absorbed
     assert expected_limsup(spec, FirstSwitchPlan("B", "T", None),
                            FirstSwitchPlan("R", "L", None)) == 1
@@ -91,7 +91,7 @@ def test_example3_maxmin_reply_zero():
 
 
 def test_mixture_evaluation_linear():
-    spec = corpus.example3_bigmatch_blind1()
+    spec = corpus.build_game("example3_bigmatch_blind1")
     plan = FirstSwitchPlan("B", "T", 4)
     mix = [(F(1, 3), FirstSwitchPlan("L", "R", None)),
            (F(2, 3), FirstSwitchPlan("R", "L", None))]
@@ -152,7 +152,7 @@ def test_uniform_value_guard_example1(games):
 
 
 def test_uniform_value_mdp_small():
-    spec = corpus.mdp_final_remark()
+    spec = corpus.build_game("mdp_final_remark")
     report = uniform_value(spec, n_max=256, tol=F(1, 100), window=3)
     values = [v for _, v in report.value_sequence]
     assert all(b >= a for a, b in zip(values, values[1:]))
@@ -164,7 +164,7 @@ def test_uniform_value_mdp_small():
 
 
 def test_uniform_value_quitting_game():
-    sym = corpus.quitting_game()
+    sym = corpus.build_game("quitting_game")
     report = uniform_value(sym, n_max=64, tol=F(1, 50), window=3)
     values = dict(report.value_sequence)
     ordered = [v for _, v in report.value_sequence]
@@ -178,7 +178,7 @@ def test_uniform_value_quitting_game():
 
 
 def test_extract_eps_optimal_mdp_shape():
-    spec = corpus.mdp_final_remark()
+    spec = corpus.build_game("mdp_final_remark")
     report = uniform_value(spec, n_max=256, tol=F(1, 100), window=3)
     result = extract_eps_optimal(spec, report, eps=F(1, 10))
     assert not result.warning
@@ -246,7 +246,7 @@ def test_extract_eps_optimal_infeasible_horizon_warns():
     # horizon, and the strategy tables have one entry per history: with a
     # tight node budget, deep horizons are not extractable and the solver
     # falls back to the best feasible one, with a warning
-    sym = corpus.quitting_game()
+    sym = corpus.build_game("quitting_game")
     report = uniform_value(sym, n_max=32, tol=F(1, 50), window=3)
     result = extract_eps_optimal(sym, report, eps=F(1, 10 ** 9), budget=3000)
     assert result.warning
@@ -269,8 +269,8 @@ def _per_horizon_values(game, horizons, budget=None):
 
 
 @pytest.mark.parametrize("game, n_max, schedule", [
-    (corpus.mdp_final_remark(), 256, None),
-    (corpus.quitting_game(), 64, None),
+    (corpus.build_game("mdp_final_remark"), 256, None),
+    (corpus.build_game("quitting_game"), 64, None),
     (_single_chain_game(F(5, 7)), 12, list(range(1, 13))),
     (_already_absorbed_game(F(2, 3)), 8, list(range(1, 9))),
 ], ids=["mdp_final_remark", "quitting_game", "single_chain", "already_absorbed"])
@@ -282,9 +282,9 @@ def test_uniform_value_sweep_matches_per_horizon_backward(game, n_max, schedule)
 
 
 @pytest.mark.parametrize("game, n_max, options, closed_form", [
-    (corpus.mdp_final_remark(), 4000, {"tol": F(1, 1000), "window": 3},
+    (corpus.build_game("mdp_final_remark"), 4000, {"tol": F(1, 1000), "window": 3},
      mdp_nstage_value),
-    (corpus.quitting_game(), 1000, {}, lambda n: F(n - 1, 2 * n)),
+    (corpus.build_game("quitting_game"), 1000, {}, lambda n: F(n - 1, 2 * n)),
 ], ids=["mdp_final_remark", "quitting_game"])
 def test_uniform_value_long_sweep_matches_closed_form(game, n_max, options, closed_form):
     """Every value of a long sweep, the extracted strategy's guarantee and
@@ -303,15 +303,15 @@ def test_uniform_value_budget_prefix_matches_per_horizon_builds():
     # the belief graph to depth n has 1 + 2(n-1) (mdp) or 1 + 3(n-1)
     # (quitting game) level memberships, each charged, so these budgets
     # cut the schedule mid-way
-    for game, budget in ((corpus.mdp_final_remark(), 40),
-                         (corpus.mdp_final_remark(), 23),
-                         (corpus.quitting_game(), 50)):
+    for game, budget in ((corpus.build_game("mdp_final_remark"), 40),
+                         (corpus.build_game("mdp_final_remark"), 23),
+                         (corpus.build_game("quitting_game"), 50)):
         report = uniform_value(game, n_max=64, budget=budget)
         expected = _per_horizon_values(game, default_schedule(64), budget)
         assert report.value_sequence == expected
         assert 1 < len(expected) < len(default_schedule(64))
     with pytest.raises(BudgetExceededError) as err:
-        uniform_value(corpus.quitting_game(), n_max=64, budget=0)
+        uniform_value(corpus.build_game("quitting_game"), n_max=64, budget=0)
     assert err.value.level_reached == 1
 
 
@@ -347,7 +347,7 @@ def test_quitting_sweep_solves_one_matrix_game_per_stage_count(monkeypatch):
     monkeypatch.setattr(reduction, "matrix_game_value", counting_solve)
     monkeypatch.setattr(recursive, "solve_horizons", tracked_sweep)
     monkeypatch.setattr(recursive, "build_auxiliary", tracked_build)
-    report = uniform_value(corpus.quitting_game(), n_max=64, tol=F(1, 50),
+    report = uniform_value(corpus.build_game("quitting_game"), n_max=64, tol=F(1, 50),
                            window=3)
     assert [n for n, _ in report.value_sequence] == default_schedule(64)
     assert builds == [64, report.strategy_horizon]
@@ -368,7 +368,7 @@ def test_extraction_skips_horizons_past_the_first_overflow(monkeypatch):
         return real_nstage(spec, route, n, budget)
 
     monkeypatch.setattr(recursive, "_nstage", tracked)
-    game = corpus.quitting_game()
+    game = corpus.build_game("quitting_game")
     report = uniform_value(game, n_max=64, budget=500)
     assert built == [9, 8, 7]
     assert report.strategy_horizon == 7
@@ -393,14 +393,14 @@ def test_extraction_skips_horizons_past_the_first_overflow(monkeypatch):
 ])
 def test_uniform_value_rejects_bad_sweep_arguments(kwargs):
     with pytest.raises(PreconditionError):
-        uniform_value(corpus.quitting_game(), **kwargs)
+        uniform_value(corpus.build_game("quitting_game"), **kwargs)
     if set(kwargs) == {"n_max"}:        # the default schedule checks it too
         with pytest.raises(PreconditionError, match="^n_max must be"):
             default_schedule(kwargs["n_max"])
 
 
 def test_uniform_value_reads_the_schedule_up_to_n_max():
-    report = uniform_value(corpus.quitting_game(), n_max=10,
+    report = uniform_value(corpus.build_game("quitting_game"), n_max=10,
                            schedule=[1, 3, 10, 11, 40])
     assert report.value_sequence == [(1, F(0)), (3, F(1, 3)), (10, F(9, 20))]
 
@@ -409,7 +409,7 @@ def test_tolerances_are_exact():
     """``tol`` and ``eps`` are exact: an int, a Fraction or a "p/q" string
     gives the Fraction it denotes, and a float, which is binary and so not
     the decimal it was written as, is refused."""
-    game = corpus.quitting_game()
+    game = corpus.build_game("quitting_game")
     for tol in (F(1, 100), "1/100"):
         assert uniform_value(game, n_max=8, tol=tol).tol == F(1, 100)
     assert uniform_value(game, n_max=8, tol=1).tol == 1
@@ -426,7 +426,7 @@ def test_tolerances_are_exact():
 def test_negative_eps_is_refused():
     """eps = 0 asks for the certified level itself; a negative eps asks for
     more than it and is refused, like a tol <= 0."""
-    game = corpus.quitting_game()
+    game = corpus.build_game("quitting_game")
     report = uniform_value(game, n_max=12)
     for eps in (F(-1, 10), -1, "-1/1000"):
         with pytest.raises(PreconditionError, match=r"^eps must be >= 0"):
@@ -437,7 +437,7 @@ def test_negative_eps_is_refused():
 
 
 def test_forged_certificates_raise_certificate_error(monkeypatch):
-    spec = corpus.mdp_final_remark()
+    spec = corpus.build_game("mdp_final_remark")
     report = uniform_value(spec, n_max=16, tol=F(1, 100), window=3)
     monkeypatch.setattr(recursive, "best_response_value",
                         lambda *args, **kwargs: F(-1))
@@ -455,12 +455,12 @@ from signalgames.errors import CertificateError
 assert False, 'asserts were not stripped'
 recursive.solve_horizons = lambda aux, horizons: {n: F(1, n) for n in horizons}
 try:
-    recursive.uniform_value(corpus.mdp_final_remark(), n_max=4)
+    recursive.uniform_value(corpus.build_game("mdp_final_remark"), n_max=4)
 except CertificateError as err:
     print('uniform rejected:', err)
 supvalue.nstage_value = lambda *args: SimpleNamespace(value=F(1, args[1]))
 try:
-    supvalue.sup_value_lowerbounds(corpus.example3_bigmatch_blind1(), 3)
+    supvalue.sup_value_lowerbounds(corpus.build_game("example3_bigmatch_blind1"), 3)
 except CertificateError as err:
     print('sup rejected:', err)
 """

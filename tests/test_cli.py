@@ -35,7 +35,7 @@ def test_validate_broken_game_exits_nonzero(tmp_path, capsys):
     src = (tmp_path / "broken.game")
     import signalgames.corpus as c
     from signalgames.gamefile import serialize_spec
-    doc = json.loads(serialize_spec(c.bigmatch_nosignals()))
+    doc = json.loads(serialize_spec(c.build_game("bigmatch_nosignals")))
     doc["initial"][0]["prob"] = "9/10"
     src.write_text(json.dumps(doc))
     code = main(["validate", "--game", str(src)])
@@ -447,9 +447,9 @@ def test_values_beyond_float_range(tmp_path, capsys, exponent, argv, code, line)
     ("simulate", _strategy_doc(player="a"),
      "error: $.player: player must be an integer, got 'a'"),
     ("simulate", _strategy_doc(table={'["o"]': {"C": "1/2"}}),
-     "error: $: invalid strategy: strategy view ('o',): mass 1/2 != 1"),
+     "error: $: invalid strategy: strategy view ('o',): the mass is 1/2, not 1"),
     ("simulate", _strategy_doc(tail={"C": "1", "Q": "1"}),
-     "error: $: invalid strategy: strategy tail: mass 2 != 1"),
+     "error: $: invalid strategy: strategy tail: the mass is 2, not 1"),
     # every number in a file is a string: a JSON number or true is refused
     ("validate", _first_entry_doc("rewards", "value", True),
      "error: $.rewards[0].value: rational must be a string, got bool"),
@@ -479,9 +479,9 @@ def test_malformed_file_exits_one(tmp_path, command, document, message):
 ])
 @pytest.mark.parametrize("flag, document, message", [
     ("--tau", _strategy_doc(),
-     "error: {path}: player 2 has no action 'C' (actions: c, q)"),
+     "error: the strategy must be player 2's, got player 1's"),
     ("--sigma", _strategy_doc(table={'["o"]': {"C": "1/2", "X": "1/2"}}),
-     "error: {path}: player 1 has no action 'X' (actions: C, Q)"),
+     "error: {path}: strategy view ('o',): 'X' is not an action of player 1"),
     ("--sigma", _strategy_doc(player=2),
      "error: the strategy must be player 1's, got player 2's"),
 ], ids=["other-player-actions", "foreign-action", "other-player"])

@@ -1,8 +1,11 @@
+import re
 from fractions import Fraction as F
 
 import pytest
 
 from signalgames import corpus
+from signalgames.cli import main
+from signalgames.errors import GameModelError
 from signalgames.gamefile import load_game, serialize_spec
 from signalgames.verify import build_corpus, run_verification, write_corpus_files
 
@@ -59,14 +62,39 @@ def test_example_encodings_match_sources(games):
     assert key[0] == "1*"
 
 
-def test_shipped_game_files_match_builders():
-    from pathlib import Path
+def test_shipped_game_files_are_the_one_canonical_corpus():
+    """``games/*.game`` is the corpus's one source: every shipped file is in
+    canonical form, so ``--write-corpus`` writes it back byte for byte, and
+    the files, ``corpus.NAMES`` and the verification entries name the same
+    games."""
+    shipped = sorted(corpus.GAMES.glob("*.game"))
+    for path in shipped:
+        assert serialize_spec(load_game(path)) == path.read_text(encoding="utf-8"), path
+    assert [entry.entry_id for entry in build_corpus()] == list(corpus.NAMES)
+    assert [path.stem for path in shipped] == sorted(corpus.NAMES)
 
-    games_dir = Path(__file__).resolve().parent.parent / "games"
-    for entry in build_corpus():
-        shipped = (games_dir / entry.filename).read_text(encoding="utf-8")
-        assert shipped == serialize_spec(corpus.build_game(entry.entry_id)), \
-            entry.filename
+
+def test_build_game_refuses_an_unknown_name():
+    with pytest.raises(KeyError, match="unknown corpus game 'nope'"):
+        corpus.build_game("nope")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-paper"],
+    ["verify-example", "--id", "1", "--side", "maxmin"],
+], ids=["verify-paper", "verify-example"])
+def test_missing_corpus_directory_exits_one(tmp_path, monkeypatch, capsys, argv):
+    """Without its game files the corpus raises GameModelError naming the
+    missing path, and the commands that read it exit 1 with one line."""
+    missing = tmp_path / "quitting_game.game"
+    monkeypatch.setattr(corpus, "GAMES", tmp_path)
+    with pytest.raises(GameModelError, match=re.escape(f"cannot read corpus game {missing}:")):
+        corpus.build_game("quitting_game")
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: cannot read corpus game {tmp_path}")
+    assert "Traceback" not in out + err
 
 
 def test_run_verification_all_pass_and_deterministic():

@@ -39,7 +39,7 @@ def test_roundtrip_random_games():
 
 
 def test_exact_rational_parse():
-    spec = corpus.example2_informed()
+    spec = corpus.build_game("example2_informed")
     doc = serialize_spec(spec)
     assert '"-1/2"' in doc  # lowest-terms exact payoff in the document
     back = parse_spec(doc)
@@ -52,7 +52,7 @@ def test_parse_error_reports_location():
         parse_spec("{ not json")
     assert "line" in str(err.value)
 
-    doc = json.loads(serialize_spec(corpus.bigmatch_nosignals()))
+    doc = json.loads(serialize_spec(corpus.build_game("bigmatch_nosignals")))
     doc["transitions"][0]["next"][0]["prob"] = "0.25"
     with pytest.raises(ParseError) as err:
         parse_spec(json.dumps(doc))
@@ -60,7 +60,7 @@ def test_parse_error_reports_location():
 
 
 def test_unknown_id_error():
-    doc = json.loads(serialize_spec(corpus.bigmatch_nosignals()))
+    doc = json.loads(serialize_spec(corpus.build_game("bigmatch_nosignals")))
     doc["initial"][0]["state"] = "nowhere"
     with pytest.raises(UnknownIdError) as err:
         parse_spec(json.dumps(doc))
@@ -68,11 +68,11 @@ def test_unknown_id_error():
 
 
 def test_symmetric_file_shape():
-    sym = corpus.noisy_public_2state()
+    sym = corpus.build_game("noisy_public_2state")
     doc = json.loads(serialize_spec(sym))
     assert set(doc["signals"]) == {"public"}
     assert "sig" in doc["initial"][0]
-    general = json.loads(serialize_spec(corpus.example3_bigmatch_blind1()))
+    general = json.loads(serialize_spec(corpus.build_game("example3_bigmatch_blind1")))
     assert set(general["signals"]) == {"p1", "p2"}
     assert "sig1" in general["initial"][0]
 

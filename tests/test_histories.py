@@ -58,7 +58,7 @@ def test_alpha_dirac_initial(games):
 
 def test_alpha_product_formula():
     # uniform prior over two states, then a 1/3-mass transition => alpha 1/6
-    sym = corpus.noisy_public_2state()
+    sym = corpus.build_game("noisy_public_2state")
     pair = build_trees(sym, 2)
     level2 = pair.histories(2)
     a_sixth = [h for h in level2 if h.alpha == F(1, 6)]
@@ -170,7 +170,7 @@ def test_dropped_tree_pair_is_freed_without_the_cycle_collector():
     # no node refers back to a node that refers to it, and the play walk
     # a checked pair keeps refers only to its nodes and the strategies, so
     # reference counting alone frees a dropped tree
-    spec = corpus.noisy_public_2state()
+    spec = corpus.build_game("noisy_public_2state")
     sigma, tau = uniform_strategy(spec, 1), uniform_strategy(spec, 2)
     was_enabled = gc.isenabled()
     gc.disable()
@@ -221,7 +221,7 @@ def test_phi_likelihood_posterior_bruteforce():
     """Signal u has likelihood 1/3 under xa, 2/3 under xb: the level-1
     conditional after u must be 1/3, computed independently here by direct
     enumeration of level-2 histories."""
-    sym = corpus.noisy_public_2state()
+    sym = corpus.build_game("noisy_public_2state")
     pair = build_trees(sym, 2)
     h_a = next(h for h in pair.histories(1) if h.state == "xa")
     # independent brute force: alpha sums over explicit paths
@@ -597,7 +597,7 @@ def test_simulate_public_view_strategy():
     # A public-view strategy defined on exactly the public views of
     # noisy_public_2state (no tail) plays like a tail-only strategy with the
     # same distribution: the same draws, so the same replicas.
-    spec = corpus.noisy_public_2state()
+    spec = corpus.build_game("noisy_public_2state")
     dist = {"T": F(1, 3), "B": F(2, 3)}
     pair = build_trees(spec, 4)
     public = BehavioralStrategy(
@@ -622,7 +622,7 @@ def test_strategies_of_the_wrong_player_are_refused(entry):
     strategy in the wrong slot is a GameModelError naming the player, where
     ``simulate`` used to end in a KeyError on a stage key and
     ``conditional_check`` reported every identity exact."""
-    game = corpus.bigmatch_nosignals()
+    game = corpus.build_game("bigmatch_nosignals")
     sigma, tau = uniform_strategy(game, 1), uniform_strategy(game, 2)
     with pytest.raises(GameModelError, match="must be player 1's, got player 2's"):
         entry(game, tau, tau)
@@ -632,27 +632,27 @@ def test_strategies_of_the_wrong_player_are_refused(entry):
 
 @pytest.mark.parametrize("build, fits, overrun", [
     # 146 history nodes to level 3
-    (lambda b: build_trees(corpus.noisy_public_2state(), 3, budget=b),
+    (lambda b: build_trees(corpus.build_game("noisy_public_2state"), 3, budget=b),
      146, (145, 3)),
     # 9 beliefs in the merged, pruned DAG to level 5
-    (lambda b: build_auxiliary(corpus.mdp_final_remark(), 5, budget=b),
+    (lambda b: build_auxiliary(corpus.build_game("mdp_final_remark"), 5, budget=b),
      9, (8, 5)),
     # 7 live and 6 closed nodes: closed nodes count, but only live ones
     # check, so 12 fits and the first overrun is at budget 8
-    (lambda b: build_sequence_form(corpus.bigmatch_nosignals(), 3, budget=b),
+    (lambda b: build_sequence_form(corpus.build_game("bigmatch_nosignals"), 3, budget=b),
      12, (8, 3)),
     # 13 responder frames, none merged; charged level by level, the 13th
     # frame sits at level 3
     (lambda b: best_response_value(
-        corpus.bigmatch_nosignals(),
-        uniform_strategy(corpus.bigmatch_nosignals(), 2), 3, responder=1,
+        corpus.build_game("bigmatch_nosignals"),
+        uniform_strategy(corpus.build_game("bigmatch_nosignals"), 2), 3, responder=1,
         budget=b),
      13, (12, 3)),
     # the cap check on mdp_final_remark at horizon 64: 4096 histories, but
     # only 252 merged frames (at most 4 distinct state/view keys per level)
     (lambda b: best_response_value(
-        corpus.mdp_final_remark(),
-        uniform_strategy(corpus.mdp_final_remark(), 2), 64, responder=1,
+        corpus.build_game("mdp_final_remark"),
+        uniform_strategy(corpus.build_game("mdp_final_remark"), 2), 64, responder=1,
         budget=b),
      252, (251, 64)),
 ], ids=["build_trees", "build_auxiliary", "build_sequence_form",
@@ -677,14 +677,14 @@ def test_budget_must_be_an_integer_at_least_zero(entry, bad):
     GameModelError before any work: "10" used to end in a TypeError, and
     True, 2.5 or -1 in an overrun reporting that limit."""
     with pytest.raises(GameModelError, match="budget must be an integer >= 0"):
-        entry(corpus.quitting_game(), bad)
+        entry(corpus.build_game("quitting_game"), bad)
 
 
 def _blind_two_root_quitting_game():
     """``quitting_game`` with blind players and two equally likely initial
     signals: no view, so the sequence-form route, and two level-1
     histories, so a budget of 1 fits no horizon."""
-    g = as_general(corpus.quitting_game())
+    g = as_general(corpus.build_game("quitting_game"))
     game = GameSpec(
         states=g.states, actions1=g.actions1, actions2=g.actions2,
         signals1=["o", "p"], signals2=["o", "p"],
@@ -697,7 +697,7 @@ def _blind_two_root_quitting_game():
 
 
 @pytest.mark.parametrize("entry, overrun", [
-    (lambda b: sup_value_lowerbounds(corpus.noisy_public_2state(), 3,
+    (lambda b: sup_value_lowerbounds(corpus.build_game("noisy_public_2state"), 3,
                                      budget=b), (1, 1)),
     (lambda b: uniform_value(_blind_two_root_quitting_game(), n_max=6,
                              budget=b), (1, 1)),
@@ -706,7 +706,7 @@ def _blind_two_root_quitting_game():
         uniform_value(_blind_two_root_quitting_game(), n_max=6), F(1, 100),
         budget=b), (1, 2)),
     (lambda b: extract_eps_optimal(
-        corpus.quitting_game(), uniform_value(corpus.quitting_game(), n_max=8),
+        corpus.build_game("quitting_game"), uniform_value(corpus.build_game("quitting_game"), n_max=8),
         F(1, 100), budget=b), (0, 1)),
 ], ids=["sup_value_lowerbounds", "uniform_value_sequence_form",
         "extract_eps_optimal_sequence_form", "extract_eps_optimal_reduction"])
@@ -754,7 +754,7 @@ def test_horizons_must_be_integers_at_least_one(entry, bad):
     value of 0; ``simulate`` ended in a ZeroDivisionError or a TypeError,
     or gave a summary of -1 replicas."""
     with pytest.raises(GameModelError, match="must be"):
-        entry(corpus.quitting_game(), bad)
+        entry(corpus.build_game("quitting_game"), bad)
 
 
 @pytest.mark.parametrize("bad", [2.5, 3.0, True, 0, -1])
@@ -769,4 +769,4 @@ def test_sweep_counts_must_be_integers_at_least_one(name, entry, bad):
     to end in a TypeError from ``range`` or a list index, and True was
     taken as 1."""
     with pytest.raises(PreconditionError, match=f"^{name} must be"):
-        entry(corpus.quitting_game(), bad)
+        entry(corpus.build_game("quitting_game"), bad)

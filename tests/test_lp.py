@@ -634,7 +634,7 @@ def test_sequence_form_lp_pivot_path_pinned(name, horizon, monkeypatch):
         return sol
 
     monkeypatch.setattr(seqform, "solve_lp", recording_solve)
-    seqform.nstage_value(getattr(corpus, name)(), horizon)
+    seqform.nstage_value(corpus.build_game(name), horizon)
     (sol,) = solved
     pivots, objective, primal, duals = PINNED_SEQUENCE_FORM[name, horizon]
     assert sol.pivots == pivots
@@ -654,7 +654,7 @@ def test_sup_bound_lp_pivot_path_pinned(monkeypatch):
         return sol
 
     monkeypatch.setattr(seqform, "solve_lp", recording_solve)
-    value = supvalue.sup_lower_bound(corpus.example3_bigmatch_blind1(), 50)
+    value = supvalue.sup_lower_bound(corpus.build_game("example3_bigmatch_blind1"), 50)
     (sol,) = solved
     assert value == sol.objective == F(50, 51)
     assert sol.pivots == 152

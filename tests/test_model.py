@@ -77,12 +77,12 @@ def test_corpus_games_validate(games):
 
 
 def test_validate_reports_bad_mass_and_missing_entry():
-    spec = corpus.example1_guessing()
+    spec = corpus.build_game("example1_guessing")
     spec.initial = {("s2", "n1", "n2"): F(9, 10)}
     problems = spec.validate()
     assert any("9/10" in p and "initial" in p for p in problems)
 
-    spec2 = corpus.example1_guessing()
+    spec2 = corpus.build_game("example1_guessing")
     del spec2.transition[("s1", "T", "R")]
     problems2 = spec2.validate()
     assert any("missing entry ('s1', 'T', 'R')" in p for p in problems2)
@@ -92,7 +92,7 @@ def test_symmetric_validate_reports_spurious_transition_entries():
     """A transition key outside states x actions1 x actions2, which
     ``expand`` would drop, is reported as ``GameSpec.validate`` reports
     it."""
-    spec = corpus.quitting_game()
+    spec = corpus.build_game("quitting_game")
     assert spec.validate() == []
     some = next(iter(spec.transition.values()))
     spec.transition[("nowhere", "Q", "J")] = dict(some)
@@ -123,7 +123,7 @@ def test_absorbing_detection_matches_bruteforce(games):
 
 
 def test_absorbing_payoffs_example1():
-    spec = corpus.example1_guessing()
+    spec = corpus.build_game("example1_guessing")
     assert spec.absorbing_states == frozenset({"1*", "-1*", "2*", "-2*", "0*"})
     assert spec.absorbing_payoff("-2*") == F(-2)
 
@@ -155,9 +155,9 @@ def _check_witness_labels(sym):
                                for (x2, s), p in sym.transition[(x, i, j)].items() if p > 0}
 
 
-def test_symmetric_detection_roundtrip_corpus(games):
-    for name in corpus.SYMMETRIC_GAMES:
-        _check_witness_labels(games[name])
+def test_symmetric_detection_roundtrip_corpus(symmetric_games):
+    for sym in symmetric_games.values():
+        _check_witness_labels(sym)
 
 
 def test_symmetric_detection_roundtrip_random():
@@ -222,7 +222,7 @@ def test_validate_reports_malformed_keys_and_spurious_rewards():
     ``initial`` that is not a dict, and a reward entry for an undeclared
     state, listed after the spurious transition entries.  ``as_general``
     refuses each such spec with GameModelError."""
-    spec = corpus.bigmatch_nosignals()
+    spec = corpus.build_game("bigmatch_nosignals")
     dist = spec.transition[("s", "T", "L")]
     dist[("1*", "n1")] = dist.pop(("1*", "n1", "n2"))
     spec.transition[("s", "T")] = {("s", "n1", "n2"): F(1)}
@@ -237,11 +237,11 @@ def test_validate_reports_malformed_keys_and_spurious_rewards():
     with pytest.raises(GameModelError, match="not a 3-tuple"):
         as_general(spec)
 
-    spec = corpus.bigmatch_nosignals()
+    spec = corpus.build_game("bigmatch_nosignals")
     spec.initial = [(("s", "n1", "n2"), F(1))]
     assert spec.validate() == ["initial: not a dict"]
 
-    symmetric = corpus.quitting_game()
+    symmetric = corpus.build_game("quitting_game")
     (key, p), = symmetric.initial.items()
     symmetric.initial = {key + ("extra",): p}
     assert symmetric.validate() == [
@@ -251,11 +251,11 @@ def test_validate_reports_malformed_keys_and_spurious_rewards():
 
     # a spurious reward entry used to pass validation and end in an
     # AttributeError (a float) or in a refusal naming the undeclared state
-    spec = corpus.bigmatch_nosignals()
+    spec = corpus.build_game("bigmatch_nosignals")
     spec.reward[("nowhere", "T", "L")] = 0.5
     with pytest.raises(GameModelError, match="spurious entry"):
         nstage_value(spec, 2)
-    spec = corpus.mdp_final_remark()
+    spec = corpus.build_game("mdp_final_remark")
     spec.reward[("nowhere", "Top", "-")] = F(1, 7)
     assert spec.validate() == ["reward: spurious entry ('nowhere', 'Top', '-')"]
     with pytest.raises(GameModelError, match="spurious entry"):
@@ -330,7 +330,7 @@ def test_fullmonitor_bigmatch_symmetric(games):
 
 
 def test_asymmetric_pairing_detected():
-    spec = corpus.bigmatch_nosignals()
+    spec = corpus.build_game("bigmatch_nosignals")
     # same signal emitted under different action pairs -> not symmetric
     witness = is_symmetric_signaling(spec)
     assert not witness
@@ -386,7 +386,7 @@ def test_project_public_forgets_states(games):
 
 
 def test_strategy_lookup_and_tail():
-    spec = corpus.bigmatch_nosignals()
+    spec = corpus.build_game("bigmatch_nosignals")
     sigma = BehavioralStrategy(
         player=1, horizon=1,
         table={("n1",): {"T": F(1, 3), "B": F(2, 3)}},
@@ -418,6 +418,23 @@ def test_strategy_lookup_and_tail():
             best_response_value(spec, s, 3)
         with pytest.raises(GameModelError, match=f"unknown view kind {kind!r}"):
             exact_play_distribution(build_trees(spec, 1), s, u, 1)
+
+    # ``validate`` applies the engines' mix rule: the exact tail the best
+    # reply accepts passes (it used to report an int and a mass of 0), and
+    # an action the player lacks fails once the game's actions are given
+    # (it used to pass, while every engine refuses it)
+    quitting = corpus.build_game("quitting_game")
+    exact = BehavioralStrategy(player=1, horizon=0, table={}, tail={"C": 1, "Q": F(0)})
+    assert exact.validate() == exact.validate(quitting.actions1) == []
+    assert best_response_value(quitting, exact, 2) == 0
+    foreign = replace(exact, tail={"Z": F(1)})
+    assert foreign.validate() == []
+    assert foreign.validate(quitting.actions1) == [
+        "strategy tail: 'Z' is not an action of player 1"]
+    with pytest.raises(GameModelError, match="'Z' is not an action of player 1"):
+        best_response_value(quitting, foreign, 2)
+    assert replace(sigma, table={("n1",): {"T": F(1, 2)}}).validate() == [
+        "strategy view ('n1',): the mass is 1/2, not 1"]
 
 
 def test_random_games_validate():

@@ -58,8 +58,8 @@ def test_tracer_hooks_read_belief_graphs():
     the reduction's build cannot silently break ``bench/run.py --trace
     1``."""
     tracer = _tracer()
-    for game, n in ((corpus.quitting_game(), 100),
-                    (corpus.noisy_public_2state(), 40)):
+    for game, n in ((corpus.build_game("quitting_game"), 100),
+                    (corpus.build_game("noisy_public_2state"), 40)):
         counts = {name: 0 for name in tracer.COUNT_NAMES}
         aux = reduction.build_auxiliary(game, n)
         tracer.HOOKS["reduction.build_auxiliary"](counts, (game, n), {}, aux)
@@ -264,3 +264,10 @@ def test_only_model_reads_action_dist():
     readers = [path.name for path in sorted(src.rglob("*.py"))
                if "action_dist" in _referenced_names(path)]
     assert readers == ["model.py"]
+
+
+def test_corpus_builds_no_game():
+    """The corpus has one source, ``games/*.game``: ``corpus`` loads the
+    files and constructs no game spec of its own."""
+    names = _referenced_names(Path(corpus.__file__))
+    assert not names & {"GameSpec", "SymmetricGameSpec"}

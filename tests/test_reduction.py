@@ -51,7 +51,7 @@ from signalgames.seqform import nstage_value
 
 def test_signal_transition_noisy_example():
     # prior 1/2-1/2, likelihoods 1/3 vs 2/3: marginal of signal u is 1/2
-    aux = build_auxiliary(corpus.noisy_public_2state(), 2)
+    aux = build_auxiliary(corpus.build_game("noisy_public_2state"), 2)
     (root,) = aux.roots
     for i in aux.actions1:
         for j in aux.actions2:
@@ -80,7 +80,7 @@ def test_signal_transition_refuses_pruned_nodes_and_is_empty_at_leaves():
     expanded, a belief first reached at the horizon, has the empty one.  A
     horizon member whose belief was expanded at an earlier depth has that
     belief's distribution."""
-    game = corpus.quitting_game()
+    game = corpus.build_game("quitting_game")
     dag = build_auxiliary(game, 3)
     pruned = [node for level in dag.levels for node in level if node.pruned]
     assert pruned
@@ -92,7 +92,7 @@ def test_signal_transition_refuses_pruned_nodes_and_is_empty_at_leaves():
                 assert "merge" not in str(err.value)
                 assert "build with" not in str(err.value)
     seen = {"unexpanded": 0, "expanded": 0}
-    for game in (corpus.quitting_game(), corpus.noisy_public_2state()):
+    for game in (corpus.build_game("quitting_game"), corpus.build_game("noisy_public_2state")):
         dag = build_auxiliary(game, 3)
         above = {node.key for level in dag.levels[:-1] for node in level}
         for node in dag.levels[-1]:
@@ -112,7 +112,7 @@ def test_signal_transition_refuses_pruned_nodes_and_is_empty_at_leaves():
 
 
 def test_constant_signal_psi_trivial():
-    aux = build_auxiliary(corpus.bigmatch_fullmonitor(), 3)
+    aux = build_auxiliary(corpus.build_game("bigmatch_fullmonitor"), 3)
     (root,) = aux.roots
     for i in aux.actions1:
         for j in aux.actions2:
@@ -156,14 +156,14 @@ def test_belief_recursion_matches_member_trees():
 
 def test_posterior_examples():
     # Dirac prior, deterministic transitions -> Dirac posterior
-    aux = build_auxiliary(corpus.bigmatch_fullmonitor(), 2)
+    aux = build_auxiliary(corpus.build_game("bigmatch_fullmonitor"), 2)
     (root,) = aux.roots
     assert root.posterior == {"s": F(1)}
     for w, child in root.children.values():
         assert len(child.posterior) == 1 and sum(child.posterior.values()) == 1
 
     # likelihood 1/3 vs 2/3 -> posterior (1/3, 2/3) after u
-    aux2 = build_auxiliary(corpus.noisy_public_2state(), 2)
+    aux2 = build_auxiliary(corpus.build_game("noisy_public_2state"), 2)
     (root2,) = aux2.roots
     for (edge, label), (w, child) in root2.children.items():
         if label == "u":
@@ -230,7 +230,7 @@ def test_posterior_martingale_one_step():
 
 
 def test_lift_payoff_constant_and_revealing():
-    sym = corpus.noisy_public_2state()
+    sym = corpus.build_game("noisy_public_2state")
     pair = build_trees(sym, 3)
     lifted = lift_payoff(pair, lambda h: F(7, 3))
     assert set(lifted.values()) == {F(7, 3)}
@@ -257,7 +257,7 @@ def test_lift_payoff_refuses_inexact_values():
     """A payoff value must be an int or a Fraction: a float would enter the
     solvers as its binary expansion, 0.1 as
     3602879701896397/36028797018963968, passed off as an exact value."""
-    pair = build_trees(corpus.quitting_game(), 2)
+    pair = build_trees(corpus.build_game("quitting_game"), 2)
     for bad in (0.1, 1.0, True, False, "1/10", None):
         with pytest.raises(GameModelError, match="an int or a Fraction"):
             lift_payoff(pair, lambda h, bad=bad: bad)
@@ -330,7 +330,7 @@ def test_lift_payoff_matches_kernel_oracle():
 
 
 def test_solve_backward_horizon1_is_stage_game():
-    sym = corpus.noisy_public_2state()
+    sym = corpus.build_game("noisy_public_2state")
     aux = build_auxiliary(sym, 1)
     sol = solve_backward(aux, payoff=MEAN)
     # expected stage matrix under the prior
@@ -409,7 +409,7 @@ def test_solve_backward_solves_each_distinct_stage_matrix_once(monkeypatch):
     live histories above the absorbed ones), ``repr`` for ``repr``."""
     from signalgames import reduction
 
-    aux = build_auxiliary(corpus.quitting_game(), 7)
+    aux = build_auxiliary(corpus.build_game("quitting_game"), 7)
     solved = []
 
     def counted(matrix):
@@ -462,13 +462,13 @@ def _augmented_paths(aux):
     return dict(level)
 
 
-def test_history_augmented_game_keeps_the_public_view(games):
+def test_history_augmented_game_keeps_the_public_view(symmetric_games):
     """The game whose states are the histories keeps its base game's
     public labels, so ``_resolve_view`` finds the public view on it for
     the symmetric corpus games at N = 3; without the labels its signals
     admit no public view and it is refused."""
-    for name in corpus.SYMMETRIC_GAMES:
-        spec = games[name].expand()
+    for name, sym in symmetric_games.items():
+        spec = sym.expand()
         pair = build_trees(spec, 3)
         augmented, _ = history_augmented(spec, pair)
         assert augmented.public_label == spec.public_label
@@ -628,7 +628,7 @@ def test_solve_backward_reads_strategies_on_a_merged_dag():
     """On the merged quitting DAG ``solve_backward`` gives the sweep's value
     with and without strategies, and its tables are the per-history
     tree's: one entry per live observed history, 1 + 2 + 4 at n = 3."""
-    dag = build_auxiliary(corpus.quitting_game(), 3)
+    dag = build_auxiliary(corpus.build_game("quitting_game"), 3)
     sol = _assert_matches_every_node(dag)
     assert sol.value == solve_backward(dag, want_strategies=False).value == \
         solve_horizons(dag, [3])[3]
@@ -647,7 +647,7 @@ def _keys_and_posteriors(dag):
 
 def test_belief_keys_number_posteriors_across_depths():
     """Keys are equal, at any depths, exactly when posteriors are."""
-    dag = build_auxiliary(corpus.quitting_game(), 6)
+    dag = build_auxiliary(corpus.build_game("quitting_game"), 6)
     assert len(_keys_and_posteriors(dag)) == 3
     for seed in range(20):
         sym = random_symmetric_game(seed, n_states=3, n_signals=3)
@@ -655,7 +655,7 @@ def test_belief_keys_number_posteriors_across_depths():
 
 
 def test_solve_horizons_rejects_bad_input():
-    dag = build_auxiliary(corpus.quitting_game(), 3)
+    dag = build_auxiliary(corpus.build_game("quitting_game"), 3)
     for horizons in ([], [0, 1], [4], [2.5], [1, 2.0], [True]):
         with pytest.raises(GameModelError):
             solve_horizons(dag, horizons)
@@ -665,7 +665,7 @@ def test_solve_backward_refuses_every_payoff_but_the_mean():
     """The belief graph holds a stage-additive payoff only: any payoff
     other than "mean", the lifted values of ``lift_payoff`` among them,
     is refused before anything is solved."""
-    game = corpus.quitting_game()
+    game = corpus.build_game("quitting_game")
     dag = build_auxiliary(game, 3)
     pair = build_trees(game, 3)
     lifted = lift_payoff(pair, dict.fromkeys(pair.histories(3), F(1)))
@@ -678,7 +678,7 @@ def test_solve_backward_refuses_every_payoff_but_the_mean():
 
 
 def test_solve_backward_strategies_are_distributions():
-    aux = build_auxiliary(corpus.quitting_game(), 3)
+    aux = build_auxiliary(corpus.build_game("quitting_game"), 3)
     sol = solve_backward(aux, payoff=MEAN)
     for table in (sol.strategy1.table, sol.strategy2.table):
         for view, dist in table.items():
@@ -795,7 +795,7 @@ def test_strategy_walk_charges_one_node_per_observed_history():
     absorbed ones, 2**(n+1) - 3 of them: 4093 to n = 11 and 8189 to
     n = 12.  So it raises where a build of one node per observed history
     would, though the DAG itself holds 3n - 2 nodes."""
-    game = corpus.quitting_game()
+    game = corpus.build_game("quitting_game")
     assert len(solve_backward(build_auxiliary(game, 11, budget=4093))
                .strategy1.table) == 2 ** 11 - 1
     with pytest.raises(BudgetExceededError) as err:
@@ -868,7 +868,7 @@ def test_path_count_precheck_matches_charged_walk():
 def test_build_auxiliary_rejects_horizons_below_one():
     for horizon in (0, -1):
         with pytest.raises(GameModelError, match="horizon must be >= 1"):
-            build_auxiliary(corpus.quitting_game(), horizon)
+            build_auxiliary(corpus.build_game("quitting_game"), horizon)
 
 
 def _recursive_game(seed, start_absorbed=False):
@@ -1014,7 +1014,7 @@ def test_solve_horizons_builds_one_fraction_per_horizon(monkeypatch, games):
 
     monkeypatch.setattr(reduction, "Fraction", counted)
     for game, n_max in ((games["mdp_final_remark"], 300),
-                        (corpus.quitting_game(), 100)):
+                        (corpus.build_game("quitting_game"), 100)):
         dag = build_auxiliary(game, n_max)
         horizons = list(range(1, 13)) + [40, n_max]
         built.clear()
@@ -1026,7 +1026,7 @@ def test_belief_node_repr_shows_its_own_fields_only():
     """Through ``links`` a node's repr would nest its descendants' reprs,
     exponentially many on a deep graph, and a failed assertion reprs the
     values it compared."""
-    dag = build_auxiliary(corpus.quitting_game(), 4)
+    dag = build_auxiliary(corpus.build_game("quitting_game"), 4)
     for level in dag.levels:
         for node in level:
             assert repr(node) == (
@@ -1096,7 +1096,7 @@ def test_graph_link_weights_are_depth_free():
     sums to 1, also at the horizon, and each graph node's link weights
     equal those of every tree history it stands for (a weight scaled by
     its node's depth would be off by a power of D)."""
-    game = corpus.quitting_game()
+    game = corpus.build_game("quitting_game")
     for n in (4, 5, 7):
         dag = build_auxiliary(game, n)
         tree = observed_tree(game, n)
@@ -1130,8 +1130,8 @@ def test_belief_graph_node_counts_pinned():
     n = 1000, 399 nodes and 20100 memberships for the noisy public game
     to n = 200."""
     for game, n, distinct, members in (
-            (corpus.quitting_game(), 1000, 3, 2998),
-            (corpus.noisy_public_2state(), 200, 399, 20100)):
+            (corpus.build_game("quitting_game"), 1000, 3, 2998),
+            (corpus.build_game("noisy_public_2state"), 200, 399, 20100)):
         dag = build_auxiliary(game, n)
         nodes = {id(node): node for level in dag.levels for node in level}
         assert len(nodes) == len({node.key for node in nodes.values()}) == distinct

@@ -106,9 +106,8 @@ def test_strategies_certified_by_best_response():
             assert best_response_value(spec, sol.strategy2, n, responder=1) == sol.value
 
 
-def test_backward_equals_sequence_form_symmetric_corpus(games):
-    for name in corpus.SYMMETRIC_GAMES:
-        sym = games[name]
+def test_backward_equals_sequence_form_symmetric_corpus(symmetric_games):
+    for name, sym in symmetric_games.items():
         for n in range(1, 5):
             aux = build_auxiliary(sym, n)
             back = solve_backward(aux, payoff=RED_MEAN, want_strategies=False)
@@ -168,7 +167,7 @@ def test_terminal_payoff_values_must_be_exact():
     """Both solvers refuse a terminal or determined payoff value that is
     not an int or a Fraction (a float, a bool), which would otherwise come
     back as a binary expansion passed off as an exact value."""
-    game = corpus.quitting_game()
+    game = corpus.build_game("quitting_game")
     fixed = uniform_strategy(game.expand(), 1)
     for bad in (0.1, True, "1/10"):
         for terminal in (
@@ -194,14 +193,6 @@ def test_public_strategy_certificates(games):
     spec = sym.expand()
     assert best_response_value(spec, back.strategy1, n, responder=2) == back.value
     assert best_response_value(spec, back.strategy2, n, responder=1) == back.value
-
-
-def test_arbitrary_views_flagged():
-    # a state where player 1's plan never sends mass: views reported
-    spec = corpus.example3_bigmatch_blind1()
-    sol = nstage_value(spec, 3)
-    assert isinstance(sol.arbitrary_views1, list)
-    assert isinstance(sol.arbitrary_views2, list)
 
 
 def test_sequence_form_program_prunes_absorbed(games):
@@ -230,7 +221,7 @@ def test_best_response_refuses_a_bad_responder_or_fixed_player(
     """The responder is player 1 or 2, and ``fixed`` is its opponent's
     strategy: either mistake is a GameModelError before the walk, where it
     used to end in a KeyError on a stage key."""
-    spec = corpus.quitting_game().expand()
+    spec = corpus.build_game("quitting_game").expand()
     fixed = uniform_strategy(spec, fixed_player)
     with pytest.raises(GameModelError, match=match):
         best_response_value(spec, fixed, 3, responder=responder)
@@ -318,7 +309,7 @@ def test_best_response_refuses_an_unknown_evaluation():
     """An evaluation that is neither "mean" nor a TerminalPayoff is a
     GameModelError, as in ``nstage_value``, where it used to be read as the
     mean payoff."""
-    spec = corpus.quitting_game().expand()
+    spec = corpus.build_game("quitting_game").expand()
     fixed = uniform_strategy(spec, 1)
     assert best_response_value(spec, fixed, 2, "mean") == F(1, 8)
     for bad in ("bogus", None, 0):
@@ -370,7 +361,7 @@ def test_best_response_refuses_a_malformed_fixed_mix(tail, match, engine):
     or 0 for an unknown action, each with a kernel check reporting all
     exact, and an AttributeError on floats; ``simulate`` sampled from the
     same mixes and ended in a KeyError on an unknown action."""
-    spec = corpus.quitting_game().expand()
+    spec = corpus.build_game("quitting_game").expand()
     tau = uniform_strategy(spec, 2)
     run = _MIX_READERS[engine]
     pair = build_trees(spec, 2)
@@ -393,7 +384,7 @@ def test_best_response_at_a_long_horizon_matches_the_blind_mdp():
     blind MDP is its n-stage value: a blind plan is an action sequence, and
     only its first Bottom counts, at stage t, for (n - t)(1 - 2**(1-t))/n;
     t <= 64 covers every n below 2**64."""
-    spec = corpus.mdp_final_remark()
+    spec = corpus.build_game("mdp_final_remark")
     n = 1000
     want = max(F((n - t) * (2 ** (t - 1) - 1), n * 2 ** (t - 1))
                for t in range(1, 65))
