@@ -34,9 +34,10 @@ That kernel is never built as a table of ``Fraction``s.
 play walk gives each history's strategy weight as an integer pair (the
 same walk serves ``exact_play_distribution``), and per observation the
 member masses and the play masses are compared with the observation's
-mass, all over their level's scale.  At the horizon the kernel row of an
-observation is its members' masses over its own, which is all
-``reduction.lift_payoff`` reads.
+mass, all over their level's scale; an observation whose one member
+carries its whole mass needs only that comparison.  At the horizon the
+kernel row of an observation is its members' masses over its own, which
+is all ``reduction.lift_payoff`` reads.
 
 The play walk belongs to the (tree pair, sigma, tau) triple, not to a
 call: the pair keeps the levels walked so far for the last strategy pair
@@ -194,52 +195,51 @@ def build_trees(spec_or_sym, horizon: int,
                     for i in spec.actions1 for j in spec.actions2
                     for x2, c, d, q in form.transition[(x, i, j)]]
 
-    # Level 1 from the initial distribution.
+    # Level 1 from the initial distribution.  Each history joins the
+    # observation of its key under its parent's observation, opened on
+    # first sight: ``groups`` maps the key, (edge, label) below level 1,
+    # to that ObservedNode.
     scale = form.P
     level1 = []
-    groups: dict = {}                   # (edge, label) -> ObservedNode
+    groups: dict = {}
     for x, c, d, mass in form.initial:
         nodes.charge(1)
-        node = HistoryNode(state=x, sig1=c, sig2=d, mass=mass,
-                           scale=scale, depth=1)
+        node = HistoryNode(x, c, d, mass, scale, 1)
         level1.append(node)
-        _group(groups, (None, label_of(c, d)), node, None)
+        key = label_of(c, d)
+        ob = groups.get(key)
+        if ob is None:
+            ob = groups[key] = ObservedNode(key, None, 0, scale, 1)
+        ob.members.append(node)
+        ob.mass += mass
 
     levels = [level1]
     obs_levels = [list(groups.values())]
 
-    for n in range(1, horizon):
+    for depth in range(2, horizon + 1):
         scale *= form.D
         next_level: list = []
         next_obs: list = []
-        for ob in obs_levels[-1]:
+        for parent_ob in obs_levels[-1]:
             groups = {}
-            for h in ob.members:
+            for h in parent_ob.members:
                 for via, key, x2, c, d, q in moves[h.state]:
-                    nodes.charge(n + 1)
-                    child = HistoryNode(state=x2, sig1=c, sig2=d,
-                                        mass=h.mass * q, scale=scale,
-                                        depth=n + 1, parent=h, via=via)
+                    nodes.charge(depth)
+                    mass = h.mass * q
+                    child = HistoryNode(x2, c, d, mass, scale, depth, h, via)
                     next_level.append(child)
-                    _group(groups, key, child, ob)
-            next_obs.extend(groups.values())
+                    ob = groups.get(key)
+                    if ob is None:
+                        ob = groups[key] = ObservedNode(key[1], key[0], 0, scale,
+                                                        depth, parent_ob)
+                        next_obs.append(ob)
+                    ob.members.append(child)
+                    ob.mass += mass
         levels.append(next_level)
         obs_levels.append(next_obs)
 
     return TreePair(spec=spec, view=view, horizon=horizon, levels=levels,
                     obs_levels=obs_levels)
-
-
-def _group(groups: dict, key: tuple, node: HistoryNode, parent) -> None:
-    """Add ``node`` and its mass to the observation ``key`` = (edge, label)
-    under ``parent``, opening it on first sight."""
-    ob = groups.get(key)
-    if ob is None:
-        ob = groups[key] = ObservedNode(label=key[1], edge=key[0], mass=0,
-                                        scale=node.scale, depth=node.depth,
-                                        parent=parent)
-    ob.members.append(node)
-    ob.mass += node.mass
 
 
 # ---------------------------------------------------------------------------
@@ -295,10 +295,13 @@ class _PlayWalk:
     the product of both players' action probabilities along it, as an
     unreduced integer pair (num, den), in tree order; histories played
     with probability 0 are left out.  ``plays[m]`` holds, for each level-m
-    observation in tree order, its play denominator (the lcm of its played
-    members' weight denominators) and each member's play numerator over it
-    (0 where the member is not played).  Only the strategies and the tree's
-    shape determine either; no mass is kept.
+    observation in tree order with two or more members, its play
+    denominator (the lcm of its played members' weight denominators) and
+    each member's play numerator over it (0 where the member is not
+    played), and None for a one-member observation: ``conditional_check``
+    needs no play mass there unless the member's mass differs from the
+    observation's, and then reads the member's weight.  Only the
+    strategies and the tree's shape determine either; no mass is kept.
     """
 
     sigma: BehavioralStrategy
@@ -347,20 +350,23 @@ def _strategy_weights(pair: TreePair, sigma: BehavioralStrategy,
 
 
 def _play_masses(pair: TreePair, sigma: BehavioralStrategy,
-                 tau: BehavioralStrategy, m: int) -> list:
-    """``_PlayWalk.plays[m]`` of the walk kept on ``pair``, made on first
-    request from the level-m weights."""
+                 tau: BehavioralStrategy, m: int) -> tuple:
+    """The level-m weights and ``_PlayWalk.plays[m]`` of the walk kept on
+    ``pair``, the latter made on first request from the former."""
     weights = _strategy_weights(pair, sigma, tau, m)
     plays = pair._walk.plays
     kept = plays.get(m)
     if kept is None:
         kept = plays[m] = []
         for v in pair.observations(m):
+            if len(v.members) == 1:
+                kept.append(None)
+                continue
             ws = [weights.get(h) for h in v.members]
             play_den = lcm(*(w[1] for w in ws if w is not None))
             kept.append((play_den, [0 if w is None else w[0] * (play_den // w[1])
                                     for w in ws]))
-    return kept
+    return weights, kept
 
 
 # ---------------------------------------------------------------------------
@@ -416,6 +422,16 @@ def conditional_check(pair: TreePair, sigma, tau, n: int,
     discrepancy, so the report equals the dense every-pair check in
     ``Fraction``s.
 
+    Arithmetic is done only where an identity can fail.  An observation
+    with one member h whose mass a equals the observation's is certified
+    by that comparison: its kernel row is the point mass at h's level-n
+    ancestor, and with p the member's play numerator, s = a and
+    jp = q = a * p, so sum of s == mass and jp * mass == s * q hold for
+    every strategy pair.  Such an observation keeps no play masses in the
+    walk.  Where the two masses differ (a tree changed after it was
+    built), the observation is checked like any other, its member's play
+    numerator read from the walk's weights (0 when it is not played).
+
     One-step compatibility (the level-n kernel is its level-(n+1)
     refinement folded onto parents) is not checked here: both sides fold
     the same member masses along the same ``parent`` links, so no tree can
@@ -433,7 +449,7 @@ def conditional_check(pair: TreePair, sigma, tau, n: int,
     if n > m:
         raise GameModelError("need 1 <= n <= m")
 
-    plays = _play_masses(pair, sigma, tau, m)
+    weights, plays = _play_masses(pair, sigma, tau, m)
     max_disc = ZERO
     checked = 0
     width = len(pair.histories(n))
@@ -441,10 +457,19 @@ def conditional_check(pair: TreePair, sigma, tau, n: int,
     bayes_ok = True
     sum_ok = True
 
-    for v, (play_den, nums) in zip(pair.observations(m), plays):
+    for v, kept in zip(pair.observations(m), plays):
         mass = v.mass
         if mass <= 0:
             raise GameModelError("observation has zero weight")
+        if kept is None:                # one member: a point-mass row
+            h = v.members[0]
+            if h.mass == mass:
+                checked += width
+                continue
+            w = weights.get(h)
+            play_den, nums = (1, [0]) if w is None else (w[1], [w[0]])
+        else:
+            play_den, nums = kept
         s: dict = {}                    # h_n -> mass over S
         jp: dict = {}                   # h_n -> play mass over S * play_den
         for h, p in zip(v.members, nums):

@@ -107,15 +107,38 @@ class IntegerForm:
     """A game's numbers as integers over three scales (``GameSpec.integer_form``):
     P, D and L are the lcms of the denominators of the positive initial
     probabilities, the positive transition probabilities and the rewards.
-    Zero-probability outcomes are dropped; the rest keep the spec's order."""
+    Zero-probability outcomes are dropped; the rest keep the spec's order.
+
+    The chance tables are derived with the form; L, ``reward`` and
+    ``absorbing`` are derived from ``spec`` on first read, so a caller
+    that reads only chance (``histories.build_trees``) pays for no reward
+    and leaves ``spec.absorbing_states`` uncomputed."""
 
     P: int
     initial: list                       # [(x, c, d, mass over P)]
     D: int
     transition: dict                    # (x, i, j) -> [(x2, c, d, numerator over D)]
-    L: int
-    reward: dict                        # (x, i, j) -> reward over L
-    absorbing: dict                     # absorbing state -> its payoff over L
+    spec: "GameSpec" = field(repr=False, compare=False)
+
+    @cached_property
+    def L(self) -> int:
+        return denominator_lcm(self.spec.reward.values())
+
+    @cached_property
+    def reward(self) -> dict:
+        """(x, i, j) -> reward over L."""
+        L = self.L
+        return {key: g.numerator * (L // g.denominator)
+                for key, g in self.spec.reward.items()}
+
+    @cached_property
+    def absorbing(self) -> dict:
+        """Absorbing state -> its payoff over L, the first pair's reward;
+        read from the spec's cached ``absorbing_states``."""
+        spec, reward = self.spec, self.reward
+        i, j = spec.actions1[0], spec.actions2[0]
+        return {x: reward[(x, i, j)] for x in spec.states
+                if x in spec.absorbing_states}
 
 
 @dataclass(eq=False)
@@ -186,24 +209,20 @@ class GameSpec:
         return self.reward[(x, self.actions1[0], self.actions2[0])]
 
     def integer_form(self) -> IntegerForm:
-        """The spec's ``IntegerForm``, derived on every call, but ``absorbing``
-        reads the cached ``absorbing_states``, stale on a spec changed since
-        (ROADMAP item 14); an absorbing payoff is the first pair's reward."""
+        """The spec's ``IntegerForm``, derived on every call; its reward
+        tables on their first read.  ``absorbing`` reads the cached
+        ``absorbing_states``, stale on a spec changed since (ROADMAP item
+        14)."""
         initial = [(key, p) for key, p in self.initial.items() if p]
         transition = {key: [(out, p) for out, p in dist.items() if p]
                       for key, dist in self.transition.items()}
         P = denominator_lcm(p for _, p in initial)
         D = denominator_lcm(p for outs in transition.values() for _, p in outs)
-        L = denominator_lcm(self.reward.values())
-        reward = {key: g.numerator * (L // g.denominator)
-                  for key, g in self.reward.items()}
-        i, j = self.actions1[0], self.actions2[0]
         return IntegerForm(
             P, [(*key, p.numerator * (P // p.denominator)) for key, p in initial],
             D, {key: [(*out, p.numerator * (D // p.denominator)) for out, p in outs]
                 for key, outs in transition.items()},
-            L, reward, {x: reward[(x, i, j)] for x in self.states
-                        if x in self.absorbing_states})
+            self)
 
 
 @dataclass(eq=False)

@@ -1,7 +1,8 @@
 import gc
+import hashlib
 import random
 import weakref
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction as F
 
 import pytest
@@ -35,6 +36,7 @@ from signalgames.histories import (
     simulate,
 )
 from signalgames.model import (
+    JOINT,
     PUBLIC,
     BehavioralStrategy,
     GameSpec,
@@ -43,7 +45,7 @@ from signalgames.model import (
     public_labels,
     uniform_strategy,
 )
-from signalgames.rationals import ZERO
+from signalgames.rationals import ZERO, format_rational
 from signalgames.recursive import extract_eps_optimal, uniform_value
 from signalgames.reduction import build_auxiliary, solve_horizons
 from signalgames.seqform import best_response_value, build_sequence_form, nstage_value
@@ -136,6 +138,20 @@ def test_build_trees_builds_no_fraction(games, monkeypatch):
             for v in got.observations(n):
                 assert v.mass == sum(h.mass for h in v.members)
                 assert {v.scale} == {h.scale for h in v.members}
+
+
+def test_build_trees_reads_no_reward(games):
+    """The trees need chance only: on a fresh general spec ``build_trees``
+    leaves the cached ``absorbing_states`` uncomputed, and a later read of
+    the integer form's absorbing table still finds the corpus game's
+    absorbing states."""
+    spec = random_game(3)
+    build_trees(spec, 3)
+    assert "absorbing_states" not in vars(spec)
+    spec = as_general(games["bigmatch_nosignals"])
+    build_trees(spec, 3)
+    assert "absorbing_states" not in vars(spec)
+    assert set(spec.integer_form().absorbing) == spec.absorbing_states != set()
 
 
 def test_coprime_game_masses_need_the_level_scale():
@@ -461,6 +477,82 @@ def test_kept_walk_reads_masses_afresh():
             report = conditional_check(pair, sigma, tau, n, m)
             assert report == dense_conditional_check(pair, sigma, tau, n, m)
             assert report.all_exact == (m < 3), (n, m)
+
+
+def _one_member_observations(pair, m, probs, played):
+    """The level-m observations with exactly one member, in tree order,
+    whose member is in the play distribution ``probs`` if ``played``,
+    else not."""
+    return [v for v in pair.observations(m)
+            if len(v.members) == 1 and (v.members[0] in probs) == played]
+
+
+@pytest.mark.parametrize("corruption", [
+    "one-member-observation-mass",
+    "one-member-member-mass",
+    "unplayed-one-member-observation-mass",
+])
+def test_one_member_observations_match_dense_oracle(corruption):
+    """A one-member observation whose member carries the observation's
+    whole mass satisfies every identity; the check takes a shortcut there.
+    Where the two masses differ the observation is checked in full: one
+    level-3 observation's mass x7, one member's mass x3, or the mass x5 of
+    an observation that a pure sigma never plays each give the dense
+    oracle's report at every (n, m), failing only at m = 3, and the
+    unplayed one only normalization."""
+    spec = random_game(12)
+    rng = random.Random(12)
+    tau = random_strategy(rng, spec, 2, 3)
+    sigma = random_strategy(rng, spec, 1, 3)
+    if corruption.startswith("unplayed"):
+        sigma = constant_strategy(spec, 1, spec.actions1[0])
+    pair = build_trees(spec, 3)
+    assert pair.view == JOINT
+    for m in (2, 3):
+        sizes = [len(v.members) for v in pair.observations(m)]
+        assert 1 in sizes and max(sizes) > 1, m
+    probs = exact_play_distribution(pair, sigma, tau, 3).probs
+    if corruption == "one-member-observation-mass":
+        _one_member_observations(pair, 3, probs, True)[0].mass *= 7
+        flags = (False, False, False)
+    elif corruption == "one-member-member-mass":
+        _one_member_observations(pair, 3, probs, True)[1].members[0].mass *= 3
+        flags = (False, False, False)
+    else:
+        _one_member_observations(pair, 3, probs, False)[0].mass *= 5
+        flags = (False, True, True)
+    for m in range(1, 4):
+        for n in range(1, m + 1):
+            report = conditional_check(pair, sigma, tau, n, m)
+            assert report == dense_conditional_check(pair, sigma, tau, n, m), (n, m)
+            if m < 3:
+                assert report.all_exact, (n, m)
+            else:
+                assert (report.normalization_ok, report.bayes_ok,
+                        report.sum_identity_ok) == flags, n
+
+
+def test_conditional_check_reports_pinned():
+    """Every report at 1 <= n <= m <= 3 on 12 general and 4 symmetric
+    random games under seeded strategies, each field in declared order
+    through ``format_rational``, one line per report: the SHA-256 of the
+    lines is the one the full per-observation check gave."""
+    digest = hashlib.sha256()
+    games = ([random_game(seed) for seed in range(12)]
+             + [random_symmetric_game(seed) for seed in range(4)])
+    for k, game in enumerate(games):
+        spec = as_general(game)
+        rng = random.Random(k)
+        sigma = random_strategy(rng, spec, 1, 3)
+        tau = random_strategy(rng, spec, 2, 3)
+        pair = build_trees(game, 3)
+        for m in range(1, 4):
+            for n in range(1, m + 1):
+                report = conditional_check(pair, sigma, tau, n, m)
+                digest.update(" ".join(format_rational(getattr(report, f.name))
+                                       for f in fields(report)).encode() + b"\n")
+    assert digest.hexdigest() == (
+        "27212445f91d406385ff6b27de11c2c94967021cb461f77c46c31fb05f2e7899")
 
 
 def _count_action_dists(strategy, calls: list) -> None:
