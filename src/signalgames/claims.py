@@ -11,7 +11,8 @@ Expected limsup of an eventually-constant action profile: propagate the
 exact state distribution through the finitely many non-stationary stages,
 then analyze the stationary tail chain — the limsup of stage payoffs equals
 the best payoff of the recurrent class the chain settles in, and the
-settling probabilities solve a small exact linear system.
+transient states' expected limsups solve a small exact linear system, one
+certified ``lp.solve_lp`` call.
 
 Because the expected payoff is linear in the first-switch weights, the
 supremum over the whole truncated family is attained at a vertex (a
@@ -26,7 +27,7 @@ from fractions import Fraction
 
 from .corpus import build_game
 from .errors import GameModelError, PreconditionError, _exact, require_horizon
-from .lp import solve_matrix_game
+from .lp import EQ, OPTIMAL, LinearProgram, solve_lp, solve_matrix_game
 from .model import GameSpec
 from .rationals import ONE, ZERO, format_rational
 
@@ -113,57 +114,42 @@ def _recurrent_classes(chain: dict):
     return sorted(set(classes), key=lambda c: sorted(c))
 
 
-def _solve_linear(matrix, rhs):
-    """Exact Gaussian elimination; matrix is n x n, rhs n x k."""
-    n = len(matrix)
-    aug = [list(matrix[r]) + list(rhs[r]) for r in range(n)]
-    width = len(aug[0])
-    row = 0
-    for col in range(n):
-        piv = next((r for r in range(row, n) if aug[r][col] != 0), None)
-        if piv is None:
-            raise GameModelError("singular linear system")
-        aug[row], aug[piv] = aug[piv], aug[row]
-        inv = Fraction(1) / aug[row][col]
-        aug[row] = [v * inv for v in aug[row]]
-        for r in range(n):
-            if r != row and aug[r][col] != 0:
-                k = aug[r][col]
-                aug[r] = [v - k * w for v, w in zip(aug[r], aug[row])]
-        row += 1
-    return [r[n:] for r in aug]
-
-
 def _tail_limsup(spec: GameSpec, dist: dict, a: str, b: str) -> Fraction:
-    """E[limsup stage payoff] when actions are (a, b) forever from now."""
+    """E[limsup stage payoff] when actions are (a, b) forever from now.
+
+    A recurrent state's limsup is its class's best payoff.  On the transient
+    states it solves h = Q h + r, Q the chain among them and r(x) the sum,
+    over the recurrent classes, of x's one-step mass into the class times
+    its best payoff: one exact LP of = rows over free variables with a zero
+    objective.  The system is nonsingular because play leaves the transient
+    states."""
     chain = _chain(spec, a, b)
     classes = _recurrent_classes(chain)
-    payoff = {cls: max(spec.reward[(x, a, b)] for x in cls) for cls in classes}
-    in_class = {x: cls for cls in classes for x in cls}
-    transient = [x for x in spec.states if x not in in_class]
+    best = {x: max(spec.reward[(y, a, b)] for y in cls)
+            for cls in classes for x in cls}
+    transient = [x for x in spec.states if x not in best]
 
-    absorb: dict = {}
     if transient:
-        # (I - Q) p = R 1_class, one column per recurrent class
-        matrix = [[(Fraction(1) if r == c else ZERO) - chain[xr].get(xc, ZERO)
-                   for c, xc in enumerate(transient)]
-                  for r, xr in enumerate(transient)]
-        rhs = [[sum((p for y, p in chain[xr].items() if y in cls), ZERO)
-                for cls in classes] for xr in transient]
-        sol = _solve_linear(matrix, rhs)
-        for r, x in enumerate(transient):
-            absorb[x] = {cls: sol[r][k] for k, cls in enumerate(classes)}
+        col = {x: k for k, x in enumerate(transient)}
+        rows, rhs = [], []
+        for x in transient:
+            row = {col[x]: ONE}
+            r = ZERO
+            for y, p in chain[x].items():
+                if y in col:
+                    row[col[y]] = row.get(col[y], ZERO) - p
+                else:
+                    r += p * best[y]
+            rows.append(row)
+            rhs.append(r)
+        sol = solve_lp(LinearProgram(objective=[ZERO] * len(transient), rows=rows,
+                                     senses=[EQ] * len(transient), rhs=rhs,
+                                     free=frozenset(col.values())))
+        if sol.status != OPTIMAL:
+            raise GameModelError(f"tail chain system is {sol.status}")
+        best.update(zip(transient, sol.primal))
 
-    total = ZERO
-    for x, p in dist.items():
-        if p == 0:
-            continue
-        if x in in_class:
-            total += p * payoff[in_class[x]]
-        else:
-            for cls, q in absorb[x].items():
-                total += p * q * payoff[cls]
-    return total
+    return sum((p * best[x] for x, p in dist.items() if p != 0), ZERO)
 
 
 def expected_limsup(spec: GameSpec, plan1: FirstSwitchPlan,

@@ -69,6 +69,17 @@ def _write(path, text: str) -> None:
         raise _unwritable(path, err) from None
 
 
+def _value_table(column: str, values, csv) -> None:
+    """The table ``n,<column>,decimal`` of ``(n, value)`` pairs, written to
+    the ``csv`` path or, without one, printed."""
+    text = "".join([f"n,{column},decimal\n"] + [
+        f"{n},{format_rational(v)},{decimal_repr(v)}\n" for n, v in values])
+    if csv:
+        _write(csv, text)
+    else:
+        print(text, end="")
+
+
 def _strategies(args, spec) -> tuple:
     """``--sigma``/``--tau`` strategy files, uniform play where absent.  A
     file playing an action its player lacks exits 1 with one line; a file of
@@ -232,14 +243,7 @@ def cmd_solve_nstage(args) -> int:
 def cmd_solve_sup(args) -> int:
     spec = _load(args.game)
     report = sup_value_lowerbounds(spec, args.max_horizon)
-    lines = ["n,lower_bound,decimal"]
-    for n, v in report.values:
-        lines.append(f"{n},{format_rational(v)},{decimal_repr(v)}")
-    text = "\n".join(lines) + "\n"
-    if args.csv:
-        _write(args.csv, text)
-    else:
-        print(text, end="")
+    _value_table("lower_bound", report.values, args.csv)
     last_n, last = report.values[-1]
     print(f"best certified lower bound: v(F_{last_n}) = {_fmt(last)}")
     if report.upper is not None:
@@ -256,14 +260,7 @@ def cmd_solve_recursive(args) -> int:
     spec = _load(args.game)
     report = uniform_value(spec, tol=args.tol, n_max=args.max_horizon,
                            window=args.window)
-    lines = ["n,value,decimal"]
-    for n, v in report.value_sequence:
-        lines.append(f"{n},{format_rational(v)},{decimal_repr(v)}")
-    text = "\n".join(lines) + "\n"
-    if args.csv:
-        _write(args.csv, text)
-    else:
-        print(text, end="")
+    _value_table("value", report.value_sequence, args.csv)
     print(f"certified lower bound of the uniform value: "
           f"{_fmt(report.certified_lower)}")
     print(f"stabilized={report.stabilized} "

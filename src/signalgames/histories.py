@@ -582,10 +582,10 @@ def simulate(spec_or_sym, sigma: BehavioralStrategy, tau: BehavioralStrategy,
         except OverflowError:
             raise GameModelError(f"reward at state {x!r}, actions {i!r}, "
                                  f"{j!r} is beyond float range") from None
+    form = spec.integer_form()
     # absorbing state -> its payoff, the reward under any action pair
     held = {x: gains[(x, spec.actions1[0], spec.actions2[0])]
-            for x in spec.absorbing_states}
-    form = spec.integer_form()
+            for x in form.absorbing}
     init_items = sorted((((x, c, d), (m, form.P)) for x, c, d, m in form.initial),
                         key=lambda kv: str(kv[0]))
     moves = {key: sorted((((x2, c, d), (q, form.D)) for x2, c, d, q in outs),

@@ -111,8 +111,9 @@ class IntegerForm:
 
     The chance tables are derived with the form; L, ``reward`` and
     ``absorbing`` are derived from ``spec`` on first read, so a caller
-    that reads only chance (``histories.build_trees``) pays for no reward
-    and leaves ``spec.absorbing_states`` uncomputed."""
+    that reads only chance (``histories.build_trees``) derives no reward
+    and detects no absorbing state.  ``absorbing`` is the one place a
+    game's absorbing states and payoffs are derived."""
 
     P: int
     initial: list                       # [(x, c, d, mass over P)]
@@ -133,12 +134,22 @@ class IntegerForm:
 
     @cached_property
     def absorbing(self) -> dict:
-        """Absorbing state -> its payoff over L, the first pair's reward;
-        read from the spec's cached ``absorbing_states``."""
-        spec, reward = self.spec, self.reward
-        i, j = spec.actions1[0], spec.actions2[0]
-        return {x: reward[(x, i, j)] for x in spec.states
-                if x in spec.absorbing_states}
+        """Absorbing state -> its payoff over L, in ``spec.states`` order.
+        A state is absorbing when, under every action pair, its stay
+        numerators sum to D and its reward is the same.  Detected, never
+        declared."""
+        moves, reward = self.transition, self.reward
+        out = {}
+        for x in self.spec.states:
+            pays = set()
+            for i, j in self.spec.action_pairs():
+                if sum(q for x2, _, _, q in moves[(x, i, j)] if x2 == x) != self.D:
+                    break
+                pays.add(reward[(x, i, j)])
+            else:
+                if len(pays) == 1:
+                    out[x] = pays.pop()
+        return out
 
 
 @dataclass(eq=False)
@@ -182,37 +193,12 @@ class GameSpec:
         if problems:
             raise GameModelError("invalid game spec: " + "; ".join(problems[:5]))
 
-    # -- derived structure -------------------------------------------------
-
-    @cached_property
-    def absorbing_states(self) -> frozenset[str]:
-        """States that self-loop with probability 1 under every action pair,
-        with an action-independent reward.  Detected, never declared."""
-        out = set()
-        for x in self.states:
-            rewards = set()
-            ok = True
-            for i, j in self.action_pairs():
-                dist = self.transition.get((x, i, j), {})
-                stay = sum((p for (x2, _, _), p in dist.items() if x2 == x), ZERO)
-                if stay != 1:
-                    ok = False
-                    break
-                rewards.add(self.reward.get((x, i, j)))
-            if ok and len(rewards) == 1:
-                out.add(x)
-        return frozenset(out)
-
-    def absorbing_payoff(self, x: str) -> Fraction:
-        if x not in self.absorbing_states:
-            raise GameModelError(f"state {x!r} is not absorbing")
-        return self.reward[(x, self.actions1[0], self.actions2[0])]
+    # -- integer form ----------------------------------------------------
 
     def integer_form(self) -> IntegerForm:
-        """The spec's ``IntegerForm``, derived on every call; its reward
-        tables on their first read.  ``absorbing`` reads the cached
-        ``absorbing_states``, stale on a spec changed since (ROADMAP item
-        14)."""
+        """The spec's ``IntegerForm``, derived on every call, so it
+        follows every change to the spec; its reward and absorbing tables
+        on their first read."""
         initial = [(key, p) for key, p in self.initial.items() if p]
         transition = {key: [(out, p) for out, p in dist.items() if p]
                       for key, dist in self.transition.items()}

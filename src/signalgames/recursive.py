@@ -57,11 +57,11 @@ def classify(spec_or_sym) -> RecursiveClassification:
     """Exact structural test: rewards vanish outside absorbing states, and
     absorbing payoffs are all nonnegative."""
     spec = as_general(spec_or_sym)
-    absorbing = [(x, spec.absorbing_payoff(x)) for x in spec.states
-                 if x in spec.absorbing_states]
+    form = spec.integer_form()
+    absorbing = [(x, Fraction(a, form.L)) for x, a in form.absorbing.items()]
     offending = []
     for (x, i, j), g in spec.reward.items():
-        if x not in spec.absorbing_states and g != 0:
+        if x not in form.absorbing and g != 0:
             offending.append((x, i, j, g))
     is_recursive = not offending
     is_nonnegative = all(pay >= 0 for _, pay in absorbing)

@@ -143,7 +143,7 @@ class AuxiliaryGame:
     actions1: list
     actions2: list
     edge_of: object                      # the view's edge_of, model.projection
-    step: int                            # D of ``GameSpec.integer_form``
+    form: IntegerForm                    # the spec's, derived by the build
     budget: int                          # the node limit the build was charged
 
     def signal_transition(self, node: BeliefNode, i: str, j: str) -> dict:
@@ -220,7 +220,6 @@ def build_auxiliary(spec_or_sym, horizon: int,
     require_horizon(horizon)
     view, public_of = _resolve_view(spec)
     edge_of, label_of = projection(view, public_of)
-    absorbing = spec.absorbing_states
     nodes = Budget(budget)
 
     # integer transition numerators, flattened per state in the order
@@ -248,7 +247,8 @@ def build_auxiliary(spec_or_sym, horizon: int,
         if made is None:
             made = graph[exact] = BeliefNode(
                 label=label, mu=mu, mass=mass, scale=scale,
-                pruned=absorbing.issuperset(mu), key=next(running), step=form.D)
+                pruned=form.absorbing.keys() >= mu.keys(), key=next(running),
+                step=form.D)
         return made
 
     # Level 1: one root per label, each with its mass.
@@ -291,7 +291,7 @@ def build_auxiliary(spec_or_sym, horizon: int,
     return AuxiliaryGame(spec=spec, view=view, horizon=horizon, roots=roots,
                          levels=levels, actions1=list(spec.actions1),
                          actions2=list(spec.actions2), edge_of=edge_of,
-                         step=form.D, budget=nodes.limit)
+                         form=form, budget=nodes.limit)
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +445,7 @@ def _shapley(aux: AuxiliaryGame, horizons, solutions: dict | None = None) -> dic
     these are the strategies of the node's ``Fraction`` matrix (D**(k-1) L
     s times smaller), and nodes of equal belief have equal ones.
     """
-    form = aux.spec.integer_form()
+    form = aux.form
     wanted = sorted(set(horizons))
     plans: dict = {}                     # key -> its cells, row or column
     absorbed = {root.key: _absorbed_rate(form, root)
@@ -460,13 +460,13 @@ def _shapley(aux: AuxiliaryGame, horizons, solutions: dict | None = None) -> dic
     values = {}
     factor = 1                           # D**(k-1)
     tail = (0, 0)                        # closed children's multiplier
-    twos = (aux.step & -aux.step).bit_length() - 1    # D = odd * 2**twos
+    twos = (form.D & -form.D).bit_length() - 1    # D = odd * 2**twos
     active = 0                           # wanted[active:] are the n >= k
 
     for k in range(1, wanted[-1] + 1):
         if k > 1:                        # D**(k-2) (k-1) = t 2**shift
             shift = twos * (k - 2)
-            tail = ((k - 1) * (factor // aux.step >> shift), shift)
+            tail = ((k - 1) * (factor // form.D >> shift), shift)
         if wanted[active] < k:
             active += 1
         current: dict = {}
@@ -501,7 +501,7 @@ def _shapley(aux: AuxiliaryGame, horizons, solutions: dict | None = None) -> dic
                 total += root.mass * u
             values[k] = Fraction(total, form.P * factor * form.L * k)
         previous = current
-        factor *= aux.step
+        factor *= form.D
     return values
 
 

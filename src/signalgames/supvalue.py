@@ -42,13 +42,14 @@ class AugmentedGame:
     def _determined_fn(self, reach: dict):
         """The running maximum's final value, where play can no longer move
         it: in an absorbing state, or once no reachable reward exceeds it."""
-        base = self.base
+        form = self.base.integer_form()
+        held = {x: Fraction(a, form.L) for x, a in form.absorbing.items()}
         decode = self.decode
 
         def determined_fn(aug_state):
             x, m = decode[aug_state]
-            if x in base.absorbing_states:
-                g = base.absorbing_payoff(x)
+            g = held.get(x)
+            if g is not None:
                 return g if m is None else max(m, g)
             if m is not None and m >= reach[x]:
                 return m

@@ -1,4 +1,5 @@
-"""Independent oracles: pure-strategy enumeration, closed forms, the game
+"""Independent oracles: absorbing-state detection in Fractions,
+pure-strategy enumeration, closed forms, the game
 whose states are a tree's histories, the history trees, the play
 distribution, the conditional kernel and the dense kernel-identity check
 in Fractions, the per-history observed tree read off an explicit tree,
@@ -37,6 +38,22 @@ from signalgames.model import (
 )
 from signalgames.reduction import _resolve_view
 from signalgames.seqform import TerminalPayoff
+
+
+def absorbing_payoffs(spec_or_sym) -> dict:
+    """Absorbing state -> its payoff, in the spec's state order: the states
+    that stay put with probability 1 and pay the same under every action
+    pair, detected in Fractions.  Reference for ``IntegerForm.absorbing``."""
+    spec = as_general(spec_or_sym)
+    out = {}
+    for x in spec.states:
+        keys = [(x, i, j) for i in spec.actions1 for j in spec.actions2]
+        stays = all(sum((p for (x2, _, _), p in spec.transition[key].items()
+                         if x2 == x), F(0)) == 1 for key in keys)
+        pays = {spec.reward[key] for key in keys}
+        if stays and len(pays) == 1:
+            out[x] = pays.pop()
+    return out
 
 
 def pure_strategies(spec, player, horizon, cap=None):
@@ -166,6 +183,7 @@ def fraction_solve_horizons(aux, horizons):
     Reference for ``reduction.solve_horizons``, which runs the same
     recursion on unnormalized integer beliefs."""
     wanted = sorted(set(horizons))
+    held = absorbing_payoffs(aux.spec)
     previous = {}
     values = {}
     for k in range(1, wanted[-1] + 1):
@@ -178,8 +196,7 @@ def fraction_solve_horizons(aux, horizons):
                     continue
                 if node.pruned:
                     current[node.key] = k * sum(
-                        (w * aux.spec.absorbing_payoff(x)
-                         for x, w in node.posterior.items()), F(0))
+                        (w * held[x] for x, w in node.posterior.items()), F(0))
                 else:
                     current[node.key] = matrix_game_value(naive_stage_matrix(
                         aux, node,
@@ -578,14 +595,15 @@ def naive_best_response_value(spec_or_sym, fixed, horizon, evaluation="mean",
     actions = list(spec.actions2 if responder == 2 else spec.actions1)
     banked = {}                          # responder sequence -> Fraction
     infosets = {}                        # responder view -> None, in order
+    held = absorbing_payoffs(spec)
 
     def bank(seq, amount):
         banked[seq] = banked.get(seq, F(0)) + amount
 
     def determined(x, depth):
         if terminal is None:
-            if x in spec.absorbing_states:
-                return spec.absorbing_payoff(x) * (N - depth + 1) / N
+            if x in held:
+                return held[x] * (N - depth + 1) / N
             return None
         return terminal.determined_fn(x)
 

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from oracles import absorbing_payoffs
 from signalgames import corpus
 from signalgames.cli import main
 from signalgames.errors import GameModelError
@@ -31,8 +32,8 @@ def test_every_claim_has_provenance_and_single_operation():
 def test_example_encodings_match_sources(games):
     # guessing game: payoffs only at the five absorbing states
     g1 = games["example1_guessing"]
-    assert g1.absorbing_payoff("1*") == 1
-    assert g1.absorbing_payoff("-2*") == -2
+    assert absorbing_payoffs(g1)["1*"] == 1
+    assert absorbing_payoffs(g1)["-2*"] == -2
     assert g1.initial == {("s2", "n1", "n2"): F(1)}
     assert g1.transition[("s2", "T", "R")] == {
         ("-1*", "n1", "n2"): F(1, 2), ("s3", "n1", "n2"): F(1, 2)}
@@ -41,7 +42,7 @@ def test_example_encodings_match_sources(games):
 
     # one-sided variant: quitting early absorbs at -1/2 for player 1
     g2 = games["example2_informed"]
-    assert g2.absorbing_payoff("-1/2*") == F(-1, 2)
+    assert absorbing_payoffs(g2)["-1/2*"] == F(-1, 2)
     (key,) = g2.transition[("s2", "B", "L")]
     assert key[0] == "-1/2*"
     # player 2's signal reveals arrival state and both actions

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import absorbing_payoffs
 from randgen import random_game, random_symmetric_game
 from signalgames import corpus
 from signalgames.errors import ParseError, UnknownIdError
@@ -44,7 +45,7 @@ def test_exact_rational_parse():
     assert '"-1/2"' in doc  # lowest-terms exact payoff in the document
     back = parse_spec(doc)
     assert back.reward[("s2", "B", "L")] == 0
-    assert back.absorbing_payoff("-1/2*") == F(-1, 2)
+    assert absorbing_payoffs(back)["-1/2*"] == F(-1, 2)
 
 
 def test_parse_error_reports_location():

@@ -8,6 +8,7 @@ from fractions import Fraction as F
 import pytest
 
 from oracles import (
+    absorbing_payoffs,
     ancestor,
     dense_conditional_check,
     fraction_build_trees,
@@ -40,6 +41,7 @@ from signalgames.model import (
     PUBLIC,
     BehavioralStrategy,
     GameSpec,
+    IntegerForm,
     as_general,
     projection,
     public_labels,
@@ -140,18 +142,24 @@ def test_build_trees_builds_no_fraction(games, monkeypatch):
                 assert {v.scale} == {h.scale for h in v.members}
 
 
-def test_build_trees_reads_no_reward(games):
-    """The trees need chance only: on a fresh general spec ``build_trees``
-    leaves the cached ``absorbing_states`` uncomputed, and a later read of
-    the integer form's absorbing table still finds the corpus game's
-    absorbing states."""
-    spec = random_game(3)
-    build_trees(spec, 3)
-    assert "absorbing_states" not in vars(spec)
-    spec = as_general(games["bigmatch_nosignals"])
-    build_trees(spec, 3)
-    assert "absorbing_states" not in vars(spec)
-    assert set(spec.integer_form().absorbing) == spec.absorbing_states != set()
+def test_build_trees_reads_no_reward(games, monkeypatch):
+    """The trees need chance only: ``build_trees`` builds with the integer
+    form's L, reward and absorbing tables made to raise on any read, and
+    the same trees as without them."""
+    specs = [random_game(3), as_general(games["bigmatch_nosignals"])]
+    built = [build_trees(spec, 3) for spec in specs]
+
+    def unread(name):
+        def read(form):
+            raise AssertionError(f"build_trees read IntegerForm.{name}")
+        return property(read)
+
+    for name in ("L", "reward", "absorbing"):
+        monkeypatch.setattr(IntegerForm, name, unread(name))
+    for spec, want in zip(specs, built):
+        assert _tree_rows(build_trees(spec, 3)) == _tree_rows(want)
+    with pytest.raises(AssertionError, match="IntegerForm.absorbing"):
+        specs[1].integer_form().absorbing
 
 
 def test_coprime_game_masses_need_the_level_scale():
@@ -304,8 +312,8 @@ def test_play_distribution_example3_stage1_absorption(games):
     dist = exact_play_distribution(build_trees(spec, 2),
                                    uniform_strategy(spec, 1),
                                    uniform_strategy(spec, 2), 2)
-    absorbed = sum((p for h, p in dist.probs.items()
-                    if h.state in spec.absorbing_states), ZERO)
+    held = absorbing_payoffs(spec)
+    absorbed = sum((p for h, p in dist.probs.items() if h.state in held), ZERO)
     assert absorbed == F(1, 2)
 
 

@@ -5,11 +5,11 @@ from math import lcm
 
 import pytest
 
-from oracles import ancestor
+from oracles import absorbing_payoffs, ancestor
 from randgen import constant_strategy, random_game, random_symmetric_game
 from signalgames import corpus, reduction
 from signalgames.errors import GameModelError, UnsupportedStructureError
-from signalgames.histories import build_trees, exact_play_distribution
+from signalgames.histories import build_trees, exact_play_distribution, simulate
 from signalgames.model import (
     JOINT,
     PLAYER1,
@@ -26,8 +26,10 @@ from signalgames.model import (
     uniform_strategy,
 )
 from signalgames.rationals import decimal_repr, format_rational, parse_rational
-from signalgames.recursive import uniform_value
+from signalgames.recursive import classify, uniform_value
+from signalgames.reduction import build_auxiliary
 from signalgames.seqform import best_response_value, nstage_value
+from signalgames.supvalue import augment_running_max
 
 
 def test_parse_rational_exact():
@@ -104,28 +106,73 @@ def test_symmetric_validate_reports_spurious_transition_entries():
 
 
 def test_absorbing_detection_matches_bruteforce(games):
-    for name, spec in games.items():
-        if hasattr(spec, "expand"):
-            spec = spec.expand()
-        expected = set()
-        for x in spec.states:
-            stays = all(
-                sum((p for (x2, _, _), p in spec.transition[(x, i, j)].items()
-                     if x2 == x), F(0)) == 1
-                for i in spec.actions1 for j in spec.actions2)
-            same_pay = len({spec.reward[(x, i, j)] for i in spec.actions1
-                            for j in spec.actions2}) == 1
-            if stays and same_pay:
-                expected.add(x)
-        assert set(spec.absorbing_states) == expected, name
-        # idempotent (cached) and stable
-        assert spec.absorbing_states == spec.absorbing_states
+    """``integer_form().absorbing``, in integers, gives the states and the
+    payoffs over L of the Fraction brute force, in the spec's state order,
+    on the corpus, seeded random games of both kinds, their running-max
+    augmentations, and a state that stays put but pays unequally."""
+    specs = [as_general(game) for game in games.values()]
+    specs += [random_game(seed) for seed in range(20)]
+    specs += [random_symmetric_game(seed).expand() for seed in range(20)]
+    specs += [augment_running_max(spec).spec for spec in specs]
+    unequal = corpus.build_game("bigmatch_nosignals")
+    unequal.reward[("0*", "T", "L")] = F(1)
+    specs.append(unequal)
+    found = 0
+    for spec in specs:
+        form = spec.integer_form()
+        expected = absorbing_payoffs(spec)
+        assert {x: F(a, form.L) for x, a in form.absorbing.items()} == expected
+        assert list(form.absorbing) == list(expected)
+        assert all(type(a) is int for a in form.absorbing.values())
+        found += bool(expected)
+    assert found > 20
+    assert list(unequal.integer_form().absorbing) == ["1*"]
 
 
 def test_absorbing_payoffs_example1():
-    spec = corpus.build_game("example1_guessing")
-    assert spec.absorbing_states == frozenset({"1*", "-1*", "2*", "-2*", "0*"})
-    assert spec.absorbing_payoff("-2*") == F(-2)
+    form = corpus.build_game("example1_guessing").integer_form()
+    assert {x: F(a, form.L) for x, a in form.absorbing.items()} == {
+        "1*": 1, "-1*": -1, "2*": 2, "-2*": -2, "0*": 0}
+
+
+def _moved_to_0(spec):
+    """``spec``, changed in place: ``1*`` moves to ``0*`` under every action
+    pair, with the signals it emitted."""
+    for i, j in spec.action_pairs():
+        spec.transition[("1*", i, j)] = {
+            ("0*", *out[1:]): p for out, p in spec.transition[("1*", i, j)].items()}
+    return spec
+
+
+@pytest.mark.parametrize("name", ["bigmatch_nosignals", "bigmatch_fullmonitor"])
+def test_a_spec_edited_between_solves_gives_the_fresh_answer(name):
+    """Nothing derived is kept on a spec: after a solve, making ``1*`` move
+    to ``0*`` changes the next solve, the classification, the simulation
+    and (under symmetric signaling) the belief pruning exactly as on a
+    fresh spec with the same edit."""
+    spec = as_general(corpus.build_game(name))   # one object for every call
+    sigma, tau = uniform_strategy(spec, 1), uniform_strategy(spec, 2)
+    pruning = public_labels(spec) is not None
+
+    def beliefs(game):
+        return [[(node.mu, node.pruned) for node in level]
+                for level in build_auxiliary(game, 3).levels]
+
+    assert nstage_value(spec, 3).value == F(1, 2)
+    assert ("1*", F(1)) in classify(spec).absorbing
+    before = simulate(spec, sigma, tau, 4, 0, 20)
+    if pruning:
+        assert ({"1*": 1}, True) in beliefs(spec)[1]
+    _moved_to_0(spec)
+    fresh = _moved_to_0(as_general(corpus.build_game(name)))
+    assert nstage_value(spec, 3).value == nstage_value(fresh, 3).value == F(4, 9)
+    assert classify(spec) == classify(fresh)
+    assert not classify(spec).is_recursive
+    assert simulate(spec, sigma, tau, 4, 0, 20) == simulate(fresh, sigma, tau, 4, 0, 20) \
+        != before
+    if pruning:
+        assert beliefs(spec) == beliefs(fresh)
+        assert ({"1*": 1}, False) in beliefs(spec)[1]
 
 
 def _check_witness_labels(sym):
@@ -306,9 +353,8 @@ def test_integer_form_matches_the_spec_fractions(games):
         assert form.L == lcm(*(g.denominator for g in spec.reward.values()))
         assert list(form.reward) == list(spec.reward)
         assert {key: F(r, form.L) for key, r in form.reward.items()} == spec.reward
-        assert {x: F(a, form.L) for x, a in form.absorbing.items()} == {
-            x: spec.absorbing_payoff(x) for x in spec.states
-            if x in spec.absorbing_states}
+        assert {x: F(a, form.L) for x, a in form.absorbing.items()} == \
+            absorbing_payoffs(spec)
         numbers = [m for *_, m in form.initial] + list(form.reward.values()) + [
             q for out in form.transition.values() for *_, q in out]
         assert all(type(n) is int for n in numbers)

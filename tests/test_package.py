@@ -1,4 +1,5 @@
 import ast
+import functools
 import importlib
 import inspect
 import json
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import signalgames
-from signalgames import corpus, reduction
+from signalgames import corpus, model, reduction
 
 
 def test_star_import_resolves_every_exported_name():
@@ -271,3 +272,18 @@ def test_corpus_builds_no_game():
     files and constructs no game spec of its own."""
     names = _referenced_names(Path(corpus.__file__))
     assert not names & {"GameSpec", "SymmetricGameSpec"}
+
+
+@pytest.mark.parametrize("name", ["GameSpec", "SymmetricGameSpec", "BehavioralStrategy"])
+def test_mutable_model_objects_cache_nothing(name):
+    """A spec or strategy can be changed in place, so nothing derived from
+    it is cached on it: no member of these classes is a
+    ``functools.cached_property`` or a ``functools.cache``/``lru_cache``
+    wrapper.  Derived tables live on the per-call ``IntegerForm``."""
+    cls = getattr(model, name)
+    cached = [attr for klass in cls.__mro__[:-1]
+              for attr, member in vars(klass).items()
+              if isinstance(member, functools.cached_property)
+              or isinstance(getattr(member, "__func__", member),
+                            functools._lru_cache_wrapper)]
+    assert not cached, cached

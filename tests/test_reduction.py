@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    absorbing_payoffs,
     auxiliary_from_trees,
     fraction_solve_horizons,
     history_augmented,
@@ -350,13 +351,13 @@ def _every_node_backward(game, N, prune=True, strategies=True):
     Returns the value and both players' strategy tables, which are empty
     without ``strategies``: then each node takes its game's value only."""
     tree = observed_tree(game, N)
-    absorbing = tree.spec.absorbing_states if prune else frozenset()
+    held = absorbing_payoffs(tree.spec) if prune else {}
     closed, below = set(), set()
     for level in tree.levels:
         for node in level:
             if id(node.parent) in closed | below:
                 below.add(id(node))
-            elif absorbing.issuperset(node.posterior):
+            elif held.keys() >= node.posterior.keys():
                 closed.add(id(node))
     values, solutions = {}, {}
     for depth in range(N, 0, -1):
@@ -365,8 +366,7 @@ def _every_node_backward(game, N, prune=True, strategies=True):
                 continue
             if id(node) in closed:
                 values[id(node)] = (N - depth + 1) * sum(
-                    (w * tree.spec.absorbing_payoff(x)
-                     for x, w in node.posterior.items()), ZERO)
+                    (w * held[x] for x, w in node.posterior.items()), ZERO)
                 continue
             matrix = naive_stage_matrix(
                 tree, node, (lambda child: values[id(child)]) if depth < N else None)
@@ -608,7 +608,7 @@ def test_integer_sweep_equals_fraction_recursion(monkeypatch):
         dag = build_auxiliary(game, 4)
         seen[dag.view] += 1
         nodes = [node for level in dag.levels for node in level]
-        seen["non-dyadic step"] += dag.step & (dag.step - 1) != 0
+        seen["non-dyadic step"] += dag.form.D & (dag.form.D - 1) != 0
         seen["reward lcm > 1"] += any(g.denominator > 1
                                       for g in dag.spec.reward.values())
         seen["several roots"] += len(dag.roots) > 1
@@ -741,14 +741,15 @@ def test_integer_stage_matrix_is_scaled_naive_formula():
     for game in cases:
         aux = build_auxiliary(game, 4)
         seen[aux.view] += 1
-        D = aux.step
+        form = aux.form
+        D = form.D
         L = lcm(*(g.denominator for g in aux.spec.reward.values()))
-        form = aux.spec.integer_form()
+        held = absorbing_payoffs(aux.spec)
         values = {}
 
         def absorbed_value(child, k):
-            return (k - 1) * sum((w * aux.spec.absorbing_payoff(x)
-                                  for x, w in child.posterior.items()), F(0))
+            return (k - 1) * sum((w * held[x] for x, w in child.posterior.items()),
+                                 F(0))
 
         def continuation(child, k):
             if child.pruned:
