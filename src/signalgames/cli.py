@@ -272,6 +272,11 @@ def cmd_solve_recursive(args) -> int:
         print(f"eps-optimal strategy (horizon {report.strategy_horizon}, "
               f"guarantee {_fmt(report.strategy_guarantee)}) written to "
               f"{args.strategy_out}")
+    if report.budget_hit:
+        print(f"resource budget exhausted: values computed to horizon "
+              f"{report.value_sequence[-1][0]} of {args.max_horizon}",
+              file=sys.stderr)
+        return EXIT_RESOURCE
     return EXIT_OK
 
 

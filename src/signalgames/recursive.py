@@ -87,6 +87,7 @@ class UniformValueReport:
     player2_cap_at_horizon: Fraction | None
     strategy_eps_achieved: Fraction | None
     route: str
+    budget_hit: bool                     # the budget cut the schedule short
 
 
 def default_schedule(n_max: int) -> list:
@@ -153,9 +154,11 @@ def _extract(spec: GameSpec, route: str, values: list, target, budget):
     raise first
 
 
-def _schedule_values(spec: GameSpec, route: str, horizons: list, budget) -> list:
-    """``[(n, v_n)]`` for the longest prefix of ``horizons`` that fits the
-    node budget; the first horizon's BudgetExceededError when none does."""
+def _schedule_values(spec: GameSpec, route: str, horizons: list, budget) -> tuple:
+    """``([(n, v_n)], budget_hit)`` for the longest prefix of ``horizons``
+    that fits the node budget, ``budget_hit`` True when that prefix is
+    shorter than ``horizons``; the first horizon's BudgetExceededError
+    when none fits."""
     if route.startswith("reduction"):
         return _sweep_values(spec, horizons, budget)
     values = []
@@ -165,12 +168,13 @@ def _schedule_values(spec: GameSpec, route: str, horizons: list, budget) -> list
         except BudgetExceededError:
             if not values:
                 raise
-            break
-    return values
+            return values, True
+    return values, False
 
 
-def _sweep_values(spec: GameSpec, horizons: list, budget) -> list:
-    """One belief graph to the largest horizon, one stage-indexed pass.
+def _sweep_values(spec: GameSpec, horizons: list, budget) -> tuple:
+    """One belief graph to the largest horizon, one stage-indexed pass;
+    returns what ``_schedule_values`` does.
 
     Levels 1..n of that graph, the nodes reached at each depth and their
     charges, are those of the graph built to horizon n, so an overflow at
@@ -181,16 +185,16 @@ def _sweep_values(spec: GameSpec, horizons: list, budget) -> list:
     def build(top):
         return build_auxiliary(spec, top, budget=budget)
 
+    fits = horizons
     try:
         aux = build(max(horizons))
     except BudgetExceededError as err:
-        cut = next(k for k, n in enumerate(horizons) if n >= err.level_reached)
-        horizons = horizons[:cut]
-        if not horizons:
+        fits = [n for n in horizons if n < err.level_reached]
+        if not fits:
             raise
-        aux = build(max(horizons))
-    by_n = solve_horizons(aux, horizons)
-    return [(n, by_n[n]) for n in horizons]
+        aux = build(fits[-1])
+    by_n = solve_horizons(aux, fits)
+    return [(n, by_n[n]) for n in fits], len(fits) < len(horizons)
 
 
 def uniform_value(spec_or_sym, tol=Fraction(1, 10000), n_max: int = 512,
@@ -210,8 +214,8 @@ def uniform_value(spec_or_sym, tol=Fraction(1, 10000), n_max: int = 512,
     heuristic and is always a true guarantee for player 1.  The schedule
     must be strictly increasing positive integers and is read up to its
     first point above ``n_max``.  Under a node budget the values stop
-    before the first horizon that does not fit; when the first does not,
-    its BudgetExceededError is raised.  The returned
+    before the first horizon that does not fit, with ``budget_hit`` set;
+    when the first does not, its BudgetExceededError is raised.  The returned
     strategies are those of the first horizon within 1/20 of
     ``certified_lower`` whose build fits, else of the largest horizon that
     fits; ``extract_eps_optimal`` extracts for any other eps.
@@ -242,7 +246,7 @@ def uniform_value(spec_or_sym, tol=Fraction(1, 10000), n_max: int = 512,
     if not horizons:
         raise PreconditionError(
             f"the schedule needs horizons in 1..n_max={n_max}, got {pts}")
-    values = _schedule_values(spec, route, horizons, budget)
+    values, budget_hit = _schedule_values(spec, route, horizons, budget)
     require_nondecreasing(
         values, "n-stage values of a recursive nonnegative game")
 
@@ -288,7 +292,7 @@ def uniform_value(spec_or_sym, tol=Fraction(1, 10000), n_max: int = 512,
         player2_strategy=strat2, player2_cap_at_horizon=p2_cap,
         strategy_eps_achieved=(certified - strat_value
                                if strat_value is not None else None),
-        route=route)
+        route=route, budget_hit=budget_hit)
 
 
 @dataclass

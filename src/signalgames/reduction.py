@@ -22,21 +22,25 @@ history is not stage-additive; ``lift_payoff`` gives its observed
 equivalent, for the transfer identity.
 
 One private recursion, Shapley's value recursion indexed by the number of
-stages left, serves both solvers: ``solve_horizons`` runs it over the
-membership lists of one belief graph, every requested horizon's mean value
-in a single pass, one matrix game per distinct belief and stage count;
+stages left, serves both solvers: ``solve_horizons`` runs it on one belief
+graph for every requested horizon's mean value in a single pass;
 ``solve_backward`` runs it at the single horizon of the build and reads
 both players' strategies, one table entry per observed history, off the
-solution of each path's (stages left, node key) game.  The value is
-positively homogeneous of degree 1 in the unnormalized belief (Smallwood &
-Sondik 1973; Mertens, Sorin & Zamir, *Repeated Games*), so the stage
-matrices are integer matrices.  Under the mean payoff an absorbed (pruned)
-belief earns a constant per stage, so it is folded into its parents' stage
-cells in closed form and the recursion visits live beliefs only.  A
-value-only game with one row or one column is the min or max of its
-entries, computed in one loop over the cells compiled once per belief; any
-other is certified by a pure saddle point (``lp.matrix_game_value``), and
-only a game without one runs the LP.
+solution of each path's (stages left, node key) game.  The recursion runs
+up stage-count layers listed once, top down, from the graph's links: layer
+k holds the live children of layer k + 1, plus the live roots when k is a
+requested horizon, so each (stage count, live belief) pair is one visit
+and one stage game.  The value is positively homogeneous of degree 1 in
+the unnormalized belief (Smallwood & Sondik 1973; Mertens, Sorin & Zamir,
+*Repeated Games*), so the stage matrices are integer matrices.  Under the
+mean payoff an absorbed (pruned) belief earns a constant per stage, so it
+is folded into its parents' stage cells in closed form and enters no
+layer.  A value-only game with one row or one column is the min or max of
+its entries, computed in one loop over the cells planned once per belief;
+any other is decided inside the sweep at its pure saddle point, the
+largest row minimum when it equals the smallest column maximum, and only
+a game without one goes to ``lp.matrix_game_value`` and its LP
+(Shapley & Snow 1950; Shapley 1953).
 
 The observer view is derived from the game, never chosen by the caller:
 the public view under symmetric signaling, else, in a single-controller
@@ -225,6 +229,7 @@ def build_auxiliary(spec_or_sym, horizon: int,
     # integer transition numerators, flattened per state in the order
     # (i, j, outcome), so children and beliefs keep their insertion order
     form = spec.integer_form()
+    absorbing, D = form.absorbing.keys(), form.D
     moves: dict = {}
     for x in spec.states:
         moves[x] = [((edge_of(i, j), label_of(c, d)), x2, q)
@@ -245,10 +250,9 @@ def build_auxiliary(spec_or_sym, horizon: int,
         exact = (tuple(sorted(mu.items())), max(mu.values()).bit_length())
         made = graph.get(exact)
         if made is None:
-            made = graph[exact] = BeliefNode(
-                label=label, mu=mu, mass=mass, scale=scale,
-                pruned=form.absorbing.keys() >= mu.keys(), key=next(running),
-                step=form.D)
+            made = graph[exact] = BeliefNode(label, mu, mass, scale,
+                                             absorbing >= mu.keys(),
+                                             next(running), D)
         return made
 
     # Level 1: one root per label, each with its mass.
@@ -271,7 +275,8 @@ def build_auxiliary(spec_or_sym, horizon: int,
         for parent in levels[-1]:
             if parent.pruned:
                 continue
-            if not parent.links:         # reached for the first time
+            links = parent.links         # shared by roots of equal belief
+            if not links:                # reached for the first time
                 buckets: dict = {}
                 for x, a in parent.mu.items():
                     for link, x2, q in moves[x]:
@@ -280,9 +285,12 @@ def build_auxiliary(spec_or_sym, horizon: int,
                             bucket = buckets[link] = {}
                         bucket[x2] = bucket.get(x2, 0) + a * q
                 for link in sorted(buckets, key=rank.__getitem__):
-                    h, mu = _primitive(buckets[link])
-                    parent.links[link] = (h, node_of(mu, link[1]))
-            for _, child in parent.links.values():
+                    mu = buckets[link]   # made primitive: divided by its gcd
+                    h = gcd(*mu.values())
+                    if h != 1:
+                        mu = {x: a // h for x, a in mu.items()}
+                    links[link] = (h, node_of(mu, link[1]))
+            for _, child in links.values():
                 if child.key not in members:
                     nodes.charge(depth)
                     members[child.key] = child
@@ -350,14 +358,27 @@ def _absorbed_rate(form: IntegerForm, node: BeliefNode) -> int:
     return sum(m * form.absorbing[x] for x, m in node.mu.items())
 
 
-def _cells(aux: AuxiliaryGame, form: IntegerForm, node: BeliefNode,
+def _grid(aux: AuxiliaryGame) -> tuple:
+    """``(grid, rewards)`` for ``_cells``: the edge of each action pair in
+    row-major order, and each state's L g over the pairs, for the states
+    with a nonzero reward only."""
+    pairs = [(i, j) for i in aux.actions1 for j in aux.actions2]
+    reward = aux.form.reward
+    rewards = {x: [reward[(x, i, j)] for i, j in pairs] for x in aux.spec.states}
+    return ([aux.edge_of(i, j) for i, j in pairs],
+            {x: row for x, row in rewards.items() if any(row)})
+
+
+def _cells(grid: list, rewards: dict, form: IntegerForm, node: BeliefNode,
            absorbed: dict) -> list:
-    """Cell (i, j) of the node's integer stage matrix before scaling:
-    ``(r, live, closed)``, r the reward term sum_x mu(x) L g(x, i, j)
-    (``form.reward`` holds L g), and the links on edge ``edge_of(i, j)`` as
+    """The cells of the node's integer stage matrix before scaling, one per
+    action pair in row-major order: ``(r, live, closed)``, r the reward
+    term sum_x mu(x) L g(x, i, j), and the links on the pair's edge as
     ``(h, child.key)`` pairs, split into live children and pruned ones,
-    whose a ``absorbed`` caches by key.  Links are grouped by edge once;
-    the cells of one edge share their pair tuples."""
+    whose a ``absorbed`` caches by key.  ``grid`` and ``rewards`` are
+    ``_grid``'s: a belief on no state with a nonzero reward has r = 0 and
+    sums nothing.  Links are grouped by edge once; the cells of one edge
+    share their pair tuples."""
     by_edge: dict = {}
     for (e, _), (h, child) in node.links.items():
         live, closed = by_edge.setdefault(e, ([], []))
@@ -370,75 +391,95 @@ def _cells(aux: AuxiliaryGame, form: IntegerForm, node: BeliefNode,
             live.append((h, key))
     pairs = {e: (tuple(live), tuple(closed))
              for e, (live, closed) in by_edge.items()}
-    mu, reward = node.mu.items(), form.reward
-    return [[(sum(a * reward[(x, i, j)] for x, a in mu),
-              *pairs.get(aux.edge_of(i, j), ((), ())))
-             for j in aux.actions2] for i in aux.actions1]
+    terms = [(a, rewards[x]) for x, a in node.mu.items() if x in rewards]
+    return [(sum(a * row[c] for a, row in terms) if terms else 0,
+             *pairs.get(e, ((), ())))
+            for c, e in enumerate(grid)]
 
 
-def _entries(cells, factor: int, previous: dict | None, tail: tuple,
-             absorbed: dict, pick=None):
-    """The entries of ``cells``, in one loop: factor * r + sum h U(child)
-    over the live pairs, U = ``previous``, + t 2**shift * sum h a(child)
-    over the closed ones, a = ``absorbed``, ``tail`` = (t, shift); with
-    ``previous`` None no continuation is counted.  A zero reward adds no
-    term, h = 1 no product, and the power of 2 is a shift.  Returns their
-    list, or with ``pick`` (min or max) the entry it picks, no list built."""
+def _entries(games: list, factor: int, previous: dict | None, tail: tuple,
+             absorbed: dict, pick=None) -> list:
+    """The entries of each game of a layer, a game a list of cells, in one
+    loop per game: factor * r + sum h U(child) over the live pairs, U =
+    ``previous``, + t 2**shift * sum h a(child) over the closed ones, a =
+    ``absorbed``, ``tail`` = (t, shift); with ``previous`` None no
+    continuation is counted.  A zero reward adds no term, h = 1 no product,
+    and the power of 2 is a shift.  Returns one item per game: the list of
+    its entries, or with ``pick`` (min or max) the entry it picks, no list
+    built."""
     if previous is None:
-        entries = [factor * r for r, _, _ in cells]
-        return entries if pick is None else pick(entries)
+        found = [[factor * r for r, _, _ in cells] for cells in games]
+        return found if pick is None else list(map(pick, found))
     t, shift = tail
-    out = [] if pick is None else None
     lower = pick is min
-    best = None
-    for r, live, closed in cells:
-        total = factor * r if r else 0
-        for h, child in live:
-            u = previous[child]
-            total += u if h == 1 else h * u
-        if closed:
-            rate = 0
-            for h, key in closed:
-                a = absorbed[key]
-                rate += a if h == 1 else h * a
-            total += t * rate << shift
-        if out is not None:
-            out.append(total)
-        elif best is None or (total < best if lower else total > best):
-            best = total
-    return best if out is None else out
+    out = []
+    for cells in games:
+        entries = [] if pick is None else None
+        best = None
+        for r, live, closed in cells:
+            total = factor * r if r else 0
+            for h, child in live:
+                u = previous[child]
+                total += u if h == 1 else h * u
+            if closed:
+                rate = 0
+                for h, key in closed:
+                    a = absorbed[key]
+                    rate += a if h == 1 else h * a
+                total += t * rate << shift
+            if entries is not None:
+                entries.append(total)
+            elif best is None or (total < best if lower else total > best):
+                best = total
+        out.append(best if entries is None else entries)
+    return out
 
 
-def _integer_matrix(cells: list, factor: int, previous: dict | None,
-                    tail: tuple, absorbed: dict) -> list:
-    """The stage matrix of ``cells``, row by row ``_entries``."""
-    return [_entries(row, factor, previous, tail, absorbed) for row in cells]
+def _rows(entries: list, width: int) -> list:
+    """The row-major ``entries`` as a matrix of ``width`` columns."""
+    return [entries[c:c + width] for c in range(0, len(entries), width)]
+
+
+def _value(rows: list):
+    """The value of the integer matrix game ``rows``: the saddle entry when
+    the largest row minimum equals the smallest column maximum (the maximin
+    row then guarantees it against every column and the minimax column
+    holds every row to it, ``lp._saddle``'s certificate), else
+    ``matrix_game_value``, whose LP runs only for a game without one."""
+    lower = max(map(min, rows))
+    if lower == min(map(max, zip(*rows))):
+        return lower
+    return matrix_game_value(rows)
 
 
 def _shapley(aux: AuxiliaryGame, horizons, solutions: dict | None = None) -> dict:
     """Shapley's value recursion over the number k of stages left.
 
-    Layer k holds, once per live ``BeliefNode.key`` in the level of depth
-    n - k + 1 of a requested n >= k, the integer-scaled k-stage value
-    U_k(mu) = D**(k-1) L s V_k(mu/s), with D and L (and P below) the
+    Layer k holds each live belief with k stages left at a requested
+    horizon: the live roots when k is requested, and the live children of
+    layer k + 1, each ``BeliefNode.key`` once.  The layers are listed top
+    down once, from ``links``, before the recursion runs up them; a pruned
+    node enters none.  Each layer member gets the integer-scaled k-stage
+    value U_k(mu) = D**(k-1) L s V_k(mu/s), with D and L (and P below) the
     scales of ``GameSpec.integer_form``.  A matrix game's value scales with
     its entries, so U_k(mu) is the value of the integer matrix D**(k-1)
     sum_x mu(x) L g(x, i, j) + sum of h U_{k-1}(child) over the children on
-    edge (i, j) (an LP value enters U as the ``Fraction`` it is).  A pruned belief has
-    U_k = D**(k-1) k a, a = sum_x mu(x) L g_abs(x), so it is folded into
-    its parents' cells: an absorbed child enters an entry as h D**(k-2)
-    (k-1) a(child), a cached per key in ``absorbed`` and the power of 2 in
-    D**(k-2) applied as a shift, the layers never visit a pruned node, and
-    a pruned root enters v_k in closed form.  The one fraction per horizon
-    is the mean v_n = sum over roots of mass U_n / (P D**(n-1) L n).  Only
-    layers k - 1 and k are held, and an index tracks the horizons n >= k.
+    edge (i, j) (an LP value enters U as the ``Fraction`` it is).  A pruned
+    belief has U_k = D**(k-1) k a, a = sum_x mu(x) L g_abs(x), so it is
+    folded into its parents' cells: an absorbed child enters an entry as h
+    D**(k-2) (k-1) a(child), a cached per key in ``absorbed`` and the power
+    of 2 in D**(k-2) applied as a shift, and a pruned root enters v_k in
+    closed form.  The one fraction per horizon is the mean v_n = sum over
+    roots of mass U_n / (P D**(n-1) L n).  Only layers k - 1 and k are
+    valued at a time.
 
-    A node's cells are planned once per key, whatever the depth: a node's
-    links are those of its belief.  Without ``solutions`` a game with one
-    row (one column) is planned as that row (column) and takes the min
-    (max) of its ``_entries``, one loop with no list or matrix built; any
-    other game takes ``matrix_game_value``: a pure saddle point where one
-    exists, the LP otherwise.  With ``solutions`` every game is
+    A node's cells are planned once per key, when its key first enters a
+    layer, against one grid of action-pair edges: a node's links are those
+    of its belief.  ``_entries`` forms a whole layer's entries per call.
+    Without ``solutions`` a game with one row (one column) takes the min
+    (max) of its entries, no list built; any other game is decided here by
+    ``_value``: its saddle entry where max-min equals min-max, else
+    ``matrix_game_value`` and its LP.  With ``solutions`` every game is
     ``solve_matrix_game`` and ``solutions[(k, key)]`` its solution: Bland's
     rule and the ratio test's tie-break, like the vector games'
     lowest-index picks, do not see a positive scaling of the entries, so
@@ -446,54 +487,62 @@ def _shapley(aux: AuxiliaryGame, horizons, solutions: dict | None = None) -> dic
     s times smaller), and nodes of equal belief have equal ones.
     """
     form = aux.form
-    wanted = sorted(set(horizons))
-    plans: dict = {}                     # key -> its cells, row or column
+    requested = set(horizons)
+    top = max(requested)
+    width = len(aux.actions2)
+    grid, rewards = _grid(aux)
     absorbed = {root.key: _absorbed_rate(form, root)
                 for root in aux.roots if root.pruned}    # pruned key -> a
     pick = None                          # a vector game's min or max
     if solutions is None:
-        if len(aux.actions2) == 1:
+        if width == 1:
             pick = max
         elif len(aux.actions1) == 1:
             pick = min
+
+    # The layers' live nodes, each key once per layer, listed top down in
+    # one flat list: layer k starts at starts[k - 1] and ends where layer
+    # k - 1 starts, so the recursion cuts layer 1 off the end first.
+    roots = {root.key: root for root in aux.roots if not root.pruned}
+    order, starts = [], []
+    layer: dict = {}
+    for k in range(top, 0, -1):
+        layer = {child.key: child for parent in layer.values()
+                 for _, child in parent.links.values() if not child.pruned}
+        if k in requested:
+            layer.update(roots)
+        starts.append(len(order))
+        order.extend(layer.values())
+
+    plans: dict = {}                     # key -> its cells
     previous: dict | None = None         # key -> U_{k-1}
     values = {}
     factor = 1                           # D**(k-1)
     tail = (0, 0)                        # closed children's multiplier
     twos = (form.D & -form.D).bit_length() - 1    # D = odd * 2**twos
-    active = 0                           # wanted[active:] are the n >= k
-
-    for k in range(1, wanted[-1] + 1):
+    for k in range(1, top + 1):
         if k > 1:                        # D**(k-2) (k-1) = t 2**shift
             shift = twos * (k - 2)
             tail = ((k - 1) * (factor // form.D >> shift), shift)
-        if wanted[active] < k:
-            active += 1
-        current: dict = {}
-        for n in wanted[active:]:
-            for node in aux.levels[n - k]:
-                key = node.key
-                if node.pruned or key in current:
-                    continue             # pruned: folded into its parents
-                plan = plans.get(key)
-                if plan is None:
-                    plan = _cells(aux, form, node, absorbed)
-                    if pick is max:
-                        plan = [row[0] for row in plan]
-                    elif pick is min:
-                        plan = plan[0]
-                    plans[key] = plan
-                if pick is not None:
-                    current[key] = _entries(plan, factor, previous, tail,
-                                            absorbed, pick)
-                elif solutions is not None:
-                    result = solutions[(k, key)] = solve_matrix_game(
-                        _integer_matrix(plan, factor, previous, tail, absorbed))
-                    current[key] = result.value
-                else:
-                    current[key] = matrix_game_value(
-                        _integer_matrix(plan, factor, previous, tail, absorbed))
-        if wanted[active] == k:
+        start = starts.pop()
+        layer = order[start:]
+        del order[start:]
+        keys = [node.key for node in layer]
+        games = list(map(plans.get, keys))
+        if None in games:                # keys that enter their first layer
+            for at, node in enumerate(layer):
+                if games[at] is None:
+                    games[at] = plans[node.key] = _cells(
+                        grid, rewards, form, node, absorbed)
+        found = _entries(games, factor, previous, tail, absorbed, pick)
+        if solutions is not None:
+            solved = [solve_matrix_game(_rows(entries, width)) for entries in found]
+            solutions.update(((k, key), sol) for key, sol in zip(keys, solved))
+            found = [sol.value for sol in solved]
+        elif pick is None:
+            found = [_value(_rows(entries, width)) for entries in found]
+        current = dict(zip(keys, found))
+        if k in requested:
             total = 0
             for root in aux.roots:
                 u = (factor * k * absorbed[root.key] if root.pruned
@@ -589,8 +638,10 @@ def solve_backward(aux: AuxiliaryGame, payoff="mean",
 
 def solve_horizons(aux: AuxiliaryGame, horizons) -> dict:
     """Mean values ``{n: v_n}`` of every requested horizon in one pass of
-    ``_shapley`` over a belief graph built at least to the largest
-    horizon: one stage game per distinct live belief and stage count.
+    ``_shapley`` up the stage-count layers of a belief graph built at
+    least to the largest horizon: one stage game per distinct live belief
+    and stage count, a saddle game decided in the pass, the LP of
+    ``matrix_game_value`` only for a game without a pure saddle point.
     Horizons must be integers in 1..``aux.horizon`` (GameModelError)."""
     wanted = list(horizons)
     for n in wanted:

@@ -150,9 +150,9 @@ def naive_stage_matrix(aux, node, continuation):
     entry (i, j) starts at 0, adds post(x) g(x, i, j) for every state and
     w V(child) for every child on an edge the view shows of (i, j).
     ``aux`` is a ``build_auxiliary`` game or an ``ObservedTree``.
-    Reference for ``reduction._integer_matrix``, whose entries are these
-    scaled by D**(k-1) L s, with the terms that cannot change an entry
-    skipped."""
+    Reference for the entries ``reduction._entries`` forms from
+    ``reduction._cells``, which are these scaled by D**(k-1) L s, with the
+    terms that cannot change an entry skipped."""
     def on_edge(edge, i, j):
         if aux.view in (PUBLIC, JOINT):
             return edge == (i, j)

@@ -18,7 +18,7 @@ from signalgames.errors import (
     GameModelError,
     PreconditionError,
 )
-from signalgames.model import SymmetricGameSpec
+from signalgames.model import GameSpec, SymmetricGameSpec, as_general
 from signalgames.recursive import (
     classify,
     default_schedule,
@@ -310,18 +310,38 @@ def test_uniform_value_budget_prefix_matches_per_horizon_builds():
         expected = _per_horizon_values(game, default_schedule(64), budget)
         assert report.value_sequence == expected
         assert 1 < len(expected) < len(default_schedule(64))
+        assert report.budget_hit
     with pytest.raises(BudgetExceededError) as err:
         uniform_value(corpus.build_game("quitting_game"), n_max=64, budget=0)
     assert err.value.level_reached == 1
+
+
+def test_uniform_value_budget_hit_on_the_sequence_form_route():
+    """The per-horizon sequence-form loop sets ``budget_hit`` where the
+    budget cuts its schedule, and only there: on a blind quitting game a
+    budget of 40 fits horizons 1..4 of 6, and no budget fits all six."""
+    g = as_general(corpus.build_game("quitting_game"))
+    game = GameSpec(
+        states=g.states, actions1=g.actions1, actions2=g.actions2,
+        signals1=["o"], signals2=["o"], initial={("go", "o", "o"): F(1)},
+        transition={key: {(x2, "o", "o"): p for (x2, _, _), p in dist.items()}
+                    for key, dist in g.transition.items()},
+        reward=g.reward)
+    cut = uniform_value(game, n_max=6, budget=40)
+    assert cut.route == "sequence-form"
+    assert [n for n, _ in cut.value_sequence] == [1, 2, 3, 4] and cut.budget_hit
+    whole = uniform_value(game, n_max=6)
+    assert whole.value_sequence[:4] == cut.value_sequence
+    assert len(whole.value_sequence) == 6 and not whole.budget_hit
 
 
 def test_quitting_sweep_solves_one_matrix_game_per_stage_count(monkeypatch):
     """The n_max=64 values take one belief-graph build, one sweep and at most one
     matrix game per stage count (3 beliefs, 2 of them absorbed), and the
     strategies one more build at their horizon.  The sweep needs
-    values only, so it solves each game through ``reduction``'s binding of
-    ``matrix_game_value``."""
-    real_solve = reduction.matrix_game_value
+    values only, so it decides each game in ``reduction._value``: at its
+    saddle entry, or through ``matrix_game_value``."""
+    real_solve = reduction._value
     real_sweep = recursive.solve_horizons
     real_build = recursive.build_auxiliary
     builds, sweeps, games, active = [], [], [], []
@@ -344,7 +364,7 @@ def test_quitting_sweep_solves_one_matrix_game_per_stage_count(monkeypatch):
         builds.append(args[1])
         return aux
 
-    monkeypatch.setattr(reduction, "matrix_game_value", counting_solve)
+    monkeypatch.setattr(reduction, "_value", counting_solve)
     monkeypatch.setattr(recursive, "solve_horizons", tracked_sweep)
     monkeypatch.setattr(recursive, "build_auxiliary", tracked_build)
     report = uniform_value(corpus.build_game("quitting_game"), n_max=64, tol=F(1, 50),

@@ -96,6 +96,26 @@ def test_budget_exit_code(corpus_dir, capsys, monkeypatch):
     assert code == 3
 
 
+@pytest.mark.parametrize("command, args, last", [
+    ("solve-sup", ["--max-horizon", "50"], 4),
+    ("solve-recursive", ["--max-horizon", "50", "--window", "2"], 12),
+])
+def test_a_budget_cut_schedule_exits_three(corpus_dir, capsys, monkeypatch,
+                                           command, args, last):
+    """Under a node budget of 40 both schedule commands on the quitting
+    game print the values that fit, to horizon ``last``, and exit 3;
+    ``solve-recursive`` names that horizon on stderr."""
+    monkeypatch.setenv("SIGNALGAMES_NODE_BUDGET", "40")
+    code = main([command, "--game", str(corpus_dir / "quitting_game.game"), *args])
+    out, err = capsys.readouterr()
+    assert code == 3
+    rows = [line for line in out.splitlines() if line[:1].isdigit()]
+    assert rows[-1].startswith(f"{last},")
+    if command == "solve-recursive":
+        assert err == ("resource budget exhausted: values computed to "
+                       f"horizon {last} of 50\n")
+
+
 @pytest.mark.parametrize("raw", ["-5", "many"])
 def test_invalid_budget_variable_exits_one(corpus_dir, capsys, monkeypatch,
                                            raw):

@@ -41,7 +41,9 @@ from signalgames.rationals import ZERO
 from signalgames.reduction import (
     MEAN,
     _cells,
-    _integer_matrix,
+    _entries,
+    _grid,
+    _rows,
     build_auxiliary,
     lift_payoff,
     solve_backward,
@@ -587,12 +589,14 @@ def test_integer_sweep_equals_fraction_recursion(monkeypatch):
     for ``repr``: public views of symmetric games with absorbing states,
     and both private views of single-controller games.  Transition
     denominators that are not powers of 2, fractional rewards (L > 1),
-    several roots, pruned beliefs and link gcds h > 1 all occur, and both
-    the saddle and the LP path of ``matrix_game_value`` are taken."""
+    several roots, pruned beliefs and link gcds h > 1 all occur, and the
+    matrix games go both ways through ``_value``: decided at a saddle
+    entry in the sweep, or by the LP of ``matrix_game_value``."""
     games = [_absorbing_symmetric_game(seed) for seed in range(60)]
     games += [_single_controller_game(seed, c)
               for seed in range(10) for c in (1, 2)]
     lp_calls, games_solved = [], []
+    real_value = reduction._value
 
     def counted_lp(matrix):
         lp_calls.append(matrix)
@@ -600,7 +604,7 @@ def test_integer_sweep_equals_fraction_recursion(monkeypatch):
 
     def counted_value(matrix):
         games_solved.append(matrix)
-        return lp_module.matrix_game_value(matrix)
+        return real_value(matrix)
 
     seen = {"non-dyadic step": 0, "reward lcm > 1": 0, "several roots": 0,
             "pruned": 0, "link gcd > 1": 0, PUBLIC: 0, PLAYER1: 0, PLAYER2: 0}
@@ -617,7 +621,7 @@ def test_integer_sweep_equals_fraction_recursion(monkeypatch):
                                     for h, _ in node.links.values())
         with monkeypatch.context() as patch:
             patch.setattr(lp_module, "solve_matrix_game", counted_lp)
-            patch.setattr(reduction, "matrix_game_value", counted_value)
+            patch.setattr(reduction, "_value", counted_value)
             got = solve_horizons(dag, [1, 2, 4])
         assert repr(got) == repr(fraction_solve_horizons(dag, [1, 2, 4])), dag.view
     assert all(seen.values()), seen
@@ -728,15 +732,17 @@ def test_integer_stage_matrix_is_scaled_naive_formula():
     the pruned children are folded into the cells and enter at their
     closed form V = (k-1) sum_x post(x) g_abs(x): with and without the
     continuation; on public views of symmetric games (with absorbing
-    states among them) and private views of single-controller games."""
+    states among them), private views of single-controller games and
+    recursive games, whose live beliefs sit on no rewarded state."""
     rng = random.Random(7)
     cases = [random_symmetric_game(seed, n_states=3, n_signals=3)
              for seed in range(12)]
     cases += [_single_controller_game(seed, c)
               for seed in range(12) for c in (1, 2)]
     cases += [_absorbing_symmetric_game(seed) for seed in range(12)]
+    cases += [_recursive_game(seed) for seed in range(6)]
     seen = {"zero reward": 0, "nonzero reward": 0, "unit weight": 0,
-            "other weight": 0, "folded child": 0,
+            "other weight": 0, "folded child": 0, "unrewarded belief": 0,
             PUBLIC: 0, PLAYER1: 0, PLAYER2: 0}
     for game in cases:
         aux = build_auxiliary(game, 4)
@@ -767,9 +773,10 @@ def test_integer_stage_matrix_is_scaled_naive_formula():
                 for w, _ in node.children.values():
                     seen["unit weight" if w == 1 else "other weight"] += 1
                 absorbed = {}
-                cells = _cells(aux, form, node, absorbed)
-                folded = [key for row in cells for _, _, closed in row
-                          for _, key in closed]
+                grid, rewards = _grid(aux)
+                seen["unrewarded belief"] += not rewards.keys() & node.mu.keys()
+                cells = _cells(grid, rewards, form, node, absorbed)
+                folded = [key for _, _, closed in cells for _, key in closed]
                 assert all(key in absorbed for key in folded)
                 seen["folded child"] += len(folded)
                 for k in (1, 2, 3):
@@ -782,9 +789,10 @@ def test_integer_stage_matrix_is_scaled_naive_formula():
                         if not child.pruned}
                     tail = (0 if k == 1 else D ** (k - 2) * (k - 1), 0)
                     c = D ** (k - 1) * L * sum(node.mu.values())
+                    entries, = _entries([cells], D ** (k - 1), previous, tail,
+                                        absorbed)
                     got = [[F(e) / c for e in row]
-                           for row in _integer_matrix(
-                               cells, D ** (k - 1), previous, tail, absorbed)]
+                           for row in _rows(entries, len(aux.actions2))]
                     want = naive_stage_matrix(aux, node, cont)
                     assert repr(got) == repr(want), (aux.view, node.key, k)
     assert all(seen.values()), seen
@@ -981,14 +989,15 @@ def test_mdp_sweep_evaluates_live_beliefs_only(monkeypatch, games):
     planned, games_cells = [], []
     real_cells, real_entries = reduction._cells, reduction._entries
 
-    def cells(aux, form, node, *args):
+    def cells(grid, rewards, form, node, *args):
         planned.append(node)
-        return real_cells(aux, form, node, *args)
+        return real_cells(grid, rewards, form, node, *args)
 
-    def counted_entries(plan, *args):
-        found = real_entries(plan, *args)
-        assert not isinstance(found, list)
-        games_cells.append(len(plan))
+    def counted_entries(plans, *args):
+        found = real_entries(plans, *args)
+        assert len(found) == len(plans)
+        assert not any(isinstance(entry, list) for entry in found)
+        games_cells.extend(map(len, plans))
         return found
 
     def no_matrix(*args):
@@ -996,12 +1005,65 @@ def test_mdp_sweep_evaluates_live_beliefs_only(monkeypatch, games):
 
     monkeypatch.setattr(reduction, "_cells", cells)
     monkeypatch.setattr(reduction, "_entries", counted_entries)
-    monkeypatch.setattr(reduction, "_integer_matrix", no_matrix)
+    monkeypatch.setattr(reduction, "_rows", no_matrix)
     monkeypatch.setattr(reduction, "matrix_game_value", no_matrix)
     solve_horizons(dag, default_schedule(4000))
     assert planned and not any(node.pruned for node in planned)
     assert games_cells == [2] * 26380
     assert sum(node.pruned for level in dag.levels for node in level) == 3999
+
+
+def _stage_counts(aux, horizons):
+    """The distinct (stages left, live key) pairs of the requested
+    horizons, read off the level lists: a live member of depth d stands
+    at n - d + 1 stages left for every requested n >= d."""
+    return {(n - depth + 1, node.key) for n in horizons
+            for depth, level in enumerate(aux.levels[:n], 1)
+            for node in level if not node.pruned}
+
+
+def test_sweep_evaluates_each_stage_count_and_live_belief_once(monkeypatch, games):
+    """Every horizon of the noisy public game to n = 40, of the quitting
+    game to n = 40 and of random symmetric games to n = 7: the sweep
+    evaluates one stage game per distinct (stages left, live key) pair of
+    the level lists, plans cells for no pruned node, and hands
+    ``matrix_game_value`` only games without a pure saddle point, the
+    others decided in the sweep at their saddle entry."""
+    planned, evaluated, handed = [], [], []
+    real_cells, real_entries = reduction._cells, reduction._entries
+
+    def cells(grid, rewards, form, node, *args):
+        planned.append(node)
+        return real_cells(grid, rewards, form, node, *args)
+
+    def counted_entries(plans, *args):
+        evaluated.append(len(plans))
+        return real_entries(plans, *args)
+
+    def counted_value(matrix):
+        handed.append(matrix)
+        return lp_module.matrix_game_value(matrix)
+
+    monkeypatch.setattr(reduction, "_cells", cells)
+    monkeypatch.setattr(reduction, "_entries", counted_entries)
+    monkeypatch.setattr(reduction, "matrix_game_value", counted_value)
+    cases = [(games["noisy_public_2state"], 40), (games["quitting_game"], 40)]
+    cases += [(random_symmetric_game(seed), 7) for seed in range(12)]
+    seen = {"pruned": 0, "planned": 0, "handed": 0}
+    for game, n_max in cases:
+        dag = build_auxiliary(game, n_max)
+        seen["pruned"] += any(node.pruned for level in dag.levels for node in level)
+        planned.clear(), evaluated.clear()
+        held = len(handed)
+        horizons = range(1, n_max + 1)
+        solve_horizons(dag, horizons)
+        assert sum(evaluated) == len(_stage_counts(dag, horizons))
+        assert not any(node.pruned for node in planned)
+        assert len({node.key for node in planned}) == len(planned)
+        seen["planned"] += len(planned)
+        seen["handed"] += len(handed) - held
+    assert all(seen.values()), seen
+    assert all(lp_module._saddle(matrix) is None for matrix in handed)
 
 
 def test_solve_horizons_builds_one_fraction_per_horizon(monkeypatch, games):
