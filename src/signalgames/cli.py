@@ -56,17 +56,14 @@ def _load(path, loader=load_game, kind="game"):
         raise SystemExit(f"error: {err}")
 
 
-def _unwritable(path, err: OSError) -> SystemExit:
-    return SystemExit(f"error: cannot write {path}: {err.strerror or err}")
-
-
 def _write(path, text: str) -> None:
     """Write one output file; an unwritable path exits 1 with one line."""
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as err:
-        raise _unwritable(path, err) from None
+        raise SystemExit(
+            f"error: cannot write {path}: {err.strerror or err}") from None
 
 
 def _value_table(column: str, values, csv) -> None:
@@ -107,12 +104,11 @@ def _positive_int(text: str) -> int:
 
 
 def _corpus_entry(text: str) -> str:
-    from .verify import build_corpus
+    from . import corpus
 
-    known = [entry.entry_id for entry in build_corpus()]
-    if text not in known:
+    if text not in corpus.NAMES:
         raise argparse.ArgumentTypeError(
-            f"unknown corpus entry {text!r} (known: {', '.join(known)})")
+            f"unknown corpus entry {text!r} (known: {', '.join(corpus.NAMES)})")
     return text
 
 
@@ -253,7 +249,11 @@ def cmd_solve_sup(args) -> int:
     else:
         print("sup value bracketed; lower bounds are guarantees, "
               f"stabilized={report.stabilized}")
-    return EXIT_RESOURCE if report.budget_hit else EXIT_OK
+    if report.budget_hit:
+        print(f"resource budget exhausted: bounds computed to horizon "
+              f"{last_n} of {args.max_horizon}", file=sys.stderr)
+        return EXIT_RESOURCE
+    return EXIT_OK
 
 
 def cmd_solve_recursive(args) -> int:
@@ -338,14 +338,8 @@ def cmd_verify_example(args) -> int:
 
 
 def cmd_verify_paper(args) -> int:
-    from .verify import run_verification, write_corpus_files
+    from .verify import run_verification
 
-    if args.write_corpus:
-        try:
-            paths = write_corpus_files(args.write_corpus)
-        except OSError as err:
-            raise _unwritable(err.filename or args.write_corpus, err) from None
-        print(f"corpus written: {len(paths)} game files in {args.write_corpus}")
     report = run_verification(only=args.only)
     width = max(len(f"{r.entry}/{r.claim}") for r in report.rows)
     for r in report.rows:
@@ -445,8 +439,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", help="write the JSON report here")
     p.add_argument("--only", type=_corpus_entry,
                    help="restrict to one corpus entry")
-    p.add_argument("--write-corpus", metavar="DIR",
-                   help="also write the corpus game files to DIR")
     p.set_defaults(func=cmd_verify_paper)
     return parser
 

@@ -24,13 +24,15 @@ in prose:
 
 The games:
 
-* ``example1_guessing``: recursive, both players blind, start s2; its
-  limsup maxmin is -1/2 and its limsup minmax 1/2, so no limsup value.
+* ``example1_guessing``: Shmaya's guessing game (also in Rosenberg, Solan
+  and Vieille), recursive, both players blind, start s2; its limsup
+  maxmin is -1/2 and its limsup minmax 1/2, so no limsup value.
 * ``example2_informed``: recursive, player 2's signals name the arrival
   state and both actions, player 1 is blind, start s2; limsup maxmin -1/2,
   minmax -1/6.
-* ``example3_bigmatch_blind1``: Big Match, player 2's signals name the
-  action pair, player 1 is blind; sup value 1, limsup maxmin 0, minmax 1/2.
+* ``example3_bigmatch_blind1``: Big Match (Blackwell and Ferguson),
+  player 2's signals name the action pair, player 1 is blind; sup value
+  1, limsup maxmin 0, minmax 1/2.
 * ``bigmatch_nosignals``: Big Match, both players blind; the n-stage mean
   value is 1/2 for every n, yet there is no uniform value.
 * ``bigmatch_fullmonitor``: Big Match with one constant public signal, so

@@ -780,21 +780,3 @@ def solve_matrix_game(payoff: list) -> MatrixGameSolution:
     solution.check(M)
     return solution
 
-
-def matrix_game_value(payoff: list) -> Fraction | int:
-    """Exact value of a matrix game, without strategies.
-
-    A game with a pure saddle point (``_saddle``) has that entry, as
-    given, as its value, so an integer matrix with one needs no Fraction:
-    max min == min max is itself the certificate, the maximin row
-    guaranteeing the entry against every column and the minimax column
-    holding every row to it.  Otherwise the value is
-    ``solve_matrix_game``'s, a Fraction whose certificate is checked
-    there.  Malformed input raises LPError (``_matrix``).
-    """
-    M = _matrix(payoff)
-    saddle = _saddle(M)
-    if saddle is not None:
-        r, c = saddle
-        return M[r][c]
-    return solve_matrix_game(M).value

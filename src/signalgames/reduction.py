@@ -38,9 +38,9 @@ is folded into its parents' stage cells in closed form and enters no
 layer.  A value-only game with one row or one column is the min or max of
 its entries, computed in one loop over the cells planned once per belief;
 any other is decided inside the sweep at its pure saddle point, the
-largest row minimum when it equals the smallest column maximum, and only
-a game without one goes to ``lp.matrix_game_value`` and its LP
-(Shapley & Snow 1950; Shapley 1953).
+largest row minimum when it equals the smallest column maximum
+(``lp._saddle``), and only a game without one goes to
+``lp.solve_matrix_game`` and its LP (Shapley & Snow 1950; Shapley 1953).
 
 The observer view is derived from the game, never chosen by the caller:
 the public view under symmetric signaling, else, in a single-controller
@@ -65,7 +65,7 @@ from .errors import (
     require_horizon,
 )
 from .histories import TreePair
-from .lp import matrix_game_value, solve_matrix_game
+from .lp import _saddle, solve_matrix_game
 from .model import (
     MEAN,
     PLAYER1,
@@ -441,15 +441,16 @@ def _rows(entries: list, width: int) -> list:
 
 
 def _value(rows: list):
-    """The value of the integer matrix game ``rows``: the saddle entry when
-    the largest row minimum equals the smallest column maximum (the maximin
-    row then guarantees it against every column and the minimax column
-    holds every row to it, ``lp._saddle``'s certificate), else
-    ``matrix_game_value``, whose LP runs only for a game without one."""
-    lower = max(map(min, rows))
-    if lower == min(map(max, zip(*rows))):
-        return lower
-    return matrix_game_value(rows)
+    """The value of the integer matrix game ``rows``: the entry of its pure
+    saddle point (``lp._saddle``: the largest row minimum equals the
+    smallest column maximum, so the maximin row guarantees it against
+    every column and the minimax column holds every row to it), else
+    ``solve_matrix_game``'s LP value."""
+    saddle = _saddle(rows)
+    if saddle is None:
+        return solve_matrix_game(rows).value
+    r, c = saddle
+    return rows[r][c]
 
 
 def _shapley(aux: AuxiliaryGame, horizons, solutions: dict | None = None) -> dict:
@@ -479,7 +480,7 @@ def _shapley(aux: AuxiliaryGame, horizons, solutions: dict | None = None) -> dic
     Without ``solutions`` a game with one row (one column) takes the min
     (max) of its entries, no list built; any other game is decided here by
     ``_value``: its saddle entry where max-min equals min-max, else
-    ``matrix_game_value`` and its LP.  With ``solutions`` every game is
+    ``solve_matrix_game``'s LP value.  With ``solutions`` every game is
     ``solve_matrix_game`` and ``solutions[(k, key)]`` its solution: Bland's
     rule and the ratio test's tie-break, like the vector games'
     lowest-index picks, do not see a positive scaling of the entries, so
@@ -641,7 +642,7 @@ def solve_horizons(aux: AuxiliaryGame, horizons) -> dict:
     ``_shapley`` up the stage-count layers of a belief graph built at
     least to the largest horizon: one stage game per distinct live belief
     and stage count, a saddle game decided in the pass, the LP of
-    ``matrix_game_value`` only for a game without a pure saddle point.
+    ``solve_matrix_game`` only for a game without a pure saddle point.
     Horizons must be integers in 1..``aux.horizon`` (GameModelError)."""
     wanted = list(horizons)
     for n in wanted:

@@ -24,7 +24,6 @@ from fractions import Fraction as F
 from . import corpus
 from .claims import verify_example
 from .errors import PreconditionError
-from .gamefile import serialize_spec
 from .histories import build_trees, exact_play_distribution
 from .model import MEAN, BehavioralStrategy, as_general, is_symmetric_signaling
 from .rationals import ZERO, decimal_repr, format_rational
@@ -52,8 +51,6 @@ class Claim:
 @dataclass
 class CorpusEntry:
     entry_id: str
-    filename: str
-    source: str
     claims: list
 
 
@@ -315,14 +312,11 @@ def _run_example2_matrix():
 
 
 def build_corpus() -> list:
-    """The corpus: every entry's game, file name, source and claims."""
+    """The corpus: every entry's id and claims, in ``corpus.NAMES`` order."""
     e = F(1, 100)
     return [
         CorpusEntry(
             entry_id="example1_guessing",
-            filename="example1_guessing.game",
-            source=("recursive guessing game ('pick the largest integer', "
-                    "Shmaya; also in Rosenberg-Solan-Vieille), both players blind"),
             claims=[
                 Claim("validates", "well-formedness", "no violations", "trivial",
                       _run_validate("example1_guessing")),
@@ -341,9 +335,6 @@ def build_corpus() -> list:
             ]),
         CorpusEntry(
             entry_id="example2_informed",
-            filename="example2_informed.game",
-            source=("one-sided information guessing variant: player 2 sees "
-                    "state and actions, player 1 blind"),
             claims=[
                 Claim("limsup-minmax", "reduced matrix value", "-1/6 exactly",
                       "literature", _run_example2_matrix()),
@@ -355,9 +346,6 @@ def build_corpus() -> list:
             ]),
         CorpusEntry(
             entry_id="example3_bigmatch_blind1",
-            filename="example3_bigmatch_blind1.game",
-            source=("Big Match variant (Blackwell-Ferguson family): player 2 "
-                    "sees actions, player 1 blind"),
             claims=[
                 Claim("limsup-minmax", "even L/R mix caps payoff", "<= 1/2",
                       "literature", _bound_claim(3, "minmax")),
@@ -374,8 +362,6 @@ def build_corpus() -> list:
             ]),
         CorpusEntry(
             entry_id="bigmatch_nosignals",
-            filename="bigmatch_nosignals.game",
-            source="Big Match with no signals at all",
             claims=[
                 Claim("mean-values", "n-stage values, n=1..6", "1/2 each",
                       "literature",
@@ -384,8 +370,6 @@ def build_corpus() -> list:
             ]),
         CorpusEntry(
             entry_id="bigmatch_fullmonitor",
-            filename="bigmatch_fullmonitor.game",
-            source="Big Match under full monitoring (constant public signal)",
             claims=[
                 Claim("symmetric", "signaling structure", "symmetric", "trivial",
                       _run_symmetry("bigmatch_fullmonitor", True)),
@@ -395,9 +379,6 @@ def build_corpus() -> list:
             ]),
         CorpusEntry(
             entry_id="mdp_final_remark",
-            filename="mdp_final_remark.game",
-            source=("blind single-controller game: uniform value 1, only "
-                    "eps-optimal strategies exist for the maximizer"),
             claims=[
                 Claim("classification", "recursive / nonnegative",
                       "recursive and nonnegative", "trivial",
@@ -410,8 +391,6 @@ def build_corpus() -> list:
             ]),
         CorpusEntry(
             entry_id="noisy_public_2state",
-            filename="noisy_public_2state.game",
-            source="two hidden states, public signal of likelihood 1/3 vs 2/3",
             claims=[
                 Claim("posterior", "one-step posterior after u", "(1/3, 2/3)",
                       "derived", _run_posterior_noisy("noisy_public_2state")),
@@ -423,8 +402,6 @@ def build_corpus() -> list:
             ]),
         CorpusEntry(
             entry_id="quitting_game",
-            filename="quitting_game.game",
-            source="quitting-style recursive nonnegative game, public monitoring",
             claims=[
                 Claim("classification", "recursive / nonnegative",
                       "recursive and nonnegative", "trivial",
@@ -433,21 +410,6 @@ def build_corpus() -> list:
                       "derived", _run_quitting_values("quitting_game")),
             ]),
     ]
-
-
-def write_corpus_files(directory) -> list:
-    """Write every corpus game to ``directory``; returns the paths."""
-    import os
-
-    os.makedirs(directory, exist_ok=True)
-    paths = []
-    for entry in build_corpus():
-        spec = corpus.build_game(entry.entry_id)
-        path = os.path.join(directory, entry.filename)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(serialize_spec(spec))
-        paths.append(path)
-    return paths
 
 
 def run_verification(only: str | None = None) -> VerificationReport:

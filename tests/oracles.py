@@ -3,7 +3,7 @@ pure-strategy enumeration, closed forms, the game
 whose states are a tree's histories, the history trees, the play
 distribution, the conditional kernel and the dense kernel-identity check
 in Fractions, the per-history observed tree read off an explicit tree,
-the value recursion in Fractions, a best reply that walks every history
+a matrix game's value, the value recursion in Fractions, a best reply that walks every history
 on its own, and the best pure reply to a mix in a matrix game.
 
 Deliberately reimplements game evaluation with plain recursion so the
@@ -24,7 +24,7 @@ from signalgames.histories import (
     ObservedNode,
     TreePair,
 )
-from signalgames.lp import matrix_game_value, solve_matrix_game
+from signalgames.lp import solve_matrix_game
 from signalgames.model import (
     JOINT,
     PLAYER1,
@@ -173,6 +173,15 @@ def naive_stage_matrix(aux, node, continuation):
     return rows
 
 
+def game_value(matrix):
+    """Value of a matrix game: its largest row minimum when that equals the
+    smallest column maximum (a pure saddle point), else the LP's value."""
+    lower = max(map(min, matrix))
+    if lower == min(map(max, zip(*matrix))):
+        return lower
+    return solve_matrix_game(matrix).value
+
+
 def fraction_solve_horizons(aux, horizons):
     """Mean values ``{n: v_n}`` by Shapley's recursion in Fractions over a
     belief graph's levels: layer k holds the k-stage total value V_k per belief
@@ -198,7 +207,7 @@ def fraction_solve_horizons(aux, horizons):
                     current[node.key] = k * sum(
                         (w * held[x] for x, w in node.posterior.items()), F(0))
                 else:
-                    current[node.key] = matrix_game_value(naive_stage_matrix(
+                    current[node.key] = game_value(naive_stage_matrix(
                         aux, node,
                         (lambda child: previous[child.key]) if k > 1 else None))
         if k in wanted:

@@ -340,7 +340,7 @@ def test_quitting_sweep_solves_one_matrix_game_per_stage_count(monkeypatch):
     matrix game per stage count (3 beliefs, 2 of them absorbed), and the
     strategies one more build at their horizon.  The sweep needs
     values only, so it decides each game in ``reduction._value``: at its
-    saddle entry, or through ``matrix_game_value``."""
+    saddle entry, or through ``solve_matrix_game``'s LP."""
     real_solve = reduction._value
     real_sweep = recursive.solve_horizons
     real_build = recursive.build_auxiliary

@@ -1,4 +1,5 @@
-"""Standing identity pin for the belief sweep and its strategies.
+"""Standing identity pin for the belief sweep, the sequence form, best
+replies and sup bounds.
 
 Each case is the SHA-256 of a canonical text of one result: values through
 ``format_rational``, strategies through ``gamefile.serialize_strategy``,
@@ -16,12 +17,14 @@ import hashlib
 import json
 from pathlib import Path
 
-from randgen import random_symmetric_game
+from randgen import random_game, random_symmetric_game
 from signalgames import corpus
 from signalgames.gamefile import serialize_strategy
 from signalgames.rationals import format_rational
 from signalgames.recursive import uniform_value
 from signalgames.reduction import build_auxiliary, solve_backward, solve_horizons
+from signalgames.seqform import best_response_value, nstage_value
+from signalgames.supvalue import sup_value_lowerbounds
 
 GOLDEN = Path(__file__).parent / "golden" / "identity.json"
 
@@ -33,6 +36,8 @@ REPORT_FIELDS = ("value_sequence", "certified_lower", "stabilized", "window",
                  "tol", "eps_optimal_strategy1", "strategy_horizon",
                  "strategy_guarantee", "player2_strategy",
                  "player2_cap_at_horizon", "strategy_eps_achieved", "route")
+SUP_FIELDS = ("values", "best_lower", "upper", "exact", "stabilized",
+              "budget_hit")
 
 
 def _text(value) -> str:
@@ -51,10 +56,12 @@ def _sweep(game, n_max) -> str:
     return _text(sorted(values.items()))
 
 
+def _fields(report, names) -> str:
+    return "\n".join(f"{name}={_text(getattr(report, name))}" for name in names)
+
+
 def _report(game, n_max) -> str:
-    report = uniform_value(game, n_max=n_max)
-    return "\n".join(f"{name}={_text(getattr(report, name))}"
-                     for name in REPORT_FIELDS)
+    return _fields(uniform_value(game, n_max=n_max), REPORT_FIELDS)
 
 
 def _backward(game, n_max) -> tuple:
@@ -65,6 +72,29 @@ def _backward(game, n_max) -> tuple:
         values.append((n, sol.value))
         strategies += [_text(sol.strategy1), _text(sol.strategy2)]
     return _text(values), "\n".join(strategies)
+
+
+def _nstage(game, n_max) -> tuple:
+    """``(values, strategies, best replies)`` texts of ``nstage_value`` at
+    n <= n_max, each player's best reply to the other's optimal strategy."""
+    values, strategies, replies = [], [], []
+    for n in range(1, n_max + 1):
+        sol = nstage_value(game, n)
+        values.append((n, sol.value))
+        strategies += [_text(sol.strategy1), _text(sol.strategy2)]
+        replies += [(n, best_response_value(game, sol.strategy2, n, responder=1)),
+                    (n, best_response_value(game, sol.strategy1, n, responder=2))]
+    return _text(values), "\n".join(strategies), _text(replies)
+
+
+def _sequence_form_cases(games: dict, n_max: int) -> dict:
+    texts = {}
+    for name, game in games.items():
+        value, strategies, replies = _nstage(game, n_max)
+        texts[f"nstage_value values {name}"] = value
+        texts[f"nstage_value strategies {name}"] = strategies
+        texts[f"best_response_value {name}"] = replies
+    return texts
 
 
 def _cases() -> dict:
@@ -81,6 +111,14 @@ def _cases() -> dict:
         texts[f"solve_backward strategies {name}"] = strategies
     texts["uniform_value mdp_final_remark"] = _report(games["mdp_final_remark"], 4000)
     texts["uniform_value quitting_game"] = _report(games["quitting_game"], 1000)
+    corpus_games = {name: corpus.build_game(name) for name in corpus.NAMES}
+    texts.update(_sequence_form_cases(corpus_games, 3))
+    # private signals: the sequence form is the only engine
+    texts.update(_sequence_form_cases(
+        {f"random_game({seed})": random_game(seed) for seed in range(12)}, 2))
+    for name, game in corpus_games.items():
+        texts[f"sup_value_lowerbounds {name}"] = _fields(
+            sup_value_lowerbounds(game, 3), SUP_FIELDS)
     return texts
 
 

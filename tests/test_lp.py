@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import signalgames.lp as lp_module
 from oracles import matrix_reply_value
 from randgen import dense_lp, random_lp
-from signalgames import corpus, seqform, supvalue
+from signalgames import corpus, reduction, seqform, supvalue
 from signalgames.errors import LPError
 from signalgames.lp import (
     EQ,
@@ -29,7 +29,6 @@ from signalgames.lp import (
     _matrix,
     _saddle,
     _verify_optimal,
-    matrix_game_value,
     solve_lp,
     solve_matrix_game,
 )
@@ -273,12 +272,14 @@ def _matrices(entries):
 @example([[0, 0], [0, 0]])
 @example([[2, 7, -1]])
 def test_matrix_game_value_matches_solve_matrix_game(matrix):
-    """Saddle games (``max min == min max``) and games without a saddle,
-    ties included, over Fraction and over int matrices: the value-only
-    solve returns the LP's value exactly.  A saddle's value is its entry
-    as given, an int in an int matrix, and so is a one-row or one-column
-    game's in ``solve_matrix_game``; an LP value is a Fraction."""
-    got = matrix_game_value(matrix)
+    """The sweep's value-only solve ``reduction._value`` on saddle games
+    (``max min == min max``) and games without a saddle, ties included,
+    over int matrices, the sweep's stage games, and over Fraction ones,
+    where an LP value entered a stage game: it returns the LP's value
+    exactly.  A saddle's value is its entry as given, an int in an int
+    matrix, and so is a one-row or one-column game's in
+    ``solve_matrix_game``; an LP value is a Fraction."""
+    got = reduction._value(matrix)
     sol = solve_matrix_game(matrix)
     assert got == sol.value
     exact = int if type(matrix[0][0]) is int else F
@@ -301,20 +302,38 @@ def _count_lp_calls(monkeypatch):
 
 
 def test_matrix_game_value_without_saddle_runs_the_lp_once(monkeypatch):
+    """``reduction._value`` hands a game without a saddle to one LP."""
     calls = _count_lp_calls(monkeypatch)
-    assert matrix_game_value([[1, 0], [0, 1]]) == F(1, 2)
+    assert reduction._value([[1, 0], [0, 1]]) == F(1, 2)
     assert len(calls) == 1
 
 
+def test_value_without_saddle_validates_only_in_solve_matrix_game(monkeypatch):
+    """A game without a saddle reaches ``lp._matrix`` twice, as a direct
+    ``solve_matrix_game`` call does: at that call's entry and in its
+    certificate check.  ``reduction._value`` validates nothing itself."""
+    calls = []
+    real = lp_module._matrix
+
+    def counted(matrix):
+        calls.append(matrix)
+        return real(matrix)
+
+    monkeypatch.setattr(lp_module, "_matrix", counted)
+    assert reduction._value([[1, 0], [0, 1]]) == F(1, 2)
+    assert len(calls) == 2
+
+
 def test_matrix_game_value_saddle_runs_no_lp(monkeypatch):
+    """``reduction._value`` decides a saddle game at its entry, no LP."""
     calls = _count_lp_calls(monkeypatch)
-    monkeypatch.setattr(lp_module, "solve_matrix_game", None)
+    monkeypatch.setattr(reduction, "solve_matrix_game", None)
     # row 1's minimum 1 equals column 0's maximum 1
-    assert matrix_game_value([[F(0), F(3)], [F(1), F(2)], [F(-1), F(5)]]) == 1
-    assert matrix_game_value([[F(1, 3)], [F(1, 2)]]) == F(1, 2)
-    assert matrix_game_value([[2, 7, -1]]) == -1
+    assert reduction._value([[F(0), F(3)], [F(1), F(2)], [F(-1), F(5)]]) == 1
+    assert reduction._value([[F(1, 3)], [F(1, 2)]]) == F(1, 2)
+    assert reduction._value([[2, 7, -1]]) == -1
     # integer entries stay integers: the saddle entry is returned as given
-    value = matrix_game_value([[0, 3], [10 ** 40, 2 * 10 ** 40]])
+    value = reduction._value([[0, 3], [10 ** 40, 2 * 10 ** 40]])
     assert type(value) is int and value == 10 ** 40
     assert calls == []
 
@@ -322,18 +341,22 @@ def test_matrix_game_value_saddle_runs_no_lp(monkeypatch):
 @pytest.mark.parametrize("matrix", [[], [[]], [[F(1)], [F(1), F(2)]],
                                     [[F(1), F(2)], [F(1)]]])
 def test_matrix_game_value_rejects_malformed(matrix):
+    """``solve_matrix_game`` refuses an empty or ragged game."""
     with pytest.raises(LPError):
-        matrix_game_value(matrix)
+        solve_matrix_game(matrix)
 
 
 def test_matrix_game_value_under_optimize():
+    """``solve_matrix_game``'s values and its refusal of a ragged game
+    under ``python -O``."""
     script = (
         "from signalgames.errors import LPError\n"
-        "from signalgames.lp import matrix_game_value\n"
+        "from signalgames.lp import solve_matrix_game\n"
         "assert False, 'asserts were not stripped'\n"
-        "print(matrix_game_value([[1, 0], [0, 1]]), matrix_game_value([[0, 1]]))\n"
+        "print(solve_matrix_game([[1, 0], [0, 1]]).value,\n"
+        "      solve_matrix_game([[0, 1]]).value)\n"
         "try:\n"
-        "    matrix_game_value([[1], [1, 2]])\n"
+        "    solve_matrix_game([[1], [1, 2]])\n"
         "except LPError as err:\n"
         "    print('rejected:', err)\n"
     )
@@ -395,8 +418,6 @@ def test_matrix_game_refuses_inexact_entries(matrix):
         _matrix(matrix)
     with pytest.raises(LPError, match="not an int or a Fraction"):
         solve_matrix_game(matrix)
-    with pytest.raises(LPError, match="not an int or a Fraction"):
-        matrix_game_value(matrix)
 
 
 @pytest.mark.parametrize("mixed", [[0.5, 0.5], [F(1, 2), "1/2"], [True, 0]])

@@ -11,6 +11,7 @@ from oracles import (
     absorbing_payoffs,
     auxiliary_from_trees,
     fraction_solve_horizons,
+    game_value,
     history_augmented,
     lift_payoff_by_kernel,
     naive_stage_matrix,
@@ -376,7 +377,7 @@ def _every_node_backward(game, N, prune=True, strategies=True):
                 solutions[id(node)] = solve_matrix_game(matrix)
                 values[id(node)] = solutions[id(node)].value
             else:
-                values[id(node)] = lp_module.matrix_game_value(matrix)
+                values[id(node)] = game_value(matrix)
     table1, table2 = {}, {}
     for level in tree.levels:
         for node in level:
@@ -591,7 +592,7 @@ def test_integer_sweep_equals_fraction_recursion(monkeypatch):
     denominators that are not powers of 2, fractional rewards (L > 1),
     several roots, pruned beliefs and link gcds h > 1 all occur, and the
     matrix games go both ways through ``_value``: decided at a saddle
-    entry in the sweep, or by the LP of ``matrix_game_value``."""
+    entry in the sweep, or by the LP of ``solve_matrix_game``."""
     games = [_absorbing_symmetric_game(seed) for seed in range(60)]
     games += [_single_controller_game(seed, c)
               for seed in range(10) for c in (1, 2)]
@@ -620,7 +621,7 @@ def test_integer_sweep_equals_fraction_recursion(monkeypatch):
         seen["link gcd > 1"] += any(h > 1 for node in nodes
                                     for h, _ in node.links.values())
         with monkeypatch.context() as patch:
-            patch.setattr(lp_module, "solve_matrix_game", counted_lp)
+            patch.setattr(reduction, "solve_matrix_game", counted_lp)
             patch.setattr(reduction, "_value", counted_value)
             got = solve_horizons(dag, [1, 2, 4])
         assert repr(got) == repr(fraction_solve_horizons(dag, [1, 2, 4])), dag.view
@@ -1006,7 +1007,7 @@ def test_mdp_sweep_evaluates_live_beliefs_only(monkeypatch, games):
     monkeypatch.setattr(reduction, "_cells", cells)
     monkeypatch.setattr(reduction, "_entries", counted_entries)
     monkeypatch.setattr(reduction, "_rows", no_matrix)
-    monkeypatch.setattr(reduction, "matrix_game_value", no_matrix)
+    monkeypatch.setattr(reduction, "solve_matrix_game", no_matrix)
     solve_horizons(dag, default_schedule(4000))
     assert planned and not any(node.pruned for node in planned)
     assert games_cells == [2] * 26380
@@ -1027,7 +1028,7 @@ def test_sweep_evaluates_each_stage_count_and_live_belief_once(monkeypatch, game
     game to n = 40 and of random symmetric games to n = 7: the sweep
     evaluates one stage game per distinct (stages left, live key) pair of
     the level lists, plans cells for no pruned node, and hands
-    ``matrix_game_value`` only games without a pure saddle point, the
+    ``solve_matrix_game`` only games without a pure saddle point, the
     others decided in the sweep at their saddle entry."""
     planned, evaluated, handed = [], [], []
     real_cells, real_entries = reduction._cells, reduction._entries
@@ -1040,13 +1041,13 @@ def test_sweep_evaluates_each_stage_count_and_live_belief_once(monkeypatch, game
         evaluated.append(len(plans))
         return real_entries(plans, *args)
 
-    def counted_value(matrix):
+    def counted_lp(matrix):
         handed.append(matrix)
-        return lp_module.matrix_game_value(matrix)
+        return solve_matrix_game(matrix)
 
     monkeypatch.setattr(reduction, "_cells", cells)
     monkeypatch.setattr(reduction, "_entries", counted_entries)
-    monkeypatch.setattr(reduction, "matrix_game_value", counted_value)
+    monkeypatch.setattr(reduction, "solve_matrix_game", counted_lp)
     cases = [(games["noisy_public_2state"], 40), (games["quitting_game"], 40)]
     cases += [(random_symmetric_game(seed), 7) for seed in range(12)]
     seen = {"pruned": 0, "planned": 0, "handed": 0}
