@@ -512,7 +512,6 @@ class ReplicaResult:
     sup_payoff: float
     absorbed: bool
     absorption_stage: int | None
-    absorbing_payoff: float | None
 
 
 @dataclass
@@ -626,7 +625,6 @@ def simulate(spec_or_sym, sigma: BehavioralStrategy, tau: BehavioralStrategy,
             sup_payoff=sup if sup is not None else 0.0,
             absorbed=absorbed_stage is not None,
             absorption_stage=absorbed_stage,
-            absorbing_payoff=absorbing_payoff,
         ))
 
     means = [res.mean_payoff for res in results]

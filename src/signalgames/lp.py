@@ -661,20 +661,37 @@ def _matrix(payoff: list) -> list:
 
 @dataclass
 class MatrixGameSolution:
+    """A matrix game's value with an optimal strategy per player, as lists
+    of probabilities over rows and columns.  ``solve_matrix_game`` returns
+    only solutions that ``_certify`` accepted on its validated matrix."""
+
     value: Fraction | int                # a saddle entry is as given
     row_strategy: list
     col_strategy: list
 
     def check(self, payoff: list) -> None:
-        """Exact guarantee inequalities for both strategies against the
-        matrix game ``payoff`` (checked by ``_matrix``), in integers.
+        """Certify both strategies against the matrix game ``payoff``: the
+        matrix is checked by ``_matrix``, then the solution by ``_certify``.
+        This is the entry for callers outside the package, whose solution
+        and matrix nothing has validated (a stored or hand-built
+        solution); ``solve_matrix_game`` calls ``_certify`` on the matrix
+        it validated.  Raises LPError, so the check also runs under
+        ``python -O``."""
+        self._certify(_matrix(payoff))
+
+    def _certify(self, M: list) -> None:
+        """Exact guarantee inequalities for both strategies against ``M``, a
+        matrix ``_matrix`` accepted, in integers.
 
         The matrix is put over one denominator L and the strategies over
         theirs, P and Q.  With value = vn / vd, the row strategy's guarantee
         at column c is vd * sum_r p_r M_rc >= vn * P * L, and the column
         strategy's at row r is vd * sum_c q_c M_rc <= vn * Q * L: one
-        integer dot product per column and per row."""
-        R, C = len(_matrix(payoff)), len(payoff[0])
+        integer dot product per column and per row.  For a pure pair (row
+        r, column c) these say that no entry of row r is below the value and
+        no entry of column c is above it, so the value is M[r][c]: the
+        saddle-point test."""
+        R, C = len(M), len(M[0])
         if len(self.row_strategy) != R or len(self.col_strategy) != C:
             raise LPError("strategy lengths do not match the game")
         p, P = _over_common(self.row_strategy)
@@ -683,7 +700,7 @@ class MatrixGameSolution:
             raise LPError("row strategy is not a distribution")
         if sum(q) != Q or any(b < 0 for b in q):
             raise LPError("column strategy is not a distribution")
-        flat, L = _over_common([v for row in payoff for v in row])
+        flat, L = _over_common([v for row in M for v in row])
         matrix = [flat[r * C:(r + 1) * C] for r in range(R)]
         vn, vd = self.value.numerator, self.value.denominator
         rows = [(a, matrix[r]) for r, a in enumerate(p) if a]
@@ -719,40 +736,26 @@ def _saddle(M: list) -> tuple | None:
     return mins.index(lower), maxes.index(lower)
 
 
-def _check_saddle(M: list, r: int, c: int, value) -> None:
-    """Exact certificate of the pure saddle point (r, c) with ``value``:
-    the value is the entry M[r][c], no entry of row r is below it (row r
-    guarantees it against every column) and no entry of column c is above
-    it (column c holds every row to it).  Lookups and comparisons only.
-    Raises LPError, so the check also runs under ``python -O``."""
-    if M[r][c] != value:
-        raise LPError(f"saddle value {value} is not the entry at ({r}, {c})")
-    if min(M[r]) < value:
-        raise LPError(f"row {r} does not guarantee {value}")
-    if max(row[c] for row in M) > value:
-        raise LPError(f"column {c} does not hold the rows to {value}")
-
-
 def solve_matrix_game(payoff: list) -> MatrixGameSolution:
     """Exact value and optimal mixed strategies of a matrix game, a list
-    of rows (see ``_matrix``).
+    of rows, validated once by ``_matrix``.
 
     A game with one row or one column is solved at its saddle point
     (``_saddle``): the value is that entry, as given, and both strategies
-    are pure, certified by ``_check_saddle``.  Any other game, saddle or
-    not, is the LP over (p, v): maximize v subject to p^T M >= v per
-    column, sum p = 1, p >= 0.  Column duals give the minimizer's optimal
-    mix, and ``MatrixGameSolution.check`` certifies both.
+    are pure.  Any other game, saddle or not, is the LP over (p, v):
+    maximize v subject to p^T M >= v per column, sum p = 1, p >= 0.  Column
+    duals give the minimizer's optimal mix.  Either solution is certified
+    by ``MatrixGameSolution._certify`` before it is returned.
     """
     M = _matrix(payoff)
     R, C = len(M), len(M[0])
     if R == 1 or C == 1:
         r, c = _saddle(M)
-        value = M[r][c]
-        _check_saddle(M, r, c, value)
-        return MatrixGameSolution(value=value,
-                                  row_strategy=[ONE if k == r else ZERO for k in range(R)],
-                                  col_strategy=[ONE if k == c else ZERO for k in range(C)])
+        solution = MatrixGameSolution(
+            value=M[r][c], row_strategy=[ONE if k == r else ZERO for k in range(R)],
+            col_strategy=[ONE if k == c else ZERO for k in range(C)])
+        solution._certify(M)
+        return solution
     objective = [0] * R + [1]          # p_0..p_{R-1}, v
     rows, senses, rhs = [], [], []
     for c in range(C):                 # v - p^T M_col <= 0
@@ -768,15 +771,10 @@ def solve_matrix_game(payoff: list) -> MatrixGameSolution:
     sol = solve_lp(LinearProgram(objective, rows, senses, rhs, free=frozenset({R})))
     if sol.status != OPTIMAL:
         raise LPError(f"matrix game LP ended {sol.status}")
-    value = sol.objective
-    row_strategy = sol.primal[:R]
     # Duals of the C column constraints are >= 0 and sum to 1 (stationarity
-    # of the free variable v): they are the minimizer's optimal mix.
-    col_strategy = [sol.duals[c] for c in range(C)]
-    if sum(col_strategy, ZERO) != 1:
-        raise LPError("column duals do not form a distribution")
-    solution = MatrixGameSolution(value=value, row_strategy=row_strategy,
-                                  col_strategy=col_strategy)
-    solution.check(M)
+    # of the free variable v): they are the minimizer's optimal mix, which
+    # ``_certify`` checks to be a distribution.
+    solution = MatrixGameSolution(value=sol.objective, row_strategy=sol.primal[:R],
+                                  col_strategy=[sol.duals[c] for c in range(C)])
+    solution._certify(M)
     return solution
-

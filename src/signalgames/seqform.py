@@ -304,9 +304,9 @@ def nstage_value(spec_or_sym, horizon: int, evaluation=MEAN,
 
 
 def best_response_value(spec_or_sym, fixed: BehavioralStrategy, horizon: int,
-                        evaluation=MEAN, responder: int = 2,
-                        budget: int | None = None) -> Fraction:
-    """Exact value of the responder's best reply against ``fixed``.
+                        responder: int = 2, budget: int | None = None) -> Fraction:
+    """Exact mean payoff of the responder's best reply against ``fixed`` in
+    the N-stage game: the average of the N stage rewards.
 
     responder=2 minimizes, responder=1 maximizes; ``fixed`` is the other
     player's (else GameModelError).  Works by collapsing the fixed player
@@ -334,9 +334,6 @@ def best_response_value(spec_or_sym, fixed: BehavioralStrategy, horizon: int,
     if responder not in (1, 2) or isinstance(responder, bool):
         raise GameModelError(f"responder must be 1 or 2, got {responder!r}")
     N = horizon
-    terminal = evaluation if isinstance(evaluation, TerminalPayoff) else None
-    if terminal is None and evaluation != MEAN:
-        raise GameModelError(f"unknown evaluation {evaluation!r}")
     edge_f, label_f, mix_f = _viewer(fixed, spec, 3 - responder)
     _, label_r = projection(PLAYER2 if responder == 2 else PLAYER1)
     actions = spec.actions2 if responder == 2 else spec.actions1
@@ -381,7 +378,7 @@ def best_response_value(spec_or_sym, fixed: BehavioralStrategy, horizon: int,
         last_views, views, mixes = views, {}, {}
         for (x, fid, rid), weight in level.items():
             nodes.charge(depth)
-            det = _determined(form, terminal, x, depth, N)
+            det = _determined(form, None, x, depth, N)
             if det is not None:
                 bank(resp_parent[rid], weight * det)
                 continue
@@ -398,13 +395,9 @@ def best_response_value(spec_or_sym, fixed: BehavioralStrategy, horizon: int,
                             else (a_resp, a_fixed))
                     # a product by 1 and a zero reward change nothing banked
                     w = weight if pf == 1 else weight * pf
-                    if terminal is None:
-                        g = form.reward[(x, i, j)]
-                        if g:
-                            bank(s_resp, w * g)
-                    elif depth == N:
-                        bank(s_resp, w * require_exact(
-                            terminal.action_fn(x, i, j), "a terminal payoff"))
+                    g = form.reward[(x, i, j)]
+                    if g:
+                        bank(s_resp, w * g)
                     if depth < N:
                         out = moves.get((x, i, j))
                         if out is None:
@@ -424,11 +417,10 @@ def best_response_value(spec_or_sym, fixed: BehavioralStrategy, horizon: int,
     # information set enters ``infosets`` before any of its successors
     # (depths are walked in order), so a pass in reverse order folds every
     # sequence's successors into it before the sequence itself is read.
-    # Under the mean the walk banked stage sums over L: min and max commute
-    # with the positive scale 1/(N L), so the root is divided once.
+    # The walk banked stage sums over L: min and max commute with the
+    # positive scale 1/(N L), so the root is divided once.
     pick = min if responder == 2 else max
     for rid, parent in reversed(infosets.items()):
         cost[parent] = cost.get(parent, ZERO) + pick(
             cost.get((rid, a), ZERO) for a in actions)
-    root = cost.get((), ZERO)
-    return root if terminal is not None else root / (N * form.L)
+    return cost.get((), ZERO) / (N * form.L)

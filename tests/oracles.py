@@ -37,7 +37,6 @@ from signalgames.model import (
     require_public_labels,
 )
 from signalgames.reduction import _resolve_view
-from signalgames.seqform import TerminalPayoff
 
 
 def absorbing_payoffs(spec_or_sym) -> dict:
@@ -585,20 +584,18 @@ def observed_tree(spec_or_sym, horizon):
                         levels=auxiliary_from_trees(pair))
 
 
-def naive_best_response_value(spec_or_sym, fixed, horizon, evaluation="mean",
-                              responder=2):
+def naive_best_response_value(spec_or_sym, fixed, horizon, responder=2):
     """Best reply against ``fixed`` by a depth-first walk that visits every
     positive-weight history on its own.
 
     Reference for ``seqform.best_response_value``, which merges histories
     with equal state and views.  Each history banks its weighted stage
-    reward (or terminal payoff, or closed-form continuation) on the
-    responder's sequence; the responder's view tree is then folded by min
+    reward over N (or its closed-form continuation) on the responder's
+    sequence; the responder's view tree is then folded by min
     (responder 2) or max (responder 1).  Returns ``(value, frames)``, the
     number of histories walked."""
     spec = as_general(spec_or_sym)
     N = horizon
-    terminal = evaluation if isinstance(evaluation, TerminalPayoff) else None
     public_of = (require_public_labels(spec) if fixed.view_kind == "public"
                  else None)
     actions = list(spec.actions2 if responder == 2 else spec.actions1)
@@ -608,13 +605,6 @@ def naive_best_response_value(spec_or_sym, fixed, horizon, evaluation="mean",
 
     def bank(seq, amount):
         banked[seq] = banked.get(seq, F(0)) + amount
-
-    def determined(x, depth):
-        if terminal is None:
-            if x in held:
-                return held[x] * (N - depth + 1) / N
-            return None
-        return terminal.determined_fn(x)
 
     stack = []
     for (x, c, d), p in sorted(spec.initial.items(), key=str):
@@ -626,9 +616,8 @@ def naive_best_response_value(spec_or_sym, fixed, horizon, evaluation="mean",
     while stack:
         x, weight, vf, vr, vpub, depth = stack.pop()
         frames += 1
-        det = determined(x, depth)
-        if det is not None:
-            bank(vr[:-1], weight * det)
+        if x in held:
+            bank(vr[:-1], weight * held[x] * (N - depth + 1) / N)
             continue
         infosets.setdefault(vr)
         dist = fixed.action_dist(vpub if fixed.view_kind == "public" else vf)
@@ -638,10 +627,7 @@ def naive_best_response_value(spec_or_sym, fixed, horizon, evaluation="mean",
                     continue
                 i, j = (a_fixed, a_resp) if responder == 2 else (a_resp, a_fixed)
                 w = weight * pf
-                if terminal is None:
-                    bank(vr + (a_resp,), w * spec.reward[(x, i, j)] / N)
-                elif depth == N:
-                    bank(vr + (a_resp,), w * terminal.action_fn(x, i, j))
+                bank(vr + (a_resp,), w * spec.reward[(x, i, j)] / N)
                 if depth < N:
                     for (x2, c, d), p in spec.transition[(x, i, j)].items():
                         if p > 0:

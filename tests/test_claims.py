@@ -36,6 +36,25 @@ def test_expected_limsup_always_T_vs_reply():
     assert expected_limsup(spec, sigma, tau) == F(-1, 2)
 
 
+def test_expected_limsup_transient_chain():
+    """A transient state leading to another: x0 stays with 1/2 and moves
+    to x1 with 1/2, and x1 is absorbed at 1 with 1/3 and at 0 with 2/3, so
+    the expected limsup from x0 is 1/3, solved through the transient rows
+    of the tail system."""
+    absorb = {"one*": F(1), "zero*": F(0)}
+    moves = {"x0": {"x0": F(1, 2), "x1": F(1, 2)},
+             "x1": {"one*": F(1, 3), "zero*": F(2, 3)},
+             "one*": {"one*": F(1)}, "zero*": {"zero*": F(1)}}
+    spec = GameSpec(
+        states=list(moves), actions1=["a"], actions2=["b"], signals1=["s"],
+        signals2=["s"], initial={("x0", "s", "s"): F(1)},
+        transition={(x, "a", "b"): {(y, "s", "s"): p for y, p in out.items()}
+                    for x, out in moves.items()},
+        reward={(x, "a", "b"): absorb.get(x, F(0)) for x in moves})
+    plan1, plan2 = FirstSwitchPlan("a", "a"), FirstSwitchPlan("b", "b")
+    assert expected_limsup(spec, plan1, plan2) == F(1, 3)
+
+
 def test_expected_limsup_bigmatch_tail_classes():
     spec = corpus.build_game("example3_bigmatch_blind1")
     # B forever vs R forever: payoff 1 every stage, never absorbed

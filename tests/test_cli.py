@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import io
@@ -6,6 +7,7 @@ import os
 import shlex
 import subprocess
 import sys
+from fractions import Fraction as F
 from pathlib import Path
 from unittest import mock
 
@@ -14,8 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from signalgames import corpus
-from signalgames.cli import main
+from signalgames.cli import build_parser, main
 from signalgames.gamefile import load_strategy
+from signalgames.seqform import best_response_value
 
 
 @pytest.fixture(scope="module")
@@ -54,6 +57,31 @@ def test_solve_nstage_bigmatch(corpus_dir, capsys):
                  str(corpus_dir / "bigmatch_nosignals.game"), "--horizon", "3"])
     assert code == 0
     assert "1/2" in capsys.readouterr().out
+
+
+def test_solve_nstage_writes_and_prints_both_strategies(corpus_dir, tmp_path, capsys):
+    """``--strategy-out`` writes player 1's optimal strategy and
+    ``--verbose`` prints both players' tables; the written file loads, and
+    player 2's best reply to it earns the printed value."""
+    out = tmp_path / "sigma.json"
+    code = main(["solve-nstage", "--game", str(corpus_dir / "quitting_game.game"),
+                 "--horizon", "3", "--strategy-out", str(out), "--verbose"])
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("value (mean, horizon 3): 1/3 ")
+    assert lines[1] == f"player 1 optimal strategy written to {out}"
+    assert lines[2] == "player 1 strategy:"
+    sigma = load_strategy(out)
+    assert (sigma.player, sigma.horizon) == (1, 3)
+    table1 = lines[3:3 + len(sigma.table)]
+    assert table1 == [
+        f"  {' '.join(view)}: " + " ".join(f"{a}:{p}" for a, p in sorted(
+            (a, str(p)) for a, p in sigma.table[view].items()))
+        for view in sorted(sigma.table, key=lambda v: (len(v), v))]
+    assert lines[3 + len(sigma.table)] == "player 2 strategy:"
+    assert len(lines) > 4 + len(sigma.table)
+    game = corpus.build_game("quitting_game")
+    assert best_response_value(game, sigma, 3, responder=2) == F(1, 3)
 
 
 def test_solve_nstage_terminal_eval(corpus_dir, capsys):
@@ -702,54 +730,75 @@ def cli_files(tmp_path_factory):
     return games + inputs, strategies, outputs
 
 
-_COUNTS = st.sampled_from(["1", "2", "3", "0", "-1", "x", "1/2"])
-_RATIONALS = st.sampled_from(["1/100", "-1/100", "1/2", "0", "3", "1/0",
-                              "0.1", "abc", "-2"])
+# counts and rationals as (good values, bad values)
+_COUNTS = (["1", "2", "3"], ["0", "-1", "x", "1/2"])
+_RATIONALS = (["1/100", "1/2", "3"], ["-1/100", "0", "1/0", "0.1", "abc", "-2"])
+# a schedule's cap: past 3 only so that the node budget, not the cap,
+# ends some drawn schedules (exit 3)
+_CAPS = (_COUNTS[0] + ["50"], _COUNTS[1])
+
+
+def _required_flags() -> dict:
+    """The flags argparse requires, per subcommand, read from the parser."""
+    sub = next(action for action in build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    return {name: {action.option_strings[0] for action in parser._actions
+                   if action.required and action.option_strings}
+            for name, parser in sub.choices.items()}
+
+
+_REQUIRED = _required_flags()
 
 
 def _command_lines(files):
-    """Argument vectors over the real subcommands and flags: each flag is
-    present or absent, with a value drawn from good and bad ones.
-    Horizons stay at most 3."""
+    """Argument vectors over the real subcommands and flags, each line from
+    a ``random.Random`` that hypothesis seeds, so the odds are exact
+    (``st.integers`` and ``st.sampled_from`` favour their first and last
+    choices): a required flag is present nine times in ten and any other
+    flag half the time; a count or a rational is one of its good values
+    three times in four, else one of its bad ones; one line in ten gets a
+    stray argument.  Horizons stay at most 3; a schedule's cap may be 50,
+    which the node budget, not the cap, ends."""
     game_files, strategies, outputs = files
-    game = st.sampled_from(game_files)
-    strategy = st.sampled_from(strategies)
-    output = st.sampled_from(outputs)
     flags = {
-        "validate": {"--game": game},
-        "reduce-symmetric": {"--game": game, "--horizon": _COUNTS, "--csv": output},
-        "solve-nstage": {"--game": game, "--horizon": _COUNTS,
-                         "--eval": st.sampled_from(["mean", "terminal", "max"]),
-                         "--strategy-out": output, "--verbose": None},
-        "solve-sup": {"--game": game, "--max-horizon": _COUNTS, "--csv": output},
-        "solve-recursive": {"--game": game, "--tol": _RATIONALS,
-                            "--max-horizon": _COUNTS, "--window": _COUNTS,
-                            "--csv": output, "--strategy-out": output},
-        "simulate": {"--game": game, "--horizon": _COUNTS,
-                     "--seed": st.sampled_from(["0", "7", "-3", "x"]),
-                     "--replicas": _COUNTS, "--sigma": strategy,
-                     "--tau": strategy},
-        "kernel-check": {"--game": game, "--n": _COUNTS, "--m": _COUNTS,
-                         "--sigma": strategy, "--tau": strategy,
-                         "--dump-trees": output},
-        "verify-example": {"--id": st.sampled_from(["1", "2", "3", "4"]),
-                           "--side": st.sampled_from(["maxmin", "minmax", "x"]),
+        "validate": {"--game": game_files},
+        "reduce-symmetric": {"--game": game_files, "--horizon": _COUNTS,
+                             "--csv": outputs},
+        "solve-nstage": {"--game": game_files, "--horizon": _COUNTS,
+                         "--eval": ["mean", "terminal", "max"],
+                         "--strategy-out": outputs, "--verbose": None},
+        "solve-sup": {"--game": game_files, "--max-horizon": _CAPS, "--csv": outputs},
+        "solve-recursive": {"--game": game_files, "--tol": _RATIONALS,
+                            "--max-horizon": _CAPS, "--window": _COUNTS,
+                            "--csv": outputs, "--strategy-out": outputs},
+        "simulate": {"--game": game_files, "--horizon": _COUNTS,
+                     "--seed": ["0", "7", "-3", "x"], "--replicas": _COUNTS,
+                     "--sigma": strategies, "--tau": strategies},
+        "kernel-check": {"--game": game_files, "--n": _COUNTS, "--m": _COUNTS,
+                         "--sigma": strategies, "--tau": strategies,
+                         "--dump-trees": outputs},
+        "verify-example": {"--id": ["1", "2", "3", "4"],
+                           "--side": ["maxmin", "minmax", "x"],
                            "--horizon": _COUNTS, "--eps": _RATIONALS,
                            "--verbose": None},
-        "verify-paper": {"--csv": output, "--json": output,
-                         "--only": st.sampled_from(["quitting_game",
-                                                    "mdp_final_remark", "nope"])},
+        "verify-paper": {"--csv": outputs, "--json": outputs,
+                         "--only": ["quitting_game", "mdp_final_remark", "nope"]},
     }
 
     @st.composite
     def draw(data):
-        command = data(st.sampled_from(sorted(flags)))
+        rng = data(st.randoms(use_true_random=True))
+        command = rng.choice(sorted(flags))
         argv = [command]
         for flag, values in flags[command].items():
-            if data(st.booleans()):
-                argv += [flag] if values is None else [flag, data(values)]
-        if data(st.integers(0, 9)) == 0:
-            argv.append(data(st.sampled_from(["--nope", "extra", "-1/2", "-h"])))
+            if rng.random() >= (0.9 if flag in _REQUIRED[command] else 0.5):
+                continue
+            if isinstance(values, tuple):
+                good, bad = values
+                values = good if rng.random() < 0.75 else bad
+            argv += [flag] if values is None else [flag, rng.choice(values)]
+        if rng.random() < 0.1:
+            argv.append(rng.choice(["--nope", "extra", "-1/2", "-h"]))
         return argv
 
     return draw()

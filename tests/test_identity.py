@@ -1,5 +1,6 @@
 """Standing identity pin for the belief sweep, the sequence form, best
-replies and sup bounds.
+replies, sup bounds, matrix games, strategy extraction and the kernel
+layer.
 
 Each case is the SHA-256 of a canonical text of one result: values through
 ``format_rational``, strategies through ``gamefile.serialize_strategy``,
@@ -15,14 +16,20 @@ and lists each changed case.
 
 import hashlib
 import json
+import random
+from fractions import Fraction as F
 from pathlib import Path
 
 from randgen import random_game, random_symmetric_game
 from signalgames import corpus
 from signalgames.gamefile import serialize_strategy
+from signalgames.histories import build_trees, conditional_check, exact_play_distribution
+from signalgames.lp import solve_matrix_game
+from signalgames.model import as_general, uniform_strategy
 from signalgames.rationals import format_rational
-from signalgames.recursive import uniform_value
-from signalgames.reduction import build_auxiliary, solve_backward, solve_horizons
+from signalgames.recursive import extract_eps_optimal, uniform_value
+from signalgames.reduction import (build_auxiliary, lift_payoff, solve_backward,
+                                   solve_horizons)
 from signalgames.seqform import best_response_value, nstage_value
 from signalgames.supvalue import sup_value_lowerbounds
 
@@ -38,6 +45,10 @@ REPORT_FIELDS = ("value_sequence", "certified_lower", "stabilized", "window",
                  "player2_cap_at_horizon", "strategy_eps_achieved", "route")
 SUP_FIELDS = ("values", "best_lower", "upper", "exact", "stabilized",
               "budget_hit")
+EPS_FIELDS = ("strategy", "horizon", "guarantee", "achieved_eps", "warning",
+              "certificates")
+KERNEL_FIELDS = ("n", "m", "checked_pairs", "max_discrepancy",
+                 "normalization_ok", "bayes_ok", "sum_identity_ok")
 
 
 def _text(value) -> str:
@@ -97,6 +108,59 @@ def _sequence_form_cases(games: dict, n_max: int) -> dict:
     return texts
 
 
+def _matrix_games() -> list:
+    """200 seeded matrix games: 1 x k, k x 1 and k x k for k <= 4, with int
+    or Fraction entries; small entries give games with and without a pure
+    saddle point."""
+    rng = random.Random(39)
+    shapes = ([(1, k) for k in range(1, 5)] + [(k, 1) for k in range(2, 5)]
+              + [(k, k) for k in range(2, 5)])
+    games = []
+    for t in range(200):
+        R, C = shapes[t % len(shapes)]
+        if t % 2:
+            games.append([[rng.randint(-4, 4) for _ in range(C)] for _ in range(R)])
+        else:
+            games.append([[F(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(C)]
+                          for _ in range(R)])
+    return games
+
+
+def _matrix_game_cases() -> dict:
+    values, strategies = [], []
+    for k, game in enumerate(_matrix_games()):
+        sol = solve_matrix_game(game)
+        values.append((k, sol.value))
+        strategies.append(" ".join(map(format_rational, sol.row_strategy)) + " | "
+                          + " ".join(map(format_rational, sol.col_strategy)))
+    return {"solve_matrix_game values": _text(values),
+            "solve_matrix_game strategies": "\n".join(strategies)}
+
+
+def _kernel_cases(games: dict) -> dict:
+    """``conditional_check`` at every 1 <= n <= m <= 3 and the horizon-3
+    play distribution (probabilities in tree order), uniform strategies."""
+    texts = {}
+    for name, game in games.items():
+        spec = as_general(game)
+        pair = build_trees(spec, 3)
+        sigma, tau = uniform_strategy(spec, 1), uniform_strategy(spec, 2)
+        texts[f"conditional_check {name}"] = "\n".join(
+            _fields(conditional_check(pair, sigma, tau, n, m), KERNEL_FIELDS)
+            for m in range(1, 4) for n in range(1, m + 1))
+        texts[f"exact_play_distribution {name}"] = " ".join(
+            map(format_rational, exact_play_distribution(pair, sigma, tau, 3).probs.values()))
+    return texts
+
+
+def _lift_case(game) -> str:
+    """``lift_payoff`` of verify-paper's transfer payoff at n = 3."""
+    pair = build_trees(game, 3)
+    lifted = lift_payoff(pair, {h: (F(3, 2) if h.state == "xb" else F(-1, 4))
+                                for h in pair.histories(3)})
+    return "\n".join(f"{view!r} {format_rational(v)}" for view, v in lifted.items())
+
+
 def _cases() -> dict:
     """Case name -> canonical text."""
     games = {name: corpus.build_game(name) for name in BELIEF_GAMES}
@@ -111,6 +175,14 @@ def _cases() -> dict:
         texts[f"solve_backward strategies {name}"] = strategies
     texts["uniform_value mdp_final_remark"] = _report(games["mdp_final_remark"], 4000)
     texts["uniform_value quitting_game"] = _report(games["quitting_game"], 1000)
+    # verify-paper's plan-shape claim, then the quitting game's short schedule
+    mdp, quitting = games["mdp_final_remark"], games["quitting_game"]
+    texts["extract_eps_optimal mdp_final_remark"] = _fields(extract_eps_optimal(
+        mdp, uniform_value(mdp, tol=F(1, 100), n_max=256, window=3), F(1, 10)),
+        EPS_FIELDS)
+    texts["extract_eps_optimal quitting_game"] = _fields(extract_eps_optimal(
+        quitting, uniform_value(quitting, tol=F(1, 50), n_max=24, window=3), F(1, 20)),
+        EPS_FIELDS)
     corpus_games = {name: corpus.build_game(name) for name in corpus.NAMES}
     texts.update(_sequence_form_cases(corpus_games, 3))
     # private signals: the sequence form is the only engine
@@ -119,6 +191,9 @@ def _cases() -> dict:
     for name, game in corpus_games.items():
         texts[f"sup_value_lowerbounds {name}"] = _fields(
             sup_value_lowerbounds(game, 3), SUP_FIELDS)
+    texts.update(_matrix_game_cases())
+    texts.update(_kernel_cases(corpus_games))
+    texts["lift_payoff noisy_public_2state"] = _lift_case(corpus_games["noisy_public_2state"])
     return texts
 
 

@@ -24,7 +24,6 @@ from signalgames.lp import (
     UNBOUNDED,
     LinearProgram,
     MatrixGameSolution,
-    _check_saddle,
     _integer_row,
     _matrix,
     _saddle,
@@ -309,9 +308,9 @@ def test_matrix_game_value_without_saddle_runs_the_lp_once(monkeypatch):
 
 
 def test_value_without_saddle_validates_only_in_solve_matrix_game(monkeypatch):
-    """A game without a saddle reaches ``lp._matrix`` twice, as a direct
-    ``solve_matrix_game`` call does: at that call's entry and in its
-    certificate check.  ``reduction._value`` validates nothing itself."""
+    """A game without a saddle reaches ``lp._matrix`` once, at the entry of
+    ``solve_matrix_game``: the certificate runs on the matrix validated
+    there, and ``reduction._value`` validates nothing itself."""
     calls = []
     real = lp_module._matrix
 
@@ -321,7 +320,7 @@ def test_value_without_saddle_validates_only_in_solve_matrix_game(monkeypatch):
 
     monkeypatch.setattr(lp_module, "_matrix", counted)
     assert reduction._value([[1, 0], [0, 1]]) == F(1, 2)
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 def test_matrix_game_value_saddle_runs_no_lp(monkeypatch):
@@ -833,10 +832,16 @@ _COLUMN_GAME = [[F(1)], [F(3)], [F(3)], [F(2)]]
 _ROW_GAME = [[F(1), F(3), F(3), F(2)]]
 
 
+def _pure(game, r, c, value) -> MatrixGameSolution:
+    """The pure pair (row r, column c) of ``game`` with ``value``."""
+    return MatrixGameSolution(value, [F(k == r) for k in range(len(game))],
+                              [F(k == c) for k in range(len(game[0]))])
+
+
 def test_forged_vector_game_certificate_rejected():
-    """``_check_saddle`` accepts every saddle point, ties included, and
-    rejects a forged row, column or value on a 3x3 game with a saddle and
-    on one-column and one-row games."""
+    """The matrix-game certificate accepts every pure saddle point, ties
+    included, and rejects a forged row, column or value on a 3x3 game with
+    a saddle and on one-column and one-row games."""
     assert _saddle(_SADDLE_GAME) == (1, 1)
     assert _saddle(_COLUMN_GAME) == (1, 0)
     assert _saddle(_ROW_GAME) == (0, 0)
@@ -846,7 +851,7 @@ def test_forged_vector_game_certificate_rejected():
                               (_COLUMN_GAME, 1, 0, F(3)),
                               (_COLUMN_GAME, 2, 0, F(3)),
                               (_ROW_GAME, 0, 0, F(1))]:
-        _check_saddle(game, r, c, value)
+        _pure(game, r, c, value).check(game)
     for game, r, c, value in [(_SADDLE_GAME, 1, 1, F(3)),     # value is not the entry
                               (_SADDLE_GAME, 2, 1, F(2)),     # row 2 does not guarantee it
                               (_SADDLE_GAME, 1, 0, F(3)),     # nor does row 1 guarantee 3
@@ -857,19 +862,21 @@ def test_forged_vector_game_certificate_rejected():
                               (_ROW_GAME, 0, 1, F(3)),        # not a minimum
                               (_ROW_GAME, 0, 0, F(0))]:
         with pytest.raises(LPError):
-            _check_saddle(game, r, c, value)
+            _pure(game, r, c, value).check(game)
 
 
 def test_forged_vector_game_certificate_rejected_under_optimize():
     script = (
         "from fractions import Fraction as F\n"
         "from signalgames.errors import LPError\n"
-        "from signalgames.lp import _check_saddle\n"
+        "from signalgames.lp import MatrixGameSolution\n"
         "assert False, 'asserts were not stripped'\n"
         "game = [[F(1), F(0)], [F(3), F(2)]]\n"
         "for r, c, value in ((1, 1, F(3)), (0, 1, F(0)), (1, 0, F(3))):\n"
+        "    e_r = [F(k == r) for k in range(2)]\n"
+        "    e_c = [F(k == c) for k in range(2)]\n"
         "    try:\n"
-        "        _check_saddle(game, r, c, value)\n"
+        "        MatrixGameSolution(value, e_r, e_c).check(game)\n"
         "    except LPError as err:\n"
         "        print('rejected:', err)\n"
     )

@@ -16,13 +16,14 @@ from randgen import (
     random_symmetric_game,
     rational_weights,
 )
-from signalgames import corpus
+from signalgames import corpus, seqform
 from signalgames.errors import (
     BudgetExceededError,
     GameModelError,
     UnsupportedStructureError,
 )
-from signalgames.lp import solve_matrix_game
+from signalgames.gamefile import parse_spec, serialize_spec
+from signalgames.lp import LPError, solve_matrix_game
 from signalgames.model import PUBLIC, BehavioralStrategy, uniform_strategy
 from signalgames.reduction import MEAN as RED_MEAN
 from signalgames.reduction import build_auxiliary, solve_backward
@@ -164,11 +165,10 @@ def test_terminal_payoff_is_two_callables():
 
 
 def test_terminal_payoff_values_must_be_exact():
-    """Both solvers refuse a terminal or determined payoff value that is
-    not an int or a Fraction (a float, a bool), which would otherwise come
-    back as a binary expansion passed off as an exact value."""
+    """``nstage_value`` refuses a terminal or determined payoff value that
+    is not an int or a Fraction (a float, a bool), which would otherwise
+    come back as a binary expansion passed off as an exact value."""
     game = corpus.build_game("quitting_game")
-    fixed = uniform_strategy(game.expand(), 1)
     for bad in (0.1, True, "1/10"):
         for terminal in (
                 TerminalPayoff(lambda x, i, j, bad=bad: bad, lambda x: None),
@@ -176,13 +176,31 @@ def test_terminal_payoff_values_must_be_exact():
                                lambda x, bad=bad: bad if x == "1*" else None)):
             with pytest.raises(GameModelError, match="an int or a Fraction"):
                 nstage_value(game, 2, evaluation=terminal)
-            with pytest.raises(GameModelError, match="an int or a Fraction"):
-                best_response_value(game, fixed, 2, terminal)
     exact = TerminalPayoff(lambda x, i, j: F(1, 10), lambda x: None)
     assert nstage_value(game, 2, evaluation=exact).value == F(1, 10)
-    assert best_response_value(game, fixed, 2, exact) == F(1, 10)
     whole = TerminalPayoff(lambda x, i, j: 1, lambda x: 1 if x == "1*" else None)
     assert nstage_value(game, 2, evaluation=whole).value == 1
+
+
+@pytest.mark.parametrize("name", ["quitting_game", "noisy_public_2state",
+                                  "bigmatch_fullmonitor", *range(6)])
+def test_public_strategies_on_a_general_form_copy(name):
+    """A general-form copy of a symmetric game, written and read back, has
+    symmetric signaling but no ``public_label``: its public view comes from
+    the symmetry witness.  At n <= 3 its belief value equals the symmetric
+    original's and the sequence form's, and the best replies to its public
+    strategies, which read the witness's labels, meet at that value."""
+    sym = (random_symmetric_game(name) if isinstance(name, int)
+           else corpus.build_game(name))
+    general = parse_spec(serialize_spec(sym.expand()))
+    assert not general.public_label
+    for n in range(1, 4):
+        back = solve_backward(build_auxiliary(general, n))
+        assert back.strategy1.view_kind == back.strategy2.view_kind == PUBLIC
+        assert back.value == solve_backward(build_auxiliary(sym, n)).value
+        assert back.value == nstage_value(general, n).value
+        assert best_response_value(general, back.strategy1, n, responder=2) == back.value
+        assert best_response_value(general, back.strategy2, n, responder=1) == back.value
 
 
 def test_public_strategy_certificates(games):
@@ -193,6 +211,26 @@ def test_public_strategy_certificates(games):
     spec = sym.expand()
     assert best_response_value(spec, back.strategy1, n, responder=2) == back.value
     assert best_response_value(spec, back.strategy2, n, responder=1) == back.value
+
+
+@pytest.mark.parametrize("forge, match", [
+    (lambda duals: [2 * y for y in duals], "does not start at 1"),
+    (lambda duals: duals[:1] + [0] * (len(duals) - 1), "breaks flow"),
+], ids=["doubled", "root-only"])
+def test_forged_player2_plan_is_refused(monkeypatch, forge, match):
+    """Player 2's realization plan is read off the LP's duals and its flow
+    equations are checked exactly: doubled duals do not start at 1, and a
+    plan with mass on the empty sequence alone breaks flow at the first
+    information set."""
+    real = seqform.solve_lp
+
+    def forged(lp):
+        sol = real(lp)
+        return dataclasses.replace(sol, duals=forge(sol.duals))
+
+    monkeypatch.setattr(seqform, "solve_lp", forged)
+    with pytest.raises(LPError, match=match):
+        nstage_value(corpus.build_game("bigmatch_nosignals"), 2)
 
 
 def test_sequence_form_program_prunes_absorbed(games):
@@ -267,12 +305,8 @@ def _random_public_strategy(rng, spec, player, horizon):
 @pytest.mark.parametrize("kind", ["general", "symmetric"])
 def test_best_response_matches_history_walk(kind):
     """Merged frames give the value of the walk over every history, for
-    both responders, player and public views, the mean payoff and an
-    action-style terminal payoff with early closing; and some runs fit a
+    both responders and for player and public views; and some runs fit a
     budget below the walk's frame count, so frames really merge."""
-    terminal = TerminalPayoff(
-        action_fn=lambda x, i, j: F(len(x) + len(i), len(j) + 1),
-        determined_fn=lambda x: F(3, 2) if x == "x1" else None)
     runs = merged = 0
     for seed in range(8):
         if kind == "general":
@@ -288,33 +322,25 @@ def test_best_response_matches_history_walk(kind):
                              if view_kind == "player" else
                              _random_public_strategy(rng, spec, fixed_player,
                                                      horizon))
-                    for evaluation in ("mean", terminal):
-                        want, frames = naive_best_response_value(
-                            spec, fixed, horizon, evaluation, responder)
-                        got = best_response_value(spec, fixed, horizon,
-                                                  evaluation, responder)
-                        assert got == want, (seed, horizon, responder,
-                                             view_kind, evaluation)
-                        runs += 1
-                        try:
-                            best_response_value(spec, fixed, horizon, evaluation,
-                                                responder, budget=frames - 1)
-                            merged += 1
-                        except BudgetExceededError:
-                            pass
+                    want, frames = naive_best_response_value(
+                        spec, fixed, horizon, responder)
+                    got = best_response_value(spec, fixed, horizon, responder)
+                    assert got == want, (seed, horizon, responder, view_kind)
+                    runs += 1
+                    try:
+                        best_response_value(spec, fixed, horizon, responder,
+                                            budget=frames - 1)
+                        merged += 1
+                    except BudgetExceededError:
+                        pass
     assert 0 < merged < runs, (merged, runs)
 
 
-def test_best_response_refuses_an_unknown_evaluation():
+def test_nstage_value_refuses_an_unknown_evaluation():
     """An evaluation that is neither "mean" nor a TerminalPayoff is a
-    GameModelError, as in ``nstage_value``, where it used to be read as the
-    mean payoff."""
+    GameModelError in ``nstage_value``, never read as the mean payoff."""
     spec = corpus.build_game("quitting_game").expand()
-    fixed = uniform_strategy(spec, 1)
-    assert best_response_value(spec, fixed, 2, "mean") == F(1, 8)
     for bad in ("bogus", None, 0):
-        with pytest.raises(GameModelError, match="unknown evaluation"):
-            best_response_value(spec, fixed, 2, bad)
         with pytest.raises(GameModelError, match="unknown evaluation"):
             nstage_value(spec, 2, evaluation=bad)
 
